@@ -46,7 +46,6 @@ from gogz.paths import (
     check_conjugacy_path,
     enumerate_complete_paths,
     enumerate_full_nonmaximal_paths,
-    find_semi_nonmaximal_path_to,
     iter_conjugacy_paths,
 )
 from gogz.verdicts import (
@@ -92,7 +91,6 @@ __all__ = [
     "check_conjugacy_path",
     "enumerate_complete_paths",
     "enumerate_full_nonmaximal_paths",
-    "find_semi_nonmaximal_path_to",
     "iter_conjugacy_paths",
     "BalanceVerdict",
     "HyperbolicityVerdict",

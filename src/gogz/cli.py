@@ -363,11 +363,11 @@ def _answer_json(graph: GraphOfGroups, answer: ConjugacyAnswer) -> dict:
 
 
 def _extra_path_relations(graph, engine, x, y, answer) -> List[dict]:
-    """Path relations beyond the minimal answer (distinct exponent pairs).
+    """Path relations beyond the reported answer (distinct exponent pairs).
 
     These matter when the transfer around some chain is non-level: for the
     one-loop graph with words a^2/a^3 they exhibit a^2 ~ a^3 even though the
-    minimal self-conjugacy of a is the trivial (1, 1).
+    reported self-conjugacy of a is the trivial (1, 1).
     """
     extras: List[dict] = []
     seen = {answer.exponents}
@@ -630,7 +630,11 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         except OSError as exc:
             print(f"error: {exc}", file=sys.stderr)
             return 2
-        graph = parse_graph(data.decode("utf-8"))
+        try:
+            text = data.decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise ParseError(f"graph file is not UTF-8 text (byte {exc.start})") from None
+        graph = parse_graph(text)
         doc = _base_document(args.command, args.file, data, graph)
         doc = _COMMANDS[args.command](args, graph, doc)
     except InternalInconsistencyError as exc:

@@ -10,16 +10,25 @@ endpoint elements become conjugate in the fundamental group, and composing
 the per-vertex conjugators with the stable letters yields an explicit
 conjugator that the normal-form engine can check.
 
-Three enumerations are built on this:
+Three enumerations are built on this, all edge-once (each unoriented edge
+at most once per chain):
 
-* closed chains that use each unoriented edge at most once and certify a
-  self-conjugacy ``w g^i w^-1 = g^j`` (the *complete* closed paths; the
-  chain is *level* when ``|i| = |j|``),
+* closed chains that certify a self-conjugacy ``w g^i w^-1 = g^j`` (the
+  *complete* closed paths; the chain is *level* when ``|i| = |j|``),
 * *full non-maximal* paths, whose endpoint inclusion words are proper
   powers at both ends while every other inclusion along the way is
   maximal — the shape that produces a Z^2 or Baumslag-Solitar subgroup,
-* *semi non-maximal* paths, the one-arrow variant used to decide whether
-  a vertex element stays maximal in the fundamental group.
+* open conjugacy paths between two given vertex elements.
+
+All three walk the same index.  Two edge ends at a vertex overlap exactly
+when their inclusion words have the same canonical primitive root, so each
+edge end falls in a *class* (vertex, primitive) and a chain's junctions all
+hold exactly when every step leaves from the class the previous step
+arrived in.  The walk therefore only ever extends along class adjacency,
+and its cost is proportional to the number of edge-once walks in that
+adjacency (not to all edge sequences of the graph).  That number can still
+grow exponentially when many edges share a class.  Every emitted chain is
+rebuilt from :func:`~gogz.words.cyclic_meet` by :func:`check_conjugacy_path`.
 """
 
 from __future__ import annotations
@@ -28,18 +37,23 @@ import warnings
 from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
-from typing import Iterator, List, Optional, Sequence, Tuple, Union
+from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple, Union
 
-from .errors import DegenerateInputError, PreconditionError
-from .graphs import GraphOfGroups, OrientedEdge
-from .words import CyclicMeet, FreeWord, cyclic_meet
+from .errors import DegenerateInputError, InternalInconsistencyError
+from .graphs import MINUS, PLUS, Edge, GraphOfGroups, OrientedEdge
+from .words import CyclicMeet, FreeWord, Letters, cyclic_meet, root
 
 TLetter = Tuple[str, int, int]
 ConjugatorItem = Union[FreeWord, TLetter]
+EndClass = Tuple[int, Letters]
 
 
 class EnumerationSizeWarning(UserWarning):
-    """Closed-path enumeration grows factorially with the edge count."""
+    """Closed-chain enumeration may be slow on a graph with many edges.
+
+    The walk visits every edge-once chain along class adjacency, and their
+    number can grow exponentially with the count of edges sharing a class.
+    """
 
 
 @dataclass(frozen=True)
@@ -179,6 +193,100 @@ def check_conjugacy_path(
     return ConjugacyPath(steps, g, g_prime, entry, tuple(junctions), exit_)
 
 
+
+def _certify(
+    graph: GraphOfGroups, g: FreeWord, g_prime: FreeWord, steps: Sequence[OrientedEdge]
+) -> ConjugacyPath:
+    """check_conjugacy_path for a chain the class walk already accepted."""
+    path = check_conjugacy_path(graph, g, g_prime, steps)
+    if path is None:
+        raise InternalInconsistencyError(
+            "class walk accepted a chain that cyclic_meet rejects: "
+            + " ".join(repr(s) for s in steps)
+        )
+    return path
+
+
+# ---------------------------------------------------------------- class walk
+
+
+def _end_class(edge: Edge, side: int) -> Tuple[EndClass, bool]:
+    """The class of an edge end, and whether it carries an arrow."""
+    r = root(edge.word(side))
+    return (edge.vertex(side), r.primitive.letters), abs(r.exponent) >= 2
+
+
+def _word_class(vid: int, word: FreeWord) -> EndClass:
+    return (vid, root(word).primitive.letters)
+
+
+class _ClassIndex:
+    """The oriented edges of a graph, keyed by the classes of their ends.
+
+    Position ``i`` describes ``steps[i]`` (``graph.oriented_edges()``
+    order): the class it leaves from and arrives in, and whether its origin
+    or terminus end carries an arrow.  ``out`` lists, per class, the steps
+    leaving from it in that same order; :func:`cyclic_meet` holds between
+    two ends exactly when their classes are equal, because it compares the
+    same canonical primitives.
+    """
+
+    def __init__(self, graph: GraphOfGroups):
+        ends = {
+            (e.id, side): _end_class(e, side) for e in graph.edges.values() for side in (MINUS, PLUS)
+        }
+        self.steps = graph.oriented_edges()
+        self.edge_id = [s.edge.id for s in self.steps]
+        self.origin: List[EndClass] = []
+        self.terminus: List[EndClass] = []
+        self.arrow_origin: List[bool] = []
+        self.arrow_terminus: List[bool] = []
+        self.out: Dict[EndClass, List[int]] = {}
+        for i, s in enumerate(self.steps):
+            origin, arrow_origin = ends[s.edge.id, s.origin_side]
+            terminus, arrow_terminus = ends[s.edge.id, s.terminus_side]
+            self.origin.append(origin)
+            self.terminus.append(terminus)
+            self.arrow_origin.append(arrow_origin)
+            self.arrow_terminus.append(arrow_terminus)
+            self.out.setdefault(origin, []).append(i)
+
+    def walks(
+        self,
+        start: int,
+        admits: Callable[[int], bool] = lambda i: True,
+        halts: Callable[[int], bool] = lambda i: False,
+    ) -> Iterator[List[int]]:
+        """Every edge-once walk from step ``start`` along class adjacency.
+
+        Walks come in depth-first preorder, children in ``out`` order; each
+        is the live list of step indices, so copy it to keep it.  A step
+        joins only when ``admits`` accepts it, and a walk whose last step
+        ``halts`` is not extended.
+        """
+        walk, used = [start], {self.edge_id[start]}
+        yield walk
+        frames = [self._next_steps(start, halts)]
+        while frames:  # frames[k] holds the untried steps after walk[k]
+            for i in frames[-1]:
+                if self.edge_id[i] not in used and admits(i):
+                    break
+            else:
+                frames.pop()
+                used.discard(self.edge_id[walk.pop()])
+                continue
+            walk.append(i)
+            used.add(self.edge_id[i])
+            yield walk
+            frames.append(self._next_steps(i, halts))
+
+    def _next_steps(self, i: int, halts: Callable[[int], bool]) -> Iterator[int]:
+        return iter(() if halts(i) else self.out.get(self.terminus[i], ()))
+
+    def chain(self, walk: Sequence[int]) -> Tuple[OrientedEdge, ...]:
+        return tuple(self.steps[i] for i in walk)
+
+
 # ------------------------------------------------------------- closed paths
 
 
@@ -219,35 +327,21 @@ def _reversed_path(steps: Sequence[OrientedEdge]) -> List[OrientedEdge]:
     return [s.reversed() for s in reversed(steps)]
 
 
-def _is_canonical_cycle(steps: Sequence[OrientedEdge]) -> bool:
-    """True when ``steps`` is the lex-least rotation of itself and its reverse."""
-    key = _path_key(steps)
-    n = len(steps)
-    candidates = [tuple(steps[i:]) + tuple(steps[:i]) for i in range(n)]
-    rev = _reversed_path(steps)
-    candidates += [tuple(rev[i:]) + tuple(rev[:i]) for i in range(n)]
-    return key == min(_path_key(c) for c in candidates)
+def _closed_chains(index: _ClassIndex) -> Iterator[Tuple[OrientedEdge, ...]]:
+    """All closed edge-once chains, one representative per rotation/reversal class.
 
-
-def _iter_edge_once_cycles(graph: GraphOfGroups) -> Iterator[Tuple[OrientedEdge, ...]]:
-    """All closed edge-once chains, one representative per rotation/reversal class."""
-    oriented = graph.oriented_edges()
-
-    def extend(path: List[OrientedEdge], used: set) -> Iterator[Tuple[OrientedEdge, ...]]:
-        here = path[-1].terminus
-        if here == path[0].origin and _is_canonical_cycle(path):
-            yield tuple(path)
-        for step in oriented:
-            if step.edge.id in used or step.origin != here:
-                continue
-            path.append(step)
-            used.add(step.edge.id)
-            yield from extend(path, used)
-            used.discard(step.edge.id)
-            path.pop()
-
-    for start in oriented:
-        yield from extend([start], {start.edge.id})
+    The representative is the lex-least rotation of the chain and of its
+    reverse under ``_path_key``: the one that starts with the forward
+    traversal of its least edge id.  So each walk starts forward on an edge
+    and admits only larger ids after it.
+    """
+    for start, step in enumerate(index.steps):
+        if not step.forward:
+            continue
+        least, home = index.edge_id[start], index.origin[start]
+        for walk in index.walks(start, admits=lambda i: index.edge_id[i] > least):
+            if index.terminus[walk[-1]] == home:
+                yield index.chain(walk)
 
 
 def enumerate_complete_paths(
@@ -266,11 +360,9 @@ def enumerate_complete_paths(
             stacklevel=2,
         )
     verdicts = []
-    for steps in _iter_edge_once_cycles(graph):
+    for steps in _closed_chains(_ClassIndex(graph)):
         base_word = steps[0].origin_word
-        path = check_conjugacy_path(graph, base_word, base_word, steps)
-        if path is None:
-            continue
+        path = _certify(graph, base_word, base_word, steps)
         ratio = path.ratio()
         verdicts.append(
             CompletePathVerdict(
@@ -294,9 +386,9 @@ class NonMaximalPath:
     """A conjugacy path whose arrow pattern defeats maximality.
 
     An *arrow* sits at an edge end whose inclusion word is a proper power.
-    ``kind`` is "full" (arrows exactly at the path's two outer ends) or
-    "semi" (a single arrow, on the initial edge pointing backwards).
-    ``arrows`` lists the (edge_id, side) pairs carrying the defining arrows.
+    ``kind`` names the pattern; the paths built here are "full" (arrows
+    exactly at the path's two outer ends).  ``arrows`` lists the
+    (edge_id, side) pairs carrying the defining arrows.
     """
 
     kind: str
@@ -308,23 +400,8 @@ class NonMaximalPath:
         return self.path.steps
 
 
-def _arrow_at_origin(graph: GraphOfGroups, step: OrientedEdge) -> bool:
-    return graph.has_arrow(step.edge, step.origin_side)
-
-
-def _arrow_at_terminus(graph: GraphOfGroups, step: OrientedEdge) -> bool:
-    return graph.has_arrow(step.edge, step.terminus_side)
-
-
-def _junction_holds(a: OrientedEdge, b: OrientedEdge) -> bool:
-    return cyclic_meet(a.terminus_word, b.origin_word) is not None
-
-
 def _full_path(graph: GraphOfGroups, steps: Sequence[OrientedEdge]) -> NonMaximalPath:
-    path = check_conjugacy_path(
-        graph, steps[0].origin_word, steps[-1].terminus_word, steps
-    )
-    assert path is not None  # junctions were checked during the walk
+    path = _certify(graph, steps[0].origin_word, steps[-1].terminus_word, steps)
     arrows = (
         (steps[0].edge.id, steps[0].origin_side),
         (steps[-1].edge.id, steps[-1].terminus_side),
@@ -341,106 +418,25 @@ def enumerate_full_nonmaximal_paths(graph: GraphOfGroups) -> List[NonMaximalPath
     A single edge with arrows at both ends is the one-step case.  Results
     are deduplicated under reversal.
     """
-    oriented = graph.oriented_edges()
+    index = _ClassIndex(graph)
     found = []
-
-    def emit(steps: List[OrientedEdge]) -> None:
-        if _path_key(steps) <= _path_key(_reversed_path(steps)):
-            found.append(_full_path(graph, steps))
-
-    def extend(path: List[OrientedEdge], used: set) -> None:
-        for step in oriented:
-            if step.edge.id in used or step.origin != path[-1].terminus:
-                continue
-            if _arrow_at_origin(graph, step) or not _junction_holds(path[-1], step):
-                continue
-            path.append(step)
-            used.add(step.edge.id)
-            if _arrow_at_terminus(graph, step):
-                emit(path)  # final edge; an arrowed end cannot be extended past
-            else:
-                extend(path, used)
-            used.discard(step.edge.id)
-            path.pop()
-
-    for start in oriented:
-        if not _arrow_at_origin(graph, start):
+    for start in range(len(index.steps)):
+        if not index.arrow_origin[start]:
             continue
-        if _arrow_at_terminus(graph, start):
-            emit([start])
-        else:
-            extend([start], {start.edge.id})
+        # an arrowed end cannot be passed through, only start or end a path
+        for walk in index.walks(
+            start,
+            admits=lambda i: not index.arrow_origin[i],
+            halts=lambda i: index.arrow_terminus[i],
+        ):
+            if not index.arrow_terminus[walk[-1]]:
+                continue
+            steps = index.chain(walk)
+            if _path_key(steps) <= _path_key(_reversed_path(steps)):
+                found.append(_full_path(graph, steps))
 
     found.sort(key=lambda p: (len(p.steps), _path_key(p.steps)))
     return found
-
-
-def find_semi_nonmaximal_path_to(
-    graph: GraphOfGroups,
-    target: FreeWord,
-    *,
-    word_hyperbolic: bool,
-) -> Optional[NonMaximalPath]:
-    """First edge-once chain showing ``target`` is a proper power up to conjugacy.
-
-    The chain starts on an arrowed edge end (its inclusion word is a proper
-    power there), crosses only arrow-free edges, and its last inclusion word
-    overlaps a conjugate of <target>.  The criterion reads maximality in the
-    whole group off the graph only when that group is word hyperbolic, so
-    callers must pass the established verdict.
-    """
-    if not word_hyperbolic:
-        raise PreconditionError(
-            "semi non-maximal paths decide maximality only over a word-hyperbolic "
-            "fundamental group; establish that verdict first"
-        )
-    if target.is_identity:
-        raise DegenerateInputError("target element is trivial")
-    try:
-        target_vid = int(target.vertex)
-    except ValueError:
-        target_vid = -1
-    if target_vid not in graph.vertices:
-        raise DegenerateInputError(f"unknown target vertex {target.vertex!r}")
-
-    oriented = graph.oriented_edges()
-
-    def finish(steps: List[OrientedEdge]) -> Optional[NonMaximalPath]:
-        if steps[-1].terminus != target_vid:
-            return None
-        path = check_conjugacy_path(graph, steps[0].origin_word, target, steps)
-        if path is None:
-            return None
-        arrows = ((steps[0].edge.id, steps[0].origin_side),)
-        return NonMaximalPath("semi", path, arrows)
-
-    def extend(path: List[OrientedEdge], used: set) -> Optional[NonMaximalPath]:
-        hit = finish(path)
-        if hit is not None:
-            return hit
-        for step in oriented:
-            if step.edge.id in used or step.origin != path[-1].terminus:
-                continue
-            if _arrow_at_origin(graph, step) or _arrow_at_terminus(graph, step):
-                continue
-            if not _junction_holds(path[-1], step):
-                continue
-            path.append(step)
-            used.add(step.edge.id)
-            hit = extend(path, used)
-            used.discard(step.edge.id)
-            path.pop()
-            if hit is not None:
-                return hit
-        return None
-
-    for start in oriented:
-        if not _arrow_at_origin(graph, start) or _arrow_at_terminus(graph, start):
-            continue
-        hit = extend([start], {start.edge.id})
-        if hit is not None:
-            return hit
-    return None
 
 
 # --------------------------------------------------------------- open search
@@ -451,38 +447,19 @@ def iter_conjugacy_paths(
 ) -> Iterator[ConjugacyPath]:
     """All edge-once conjugacy paths from g to g', in canonical walk order.
 
-    Junction overlaps are pruned during the walk, so every yielded chain is
-    fully certified; closed chains returning to the start vertex appear too.
+    The order is depth-first over ``graph.oriented_edges()``; a chain is
+    yielded before its extensions.  Closed chains returning to the start
+    vertex appear too.
     """
     if g.is_identity or g_prime.is_identity:
         raise DegenerateInputError("conjugacy paths connect nontrivial elements")
-    oriented = graph.oriented_edges()
-    try:
-        start_vid, end_vid = int(g.vertex), int(g_prime.vertex)
-    except ValueError:
-        raise DegenerateInputError("endpoints must live at vertices of the graph")
-    if start_vid not in graph.vertices or end_vid not in graph.vertices:
+    homes = {str(vid): vid for vid in graph.vertices}
+    if g.vertex not in homes or g_prime.vertex not in homes:
         raise DegenerateInputError("endpoints must live at vertices of the graph")
 
-    def extend(path: List[OrientedEdge], used: set) -> Iterator[ConjugacyPath]:
-        if path[-1].terminus == end_vid:
-            certified = check_conjugacy_path(graph, g, g_prime, path)
-            if certified is not None:
-                yield certified
-        for step in oriented:
-            if step.edge.id in used or step.origin != path[-1].terminus:
-                continue
-            if not _junction_holds(path[-1], step):
-                continue
-            path.append(step)
-            used.add(step.edge.id)
-            yield from extend(path, used)
-            used.discard(step.edge.id)
-            path.pop()
-
-    for start in oriented:
-        if start.origin != start_vid:
-            continue
-        if cyclic_meet(g, start.origin_word) is None:
-            continue
-        yield from extend([start], {start.edge.id})
+    index = _ClassIndex(graph)
+    target = _word_class(homes[g_prime.vertex], g_prime)
+    for start in index.out.get(_word_class(homes[g.vertex], g), ()):
+        for walk in index.walks(start):
+            if index.terminus[walk[-1]] == target:
+                yield _certify(graph, g, g_prime, index.chain(walk))

@@ -23,7 +23,10 @@ Verdicts decided here:
 * ``trichotomy`` — acylindrically hyperbolic, or surjecting onto the
   integers, or carrying an infinite cyclic normal (here central) subgroup.
 * ``power_conjugate`` — decides whether powers of two vertex elements are
-  conjugate, returning a minimal certified witness.
+  conjugate, returning a certified witness.
+
+``analyze`` runs all of them on one graph, sharing the closed-chain
+enumeration, the reduction and the acylindricity verdict between deciders.
 """
 
 from __future__ import annotations
@@ -92,9 +95,12 @@ class BalanceVerdict:
 
 def is_balanced(graph: GraphOfGroups) -> BalanceVerdict:
     """A non-level complete closed chain is exactly an unbalanced element."""
-    verdicts = enumerate_complete_paths(graph)
-    modulus = tuple(sorted({v.ratio for v in verdicts}, key=lambda r: (abs(r), r)))
-    nonlevel = [v for v in verdicts if not v.level]
+    return _balance(graph, enumerate_complete_paths(graph))
+
+
+def _balance(graph: GraphOfGroups, complete: List[CompletePathVerdict]) -> BalanceVerdict:
+    modulus = tuple(sorted({v.ratio for v in complete}, key=lambda r: (abs(r), r)))
+    nonlevel = [v for v in complete if not v.level]
     if not nonlevel:
         return BalanceVerdict(True, None, None, 1, modulus)
     witness = nonlevel[0]
@@ -130,35 +136,27 @@ class HyperbolicityVerdict:
 
 
 def is_word_hyperbolic(graph: GraphOfGroups) -> HyperbolicityVerdict:
-    complete = enumerate_complete_paths(graph)
-    full = enumerate_full_nonmaximal_paths(graph)
-    if not complete and not full:
+    return _hyperbolicity(graph, enumerate_complete_paths(graph))
+
+
+def _hyperbolicity(
+    graph: GraphOfGroups, complete: List[CompletePathVerdict]
+) -> HyperbolicityVerdict:
+    """The first complete chain refutes; full paths are only listed when none exists."""
+    refuting = complete or enumerate_full_nonmaximal_paths(graph)
+    if not refuting:
         return HyperbolicityVerdict(True, None, False)
-    engine = Engine(graph)
-    if complete:
-        witness: Union[CompletePathVerdict, NonMaximalPath] = complete[0]
-        i, j = witness.witness
-        _require(
-            engine,
-            witness.path.conjugator_items(),
-            witness.base_word,
-            i,
-            witness.base_word,
-            j,
-            "complete closed chain",
-        )
-    else:
-        witness = full[0]
-        m, n = witness.path.witness_exponents()
-        _require(
-            engine,
-            witness.path.conjugator_items(),
-            witness.path.start,
-            m,
-            witness.path.end,
-            n,
-            "full non-maximal path",
-        )
+    witness = refuting[0]
+    m, n = witness.path.witness_exponents()
+    _require(
+        Engine(graph),
+        witness.path.conjugator_items(),
+        witness.path.start,
+        m,
+        witness.path.end,
+        n,
+        "complete closed chain" if complete else "full non-maximal path",
+    )
     return HyperbolicityVerdict(False, witness, True)
 
 
@@ -324,10 +322,17 @@ def trichotomy(graph: GraphOfGroups) -> TrichotomyVerdict:
     the common central power built by ``_central_witness``.
     """
     reduced, _ = reduce_graph(graph)
+    return _trichotomy(reduced, None if reduced.is_trivial else is_acyl_hyperbolic(reduced))
+
+
+def _trichotomy(reduced: GraphOfGroups, acyl: Optional[AcylVerdict]) -> TrichotomyVerdict:
+    """``trichotomy`` on an already reduced graph and its acylindricity verdict.
+
+    ``acyl`` is None exactly when the reduced graph is a single free vertex.
+    """
     if reduced.is_trivial:
         (vertex,) = reduced.vertices.values()
         return TrichotomyVerdict("surjects_Z", None, (), None, vertex.rank)
-    acyl = is_acyl_hyperbolic(reduced)
     if acyl.acyl_hyperbolic:
         return TrichotomyVerdict("acylindrically_hyperbolic", acyl, (), None, None)
     if reduced.betti_number > 0:
@@ -372,12 +377,15 @@ def _same_vertex_candidate(
 
 
 def power_conjugate(graph: GraphOfGroups, x: FreeWord, y: FreeWord) -> ConjugacyAnswer:
-    """Minimal certified witness that x^m is conjugate to y^n, if any.
+    """A certified witness that x^m is conjugate to y^n, if any.
 
     Candidates come from the shared vertex group (when x and y live at the
     same vertex) and from every edge-once conjugacy path between their
-    vertices; the winner minimises (m, |n|).  The witness exponents are
-    divided by their gcd when the reduced claim still verifies.
+    vertices; the winner minimises (m, |n|) among those candidates.  The
+    witness exponents are divided by their gcd when the reduced claim still
+    verifies.  Walks that repeat an edge are not searched, so a relation
+    with smaller exponents may exist: in BS(2, 3) the answer for a^9 and
+    a^4 is (2, 3), while t^-2 a^9 t^2 = a^4 already holds.
     """
     if x.is_identity or y.is_identity:
         raise DegenerateInputError("power conjugacy is asked of nontrivial elements")
@@ -431,19 +439,19 @@ class AnalysisReport:
 def analyze(graph: GraphOfGroups) -> AnalysisReport:
     """Run every decider and cross-check the verdicts against each other."""
     reduced, log = reduce_graph(graph)
-    balance = is_balanced(graph)
-    hyper = is_word_hyperbolic(graph)
-    tri = trichotomy(graph)
+    complete = enumerate_complete_paths(graph)
+    balance = _balance(graph, complete)
+    hyper = _hyperbolicity(graph, complete)
+    acyl = None if reduced.is_trivial else is_acyl_hyperbolic(reduced)
+    tri = _trichotomy(reduced, acyl)
 
     notes: List[str] = []
     if reduced.is_trivial:
         (vertex,) = reduced.vertices.values()
         free_rank: Optional[int] = vertex.rank
-        acyl = None
         rel_note = rel_hyp_obstruction(reduced) if vertex.rank == 1 else None
     else:
         free_rank = None
-        acyl = is_acyl_hyperbolic(reduced)
         rel_note = rel_hyp_obstruction(reduced)
         if len(reduced.vertices) == 1 and len(reduced.edges) == 1:
             edge = next(iter(reduced.edges.values()))

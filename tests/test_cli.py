@@ -233,3 +233,9 @@ class TestErrors:
         err = capsys.readouterr().err
         assert code == 2
         assert "line 2" in err
+
+    def test_non_utf8_file_exits_2(self, tmp_path, capsys):
+        path = tmp_path / "latin1.gog"
+        path.write_bytes(b"vertex 0 rank=1 gens=\xff\n")
+        assert main(["check", str(path)]) == 2
+        assert "not UTF-8" in capsys.readouterr().err

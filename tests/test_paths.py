@@ -6,14 +6,14 @@ from itertools import product
 import pytest
 
 from gogz.engine import Engine
-from gogz.errors import DegenerateInputError, PreconditionError
+from gogz import paths
+from gogz.errors import DegenerateInputError, InternalInconsistencyError
 from gogz.graphs import OrientedEdge, parse_graph
 from gogz.paths import (
     EnumerationSizeWarning,
     check_conjugacy_path,
     enumerate_complete_paths,
     enumerate_full_nonmaximal_paths,
-    find_semi_nonmaximal_path_to,
     iter_conjugacy_paths,
 )
 from gogz.words import cyclic_meet
@@ -283,33 +283,6 @@ class TestFullNonMaximalPaths:
                 assert rk not in keys or (rk,) and keys.count(rk) <= 1
 
 
-class TestSemiNonMaximalPaths:
-    def test_spec_single_edge(self):
-        hit = find_semi_nonmaximal_path_to(SEMI, w(SEMI, 0, "a"), word_hyperbolic=True)
-        assert hit is not None and hit.kind == "semi"
-        assert len(hit.steps) == 1 and not hit.steps[0].forward
-        assert hit.arrows == ((0, 1),)
-        assert hit.path.end == w(SEMI, 0, "a")
-        assert hit.path.start == w(SEMI, 1, "x^2")  # the arrowed inclusion word
-        m, n = hit.path.witness_exponents()
-        assert (m, n) == (1, 1)  # x^2 = a on the nose
-        verify_in_engine(SEMI, hit.path, m, n)
-
-    def test_unrelated_target(self):
-        assert find_semi_nonmaximal_path_to(SEMI, w(SEMI, 0, "b"), word_hyperbolic=True) is None
-
-    def test_no_arrows_anywhere(self):
-        assert find_semi_nonmaximal_path_to(FXF, w(FXF, 0, "a"), word_hyperbolic=True) is None
-
-    def test_requires_established_hyperbolicity(self):
-        with pytest.raises(PreconditionError):
-            find_semi_nonmaximal_path_to(SEMI, w(SEMI, 0, "a"), word_hyperbolic=False)
-
-    def test_trivial_target(self):
-        with pytest.raises(DegenerateInputError):
-            find_semi_nonmaximal_path_to(SEMI, w(SEMI, 0, "1"), word_hyperbolic=True)
-
-
 # ---------------------------------------------------------------- open paths
 
 
@@ -328,3 +301,19 @@ class TestIterConjugacyPaths:
         assert {p.witness_exponents() for p in paths} == {(2, 3), (3, 2)}
         for p in paths:
             verify_in_engine(BS23, p, *p.witness_exponents())
+
+
+@pytest.mark.parametrize(
+    "enumerate_",
+    [
+        lambda: enumerate_complete_paths(BS23),
+        lambda: enumerate_full_nonmaximal_paths(TREFOIL),
+        lambda: list(iter_conjugacy_paths(TREFOIL, w(TREFOIL, 0, "a"), w(TREFOIL, 1, "b"))),
+    ],
+    ids=["complete", "full", "open"],
+)
+def test_chain_rejected_by_cyclic_meet_is_an_internal_error(enumerate_, monkeypatch):
+    """The class index and cyclic_meet must agree; a disagreement is never skipped."""
+    monkeypatch.setattr(paths, "cyclic_meet", lambda u, v: None)
+    with pytest.raises(InternalInconsistencyError):
+        enumerate_()

@@ -1,0 +1,249 @@
+"""The class-indexed walker against a brute-force copy of the walk it replaced.
+
+The reference walkers below rescan every oriented edge at each step, test
+junctions with ``cyclic_meet`` directly and canonicalise closed chains by
+comparing all rotations and reversals.  On random graphs whose edge words
+are powers of a few shared primitives (so that chains exist), the
+enumerations must agree exactly: the same lists in the same order for the
+closed and full chains, and the same sequence in yield order for the open
+search, which ``power_conjugate`` and the ``conj`` command depend on.
+"""
+
+from itertools import islice
+from typing import List
+
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+
+from gogz.graphs import Edge, GraphOfGroups, OrientedEdge, Vertex
+from gogz.paths import (
+    CompletePathVerdict,
+    NonMaximalPath,
+    check_conjugacy_path,
+    enumerate_complete_paths,
+    enumerate_full_nonmaximal_paths,
+    iter_conjugacy_paths,
+)
+from gogz.words import cyclic_meet
+
+# ------------------------------------------------------------ reference walk
+
+
+def _path_key(steps):
+    return tuple((s.edge.id, 0 if s.forward else 1) for s in steps)
+
+
+def _reversed_path(steps):
+    return [s.reversed() for s in reversed(steps)]
+
+
+def _is_canonical_cycle(steps) -> bool:
+    key = _path_key(steps)
+    n = len(steps)
+    candidates = [tuple(steps[i:]) + tuple(steps[:i]) for i in range(n)]
+    rev = _reversed_path(steps)
+    candidates += [tuple(rev[i:]) + tuple(rev[:i]) for i in range(n)]
+    return key == min(_path_key(c) for c in candidates)
+
+
+def _junction_holds(a: OrientedEdge, b: OrientedEdge) -> bool:
+    return cyclic_meet(a.terminus_word, b.origin_word) is not None
+
+
+def reference_complete(graph: GraphOfGroups) -> List[CompletePathVerdict]:
+    oriented = graph.oriented_edges()
+    cycles = []
+
+    def extend(path, used):
+        here = path[-1].terminus
+        if here == path[0].origin and _is_canonical_cycle(path):
+            cycles.append(tuple(path))
+        for step in oriented:
+            if step.edge.id in used or step.origin != here:
+                continue
+            path.append(step)
+            used.add(step.edge.id)
+            extend(path, used)
+            used.discard(step.edge.id)
+            path.pop()
+
+    for start in oriented:
+        extend([start], {start.edge.id})
+
+    verdicts = []
+    for steps in cycles:
+        base_word = steps[0].origin_word
+        path = check_conjugacy_path(graph, base_word, base_word, steps)
+        if path is None:
+            continue
+        ratio = path.ratio()
+        verdicts.append(
+            CompletePathVerdict(
+                path=path,
+                base_vertex=steps[0].origin,
+                bases=tuple(sorted({s.origin for s in steps})),
+                ratio=ratio,
+                level=abs(ratio) == 1,
+                witness=path.witness_exponents(),
+            )
+        )
+    verdicts.sort(key=lambda v: (len(v.steps), _path_key(v.steps)))
+    return verdicts
+
+
+def reference_full(graph: GraphOfGroups) -> List[NonMaximalPath]:
+    oriented = graph.oriented_edges()
+    found = []
+
+    def arrow_at_origin(step):
+        return graph.has_arrow(step.edge, step.origin_side)
+
+    def arrow_at_terminus(step):
+        return graph.has_arrow(step.edge, step.terminus_side)
+
+    def emit(steps):
+        if _path_key(steps) <= _path_key(_reversed_path(steps)):
+            path = check_conjugacy_path(
+                graph, steps[0].origin_word, steps[-1].terminus_word, steps
+            )
+            assert path is not None
+            arrows = (
+                (steps[0].edge.id, steps[0].origin_side),
+                (steps[-1].edge.id, steps[-1].terminus_side),
+            )
+            found.append(NonMaximalPath("full", path, arrows))
+
+    def extend(path, used):
+        for step in oriented:
+            if step.edge.id in used or step.origin != path[-1].terminus:
+                continue
+            if arrow_at_origin(step) or not _junction_holds(path[-1], step):
+                continue
+            path.append(step)
+            used.add(step.edge.id)
+            if arrow_at_terminus(step):
+                emit(tuple(path))
+            else:
+                extend(path, used)
+            used.discard(step.edge.id)
+            path.pop()
+
+    for start in oriented:
+        if not arrow_at_origin(start):
+            continue
+        if arrow_at_terminus(start):
+            emit((start,))
+        else:
+            extend([start], {start.edge.id})
+
+    found.sort(key=lambda p: (len(p.steps), _path_key(p.steps)))
+    return found
+
+
+def reference_open(graph: GraphOfGroups, g, g_prime):
+    oriented = graph.oriented_edges()
+    start_vid, end_vid = int(g.vertex), int(g_prime.vertex)
+
+    def extend(path, used):
+        if path[-1].terminus == end_vid:
+            certified = check_conjugacy_path(graph, g, g_prime, path)
+            if certified is not None:
+                yield certified
+        for step in oriented:
+            if step.edge.id in used or step.origin != path[-1].terminus:
+                continue
+            if not _junction_holds(path[-1], step):
+                continue
+            path.append(step)
+            used.add(step.edge.id)
+            yield from extend(path, used)
+            used.discard(step.edge.id)
+            path.pop()
+
+    for start in oriented:
+        if start.origin != start_vid or cyclic_meet(g, start.origin_word) is None:
+            continue
+        yield from extend([start], {start.edge.id})
+
+
+# ------------------------------------------------------------ random graphs
+
+# Primitive words per rank, as letters; conjugates of one primitive share
+# its class but need a nontrivial transfer conjugator.
+PRIMITIVES = {
+    1: [(1,)],
+    2: [(1,), (2,), (1, 2), (2, 1, -2), (1, -2)],
+}
+
+
+@st.composite
+def word_specs(draw, rank):
+    base = draw(st.sampled_from(PRIMITIVES[rank]))
+    exponent = draw(st.sampled_from([1, -1, 2, -2, 3]))
+    return base, exponent
+
+
+def _word(vertex: Vertex, spec):
+    base, exponent = spec
+    return vertex.alphabet.word(base) ** exponent
+
+
+@st.composite
+def graphs(draw):
+    n = draw(st.integers(1, 4))
+    ranks = [draw(st.sampled_from([1, 1, 2])) for _ in range(n)]
+    names = iter("abcdefgh")
+    vertices = [Vertex.make(v, [next(names) for _ in range(ranks[v])]) for v in range(n)]
+    ends = [(draw(st.integers(0, v - 1)), v) for v in range(1, n)]  # spanning tree
+    extra = draw(st.integers(1 if n == 1 else 0, 6 - len(ends)))
+    ends += [(draw(st.integers(0, n - 1)), draw(st.integers(0, n - 1))) for _ in range(extra)]
+    # each loop doubles the reference walk's work; six loops take seconds
+    assume(sum(minus == plus for minus, plus in ends) <= 4)
+    edges = []
+    for eid, (minus, plus) in enumerate(draw(st.permutations(ends))):
+        edges.append(
+            Edge(
+                eid,
+                minus,
+                plus,
+                _word(vertices[minus], draw(word_specs(ranks[minus]))),
+                _word(vertices[plus], draw(word_specs(ranks[plus]))),
+            )
+        )
+    return GraphOfGroups(vertices, edges)
+
+
+@st.composite
+def graphs_with_endpoints(draw):
+    graph = draw(graphs())
+    ends = []
+    for _ in range(2):
+        vertex = graph.vertices[draw(st.sampled_from(sorted(graph.vertices)))]
+        ends.append(_word(vertex, draw(word_specs(vertex.rank))))
+    return graph, ends[0], ends[1]
+
+
+# -------------------------------------------------------------------- tests
+
+OPEN_PREFIX = 300
+
+
+@settings(max_examples=150, deadline=None)
+@given(graphs())
+def test_complete_paths_match_reference(graph):
+    assert enumerate_complete_paths(graph, max_edges_warn=6) == reference_complete(graph)
+
+
+@settings(max_examples=150, deadline=None)
+@given(graphs())
+def test_full_nonmaximal_paths_match_reference(graph):
+    assert enumerate_full_nonmaximal_paths(graph) == reference_full(graph)
+
+
+@settings(max_examples=150, deadline=None)
+@given(graphs_with_endpoints())
+def test_open_search_matches_reference_in_yield_order(case):
+    graph, g, g_prime = case
+    # a prefix fixes the order; the full stream can run to tens of thousands
+    new = list(islice(iter_conjugacy_paths(graph, g, g_prime), OPEN_PREFIX))
+    assert new == list(islice(reference_open(graph, g, g_prime), OPEN_PREFIX))

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from gogz import verdicts
 from gogz.engine import Engine
 from gogz.errors import DegenerateInputError, GraphNotReducedError
 from gogz.graphs import parse_graph, reduce_graph
@@ -374,6 +375,10 @@ class TestPowerConjugate:
 # -------------------------------------------------------------------- report
 
 
+ALL_TEXTS = [bs(2, 3), bs(3, 3), bs(1, 2), TREFOIL, TORUS, CHAIN, THETA, FXF,
+             COMM_SQUARE, COMM_PRIMITIVE, TWO_LOOPS, ROOTS_DISAGREE, CONJUGATE_ROOTS]
+
+
 class TestAnalyze:
     def test_bs23_report(self):
         report = analyze(parse_graph(bs(2, 3)))
@@ -402,11 +407,27 @@ class TestAnalyze:
         assert report.acyl.acyl_hyperbolic
         assert report.trichotomy.branch == "acylindrically_hyperbolic"
 
-    @pytest.mark.parametrize(
-        "text",
-        [bs(2, 3), bs(3, 3), bs(1, 2), TREFOIL, TORUS, CHAIN, THETA, FXF,
-         COMM_SQUARE, COMM_PRIMITIVE, TWO_LOOPS, ROOTS_DISAGREE, CONJUGATE_ROOTS],
-    )
+    @pytest.mark.parametrize("text", ALL_TEXTS)
+    def test_shared_steps_run_once_and_match_public_deciders(self, text, monkeypatch):
+        graph = parse_graph(text)
+        calls = {}
+        for name in ("enumerate_complete_paths", "reduce_graph", "is_acyl_hyperbolic"):
+            original = getattr(verdicts, name)
+
+            def counted(*args, _name=name, _original=original, **kwargs):
+                calls[_name] = calls.get(_name, 0) + 1
+                return _original(*args, **kwargs)
+
+            monkeypatch.setattr(verdicts, name, counted)
+        report = analyze(graph)
+        assert calls["enumerate_complete_paths"] == 1 and calls["reduce_graph"] == 1
+        assert calls.get("is_acyl_hyperbolic", 0) == (0 if report.reduced.is_trivial else 1)
+        monkeypatch.undo()
+        assert report.balance == is_balanced(graph)
+        assert report.hyperbolicity == is_word_hyperbolic(graph)
+        assert report.trichotomy == trichotomy(graph)
+
+    @pytest.mark.parametrize("text", ALL_TEXTS)
     def test_verdicts_are_mutually_consistent(self, text):
         report = analyze(parse_graph(text))  # internal gates raise on trouble
         if not report.balance.balanced:
