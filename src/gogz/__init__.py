@@ -41,7 +41,6 @@ from gogz.graphs import (
 from gogz.paths import (
     CompletePathVerdict,
     ConjugacyPath,
-    EnumerationSizeWarning,
     NonMaximalPath,
     check_conjugacy_path,
     enumerate_complete_paths,
@@ -87,7 +86,6 @@ __all__ = [
     "ConjugacyPath",
     "CompletePathVerdict",
     "NonMaximalPath",
-    "EnumerationSizeWarning",
     "check_conjugacy_path",
     "enumerate_complete_paths",
     "enumerate_full_nonmaximal_paths",

@@ -39,7 +39,6 @@ from .paths import (
     NonMaximalPath,
     enumerate_complete_paths,
     enumerate_full_nonmaximal_paths,
-    iter_conjugacy_paths,
 )
 from .verdicts import AnalysisReport, ConjugacyAnswer, analyze, power_conjugate
 from .words import FreeWord
@@ -286,7 +285,7 @@ def cmd_check(args, graph: GraphOfGroups, doc: dict) -> dict:
 
 def cmd_paths(args, graph: GraphOfGroups, doc: dict) -> dict:
     if args.kind == "complete":
-        verdicts = enumerate_complete_paths(graph, max_edges_warn=args.max_edges_warn)
+        verdicts = enumerate_complete_paths(graph)
         listing = [_complete_json(graph, v) for v in verdicts]
         text = [
             "{} path {}: base {} at vertex {}, ratio {}, level {}".format(
@@ -362,34 +361,13 @@ def _answer_json(graph: GraphOfGroups, answer: ConjugacyAnswer) -> dict:
     return out
 
 
-def _extra_path_relations(graph, engine, x, y, answer) -> List[dict]:
-    """Path relations beyond the reported answer (distinct exponent pairs).
-
-    These matter when the transfer around some chain is non-level: for the
-    one-loop graph with words a^2/a^3 they exhibit a^2 ~ a^3 even though the
-    reported self-conjugacy of a is the trivial (1, 1).
-    """
-    extras: List[dict] = []
-    seen = {answer.exponents}
-    for path in iter_conjugacy_paths(graph, x, y):
-        m, n = path.witness_exponents()
-        if (m, n) in seen:
-            continue
-        seen.add((m, n))
-        items = path.conjugator_items()
-        conj = engine.element_of(items)
-        lhs = engine.conjugate(conj, engine.power(engine.embed(x), m))
-        if not engine.equal(lhs, engine.power(engine.embed(y), n)):
-            raise InternalInconsistencyError("extra path relation failed verification")
-        extras.append(
-            {
-                "exponents": [m, n],
-                "conjugator": _format_conjugator(graph, items),
-                "steps": _format_steps(path),
-                "verified": True,
-            }
-        )
-    return extras
+def _extra_json(graph: GraphOfGroups, path: ConjugacyPath) -> dict:
+    return {
+        "exponents": list(path.witness_exponents()),
+        "conjugator": _format_conjugator(graph, path.conjugator_items()),
+        "steps": _format_steps(path),
+        "verified": True,
+    }
 
 
 def cmd_conj(args, graph: GraphOfGroups, doc: dict) -> dict:
@@ -412,8 +390,11 @@ def cmd_conj(args, graph: GraphOfGroups, doc: dict) -> dict:
                 answer.route,
             )
         )
-        extras = _extra_path_relations(graph, Engine(graph), x, y, answer)
-        if extras:
+        if answer.additional:
+            # relations beyond the answer matter when some chain is non-level:
+            # on the one-loop graph a^2/a^3 they show a^2 ~ a^3, while the
+            # answer for a and a is the trivial (1, 1)
+            extras = [_extra_json(graph, path) for path in answer.additional]
             doc["additional_relations"] = extras
             for extra in extras:
                 text.append(
@@ -565,13 +546,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--no-timing",
         action="store_true",
         help="omit the timing field so reports are byte-identical",
-    )
-    common.add_argument(
-        "--max-edges-warn",
-        type=int,
-        default=8,
-        metavar="N",
-        help="warn before enumerating closed chains on graphs with more edges",
     )
 
     parser = argparse.ArgumentParser(

@@ -1,38 +1,42 @@
 """Normal-form arithmetic in the fundamental group of a graph of groups.
 
-The group is assembled one edge at a time along a spanning tree: every tree
-edge contributes an amalgamated product over the identified cyclic subgroups,
-every remaining edge a stable letter ``t`` with ``t w- t^-1 = w+``.  Elements
-are kept in canonical normal form at every level of that tower, built from
-canonical right-coset representatives against the relevant cyclic subgroup,
-so two elements are equal iff their normal forms are structurally equal.
+Elements are closed paths at the base vertex ``v0``, the root of
+:func:`~gogz.graphs.maximal_tree`, kept in Serre's normal form (*Trees*
+§I.5)::
+
+    g0 s1 r1 s2 r2 ... sn rn
+
+``g0`` is a reduced word at ``v0``.  Each step ``s = (edge_id, forward)``
+crosses one edge (forward runs from the minus end to the plus end); with
+``a`` the inclusion word at the end it leaves and ``b`` the word at the end
+it reaches, crossing obeys ``a^k s = s b^k``.  Each ``r`` is the canonical
+representative of the right coset ``<b> r`` in the vertex group the step
+reaches, and no step is followed by its reverse across an empty ``r``.
+Every element has exactly one such form, so two elements are equal iff
+their tuples ``(g0, ((s1, r1), ..., (sn, rn)))`` are equal.
+
+A vertex word ``w`` at ``v`` is the path ``p w p^-1``, with ``p`` the tree
+path from ``v0`` to ``v``.  The stable letter ``t`` of a non-tree edge, with
+``t minus t^-1 = plus``, is the tree path to the plus end, the edge crossed
+backwards, and the tree path from the minus end back to ``v0``; a tree edge's
+stable letter is trivial.  One loop brings any path of words and steps into
+normal form, prepending from the right: it splits the word after each step
+as ``b^j r``, moves ``a^j`` across the step and cancels a step against its
+reverse when ``r`` is empty.  Nothing recurses, whatever the graph's size.
 
 This module is deliberately independent of the path machinery: it never
 looks at conjugacy or balance criteria, it just multiplies.  That makes it a
 referee — every certificate produced elsewhere is replayed here before it is
 reported.
-
-Element representations (nested tuples, interpreted by the node they belong
-to):
-
-* leaf (one vertex group): the reduced letter tuple of the word;
-* amalgam node: ``(k, syls)`` meaning ``u^k * s1 * ... * sm`` where ``u`` is
-  the identified edge element and each syllable ``(side, rep)`` is a
-  nontrivial canonical coset representative in the left (0) or right (1)
-  factor, with adjacent syllables on different sides;
-* stable-letter node: ``(h0, tail)`` meaning ``h0 * t^e1 r1 * ... * t^en rn``
-  with each ``ri`` a canonical rep against the subgroup matching the sign,
-  and no ``t^e 1 t^-e`` pinches.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
-from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple, Union
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple, Union
 
-from .errors import DegenerateInputError, InternalInconsistencyError
-from .graphs import GraphOfGroups, SpanningTree, maximal_tree
+from .errors import DegenerateInputError
+from .graphs import GraphOfGroups, maximal_tree
 from .words import (
     FreeWord,
     Letters,
@@ -44,50 +48,11 @@ from .words import (
 )
 
 Atom = Tuple  # ('w', vertex_id, letters) or ('t', edge_id, +-1)
-Elem = Tuple  # nested normal form, shaped by the owning node
+Step = Tuple[int, bool]  # (edge_id, forward)
+Elem = Tuple  # (g0, ((step, rep), ...)), see the module docstring
+RawPath = Tuple  # (g0, ((step, word), ...)) with any words: a closed path
 
-
-# ------------------------------------------------------------------- nodes
-
-
-class _Leaf:
-    def __init__(self, index: int, vertex_id: int, tag: str, rank: int):
-        self.index = index
-        self.vertex_id = vertex_id
-        self.tag = tag
-        self.rank = rank
-        self.leaf_vids = frozenset([vertex_id])
-        self.t_ids = frozenset()
-
-
-class _Amalgam:
-    """left *_<u> right, with u embedded as u_left in left and u_right in right."""
-
-    def __init__(self, index, left, right, edge_id, u_left, left_origin, right_origin):
-        self.index = index
-        self.left = left
-        self.right = right
-        self.edge_id = edge_id
-        self.u_left = u_left  # element of `left`
-        self.left_origin = left_origin  # (vertex_id, letters) generating u in left
-        self.right_origin = right_origin  # (vertex_id, letters): u as a word at the right leaf
-        self.leaf_vids = left.leaf_vids | right.leaf_vids
-        self.t_ids = left.t_ids
-
-
-class _HNN:
-    """inner extended by a stable letter: t * minus^k * t^-1 = plus^k."""
-
-    def __init__(self, index, inner, edge_id, minus, plus, minus_origin, plus_origin):
-        self.index = index
-        self.inner = inner
-        self.edge_id = edge_id
-        self.minus = minus  # element of `inner`
-        self.plus = plus
-        self.minus_origin = minus_origin  # (vertex_id, letters)
-        self.plus_origin = plus_origin
-        self.leaf_vids = inner.leaf_vids
-        self.t_ids = inner.t_ids | frozenset([edge_id])
+IDENTITY: Elem = ((), ())
 
 
 def _word_power(letters: Letters, k: int) -> Letters:
@@ -96,7 +61,8 @@ def _word_power(letters: Letters, k: int) -> Letters:
     return reduce_letters(invert_letters(letters) * (-k))
 
 
-def _leaf_cyclic_power(tag: str, u: Letters, y: Letters) -> Optional[int]:
+def _exponent_of(tag: str, u: Letters, y: Letters) -> Optional[int]:
+    """The j with y = u^j in the free vertex group, or None."""
     if not y:
         return 0
     cu, pu, ku = _root_cached(tag, u)
@@ -106,368 +72,159 @@ def _leaf_cyclic_power(tag: str, u: Letters, y: Letters) -> Optional[int]:
     return ky // ku
 
 
+def _reverse(step: Step) -> Step:
+    return (step[0], not step[1])
+
+
 # ------------------------------------------------------------------- engine
 
 
 class Engine:
     """Exact arithmetic for the fundamental group of one graph of groups.
 
-    Elements are opaque nested tuples; obtain them from :meth:`embed`,
+    Elements are opaque tuples; obtain them from :meth:`embed`,
     :meth:`stable_letter` or :meth:`element_of` and combine them with
     :meth:`mul`, :meth:`inv`, :meth:`power`, :meth:`conjugate`.  Equality of
     elements is equality of the group elements they denote.
     """
 
-    def __init__(self, graph: GraphOfGroups, tree: Optional[SpanningTree] = None):
+    def __init__(self, graph: GraphOfGroups):
         self.graph = graph
-        self.tree = tree if tree is not None else maximal_tree(graph)
-        self._decomp_cache: Dict[int, Dict] = {}
-        self._u_power_cache: Dict[Tuple[int, int, int], Elem] = {}
-        self._leaves: Dict[int, _Leaf] = {}
-        counter = itertools.count()
+        self.tree = maximal_tree(graph)
+        self._tags = {vid: v.alphabet.vertex for vid, v in graph.vertices.items()}
+        self._non_tree = frozenset(self.tree.non_tree_edge_ids)
+        # step -> (origin vertex, origin word a, terminus vertex, terminus word b)
+        self._ends: Dict[Step, Tuple[int, Letters, int, Letters]] = {}
+        for e in graph.edges.values():
+            minus, plus = e.minus_word.letters, e.plus_word.letters
+            self._ends[(e.id, True)] = (e.minus_vertex, minus, e.plus_vertex, plus)
+            self._ends[(e.id, False)] = (e.plus_vertex, plus, e.minus_vertex, minus)
+        # vertex -> (parent, tree step from the parent)
+        self._parent: Dict[int, Tuple[int, Step]] = {
+            s.child: (s.parent, (s.edge_id, graph.edges[s.edge_id].minus_vertex == s.parent))
+            for s in self.tree.steps
+        }
 
-        def make_leaf(vid: int) -> _Leaf:
-            v = graph.vertices[vid]
-            leaf = _Leaf(next(counter), vid, v.alphabet.vertex, v.rank)
-            self._leaves[vid] = leaf
-            return leaf
+    # ------------------------------------------------------------ raw paths
 
-        node = make_leaf(self.tree.root)
-        for step in self.tree.steps:
-            edge = graph.edges[step.edge_id]
-            if edge.minus_vertex == step.parent:
-                parent_word, child_word = edge.minus_word, edge.plus_word
-            else:
-                parent_word, child_word = edge.plus_word, edge.minus_word
-            child_leaf = make_leaf(step.child)
-            u_left = self._embed(node, step.parent, parent_word.letters)
-            node = _Amalgam(
-                next(counter),
-                node,
-                child_leaf,
-                edge.id,
-                u_left,
-                (step.parent, parent_word.letters),
-                (step.child, child_word.letters),
-            )
-        for eid in self.tree.non_tree_edge_ids:
-            edge = graph.edges[eid]
-            minus = self._embed(node, edge.minus_vertex, edge.minus_word.letters)
-            plus = self._embed(node, edge.plus_vertex, edge.plus_word.letters)
-            node = _HNN(
-                next(counter),
-                node,
-                eid,
-                minus,
-                plus,
-                (edge.minus_vertex, edge.minus_word.letters),
-                (edge.plus_vertex, edge.plus_word.letters),
-            )
-        self.root = node
+    def _tree_path(self, vid: int) -> List[Step]:
+        steps = []
+        while vid != self.tree.root:
+            vid, step = self._parent[vid]
+            steps.append(step)
+        steps.reverse()
+        return steps
 
-    # ------------------------------------------------------------- identity
-
-    def _identity(self, node) -> Elem:
-        if isinstance(node, _Leaf):
-            return ()
-        if isinstance(node, _Amalgam):
-            return (0, ())
-        return (self._identity(node.inner), ())
-
-    def _is_identity(self, node, g: Elem) -> bool:
-        return g == self._identity(node)
-
-    # ------------------------------------------------------------ factoring
-
-    def _factor(self, node: _Amalgam, side: int):
-        return node.left if side == 0 else node.right
-
-    def _u_elem(self, node: _Amalgam, side: int) -> Elem:
-        return node.u_left if side == 0 else node.right_origin[1]
-
-    def _u_power(self, node: _Amalgam, side: int, k: int) -> Elem:
-        """u^k as an element of the side's factor."""
-        key = (node.index, side, k)
-        cached = self._u_power_cache.get(key)
-        if cached is None:
-            vid, letters = node.left_origin if side == 0 else node.right_origin
-            powered = _word_power(letters, k)
-            cached = powered if side == 1 else self._embed(node.left, vid, powered)
-            self._u_power_cache[key] = cached
-        return cached
-
-    def _sub_power(self, node: _HNN, positive: bool, k: int) -> Elem:
-        """minus^k (positive=True) or plus^k as an element of the inner node."""
-        key = (node.index, 2 if positive else 3, k)
-        cached = self._u_power_cache.get(key)
-        if cached is None:
-            vid, letters = node.minus_origin if positive else node.plus_origin
-            cached = self._embed(node.inner, vid, _word_power(letters, k))
-            self._u_power_cache[key] = cached
-        return cached
-
-    # ------------------------------------------------------------ embedding
-
-    def _embed(self, node, vid: int, letters: Letters) -> Elem:
-        if isinstance(node, _Leaf):
-            assert node.vertex_id == vid
-            return letters
-        if isinstance(node, _HNN):
-            return (self._embed(node.inner, vid, letters), ())
-        if vid == node.right.vertex_id:
-            side, factor, y = 1, node.right, letters
-        else:
-            assert vid in node.left.leaf_vids
-            side, factor, y = 0, node.left, self._embed(node.left, vid, letters)
-        j, r = self._decomp(factor, self._u_elem(node, side), y)
-        if self._is_identity(factor, r):
-            return (j, ())
-        return (j, ((side, r),))
-
-    # --------------------------------------------------- coset decomposition
-
-    def _decomp(self, node, w: Elem, x: Elem) -> Tuple[int, Elem]:
-        """x = w^j * r with r the canonical representative of <w> x.
-
-        The representative depends only on the coset, and the representative
-        of <w> itself is the identity.  ``w`` must be an embedded edge word:
-        at every level it is either a power of the identified element or
-        lies in a single factor.
-        """
-        if isinstance(node, _Leaf):
-            r = _coset_canonical_cached(node.tag, w, x)
-            j = _leaf_cyclic_power(node.tag, w, reduce_letters(x + invert_letters(r)))
-            assert j is not None, "coset representative differs by a power"
-            return j, r
-        cache = self._decomp_cache.setdefault(node.index, {})
-        key = (w, x)
-        hit = cache.get(key)
-        if hit is not None:
-            return hit
-        if isinstance(node, _Amalgam):
-            out = self._decomp_amalgam(node, w, x)
-        else:
-            out = self._decomp_hnn(node, w, x)
-        cache[key] = out
-        return out
-
-    def _decomp_amalgam(self, node: _Amalgam, w: Elem, x: Elem) -> Tuple[int, Elem]:
-        kw, sw = w
-        kx, sx = x
-        if not sw:
-            # w = u^kw: only the central power of x moves
-            assert kw != 0, "decomposition against the identity"
-            m = kx % abs(kw)
-            return (kx - m) // kw, (m, sx)
-        if len(sw) == 1:
-            # w lies in one factor: it acts on the leading part of that side
-            side, rep = sw[0]
-            factor = self._factor(node, side)
-            wf = self._mul(factor, self._u_power(node, side, kw), rep)
-            if sx and sx[0][0] == side:
-                f = self._mul(factor, self._u_power(node, side, kx), sx[0][1])
-                tail = sx[1:]
-            else:
-                f = self._u_power(node, side, kx)
-                tail = sx
-            jf, rf = self._decomp(factor, wf, f)
-            kr, rr = self._decomp(factor, self._u_elem(node, side), rf)
-            if self._is_identity(factor, rr):
-                return jf, (kr, tail)
-            return jf, (kr, ((side, rr),) + tail)
-        raise InternalInconsistencyError("edge subgroup generator is not factor-shaped")
-
-    def _decomp_hnn(self, node: _HNN, w: Elem, x: Elem) -> Tuple[int, Elem]:
-        h0w, tw = w
-        if tw:
-            raise InternalInconsistencyError("edge subgroup generator is not factor-shaped")
-        h0x, tx = x
-        j, r0 = self._decomp(node.inner, h0w, h0x)
-        return j, (r0, tx)
-
-    def _cyclic_power(self, node, w: Elem, y: Elem) -> Optional[int]:
-        """The j with y = w^j, or None; same shape restriction as _decomp."""
-        if isinstance(node, _Leaf):
-            return _leaf_cyclic_power(node.tag, w, y)
-        if self._is_identity(node, y):
-            return 0
-        if isinstance(node, _HNN):
-            h0w, tw = w
-            if tw:
-                raise InternalInconsistencyError("edge subgroup generator is not factor-shaped")
-            h0y, ty = y
-            if ty:
-                return None
-            return self._cyclic_power(node.inner, h0w, h0y)
-        kw, sw = w
-        ky, sy = y
-        if not sw:
-            assert kw != 0
-            if sy or ky % kw:
-                return None
-            return ky // kw
-        if len(sw) == 1:
-            side, rep = sw[0]
-            factor = self._factor(node, side)
-            wf = self._mul(factor, self._u_power(node, side, kw), rep)
-            if not sy:
-                yf = self._u_power(node, side, ky)
-            elif len(sy) == 1 and sy[0][0] == side:
-                yf = self._mul(factor, self._u_power(node, side, ky), sy[0][1])
-            else:
-                return None
-            return self._cyclic_power(factor, wf, yf)
-        raise InternalInconsistencyError("edge subgroup generator is not factor-shaped")
-
-    # ------------------------------------------------------------- atomizing
-
-    def _atoms(self, node, g: Elem, out: List[Atom]):
-        if isinstance(node, _Leaf):
-            if g:
-                out.append(("w", node.vertex_id, g))
-            return
-        if isinstance(node, _Amalgam):
-            k, syls = g
-            if k:
-                vid, letters = node.left_origin
-                out.append(("w", vid, _word_power(letters, k)))
-            for side, rep in syls:
-                self._atoms(self._factor(node, side), rep, out)
-            return
-        h0, tail = g
-        self._atoms(node.inner, h0, out)
-        for eps, rep in tail:
-            out.append(("t", node.edge_id, eps))
-            self._atoms(node.inner, rep, out)
-
-    def atoms(self, g: Elem) -> List[Atom]:
-        """g as a product of vertex words and stable letters, left to right."""
-        out: List[Atom] = []
-        self._atoms(self.root, g, out)
-        return out
-
-    @staticmethod
-    def _inv_atom(atom: Atom) -> Atom:
-        kind, idx, payload = atom
-        if kind == "w":
-            return ("w", idx, invert_letters(payload))
-        return ("t", idx, -payload)
-
-    # ------------------------------------------------------------ prepending
-
-    def _prepend_atom(self, node, atom: Atom, g: Elem) -> Elem:
-        if isinstance(node, _Leaf):
-            assert atom[0] == "w" and atom[1] == node.vertex_id
-            return reduce_letters(atom[2] + g)
-        if isinstance(node, _HNN):
-            if atom[0] == "t" and atom[1] == node.edge_id:
-                return self._prepend_t(node, atom[2], g)
-            h0, tail = g
-            return (self._prepend_atom(node.inner, atom, h0), tail)
-        if atom[0] == "w" and atom[1] == node.right.vertex_id:
-            side = 1
-            a: Elem = atom[2]
-        else:
-            side = 0
-            a = self._elem_from_atom(node.left, atom)
-        return self._prepend_syllable(node, side, a, g)
-
-    def _prepend_syllable(self, node: _Amalgam, side: int, a: Elem, g: Elem) -> Elem:
-        k, syls = g
-        factor = self._factor(node, side)
-        if syls and syls[0][0] == side:
-            merged = self._mul(factor, a, self._mul(factor, self._u_power(node, side, k), syls[0][1]))
-            rest = syls[1:]
-        else:
-            merged = self._mul(factor, a, self._u_power(node, side, k))
-            rest = syls
-        j, r = self._decomp(factor, self._u_elem(node, side), merged)
-        if self._is_identity(factor, r):
-            return (j, rest)
-        return (j, ((side, r),) + rest)
-
-    def _prepend_t(self, node: _HNN, eps: int, g: Elem) -> Elem:
-        h0, tail = g
-        sub = node.minus if eps > 0 else node.plus
-        j, r = self._decomp(node.inner, sub, h0)
-        emitted = self._sub_power(node, eps < 0, j)  # t^e sub^j = out^j t^e
-        if self._is_identity(node.inner, r) and tail and tail[0][0] == -eps:
-            merged = self._mul(node.inner, emitted, tail[0][1])
-            return (merged, tail[1:])
-        return (emitted, ((eps, r),) + tail)
-
-    def _elem_from_atom(self, node, atom: Atom) -> Elem:
-        if atom[0] == "w":
-            return self._embed(node, atom[1], atom[2])
-        return self._prepend_atom(node, atom, self._identity(node))
-
-    # ------------------------------------------------------------ public ops
-
-    def _mul(self, node, g: Elem, h: Elem) -> Elem:
-        out: List[Atom] = []
-        self._atoms(node, g, out)
-        for atom in reversed(out):
-            h = self._prepend_atom(node, atom, h)
-        return h
-
-    def _inv(self, node, g: Elem) -> Elem:
-        out = self._identity(node)
-        atoms: List[Atom] = []
-        self._atoms(node, g, atoms)
-        for atom in atoms:
-            out = self._prepend_atom(node, self._inv_atom(atom), out)
-        return out
-
-    @property
-    def identity_elem(self) -> Elem:
-        return self._identity(self.root)
-
-    def embed(self, word: FreeWord) -> Elem:
-        """A vertex-group word as a group element."""
+    def _word_path(self, word: FreeWord) -> RawPath:
+        """p w p^-1 for the tree path p from the root to the word's vertex."""
         vid = int(word.vertex)
         if vid not in self.graph.vertices:
             raise DegenerateInputError(f"word over unknown vertex {word.vertex!r}")
-        return self._embed(self.root, vid, word.letters)
+        p = self._tree_path(vid)
+        if not p:
+            return word.letters, ()
+        pairs = [(s, ()) for s in p]
+        pairs[-1] = (p[-1], word.letters)
+        pairs += [(_reverse(s), ()) for s in reversed(p)]
+        return (), pairs
+
+    def _stable_path(self, edge_id: int, sign: int) -> RawPath:
+        """t^sign as a closed path: t crosses the edge backwards."""
+        edge = self.graph.edges[edge_id]
+        there, back = edge.plus_vertex, edge.minus_vertex
+        if sign < 0:
+            there, back = back, there
+        steps = self._tree_path(there) + [(edge_id, sign < 0)]
+        steps += [_reverse(s) for s in reversed(self._tree_path(back))]
+        return (), [(s, ()) for s in steps]
+
+    # ----------------------------------------------------------- normaliser
+
+    def _normal_form(self, path: RawPath, onto: Elem = IDENTITY) -> Elem:
+        """path * onto in normal form, for a closed path and a normal form."""
+        g0, pairs = path
+        head, tail = onto
+        stack = list(reversed(tail))  # stack[-1] is the leftmost (step, rep)
+        for step, letters in reversed(pairs):
+            head = reduce_letters(letters + head)
+            _, a, vid, b = self._ends[step]
+            tag = self._tags[vid]
+            r = _coset_canonical_cached(tag, b, head) if head else ()
+            j = 0 if r == head else _exponent_of(tag, b, reduce_letters(head + invert_letters(r)))
+            assert j is not None, "coset representative differs by a power"
+            head = _word_power(a, j)  # s b^j r = a^j s r
+            if not r and stack and stack[-1][0] == _reverse(step):
+                head = reduce_letters(head + stack.pop()[1])
+            else:
+                stack.append((step, r))
+        return reduce_letters(g0 + head), tuple(reversed(stack))
+
+    def _stable(self, edge_id: int, exp: int, onto: Elem) -> Elem:
+        if edge_id not in self.graph.edges:
+            raise DegenerateInputError(f"unknown edge {edge_id}")
+        if edge_id in self._non_tree:
+            path = self._stable_path(edge_id, exp)
+            for _ in range(abs(exp)):
+                onto = self._normal_form(path, onto)
+        return onto
+
+    # ------------------------------------------------------------ public ops
+
+    @property
+    def identity_elem(self) -> Elem:
+        return IDENTITY
+
+    def atoms(self, g: Elem) -> List[Atom]:
+        """g as a product of vertex words and stable letters, left to right."""
+        g0, tail = g
+        out: List[Atom] = [("w", self.tree.root, g0)] if g0 else []
+        for step, rep in tail:
+            if step[0] in self._non_tree:
+                out.append(("t", step[0], -1 if step[1] else 1))
+            if rep:
+                out.append(("w", self._ends[step][2], rep))
+        return out
+
+    def embed(self, word: FreeWord) -> Elem:
+        """A vertex-group word as a group element."""
+        return self._normal_form(self._word_path(word))
 
     def stable_letter(self, edge_id: int, exp: int = 1) -> Elem:
         """t_e^exp; tree edges have trivial stable letter."""
-        if edge_id not in self.graph.edges:
-            raise DegenerateInputError(f"unknown edge {edge_id}")
-        out = self.identity_elem
-        if edge_id not in self.root.t_ids:
-            return out
-        atom = ("t", edge_id, 1 if exp > 0 else -1)
-        for _ in range(abs(exp)):
-            out = self._prepend_atom(self.root, atom, out)
-        return out
+        return self._stable(edge_id, exp, IDENTITY)
 
     def element_of(self, items: Sequence[Union[FreeWord, Tuple[str, int, int]]]) -> Elem:
         """Evaluate a product of vertex words and ('t', edge_id, exp) letters."""
-        out = self.identity_elem
+        out = IDENTITY
         for item in reversed(items):
             if isinstance(item, FreeWord):
-                out = self._mul(self.root, self.embed(item), out)
+                out = self._normal_form(self._word_path(item), out)
             else:
                 kind, eid, exp = item
                 assert kind == "t"
-                out = self._mul(self.root, self.stable_letter(eid, exp), out)
+                out = self._stable(eid, exp, out)
         return out
 
     def mul(self, *elems: Elem) -> Elem:
-        out = self.identity_elem
-        for g in reversed(elems):
-            out = self._mul(self.root, g, out)
+        out = elems[-1] if elems else IDENTITY
+        for g in reversed(elems[:-1]):
+            out = self._normal_form(g, out)
         return out
 
     def inv(self, g: Elem) -> Elem:
-        return self._inv(self.root, g)
+        g0, tail = g
+        if not tail:
+            return invert_letters(g0), ()
+        steps = [_reverse(s) for s, _ in reversed(tail)]
+        words = [invert_letters(r) for _, r in reversed(tail[:-1])] + [invert_letters(g0)]
+        return self._normal_form((invert_letters(tail[-1][1]), list(zip(steps, words))))
 
     def power(self, g: Elem, k: int) -> Elem:
         if k < 0:
-            return self.power(self.inv(g), -k)
-        out = self.identity_elem
+            g, k = self.inv(g), -k
+        out = IDENTITY
         for _ in range(k):
-            out = self._mul(self.root, g, out)
+            out = self._normal_form(g, out)
         return out
 
     def conjugate(self, h: Elem, g: Elem) -> Elem:
@@ -478,60 +235,38 @@ class Engine:
         return g == h
 
     def is_identity(self, g: Elem) -> bool:
-        return g == self.identity_elem
+        return g == IDENTITY
 
     def top_length(self, g: Elem) -> int:
-        """Distance moved by g in the outermost splitting; 0 on its edge group.
+        """The number of steps in g's normal form.
 
-        For elements of the innermost kind (no syllables, no stable letters)
-        the value 1 is used for anything nontrivial, which never underestimates
-        growth; see :func:`iter_power_conjugacies` for how this is used.
+        That is the distance g moves the base vertex in the Bass–Serre tree;
+        see :func:`iter_power_conjugacies` for how it bounds the search.
         """
-        node = self.root
-        if isinstance(node, _Leaf):
-            return len(g)
-        if isinstance(node, _Amalgam):
-            return len(g[1])
-        h0, tail = g
-        if tail:
-            return len(tail)
-        return 0 if self._is_identity(node.inner, h0) else 1
+        return len(g[1])
 
     # ------------------------------------------------------------ validation
 
     def validate_element(self, g: Elem):
-        """Assert the structural normal-form invariants, recursively."""
-        self._validate(self.root, g)
+        """Assert the structural normal-form invariants."""
+        g0, tail = g
+        here = self.tree.root
+        self._validate_word(here, g0)
+        for i, (step, rep) in enumerate(tail):
+            origin, _, terminus, b = self._ends[step]
+            assert origin == here, "steps form a path"
+            here = terminus
+            self._validate_word(here, rep)
+            assert _coset_canonical_cached(self._tags[here], b, rep) == rep, "reps are canonical"
+            if not rep and i + 1 < len(tail):
+                assert tail[i + 1][0] != _reverse(step), "no pinches"
+        assert here == self.tree.root, "the path is closed"
 
-    def _validate(self, node, g: Elem):
-        if isinstance(node, _Leaf):
-            assert isinstance(g, tuple)
-            assert reduce_letters(g) == g
-            assert all(1 <= abs(l) <= node.rank for l in g)
-            return
-        if isinstance(node, _Amalgam):
-            k, syls = g
-            assert isinstance(k, int)
-            for i, (side, rep) in enumerate(syls):
-                factor = self._factor(node, side)
-                assert side in (0, 1)
-                assert not self._is_identity(factor, rep), "syllables are nontrivial"
-                if i + 1 < len(syls):
-                    assert syls[i + 1][0] != side, "syllables alternate"
-                self._validate(factor, rep)
-                j, r = self._decomp(factor, self._u_elem(node, side), rep)
-                assert (j, r) == (0, rep), "syllables are canonical representatives"
-            return
-        h0, tail = g
-        self._validate(node.inner, h0)
-        for i, (eps, rep) in enumerate(tail):
-            assert eps in (1, -1)
-            self._validate(node.inner, rep)
-            sub = node.minus if eps > 0 else node.plus
-            j, r = self._decomp(node.inner, sub, rep)
-            assert (j, r) == (0, rep), "reps are canonical against the crossing subgroup"
-            if self._is_identity(node.inner, rep) and i + 1 < len(tail):
-                assert tail[i + 1][0] == eps, "no pinches"
+    def _validate_word(self, vid: int, letters: Letters):
+        assert isinstance(letters, tuple)
+        assert reduce_letters(letters) == letters
+        rank = self.graph.vertices[vid].rank
+        assert all(1 <= abs(l) <= rank for l in letters)
 
 
 # ------------------------------------------------------------- brute force
@@ -548,6 +283,11 @@ class PowerConjugacy:
     conjugator: Tuple
     m: int
     n: int
+
+
+def _item(atom: Atom) -> Union[FreeWord, Tuple[str, int, int]]:
+    """The :meth:`Engine.element_of` item an atom stands for."""
+    return FreeWord(str(atom[1]), atom[2]) if atom[0] == "w" else atom
 
 
 def _atom_key(atom: Atom) -> Tuple:
@@ -611,10 +351,13 @@ def iter_power_conjugacies(
     :func:`_atom_pool`; exponents satisfy 1 <= m <= max_exp and
     1 <= |n| <= max_exp, with n tried in the order 1, -1, 2, -2, ...
 
-    The m-loop stops early once the powers provably outgrow every target:
-    if length(c^2) > length(c) in the outermost splitting, the growth is
-    exactly linear from there on, and lengths of powers never shrink back.
-    Searching m > 0 only loses nothing: inverting n covers negative m.
+    The m-loop stops early once the powers provably outgrow every target.
+    :meth:`Engine.top_length` is the distance d(x, c x) that c moves the base
+    vertex x in the Bass–Serre tree.  An elliptic c has d(x, c^2 x) <=
+    d(x, c x), so d(x, c^2 x) > d(x, c x) means c is hyperbolic, and then
+    d(x, c^m x) grows strictly and linearly in m; once it exceeds every
+    target's length no later power can equal a target.  Searching m > 0
+    only loses nothing: inverting n covers negative m.
     """
     if x.is_identity or y.is_identity:
         raise DegenerateInputError("power conjugacy needs nontrivial words")
@@ -625,11 +368,10 @@ def iter_power_conjugacies(
         for n in (k, -k):
             targets.setdefault(engine.power(y_elem, n), n)
     max_top = max(engine.top_length(t) for t in targets)
-    pool = [
-        (atom, cost, engine._elem_from_atom(engine.root, atom),
-         engine._elem_from_atom(engine.root, engine._inv_atom(atom)))
-        for atom, cost in _atom_pool(engine, max_letters)
-    ]
+    pool = []
+    for atom, cost in _atom_pool(engine, max_letters):
+        a_elem = engine.element_of([_item(atom)])
+        pool.append((atom, cost, a_elem, engine.inv(a_elem)))
 
     def conjugates(count: int, budget: int) -> Iterator[Tuple[Tuple[Atom, ...], Elem]]:
         if count == 0:
@@ -651,10 +393,7 @@ def iter_power_conjugacies(
             for m in range(1, max_exp + 1):
                 n = targets.get(p)
                 if n is not None:
-                    items = tuple(
-                        FreeWord(str(a[1]), a[2]) if a[0] == "w" else a for a in seq
-                    )
-                    yield PowerConjugacy(items, m, n)
+                    yield PowerConjugacy(tuple(_item(a) for a in seq), m, n)
                 if m == max_exp:
                     break
                 p = engine.mul(p, c)

@@ -30,7 +30,7 @@ from __future__ import annotations
 import re
 from collections import deque
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Optional, Tuple
+from typing import Dict, Iterable, List, Tuple
 
 from .errors import AlphabetError, DegenerateInputError, ParseError
 from .words import Alphabet, FreeWord, root
@@ -220,9 +220,6 @@ class GraphOfGroups:
         """Edge ends at a vertex, ordered by (edge id, side); loops appear twice."""
         return list(self._incident[vid])
 
-    def ends(self) -> List[Tuple[Edge, int]]:
-        return [(e, side) for e in self._sorted_edges() for side in (MINUS, PLUS)]
-
     def oriented_edges(self) -> List[OrientedEdge]:
         return [OrientedEdge(e, fwd) for e in self._sorted_edges() for fwd in (True, False)]
 
@@ -263,23 +260,6 @@ class GraphOfGroups:
             plus = self.vertices[e.plus_vertex].alphabet.format(e.plus_word)
             lines.append(f'edge {e.id} {e.minus_vertex} {e.plus_vertex} minus="{minus}" plus="{plus}"')
         return "\n".join(lines) + "\n"
-
-    def to_json_dict(self) -> dict:
-        return {
-            "vertices": [
-                {"id": v.id, "rank": v.rank, "gens": list(v.alphabet.names)} for v in self._sorted_vertices()
-            ],
-            "edges": [
-                {
-                    "id": e.id,
-                    "from": e.minus_vertex,
-                    "to": e.plus_vertex,
-                    "minus": self.vertices[e.minus_vertex].alphabet.format(e.minus_word),
-                    "plus": self.vertices[e.plus_vertex].alphabet.format(e.plus_word),
-                }
-                for e in self._sorted_edges()
-            ],
-        }
 
     def __repr__(self):
         return f"GraphOfGroups({len(self.vertices)} vertices, {len(self.edges)} edges)"
@@ -507,16 +487,6 @@ class SpanningTree:
     root: int
     steps: Tuple[TreeStep, ...]
     non_tree_edge_ids: Tuple[int, ...]
-
-    @property
-    def tree_edge_ids(self) -> frozenset:
-        return frozenset(s.edge_id for s in self.steps)
-
-    def parent_step(self, child: int) -> Optional[TreeStep]:
-        for s in self.steps:
-            if s.child == child:
-                return s
-        return None
 
 
 def maximal_tree(graph: GraphOfGroups) -> SpanningTree:

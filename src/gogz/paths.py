@@ -33,7 +33,6 @@ rebuilt from :func:`~gogz.words.cyclic_meet` by :func:`check_conjugacy_path`.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
@@ -46,14 +45,6 @@ from .words import CyclicMeet, FreeWord, Letters, cyclic_meet, root
 TLetter = Tuple[str, int, int]
 ConjugatorItem = Union[FreeWord, TLetter]
 EndClass = Tuple[int, Letters]
-
-
-class EnumerationSizeWarning(UserWarning):
-    """Closed-chain enumeration may be slow on a graph with many edges.
-
-    The walk visits every edge-once chain along class adjacency, and their
-    number can grow exponentially with the count of edges sharing a class.
-    """
 
 
 @dataclass(frozen=True)
@@ -344,21 +335,13 @@ def _closed_chains(index: _ClassIndex) -> Iterator[Tuple[OrientedEdge, ...]]:
                 yield index.chain(walk)
 
 
-def enumerate_complete_paths(
-    graph: GraphOfGroups, *, max_edges_warn: int = 8
-) -> List[CompletePathVerdict]:
+def enumerate_complete_paths(graph: GraphOfGroups) -> List[CompletePathVerdict]:
     """All complete closed chains, deduplicated under rotation and reversal.
 
     Each verdict is based at the canonical rotation's start; the closing
     overlap is part of the certificate chain, so the witness covers the
     full loop including the return to the base word.
     """
-    if len(graph.edges) > max_edges_warn:
-        warnings.warn(
-            f"enumerating closed paths over {len(graph.edges)} edges may be slow",
-            EnumerationSizeWarning,
-            stacklevel=2,
-        )
     verdicts = []
     for steps in _closed_chains(_ClassIndex(graph)):
         base_word = steps[0].origin_word

@@ -351,7 +351,9 @@ class ConjugacyAnswer:
     When ``exists``, the engine has verified conjugator * x^m * conjugator^-1
     = y^n for ``exponents = (m, n)``.  ``route`` is "same_vertex" when the
     vertex group already provides the conjugation, else "path"; ``path``
-    carries the certified chain in the latter case.
+    carries the certified chain in the latter case.  ``additional`` lists,
+    in search order, the other searched paths whose witness exponents differ
+    from ``exponents`` and from each other, each verified in the engine too.
     """
 
     exists: bool
@@ -359,6 +361,7 @@ class ConjugacyAnswer:
     conjugator: Tuple[ConjugatorItem, ...]
     route: Optional[str]
     path: Optional[ConjugacyPath]
+    additional: Tuple[ConjugacyPath, ...] = ()
 
 
 def _same_vertex_candidate(
@@ -395,7 +398,8 @@ def power_conjugate(graph: GraphOfGroups, x: FreeWord, y: FreeWord) -> Conjugacy
         if same is not None:
             m, n, items = same
             candidates.append(((m, abs(n), 0), m, n, items, "same_vertex", None))
-    for path in iter_conjugacy_paths(graph, x, y):
+    paths = list(iter_conjugacy_paths(graph, x, y))
+    for path in paths:
         m, n = path.witness_exponents()
         candidates.append(((m, abs(n), 1), m, n, path.conjugator_items(), "path", path))
     if not candidates:
@@ -408,7 +412,16 @@ def power_conjugate(graph: GraphOfGroups, x: FreeWord, y: FreeWord) -> Conjugacy
     d = gcd(m, abs(n))
     if d > 1 and _holds_in_engine(engine, items, x, m // d, y, n // d):
         m, n = m // d, n // d
-    return ConjugacyAnswer(True, (m, n), tuple(items), route, path)
+
+    additional = []
+    seen = {(m, n)}
+    for other in paths:
+        m2, n2 = other.witness_exponents()
+        if (m2, n2) not in seen:
+            seen.add((m2, n2))
+            _require(engine, other.conjugator_items(), x, m2, y, n2, f"path relation ({m2}, {n2})")
+            additional.append(other)
+    return ConjugacyAnswer(True, (m, n), tuple(items), route, path, tuple(additional))
 
 
 # -------------------------------------------------------------------- report

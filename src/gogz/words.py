@@ -6,10 +6,10 @@ letter order used everywhere for lexicographic comparisons is declaration
 order, with the inverse of a generator sorting directly after the generator
 itself (a < a^-1 < b < b^-1 ...).
 
-The cyclic-subgroup operations (root, cyclic_meet, coset_canonical,
-cyclic_power) are the primitives the rest of the package is built on: in a
-free group every question about intersections and conjugates of cyclic
-subgroups reduces to comparing primitive roots.
+The cyclic-subgroup operations (root, cyclic_meet, coset_canonical) are the
+primitives the rest of the package is built on: in a free group every
+question about intersections and conjugates of cyclic subgroups reduces to
+comparing primitive roots.
 """
 
 from __future__ import annotations
@@ -21,14 +21,6 @@ from typing import Optional, Tuple
 from .errors import AlphabetError, DegenerateInputError, ParseError
 
 Letters = Tuple[int, ...]
-
-
-@dataclass(frozen=True)
-class Generator:
-    """A named generator of one vertex group."""
-
-    name: str
-    vertex: str
 
 
 class Alphabet:
@@ -45,9 +37,6 @@ class Alphabet:
     @property
     def rank(self) -> int:
         return len(self.names)
-
-    def generators(self):
-        return [Generator(n, self.vertex) for n in self.names]
 
     def word(self, letters) -> "FreeWord":
         return FreeWord(self.vertex, reduce_letters(tuple(letters)))
@@ -249,41 +238,15 @@ def maximal_root(w: FreeWord) -> FreeWord:
     return r.primitive.conjugated_by(r.conjugator)
 
 
-def conjugate_in_free(u: FreeWord, v: FreeWord) -> Optional[FreeWord]:
-    """Some h with h u h^-1 = v, or None.
-
-    Standard cyclic-word comparison: u ~ v iff their cyclic cores are
-    rotations of each other.
-    """
-    u._check(v)
-    if u.is_identity and v.is_identity:
-        return identity(u.vertex)
-    if u.is_identity or v.is_identity:
-        return None
-    cu, core_u = cyclic_split(u.letters)
-    cv, core_v = cyclic_split(v.letters)
-    if len(core_u) != len(core_v):
-        return None
-    for i in range(len(core_u)):
-        if core_u[i:] + core_u[:i] == core_v:
-            r = core_u[:i]
-            h = reduce_letters(cv + invert_letters(r) + invert_letters(cu))
-            return FreeWord(u.vertex, h)
-    return None
-
-
 @dataclass(frozen=True)
 class CyclicMeet:
     """Witness that some conjugate of <u> meets <v> nontrivially.
 
-    conjugator h satisfies h * u_root.primitive * h^-1 = v_root.primitive^sign.
-    With the inversion-folding canonical primitive the sign is always +1 in a
-    free group (no element is conjugate to its own inverse), but the field is
-    part of the record.  exps are the signed root exponents (k_u, k_v).
+    Both roots share one canonical primitive p (the inversion-folding choice
+    leaves no sign to record: no element of a free group is conjugate to its
+    own inverse).  exps are the signed root exponents (k_u, k_v).
     """
 
-    conjugator: FreeWord
-    sign: int
     exps: Tuple[int, int]
     u_root: RootDecomposition
     v_root: RootDecomposition
@@ -293,9 +256,7 @@ class CyclicMeet:
         return FreeWord(
             self.u_root.conjugator.vertex,
             reduce_letters(
-                self.v_root.conjugator.letters
-                + self.conjugator.letters
-                + invert_letters(self.u_root.conjugator.letters)
+                self.v_root.conjugator.letters + invert_letters(self.u_root.conjugator.letters)
             ),
         )
 
@@ -312,13 +273,7 @@ def cyclic_meet(u: FreeWord, v: FreeWord) -> Optional[CyclicMeet]:
     ru, rv = root(u), root(v)
     if ru.primitive.letters != rv.primitive.letters:
         return None
-    return CyclicMeet(
-        conjugator=identity(u.vertex),
-        sign=1,
-        exps=(ru.exponent, rv.exponent),
-        u_root=ru,
-        v_root=rv,
-    )
+    return CyclicMeet(exps=(ru.exponent, rv.exponent), u_root=ru, v_root=rv)
 
 
 @lru_cache(maxsize=65536)
@@ -345,30 +300,3 @@ def coset_canonical(u: FreeWord, x: FreeWord) -> FreeWord:
     if u.is_identity:
         raise DegenerateInputError("coset_canonical requires a nontrivial subgroup generator")
     return FreeWord(x.vertex, _coset_canonical_cached(u.vertex, u.letters, x.letters))
-
-
-def cyclic_power(u: FreeWord, x: FreeWord) -> Optional[int]:
-    """The j with x = u^j, or None.  u must be nontrivial."""
-    u._check(x)
-    if u.is_identity:
-        raise DegenerateInputError("cyclic_power requires a nontrivial base")
-    if x.is_identity:
-        return 0
-    ru, rx = root(u), root(x)
-    if ru.primitive.letters != rx.primitive.letters:
-        return None
-    if ru.conjugator.letters != rx.conjugator.letters:
-        return None
-    if rx.exponent % ru.exponent:
-        return None
-    j = rx.exponent // ru.exponent
-    assert u ** j == x
-    return j
-
-
-def coset_decompose(u: FreeWord, x: FreeWord) -> Tuple[int, FreeWord]:
-    """x = u^j * r with r = coset_canonical(u, x); returns (j, r)."""
-    r = coset_canonical(u, x)
-    j = cyclic_power(u, x * r.inverse())
-    assert j is not None, "coset representative must differ from x by a power of u"
-    return j, r

@@ -8,7 +8,6 @@ import sys
 import pytest
 
 from gogz.cli import main
-from gogz.paths import EnumerationSizeWarning
 
 BS23 = 'vertex 0 rank=1 gens=a\nedge 0 0 0 minus="a^2" plus="a^3"\n'
 
@@ -22,18 +21,6 @@ FREE_AMALGAM = (
     "vertex 0 rank=2 gens=a,b\n"
     "vertex 1 rank=2 gens=x,y\n"
     'edge 0 0 1 minus="a" plus="x"\n'
-)
-
-CHAIN4 = (
-    "vertex 0 rank=1 gens=a\n"
-    "vertex 1 rank=1 gens=b\n"
-    "vertex 2 rank=1 gens=c\n"
-    "vertex 3 rank=1 gens=d\n"
-    "vertex 4 rank=1 gens=e\n"
-    'edge 0 0 1 minus="a^2" plus="b^2"\n'
-    'edge 1 1 2 minus="b^3" plus="c^3"\n'
-    'edge 2 2 3 minus="c^2" plus="d^2"\n'
-    'edge 3 3 4 minus="d^3" plus="e^3"\n'
 )
 
 
@@ -91,6 +78,19 @@ class TestCheck:
         assert doc["verdicts"]["acyl_hyperbolic"] is True
         assert doc["verdicts"]["trichotomy"] == "acylindrically_hyperbolic"
 
+    def test_deep_chain_verifies_its_witness(self, graph_file, capsys):
+        # 1500 rank-two vertices in a row: the engine must not recurse per vertex
+        n = 1500
+        lines = [f"vertex {i} rank=2 gens=a{i},b{i}" for i in range(n)]
+        lines.append('edge 0 0 1 minus="a0^2" plus="a1^3"')
+        lines += [f'edge {i} {i} {i + 1} minus="a{i}^2" plus="b{i + 1}"' for i in range(1, n - 1)]
+        code, out = run(capsys, "check", graph_file("\n".join(lines) + "\n"), "--no-timing")
+        assert code == 0
+        doc = json.loads(out)
+        assert doc["verdicts"]["word_hyperbolic"] is False
+        witness = doc["witnesses"]["hyperbolicity"]
+        assert witness["steps"] == ["e0+"] and witness["verified"] is True
+
     def test_timing_present_by_default(self, graph_file, capsys):
         code, out = run(capsys, "check", graph_file(BS23), "--format", "json")
         assert "timing" in json.loads(out)
@@ -142,13 +142,6 @@ class TestPaths:
         assert entry["kind"] == "full"
         assert entry["arrows"] == [[0, "minus"], [0, "plus"]]
 
-    def test_size_warning_threshold(self, graph_file, capsys):
-        path = graph_file(CHAIN4)
-        with pytest.warns(EnumerationSizeWarning):
-            code = main(["paths", path, "--kind", "complete", "--max-edges-warn", "3"])
-        assert code == 0
-        capsys.readouterr()
-
 
 class TestConj:
     def test_trefoil_edge_relation_with_oracle(self, graph_file, capsys):
@@ -170,6 +163,26 @@ class TestConj:
         assert (2, 3) in pairs and (3, 2) in pairs
         by_pair = {tuple(r["exponents"]): r for r in doc["additional_relations"]}
         assert by_pair[(2, 3)]["conjugator"] == "t_0"
+
+    def test_open_search_runs_once(self, graph_file, capsys, monkeypatch):
+        from gogz import cli, paths, verdicts
+
+        calls = []
+        original = paths.iter_conjugacy_paths
+
+        def counting(*args):
+            calls.append(args)
+            return original(*args)
+
+        for module in (paths, verdicts, cli):
+            if hasattr(module, "iter_conjugacy_paths"):
+                monkeypatch.setattr(module, "iter_conjugacy_paths", counting)
+        code, out = run(capsys, "conj", graph_file(BS23), "--from", "0:a", "--to", "0:a",
+                        "--oracle-bounds", "2,3", "--no-timing")
+        assert code == 0
+        assert len(calls) == 1
+        pairs = [r["exponents"] for r in json.loads(out)["additional_relations"]]
+        assert pairs == [[2, 3], [3, 2]]
 
     def test_refutation_with_oracle(self, graph_file, capsys):
         code, out = run(capsys, "conj", graph_file(FREE_AMALGAM),

@@ -201,14 +201,13 @@ def test_maximal_tree_deterministic():
     assert tree.root == 0
     assert [(s.edge_id, s.parent, s.child) for s in tree.steps] == [(0, 0, 1), (2, 0, 2)]
     assert tree.non_tree_edge_ids == (1, 3)
-    assert tree.parent_step(2).edge_id == 2
 
 
 def test_maximal_tree_of_tree_has_no_extra_edges():
     g = parse_graph(TREFOIL)
     tree = maximal_tree(g)
     assert tree.non_tree_edge_ids == ()
-    assert tree.tree_edge_ids == {0}
+    assert [s.edge_id for s in tree.steps] == [0]
 
 
 # ------------------------------------------------------------- properties

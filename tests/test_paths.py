@@ -10,7 +10,6 @@ from gogz import paths
 from gogz.errors import DegenerateInputError, InternalInconsistencyError
 from gogz.graphs import OrientedEdge, parse_graph
 from gogz.paths import (
-    EnumerationSizeWarning,
     check_conjugacy_path,
     enumerate_complete_paths,
     enumerate_full_nonmaximal_paths,
@@ -213,7 +212,7 @@ class TestCompletePaths:
     @pytest.mark.parametrize("graph", ALL_GRAPHS)
     def test_matches_naive_enumeration(self, graph):
         expected = naive_complete_keys(graph)
-        verdicts = enumerate_complete_paths(graph, max_edges_warn=10)
+        verdicts = enumerate_complete_paths(graph)
         got = {
             tuple((s.edge.id, 0 if s.forward else 1) for s in v.steps): v.ratio
             for v in verdicts
@@ -227,10 +226,6 @@ class TestCompletePaths:
         p = check_conjugacy_path(THETA, base, base, back)
         assert p is not None
         assert p.ratio() == 1 / v.ratio
-
-    def test_size_warning(self):
-        with pytest.warns(EnumerationSizeWarning):
-            enumerate_complete_paths(THETA, max_edges_warn=1)
 
 
 # -------------------------------------------------------- non-maximal paths

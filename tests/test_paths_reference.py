@@ -231,7 +231,7 @@ OPEN_PREFIX = 300
 @settings(max_examples=150, deadline=None)
 @given(graphs())
 def test_complete_paths_match_reference(graph):
-    assert enumerate_complete_paths(graph, max_edges_warn=6) == reference_complete(graph)
+    assert enumerate_complete_paths(graph) == reference_complete(graph)
 
 
 @settings(max_examples=150, deadline=None)

@@ -350,6 +350,18 @@ class TestPowerConjugate:
         answer = power_conjugate(graph, w(graph, 0, "a"), w(graph, 0, "a^-1"))
         assert answer.exists and answer.exponents == (1, -1)
 
+    def test_additional_relations_follow_the_answer(self):
+        # a ~ a by the vertex group; the loop adds t a^2 t^-1 = a^3 and its inverse
+        graph = parse_graph(bs(2, 3))
+        a = w(graph, 0, "a")
+        answer = power_conjugate(graph, a, a)
+        assert answer.exponents == (1, 1) and answer.route == "same_vertex"
+        pairs = [p.witness_exponents() for p in answer.additional]
+        assert pairs == [(2, 3), (3, 2)]
+        for path in answer.additional:
+            m, n = path.witness_exponents()
+            assert conjugacy_holds(graph, path.conjugator_items(), a, m, a, n)
+
     def test_unrelated_elements_refuted(self):
         graph = parse_graph(FXF)
         answer = power_conjugate(graph, w(graph, 0, "b"), w(graph, 1, "y"))
