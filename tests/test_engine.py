@@ -3,7 +3,7 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from gogz.engine import Engine, brute_force_power_conjugacy, iter_power_conjugacies
+from gogz.engine import Engine, _item, brute_force_power_conjugacy, iter_power_conjugacies
 from gogz.graphs import parse_graph
 
 BS23 = parse_graph('vertex 0 rank=1 gens=a\nedge 0 0 0 minus="a^2" plus="a^3"')
@@ -66,6 +66,21 @@ class TestBS23:
         expected = e.mul(e.embed(w(BS23, 0, "a")), e.embed(w(BS23, 0, "a^3")))
         assert e.equal(g, expected)
 
+    def test_top_length_is_tree_distance(self):
+        # t^k moves the base vertex k edges; the relation t a^2 t^-1 = a^3 fixes it
+        e = self.engine
+        for k in (-3, -1, 1, 4):
+            assert e.top_length(e.stable_letter(0, k)) == abs(k)
+        assert e.top_length(e.embed(w(BS23, 0, "a^5"))) == 0
+        assert e.top_length(e.conjugate(e.stable_letter(0), e.embed(w(BS23, 0, "a^2")))) == 0
+
+    def test_atoms_spell_the_normal_form(self):
+        e = self.engine
+        assert e.atoms(e.stable_letter(0, 2)) == [("t", 0, 1), ("t", 0, 1)]
+        assert e.atoms(e.stable_letter(0, -1)) == [("t", 0, -1)]
+        g = e.element_of([w(BS23, 0, "a"), ("t", 0, 1), w(BS23, 0, "a")])
+        assert e.atoms(g) == [("w", 0, (1,)), ("t", 0, 1), ("w", 0, (1,))]
+
 
 # ------------------------------------------------------------------- trefoil
 
@@ -116,6 +131,26 @@ class TestTheta:
         g = e.embed(w(THETA, 0, "a b a^-1 b^-1"))
         assert not e.is_identity(g)
         assert e.is_identity(e.mul(g, e.inv(g)))
+
+
+# ---------------------------------------------------------------- long chain
+
+
+def test_long_chain_arithmetic_does_not_recurse():
+    # 2000 vertices in a row, a_i^2 = a_(i+1)^3: a far word crosses the whole tree
+    n = 2000
+    lines = [f"vertex {i} rank=1 gens=a{i}" for i in range(n)]
+    lines += [f'edge {i} {i} {i + 1} minus="a{i}^2" plus="a{i + 1}^3"' for i in range(n - 1)]
+    chain = parse_graph("\n".join(lines))
+    e = Engine(chain)
+    far, near = e.embed(w(chain, n - 1, f"a{n - 1}")), e.embed(w(chain, n - 2, f"a{n - 2}"))
+    assert e.equal(e.power(near, 2), e.power(far, 3))
+    assert not e.equal(e.mul(near, far), e.mul(far, near))
+    g = e.mul(near, far, e.inv(near))
+    e.validate_element(g)
+    assert e.top_length(g) == 2 * (n - 1)
+    assert e.is_identity(e.mul(g, e.inv(g)))
+    assert e.equal(e.element_of([_item(atom) for atom in e.atoms(g)]), g)
 
 
 # ------------------------------------------------------------- free fallback

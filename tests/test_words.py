@@ -3,12 +3,14 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from gogz.engine import _exponent_of
 from gogz.errors import AlphabetError, DegenerateInputError
 from gogz.words import (
     Alphabet,
     FreeWord,
     coset_canonical,
     cyclic_meet,
+    cyclic_split,
     identity,
     invert_letters,
     letters_sort_key,
@@ -87,6 +89,55 @@ def test_root_picks_lex_least_rotation():
     assert dec.recompose() == w("b a b a")
 
 
+# ---------------------------------------------------------------- conjugacy
+
+
+def conjugator(u, v):
+    """Some h with h u h^-1 = v for nontrivial u, v, or None.
+
+    In a free group u ~ v iff their roots share primitive and exponent; the
+    transfer conjugator of the meet then carries u onto v.
+    """
+    m = cyclic_meet(u, v)
+    if m is None or m.exps[0] != m.exps[1]:
+        return None
+    return m.transfer_conjugator()
+
+
+def cores_rotate(u, v):
+    # oracle: u ~ v iff their cyclic cores are rotations of each other
+    cu, cv = cyclic_split(u.letters)[1], cyclic_split(v.letters)[1]
+    return len(cu) == len(cv) and any(cu[i:] + cu[:i] == cv for i in range(len(cu)))
+
+
+def test_conjugate_in_free_example():
+    h = conjugator(w("a b"), w("b a"))
+    assert h == w("b")
+    assert w("a b").conjugated_by(h) == w("b a")
+
+
+def test_conjugate_in_free_absent():
+    # ab and a^-1 b^-1 have no common cyclic rotation: the subgroups meet, but
+    # only with opposite exponents, so ab is conjugate to the inverse instead
+    u, v = w("a b"), w("a^-1 b^-1")
+    assert not cores_rotate(u, v)
+    m = cyclic_meet(u, v)
+    assert m is not None and m.exps == (1, -1)
+    assert conjugator(u, v) is None
+    assert u.inverse().conjugated_by(m.transfer_conjugator()) == v
+
+
+def test_conjugate_identity_cases():
+    # the identity is conjugate only to itself and has no root to compare
+    assert identity("v").conjugated_by(w("a b")) == identity("v")
+    with pytest.raises(DegenerateInputError):
+        cyclic_meet(identity("v"), identity("v"))
+    with pytest.raises(DegenerateInputError):
+        cyclic_meet(w("a"), identity("v"))
+    with pytest.raises(DegenerateInputError):
+        root(identity("v"))
+
+
 # ---------------------------------------------------------------- cyclic_meet
 
 
@@ -131,6 +182,23 @@ def test_coset_canonical_distorted_conjugator():
     u = w("a").conjugated_by(conj)
     x = (w("a") ** -10).conjugated_by(conj)
     assert coset_canonical(u, x).is_identity
+
+
+def test_coset_decompose_recomposes():
+    # the engine's split of a word after a step: x = u^j r, r canonical
+    u, x = w("a b"), w("a b a b a^-1")
+    r = coset_canonical(u, x)
+    j = _exponent_of("v", u.letters, (x * r.inverse()).letters)
+    assert (u ** j) * r == x
+
+
+def test_cyclic_power():
+    u = w("b a^2 b^-1")
+    assert _exponent_of("v", u.letters, (u ** 5).letters) == 5
+    assert _exponent_of("v", u.letters, (u ** -3).letters) == -3
+    assert _exponent_of("v", u.letters, ()) == 0
+    assert _exponent_of("v", u.letters, w("a").letters) is None
+    assert _exponent_of("v", w("a^2").letters, w("a^3").letters) is None
 
 
 def test_maximal_root():
@@ -181,6 +249,42 @@ def test_coset_canonical_is_coset_invariant(lu, lx, k):
         return
     shifted = (u ** k) * x
     assert coset_canonical(u, shifted) == coset_canonical(u, x)
+
+
+@given(letters_st, letters_st)
+def test_conjugacy_witness_and_symmetry(lu, lv):
+    u, v = reduced(lu), reduced(lv)
+    if u.is_identity or v.is_identity:
+        return
+    h = conjugator(u, v)
+    assert (h is not None) == cores_rotate(u, v)
+    if h is not None:
+        assert u.conjugated_by(h) == v
+    back = conjugator(v, u)
+    assert (h is None) == (back is None)
+
+
+@given(letters_st, letters_st)
+def test_conjugacy_detects_actual_conjugates(lu, lh):
+    u, h = reduced(lu), reduced(lh)
+    if u.is_identity:
+        return
+    v = u.conjugated_by(h)
+    found = conjugator(u, v)
+    assert found is not None
+    assert u.conjugated_by(found) == v
+
+
+@settings(deadline=None)
+@given(letters_st, letters_st)
+def test_coset_split_recomposes(lu, lx):
+    u, x = reduced(lu), reduced(lx)
+    if u.is_identity:
+        return
+    r = coset_canonical(u, x)
+    j = _exponent_of("v", u.letters, (x * r.inverse()).letters)
+    assert j is not None
+    assert (u ** j) * r == x
 
 
 @given(letters_st, letters_st)
