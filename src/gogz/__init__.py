@@ -27,7 +27,6 @@ from gogz.errors import (
     GraphNotReducedError,
     InternalInconsistencyError,
     ParseError,
-    PreconditionError,
 )
 from gogz.graphs import (
     Edge,
@@ -39,9 +38,7 @@ from gogz.graphs import (
     reduce_graph,
 )
 from gogz.paths import (
-    CompletePathVerdict,
     ConjugacyPath,
-    NonMaximalPath,
     check_conjugacy_path,
     enumerate_complete_paths,
     enumerate_full_nonmaximal_paths,
@@ -84,8 +81,6 @@ __all__ = [
     "PowerConjugacy",
     "brute_force_power_conjugacy",
     "ConjugacyPath",
-    "CompletePathVerdict",
-    "NonMaximalPath",
     "check_conjugacy_path",
     "enumerate_complete_paths",
     "enumerate_full_nonmaximal_paths",
@@ -109,7 +104,6 @@ __all__ = [
     "ParseError",
     "DegenerateInputError",
     "GraphNotReducedError",
-    "PreconditionError",
     "InternalInconsistencyError",
     "__version__",
 ]

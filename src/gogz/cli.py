@@ -32,16 +32,10 @@ from .errors import (
     InternalInconsistencyError,
     ParseError,
 )
-from .graphs import MINUS, GraphOfGroups, parse_graph
-from .paths import (
-    CompletePathVerdict,
-    ConjugacyPath,
-    NonMaximalPath,
-    enumerate_complete_paths,
-    enumerate_full_nonmaximal_paths,
-)
+from .graphs import GraphOfGroups, parse_graph, side_name
+from .paths import ConjugacyPath, enumerate_complete_paths, enumerate_full_nonmaximal_paths
 from .verdicts import AnalysisReport, ConjugacyAnswer, analyze, power_conjugate
-from .words import FreeWord
+from .words import Alphabet, FreeWord
 
 SCHEMA_VERSION = 1
 
@@ -87,35 +81,39 @@ def _path_json(graph: GraphOfGroups, path: ConjugacyPath) -> dict:
     }
 
 
-def _complete_json(graph: GraphOfGroups, verdict: CompletePathVerdict) -> dict:
-    i, j = verdict.witness
+def _relation_json(graph: GraphOfGroups, path: ConjugacyPath) -> dict:
+    return {
+        "exponents": list(path.witness_exponents()),
+        "conjugator": _format_conjugator(graph, path.conjugator_items()),
+    }
+
+
+def _complete_json(graph: GraphOfGroups, path: ConjugacyPath) -> dict:
+    ratio = path.ratio()
     return {
         "kind": "complete",
-        "steps": _format_steps(verdict.path),
-        "base_vertex": verdict.base_vertex,
-        "base_word": _format_word(graph, verdict.base_word),
-        "ratio": str(verdict.ratio),
-        "level": verdict.level,
-        "relation": {
-            "exponents": [i, j],
-            "conjugator": _format_conjugator(graph, verdict.path.conjugator_items()),
-        },
+        "steps": _format_steps(path),
+        "base_vertex": path.steps[0].origin,
+        "base_word": _format_word(graph, path.start),
+        "ratio": str(ratio),
+        "level": abs(ratio) == 1,
+        "relation": _relation_json(graph, path),
         "verified": True,
     }
 
 
-def _nonmax_json(graph: GraphOfGroups, nm: NonMaximalPath) -> dict:
-    m, n = nm.path.witness_exponents()
+def _nonmax_json(graph: GraphOfGroups, path: ConjugacyPath) -> dict:
+    first, last = path.steps[0], path.steps[-1]
     return {
-        "kind": nm.kind,
-        "steps": _format_steps(nm.path),
-        "start": _format_word(graph, nm.path.start),
-        "end": _format_word(graph, nm.path.end),
-        "arrows": [[eid, "minus" if side == MINUS else "plus"] for eid, side in nm.arrows],
-        "relation": {
-            "exponents": [m, n],
-            "conjugator": _format_conjugator(graph, nm.path.conjugator_items()),
-        },
+        "kind": "full",
+        "steps": _format_steps(path),
+        "start": _format_word(graph, path.start),
+        "end": _format_word(graph, path.end),
+        "arrows": [
+            [first.edge.id, side_name(first.origin_side)],
+            [last.edge.id, side_name(last.terminus_side)],
+        ],
+        "relation": _relation_json(graph, path),
         "verified": True,
     }
 
@@ -136,6 +134,7 @@ def _report_json(report: AnalysisReport) -> dict:
     balance = report.balance
     hyper = report.hyperbolicity
     tri = report.trichotomy
+    acyl = tri.acyl
 
     verdicts = {
         "balanced": balance.balanced,
@@ -144,10 +143,10 @@ def _report_json(report: AnalysisReport) -> dict:
         else "BS({},{})".format(balance.bs_tag[0], balance.bs_tag[1] * balance.bs_sign),
         "modulus": [str(r) for r in balance.modulus],
         "word_hyperbolic": hyper.hyperbolic,
-        "contains_baumslag_solitar": hyper.contains_baumslag_solitar,
-        "acyl_hyperbolic": None if report.acyl is None else report.acyl.acyl_hyperbolic,
+        "contains_baumslag_solitar": not hyper.hyperbolic,
+        "acyl_hyperbolic": None if acyl is None else acyl.acyl_hyperbolic,
         "trichotomy": tri.branch,
-        "free_rank": report.free_rank,
+        "free_rank": tri.free_rank,
         "rel_hyp_note": report.rel_hyp_note,
         "notes": list(report.notes),
     }
@@ -156,12 +155,9 @@ def _report_json(report: AnalysisReport) -> dict:
     if balance.witness is not None:
         witnesses["balance"] = _complete_json(graph, balance.witness)
     if hyper.witness is not None:
-        if isinstance(hyper.witness, CompletePathVerdict):
-            witnesses["hyperbolicity"] = _complete_json(graph, hyper.witness)
-        else:
-            witnesses["hyperbolicity"] = _nonmax_json(graph, hyper.witness)
-    if report.acyl is not None:
-        acyl = report.acyl
+        render = _complete_json if hyper.kind == "complete" else _nonmax_json
+        witnesses["hyperbolicity"] = render(graph, hyper.witness)
+    if acyl is not None:
         if acyl.acyl_hyperbolic:
             witnesses["acyl"] = {
                 "condition": acyl.condition,
@@ -285,8 +281,7 @@ def cmd_check(args, graph: GraphOfGroups, doc: dict) -> dict:
 
 def cmd_paths(args, graph: GraphOfGroups, doc: dict) -> dict:
     if args.kind == "complete":
-        verdicts = enumerate_complete_paths(graph)
-        listing = [_complete_json(graph, v) for v in verdicts]
+        listing = [_complete_json(graph, p) for p in enumerate_complete_paths(graph)]
         text = [
             "{} path {}: base {} at vertex {}, ratio {}, level {}".format(
                 entry["kind"],
@@ -299,8 +294,7 @@ def cmd_paths(args, graph: GraphOfGroups, doc: dict) -> dict:
             for entry in listing
         ]
     else:
-        paths = enumerate_full_nonmaximal_paths(graph)
-        listing = [_nonmax_json(graph, nm) for nm in paths]
+        listing = [_nonmax_json(graph, p) for p in enumerate_full_nonmaximal_paths(graph)]
         text = [
             "{} path {}: {} -> {}, arrows at {}".format(
                 entry["kind"],
@@ -362,12 +356,7 @@ def _answer_json(graph: GraphOfGroups, answer: ConjugacyAnswer) -> dict:
 
 
 def _extra_json(graph: GraphOfGroups, path: ConjugacyPath) -> dict:
-    return {
-        "exponents": list(path.witness_exponents()),
-        "conjugator": _format_conjugator(graph, path.conjugator_items()),
-        "steps": _format_steps(path),
-        "verified": True,
-    }
+    return {**_relation_json(graph, path), "steps": _format_steps(path), "verified": True}
 
 
 def cmd_conj(args, graph: GraphOfGroups, doc: dict) -> dict:
@@ -446,46 +435,43 @@ def cmd_conj(args, graph: GraphOfGroups, doc: dict) -> dict:
 
 
 def _relation_tokens(graph: GraphOfGroups, side: str, what: str) -> list:
-    gen_home = {}
-    for vid in sorted(graph.vertices):
-        alphabet = graph.vertices[vid].alphabet
-        for index, name in enumerate(alphabet.names, start=1):
-            gen_home[name] = (vid, index)
+    """The engine items of one side of a relation.
+
+    Tokens follow the graph file's word grammar (``name``, ``name^k``,
+    ``1``): a generator token is parsed by the alphabet that owns the name,
+    and a stable letter ``t_<edge-id>`` (or ``t`` when there is one edge) by
+    an alphabet of that one letter.
+    """
+    owner = {name: v.alphabet for _, v in sorted(graph.vertices.items()) for name in v.alphabet.names}
     items = []
     for token in side.split():
-        name, caret, exp_text = token.partition("^")
-        if caret:
-            try:
-                exp = int(exp_text)
-            except ValueError:
-                raise ParseError(f"{what}: bad exponent in {token!r}") from None
-            if exp == 0:
-                raise ParseError(f"{what}: zero exponent in {token!r}")
-        else:
-            exp = 1
-        if name == "t" or name.startswith("t_"):
-            if name == "t":
-                if len(graph.edges) != 1:
-                    raise ParseError(
-                        f"{what}: bare 't' is only unambiguous with a single edge; "
-                        f"use t_<edge-id>"
-                    )
-                eid = next(iter(graph.edges))
-            else:
-                try:
-                    eid = int(name[2:])
-                except ValueError:
-                    raise ParseError(f"{what}: bad stable letter {token!r}") from None
-                if eid not in graph.edges:
-                    raise ParseError(f"{what}: unknown edge in {token!r}")
-            items.append(("t", eid, exp))
-        elif name in gen_home:
-            vid, index = gen_home[name]
-            letter = index if exp > 0 else -index
-            items.append(graph.vertices[vid].alphabet.word((letter,) * abs(exp)))
-        else:
-            raise ParseError(f"{what}: unknown generator or stable letter {token!r}")
+        name = token.partition("^")[0]
+        try:
+            if name == "t" or name.startswith("t_"):
+                eid = _stable_letter_edge(graph, name, token)
+                letters = Alphabet("t", (name,)).parse(token).letters
+                items.extend(("t", eid, letter) for letter in letters)
+            elif token != "1":
+                if name not in owner:
+                    raise ParseError(f"unknown generator or stable letter {token!r}")
+                items.append(owner[name].parse(token))
+        except ParseError as exc:
+            raise ParseError(f"{what}: {exc}") from None
     return items
+
+
+def _stable_letter_edge(graph: GraphOfGroups, name: str, token: str) -> int:
+    if name == "t":
+        if len(graph.edges) != 1:
+            raise ParseError("bare 't' is only unambiguous with a single edge; use t_<edge-id>")
+        return next(iter(graph.edges))
+    try:
+        eid = int(name[2:])
+    except ValueError:
+        raise ParseError(f"bad stable letter {token!r}") from None
+    if eid not in graph.edges:
+        raise ParseError(f"unknown edge in {token!r}")
+    return eid
 
 
 def cmd_oracle(args, graph: GraphOfGroups, doc: dict) -> dict:
@@ -495,7 +481,7 @@ def cmd_oracle(args, graph: GraphOfGroups, doc: dict) -> dict:
     engine = Engine(graph)
     lhs = engine.element_of(_relation_tokens(graph, lhs_text, "left side"))
     rhs = engine.element_of(_relation_tokens(graph, rhs_text, "right side"))
-    holds = engine.equal(lhs, rhs)
+    holds = lhs == rhs
     doc["relation"] = args.relation.strip()
     doc["holds"] = holds
     doc["text"] = [str(holds).lower()]

@@ -47,7 +47,7 @@ from .words import (
     reduce_letters,
 )
 
-Atom = Tuple  # ('w', vertex_id, letters) or ('t', edge_id, +-1)
+Item = Union[FreeWord, Tuple[str, int, int]]  # a vertex word or ('t', edge_id, exp)
 Step = Tuple[int, bool]  # (edge_id, forward)
 Elem = Tuple  # (g0, ((step, rep), ...)), see the module docstring
 RawPath = Tuple  # (g0, ((step, word), ...)) with any words: a closed path
@@ -174,15 +174,16 @@ class Engine:
     def identity_elem(self) -> Elem:
         return IDENTITY
 
-    def atoms(self, g: Elem) -> List[Atom]:
-        """g as a product of vertex words and stable letters, left to right."""
+    def atoms(self, g: Elem) -> List[Item]:
+        """g as :meth:`element_of` items, left to right: vertex words and
+        stable letters ``('t', edge_id, +-1)``."""
         g0, tail = g
-        out: List[Atom] = [("w", self.tree.root, g0)] if g0 else []
+        out: List[Item] = [FreeWord(self._tags[self.tree.root], g0)] if g0 else []
         for step, rep in tail:
             if step[0] in self._non_tree:
                 out.append(("t", step[0], -1 if step[1] else 1))
             if rep:
-                out.append(("w", self._ends[step][2], rep))
+                out.append(FreeWord(self._tags[self._ends[step][2]], rep))
         return out
 
     def embed(self, word: FreeWord) -> Elem:
@@ -193,7 +194,7 @@ class Engine:
         """t_e^exp; tree edges have trivial stable letter."""
         return self._stable(edge_id, exp, IDENTITY)
 
-    def element_of(self, items: Sequence[Union[FreeWord, Tuple[str, int, int]]]) -> Elem:
+    def element_of(self, items: Sequence[Item]) -> Elem:
         """Evaluate a product of vertex words and ('t', edge_id, exp) letters."""
         out = IDENTITY
         for item in reversed(items):
@@ -230,9 +231,6 @@ class Engine:
     def conjugate(self, h: Elem, g: Elem) -> Elem:
         """h g h^-1."""
         return self.mul(h, g, self.inv(h))
-
-    def equal(self, g: Elem, h: Elem) -> bool:
-        return g == h
 
     def is_identity(self, g: Elem) -> bool:
         return g == IDENTITY
@@ -285,25 +283,20 @@ class PowerConjugacy:
     n: int
 
 
-def _item(atom: Atom) -> Union[FreeWord, Tuple[str, int, int]]:
-    """The :meth:`Engine.element_of` item an atom stands for."""
-    return FreeWord(str(atom[1]), atom[2]) if atom[0] == "w" else atom
-
-
-def _atom_key(atom: Atom) -> Tuple:
-    if atom[0] == "w":
-        return (0, atom[1], len(atom[2]), tuple(letter_key(l) for l in atom[2]))
+def _atom_key(atom: Item) -> Tuple:
+    if isinstance(atom, FreeWord):
+        return (0, int(atom.vertex), len(atom.letters), tuple(letter_key(l) for l in atom.letters))
     return (1, atom[1], 0 if atom[2] > 0 else 1)
 
 
-def _atom_pool(engine: Engine, max_letters: int) -> List[Tuple[Atom, int]]:
+def _atom_pool(engine: Engine, max_letters: int) -> List[Tuple[Item, int]]:
     """All candidate atoms with their letter costs, in canonical order.
 
     Vertex words of each length up to ``max_letters`` (ordered by vertex,
     then (length, lex)), then stable letters of non-tree edges (by edge id,
     positive sign first).  A stable letter costs one letter.
     """
-    pool: List[Tuple[Atom, int]] = []
+    pool: List[Tuple[Item, int]] = []
     for vid in sorted(engine.graph.vertices):
         alphabet = engine.graph.vertices[vid].alphabet
         frontier: List[Letters] = [()]
@@ -316,7 +309,7 @@ def _atom_pool(engine: Engine, max_letters: int) -> List[Tuple[Atom, int]]:
                             continue
                         extended.append(stem + (letter,))
             extended.sort(key=lambda w: tuple(letter_key(l) for l in w))
-            pool.extend((("w", vid, w), len(w)) for w in extended)
+            pool.extend((FreeWord(alphabet.vertex, w), len(w)) for w in extended)
             frontier = extended
     for eid in engine.tree.non_tree_edge_ids:
         pool.append((("t", eid, 1), 1))
@@ -325,14 +318,14 @@ def _atom_pool(engine: Engine, max_letters: int) -> List[Tuple[Atom, int]]:
     return pool
 
 
-def _compatible(atom: Atom, first: Optional[Atom]) -> bool:
+def _compatible(atom: Item, first: Optional[Item]) -> bool:
     if first is None:
         return True
-    if atom[0] == "w" and first[0] == "w" and atom[1] == first[1]:
-        return False  # would merge into a single shorter word
-    if atom[0] == "t" and first[0] == "t" and atom[1] == first[1] and atom[2] == -first[2]:
-        return False  # t t^-1
-    return True
+    if isinstance(atom, FreeWord) and isinstance(first, FreeWord):
+        return atom.vertex != first.vertex  # else they merge into one shorter word
+    if isinstance(atom, FreeWord) or isinstance(first, FreeWord):
+        return True
+    return not (atom[1] == first[1] and atom[2] == -first[2])  # t t^-1
 
 
 def iter_power_conjugacies(
@@ -370,10 +363,10 @@ def iter_power_conjugacies(
     max_top = max(engine.top_length(t) for t in targets)
     pool = []
     for atom, cost in _atom_pool(engine, max_letters):
-        a_elem = engine.element_of([_item(atom)])
+        a_elem = engine.element_of([atom])
         pool.append((atom, cost, a_elem, engine.inv(a_elem)))
 
-    def conjugates(count: int, budget: int) -> Iterator[Tuple[Tuple[Atom, ...], Elem]]:
+    def conjugates(count: int, budget: int) -> Iterator[Tuple[Tuple[Item, ...], Elem]]:
         if count == 0:
             yield (), x_elem
             return
@@ -393,7 +386,7 @@ def iter_power_conjugacies(
             for m in range(1, max_exp + 1):
                 n = targets.get(p)
                 if n is not None:
-                    yield PowerConjugacy(tuple(_item(a) for a in seq), m, n)
+                    yield PowerConjugacy(seq, m, n)
                 if m == max_exp:
                     break
                 p = engine.mul(p, c)

@@ -36,10 +36,6 @@ class GraphNotReducedError(GogzError):
     """A decider that requires a reduced graph was handed an unreduced one."""
 
 
-class PreconditionError(GogzError):
-    """A documented precondition of an operation does not hold."""
-
-
 class InternalInconsistencyError(GogzError):
     """A verdict's witness failed independent verification.
 

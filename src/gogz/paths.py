@@ -20,6 +20,10 @@ at most once per chain):
   maximal — the shape that produces a Z^2 or Baumslag-Solitar subgroup,
 * open conjugacy paths between two given vertex elements.
 
+Each returns :class:`ConjugacyPath` records, the one chain record of the
+package: its ratio, witness exponents, base vertex (``steps[0].origin``)
+and arrowed ends (the two outer ends of a full path) are all read off it.
+
 All three walk the same index.  Two edge ends at a vertex overlap exactly
 when their inclusion words have the same canonical primitive root, so each
 edge end falls in a *class* (vertex, primitive) and a chain's junctions all
@@ -281,31 +285,6 @@ class _ClassIndex:
 # ------------------------------------------------------------- closed paths
 
 
-@dataclass(frozen=True)
-class CompletePathVerdict:
-    """A closed edge-once chain certifying w g^i w^-1 = g^j at its base.
-
-    ``bases`` lists every vertex the chain can be based at (the closing
-    overlap holds at each step origin).  ``level`` records |ratio| = 1;
-    a non-level verdict exhibits an unbalanced element.
-    """
-
-    path: ConjugacyPath
-    base_vertex: int
-    bases: Tuple[int, ...]
-    ratio: Fraction
-    level: bool
-    witness: Tuple[int, int]
-
-    @property
-    def steps(self) -> Tuple[OrientedEdge, ...]:
-        return self.path.steps
-
-    @property
-    def base_word(self) -> FreeWord:
-        return self.path.start
-
-
 def _step_key(step: OrientedEdge) -> Tuple[int, int]:
     return (step.edge.id, 0 if step.forward else 1)
 
@@ -335,71 +314,37 @@ def _closed_chains(index: _ClassIndex) -> Iterator[Tuple[OrientedEdge, ...]]:
                 yield index.chain(walk)
 
 
-def enumerate_complete_paths(graph: GraphOfGroups) -> List[CompletePathVerdict]:
+def enumerate_complete_paths(graph: GraphOfGroups) -> List[ConjugacyPath]:
     """All complete closed chains, deduplicated under rotation and reversal.
 
-    Each verdict is based at the canonical rotation's start; the closing
-    overlap is part of the certificate chain, so the witness covers the
-    full loop including the return to the base word.
+    Each chain starts and ends at the base word ``steps[0].origin_word`` of
+    the canonical rotation; the closing overlap is part of the certificate,
+    so the witness covers the full loop including the return to the base
+    word.  A chain is *level* when ``|ratio()| = 1``; a non-level chain
+    exhibits an unbalanced element.
     """
-    verdicts = []
+    chains = []
     for steps in _closed_chains(_ClassIndex(graph)):
         base_word = steps[0].origin_word
-        path = _certify(graph, base_word, base_word, steps)
-        ratio = path.ratio()
-        verdicts.append(
-            CompletePathVerdict(
-                path=path,
-                base_vertex=steps[0].origin,
-                bases=tuple(sorted({s.origin for s in steps})),
-                ratio=ratio,
-                level=abs(ratio) == 1,
-                witness=path.witness_exponents(),
-            )
-        )
-    verdicts.sort(key=lambda v: (len(v.steps), _path_key(v.steps)))
-    return verdicts
+        chains.append(_certify(graph, base_word, base_word, steps))
+    chains.sort(key=lambda p: (len(p.steps), _path_key(p.steps)))
+    return chains
 
 
 # -------------------------------------------------------- non-maximal paths
 
 
-@dataclass(frozen=True)
-class NonMaximalPath:
-    """A conjugacy path whose arrow pattern defeats maximality.
-
-    An *arrow* sits at an edge end whose inclusion word is a proper power.
-    ``kind`` names the pattern; the paths built here are "full" (arrows
-    exactly at the path's two outer ends).  ``arrows`` lists the
-    (edge_id, side) pairs carrying the defining arrows.
-    """
-
-    kind: str
-    path: ConjugacyPath
-    arrows: Tuple[Tuple[int, int], ...]
-
-    @property
-    def steps(self) -> Tuple[OrientedEdge, ...]:
-        return self.path.steps
-
-
-def _full_path(graph: GraphOfGroups, steps: Sequence[OrientedEdge]) -> NonMaximalPath:
-    path = _certify(graph, steps[0].origin_word, steps[-1].terminus_word, steps)
-    arrows = (
-        (steps[0].edge.id, steps[0].origin_side),
-        (steps[-1].edge.id, steps[-1].terminus_side),
-    )
-    return NonMaximalPath("full", path, arrows)
-
-
-def enumerate_full_nonmaximal_paths(graph: GraphOfGroups) -> List[NonMaximalPath]:
+def enumerate_full_nonmaximal_paths(graph: GraphOfGroups) -> List[ConjugacyPath]:
     """All edge-once chains with arrows exactly at their two outer ends.
 
+    An *arrow* sits at an edge end whose inclusion word is a proper power.
     The initial inclusion word (a proper power, by its arrow) travels the
     chain through maximal inclusions only and lands on another proper
     power, so the fundamental group gains a Baumslag-Solitar subgroup.
-    A single edge with arrows at both ends is the one-step case.  Results
-    are deduplicated under reversal.
+    Each path runs from ``steps[0].origin_word`` to
+    ``steps[-1].terminus_word``, the two arrowed ends.  A single edge with
+    arrows at both ends is the one-step case.  Results are deduplicated
+    under reversal.
     """
     index = _ClassIndex(graph)
     found = []
@@ -416,7 +361,7 @@ def enumerate_full_nonmaximal_paths(graph: GraphOfGroups) -> List[NonMaximalPath
                 continue
             steps = index.chain(walk)
             if _path_key(steps) <= _path_key(_reversed_path(steps)):
-                found.append(_full_path(graph, steps))
+                found.append(_certify(graph, steps[0].origin_word, steps[-1].terminus_word, steps))
 
     found.sort(key=lambda p: (len(p.steps), _path_key(p.steps)))
     return found

@@ -25,8 +25,12 @@ Verdicts decided here:
 * ``power_conjugate`` — decides whether powers of two vertex elements are
   conjugate, returning a certified witness.
 
-``analyze`` runs all of them on one graph, sharing the closed-chain
-enumeration, the reduction and the acylindricity verdict between deciders.
+Chain witnesses are :class:`~gogz.paths.ConjugacyPath` records, and every
+replay, chain or not, is one relation ``w x^m w^-1 = y^n`` checked by
+``_require``.  ``analyze`` runs all of them on one graph, sharing the
+closed-chain enumeration, the reduction, the acylindricity verdict and one
+engine per graph (a second one only for a reduced graph that differs from
+the input) between deciders.
 """
 
 from __future__ import annotations
@@ -34,7 +38,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
-from typing import Dict, List, Optional, Tuple, Union
+from typing import Dict, List, Optional, Tuple
 
 from .engine import Engine
 from .errors import (
@@ -42,12 +46,10 @@ from .errors import (
     GraphNotReducedError,
     InternalInconsistencyError,
 )
-from .graphs import MINUS, PLUS, ContractionLog, GraphOfGroups, maximal_tree, reduce_graph
+from .graphs import MINUS, PLUS, ContractionLog, GraphOfGroups, reduce_graph
 from .paths import (
-    CompletePathVerdict,
     ConjugacyPath,
     ConjugatorItem,
-    NonMaximalPath,
     enumerate_complete_paths,
     enumerate_full_nonmaximal_paths,
     iter_conjugacy_paths,
@@ -63,14 +65,20 @@ def _holds_in_engine(
     y: FreeWord,
     n: int,
 ) -> bool:
-    conj = engine.element_of(items)
-    lhs = engine.conjugate(conj, engine.power(engine.embed(x), m))
-    return engine.equal(lhs, engine.power(engine.embed(y), n))
+    lhs = engine.power(engine.embed(x), m)
+    if items:  # an empty conjugator would only renormalise lhs
+        lhs = engine.conjugate(engine.element_of(items), lhs)
+    return lhs == engine.power(engine.embed(y), n)
 
 
 def _require(engine: Engine, items, x, m, y, n, claim: str) -> None:
     if not _holds_in_engine(engine, items, x, m, y, n):
         raise InternalInconsistencyError(f"witness failed engine verification: {claim}")
+
+
+def _require_path(engine: Engine, path: ConjugacyPath, claim: str) -> None:
+    m, n = path.witness_exponents()
+    _require(engine, path.conjugator_items(), path.start, m, path.end, n, f"{claim} ({m}, {n})")
 
 
 # ------------------------------------------------------------------- balance
@@ -87,7 +95,7 @@ class BalanceVerdict:
     """
 
     balanced: bool
-    witness: Optional[CompletePathVerdict]
+    witness: Optional[ConjugacyPath]
     bs_tag: Optional[Tuple[int, int]]
     bs_sign: int
     modulus: Tuple[Fraction, ...]
@@ -95,26 +103,18 @@ class BalanceVerdict:
 
 def is_balanced(graph: GraphOfGroups) -> BalanceVerdict:
     """A non-level complete closed chain is exactly an unbalanced element."""
-    return _balance(graph, enumerate_complete_paths(graph))
+    return _balance(Engine(graph), enumerate_complete_paths(graph))
 
 
-def _balance(graph: GraphOfGroups, complete: List[CompletePathVerdict]) -> BalanceVerdict:
-    modulus = tuple(sorted({v.ratio for v in complete}, key=lambda r: (abs(r), r)))
-    nonlevel = [v for v in complete if not v.level]
+def _balance(engine: Engine, complete: List[ConjugacyPath]) -> BalanceVerdict:
+    ratios = [path.ratio() for path in complete]
+    modulus = tuple(sorted(set(ratios), key=lambda r: (abs(r), r)))
+    nonlevel = [(path, r) for path, r in zip(complete, ratios) if abs(r) != 1]
     if not nonlevel:
         return BalanceVerdict(True, None, None, 1, modulus)
-    witness = nonlevel[0]
-    i, j = witness.witness
-    _require(
-        Engine(graph),
-        witness.path.conjugator_items(),
-        witness.base_word,
-        i,
-        witness.base_word,
-        j,
-        f"closed chain conjugating g^{i} to g^{j}",
-    )
-    inverse_ratio = 1 / witness.ratio
+    witness, ratio = nonlevel[0]
+    _require_path(engine, witness, "non-level closed chain")
+    inverse_ratio = 1 / ratio
     tag = (abs(inverse_ratio.numerator), abs(inverse_ratio.denominator))
     return BalanceVerdict(False, witness, tag, 1 if inverse_ratio > 0 else -1, modulus)
 
@@ -126,38 +126,29 @@ def _balance(graph: GraphOfGroups, complete: List[CompletePathVerdict]) -> Balan
 class HyperbolicityVerdict:
     """``hyperbolic`` with the first refuting path when false.
 
-    A refutation of either kind forces a Baumslag-Solitar subgroup (a full
-    non-maximal path of level ratio yields Z^2 = BS(1, 1)).
+    ``kind`` names the refutation: ``"complete"`` (a complete closed chain)
+    or ``"full"`` (a full non-maximal path).  Either kind forces a
+    Baumslag-Solitar subgroup (a full non-maximal path of level ratio
+    yields Z^2 = BS(1, 1)).
     """
 
     hyperbolic: bool
-    witness: Union[CompletePathVerdict, NonMaximalPath, None]
-    contains_baumslag_solitar: bool
+    witness: Optional[ConjugacyPath]
+    kind: Optional[str]
 
 
 def is_word_hyperbolic(graph: GraphOfGroups) -> HyperbolicityVerdict:
-    return _hyperbolicity(graph, enumerate_complete_paths(graph))
+    return _hyperbolicity(Engine(graph), enumerate_complete_paths(graph))
 
 
-def _hyperbolicity(
-    graph: GraphOfGroups, complete: List[CompletePathVerdict]
-) -> HyperbolicityVerdict:
+def _hyperbolicity(engine: Engine, complete: List[ConjugacyPath]) -> HyperbolicityVerdict:
     """The first complete chain refutes; full paths are only listed when none exists."""
-    refuting = complete or enumerate_full_nonmaximal_paths(graph)
+    kind = "complete" if complete else "full"
+    refuting = complete or enumerate_full_nonmaximal_paths(engine.graph)
     if not refuting:
-        return HyperbolicityVerdict(True, None, False)
-    witness = refuting[0]
-    m, n = witness.path.witness_exponents()
-    _require(
-        Engine(graph),
-        witness.path.conjugator_items(),
-        witness.path.start,
-        m,
-        witness.path.end,
-        n,
-        "complete closed chain" if complete else "full non-maximal path",
-    )
-    return HyperbolicityVerdict(False, witness, True)
+        return HyperbolicityVerdict(True, None, None)
+    _require_path(engine, refuting[0], f"{kind} path")
+    return HyperbolicityVerdict(False, refuting[0], kind)
 
 
 # --------------------------------------------------------------- acylindrical
@@ -191,6 +182,12 @@ def is_acyl_hyperbolic(graph: GraphOfGroups) -> AcylVerdict:
             "graph reduces to a single free vertex group; the splitting "
             "criterion does not apply"
         )
+    return _acyl(Engine(graph))
+
+
+def _acyl(engine: Engine) -> AcylVerdict:
+    """``is_acyl_hyperbolic`` on the reduced, nontrivial graph of ``engine``."""
+    graph = engine.graph
     incident_words = {
         vid: [edge.word(side) for edge, side in graph.incident(vid)]
         for vid in sorted(graph.vertices)
@@ -204,7 +201,6 @@ def is_acyl_hyperbolic(graph: GraphOfGroups) -> AcylVerdict:
         if graph.vertices[vid].rank >= 2:
             return AcylVerdict(True, "vertex_not_cyclic", vid, (), {})
 
-    engine = Engine(graph)
     generators: Dict[int, FreeWord] = {}
     for vid, ws in incident_words.items():
         exps = [root(w).exponent for w in ws]
@@ -212,11 +208,7 @@ def is_acyl_hyperbolic(graph: GraphOfGroups) -> AcylVerdict:
         g_v = maximal_root(ws[0]) ** common
         for w, k in zip(ws, exps):
             sign = 1 if k > 0 else -1
-            lhs = engine.power(engine.embed(w), common // abs(k))
-            if not engine.equal(lhs, engine.power(engine.embed(g_v), sign)):
-                raise InternalInconsistencyError(
-                    f"s-normal generator at vertex {vid} failed verification"
-                )
+            _require(engine, [], w, common // abs(k), g_v, sign, f"s-normal generator at vertex {vid}")
         generators[vid] = g_v
     return AcylVerdict(False, None, None, (), generators)
 
@@ -273,9 +265,9 @@ def _vertex_generator(graph: GraphOfGroups, vid: int) -> FreeWord:
     return graph.vertices[vid].alphabet.word((1,))
 
 
-def _central_witness(graph: GraphOfGroups) -> CentralWitness:
+def _central_witness(engine: Engine) -> CentralWitness:
     """Common power of all vertex generators in a reduced tree of cyclic groups."""
-    tree = maximal_tree(graph)
+    graph, tree = engine.graph, engine.tree
     assert not tree.non_tree_edge_ids
     ratio: Dict[int, Fraction] = {tree.root: Fraction(1)}
     for step in tree.steps:
@@ -297,19 +289,10 @@ def _central_witness(graph: GraphOfGroups) -> CentralWitness:
         assert x.denominator == 1 and x != 0
         exponents[vid] = int(x)
     element = _vertex_generator(graph, tree.root) ** exponents[tree.root]
-
-    engine = Engine(graph)
-    g = engine.embed(element)
     for vid, x in exponents.items():
-        if not engine.equal(g, engine.power(engine.embed(_vertex_generator(graph, vid)), x)):
-            raise InternalInconsistencyError(
-                f"central witness is not generator^{x} at vertex {vid}"
-            )
-        gen = engine.embed(_vertex_generator(graph, vid))
-        if not engine.equal(engine.mul(gen, g), engine.mul(g, gen)):
-            raise InternalInconsistencyError(
-                f"central witness fails to commute at vertex {vid}"
-            )
+        gen = _vertex_generator(graph, vid)
+        _require(engine, [], element, 1, gen, x, f"central witness is generator^{x} at vertex {vid}")
+        _require(engine, [gen], element, 1, element, 1, f"central witness commutes at vertex {vid}")
     return CentralWitness(tree.root, element, exponents)
 
 
@@ -322,23 +305,22 @@ def trichotomy(graph: GraphOfGroups) -> TrichotomyVerdict:
     the common central power built by ``_central_witness``.
     """
     reduced, _ = reduce_graph(graph)
-    return _trichotomy(reduced, None if reduced.is_trivial else is_acyl_hyperbolic(reduced))
+    return _trichotomy(Engine(reduced))
 
 
-def _trichotomy(reduced: GraphOfGroups, acyl: Optional[AcylVerdict]) -> TrichotomyVerdict:
-    """``trichotomy`` on an already reduced graph and its acylindricity verdict.
-
-    ``acyl`` is None exactly when the reduced graph is a single free vertex.
-    """
+def _trichotomy(engine: Engine) -> TrichotomyVerdict:
+    """``trichotomy`` on the already reduced graph of ``engine``."""
+    reduced = engine.graph
     if reduced.is_trivial:
         (vertex,) = reduced.vertices.values()
         return TrichotomyVerdict("surjects_Z", None, (), None, vertex.rank)
+    acyl = _acyl(engine)
     if acyl.acyl_hyperbolic:
         return TrichotomyVerdict("acylindrically_hyperbolic", acyl, (), None, None)
     if reduced.betti_number > 0:
-        non_tree = maximal_tree(reduced).non_tree_edge_ids
+        non_tree = engine.tree.non_tree_edge_ids
         return TrichotomyVerdict("surjects_Z", acyl, non_tree, None, None)
-    return TrichotomyVerdict("cyclic_normal_subgroup", acyl, (), _central_witness(reduced), None)
+    return TrichotomyVerdict("cyclic_normal_subgroup", acyl, (), _central_witness(engine), None)
 
 
 # ------------------------------------------------------------ power conjugacy
@@ -419,7 +401,7 @@ def power_conjugate(graph: GraphOfGroups, x: FreeWord, y: FreeWord) -> Conjugacy
         m2, n2 = other.witness_exponents()
         if (m2, n2) not in seen:
             seen.add((m2, n2))
-            _require(engine, other.conjugator_items(), x, m2, y, n2, f"path relation ({m2}, {n2})")
+            _require_path(engine, other, "path relation")
             additional.append(other)
     return ConjugacyAnswer(True, (m, n), tuple(items), route, path, tuple(additional))
 
@@ -431,10 +413,10 @@ def power_conjugate(graph: GraphOfGroups, x: FreeWord, y: FreeWord) -> Conjugacy
 class AnalysisReport:
     """All verdicts for one graph, plus the reduction that was applied.
 
-    ``acyl`` is None when the graph reduces to a single vertex: the
-    fundamental group is then free of rank ``free_rank`` and the reduced
-    splitting criterion has nothing to say.  ``notes`` collects shape
-    caveats (currently: a reduced single vertex with a single bad loop).
+    The acylindricity verdict is ``trichotomy.acyl``; it is None when the
+    graph reduces to a single vertex, whose free rank is then
+    ``trichotomy.free_rank``.  ``notes`` collects shape caveats (currently:
+    a reduced single vertex with a single bad loop).
     """
 
     graph: GraphOfGroups
@@ -442,38 +424,30 @@ class AnalysisReport:
     contractions: ContractionLog
     balance: BalanceVerdict
     hyperbolicity: HyperbolicityVerdict
-    acyl: Optional[AcylVerdict]
     trichotomy: TrichotomyVerdict
     rel_hyp_note: Optional[str]
-    free_rank: Optional[int]
     notes: Tuple[str, ...]
 
 
 def analyze(graph: GraphOfGroups) -> AnalysisReport:
     """Run every decider and cross-check the verdicts against each other."""
     reduced, log = reduce_graph(graph)
+    engine = Engine(graph)
     complete = enumerate_complete_paths(graph)
-    balance = _balance(graph, complete)
-    hyper = _hyperbolicity(graph, complete)
-    acyl = None if reduced.is_trivial else is_acyl_hyperbolic(reduced)
-    tri = _trichotomy(reduced, acyl)
+    balance = _balance(engine, complete)
+    hyper = _hyperbolicity(engine, complete)
+    tri = _trichotomy(engine if reduced is graph else Engine(reduced))
 
     notes: List[str] = []
-    if reduced.is_trivial:
-        (vertex,) = reduced.vertices.values()
-        free_rank: Optional[int] = vertex.rank
-        rel_note = rel_hyp_obstruction(reduced) if vertex.rank == 1 else None
-    else:
-        free_rank = None
-        rel_note = rel_hyp_obstruction(reduced)
-        if len(reduced.vertices) == 1 and len(reduced.edges) == 1:
-            edge = next(iter(reduced.edges.values()))
-            if reduced.is_bad_end(edge, MINUS) or reduced.is_bad_end(edge, PLUS):
-                notes.append(
-                    "reduced shape is a single vertex with a single bad loop "
-                    "(an ascending HNN extension of the vertex group)"
-                )
+    if len(reduced.vertices) == 1 and len(reduced.edges) == 1:
+        edge = next(iter(reduced.edges.values()))
+        if reduced.is_bad_end(edge, MINUS) or reduced.is_bad_end(edge, PLUS):
+            notes.append(
+                "reduced shape is a single vertex with a single bad loop "
+                "(an ascending HNN extension of the vertex group)"
+            )
 
+    acyl = tri.acyl
     if not balance.balanced and hyper.hyperbolic:
         raise InternalInconsistencyError("unbalanced group reported word hyperbolic")
     if reduced.is_trivial and not (balance.balanced and hyper.hyperbolic):
@@ -483,5 +457,5 @@ def analyze(graph: GraphOfGroups) -> AnalysisReport:
             "word hyperbolic fundamental group reported not acylindrically hyperbolic"
         )
     return AnalysisReport(
-        graph, reduced, log, balance, hyper, acyl, tri, rel_note, free_rank, tuple(notes)
+        graph, reduced, log, balance, hyper, tri, rel_hyp_obstruction(reduced), tuple(notes)
     )

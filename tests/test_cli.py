@@ -213,6 +213,7 @@ class TestOracle:
             (BS23, "t a^2 t^-1 = a^4", "false"),
             (TREFOIL, "b a^2 b^-1 = a^2", "true"),
             (TREFOIL, "a b a^-1 = b", "false"),
+            (BS23, "1 = a a^-1", "true"),
         ],
     )
     def test_relations(self, graph_file, capsys, text, relation, expected):

@@ -4,9 +4,10 @@
 one ``gogz`` call, its exit code and its exact stdout.  The calls are
 ``check`` (json and text) and ``paths --kind complete|nonmaximal`` on each
 ``conftest.SUITE_TEXTS`` graph, plus ``conj --oracle-bounds 2,3`` for every
-pair of ``test_acceptance._ORACLE_PAIRS``, all with ``--no-timing``.  Graph
-files are written as ``<name>.gog`` in a fresh directory and named
-relatively, so ``input.path`` does not depend on where the suite runs.
+pair of ``test_acceptance._ORACLE_PAIRS`` and of ``_POOL_PAIRS``, all with
+``--no-timing``.  Graph files are written as ``<name>.gog`` in a fresh
+directory and named relatively, so ``input.path`` does not depend on where
+the suite runs.
 
 Regenerate (only when a report is meant to change, and say so in the
 change log)::
@@ -28,6 +29,14 @@ from gogz.cli import main
 
 GOLDEN = pathlib.Path(__file__).parent / "data" / "golden_cli.jsonl"
 
+# Every oracle hit on the acceptance pairs has the empty conjugator.  On these
+# the first hit is a vertex word, so the printed hit pins how the brute-force
+# pool encodes words and that it tries shorter words first.
+_POOL_PAIRS = {
+    "comm_square": [("0:a", "0:b a b^-1")],
+    "ab_square": [("0:q", "0:p^-1 q p")],
+}
+
 
 def golden_argvs():
     for name in SUITE_TEXTS:
@@ -36,7 +45,7 @@ def golden_argvs():
         yield ["check", path, "--no-timing", "--format", "text"]
         yield ["paths", path, "--kind", "complete", "--no-timing"]
         yield ["paths", path, "--kind", "nonmaximal", "--no-timing"]
-        for x, y in _ORACLE_PAIRS.get(name, ()):
+        for x, y in _ORACLE_PAIRS.get(name, []) + _POOL_PAIRS.get(name, []):
             yield ["conj", path, "--from", x, "--to", y, "--oracle-bounds", "2,3", "--no-timing"]
 
 

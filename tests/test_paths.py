@@ -62,12 +62,23 @@ def ori(graph, eid, forward=True):
     return OrientedEdge(graph.edges[eid], forward)
 
 
+def bases(path):
+    """Every vertex a closed chain can be based at: each step origin."""
+    return tuple(sorted({s.origin for s in path.steps}))
+
+
+def outer_ends(path):
+    """(edge_id, side) of a path's first origin end and last terminus end."""
+    first, last = path.steps[0], path.steps[-1]
+    return [(first.edge.id, first.origin_side), (last.edge.id, last.terminus_side)]
+
+
 def verify_in_engine(graph, path, m, n):
     engine = Engine(graph)
     conj = engine.element_of(path.conjugator_items())
     lhs = engine.conjugate(conj, engine.power(engine.embed(path.start), m))
     rhs = engine.power(engine.embed(path.end), n)
-    assert engine.equal(lhs, rhs)
+    assert lhs == rhs
 
 
 # ------------------------------------------------------- check_conjugacy_path
@@ -164,24 +175,23 @@ def naive_complete_keys(graph):
 
 class TestCompletePaths:
     def test_bs23(self):
-        verdicts = enumerate_complete_paths(BS23)
-        assert len(verdicts) == 1
-        (v,) = verdicts
-        assert v.ratio == Fraction(3, 2)
-        assert not v.level
-        assert v.witness == (2, 3)
-        assert v.base_vertex == 0 and v.bases == (0,)
-        verify_in_engine(BS23, v.path, *v.witness)
+        chains = enumerate_complete_paths(BS23)
+        assert len(chains) == 1
+        (p,) = chains
+        assert p.ratio() == Fraction(3, 2)
+        assert p.witness_exponents() == (2, 3)
+        assert p.steps[0].origin == 0 and bases(p) == (0,)
+        verify_in_engine(BS23, p, 2, 3)
 
     def test_bs22_level(self):
-        (v,) = enumerate_complete_paths(BS22)
-        assert v.ratio == 1 and v.level and v.witness == (1, 1)
+        (p,) = enumerate_complete_paths(BS22)
+        assert p.ratio() == 1 and p.witness_exponents() == (1, 1)
 
     def test_bs2_minus2_level_with_sign(self):
-        (v,) = enumerate_complete_paths(BS2M2)
-        assert v.ratio == -1 and v.level
-        assert v.witness == (1, -1)
-        verify_in_engine(BS2M2, v.path, 1, -1)
+        (p,) = enumerate_complete_paths(BS2M2)
+        assert p.ratio() == -1
+        assert p.witness_exponents() == (1, -1)
+        verify_in_engine(BS2M2, p, 1, -1)
 
     def test_trees_have_none(self):
         assert enumerate_complete_paths(TREFOIL) == []
@@ -189,43 +199,41 @@ class TestCompletePaths:
         assert enumerate_complete_paths(FXF) == []
 
     def test_theta_cycle_is_complete_and_nonlevel(self):
-        verdicts = enumerate_complete_paths(THETA)
-        assert len(verdicts) == 1
-        (v,) = verdicts
-        assert v.ratio == Fraction(2, 3)
-        assert not v.level
-        assert v.witness == (3, 2)
-        assert v.base_word == w(THETA, 0, "a b")
-        assert v.bases == (0, 1)
-        verify_in_engine(THETA, v.path, 3, 2)
+        chains = enumerate_complete_paths(THETA)
+        assert len(chains) == 1
+        (p,) = chains
+        assert p.ratio() == Fraction(2, 3)
+        assert p.witness_exponents() == (3, 2)
+        assert p.start == p.end == w(THETA, 0, "a b")
+        assert bases(p) == (0, 1)
+        verify_in_engine(THETA, p, 3, 2)
 
     def test_mixed_graph_verdicts_verify(self):
-        verdicts = enumerate_complete_paths(MIXED)
-        assert verdicts  # the two loops at least
-        for v in verdicts:
-            assert v.level == (abs(v.ratio) == 1)
-            i, j = v.witness
-            assert (abs(i) == abs(j)) == v.level
-            assert Fraction(j, i) == v.ratio
-            verify_in_engine(MIXED, v.path, i, j)
+        chains = enumerate_complete_paths(MIXED)
+        assert chains  # the two loops at least
+        for p in chains:
+            assert p.start == p.end == p.steps[0].origin_word
+            i, j = p.witness_exponents()
+            assert (abs(i) == abs(j)) == (abs(p.ratio()) == 1)
+            assert Fraction(j, i) == p.ratio()
+            verify_in_engine(MIXED, p, i, j)
 
     @pytest.mark.parametrize("graph", ALL_GRAPHS)
     def test_matches_naive_enumeration(self, graph):
         expected = naive_complete_keys(graph)
-        verdicts = enumerate_complete_paths(graph)
         got = {
-            tuple((s.edge.id, 0 if s.forward else 1) for s in v.steps): v.ratio
-            for v in verdicts
+            tuple((s.edge.id, 0 if s.forward else 1) for s in p.steps): p.ratio()
+            for p in enumerate_complete_paths(graph)
         }
         assert got == expected
 
     def test_reversal_inverts_ratio(self):
-        (v,) = enumerate_complete_paths(THETA)
-        back = [s.reversed() for s in reversed(v.steps)]
+        (p,) = enumerate_complete_paths(THETA)
+        back = [s.reversed() for s in reversed(p.steps)]
         base = back[0].origin_word
-        p = check_conjugacy_path(THETA, base, base, back)
-        assert p is not None
-        assert p.ratio() == 1 / v.ratio
+        q = check_conjugacy_path(THETA, base, base, back)
+        assert q is not None
+        assert q.ratio() == 1 / p.ratio()
 
 
 # -------------------------------------------------------- non-maximal paths
@@ -236,11 +244,11 @@ class TestFullNonMaximalPaths:
         paths = enumerate_full_nonmaximal_paths(TREFOIL)
         assert len(paths) == 1
         (p,) = paths
-        assert p.kind == "full"
         assert len(p.steps) == 1
-        assert set(p.arrows) == {(0, -1), (0, 1)}
-        m, n = p.path.witness_exponents()
-        verify_in_engine(TREFOIL, p.path, m, n)
+        assert set(outer_ends(p)) == {(0, -1), (0, 1)}
+        assert all(TREFOIL.has_arrow(TREFOIL.edges[eid], side) for eid, side in outer_ends(p))
+        m, n = p.witness_exponents()
+        verify_in_engine(TREFOIL, p, m, n)
 
     def test_arrow_on_one_end_only(self):
         assert enumerate_full_nonmaximal_paths(COMM) == []
@@ -250,11 +258,11 @@ class TestFullNonMaximalPaths:
         assert len(paths) == 1
         (p,) = paths
         assert [s.edge.id for s in p.steps] == [0, 1]
-        assert p.path.start == w(CHAIN3, 0, "a^2")
-        assert p.path.end == w(CHAIN3, 2, "c^3")
-        m, n = p.path.witness_exponents()
+        assert p.start == w(CHAIN3, 0, "a^2")
+        assert p.end == w(CHAIN3, 2, "c^3")
+        m, n = p.witness_exponents()
         assert (m, n) == (1, 1)  # a^2 = b = c^3 straight through
-        verify_in_engine(CHAIN3, p.path, m, n)
+        verify_in_engine(CHAIN3, p, m, n)
 
     def test_middle_arrow_blocks(self):
         g = parse_graph(

@@ -17,8 +17,7 @@ from hypothesis import strategies as st
 
 from gogz.graphs import Edge, GraphOfGroups, OrientedEdge, Vertex
 from gogz.paths import (
-    CompletePathVerdict,
-    NonMaximalPath,
+    ConjugacyPath,
     check_conjugacy_path,
     enumerate_complete_paths,
     enumerate_full_nonmaximal_paths,
@@ -50,7 +49,7 @@ def _junction_holds(a: OrientedEdge, b: OrientedEdge) -> bool:
     return cyclic_meet(a.terminus_word, b.origin_word) is not None
 
 
-def reference_complete(graph: GraphOfGroups) -> List[CompletePathVerdict]:
+def reference_complete(graph: GraphOfGroups) -> List[ConjugacyPath]:
     oriented = graph.oriented_edges()
     cycles = []
 
@@ -70,28 +69,17 @@ def reference_complete(graph: GraphOfGroups) -> List[CompletePathVerdict]:
     for start in oriented:
         extend([start], {start.edge.id})
 
-    verdicts = []
+    chains = []
     for steps in cycles:
         base_word = steps[0].origin_word
         path = check_conjugacy_path(graph, base_word, base_word, steps)
-        if path is None:
-            continue
-        ratio = path.ratio()
-        verdicts.append(
-            CompletePathVerdict(
-                path=path,
-                base_vertex=steps[0].origin,
-                bases=tuple(sorted({s.origin for s in steps})),
-                ratio=ratio,
-                level=abs(ratio) == 1,
-                witness=path.witness_exponents(),
-            )
-        )
-    verdicts.sort(key=lambda v: (len(v.steps), _path_key(v.steps)))
-    return verdicts
+        if path is not None:
+            chains.append(path)
+    chains.sort(key=lambda p: (len(p.steps), _path_key(p.steps)))
+    return chains
 
 
-def reference_full(graph: GraphOfGroups) -> List[NonMaximalPath]:
+def reference_full(graph: GraphOfGroups) -> List[ConjugacyPath]:
     oriented = graph.oriented_edges()
     found = []
 
@@ -107,11 +95,7 @@ def reference_full(graph: GraphOfGroups) -> List[NonMaximalPath]:
                 graph, steps[0].origin_word, steps[-1].terminus_word, steps
             )
             assert path is not None
-            arrows = (
-                (steps[0].edge.id, steps[0].origin_side),
-                (steps[-1].edge.id, steps[-1].terminus_side),
-            )
-            found.append(NonMaximalPath("full", path, arrows))
+            found.append(path)
 
     def extend(path, used):
         for step in oriented:

@@ -10,7 +10,6 @@ from gogz import verdicts
 from gogz.engine import Engine
 from gogz.errors import DegenerateInputError, GraphNotReducedError
 from gogz.graphs import parse_graph, reduce_graph
-from gogz.paths import NonMaximalPath
 from gogz.verdicts import (
     analyze,
     is_acyl_hyperbolic,
@@ -101,7 +100,7 @@ def conjugacy_holds(graph, items, x, m, y, n) -> bool:
     engine = Engine(graph)
     conj = engine.element_of(list(items))
     lhs = engine.conjugate(conj, engine.power(engine.embed(x), m))
-    return engine.equal(lhs, engine.power(engine.embed(y), n))
+    return lhs == engine.power(engine.embed(y), n)
 
 
 # ------------------------------------------------------------------- balance
@@ -121,11 +120,9 @@ class TestBalance:
         assert verdict.bs_tag == (2, 3) and verdict.bs_sign == 1
         assert verdict.modulus == (Fraction(3, 2),)
         wtn = verdict.witness
-        assert wtn.witness == (2, 3)
-        assert wtn.base_word == w(graph, 0, "a^2")
-        assert conjugacy_holds(
-            graph, wtn.path.conjugator_items(), wtn.base_word, 2, wtn.base_word, 3
-        )
+        assert wtn.witness_exponents() == (2, 3)
+        assert wtn.start == wtn.end == w(graph, 0, "a^2")
+        assert conjugacy_holds(graph, wtn.conjugator_items(), wtn.start, 2, wtn.start, 3)
 
     def test_bs_negative_exponent_tag_sign(self):
         verdict = is_balanced(parse_graph(bs(2, -3)))
@@ -152,11 +149,9 @@ class TestBalance:
         assert not verdict.balanced
         assert verdict.bs_tag == (3, 2)
         wtn = verdict.witness
-        assert wtn.base_word == w(graph, 0, "a b")
-        i, j = wtn.witness
-        assert conjugacy_holds(
-            graph, wtn.path.conjugator_items(), wtn.base_word, i, wtn.base_word, j
-        )
+        assert wtn.start == wtn.end == w(graph, 0, "a b")
+        i, j = wtn.witness_exponents()
+        assert conjugacy_holds(graph, wtn.conjugator_items(), wtn.start, i, wtn.start, j)
 
     def test_balance_survives_reduction(self):
         # contracting a reducible edge never changes the group
@@ -182,15 +177,15 @@ class TestWordHyperbolicity:
     def test_bs_is_never_hyperbolic(self, m, n):
         verdict = is_word_hyperbolic(parse_graph(bs(m, n)))
         assert not verdict.hyperbolic
-        assert verdict.contains_baumslag_solitar
+        assert verdict.kind == "complete"
         assert verdict.witness is not None
 
     def test_trefoil_not_hyperbolic_via_full_path(self):
         graph = parse_graph(TREFOIL)
         verdict = is_word_hyperbolic(graph)
         assert not verdict.hyperbolic
-        assert isinstance(verdict.witness, NonMaximalPath)
-        path = verdict.witness.path
+        assert verdict.kind == "full"
+        path = verdict.witness
         m, n = path.witness_exponents()
         assert (path.start, m, path.end, n) == (w(graph, 0, "a^2"), 1, w(graph, 1, "b^3"), 1)
 
@@ -202,7 +197,7 @@ class TestWordHyperbolicity:
         verdict = is_word_hyperbolic(parse_graph(text))
         assert verdict.hyperbolic
         assert verdict.witness is None
-        assert not verdict.contains_baumslag_solitar
+        assert verdict.kind is None
 
     def test_unbalanced_implies_not_hyperbolic(self):
         assert not is_word_hyperbolic(parse_graph(THETA)).hyperbolic
@@ -298,7 +293,7 @@ class TestTrichotomy:
         engine = Engine(graph)
         g = engine.embed(witness.element)
         b = engine.embed(w(graph, 1, "b"))
-        assert engine.equal(engine.mul(g, b), engine.mul(b, g))
+        assert engine.mul(g, b) == engine.mul(b, g)
 
     def test_chain_central_witness_needs_denominator_chasing(self):
         verdict = trichotomy(parse_graph(CHAIN))
@@ -396,10 +391,10 @@ class TestAnalyze:
         report = analyze(parse_graph(bs(2, 3)))
         assert not report.balance.balanced
         assert not report.hyperbolicity.hyperbolic
-        assert report.acyl is not None and not report.acyl.acyl_hyperbolic
+        assert report.trichotomy.acyl is not None and not report.trichotomy.acyl.acyl_hyperbolic
         assert report.trichotomy.branch == "surjects_Z"
         assert report.rel_hyp_note is not None
-        assert report.free_rank is None and report.notes == ()
+        assert report.trichotomy.free_rank is None and report.notes == ()
 
     def test_ascending_loop_note(self):
         report = analyze(parse_graph(bs(1, 2)))
@@ -407,8 +402,8 @@ class TestAnalyze:
 
     def test_trivial_reduction_report(self):
         report = analyze(parse_graph(COMM_PRIMITIVE))
-        assert report.reduced.is_trivial and report.free_rank == 2
-        assert report.acyl is None and report.rel_hyp_note is None
+        assert report.reduced.is_trivial and report.trichotomy.free_rank == 2
+        assert report.trichotomy.acyl is None and report.rel_hyp_note is None
         assert report.balance.balanced and report.hyperbolicity.hyperbolic
         assert len(report.contractions) == 1
 
@@ -416,14 +411,14 @@ class TestAnalyze:
         report = analyze(parse_graph(THETA))
         assert not report.balance.balanced
         assert not report.hyperbolicity.hyperbolic
-        assert report.acyl.acyl_hyperbolic
+        assert report.trichotomy.acyl.acyl_hyperbolic
         assert report.trichotomy.branch == "acylindrically_hyperbolic"
 
     @pytest.mark.parametrize("text", ALL_TEXTS)
     def test_shared_steps_run_once_and_match_public_deciders(self, text, monkeypatch):
         graph = parse_graph(text)
         calls = {}
-        for name in ("enumerate_complete_paths", "reduce_graph", "is_acyl_hyperbolic"):
+        for name in ("enumerate_complete_paths", "reduce_graph", "_acyl"):
             original = getattr(verdicts, name)
 
             def counted(*args, _name=name, _original=original, **kwargs):
@@ -433,20 +428,49 @@ class TestAnalyze:
             monkeypatch.setattr(verdicts, name, counted)
         report = analyze(graph)
         assert calls["enumerate_complete_paths"] == 1 and calls["reduce_graph"] == 1
-        assert calls.get("is_acyl_hyperbolic", 0) == (0 if report.reduced.is_trivial else 1)
+        assert calls.get("_acyl", 0) == (0 if report.reduced.is_trivial else 1)
         monkeypatch.undo()
         assert report.balance == is_balanced(graph)
         assert report.hyperbolicity == is_word_hyperbolic(graph)
         assert report.trichotomy == trichotomy(graph)
+
+    @pytest.mark.parametrize(
+        "text,builds",
+        [
+            (bs(2, 3), 1),
+            (TREFOIL, 1),
+            # edge 0 contracts, so the reduced graph gets an engine of its own
+            (
+                'vertex 0 rank=1 gens=a\nvertex 1 rank=1 gens=b\n'
+                'edge 0 0 1 minus="a^2" plus="b"\nedge 1 1 1 minus="b^2" plus="b^3"',
+                2,
+            ),
+        ],
+        ids=["bs23", "trefoil", "contracted"],
+    )
+    def test_one_engine_per_graph(self, text, builds, monkeypatch):
+        graph = parse_graph(text)
+        graphs = []
+        original = Engine.__init__
+
+        def counted(self, g):
+            graphs.append(g)
+            original(self, g)
+
+        monkeypatch.setattr(Engine, "__init__", counted)
+        report = analyze(graph)
+        assert len(graphs) == builds
+        assert graphs[0] is graph and graphs[-1] is report.reduced
 
     @pytest.mark.parametrize("text", ALL_TEXTS)
     def test_verdicts_are_mutually_consistent(self, text):
         report = analyze(parse_graph(text))  # internal gates raise on trouble
         if not report.balance.balanced:
             assert not report.hyperbolicity.hyperbolic
-        if report.hyperbolicity.hyperbolic and report.acyl is not None:
-            assert report.acyl.acyl_hyperbolic
+        tri = report.trichotomy
+        if report.hyperbolicity.hyperbolic and tri.acyl is not None:
+            assert tri.acyl.acyl_hyperbolic
         if report.reduced.is_trivial:
-            assert report.free_rank is not None and report.acyl is None
+            assert tri.free_rank is not None and tri.acyl is None
         else:
-            assert report.free_rank is None and report.acyl is not None
+            assert tri.free_rank is None and tri.acyl is not None
