@@ -24,6 +24,13 @@ normal form, prepending from the right: it splits the word after each step
 as ``b^j r``, moves ``a^j`` across the step and cancels a step against its
 reverse when ``r`` is empty.  Nothing recurses, whatever the graph's size.
 
+Each pass of that loop costs time linear in the lengths of the words it
+touches: products of reduced words cancel only at their seam
+(:func:`~gogz.words.join_reduced`), ``a^j`` is built as ``c core^j c^-1``
+(:func:`~gogz.words.power_letters`), and the coset representative is the
+best of a few candidates (:func:`~gogz.words.coset_canonical`).
+:meth:`Engine.power` squares, so ``g^k`` takes O(log |k|) products.
+
 This module is deliberately independent of the path machinery: it never
 looks at conjugacy or balance criteria, it just multiplies.  That makes it a
 referee — every certificate produced elsewhere is replayed here before it is
@@ -43,7 +50,9 @@ from .words import (
     _coset_canonical_cached,
     _root_cached,
     invert_letters,
+    join_reduced,
     letter_key,
+    power_letters,
     reduce_letters,
 )
 
@@ -53,12 +62,6 @@ Elem = Tuple  # (g0, ((step, rep), ...)), see the module docstring
 RawPath = Tuple  # (g0, ((step, word), ...)) with any words: a closed path
 
 IDENTITY: Elem = ((), ())
-
-
-def _word_power(letters: Letters, k: int) -> Letters:
-    if k >= 0:
-        return reduce_letters(letters * k)
-    return reduce_letters(invert_letters(letters) * (-k))
 
 
 def _exponent_of(tag: str, u: Letters, y: Letters) -> Optional[int]:
@@ -146,18 +149,18 @@ class Engine:
         head, tail = onto
         stack = list(reversed(tail))  # stack[-1] is the leftmost (step, rep)
         for step, letters in reversed(pairs):
-            head = reduce_letters(letters + head)
+            head = join_reduced(letters, head)
             _, a, vid, b = self._ends[step]
             tag = self._tags[vid]
             r = _coset_canonical_cached(tag, b, head) if head else ()
-            j = 0 if r == head else _exponent_of(tag, b, reduce_letters(head + invert_letters(r)))
+            j = 0 if r == head else _exponent_of(tag, b, join_reduced(head, invert_letters(r)))
             assert j is not None, "coset representative differs by a power"
-            head = _word_power(a, j)  # s b^j r = a^j s r
+            head = power_letters(a, j)  # s b^j r = a^j s r
             if not r and stack and stack[-1][0] == _reverse(step):
-                head = reduce_letters(head + stack.pop()[1])
+                head = join_reduced(head, stack.pop()[1])
             else:
                 stack.append((step, r))
-        return reduce_letters(g0 + head), tuple(reversed(stack))
+        return join_reduced(g0, head), tuple(reversed(stack))
 
     def _stable(self, edge_id: int, exp: int, onto: Elem) -> Elem:
         if edge_id not in self.graph.edges:
@@ -221,11 +224,16 @@ class Engine:
         return self._normal_form((invert_letters(tail[-1][1]), list(zip(steps, words))))
 
     def power(self, g: Elem, k: int) -> Elem:
+        """g^k by repeated squaring: O(log |k|) products."""
         if k < 0:
             g, k = self.inv(g), -k
         out = IDENTITY
-        for _ in range(k):
-            out = self._normal_form(g, out)
+        while k:
+            if k & 1:
+                out = self._normal_form(g, out)
+            k >>= 1
+            if k:
+                g = self._normal_form(g, g)
         return out
 
     def conjugate(self, h: Elem, g: Elem) -> Elem:

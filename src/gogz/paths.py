@@ -321,8 +321,11 @@ def enumerate_complete_paths(graph: GraphOfGroups) -> List[ConjugacyPath]:
     the canonical rotation; the closing overlap is part of the certificate,
     so the witness covers the full loop including the return to the base
     word.  A chain is *level* when ``|ratio()| = 1``; a non-level chain
-    exhibits an unbalanced element.
+    exhibits an unbalanced element.  A tree (Betti number 0) has no closed
+    edge-once walk, so it returns ``[]`` without walking.
     """
+    if graph.betti_number == 0:
+        return []
     chains = []
     for steps in _closed_chains(_ClassIndex(graph)):
         base_word = steps[0].origin_word

@@ -16,11 +16,17 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from operator import neg
 from typing import Optional, Tuple
 
 from .errors import AlphabetError, DegenerateInputError, ParseError
 
 Letters = Tuple[int, ...]
+
+# The longest word a graph file or a command-line word may expand to.  A
+# token ``a^k`` costs k letters, so a short file could otherwise ask for
+# unbounded memory.
+MAX_WORD_LETTERS = 10**6
 
 
 class Alphabet:
@@ -42,7 +48,11 @@ class Alphabet:
         return FreeWord(self.vertex, reduce_letters(tuple(letters)))
 
     def parse(self, text: str) -> "FreeWord":
-        """Parse whitespace-separated tokens: ``name``, ``name^-1``, ``name^k``."""
+        """Parse whitespace-separated tokens: ``name``, ``name^-1``, ``name^k``.
+
+        A word whose tokens expand to more than :data:`MAX_WORD_LETTERS`
+        letters is refused before it is expanded.
+        """
         letters = []
         for tok in text.split():
             if tok == "1":
@@ -58,6 +68,10 @@ class Alphabet:
                     raise ParseError(f"bad exponent in token {tok!r}") from None
                 if k == 0:
                     raise ParseError(f"zero exponent in token {tok!r}")
+            if len(letters) + abs(k) > MAX_WORD_LETTERS:
+                raise ParseError(
+                    f"word longer than {MAX_WORD_LETTERS} letters at token {tok!r} (vertex {self.vertex!r})"
+                )
             letter = self._index[name] if k > 0 else -self._index[name]
             letters.extend([letter] * abs(k))
         return FreeWord(self.vertex, reduce_letters(tuple(letters)))
@@ -100,7 +114,44 @@ def reduce_letters(letters) -> Letters:
 
 
 def invert_letters(letters: Letters) -> Letters:
-    return tuple(-l for l in reversed(letters))
+    return tuple(map(neg, reversed(letters)))
+
+
+def _common_prefix(p: Letters, q: Letters) -> int:
+    """The length of the longest common prefix of p and q.
+
+    Bisects on slice comparisons, so the letters are compared in C and only
+    O(log) steps run in Python.
+    """
+    lo, hi = 0, min(len(p), len(q))
+    if p[:hi] == q[:hi]:
+        return hi
+    while hi - lo > 1:  # p[:lo] == q[:lo] and p[:hi] != q[:hi]
+        mid = (lo + hi) // 2
+        if p[lo:mid] == q[lo:mid]:
+            lo = mid
+        else:
+            hi = mid
+    return lo
+
+
+def join_reduced(a: Letters, b: Letters) -> Letters:
+    """``reduce_letters(a + b)`` for reduced a and b: only the seam cancels."""
+    if not a or not b or a[-1] != -b[0]:
+        return a + b
+    m = min(len(a), len(b))
+    k = _common_prefix(invert_letters(a[len(a) - m :]), b)
+    return a[: len(a) - k] + b[k:]
+
+
+def power_letters(letters: Letters, k: int) -> Letters:
+    """The reduced word w^k of a reduced word w, built as c core^k c^-1."""
+    if not k or not letters:
+        return ()
+    c, core = cyclic_split(letters)
+    if k < 0:
+        core, k = invert_letters(core), -k
+    return c + core * k + invert_letters(c)
 
 
 def letter_key(letter: int) -> Tuple[int, int]:
@@ -139,19 +190,19 @@ class FreeWord:
 
     def __mul__(self, other: "FreeWord") -> "FreeWord":
         self._check(other)
-        return FreeWord(self.vertex, reduce_letters(self.letters + other.letters))
+        return FreeWord(self.vertex, join_reduced(self.letters, other.letters))
 
     def inverse(self) -> "FreeWord":
         return FreeWord(self.vertex, invert_letters(self.letters))
 
     def __pow__(self, k: int) -> "FreeWord":
-        base = self.letters if k >= 0 else invert_letters(self.letters)
-        return FreeWord(self.vertex, reduce_letters(base * abs(k)))
+        return FreeWord(self.vertex, power_letters(self.letters, k))
 
     def conjugated_by(self, h: "FreeWord") -> "FreeWord":
         """h * self * h^-1."""
         self._check(h)
-        return FreeWord(self.vertex, reduce_letters(h.letters + self.letters + invert_letters(h.letters)))
+        left = join_reduced(h.letters, self.letters)
+        return FreeWord(self.vertex, join_reduced(left, invert_letters(h.letters)))
 
     def sort_key(self):
         return letters_sort_key(self.letters)
@@ -278,24 +329,40 @@ def cyclic_meet(u: FreeWord, v: FreeWord) -> Optional[CyclicMeet]:
 
 @lru_cache(maxsize=65536)
 def _coset_canonical_cached(vertex: str, u: Letters, x: Letters) -> Letters:
-    _, core = cyclic_split(u)
-    # Any coset element no longer than x satisfies |k| * |core| <= 2|x|,
-    # so this window contains every candidate that could beat x itself.
-    bound = 2 * len(x) // len(core) + 1
+    # Write u = c core c^-1 and y = c^-1 x, so that u^k x = c core^k y.  In
+    # the Cayley tree |u^k x| is the distance from core^-k c^-1 to y.  The
+    # points core^-k lie on the axis of core, |core| apart, and each c^-1
+    # hair leaves the axis at once; y runs ``run`` letters along the axis and
+    # then leaves it.  So |u^k x| is |c| + |y| - run plus the distance from
+    # core^-k to the exit, except at an exit point itself, where the two
+    # hairs may share letters.  So only the two points nearest the exit, and
+    # k = 0 (x itself), can give the least word; along the direction y runs
+    # they are k = +-j for j = run // |core| and j + 1.
+    c, core = cyclic_split(u)
+    y = join_reduced(invert_letters(c), x)
+    n = len(core)
     best = x
-    best_key = letters_sort_key(x)
-    for k in range(-bound, bound + 1):
-        if k == 0:
-            continue
-        cand = reduce_letters((u * abs(k) if k > 0 else invert_letters(u) * (-k)) + x)
-        key = letters_sort_key(cand)
-        if key < best_key:
-            best, best_key = cand, key
+    for base in (core, invert_letters(core)):
+        # base^j y cancels min(run, j n) letters at its seam
+        run = _common_prefix(y, invert_letters(base) * (len(y) // n + 1))
+        for j in range(max(1, run // n), run // n + 2):
+            cut = min(run, j * n)
+            cand = join_reduced(c, (base * j)[: j * n - cut] + y[cut:])
+            if len(cand) < len(best) or (
+                len(cand) == len(best) and letters_sort_key(cand) < letters_sort_key(best)
+            ):
+                best = cand
     return best
 
 
 def coset_canonical(u: FreeWord, x: FreeWord) -> FreeWord:
-    """The (length, lex)-least representative of the right coset <u> x."""
+    """The (length, lex)-least representative of the right coset <u> x.
+
+    Only the two exponents k on either side of the point where ``c^-1 x``
+    leaves the axis of u = c core c^-1, plus k = 0, can give the least
+    u^k x.  Each candidate is built with its cancellation known from that
+    run, so the cost is linear in |u| + |x|.
+    """
     u._check(x)
     if u.is_identity:
         raise DegenerateInputError("coset_canonical requires a nontrivial subgroup generator")

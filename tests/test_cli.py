@@ -8,6 +8,7 @@ import sys
 import pytest
 
 from gogz.cli import main
+from gogz.words import MAX_WORD_LETTERS
 
 BS23 = 'vertex 0 rank=1 gens=a\nedge 0 0 0 minus="a^2" plus="a^3"\n'
 
@@ -90,6 +91,17 @@ class TestCheck:
         assert doc["verdicts"]["word_hyperbolic"] is False
         witness = doc["witnesses"]["hyperbolicity"]
         assert witness["steps"] == ["e0+"] and witness["verified"] is True
+
+    def test_ring_of_squares_replays_its_large_witness(self, graph_file, capsys):
+        # x_i ~ x_(i+1)^2 around 8 vertices: the engine replays a0 ~ a0^256
+        n = 8
+        lines = [f"vertex {i} rank=2 gens=a{i},b{i}" for i in range(n)]
+        lines += [f'edge {i} {i} {(i + 1) % n} minus="a{i}" plus="a{(i + 1) % n}^2"' for i in range(n)]
+        code, out = run(capsys, "check", graph_file("\n".join(lines) + "\n"), "--no-timing")
+        assert code == 0
+        witness = json.loads(out)["witnesses"]["balance"]
+        assert witness["relation"]["exponents"] == [1, 256]
+        assert witness["verified"] is True
 
     def test_timing_present_by_default(self, graph_file, capsys):
         code, out = run(capsys, "check", graph_file(BS23), "--format", "json")
@@ -247,6 +259,15 @@ class TestErrors:
         err = capsys.readouterr().err
         assert code == 2
         assert "line 2" in err
+
+    def test_word_past_the_length_cap_exits_2(self, graph_file, capsys):
+        past = MAX_WORD_LETTERS + 1
+        too_long = f'vertex 0 rank=1 gens=a\nedge 0 0 0 minus="a^{past}" plus="a"\n'
+        assert main(["check", graph_file(too_long)]) == 2
+        path = graph_file(BS23, name="bs23.gog")
+        assert main(["conj", path, "--from", f"0:a^{past}", "--to", "0:a"]) == 2
+        assert main(["oracle", path, "--relation", f"t^{past} a = a"]) == 2
+        assert capsys.readouterr().err.count("longer than") == 3
 
     def test_non_utf8_file_exits_2(self, tmp_path, capsys):
         path = tmp_path / "latin1.gog"

@@ -18,6 +18,8 @@ from hypothesis import strategies as st
 from gogz.graphs import Edge, GraphOfGroups, OrientedEdge, Vertex
 from gogz.paths import (
     ConjugacyPath,
+    _ClassIndex,
+    _closed_chains,
     check_conjugacy_path,
     enumerate_complete_paths,
     enumerate_full_nonmaximal_paths,
@@ -173,13 +175,13 @@ def _word(vertex: Vertex, spec):
 
 
 @st.composite
-def graphs(draw):
-    n = draw(st.integers(1, 4))
+def graphs(draw, trees_only=False):
+    n = draw(st.integers(1, 8 if trees_only else 4))
     ranks = [draw(st.sampled_from([1, 1, 2])) for _ in range(n)]
-    names = iter("abcdefgh")
+    names = iter("abcdefghijklmnop")
     vertices = [Vertex.make(v, [next(names) for _ in range(ranks[v])]) for v in range(n)]
     ends = [(draw(st.integers(0, v - 1)), v) for v in range(1, n)]  # spanning tree
-    extra = draw(st.integers(1 if n == 1 else 0, 6 - len(ends)))
+    extra = 0 if trees_only else draw(st.integers(1 if n == 1 else 0, 6 - len(ends)))
     ends += [(draw(st.integers(0, n - 1)), draw(st.integers(0, n - 1))) for _ in range(extra)]
     # each loop doubles the reference walk's work; six loops take seconds
     assume(sum(minus == plus for minus, plus in ends) <= 4)
@@ -216,6 +218,16 @@ OPEN_PREFIX = 300
 @given(graphs())
 def test_complete_paths_match_reference(graph):
     assert enumerate_complete_paths(graph) == reference_complete(graph)
+
+
+@settings(max_examples=100, deadline=None)
+@given(graphs(trees_only=True))
+def test_trees_have_no_closed_chains(tree):
+    # enumerate_complete_paths returns [] on trees without walking; the
+    # walker and the reference agree that there is nothing to find
+    assert tree.betti_number == 0
+    assert enumerate_complete_paths(tree) == []
+    assert list(_closed_chains(_ClassIndex(tree))) == [] == reference_complete(tree)
 
 
 @settings(max_examples=150, deadline=None)

@@ -1,11 +1,12 @@
 """Word algebra: frozen examples first, then hypothesis properties."""
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from gogz.engine import _exponent_of
-from gogz.errors import AlphabetError, DegenerateInputError
+from gogz.errors import AlphabetError, DegenerateInputError, ParseError
 from gogz.words import (
+    MAX_WORD_LETTERS,
     Alphabet,
     FreeWord,
     coset_canonical,
@@ -13,8 +14,10 @@ from gogz.words import (
     cyclic_split,
     identity,
     invert_letters,
+    join_reduced,
     letters_sort_key,
     maximal_root,
+    power_letters,
     reduce_letters,
     root,
 )
@@ -48,6 +51,15 @@ def test_mul_inverse_pow():
     assert (u * u.inverse()).is_identity
     assert u ** 3 == w("a b a b a b")
     assert u ** -2 == (u.inverse()) ** 2
+
+
+def test_parse_refuses_words_past_the_cap():
+    # the cap counts expanded letters, across tokens, before expanding
+    assert MAX_WORD_LETTERS == 10**6
+    with pytest.raises(ParseError, match="longer than"):
+        AB.parse(f"a^{MAX_WORD_LETTERS + 1}")
+    with pytest.raises(ParseError, match="longer than"):
+        AB.parse(f"b a^-{MAX_WORD_LETTERS}")
 
 
 def test_mixed_alphabets_rejected():
@@ -210,6 +222,62 @@ def test_maximal_root():
 
 letters_st = st.lists(st.sampled_from([1, -1, 2, -2]), max_size=12)
 
+
+def coset_canonical_reference(u, x):
+    """The window search coset_canonical replaced: every u^k x that could be
+    no longer than x, |k| |core| <= 2|x| + |core|, each reduced in full."""
+    _, core = cyclic_split(u)
+    bound = 2 * len(x) // len(core) + 1
+    best, best_key = x, letters_sort_key(x)
+    for k in range(-bound, bound + 1):
+        if k == 0:
+            continue
+        cand = reduce_letters((u * k if k > 0 else invert_letters(u) * -k) + x)
+        key = letters_sort_key(cand)
+        if key < best_key:
+            best, best_key = cand, key
+    return best
+
+
+short_st = st.lists(st.sampled_from([1, -1, 2, -2, 3, -3]), max_size=6)
+
+
+@st.composite
+def coset_cases(draw):
+    """(u, x) with u = c core^e c^-1, often not cyclically reduced and often a
+    proper power, and x close to the coset's interesting points: u^k times
+    short words, or x starting with c^-1 (where u^k x cancels into c)."""
+    c = reduce_letters(tuple(draw(short_st)))
+    core = cyclic_split(reduce_letters(tuple(draw(short_st))))[1]
+    assume(core)
+    u = reduce_letters(c + core * draw(st.integers(1, 3)) + invert_letters(c))
+    k = draw(st.integers(-8, 8))
+    pre = draw(st.sampled_from([(), c, invert_letters(c), reduce_letters(tuple(draw(short_st)))]))
+    post = reduce_letters(tuple(draw(short_st)))
+    x = reduce_letters(pre + (u * k if k >= 0 else invert_letters(u) * -k) + post)
+    return u, x
+
+
+@settings(max_examples=500, deadline=None)
+@given(coset_cases())
+def test_coset_canonical_matches_window_search(case):
+    u, x = case
+    assert coset_canonical(FreeWord("v", u), FreeWord("v", x)).letters == coset_canonical_reference(u, x)
+
+
+@given(letters_st, letters_st, st.integers(0, 12))
+def test_join_reduced_is_reduction_of_concatenation(la, lb, overlap):
+    a = reduce_letters(tuple(la))
+    # b often starts by undoing a's tail, so the seam cancels deeply
+    b = reduce_letters(invert_letters(a)[:overlap] + tuple(lb))
+    assert join_reduced(a, b) == reduce_letters(a + b)
+
+
+@given(letters_st, st.integers(-6, 6))
+def test_power_letters_is_reduced_repetition(letters, k):
+    word = reduce_letters(tuple(letters))
+    expected = reduce_letters(word * k if k >= 0 else invert_letters(word) * -k)
+    assert power_letters(word, k) == expected
 
 def reduced(letters):
     return FreeWord("v", reduce_letters(tuple(letters)))
