@@ -24,7 +24,6 @@ from gogz.errors import (
     AlphabetError,
     DegenerateInputError,
     GogzError,
-    GraphNotReducedError,
     InternalInconsistencyError,
     ParseError,
 )
@@ -53,12 +52,7 @@ from gogz.verdicts import (
     HyperbolicityVerdict,
     TrichotomyVerdict,
     analyze,
-    is_acyl_hyperbolic,
-    is_balanced,
-    is_word_hyperbolic,
     power_conjugate,
-    rel_hyp_obstruction,
-    trichotomy,
 )
 from gogz.words import Alphabet, FreeWord, cyclic_meet, maximal_root, root
 
@@ -92,18 +86,12 @@ __all__ = [
     "CentralWitness",
     "ConjugacyAnswer",
     "AnalysisReport",
-    "is_balanced",
-    "is_word_hyperbolic",
-    "is_acyl_hyperbolic",
-    "trichotomy",
-    "rel_hyp_obstruction",
     "power_conjugate",
     "analyze",
     "GogzError",
     "AlphabetError",
     "ParseError",
     "DegenerateInputError",
-    "GraphNotReducedError",
     "InternalInconsistencyError",
     "__version__",
 ]

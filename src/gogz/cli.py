@@ -32,7 +32,7 @@ from .errors import (
     InternalInconsistencyError,
     ParseError,
 )
-from .graphs import GraphOfGroups, parse_graph, side_name
+from .graphs import Contraction, GraphOfGroups, parse_graph, side_name
 from .paths import ConjugacyPath, enumerate_complete_paths, enumerate_full_nonmaximal_paths
 from .verdicts import AnalysisReport, ConjugacyAnswer, analyze, power_conjugate
 from .words import Alphabet, FreeWord
@@ -118,6 +118,15 @@ def _nonmax_json(graph: GraphOfGroups, path: ConjugacyPath) -> dict:
     }
 
 
+def _contraction_json(graph: GraphOfGroups, step: Contraction) -> dict:
+    return {
+        "edge": step.edge_id,
+        "absorbed": step.absorbed_vertex,
+        "into": step.surviving_vertex,
+        "generator_image": _format_word(graph, step.image),
+    }
+
+
 def _graph_summary(graph: GraphOfGroups) -> dict:
     return {"vertices": len(graph.vertices), "edges": len(graph.edges)}
 
@@ -192,12 +201,12 @@ def _report_json(report: AnalysisReport) -> dict:
             "trivial": report.reduced.is_trivial,
             # surviving vertices keep their original alphabets, so the
             # original graph can format every step's generator image
-            "contractions": [step.to_json_dict(report.graph) for step in report.contractions],
+            "contractions": [_contraction_json(graph, step) for step in report.contractions],
         },
     }
 
 
-def _render_check_text(report: AnalysisReport, body: dict) -> List[str]:
+def _render_check_text(body: dict) -> List[str]:
     verdicts = body["verdicts"]
     witnesses = body["witnesses"]
     lines = []
@@ -272,7 +281,7 @@ def cmd_check(args, graph: GraphOfGroups, doc: dict) -> dict:
     report = analyze(graph)
     body = _report_json(report)
     doc.update(body)
-    doc["text"] = _render_check_text(report, body)
+    doc["text"] = _render_check_text(body)
     return doc
 
 
@@ -328,7 +337,29 @@ def _parse_located_word(graph: GraphOfGroups, spec: str, flag: str) -> FreeWord:
     return graph.vertices[vid].parse(word_text)
 
 
-def _parse_bounds(text: str) -> Tuple[int, int, int]:
+# The brute force holds its whole atom pool (every reduced vertex word of up
+# to L letters: 2r(2r-1)^(k-1) of length k at a rank-r vertex, plus two per
+# non-tree edge) and 2E powers of y in memory, so a few digits of
+# --oracle-bounds could ask for more memory than any machine has.  Bounds
+# past these are refused before anything is built.
+MAX_ORACLE_ATOMS = 100_000
+MAX_ORACLE_EXPONENT = 1_000
+
+
+def _oracle_atom_count(graph: GraphOfGroups, letters: int) -> int:
+    """The size of the brute force's atom pool; counting stops past MAX_ORACLE_ATOMS."""
+    count = 2 * graph.betti_number
+    for vertex in graph.vertices.values():
+        words = 2 * vertex.rank
+        for _ in range(letters):
+            count += words
+            if count > MAX_ORACLE_ATOMS:
+                return count
+            words *= 2 * vertex.rank - 1
+    return count
+
+
+def _parse_bounds(graph: GraphOfGroups, text: str) -> Tuple[int, int, int]:
     parts = text.split(",")
     if len(parts) not in (2, 3):
         raise ParseError("--oracle-bounds wants 'SYLLABLES,EXPONENTS[,LETTERS]'")
@@ -340,6 +371,13 @@ def _parse_bounds(text: str) -> Tuple[int, int, int]:
         raise ParseError("--oracle-bounds must be positive")
     syllables, exponents = numbers[0], numbers[1]
     letters = numbers[2] if len(numbers) == 3 else 2 * syllables
+    if exponents > MAX_ORACLE_EXPONENT:
+        raise ParseError(f"--oracle-bounds: exponents above {MAX_ORACLE_EXPONENT} are refused")
+    if _oracle_atom_count(graph, letters) > MAX_ORACLE_ATOMS:
+        raise ParseError(
+            f"--oracle-bounds: words of up to {letters} letters give more than "
+            f"{MAX_ORACLE_ATOMS} atoms on this graph; lower L"
+        )
     return syllables, exponents, letters
 
 
@@ -400,7 +438,7 @@ def cmd_conj(args, graph: GraphOfGroups, doc: dict) -> dict:
         text.append("no powers of the two elements are conjugate")
 
     if args.oracle_bounds:
-        syllables, exponents, letters = _parse_bounds(args.oracle_bounds)
+        syllables, exponents, letters = _parse_bounds(graph, args.oracle_bounds)
         hit = brute_force_power_conjugacy(
             Engine(graph), x, y, max_syllables=syllables, max_letters=letters, max_exp=exponents
         )

@@ -85,10 +85,10 @@ def _reverse(step: Step) -> Step:
 class Engine:
     """Exact arithmetic for the fundamental group of one graph of groups.
 
-    Elements are opaque tuples; obtain them from :meth:`embed`,
-    :meth:`stable_letter` or :meth:`element_of` and combine them with
-    :meth:`mul`, :meth:`inv`, :meth:`power`, :meth:`conjugate`.  Equality of
-    elements is equality of the group elements they denote.
+    Elements are opaque tuples; obtain them from :meth:`embed` or
+    :meth:`element_of` (``element_of([])`` is the identity) and combine them
+    with :meth:`mul`, :meth:`inv`, :meth:`power`, :meth:`conjugate`.
+    Equality of elements is equality of the group elements they denote.
     """
 
     def __init__(self, graph: GraphOfGroups):
@@ -173,10 +173,6 @@ class Engine:
 
     # ------------------------------------------------------------ public ops
 
-    @property
-    def identity_elem(self) -> Elem:
-        return IDENTITY
-
     def atoms(self, g: Elem) -> List[Item]:
         """g as :meth:`element_of` items, left to right: vertex words and
         stable letters ``('t', edge_id, +-1)``."""
@@ -192,10 +188,6 @@ class Engine:
     def embed(self, word: FreeWord) -> Elem:
         """A vertex-group word as a group element."""
         return self._normal_form(self._word_path(word))
-
-    def stable_letter(self, edge_id: int, exp: int = 1) -> Elem:
-        """t_e^exp; tree edges have trivial stable letter."""
-        return self._stable(edge_id, exp, IDENTITY)
 
     def element_of(self, items: Sequence[Item]) -> Elem:
         """Evaluate a product of vertex words and ('t', edge_id, exp) letters."""
@@ -239,9 +231,6 @@ class Engine:
     def conjugate(self, h: Elem, g: Elem) -> Elem:
         """h g h^-1."""
         return self.mul(h, g, self.inv(h))
-
-    def is_identity(self, g: Elem) -> bool:
-        return g == IDENTITY
 
     def top_length(self, g: Elem) -> int:
         """The number of steps in g's normal form.

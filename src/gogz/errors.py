@@ -32,10 +32,6 @@ class ParseError(GogzError):
         super().__init__(where + message)
 
 
-class GraphNotReducedError(GogzError):
-    """A decider that requires a reduced graph was handed an unreduced one."""
-
-
 class InternalInconsistencyError(GogzError):
     """A verdict's witness failed independent verification.
 

@@ -241,10 +241,6 @@ class GraphOfGroups:
         ]
 
     @property
-    def is_reduced(self) -> bool:
-        return not self.reducible_edges()
-
-    @property
     def is_trivial(self) -> bool:
         """A single vertex and no edges: the group is just that free group."""
         return len(self.vertices) == 1 and not self.edges
@@ -392,77 +388,66 @@ class Contraction:
     surviving_vertex: int
     image: FreeWord
 
-    def to_json_dict(self, graph_after: "GraphOfGroups") -> dict:
-        alphabet = graph_after.vertices[self.surviving_vertex].alphabet
-        return {
-            "edge": self.edge_id,
-            "absorbed": self.absorbed_vertex,
-            "into": self.surviving_vertex,
-            "generator_image": alphabet.format(self.image),
-        }
 
-
-@dataclass(frozen=True)
-class ContractionLog:
-    steps: Tuple[Contraction, ...]
-
-    def __len__(self):
-        return len(self.steps)
-
-    def __iter__(self):
-        return iter(self.steps)
-
-
-def _contract(graph: GraphOfGroups, edge: Edge) -> Tuple[GraphOfGroups, Contraction]:
-    minus_bad = graph.is_bad_end(edge, MINUS)
-    plus_bad = graph.is_bad_end(edge, PLUS)
-    assert (minus_bad or plus_bad) and not edge.is_loop
-    if minus_bad and plus_bad:
-        # both endpoint groups are swallowed by the edge group; keep the
-        # smaller vertex id for determinism
-        absorbed_side = MINUS if edge.minus_vertex > edge.plus_vertex else PLUS
-    elif minus_bad:
-        absorbed_side = MINUS
-    else:
-        absorbed_side = PLUS
-    absorbed = edge.vertex(absorbed_side)
-    survivor = edge.vertex(-absorbed_side)
-    eps = edge.word(absorbed_side).letters[0]
-    image = edge.word(-absorbed_side) ** (1 if eps > 0 else -1)
-
-    def push(word: FreeWord) -> FreeWord:
-        # a reduced rank-one word is generator^k with k the letter sum
-        return image ** sum(word.letters)
-
-    new_edges = []
-    for e in graph.edges.values():
-        if e.id == edge.id:
-            continue
-        mv, pv, mw, pw = e.minus_vertex, e.plus_vertex, e.minus_word, e.plus_word
-        if mv == absorbed:
-            mv, mw = survivor, push(mw)
-        if pv == absorbed:
-            pv, pw = survivor, push(pw)
-        new_edges.append(Edge(e.id, mv, pv, mw, pw))
-    new_vertices = [v for v in graph.vertices.values() if v.id != absorbed]
-    return GraphOfGroups(new_vertices, new_edges), Contraction(edge.id, absorbed, survivor, image)
-
-
-def reduce_graph(graph: GraphOfGroups) -> Tuple[GraphOfGroups, ContractionLog]:
+def reduce_graph(graph: GraphOfGroups) -> Tuple[GraphOfGroups, Tuple[Contraction, ...]]:
     """Contract reducible edges (least edge id first) until none remain.
 
     Contraction removes one edge and one vertex, so the Betti number of the
     underlying graph never changes; in particular a graph that reduces to a
     single vertex with no edges was a tree, and its group is free.
+
+    One pass, in id order, over the edges reducible at the start.  A
+    contraction rewrites only the ends at the vertex it absorbs: a^k
+    becomes image^k, one word at the survivor, and vertex ranks never
+    change.  That end has length one at a rank-one survivor only if |k| = 1,
+    so it was bad already: no edge ever becomes reducible, and each starting
+    candidate is re-checked (it may have become a loop, or lost its bad end)
+    when its turn comes.  Each contraction costs time in the absorbed
+    vertex's degree, and the result is built and validated once; ``graph``
+    itself comes back when nothing contracts.
     """
-    steps = []
-    current = graph
-    while True:
-        reducible = current.reducible_edges()
-        if not reducible:
-            return current, ContractionLog(tuple(steps))
-        current, step = _contract(current, reducible[0])
-        steps.append(step)
+    candidates = graph.reducible_edges()
+    if not candidates:
+        return graph, ()
+    vertices = dict(graph.vertices)
+    edges = dict(graph.edges)
+    incident: Dict[int, set] = {vid: set() for vid in vertices}
+    for e in edges.values():
+        incident[e.minus_vertex].add(e.id)
+        incident[e.plus_vertex].add(e.id)
+    steps: List[Contraction] = []
+    for candidate in candidates:
+        edge = edges[candidate.id]
+        minus_bad = graph.is_bad_end(edge, MINUS)
+        plus_bad = graph.is_bad_end(edge, PLUS)
+        if edge.is_loop or not (minus_bad or plus_bad):
+            continue
+        if minus_bad and plus_bad:
+            # both endpoint groups are swallowed by the edge group; keep the
+            # smaller vertex id for determinism
+            absorbed_side = MINUS if edge.minus_vertex > edge.plus_vertex else PLUS
+        else:
+            absorbed_side = MINUS if minus_bad else PLUS
+        absorbed = edge.vertex(absorbed_side)
+        survivor = edge.vertex(-absorbed_side)
+        eps = edge.word(absorbed_side).letters[0]
+        image = edge.word(-absorbed_side) ** (1 if eps > 0 else -1)
+        steps.append(Contraction(edge.id, absorbed, survivor, image))
+
+        del edges[edge.id], vertices[absorbed]
+        incident[survivor].discard(edge.id)
+        moved = incident.pop(absorbed) - {edge.id}
+        for eid in moved:
+            e = edges[eid]
+            mv, pv, mw, pw = e.minus_vertex, e.plus_vertex, e.minus_word, e.plus_word
+            # a reduced rank-one word is generator^k with k the letter sum
+            if mv == absorbed:
+                mv, mw = survivor, image ** sum(mw.letters)
+            if pv == absorbed:
+                pv, pw = survivor, image ** sum(pw.letters)
+            edges[eid] = Edge(eid, mv, pv, mw, pw)
+        incident[survivor] |= moved
+    return GraphOfGroups(vertices.values(), edges.values()), tuple(steps)
 
 
 # ------------------------------------------------------------ spanning tree

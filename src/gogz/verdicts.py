@@ -8,29 +8,28 @@ with every generator.  A verification failure is a bug in the enumeration
 layer, never a property of the input, so it raises
 :class:`~gogz.errors.InternalInconsistencyError`.
 
-Verdicts decided here:
+Verdicts decided here, all by :func:`analyze` except the last:
 
-* ``is_balanced`` — no closed chain multiplies exponents by a ratio other
-  than ±1; an offending chain exhibits conjugate distinct powers ``g^i ~
-  g^j`` and pins down the Baumslag-Solitar subgroup BS(m, n) they generate.
-* ``is_word_hyperbolic`` — no complete closed chain and no full
-  non-maximal path; a witness of either kind embeds a Baumslag-Solitar
-  subgroup (Z^2 counts as BS(1, 1)).
-* ``is_acyl_hyperbolic`` — on a reduced graph, acylindrical hyperbolicity
-  fails exactly when every vertex group is infinite cyclic; the common
-  power of the incident inclusion words then generates an s-normal
+* balance — no closed chain multiplies exponents by a ratio other than ±1;
+  an offending chain exhibits conjugate distinct powers ``g^i ~ g^j`` and
+  pins down the Baumslag-Solitar subgroup BS(m, n) they generate.
+* word hyperbolicity — no complete closed chain and no full non-maximal
+  path; a witness of either kind embeds a Baumslag-Solitar subgroup (Z^2
+  counts as BS(1, 1)).
+* acylindrical hyperbolicity — on the reduced graph, it fails exactly when
+  every vertex group is infinite cyclic; the common power of the incident
+  inclusion words then generates an s-normal subgroup.
+* the splitting trichotomy — acylindrically hyperbolic, or surjecting onto
+  the integers, or carrying an infinite cyclic normal (here central)
   subgroup.
-* ``trichotomy`` — acylindrically hyperbolic, or surjecting onto the
-  integers, or carrying an infinite cyclic normal (here central) subgroup.
-* ``power_conjugate`` — decides whether powers of two vertex elements are
-  conjugate, returning a certified witness.
+* power conjugacy — :func:`power_conjugate` decides whether powers of two
+  vertex elements are conjugate, returning a certified witness.
 
 Chain witnesses are :class:`~gogz.paths.ConjugacyPath` records, and every
 replay, chain or not, is one relation ``w x^m w^-1 = y^n`` checked by
-``_require``.  ``analyze`` runs all of them on one graph, sharing the
-closed-chain enumeration, the reduction, the acylindricity verdict and one
-engine per graph (a second one only for a reduced graph that differs from
-the input) between deciders.
+``_require``.  ``analyze`` shares the closed-chain enumeration, the
+reduction, the acylindricity verdict and one engine per graph (a second one
+only for a reduced graph that differs from the input) between verdicts.
 """
 
 from __future__ import annotations
@@ -41,12 +40,8 @@ from math import gcd, lcm
 from typing import Dict, List, Optional, Tuple
 
 from .engine import Engine
-from .errors import (
-    DegenerateInputError,
-    GraphNotReducedError,
-    InternalInconsistencyError,
-)
-from .graphs import MINUS, PLUS, ContractionLog, GraphOfGroups, reduce_graph
+from .errors import DegenerateInputError, InternalInconsistencyError
+from .graphs import MINUS, PLUS, Contraction, GraphOfGroups, reduce_graph
 from .paths import (
     ConjugacyPath,
     ConjugatorItem,
@@ -101,12 +96,8 @@ class BalanceVerdict:
     modulus: Tuple[Fraction, ...]
 
 
-def is_balanced(graph: GraphOfGroups) -> BalanceVerdict:
-    """A non-level complete closed chain is exactly an unbalanced element."""
-    return _balance(Engine(graph), enumerate_complete_paths(graph))
-
-
 def _balance(engine: Engine, complete: List[ConjugacyPath]) -> BalanceVerdict:
+    """A non-level complete closed chain is exactly an unbalanced element."""
     ratios = [path.ratio() for path in complete]
     modulus = tuple(sorted(set(ratios), key=lambda r: (abs(r), r)))
     nonlevel = [(path, r) for path, r in zip(complete, ratios) if abs(r) != 1]
@@ -135,10 +126,6 @@ class HyperbolicityVerdict:
     hyperbolic: bool
     witness: Optional[ConjugacyPath]
     kind: Optional[str]
-
-
-def is_word_hyperbolic(graph: GraphOfGroups) -> HyperbolicityVerdict:
-    return _hyperbolicity(Engine(graph), enumerate_complete_paths(graph))
 
 
 def _hyperbolicity(engine: Engine, complete: List[ConjugacyPath]) -> HyperbolicityVerdict:
@@ -174,19 +161,8 @@ class AcylVerdict:
     snormal_generators: Dict[int, FreeWord]
 
 
-def is_acyl_hyperbolic(graph: GraphOfGroups) -> AcylVerdict:
-    if not graph.is_reduced:
-        raise GraphNotReducedError("acylindricity is decided on the reduced graph")
-    if graph.is_trivial:
-        raise DegenerateInputError(
-            "graph reduces to a single free vertex group; the splitting "
-            "criterion does not apply"
-        )
-    return _acyl(Engine(graph))
-
-
 def _acyl(engine: Engine) -> AcylVerdict:
-    """``is_acyl_hyperbolic`` on the reduced, nontrivial graph of ``engine``."""
+    """Acylindrical hyperbolicity of the reduced, nontrivial graph of ``engine``."""
     graph = engine.graph
     incident_words = {
         vid: [edge.word(side) for edge, side in graph.incident(vid)]
@@ -211,23 +187,6 @@ def _acyl(engine: Engine) -> AcylVerdict:
             _require(engine, [], w, common // abs(k), g_v, sign, f"s-normal generator at vertex {vid}")
         generators[vid] = g_v
     return AcylVerdict(False, None, None, (), generators)
-
-
-def rel_hyp_obstruction(graph: GraphOfGroups) -> Optional[str]:
-    """A note when no relative hyperbolicity is available, else None.
-
-    A reduced graph whose vertex groups are all infinite cyclic presents a
-    generalised Baumslag-Solitar group, which is not hyperbolic relative to
-    any collection of proper subgroups.
-    """
-    if not graph.is_reduced:
-        raise GraphNotReducedError("the obstruction is read off the reduced graph")
-    if all(v.rank == 1 for v in graph.vertices.values()):
-        return (
-            "all vertex groups are infinite cyclic (generalised Baumslag-Solitar "
-            "group): not hyperbolic relative to any proper subgroups"
-        )
-    return None
 
 
 # ----------------------------------------------------------------- trichotomy
@@ -296,20 +255,15 @@ def _central_witness(engine: Engine) -> CentralWitness:
     return CentralWitness(tree.root, element, exponents)
 
 
-def trichotomy(graph: GraphOfGroups) -> TrichotomyVerdict:
-    """Reduce, then test: acylindrically hyperbolic / surjects Z / central cyclic.
+def _trichotomy(engine: Engine) -> TrichotomyVerdict:
+    """Acylindrically hyperbolic / surjects Z / central cyclic, on the
+    already reduced graph of ``engine``.
 
     A non-tree reduced graph surjects onto the integers by sending one
     stable letter to 1 and every vertex group to 0; a reduced tree that is
     not acylindrically hyperbolic has all vertex groups cyclic and carries
     the common central power built by ``_central_witness``.
     """
-    reduced, _ = reduce_graph(graph)
-    return _trichotomy(Engine(reduced))
-
-
-def _trichotomy(engine: Engine) -> TrichotomyVerdict:
-    """``trichotomy`` on the already reduced graph of ``engine``."""
     reduced = engine.graph
     if reduced.is_trivial:
         (vertex,) = reduced.vertices.values()
@@ -415,13 +369,17 @@ class AnalysisReport:
 
     The acylindricity verdict is ``trichotomy.acyl``; it is None when the
     graph reduces to a single vertex, whose free rank is then
-    ``trichotomy.free_rank``.  ``notes`` collects shape caveats (currently:
-    a reduced single vertex with a single bad loop).
+    ``trichotomy.free_rank``.  ``rel_hyp_note`` is set when no relative
+    hyperbolicity is available: a reduced graph whose vertex groups are all
+    infinite cyclic presents a generalised Baumslag-Solitar group, which is
+    not hyperbolic relative to any collection of proper subgroups.
+    ``notes`` collects shape caveats (currently: a reduced single vertex with
+    a single bad loop).
     """
 
     graph: GraphOfGroups
     reduced: GraphOfGroups
-    contractions: ContractionLog
+    contractions: Tuple[Contraction, ...]
     balance: BalanceVerdict
     hyperbolicity: HyperbolicityVerdict
     trichotomy: TrichotomyVerdict
@@ -431,13 +389,19 @@ class AnalysisReport:
 
 def analyze(graph: GraphOfGroups) -> AnalysisReport:
     """Run every decider and cross-check the verdicts against each other."""
-    reduced, log = reduce_graph(graph)
+    reduced, contractions = reduce_graph(graph)
     engine = Engine(graph)
     complete = enumerate_complete_paths(graph)
     balance = _balance(engine, complete)
     hyper = _hyperbolicity(engine, complete)
     tri = _trichotomy(engine if reduced is graph else Engine(reduced))
 
+    rel_hyp_note = None
+    if all(v.rank == 1 for v in reduced.vertices.values()):
+        rel_hyp_note = (
+            "all vertex groups are infinite cyclic (generalised Baumslag-Solitar "
+            "group): not hyperbolic relative to any proper subgroups"
+        )
     notes: List[str] = []
     if len(reduced.vertices) == 1 and len(reduced.edges) == 1:
         edge = next(iter(reduced.edges.values()))
@@ -457,5 +421,5 @@ def analyze(graph: GraphOfGroups) -> AnalysisReport:
             "word hyperbolic fundamental group reported not acylindrically hyperbolic"
         )
     return AnalysisReport(
-        graph, reduced, log, balance, hyper, tri, rel_hyp_obstruction(reduced), tuple(notes)
+        graph, reduced, contractions, balance, hyper, tri, rel_hyp_note, tuple(notes)
     )

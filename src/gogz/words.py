@@ -204,13 +204,6 @@ class FreeWord:
         left = join_reduced(h.letters, self.letters)
         return FreeWord(self.vertex, join_reduced(left, invert_letters(h.letters)))
 
-    def sort_key(self):
-        return letters_sort_key(self.letters)
-
-
-def identity(vertex: str) -> FreeWord:
-    return FreeWord(vertex, ())
-
 
 def cyclic_split(letters: Letters) -> Tuple[Letters, Letters]:
     """Split a reduced word as c * core * c^-1 with core cyclically reduced.

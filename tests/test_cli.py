@@ -7,7 +7,10 @@ import sys
 
 import pytest
 
+from gogz import cli
 from gogz.cli import main
+from gogz.engine import Engine, _atom_pool
+from gogz.graphs import parse_graph
 from gogz.words import MAX_WORD_LETTERS
 
 BS23 = 'vertex 0 rank=1 gens=a\nedge 0 0 0 minus="a^2" plus="a^3"\n'
@@ -214,6 +217,26 @@ class TestConj:
         assert main(["conj", path, "--from", "0:a", "--to", "1:b",
                      "--oracle-bounds", "0,4"]) == 2
         capsys.readouterr()
+
+    @pytest.mark.parametrize("bounds", ["12,3", "2,1001"])
+    def test_oracle_bounds_past_the_caps_exit_2_before_searching(
+        self, graph_file, capsys, monkeypatch, bounds
+    ):
+        # words of up to 24 letters at a rank-2 vertex are about 5.6e11 atoms;
+        # 1001 exponents ask for 2002 powers of y
+        def never(*args, **kwargs):
+            raise AssertionError("the brute force ran on refused bounds")
+
+        monkeypatch.setattr(cli, "brute_force_power_conjugacy", never)
+        path = graph_file("vertex 0 rank=2 gens=a,b\n")
+        assert main(["conj", path, "--from", "0:a", "--to", "0:b", "--oracle-bounds", bounds]) == 2
+        assert "--oracle-bounds" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("text", [BS23, TREFOIL, FREE_AMALGAM])
+    @pytest.mark.parametrize("letters", [1, 2, 3])
+    def test_oracle_atom_count_is_the_pool_size(self, text, letters):
+        graph = parse_graph(text)
+        assert cli._oracle_atom_count(graph, letters) == len(_atom_pool(Engine(graph), letters))
 
 
 class TestOracle:

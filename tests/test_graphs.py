@@ -1,12 +1,13 @@
 """Graph parsing, end labels, contraction, spanning trees."""
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from gogz.errors import DegenerateInputError, ParseError
 from gogz.graphs import (
     MINUS,
     PLUS,
+    Contraction,
     Edge,
     GraphOfGroups,
     Vertex,
@@ -84,18 +85,18 @@ def test_end_labels():
     e = g.edges[0]
     assert not g.is_bad_end(e, MINUS) and not g.is_bad_end(e, PLUS)
     assert g.has_arrow(e, MINUS) and g.has_arrow(e, PLUS)
-    assert g.is_reduced
+    assert not g.reducible_edges()
 
     h = parse_graph("vertex 0 rank=1 gens=a\nvertex 1 rank=1 gens=b\nedge 0 0 1 minus=\"a\" plus=\"b^2\"")
     e = h.edges[0]
     assert h.is_bad_end(e, MINUS) and not h.is_bad_end(e, PLUS)
     assert not h.has_arrow(e, MINUS) and h.has_arrow(e, PLUS)
-    assert not h.is_reduced
+    assert h.reducible_edges()
 
 
 def test_loops_never_reducible():
     g = parse_graph("vertex 0 rank=1 gens=a\nedge 0 0 0 minus=\"a\" plus=\"a\"")
-    assert g.is_reduced  # a bad end on a loop does not make it reducible
+    assert not g.reducible_edges()  # a bad end on a loop does not make it reducible
 
 
 # ------------------------------------------------------------- contraction
@@ -116,8 +117,8 @@ def test_contract_chain_to_single_vertex():
     assert [s.edge_id for s in log] == [0, 1]
     # step 1 absorbs vertex 0 into vertex 1 (a -> b^2); edge 1 is untouched,
     # step 2 then absorbs vertex 2 into vertex 1 (c -> b^3)
-    assert log.steps[0].absorbed_vertex == 0 and log.steps[0].surviving_vertex == 1
-    assert log.steps[1].absorbed_vertex == 2 and log.steps[1].surviving_vertex == 1
+    assert log[0].absorbed_vertex == 0 and log[0].surviving_vertex == 1
+    assert log[1].absorbed_vertex == 2 and log[1].surviving_vertex == 1
     assert reduced.vertices[1].rank == 1
 
 
@@ -133,11 +134,11 @@ def test_contract_rehomes_words():
     g = parse_graph(text)
     reduced, log = reduce_graph(g)
     assert len(log) == 1
-    assert log.steps[0].absorbed_vertex == 1 and log.steps[0].surviving_vertex == 0
+    assert log[0].absorbed_vertex == 1 and log[0].surviving_vertex == 0
     e = reduced.edges[1]
     assert e.minus_vertex == 0
     assert e.minus_word == reduced.vertices[0].parse("a b a b a b")
-    assert reduced.is_reduced
+    assert not reduced.reducible_edges()
 
 
 def test_contract_inverted_bad_letter():
@@ -150,8 +151,8 @@ def test_contract_inverted_bad_letter():
     """
     g = parse_graph(text)
     reduced, log = reduce_graph(g)
-    assert log.steps[0].absorbed_vertex == 0
-    assert log.steps[0].image == reduced.vertices[1].parse("b^-2")
+    assert log[0].absorbed_vertex == 0
+    assert log[0].image == reduced.vertices[1].parse("b^-2")
     e = reduced.edges[1]
     assert e.is_loop
     assert e.minus_word == reduced.vertices[1].parse("b^-10")
@@ -165,8 +166,8 @@ def test_both_ends_bad_keeps_least_vertex():
     """
     g = parse_graph(text)
     reduced, log = reduce_graph(g)
-    assert log.steps[0].surviving_vertex == 3
-    assert log.steps[0].absorbed_vertex == 7
+    assert log[0].surviving_vertex == 3
+    assert log[0].absorbed_vertex == 7
     assert reduced.is_trivial
 
 
@@ -277,8 +278,76 @@ def random_graph_with_bad_ends(draw):
 @given(random_graph_with_bad_ends())
 def test_reduction_terminates_and_is_reduced(g):
     reduced, log = reduce_graph(g)
-    assert reduced.is_reduced or reduced.is_trivial
+    assert not reduced.reducible_edges()
     assert len(log) <= len(g.vertices) - 1
     assert reduced.betti_number == g.betti_number
     # every surviving vertex existed in the input
     assert set(reduced.vertices) <= set(g.vertices)
+
+
+def _reference_reduce(graph):
+    """Least reducible edge first, rebuilding and validating the graph per step."""
+    steps = []
+    while graph.reducible_edges():
+        edge = graph.reducible_edges()[0]
+        minus_bad, plus_bad = graph.is_bad_end(edge, MINUS), graph.is_bad_end(edge, PLUS)
+        if minus_bad and plus_bad:
+            absorbed_side = MINUS if edge.minus_vertex > edge.plus_vertex else PLUS
+        else:
+            absorbed_side = MINUS if minus_bad else PLUS
+        absorbed, survivor = edge.vertex(absorbed_side), edge.vertex(-absorbed_side)
+        eps = edge.word(absorbed_side).letters[0]
+        image = edge.word(-absorbed_side) ** (1 if eps > 0 else -1)
+        new_edges = []
+        for e in graph.edges.values():
+            if e.id == edge.id:
+                continue
+            mv, pv, mw, pw = e.minus_vertex, e.plus_vertex, e.minus_word, e.plus_word
+            if mv == absorbed:
+                mv, mw = survivor, image ** sum(mw.letters)
+            if pv == absorbed:
+                pv, pw = survivor, image ** sum(pw.letters)
+            new_edges.append(Edge(e.id, mv, pv, mw, pw))
+        new_vertices = [v for v in graph.vertices.values() if v.id != absorbed]
+        graph = GraphOfGroups(new_vertices, new_edges)
+        steps.append(Contraction(edge.id, absorbed, survivor, image))
+    return graph, tuple(steps)
+
+
+@st.composite
+def mixed_rank_graph(draw):
+    """Rank-1 and rank-2 vertices, loops, parallel edges, both orientations,
+    and edge ids out of declaration order."""
+    n = draw(st.integers(1, 7))
+    vertices = [Vertex.make(i, (f"g{i}", f"h{i}")[: draw(st.integers(1, 2))]) for i in range(n)]
+
+    def word(v):
+        g, h = f"g{v.id}", f"h{v.id}"
+        k = draw(st.integers(1, 3)) * draw(st.sampled_from([1, -1]))
+        if v.rank == 1:
+            return v.parse(f"{g}^{k}")
+        return v.parse(draw(st.sampled_from([f"{g}^{k}", h, f"{g} {h}", f"{h}^-1 {g}^{k} {h}"])))
+
+    ends = []
+    for child in range(1, n):
+        parent = draw(st.integers(0, child - 1))
+        ends.append((parent, child) if draw(st.booleans()) else (child, parent))
+    for _ in range(draw(st.integers(0, 4))):
+        ends.append((draw(st.integers(0, n - 1)), draw(st.integers(0, n - 1))))
+    ids = draw(st.permutations(range(len(ends))))
+    edges = [
+        Edge(eid, a, b, word(vertices[a]), word(vertices[b])) for eid, (a, b) in zip(ids, ends)
+    ]
+    return GraphOfGroups(vertices, edges)
+
+
+@settings(max_examples=300, deadline=None)
+@given(mixed_rank_graph())
+def test_reduction_matches_the_step_by_step_rebuild(g):
+    reduced, steps = reduce_graph(g)
+    expected, expected_steps = _reference_reduce(g)
+    assert steps == expected_steps
+    assert reduced.to_text() == expected.to_text()
+    assert list(reduced.edges) == list(expected.edges)
+    if not steps:
+        assert reduced is g

@@ -8,17 +8,9 @@ from hypothesis import strategies as st
 
 from gogz import verdicts
 from gogz.engine import Engine
-from gogz.errors import DegenerateInputError, GraphNotReducedError
+from gogz.errors import DegenerateInputError
 from gogz.graphs import parse_graph, reduce_graph
-from gogz.verdicts import (
-    analyze,
-    is_acyl_hyperbolic,
-    is_balanced,
-    is_word_hyperbolic,
-    power_conjugate,
-    rel_hyp_obstruction,
-    trichotomy,
-)
+from gogz.verdicts import analyze, power_conjugate
 
 
 def bs(m: int, n: int) -> str:
@@ -110,12 +102,12 @@ class TestBalance:
     @pytest.mark.parametrize("m", [-3, -2, -1, 1, 2, 3])
     @pytest.mark.parametrize("n", [-3, -2, -1, 1, 2, 3])
     def test_bs_balanced_iff_equal_absolute_exponents(self, m, n):
-        verdict = is_balanced(parse_graph(bs(m, n)))
+        verdict = analyze(parse_graph(bs(m, n))).balance
         assert verdict.balanced == (abs(m) == abs(n))
 
     def test_bs23_witness(self):
         graph = parse_graph(bs(2, 3))
-        verdict = is_balanced(graph)
+        verdict = analyze(graph).balance
         assert not verdict.balanced
         assert verdict.bs_tag == (2, 3) and verdict.bs_sign == 1
         assert verdict.modulus == (Fraction(3, 2),)
@@ -125,27 +117,27 @@ class TestBalance:
         assert conjugacy_holds(graph, wtn.conjugator_items(), wtn.start, 2, wtn.start, 3)
 
     def test_bs_negative_exponent_tag_sign(self):
-        verdict = is_balanced(parse_graph(bs(2, -3)))
+        verdict = analyze(parse_graph(bs(2, -3))).balance
         assert not verdict.balanced
         assert verdict.bs_tag == (2, 3) and verdict.bs_sign == -1
         assert verdict.modulus == (Fraction(-3, 2),)
 
     def test_bs_level_negative_is_balanced(self):
-        verdict = is_balanced(parse_graph(bs(2, -2)))
+        verdict = analyze(parse_graph(bs(2, -2))).balance
         assert verdict.balanced
         assert verdict.bs_tag is None
         assert verdict.modulus == (Fraction(-1),)
 
     @pytest.mark.parametrize("text", [TREFOIL, CHAIN, FXF, COMM_SQUARE])
     def test_trees_are_balanced(self, text):
-        verdict = is_balanced(parse_graph(text))
+        verdict = analyze(parse_graph(text)).balance
         assert verdict.balanced
         assert verdict.witness is None and verdict.modulus == ()
 
     def test_theta_is_unbalanced(self):
         # the two edges conjugate (a b)^3 to (a b)^2 around the theta cycle
         graph = parse_graph(THETA)
-        verdict = is_balanced(graph)
+        verdict = analyze(graph).balance
         assert not verdict.balanced
         assert verdict.bs_tag == (3, 2)
         wtn = verdict.witness
@@ -162,9 +154,9 @@ class TestBalance:
         edge 1 1 1 minus="b^2" plus="b^3"
         """
         graph = parse_graph(text)
-        assert not graph.is_reduced
+        assert graph.reducible_edges()
         reduced, _ = reduce_graph(graph)
-        before, after = is_balanced(graph), is_balanced(reduced)
+        before, after = analyze(graph).balance, analyze(reduced).balance
         assert not before.balanced and not after.balanced
         assert before.bs_tag == after.bs_tag == (2, 3)
 
@@ -175,14 +167,14 @@ class TestBalance:
 class TestWordHyperbolicity:
     @pytest.mark.parametrize("m,n", [(1, 1), (1, 2), (2, 3), (3, 3), (2, -2)])
     def test_bs_is_never_hyperbolic(self, m, n):
-        verdict = is_word_hyperbolic(parse_graph(bs(m, n)))
+        verdict = analyze(parse_graph(bs(m, n))).hyperbolicity
         assert not verdict.hyperbolic
         assert verdict.kind == "complete"
         assert verdict.witness is not None
 
     def test_trefoil_not_hyperbolic_via_full_path(self):
         graph = parse_graph(TREFOIL)
-        verdict = is_word_hyperbolic(graph)
+        verdict = analyze(graph).hyperbolicity
         assert not verdict.hyperbolic
         assert verdict.kind == "full"
         path = verdict.witness
@@ -190,36 +182,31 @@ class TestWordHyperbolicity:
         assert (path.start, m, path.end, n) == (w(graph, 0, "a^2"), 1, w(graph, 1, "b^3"), 1)
 
     def test_torus_relation_not_hyperbolic(self):
-        assert not is_word_hyperbolic(parse_graph(TORUS)).hyperbolic
+        assert not analyze(parse_graph(TORUS)).hyperbolicity.hyperbolic
 
     @pytest.mark.parametrize("text", [COMM_SQUARE, COMM_PRIMITIVE, FXF])
     def test_hyperbolic_amalgams(self, text):
-        verdict = is_word_hyperbolic(parse_graph(text))
+        verdict = analyze(parse_graph(text)).hyperbolicity
         assert verdict.hyperbolic
         assert verdict.witness is None
         assert verdict.kind is None
 
     def test_unbalanced_implies_not_hyperbolic(self):
-        assert not is_word_hyperbolic(parse_graph(THETA)).hyperbolic
+        assert not analyze(parse_graph(THETA)).hyperbolicity.hyperbolic
 
 
 # -------------------------------------------------------------- acylindrical
 
 
 class TestAcylHyperbolicity:
-    def test_requires_reduced_graph(self):
-        text = 'vertex 0 rank=1 gens=a\nvertex 1 rank=1 gens=b\nedge 0 0 1 minus="a^2" plus="b"'
-        with pytest.raises(GraphNotReducedError):
-            is_acyl_hyperbolic(parse_graph(text))
-
-    def test_rejects_trivial_graph(self):
-        with pytest.raises(DegenerateInputError):
-            is_acyl_hyperbolic(parse_graph("vertex 0 rank=2 gens=a,b"))
+    def test_not_applicable_to_a_free_vertex(self):
+        tri = analyze(parse_graph("vertex 0 rank=2 gens=a,b")).trichotomy
+        assert tri.acyl is None and tri.free_rank == 2
 
     @pytest.mark.parametrize("text", [bs(2, 3), TREFOIL, TWO_LOOPS, THETA])
     def test_cyclic_fixtures(self, text):
         graph = parse_graph(text)
-        verdict = is_acyl_hyperbolic(graph)
+        verdict = analyze(graph).trichotomy.acyl
         if any(v.rank >= 2 for v in graph.vertices.values()):
             assert verdict.acyl_hyperbolic
         else:
@@ -227,28 +214,28 @@ class TestAcylHyperbolicity:
 
     def test_snormal_generators_are_common_powers(self):
         graph = parse_graph(TWO_LOOPS)
-        verdict = is_acyl_hyperbolic(graph)
+        verdict = analyze(graph).trichotomy.acyl
         assert not verdict.acyl_hyperbolic
         assert verdict.snormal_generators[0] == w(graph, 0, "a^6")
         graph = parse_graph(TREFOIL)
-        gens = is_acyl_hyperbolic(graph).snormal_generators
+        gens = analyze(graph).trichotomy.acyl.snormal_generators
         assert gens == {0: w(graph, 0, "a^2"), 1: w(graph, 1, "b^3")}
 
     def test_rank_two_vertex_gives_acylindricity(self):
-        verdict = is_acyl_hyperbolic(parse_graph(FXF))
+        verdict = analyze(parse_graph(FXF)).trichotomy.acyl
         assert verdict.acyl_hyperbolic
         assert verdict.condition == "vertex_not_cyclic" and verdict.vertex == 0
 
     def test_disagreeing_roots_give_acylindricity(self):
         graph = parse_graph(ROOTS_DISAGREE)
-        verdict = is_acyl_hyperbolic(graph)
+        verdict = analyze(graph).trichotomy.acyl
         assert verdict.acyl_hyperbolic
         assert verdict.condition == "edge_roots_disagree" and verdict.vertex == 0
         assert verdict.evidence == (w(graph, 0, "a^2"), w(graph, 0, "b^2"))
 
     def test_conjugate_roots_are_still_disjoint(self):
         # <a^2> meets <b a^2 b^-1> trivially even though the roots are conjugate
-        verdict = is_acyl_hyperbolic(parse_graph(CONJUGATE_ROOTS))
+        verdict = analyze(parse_graph(CONJUGATE_ROOTS)).trichotomy.acyl
         assert verdict.acyl_hyperbolic
         assert verdict.condition == "edge_roots_disagree"
 
@@ -256,16 +243,11 @@ class TestAcylHyperbolicity:
 class TestRelHypObstruction:
     @pytest.mark.parametrize("text", [bs(2, 3), TREFOIL, TWO_LOOPS])
     def test_all_cyclic_vertices_flagged(self, text):
-        assert rel_hyp_obstruction(parse_graph(text)) is not None
+        assert analyze(parse_graph(text)).rel_hyp_note is not None
 
     @pytest.mark.parametrize("text", [FXF, THETA, COMM_SQUARE])
     def test_higher_rank_vertex_clears_flag(self, text):
-        assert rel_hyp_obstruction(parse_graph(text)) is None
-
-    def test_requires_reduced_graph(self):
-        text = 'vertex 0 rank=1 gens=a\nvertex 1 rank=1 gens=b\nedge 0 0 1 minus="a" plus="b"'
-        with pytest.raises(GraphNotReducedError):
-            rel_hyp_obstruction(parse_graph(text))
+        assert analyze(parse_graph(text)).rel_hyp_note is None
 
 
 # ---------------------------------------------------------------- trichotomy
@@ -273,18 +255,18 @@ class TestRelHypObstruction:
 
 class TestTrichotomy:
     def test_acylindrically_hyperbolic_branch(self):
-        verdict = trichotomy(parse_graph(FXF))
+        verdict = analyze(parse_graph(FXF)).trichotomy
         assert verdict.branch == "acylindrically_hyperbolic"
         assert verdict.acyl is not None and verdict.acyl.acyl_hyperbolic
 
     def test_surjection_branch_lists_non_tree_edges(self):
-        verdict = trichotomy(parse_graph(bs(2, 3)))
+        verdict = analyze(parse_graph(bs(2, 3))).trichotomy
         assert verdict.branch == "surjects_Z"
         assert verdict.surjection_edges == (0,)
 
     def test_trefoil_central_witness(self):
         graph = parse_graph(TREFOIL)
-        verdict = trichotomy(graph)
+        verdict = analyze(graph).trichotomy
         assert verdict.branch == "cyclic_normal_subgroup"
         witness = verdict.central
         assert witness.element == w(graph, 0, "a^2")
@@ -296,18 +278,18 @@ class TestTrichotomy:
         assert engine.mul(g, b) == engine.mul(b, g)
 
     def test_chain_central_witness_needs_denominator_chasing(self):
-        verdict = trichotomy(parse_graph(CHAIN))
+        verdict = analyze(parse_graph(CHAIN)).trichotomy
         assert verdict.branch == "cyclic_normal_subgroup"
         assert verdict.central.exponents == {0: 4, 1: 6, 2: 9}
 
     def test_trivial_reduction_reports_free_rank(self):
-        verdict = trichotomy(parse_graph(COMM_PRIMITIVE))
+        verdict = analyze(parse_graph(COMM_PRIMITIVE)).trichotomy
         assert verdict.branch == "surjects_Z"
         assert verdict.free_rank == 2
 
     def test_reduces_internally(self):
         text = 'vertex 0 rank=1 gens=a\nvertex 1 rank=1 gens=b\nedge 0 0 1 minus="a^2" plus="b"'
-        verdict = trichotomy(parse_graph(text))  # collapses to a single Z
+        verdict = analyze(parse_graph(text)).trichotomy  # collapses to a single Z
         assert verdict.branch == "surjects_Z" and verdict.free_rank == 1
 
 
@@ -415,7 +397,7 @@ class TestAnalyze:
         assert report.trichotomy.branch == "acylindrically_hyperbolic"
 
     @pytest.mark.parametrize("text", ALL_TEXTS)
-    def test_shared_steps_run_once_and_match_public_deciders(self, text, monkeypatch):
+    def test_shared_steps_run_once(self, text, monkeypatch):
         graph = parse_graph(text)
         calls = {}
         for name in ("enumerate_complete_paths", "reduce_graph", "_acyl"):
@@ -429,10 +411,6 @@ class TestAnalyze:
         report = analyze(graph)
         assert calls["enumerate_complete_paths"] == 1 and calls["reduce_graph"] == 1
         assert calls.get("_acyl", 0) == (0 if report.reduced.is_trivial else 1)
-        monkeypatch.undo()
-        assert report.balance == is_balanced(graph)
-        assert report.hyperbolicity == is_word_hyperbolic(graph)
-        assert report.trichotomy == trichotomy(graph)
 
     @pytest.mark.parametrize(
         "text,builds",

@@ -12,7 +12,6 @@ from gogz.words import (
     coset_canonical,
     cyclic_meet,
     cyclic_split,
-    identity,
     invert_letters,
     join_reduced,
     letters_sort_key,
@@ -43,7 +42,7 @@ def test_parse_format_round_trip():
     word = w("a^2 b^-1 a")
     assert word.letters == (1, 1, -2, 1)
     assert AB.format(word) == "a^2 b^-1 a"
-    assert AB.format(identity("v")) == "1"
+    assert AB.format(FreeWord("v", ())) == "1"
 
 
 def test_mul_inverse_pow():
@@ -82,7 +81,7 @@ def test_root_of_conjugated_power():
 
 def test_root_identity_is_error():
     with pytest.raises(DegenerateInputError):
-        root(identity("v"))
+        root(FreeWord("v", ()))
 
 
 def test_root_folds_inversion():
@@ -141,13 +140,13 @@ def test_conjugate_in_free_absent():
 
 def test_conjugate_identity_cases():
     # the identity is conjugate only to itself and has no root to compare
-    assert identity("v").conjugated_by(w("a b")) == identity("v")
+    assert FreeWord("v", ()).conjugated_by(w("a b")) == FreeWord("v", ())
     with pytest.raises(DegenerateInputError):
-        cyclic_meet(identity("v"), identity("v"))
+        cyclic_meet(FreeWord("v", ()), FreeWord("v", ()))
     with pytest.raises(DegenerateInputError):
-        cyclic_meet(w("a"), identity("v"))
+        cyclic_meet(w("a"), FreeWord("v", ()))
     with pytest.raises(DegenerateInputError):
-        root(identity("v"))
+        root(FreeWord("v", ()))
 
 
 # ---------------------------------------------------------------- cyclic_meet
@@ -174,7 +173,7 @@ def test_cyclic_meet_absent():
 
 def test_cyclic_meet_identity_error():
     with pytest.raises(DegenerateInputError):
-        cyclic_meet(identity("v"), w("a"))
+        cyclic_meet(FreeWord("v", ()), w("a"))
 
 
 # ---------------------------------------------------------------- cosets
