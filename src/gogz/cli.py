@@ -37,7 +37,7 @@ from .paths import ConjugacyPath, enumerate_complete_paths, enumerate_full_nonma
 from .verdicts import AnalysisReport, ConjugacyAnswer, analyze, power_conjugate
 from .words import Alphabet, FreeWord
 
-SCHEMA_VERSION = 1
+SCHEMA_VERSION = 2
 
 
 # ---------------------------------------------------------------- formatting

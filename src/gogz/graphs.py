@@ -264,28 +264,28 @@ class GraphOfGroups:
 # ------------------------------------------------------------------ parsing
 
 
+# One token after optional blanks: runs of plain characters and quoted
+# spans (which keep blanks and ``#``), then a lone quote if one is left open.
+# An empty token means the line ends or a comment starts.
+_TOKEN_RE = re.compile(r'[ \t]*((?:[^ \t#"]+|"[^"]*")*)("?)')
+
+
 def _tokenize(line: str, lineno: int) -> List[Tuple[str, int]]:
+    """Split a line on spaces and tabs into (text, 1-based column) tokens.
+
+    Quotes group and are dropped; ``#`` outside quotes starts a comment.
+    """
     tokens = []
-    i, n = 0, len(line)
-    while i < n:
-        if line[i] in " \t":
-            i += 1
-            continue
-        if line[i] == "#":
-            break
-        start = i
-        buf = []
-        quoted = False
-        while i < n and (quoted or line[i] not in " \t#"):
-            if line[i] == '"':
-                quoted = not quoted
-            else:
-                buf.append(line[i])
-            i += 1
-        if quoted:
-            raise ParseError("unterminated quote", lineno, start + 1)
-        tokens.append(("".join(buf), start + 1))
-    return tokens
+    pos = 0
+    while True:
+        m = _TOKEN_RE.match(line, pos)
+        text, open_quote = m.groups()
+        if open_quote:
+            raise ParseError("unterminated quote", lineno, m.start(1) + 1)
+        if not text:
+            return tokens
+        tokens.append((text.replace('"', ""), m.start(1) + 1))
+        pos = m.end()
 
 
 def _parse_int(token: Tuple[str, int], lineno: int, what: str) -> int:

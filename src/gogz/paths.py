@@ -10,29 +10,36 @@ endpoint elements become conjugate in the fundamental group, and composing
 the per-vertex conjugators with the stable letters yields an explicit
 conjugator that the normal-form engine can check.
 
-Three enumerations are built on this, all edge-once (each unoriented edge
-at most once per chain):
+Two edge ends at a vertex overlap exactly when their inclusion words have
+the same canonical primitive root, so each edge end falls in a *class*
+(vertex, primitive), and a chain's junctions all hold exactly when every
+step leaves from the class the previous step arrived in.  The *class gain
+graph* has the classes as nodes and one edge per graph edge, carrying the
+gain ``k_terminus / k_origin`` of its root exponents and whether each end
+is a proper power (an *arrow*); a chain's ratio is the product of the
+gains of its steps.  Everything here reads that one graph:
 
-* closed chains that certify a self-conjugacy ``w g^i w^-1 = g^j`` (the
-  *complete* closed paths; the chain is *level* when ``|i| = |j|``),
-* *full non-maximal* paths, whose endpoint inclusion words are proper
-  powers at both ends while every other inclusion along the way is
-  maximal — the shape that produces a Z^2 or Baumslag-Solitar subgroup,
-* open conjugacy paths between two given vertex elements.
+* :func:`decide_chains` gives the verdicts' answers in polynomial time: a
+  complete closed chain (``w g^i w^-1 = g^j``, *level* when ``|i| = |j|``)
+  exists iff the class graph has a cycle, and the ratios of the
+  fundamental cycles decide balance (a gain graph is balanced iff its
+  gains admit a potential: Zaslavsky, *Biased graphs I*, JCTB 1989).  Its
+  witnesses are the lex-least shortest closed chain, a shortest non-level
+  one, and the lex-least shortest *full non-maximal* path (proper powers at
+  both ends, maximal inclusions in between: the shape that produces a Z^2
+  or Baumslag-Solitar subgroup).
+* :func:`enumerate_complete_paths` and
+  :func:`enumerate_full_nonmaximal_paths` list every edge-once chain of
+  those two kinds, and :func:`iter_conjugacy_paths` every edge-once
+  conjugacy path between two given vertex elements.  They walk class
+  adjacency, so their cost follows the number of edge-once walks there,
+  which grows exponentially when many edges share a class.
 
-Each returns :class:`ConjugacyPath` records, the one chain record of the
+Chains are :class:`ConjugacyPath` records, the one chain record of the
 package: its ratio, witness exponents, base vertex (``steps[0].origin``)
 and arrowed ends (the two outer ends of a full path) are all read off it.
-
-All three walk the same index.  Two edge ends at a vertex overlap exactly
-when their inclusion words have the same canonical primitive root, so each
-edge end falls in a *class* (vertex, primitive) and a chain's junctions all
-hold exactly when every step leaves from the class the previous step
-arrived in.  The walk therefore only ever extends along class adjacency,
-and its cost is proportional to the number of edge-once walks in that
-adjacency (not to all edge sequences of the graph).  That number can still
-grow exponentially when many edges share a class.  Every emitted chain is
-rebuilt from :func:`~gogz.words.cyclic_meet` by :func:`check_conjugacy_path`.
+Every chain handed out is rebuilt from :func:`~gogz.words.cyclic_meet` by
+:func:`check_conjugacy_path`.
 """
 
 from __future__ import annotations
@@ -202,49 +209,74 @@ def _certify(
     return path
 
 
-# ---------------------------------------------------------------- class walk
+# --------------------------------------------------------------- class graph
 
 
-def _end_class(edge: Edge, side: int) -> Tuple[EndClass, bool]:
-    """The class of an edge end, and whether it carries an arrow."""
-    r = root(edge.word(side))
-    return (edge.vertex(side), r.primitive.letters), abs(r.exponent) >= 2
+class _ClassGraph:
+    """The class gain graph of a graph of groups.
 
-
-def _word_class(vid: int, word: FreeWord) -> EndClass:
-    return (vid, root(word).primitive.letters)
-
-
-class _ClassIndex:
-    """The oriented edges of a graph, keyed by the classes of their ends.
+    Two edge ends at a vertex overlap exactly when their inclusion words
+    have the same canonical primitive root (that is what
+    :func:`cyclic_meet` compares), so each end falls in a *class* (vertex,
+    primitive).  The nodes are the classes; each edge joins the classes of
+    its two ends.  Crossing a step from its origin end to its terminus end
+    multiplies the exponent by the *gain* ``k_terminus / k_origin`` of the
+    signed root exponents, so the ratio of a chain is the product of the
+    gains of its steps, and an end *carries an arrow* when ``|k| >= 2``.
 
     Position ``i`` describes ``steps[i]`` (``graph.oriented_edges()``
-    order): the class it leaves from and arrives in, and whether its origin
-    or terminus end carries an arrow.  ``out`` lists, per class, the steps
-    leaving from it in that same order; :func:`cyclic_meet` holds between
-    two ends exactly when their classes are equal, because it compares the
-    same canonical primitives.
+    order): steps ``2j`` and ``2j + 1`` cross the j-th edge by id forward
+    and backward, so ``i ^ 1`` is the reverse of step ``i`` and ``i >> 1``
+    orders steps by edge id.  Comparing two lists of step indices compares
+    the chains step by step by (edge id, forward first): that *step order*
+    is the lex order used throughout, and chains are listed shortest first,
+    then lex.  ``out`` lists, per class, the steps leaving it in step order.
+    Building it takes one :func:`root` per edge end.
     """
 
     def __init__(self, graph: GraphOfGroups):
-        ends = {
-            (e.id, side): _end_class(e, side) for e in graph.edges.values() for side in (MINUS, PLUS)
-        }
+        self.graph = graph
         self.steps = graph.oriented_edges()
-        self.edge_id = [s.edge.id for s in self.steps]
-        self.origin: List[EndClass] = []
-        self.terminus: List[EndClass] = []
-        self.arrow_origin: List[bool] = []
-        self.arrow_terminus: List[bool] = []
-        self.out: Dict[EndClass, List[int]] = {}
-        for i, s in enumerate(self.steps):
-            origin, arrow_origin = ends[s.edge.id, s.origin_side]
-            terminus, arrow_terminus = ends[s.edge.id, s.terminus_side]
-            self.origin.append(origin)
-            self.terminus.append(terminus)
-            self.arrow_origin.append(arrow_origin)
-            self.arrow_terminus.append(arrow_terminus)
-            self.out.setdefault(origin, []).append(i)
+        self.node: Dict[EndClass, int] = {}
+        self.out: List[List[int]] = []
+        self.origin: List[int] = []
+        self.terminus: List[int] = []
+        self.k_origin: List[int] = []
+        self.k_terminus: List[int] = []
+        for forward in self.steps[::2]:
+            minus, plus = (self._end(forward.edge, side) for side in (MINUS, PLUS))
+            for (origin, k_origin), (terminus, k_terminus) in ((minus, plus), (plus, minus)):
+                self.out[origin].append(len(self.origin))
+                self.origin.append(origin)
+                self.terminus.append(terminus)
+                self.k_origin.append(k_origin)
+                self.k_terminus.append(k_terminus)
+        self.arrow_origin = [abs(k) >= 2 for k in self.k_origin]
+        self.arrow_terminus = [abs(k) >= 2 for k in self.k_terminus]
+
+    def _end(self, edge: Edge, side: int) -> Tuple[int, int]:
+        r = root(edge.word(side))
+        key = (edge.vertex(side), r.primitive.letters)
+        if key not in self.node:
+            self.node[key] = len(self.out)
+            self.out.append([])
+        return self.node[key], r.exponent
+
+    def word_class(self, vid: int, word: FreeWord) -> Optional[int]:
+        """The class of ``word`` at vertex ``vid``, or None if no edge end has it."""
+        return self.node.get((vid, root(word).primitive.letters))
+
+    def chain(self, walk: Sequence[int]) -> Tuple[OrientedEdge, ...]:
+        return tuple(self.steps[i] for i in walk)
+
+    def certified(self, walk: Sequence[int], closed: bool) -> ConjugacyPath:
+        """The chain of ``walk``, from its first origin word to itself when
+        ``closed``, else to its last terminus word, certified by cyclic_meet."""
+        steps = self.chain(walk)
+        start = steps[0].origin_word
+        return _certify(self.graph, start, start if closed else steps[-1].terminus_word, steps)
+
+    # ------------------------------------------------------------ walks
 
     def walks(
         self,
@@ -259,59 +291,256 @@ class _ClassIndex:
         joins only when ``admits`` accepts it, and a walk whose last step
         ``halts`` is not extended.
         """
-        walk, used = [start], {self.edge_id[start]}
+        walk, used = [start], {start >> 1}
         yield walk
         frames = [self._next_steps(start, halts)]
         while frames:  # frames[k] holds the untried steps after walk[k]
             for i in frames[-1]:
-                if self.edge_id[i] not in used and admits(i):
+                if i >> 1 not in used and admits(i):
                     break
             else:
                 frames.pop()
-                used.discard(self.edge_id[walk.pop()])
+                used.discard(walk.pop() >> 1)
                 continue
             walk.append(i)
-            used.add(self.edge_id[i])
+            used.add(i >> 1)
             yield walk
             frames.append(self._next_steps(i, halts))
 
     def _next_steps(self, i: int, halts: Callable[[int], bool]) -> Iterator[int]:
-        return iter(() if halts(i) else self.out.get(self.terminus[i], ()))
+        return iter(() if halts(i) else self.out[self.terminus[i]])
 
-    def chain(self, walk: Sequence[int]) -> Tuple[OrientedEdge, ...]:
-        return tuple(self.steps[i] for i in walk)
+    # -------------------------------------------------------- decisions
+
+    def ratio(self, walk: Sequence[int]) -> Fraction:
+        num = den = 1
+        for i in walk:
+            num *= self.k_terminus[i]
+            den *= self.k_origin[i]
+        return Fraction(num, den)
+
+    def spanning_forest(self) -> Tuple[Dict[int, int], Dict[int, int], List[int]]:
+        """Union-find over the edges in id order.
+
+        Returns ``up`` (the tree step into each class, -1 at the root of its
+        tree), ``depth``, and the forward steps of the edges that close a
+        cycle: each one's tree path uses only smaller edge ids.
+        """
+        leader = list(range(len(self.out)))
+
+        def find(x: int) -> int:
+            while leader[x] != x:
+                leader[x] = leader[leader[x]]
+                x = leader[x]
+            return x
+
+        in_tree = [False] * (len(self.steps) // 2)
+        closing = []
+        for i in range(0, len(self.steps), 2):
+            a, b = find(self.origin[i]), find(self.terminus[i])
+            if a == b:
+                closing.append(i)
+            else:
+                leader[a] = b
+                in_tree[i >> 1] = True
+        up: Dict[int, int] = {}
+        depth: Dict[int, int] = {}
+        for top in range(len(self.out)):
+            if top not in depth:
+                tree_up, tree_depth, _ = self._bfs(top, lambda s: in_tree[s >> 1])
+                up.update(tree_up)
+                depth.update(tree_depth)
+        return up, depth, closing
+
+    def tree_cycle(self, i: int, up, depth) -> List[int]:
+        """Step ``i``, then the tree path from its terminus back to its origin."""
+        x, y = self.origin[i], self.terminus[i]
+        rise, fall = [], []
+        while x != y:
+            if depth[y] >= depth[x]:
+                rise.append(up[y] ^ 1)
+                y = self.origin[up[y]]
+            else:
+                fall.append(up[x])
+                x = self.origin[up[x]]
+        return [i] + rise + fall[::-1]
+
+    @staticmethod
+    def canonical(cycle: List[int]) -> List[int]:
+        """The rotation of the cycle, or of its reverse, that starts forward
+        on its least edge id: the representative ``enumerate_complete_paths``
+        lists."""
+        j = min(range(len(cycle)), key=lambda k: cycle[k] >> 1)
+        if cycle[j] & 1:
+            cycle = [s ^ 1 for s in reversed(cycle)]
+            j = len(cycle) - 1 - j
+        return cycle[j:] + cycle[:j]
+
+    def _bfs(
+        self, top: int, usable: Callable[[int], bool], limit: Optional[int] = None
+    ) -> Tuple[Dict[int, int], Dict[int, int], List[int]]:
+        """BFS from class ``top`` along usable steps, to depth ``limit``.
+
+        Returns ``up`` (the tree step into each class reached, -1 at
+        ``top``), ``depth``, and the classes in BFS order, which is the lex
+        order of their tree paths.
+        """
+        up, depth, order = {top: -1}, {top: 0}, [top]
+        for u in order:
+            if limit is not None and depth[u] >= limit:
+                break
+            for s in self.out[u]:
+                v = self.terminus[s]
+                if v not in depth and usable(s):
+                    up[v], depth[v] = s, depth[u] + 1
+                    order.append(v)
+        return up, depth, order
+
+    def shortest_cycle(self, on_cycle: List[bool]) -> Optional[List[int]]:
+        """The lex-least shortest closed chain, in canonical form.
+
+        Its canonical form starts forward on its least edge e and then uses
+        only larger ids, so per e (in id order) a BFS over the larger ids
+        gives the shortest way back, and a greedy descent by step order the
+        lex-least one.  ``on_cycle`` marks the edges that lie on some cycle;
+        the others cannot.
+        """
+        best: Optional[List[int]] = None
+        for i in range(0, len(self.steps), 2):
+            if not on_cycle[i >> 1]:
+                continue
+            usable = lambda s, least=i >> 1: s >> 1 > least and on_cycle[s >> 1]
+            _, dist, _ = self._bfs(self.origin[i], usable, None if best is None else len(best) - 2)
+            u = self.terminus[i]
+            if u not in dist:
+                continue
+            best = [i]
+            while dist[u]:
+                s = next(s for s in self.out[u] if usable(s) and dist.get(self.terminus[s]) == dist[u] - 1)
+                best.append(s)
+                u = self.terminus[s]
+            if len(best) == 1:
+                break
+        return best
+
+    def shortest_nonlevel_cycle(self, on_cycle: List[bool]) -> Optional[List[int]]:
+        """A shortest closed chain with ``|ratio| != 1``, canonicalised.
+
+        From each root class r, a BFS tree over the edges on cycles gives
+        every class a potential (the absolute gain of its tree path); an
+        edge whose gain does not match its ends' potentials closes a
+        non-level cycle with the two tree paths.  For a shortest non-level
+        cycle C and r on C, C's gain is the product of those of its edges'
+        tree cycles, each at most as long as C and passing through r, so
+        one of them is a shortest non-level cycle (the shortest-odd-cycle
+        argument).  The result is the lex-least shortest one among the
+        cycles through their root found that way; no tree path of one is
+        longer than half of it, which bounds each BFS.  An unbounded BFS that
+        meets no non-level edge marks its whole component level.
+        """
+        best: Optional[List[int]] = None
+        level = [False] * len(self.out)
+        for top in range(len(self.out)):
+            if level[top]:
+                continue
+            limit = None if best is None else len(best) // 2
+            up, depth, order = self._bfs(top, lambda s: on_cycle[s >> 1], limit)
+            potential = {top: (1, 1)}
+            for v in order[1:]:
+                s = up[v]
+                num, den = potential[self.origin[s]]
+                potential[v] = (num * abs(self.k_terminus[s]), den * abs(self.k_origin[s]))
+            nonlevel = False
+            for u in order:
+                for i in self.out[u]:
+                    v = self.terminus[i]
+                    if i & 1 or not on_cycle[i >> 1] or v not in depth:
+                        continue
+                    (num_u, den_u), (num_v, den_v) = potential[u], potential[v]
+                    if num_u * abs(self.k_terminus[i]) * den_v == num_v * abs(self.k_origin[i]) * den_u:
+                        continue
+                    nonlevel = True
+                    length = depth[u] + depth[v] + 1
+                    if best is not None and length > len(best):
+                        continue
+                    cycle = self.tree_cycle(i, up, depth)
+                    if len(cycle) < length:  # not through the root: found from its own classes
+                        continue
+                    cycle = self.canonical(cycle)
+                    if best is None or (len(cycle), cycle) < (len(best), best):
+                        best = cycle
+            if limit is None and not nonlevel:
+                for u in order:
+                    level[u] = True
+        return best
+
+    def shortest_full_path(self) -> Optional[List[int]]:
+        """The lex-least shortest full non-maximal path, on a class graph
+        without cycles, in its lex-lesser orientation.
+
+        An edge with arrows at both ends is one.  Otherwise a full path
+        leaves a one-arrow edge f from its arrowed end, crosses arrow-free
+        edges and ends on another one-arrow edge l at its arrowed end; the
+        preferred orientation starts on the smaller id.  So per f (in id
+        order) a BFS over arrow-free edges finds the nearest classes that
+        such an l of larger id leaves from; without cycles the path to each
+        is unique.
+        """
+        for i in range(0, len(self.steps), 2):
+            if self.arrow_origin[i] and self.arrow_terminus[i]:
+                return [i]
+        firsts: List[int] = []
+        lasts: Dict[int, List[int]] = {}
+        for s in range(len(self.steps)):
+            if self.arrow_origin[s] and not self.arrow_terminus[s]:
+                firsts.append(s)
+            elif self.arrow_terminus[s] and not self.arrow_origin[s]:
+                lasts.setdefault(self.origin[s], []).append(s)
+        best: Optional[List[int]] = None
+        for f in firsts:
+            if best is not None and len(best) == 2:
+                break
+            up, depth, order = self._bfs(
+                self.terminus[f],
+                lambda s: not (self.arrow_origin[s] or self.arrow_terminus[s]),
+                None if best is None else len(best) - 3,
+            )
+            found: List[List[int]] = []
+            for v in order:
+                if found and depth[v] + 2 > len(found[0]):
+                    break
+                l = next((l for l in lasts.get(v, ()) if l >> 1 > f >> 1), None)
+                if l is not None:
+                    found.append([f] + self._tree_path(v, up) + [l])
+            if found:
+                best = min(found)
+        return best
+
+    def _tree_path(self, v: int, up) -> List[int]:
+        """The tree steps from the root of ``up`` down to ``v``."""
+        path = []
+        while up[v] != -1:
+            path.append(up[v])
+            v = self.origin[up[v]]
+        return path[::-1]
 
 
 # ------------------------------------------------------------- closed paths
 
 
-def _step_key(step: OrientedEdge) -> Tuple[int, int]:
-    return (step.edge.id, 0 if step.forward else 1)
-
-
-def _path_key(steps: Sequence[OrientedEdge]) -> Tuple[Tuple[int, int], ...]:
-    return tuple(_step_key(s) for s in steps)
-
-
-def _reversed_path(steps: Sequence[OrientedEdge]) -> List[OrientedEdge]:
-    return [s.reversed() for s in reversed(steps)]
-
-
-def _closed_chains(index: _ClassIndex) -> Iterator[Tuple[OrientedEdge, ...]]:
+def _closed_chains(index: _ClassGraph) -> Iterator[List[int]]:
     """All closed edge-once chains, one representative per rotation/reversal class.
 
     The representative is the lex-least rotation of the chain and of its
-    reverse under ``_path_key``: the one that starts with the forward
+    reverse in step order: the one that starts with the forward
     traversal of its least edge id.  So each walk starts forward on an edge
     and admits only larger ids after it.
     """
-    for start, step in enumerate(index.steps):
-        if not step.forward:
-            continue
-        least, home = index.edge_id[start], index.origin[start]
-        for walk in index.walks(start, admits=lambda i: index.edge_id[i] > least):
+    for start in range(0, len(index.steps), 2):
+        home = index.origin[start]
+        for walk in index.walks(start, admits=lambda i, least=start >> 1: i >> 1 > least):
             if index.terminus[walk[-1]] == home:
-                yield index.chain(walk)
+                yield walk
 
 
 def enumerate_complete_paths(graph: GraphOfGroups) -> List[ConjugacyPath]:
@@ -322,16 +551,15 @@ def enumerate_complete_paths(graph: GraphOfGroups) -> List[ConjugacyPath]:
     so the witness covers the full loop including the return to the base
     word.  A chain is *level* when ``|ratio()| = 1``; a non-level chain
     exhibits an unbalanced element.  A tree (Betti number 0) has no closed
-    edge-once walk, so it returns ``[]`` without walking.
+    edge-once walk, so it returns ``[]`` without walking.  The walk is
+    exponential when many edges share a class; :func:`decide_chains`
+    answers the verdicts' questions without it.
     """
     if graph.betti_number == 0:
         return []
-    chains = []
-    for steps in _closed_chains(_ClassIndex(graph)):
-        base_word = steps[0].origin_word
-        chains.append(_certify(graph, base_word, base_word, steps))
-    chains.sort(key=lambda p: (len(p.steps), _path_key(p.steps)))
-    return chains
+    index = _ClassGraph(graph)
+    walks = sorted((list(walk) for walk in _closed_chains(index)), key=lambda w: (len(w), w))
+    return [index.certified(walk, closed=True) for walk in walks]
 
 
 # -------------------------------------------------------- non-maximal paths
@@ -349,7 +577,7 @@ def enumerate_full_nonmaximal_paths(graph: GraphOfGroups) -> List[ConjugacyPath]
     arrows at both ends is the one-step case.  Results are deduplicated
     under reversal.
     """
-    index = _ClassIndex(graph)
+    index = _ClassGraph(graph)
     found = []
     for start in range(len(index.steps)):
         if not index.arrow_origin[start]:
@@ -360,14 +588,79 @@ def enumerate_full_nonmaximal_paths(graph: GraphOfGroups) -> List[ConjugacyPath]
             admits=lambda i: not index.arrow_origin[i],
             halts=lambda i: index.arrow_terminus[i],
         ):
-            if not index.arrow_terminus[walk[-1]]:
-                continue
-            steps = index.chain(walk)
-            if _path_key(steps) <= _path_key(_reversed_path(steps)):
-                found.append(_certify(graph, steps[0].origin_word, steps[-1].terminus_word, steps))
+            if index.arrow_terminus[walk[-1]] and walk <= [i ^ 1 for i in reversed(walk)]:
+                found.append(list(walk))
+    found.sort(key=lambda w: (len(w), w))
+    return [index.certified(walk, closed=False) for walk in found]
 
-    found.sort(key=lambda p: (len(p.steps), _path_key(p.steps)))
-    return found
+
+# ----------------------------------------------------------------- decisions
+
+
+@dataclass(frozen=True)
+class ChainDecision:
+    """What the class gain graph decides about closed and full chains.
+
+    ``modulus`` holds the distinct ratios of the fundamental cycles of the
+    spanning forest that union-find builds over the edges in id order, each
+    read on its canonical chain (forward on its least edge id), sorted by
+    ``(|r|, r)``.  They generate the ratios of all closed chains, so the
+    group is balanced exactly when every entry is ±1.  ``complete`` is the
+    lex-least shortest complete closed chain, None when the class graph has
+    no cycle.  ``nonlevel`` is a shortest closed chain with ``|ratio| != 1``
+    (``complete`` itself when that one is non-level), None exactly when
+    balanced.  ``full`` is the lex-least shortest full non-maximal path,
+    looked for only when ``complete`` is None.  Each witness is certified by
+    :func:`check_conjugacy_path`; nothing else is.
+    """
+
+    modulus: Tuple[Fraction, ...]
+    complete: Optional[ConjugacyPath]
+    nonlevel: Optional[ConjugacyPath]
+    full: Optional[ConjugacyPath]
+
+
+def _found(walk: Optional[List[int]], what: str) -> List[int]:
+    if walk is None:
+        raise InternalInconsistencyError(f"the class graph has {what} that its search did not find")
+    return walk
+
+
+def decide_chains(graph: GraphOfGroups) -> ChainDecision:
+    """Closed-chain and full-path verdicts from one class gain graph.
+
+    A complete closed chain exists iff the class graph has a cycle (loops
+    and parallel edges count).  Without one, a full non-maximal path exists
+    iff some edge has arrows at both ends, or the non-arrowed ends of two
+    one-arrow edges are joined by arrow-free edges.  Time is polynomial:
+    union-find and one walk per fundamental cycle, one bounded BFS per edge
+    for the shortest cycle, and a BFS per class for the shortest non-level
+    one only when the group is unbalanced.
+    """
+    classes = _ClassGraph(graph)
+    up, depth, closing = classes.spanning_forest()
+    on_cycle = [False] * len(graph.edges)
+    ratios = set()
+    for i in closing:
+        cycle = classes.canonical(classes.tree_cycle(i, up, depth))
+        ratios.add(classes.ratio(cycle))
+        for s in cycle:
+            on_cycle[s >> 1] = True
+    modulus = tuple(sorted(ratios, key=lambda r: (abs(r), r)))
+    if not closing:
+        full = classes.shortest_full_path()
+        if full is None:
+            return ChainDecision(modulus, None, None, None)
+        return ChainDecision(modulus, None, None, classes.certified(full, closed=False))
+
+    complete = classes.certified(_found(classes.shortest_cycle(on_cycle), "a cycle"), closed=True)
+    nonlevel = None
+    if any(abs(r) != 1 for r in modulus):
+        nonlevel = complete
+        if abs(complete.ratio()) == 1:
+            walk = _found(classes.shortest_nonlevel_cycle(on_cycle), "a non-level cycle")
+            nonlevel = classes.certified(walk, closed=True)
+    return ChainDecision(modulus, complete, nonlevel, None)
 
 
 # --------------------------------------------------------------- open search
@@ -388,9 +681,10 @@ def iter_conjugacy_paths(
     if g.vertex not in homes or g_prime.vertex not in homes:
         raise DegenerateInputError("endpoints must live at vertices of the graph")
 
-    index = _ClassIndex(graph)
-    target = _word_class(homes[g_prime.vertex], g_prime)
-    for start in index.out.get(_word_class(homes[g.vertex], g), ()):
+    index = _ClassGraph(graph)
+    source = index.word_class(homes[g.vertex], g)
+    target = index.word_class(homes[g_prime.vertex], g_prime)
+    for start in () if source is None else index.out[source]:
         for walk in index.walks(start):
             if index.terminus[walk[-1]] == target:
                 yield _certify(graph, g, g_prime, index.chain(walk))

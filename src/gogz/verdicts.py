@@ -1,21 +1,22 @@
 """Group-level verdicts read off a graph of groups, each with a checked witness.
 
-Every decider reduces a question about the fundamental group to finitely
-many path or root computations on the graph, and every positive claim is
+Every decider reduces a question about the fundamental group to
+polynomially many graph or root computations, and every positive claim is
 re-verified in the normal-form engine before it is returned: a conjugation
 witness must multiply out exactly, a central element must visibly commute
-with every generator.  A verification failure is a bug in the enumeration
+with every generator.  A verification failure is a bug in the decision
 layer, never a property of the input, so it raises
 :class:`~gogz.errors.InternalInconsistencyError`.
 
 Verdicts decided here, all by :func:`analyze` except the last:
 
-* balance — no closed chain multiplies exponents by a ratio other than ±1;
-  an offending chain exhibits conjugate distinct powers ``g^i ~ g^j`` and
-  pins down the Baumslag-Solitar subgroup BS(m, n) they generate.
-* word hyperbolicity — no complete closed chain and no full non-maximal
-  path; a witness of either kind embeds a Baumslag-Solitar subgroup (Z^2
-  counts as BS(1, 1)).
+* balance — no closed chain multiplies exponents by a ratio other than ±1,
+  read off the fundamental cycles of the class gain graph; an offending
+  chain exhibits conjugate distinct powers ``g^i ~ g^j`` and pins down the
+  Baumslag-Solitar subgroup BS(m, n) they generate.
+* word hyperbolicity — the class gain graph has no cycle (no complete
+  closed chain) and no full non-maximal path; a witness of either kind
+  embeds a Baumslag-Solitar subgroup (Z^2 counts as BS(1, 1)).
 * acylindrical hyperbolicity — on the reduced graph, it fails exactly when
   every vertex group is infinite cyclic; the common power of the incident
   inclusion words then generates an s-normal subgroup.
@@ -27,9 +28,11 @@ Verdicts decided here, all by :func:`analyze` except the last:
 
 Chain witnesses are :class:`~gogz.paths.ConjugacyPath` records, and every
 replay, chain or not, is one relation ``w x^m w^-1 = y^n`` checked by
-``_require``.  ``analyze`` shares the closed-chain enumeration, the
-reduction, the acylindricity verdict and one engine per graph (a second one
-only for a reduced graph that differs from the input) between verdicts.
+``_require``.  ``analyze`` shares one :func:`~gogz.paths.decide_chains`
+call (one class gain graph), the reduction, the acylindricity verdict and
+one engine per graph (a second one only for a reduced graph that differs
+from the input) between verdicts; only the reported witnesses are built
+and replayed.
 """
 
 from __future__ import annotations
@@ -43,10 +46,11 @@ from .engine import Engine
 from .errors import DegenerateInputError, InternalInconsistencyError
 from .graphs import MINUS, PLUS, Contraction, GraphOfGroups, reduce_graph
 from .paths import (
+    ChainDecision,
     ConjugacyPath,
     ConjugatorItem,
-    enumerate_complete_paths,
-    enumerate_full_nonmaximal_paths,
+    decide_chains,
+    enumerate_complete_paths,  # unused here; bench/spans traces this binding
     iter_conjugacy_paths,
 )
 from .words import FreeWord, cyclic_meet, maximal_root, root
@@ -86,7 +90,9 @@ class BalanceVerdict:
     ``bs_tag = (m, n)`` names the Baumslag-Solitar subgroup BS(m, n)
     generated by the witness relation (``bs_sign`` carries the sign of the
     transfer ratio).  ``modulus`` lists the distinct exponent-transfer
-    ratios realised by complete closed chains.
+    ratios of the fundamental cycles of the class gain graph (see
+    :class:`~gogz.paths.ChainDecision`): they generate the ratio of every
+    complete closed chain, so all are ±1 exactly when balanced.
     """
 
     balanced: bool
@@ -96,18 +102,15 @@ class BalanceVerdict:
     modulus: Tuple[Fraction, ...]
 
 
-def _balance(engine: Engine, complete: List[ConjugacyPath]) -> BalanceVerdict:
+def _balance(engine: Engine, chains: ChainDecision) -> BalanceVerdict:
     """A non-level complete closed chain is exactly an unbalanced element."""
-    ratios = [path.ratio() for path in complete]
-    modulus = tuple(sorted(set(ratios), key=lambda r: (abs(r), r)))
-    nonlevel = [(path, r) for path, r in zip(complete, ratios) if abs(r) != 1]
-    if not nonlevel:
-        return BalanceVerdict(True, None, None, 1, modulus)
-    witness, ratio = nonlevel[0]
+    witness = chains.nonlevel
+    if witness is None:
+        return BalanceVerdict(True, None, None, 1, chains.modulus)
     _require_path(engine, witness, "non-level closed chain")
-    inverse_ratio = 1 / ratio
+    inverse_ratio = 1 / witness.ratio()
     tag = (abs(inverse_ratio.numerator), abs(inverse_ratio.denominator))
-    return BalanceVerdict(False, witness, tag, 1 if inverse_ratio > 0 else -1, modulus)
+    return BalanceVerdict(False, witness, tag, 1 if inverse_ratio > 0 else -1, chains.modulus)
 
 
 # -------------------------------------------------------------- hyperbolicity
@@ -115,10 +118,11 @@ def _balance(engine: Engine, complete: List[ConjugacyPath]) -> BalanceVerdict:
 
 @dataclass(frozen=True)
 class HyperbolicityVerdict:
-    """``hyperbolic`` with the first refuting path when false.
+    """``hyperbolic`` with the refuting path when false.
 
-    ``kind`` names the refutation: ``"complete"`` (a complete closed chain)
-    or ``"full"`` (a full non-maximal path).  Either kind forces a
+    ``kind`` names the refutation: ``"complete"`` (the lex-least shortest
+    complete closed chain) or, only when no closed chain exists, ``"full"``
+    (the lex-least shortest full non-maximal path).  Either kind forces a
     Baumslag-Solitar subgroup (a full non-maximal path of level ratio
     yields Z^2 = BS(1, 1)).
     """
@@ -128,14 +132,13 @@ class HyperbolicityVerdict:
     kind: Optional[str]
 
 
-def _hyperbolicity(engine: Engine, complete: List[ConjugacyPath]) -> HyperbolicityVerdict:
-    """The first complete chain refutes; full paths are only listed when none exists."""
-    kind = "complete" if complete else "full"
-    refuting = complete or enumerate_full_nonmaximal_paths(engine.graph)
-    if not refuting:
+def _hyperbolicity(engine: Engine, chains: ChainDecision) -> HyperbolicityVerdict:
+    """A complete chain refutes; a full path is looked for only without one."""
+    kind, witness = ("complete", chains.complete) if chains.complete else ("full", chains.full)
+    if witness is None:
         return HyperbolicityVerdict(True, None, None)
-    _require_path(engine, refuting[0], f"{kind} path")
-    return HyperbolicityVerdict(False, refuting[0], kind)
+    _require_path(engine, witness, f"{kind} path")
+    return HyperbolicityVerdict(False, witness, kind)
 
 
 # --------------------------------------------------------------- acylindrical
@@ -391,9 +394,9 @@ def analyze(graph: GraphOfGroups) -> AnalysisReport:
     """Run every decider and cross-check the verdicts against each other."""
     reduced, contractions = reduce_graph(graph)
     engine = Engine(graph)
-    complete = enumerate_complete_paths(graph)
-    balance = _balance(engine, complete)
-    hyper = _hyperbolicity(engine, complete)
+    chains = decide_chains(graph)
+    balance = _balance(engine, chains)
+    hyper = _hyperbolicity(engine, chains)
     tri = _trichotomy(engine if reduced is graph else Engine(reduced))
 
     rel_hyp_note = None

@@ -164,7 +164,7 @@ def letters_sort_key(letters: Letters):
     return (len(letters), tuple(letter_key(l) for l in letters))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class FreeWord:
     """A freely reduced word in one vertex group."""
 
@@ -225,7 +225,7 @@ def _smallest_period(core: Letters) -> Letters:
     raise AssertionError("unreachable")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class RootDecomposition:
     """w = conjugator * primitive^exponent * conjugator^-1, exponent != 0.
 
@@ -265,6 +265,17 @@ def root(w: FreeWord) -> RootDecomposition:
     """Primitive root decomposition of a nontrivial word."""
     if w.is_identity:
         raise DegenerateInputError("root of the identity is undefined")
+    return _checked_root(w)
+
+
+# Unlike the int tuples of _root_cached, which the garbage collector stops
+# tracking, every cached decomposition stays tracked, so a graph with tens
+# of thousands of distinct edge words would slow every later collection.
+# The bound keeps that cost fixed; a single `check` of the benchmark pools
+# roots at most 116 distinct words.
+@lru_cache(maxsize=4096)
+def _checked_root(w: FreeWord) -> RootDecomposition:
+    # a hit returns the decomposition built and checked once for this word
     conj, p, k = _root_cached(w.vertex, w.letters)
     dec = RootDecomposition(FreeWord(w.vertex, conj), FreeWord(w.vertex, p), k)
     assert dec.recompose() == w, "root decomposition must recompose"

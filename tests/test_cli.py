@@ -63,7 +63,7 @@ class TestCheck:
         code, out = run(capsys, "check", path, "--format", "json", "--no-timing")
         assert code == 0
         doc = json.loads(out)
-        assert doc["schema_version"] == 1
+        assert doc["schema_version"] == 2
         assert doc["input"]["sha256"] == hashlib.sha256(TREFOIL.encode()).hexdigest()
         verdicts = doc["verdicts"]
         assert verdicts["balanced"] is True and verdicts["bs_subgroup"] is None

@@ -11,6 +11,7 @@ from gogz.graphs import (
     Edge,
     GraphOfGroups,
     Vertex,
+    _tokenize,
     maximal_tree,
     parse_graph,
     reduce_graph,
@@ -72,6 +73,44 @@ def test_parse_errors_carry_positions(text, line, fragment):
         parse_graph(text)
     assert err.value.line == line
     assert fragment in str(err.value)
+
+
+def reference_tokenize(line, lineno):
+    """The character-at-a-time scanner that ``_tokenize`` replaced."""
+    tokens = []
+    i, n = 0, len(line)
+    while i < n:
+        if line[i] in " \t":
+            i += 1
+            continue
+        if line[i] == "#":
+            break
+        start = i
+        buf = []
+        quoted = False
+        while i < n and (quoted or line[i] not in " \t#"):
+            if line[i] == '"':
+                quoted = not quoted
+            else:
+                buf.append(line[i])
+            i += 1
+        if quoted:
+            raise ParseError("unterminated quote", lineno, start + 1)
+        tokens.append(("".join(buf), start + 1))
+    return tokens
+
+
+def _scan(tokenize, line):
+    try:
+        return tokenize(line, 3)
+    except ParseError as exc:
+        return ("error", exc.message, exc.line, exc.col)
+
+
+@settings(max_examples=500, deadline=None)
+@given(st.text(alphabet='a=^"# \t', max_size=24))
+def test_tokenize_matches_the_character_scanner(line):
+    assert _scan(_tokenize, line) == _scan(reference_tokenize, line)
 
 
 def test_disconnected_rejected():

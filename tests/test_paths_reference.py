@@ -1,4 +1,5 @@
-"""The class-indexed walker against a brute-force copy of the walk it replaced.
+"""The class-indexed walker against a brute-force copy of the walk it
+replaced, and the class-graph deciders against the walker.
 
 The reference walkers below rescan every oriented edge at each step, test
 junctions with ``cyclic_meet`` directly and canonicalise closed chains by
@@ -7,20 +8,23 @@ are powers of a few shared primitives (so that chains exist), the
 enumerations must agree exactly: the same lists in the same order for the
 closed and full chains, and the same sequence in yield order for the open
 search, which ``power_conjugate`` and the ``conj`` command depend on.
+``decide_chains`` must then give the verdicts and witnesses that the
+enumerations imply.
 """
 
 from itertools import islice
 from typing import List
 
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from gogz.graphs import Edge, GraphOfGroups, OrientedEdge, Vertex
+from gogz.graphs import Edge, GraphOfGroups, OrientedEdge, Vertex, parse_graph
 from gogz.paths import (
     ConjugacyPath,
-    _ClassIndex,
+    _ClassGraph,
     _closed_chains,
     check_conjugacy_path,
+    decide_chains,
     enumerate_complete_paths,
     enumerate_full_nonmaximal_paths,
     iter_conjugacy_paths,
@@ -200,6 +204,39 @@ def graphs(draw, trees_only=False):
 
 
 @st.composite
+def rank_one_multigraphs(draw):
+    """Rank-one vertices joined by parallel edges, no loops: all ends at a
+    vertex share its class, so shortest cycles often tie on length."""
+    n = draw(st.integers(2, 5))
+    vertices = [Vertex.make(v, ["abcde"[v]]) for v in range(n)]
+    ends = [(draw(st.integers(0, v - 1)), v) for v in range(1, n)]
+    for _ in range(draw(st.integers(0, 7 - len(ends)))):
+        minus = draw(st.integers(0, n - 1))
+        plus = draw(st.integers(0, n - 2))
+        ends.append((minus, plus + (plus >= minus)))
+    edges = [
+        Edge(eid, minus, plus, _word(vertices[minus], draw(word_specs(1))), _word(vertices[plus], draw(word_specs(1))))
+        for eid, (minus, plus) in enumerate(draw(st.permutations(ends)))
+    ]
+    return GraphOfGroups(vertices, edges)
+
+
+def _rank_one_graph(n, edges):
+    lines = [f"vertex {v} rank=1 gens=x{v}" for v in range(n)]
+    lines += [f'edge {eid} {m} {p} minus="x{m}^{i}" plus="x{p}^{j}"' for eid, (m, p, i, j) in enumerate(edges)]
+    return parse_graph("\n".join(lines))
+
+
+# two 2-cycles with the same length and different least edges
+TIED_CYCLES = _rank_one_graph(3, [(0, 1, 1, 1), (0, 1, 1, 2), (1, 2, 1, 1), (1, 2, 3, 1)])
+# a star of arrow-free edges with a one-arrow edge at each tip: the full
+# paths from the first tip reach the two others at the same length
+TIED_FULL_PATHS = _rank_one_graph(
+    7, [(0, 1, 1, 1), (0, 2, 1, 1), (0, 3, 1, 1), (1, 4, 1, 2), (2, 5, 1, 2), (3, 6, 1, 2)]
+)
+
+
+@st.composite
 def graphs_with_endpoints(draw):
     graph = draw(graphs())
     ends = []
@@ -227,7 +264,7 @@ def test_trees_have_no_closed_chains(tree):
     # walker and the reference agree that there is nothing to find
     assert tree.betti_number == 0
     assert enumerate_complete_paths(tree) == []
-    assert list(_closed_chains(_ClassIndex(tree))) == [] == reference_complete(tree)
+    assert list(_closed_chains(_ClassGraph(tree))) == [] == reference_complete(tree)
 
 
 @settings(max_examples=150, deadline=None)
@@ -243,3 +280,32 @@ def test_open_search_matches_reference_in_yield_order(case):
     # a prefix fixes the order; the full stream can run to tens of thousands
     new = list(islice(iter_conjugacy_paths(graph, g, g_prime), OPEN_PREFIX))
     assert new == list(islice(reference_open(graph, g, g_prime), OPEN_PREFIX))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(graphs(), graphs(trees_only=True), rank_one_multigraphs()))
+@example(TIED_CYCLES)
+@example(TIED_FULL_PATHS)
+def test_class_graph_decisions_match_the_enumerations(graph):
+    decision = decide_chains(graph)
+    complete = enumerate_complete_paths(graph)
+    # a complete chain exists iff the class graph has a cycle, and the
+    # witness is the first chain listed: the lex-least shortest one
+    assert decision.complete == (complete[0] if complete else None)
+
+    nonlevel = [p for p in complete if abs(p.ratio()) != 1]
+    assert (decision.nonlevel is None) == (not nonlevel)
+    assert all(abs(r) == 1 for r in decision.modulus) == (not nonlevel)
+    if nonlevel:
+        assert decision.nonlevel in nonlevel
+        assert len(decision.nonlevel.steps) == len(nonlevel[0].steps)
+        if abs(complete[0].ratio()) != 1:
+            assert decision.nonlevel == complete[0]
+    assert set(decision.modulus) <= {p.ratio() for p in complete}
+    assert list(decision.modulus) == sorted(set(decision.modulus), key=lambda r: (abs(r), r))
+
+    if complete:
+        assert decision.full is None
+    else:
+        full = enumerate_full_nonmaximal_paths(graph)
+        assert decision.full == (full[0] if full else None)

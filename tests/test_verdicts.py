@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gogz import verdicts
+from gogz import paths, verdicts
 from gogz.engine import Engine
 from gogz.errors import DegenerateInputError
 from gogz.graphs import parse_graph, reduce_graph
@@ -400,7 +400,7 @@ class TestAnalyze:
     def test_shared_steps_run_once(self, text, monkeypatch):
         graph = parse_graph(text)
         calls = {}
-        for name in ("enumerate_complete_paths", "reduce_graph", "_acyl"):
+        for name in ("decide_chains", "reduce_graph", "_acyl"):
             original = getattr(verdicts, name)
 
             def counted(*args, _name=name, _original=original, **kwargs):
@@ -408,8 +408,19 @@ class TestAnalyze:
                 return _original(*args, **kwargs)
 
             monkeypatch.setattr(verdicts, name, counted)
+        builds = []
+        original_init = paths._ClassGraph.__init__
+
+        def built(self, g):
+            builds.append(g)
+            original_init(self, g)
+
+        monkeypatch.setattr(paths._ClassGraph, "__init__", built)
+        for name in ("enumerate_complete_paths", "enumerate_full_nonmaximal_paths"):
+            monkeypatch.setattr(paths, name, lambda *args, _name=name: pytest.fail(f"{_name} ran"))
         report = analyze(graph)
-        assert calls["enumerate_complete_paths"] == 1 and calls["reduce_graph"] == 1
+        assert calls["decide_chains"] == 1 and calls["reduce_graph"] == 1
+        assert builds == [graph]
         assert calls.get("_acyl", 0) == (0 if report.reduced.is_trivial else 1)
 
     @pytest.mark.parametrize(
