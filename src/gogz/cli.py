@@ -35,7 +35,7 @@ from .errors import (
 from .graphs import Contraction, GraphOfGroups, parse_graph, side_name
 from .paths import ConjugacyPath, enumerate_complete_paths, enumerate_full_nonmaximal_paths
 from .verdicts import AnalysisReport, ConjugacyAnswer, analyze, power_conjugate
-from .words import Alphabet, FreeWord
+from .words import MAX_WORD_LETTERS, Alphabet, FreeWord
 
 SCHEMA_VERSION = 2
 
@@ -472,13 +472,15 @@ def cmd_conj(args, graph: GraphOfGroups, doc: dict) -> dict:
 # -------------------------------------------------------------------- oracle
 
 
-def _relation_tokens(graph: GraphOfGroups, side: str, what: str) -> list:
-    """The engine items of one side of a relation.
+def _relation_tokens(graph: GraphOfGroups, side: str, what: str, letters: int) -> Tuple[list, int]:
+    """The engine items of one side of a relation, and the running count of
+    expanded letters, which starts at ``letters``.
 
     Tokens follow the graph file's word grammar (``name``, ``name^k``,
     ``1``): a generator token is parsed by the alphabet that owns the name,
     and a stable letter ``t_<edge-id>`` (or ``t`` when there is one edge) by
-    an alphabet of that one letter.
+    an alphabet of that one letter.  Like a word, the whole relation may
+    expand to at most :data:`MAX_WORD_LETTERS` letters.
     """
     owner = {name: v.alphabet for _, v in sorted(graph.vertices.items()) for name in v.alphabet.names}
     items = []
@@ -487,15 +489,19 @@ def _relation_tokens(graph: GraphOfGroups, side: str, what: str) -> list:
         try:
             if name == "t" or name.startswith("t_"):
                 eid = _stable_letter_edge(graph, name, token)
-                letters = Alphabet("t", (name,)).parse(token).letters
-                items.extend(("t", eid, letter) for letter in letters)
+                stable = Alphabet("t", (name,)).parse(token).letters
+                items.extend(("t", eid, letter) for letter in stable)
+                letters += len(stable)
             elif token != "1":
                 if name not in owner:
                     raise ParseError(f"unknown generator or stable letter {token!r}")
                 items.append(owner[name].parse(token))
+                letters += len(items[-1].letters)
+            if letters > MAX_WORD_LETTERS:
+                raise ParseError(f"relation longer than {MAX_WORD_LETTERS} letters at token {token!r}")
         except ParseError as exc:
             raise ParseError(f"{what}: {exc}") from None
-    return items
+    return items, letters
 
 
 def _stable_letter_edge(graph: GraphOfGroups, name: str, token: str) -> int:
@@ -516,9 +522,10 @@ def cmd_oracle(args, graph: GraphOfGroups, doc: dict) -> dict:
     lhs_text, eq, rhs_text = args.relation.partition("=")
     if not eq or "=" in rhs_text:
         raise ParseError("--relation wants exactly one '='")
+    lhs_items, letters = _relation_tokens(graph, lhs_text, "left side", 0)
+    rhs_items, _ = _relation_tokens(graph, rhs_text, "right side", letters)
     engine = Engine(graph)
-    lhs = engine.element_of(_relation_tokens(graph, lhs_text, "left side"))
-    rhs = engine.element_of(_relation_tokens(graph, rhs_text, "right side"))
+    lhs, rhs = engine.element_of(lhs_items), engine.element_of(rhs_items)
     holds = lhs == rhs
     doc["relation"] = args.relation.strip()
     doc["holds"] = holds

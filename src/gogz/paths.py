@@ -33,7 +33,9 @@ gains of its steps.  Everything here reads that one graph:
   those two kinds, and :func:`iter_conjugacy_paths` every edge-once
   conjugacy path between two given vertex elements.  They walk class
   adjacency, so their cost follows the number of edge-once walks there,
-  which grows exponentially when many edges share a class.
+  which grows exponentially when many edges share a class.  The open
+  search walks only when one BFS over the class graph reaches the class of
+  its target, so a query with no path at all costs that BFS.
 
 Chains are :class:`ConjugacyPath` records, the one chain record of the
 package: its ratio, witness exponents, base vertex (``steps[0].origin``)
@@ -120,10 +122,18 @@ class ConjugacyPath:
         return out
 
     def witness_exponents(self) -> Tuple[int, int]:
-        """Minimal (m, n) with conjugator() * start^m * conjugator()^-1 = end^n.
+        """Minimal (m, n) with c * start^m * c^-1 = end^n, where c is the
+        product of :meth:`conjugator_items`.
 
         m is the least positive exponent whose transfer stays integral at
-        every stage of the chain.
+        every stage of the chain.  No smaller m works with this conjugator:
+        at the first stage where the transfer of start^m is not integral,
+        the element is a power of the stage's root outside the cyclic
+        subgroup of the outgoing word.  Before an edge, the crossing then
+        cannot cancel, so by the normal form theorem for graphs of groups
+        (Britton's lemma) the product is not in the vertex group of
+        ``end``; at the exit it is a power of the root of ``end`` but not of
+        ``end``.
         """
         partials = self._partials()
         m = lcm(*(q.denominator for q in partials))
@@ -673,7 +683,8 @@ def iter_conjugacy_paths(
 
     The order is depth-first over ``graph.oriented_edges()``; a chain is
     yielded before its extensions.  Closed chains returning to the start
-    vertex appear too.
+    vertex appear too.  When no edge end has the class of g', or one BFS
+    from the class of g does not reach it, nothing is walked.
     """
     if g.is_identity or g_prime.is_identity:
         raise DegenerateInputError("conjugacy paths connect nontrivial elements")
@@ -684,7 +695,9 @@ def iter_conjugacy_paths(
     index = _ClassGraph(graph)
     source = index.word_class(homes[g.vertex], g)
     target = index.word_class(homes[g_prime.vertex], g_prime)
-    for start in () if source is None else index.out[source]:
+    if source is None or target not in index._bfs(source, lambda s: True)[1]:
+        return
+    for start in index.out[source]:
         for walk in index.walks(start):
             if index.terminus[walk[-1]] == target:
                 yield _certify(graph, g, g_prime, index.chain(walk))

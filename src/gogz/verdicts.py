@@ -1,11 +1,11 @@
 """Group-level verdicts read off a graph of groups, each with a checked witness.
 
-Every decider reduces a question about the fundamental group to
-polynomially many graph or root computations, and every positive claim is
-re-verified in the normal-form engine before it is returned: a conjugation
-witness must multiply out exactly, a central element must visibly commute
-with every generator.  A verification failure is a bug in the decision
-layer, never a property of the input, so it raises
+Every decider of :func:`analyze` reduces a question about the fundamental
+group to polynomially many graph or root computations, and every positive
+claim is re-verified in the normal-form engine before it is returned: a
+conjugation witness must multiply out exactly, a central element must
+visibly commute with every generator.  A verification failure is a bug in
+the decision layer, never a property of the input, so it raises
 :class:`~gogz.errors.InternalInconsistencyError`.
 
 Verdicts decided here, all by :func:`analyze` except the last:
@@ -24,7 +24,9 @@ Verdicts decided here, all by :func:`analyze` except the last:
   the integers, or carrying an infinite cyclic normal (here central)
   subgroup.
 * power conjugacy — :func:`power_conjugate` decides whether powers of two
-  vertex elements are conjugate, returning a certified witness.
+  vertex elements are conjugate, returning a certified witness.  It is the
+  one decider that still walks every edge-once path (when the answer is
+  yes), in a single pass that keeps one path per exponent pair.
 
 Chain witnesses are :class:`~gogz.paths.ConjugacyPath` records, and every
 replay, chain or not, is one relation ``w x^m w^-1 = y^n`` checked by
@@ -56,22 +58,12 @@ from .paths import (
 from .words import FreeWord, cyclic_meet, maximal_root, root
 
 
-def _holds_in_engine(
-    engine: Engine,
-    items: List[ConjugatorItem],
-    x: FreeWord,
-    m: int,
-    y: FreeWord,
-    n: int,
-) -> bool:
+def _require(engine: Engine, items: List[ConjugatorItem], x, m, y, n, claim: str) -> None:
+    """Replay ``items * x^m * items^-1 = y^n`` in the engine."""
     lhs = engine.power(engine.embed(x), m)
     if items:  # an empty conjugator would only renormalise lhs
         lhs = engine.conjugate(engine.element_of(items), lhs)
-    return lhs == engine.power(engine.embed(y), n)
-
-
-def _require(engine: Engine, items, x, m, y, n, claim: str) -> None:
-    if not _holds_in_engine(engine, items, x, m, y, n):
+    if lhs != engine.power(engine.embed(y), n):
         raise InternalInconsistencyError(f"witness failed engine verification: {claim}")
 
 
@@ -291,8 +283,10 @@ class ConjugacyAnswer:
     = y^n for ``exponents = (m, n)``.  ``route`` is "same_vertex" when the
     vertex group already provides the conjugation, else "path"; ``path``
     carries the certified chain in the latter case.  ``additional`` lists,
-    in search order, the other searched paths whose witness exponents differ
-    from ``exponents`` and from each other, each verified in the engine too.
+    in search order, the first searched path of each witness pair other
+    than ``exponents``, each verified in the engine too.  The search that
+    fills it is one pass that keeps one path per distinct pair, so its
+    memory follows the number of pairs, not of paths.
     """
 
     exists: bool
@@ -318,49 +312,47 @@ def _same_vertex_candidate(
     return m, n, items
 
 
+def _size(pair: Tuple[int, int]) -> Tuple[int, int]:
+    return pair[0], abs(pair[1])
+
+
 def power_conjugate(graph: GraphOfGroups, x: FreeWord, y: FreeWord) -> ConjugacyAnswer:
     """A certified witness that x^m is conjugate to y^n, if any.
 
     Candidates come from the shared vertex group (when x and y live at the
-    same vertex) and from every edge-once conjugacy path between their
-    vertices; the winner minimises (m, |n|) among those candidates.  The
-    witness exponents are divided by their gcd when the reduced claim still
-    verifies.  Walks that repeat an edge are not searched, so a relation
-    with smaller exponents may exist: in BS(2, 3) the answer for a^9 and
-    a^4 is (2, 3), while t^-2 a^9 t^2 = a^4 already holds.
+    same vertex) and from the edge-once conjugacy paths between their
+    vertices, read in one pass that keeps the first path of each distinct
+    witness pair: memory follows the number of pairs, not of paths.  The
+    answer minimises (m, |n|); the vertex candidate wins a tie, then the
+    earliest path.  A "no" takes one BFS over the class graph, but a "yes"
+    still walks every edge-once path from x's class, and their number grows
+    exponentially when many edge ends share a class.  Walks that repeat an
+    edge are not searched, so a relation with smaller exponents may exist:
+    in BS(2, 3) the answer for a^9 and a^4 is (2, 3), while
+    t^-2 a^9 t^2 = a^4 already holds.
     """
     if x.is_identity or y.is_identity:
         raise DegenerateInputError("power conjugacy is asked of nontrivial elements")
-    candidates: List[Tuple[Tuple[int, int, int], int, int, List[ConjugatorItem], str, Optional[ConjugacyPath]]] = []
-    if x.vertex == y.vertex:
-        same = _same_vertex_candidate(x, y)
-        if same is not None:
-            m, n, items = same
-            candidates.append(((m, abs(n), 0), m, n, items, "same_vertex", None))
-    paths = list(iter_conjugacy_paths(graph, x, y))
-    for path in paths:
-        m, n = path.witness_exponents()
-        candidates.append(((m, abs(n), 1), m, n, path.conjugator_items(), "path", path))
-    if not candidates:
+    same = _same_vertex_candidate(x, y) if x.vertex == y.vertex else None
+    first: Dict[Tuple[int, int], ConjugacyPath] = {}
+    for path in iter_conjugacy_paths(graph, x, y):
+        first.setdefault(path.witness_exponents(), path)
+    best = min(first, key=_size, default=None)  # the earliest of the least
+    if same is not None and (best is None or _size(same[:2]) <= _size(best)):
+        m, n, items = same
+        route, path = "same_vertex", None
+    elif best is not None:
+        (m, n), path = best, first[best]
+        route, items = "path", path.conjugator_items()
+    else:
         return ConjugacyAnswer(False, None, (), None, None)
 
-    candidates.sort(key=lambda c: c[0])
-    _, m, n, items, route, path = candidates[0]
     engine = Engine(graph)
     _require(engine, items, x, m, y, n, f"power conjugacy ({m}, {n})")
-    d = gcd(m, abs(n))
-    if d > 1 and _holds_in_engine(engine, items, x, m // d, y, n // d):
-        m, n = m // d, n // d
-
-    additional = []
-    seen = {(m, n)}
-    for other in paths:
-        m2, n2 = other.witness_exponents()
-        if (m2, n2) not in seen:
-            seen.add((m2, n2))
-            _require_path(engine, other, "path relation")
-            additional.append(other)
-    return ConjugacyAnswer(True, (m, n), tuple(items), route, path, tuple(additional))
+    additional = tuple(other for pair, other in first.items() if pair != (m, n))
+    for other in additional:
+        _require_path(engine, other, "path relation")
+    return ConjugacyAnswer(True, (m, n), tuple(items), route, path, additional)
 
 
 # -------------------------------------------------------------------- report

@@ -292,6 +292,17 @@ class TestErrors:
         assert main(["oracle", path, "--relation", f"t^{past} a = a"]) == 2
         assert capsys.readouterr().err.count("longer than") == 3
 
+    def test_relation_past_the_length_cap_exits_2(self, graph_file, capsys):
+        # every token is within the cap; the relation as a whole is not
+        path = graph_file(BS23)
+        assert main(["oracle", path, "--relation", "a^600000 a^600000 = a"]) == 2
+        assert main(["oracle", path, "--relation", "a^600000 = a^600000"]) == 2
+        assert main(["oracle", path, "--relation", "t^600000 a t^-600000 = a"]) == 2
+        assert capsys.readouterr().err.count(f"relation longer than {MAX_WORD_LETTERS} letters") == 3
+        half = MAX_WORD_LETTERS // 2
+        code, out = run(capsys, "oracle", path, "--relation", f"a^{half} = a^{half}", "--format", "text")
+        assert code == 0 and out.splitlines()[-1] == "true"
+
     def test_non_utf8_file_exits_2(self, tmp_path, capsys):
         path = tmp_path / "latin1.gog"
         path.write_bytes(b"vertex 0 rank=1 gens=\xff\n")

@@ -305,6 +305,19 @@ class TestIterConjugacyPaths:
         for p in paths:
             verify_in_engine(BS23, p, *p.witness_exponents())
 
+    @pytest.mark.parametrize(
+        "extra,target",
+        [("", "0:b"), ('vertex 1 rank=2 gens=c,d\nedge 8 0 1 minus="b" plus="c"', "1:c")],
+        ids=["no-edge-end-in-class", "class-in-another-component"],
+    )
+    def test_unreachable_target_walks_nothing(self, extra, target, monkeypatch):
+        # eight loops a/a^2 give millions of edge-once walks from the class of a
+        loops = "\n".join(f'edge {i} 0 0 minus="a" plus="a^2"' for i in range(8))
+        graph = parse_graph(f"vertex 0 rank=2 gens=a,b\n{loops}\n{extra}")
+        monkeypatch.setattr(paths._ClassGraph, "walks", lambda *args, **kwargs: pytest.fail("walked"))
+        vid, word = target.split(":")
+        assert list(iter_conjugacy_paths(graph, w(graph, 0, "a"), w(graph, int(vid), word))) == []
+
 
 @pytest.mark.parametrize(
     "enumerate_",

@@ -9,15 +9,18 @@ enumerations must agree exactly: the same lists in the same order for the
 closed and full chains, and the same sequence in yield order for the open
 search, which ``power_conjugate`` and the ``conj`` command depend on.
 ``decide_chains`` must then give the verdicts and witnesses that the
-enumerations imply.
+enumerations imply, and the streaming ``power_conjugate`` the answer of
+the materialising copy it replaced.
 """
 
 from itertools import islice
+from math import gcd
 from typing import List
 
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
+from gogz.engine import Engine
 from gogz.graphs import Edge, GraphOfGroups, OrientedEdge, Vertex, parse_graph
 from gogz.paths import (
     ConjugacyPath,
@@ -29,6 +32,7 @@ from gogz.paths import (
     enumerate_full_nonmaximal_paths,
     iter_conjugacy_paths,
 )
+from gogz.verdicts import ConjugacyAnswer, _same_vertex_candidate, power_conjugate
 from gogz.words import cyclic_meet
 
 # ------------------------------------------------------------ reference walk
@@ -154,6 +158,51 @@ def reference_open(graph: GraphOfGroups, g, g_prime):
         if start.origin != start_vid or cyclic_meet(g, start.origin_word) is None:
             continue
         yield from extend([start], {start.edge.id})
+
+
+def _holds(engine, items, x, m, y, n) -> bool:
+    lhs = engine.power(engine.embed(x), m)
+    if items:
+        lhs = engine.conjugate(engine.element_of(items), lhs)
+    return lhs == engine.power(engine.embed(y), n)
+
+
+def reference_power_conjugate(graph: GraphOfGroups, x, y):
+    """``power_conjugate`` as it was before it streamed: every path in a
+    list, all candidates sorted, the answer retried divided by its gcd, and
+    a second scan for the additional relations.  Returns the answer and
+    whether the gcd retry succeeded."""
+    candidates = []
+    if x.vertex == y.vertex:
+        same = _same_vertex_candidate(x, y)
+        if same is not None:
+            m, n, items = same
+            candidates.append(((m, abs(n), 0), m, n, items, "same_vertex", None))
+    paths = list(iter_conjugacy_paths(graph, x, y))
+    for path in paths:
+        m, n = path.witness_exponents()
+        candidates.append(((m, abs(n), 1), m, n, path.conjugator_items(), "path", path))
+    if not candidates:
+        return ConjugacyAnswer(False, None, (), None, None), False
+
+    candidates.sort(key=lambda c: c[0])
+    _, m, n, items, route, path = candidates[0]
+    engine = Engine(graph)
+    assert _holds(engine, items, x, m, y, n)
+    d = gcd(m, abs(n))
+    retried = d > 1 and _holds(engine, items, x, m // d, y, n // d)
+    if retried:
+        m, n = m // d, n // d
+
+    additional = []
+    seen = {(m, n)}
+    for other in paths:
+        m2, n2 = other.witness_exponents()
+        if (m2, n2) not in seen:
+            seen.add((m2, n2))
+            assert _holds(engine, other.conjugator_items(), x, m2, y, n2)
+            additional.append(other)
+    return ConjugacyAnswer(True, (m, n), tuple(items), route, path, tuple(additional)), retried
 
 
 # ------------------------------------------------------------ random graphs
@@ -309,3 +358,27 @@ def test_class_graph_decisions_match_the_enumerations(graph):
     else:
         full = enumerate_full_nonmaximal_paths(graph)
         assert decision.full == (full[0] if full else None)
+
+
+BS23 = parse_graph('vertex 0 rank=1 gens=a\nedge 0 0 0 minus="a^2" plus="a^3"')
+# a^2 = b^2 answers (2, 2) for a and b, so the reference tries (1, 1)
+TORUS = _rank_one_graph(2, [(0, 1, 2, 2)])
+
+
+@settings(max_examples=200, deadline=None)
+@given(graphs_with_endpoints())
+@example((BS23, BS23.vertices[0].parse("a^9"), BS23.vertices[0].parse("a^4")))
+@example((BS23, BS23.vertices[0].parse("a^2"), BS23.vertices[0].parse("a^3")))
+@example((TORUS, TORUS.vertices[0].parse("x0"), TORUS.vertices[1].parse("x1")))
+def test_streaming_power_conjugate_matches_the_reference(case):
+    graph, x, y = case
+    expected, retried = reference_power_conjugate(graph, x, y)
+    # the least m of a path already makes every transfer integral, and the
+    # vertex candidate's exponents are coprime, so dividing never verifies
+    assert not retried
+    answer = power_conjugate(graph, x, y)
+    assert (answer.exists, answer.exponents, answer.conjugator, answer.route) == (
+        expected.exists, expected.exponents, expected.conjugator, expected.route
+    )
+    assert answer.path == expected.path
+    assert answer.additional == expected.additional
