@@ -34,7 +34,7 @@ from .errors import (
 )
 from .graphs import Contraction, GraphOfGroups, parse_graph, side_name
 from .paths import ConjugacyPath, enumerate_complete_paths, enumerate_full_nonmaximal_paths
-from .verdicts import AnalysisReport, ConjugacyAnswer, analyze, power_conjugate
+from .verdicts import AnalysisReport, ConjugacyAnswer, _require_path, analyze, power_conjugate
 from .words import MAX_WORD_LETTERS, Alphabet, FreeWord
 
 SCHEMA_VERSION = 2
@@ -290,7 +290,8 @@ def cmd_check(args, graph: GraphOfGroups, doc: dict) -> dict:
 
 def cmd_paths(args, graph: GraphOfGroups, doc: dict) -> dict:
     if args.kind == "complete":
-        listing = [_complete_json(graph, p) for p in enumerate_complete_paths(graph)]
+        chains = enumerate_complete_paths(graph)
+        listing = [_complete_json(graph, p) for p in chains]
         text = [
             "{} path {}: base {} at vertex {}, ratio {}, level {}".format(
                 entry["kind"],
@@ -303,7 +304,8 @@ def cmd_paths(args, graph: GraphOfGroups, doc: dict) -> dict:
             for entry in listing
         ]
     else:
-        listing = [_nonmax_json(graph, p) for p in enumerate_full_nonmaximal_paths(graph)]
+        chains = enumerate_full_nonmaximal_paths(graph)
+        listing = [_nonmax_json(graph, p) for p in chains]
         text = [
             "{} path {}: {} -> {}, arrows at {}".format(
                 entry["kind"],
@@ -314,6 +316,9 @@ def cmd_paths(args, graph: GraphOfGroups, doc: dict) -> dict:
             )
             for entry in listing
         ]
+    engine = Engine(graph)
+    for path in chains:  # each listed relation is reported verified
+        _require_path(engine, path, f"{args.kind} path")
     doc["kind"] = args.kind
     doc["count"] = len(listing)
     doc["paths"] = listing

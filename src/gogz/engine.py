@@ -29,12 +29,13 @@ touches: products of reduced words cancel only at their seam
 (:func:`~gogz.words.join_reduced`), ``a^j`` is built as ``c core^j c^-1``
 (:func:`~gogz.words.power_letters`), and the coset representative is the
 best of a few candidates (:func:`~gogz.words.coset_canonical`).
+:meth:`Engine.element_of` joins its items into one path for one pass, and
 :meth:`Engine.power` squares, so ``g^k`` takes O(log |k|) products.
 
 This module is deliberately independent of the path machinery: it never
-looks at conjugacy or balance criteria, it just multiplies.  That makes it a
-referee — every certificate produced elsewhere is replayed here before it is
-reported.
+reads chains or balance criteria, and its brute-force conjugacy search
+(:func:`iter_power_conjugacies`) only multiplies.  That makes it a referee —
+every certificate produced elsewhere is replayed here before it is reported.
 """
 
 from __future__ import annotations
@@ -131,15 +132,16 @@ class Engine:
         pairs += [(_reverse(s), ()) for s in reversed(p)]
         return (), pairs
 
-    def _stable_path(self, edge_id: int, sign: int) -> RawPath:
-        """t^sign as a closed path: t crosses the edge backwards."""
-        edge = self.graph.edges[edge_id]
-        there, back = edge.plus_vertex, edge.minus_vertex
-        if sign < 0:
-            there, back = back, there
-        steps = self._tree_path(there) + [(edge_id, sign < 0)]
-        steps += [_reverse(s) for s in reversed(self._tree_path(back))]
-        return (), [(s, ()) for s in steps]
+    def _stable_path(self, edge_id: int, exp: int) -> List[Tuple[Step, Letters]]:
+        """The steps of t^exp: t crosses the edge backwards; a tree edge's is trivial."""
+        if edge_id not in self.graph.edges:
+            raise DegenerateInputError(f"unknown edge {edge_id}")
+        if edge_id not in self._non_tree:
+            return []
+        step = (edge_id, exp < 0)
+        there, _, back, _ = self._ends[step]
+        home = [_reverse(s) for s in reversed(self._tree_path(back))]
+        return [(s, ()) for s in self._tree_path(there) + [step] + home] * abs(exp)
 
     # ----------------------------------------------------------- normaliser
 
@@ -162,15 +164,6 @@ class Engine:
                 stack.append((step, r))
         return join_reduced(g0, head), tuple(reversed(stack))
 
-    def _stable(self, edge_id: int, exp: int, onto: Elem) -> Elem:
-        if edge_id not in self.graph.edges:
-            raise DegenerateInputError(f"unknown edge {edge_id}")
-        if edge_id in self._non_tree:
-            path = self._stable_path(edge_id, exp)
-            for _ in range(abs(exp)):
-                onto = self._normal_form(path, onto)
-        return onto
-
     # ------------------------------------------------------------ public ops
 
     def atoms(self, g: Elem) -> List[Item]:
@@ -190,16 +183,23 @@ class Engine:
         return self._normal_form(self._word_path(word))
 
     def element_of(self, items: Sequence[Item]) -> Elem:
-        """Evaluate a product of vertex words and ('t', edge_id, exp) letters."""
-        out = IDENTITY
-        for item in reversed(items):
+        """Evaluate a product of vertex words and ('t', edge_id, exp) letters
+        in one normal-form pass over the items' closed paths, joined."""
+        pairs: List = [(None, ())]  # pairs[0] holds g0; every path is closed
+        word: List[int] = []  # the last pair's word, grown in place
+        for item in items:
             if isinstance(item, FreeWord):
-                out = self._normal_form(self._word_path(item), out)
+                h0, more = self._word_path(item)
             else:
-                kind, eid, exp = item
-                assert kind == "t"
-                out = self._stable(eid, exp, out)
-        return out
+                assert item[0] == "t"
+                h0, more = (), self._stable_path(item[1], item[2])
+            cut = max(0, len(word) - len(h0))  # h0 cancels at most |h0| letters
+            word[cut:] = join_reduced(tuple(word[cut:]), h0)
+            if more:
+                pairs[-1], word = (pairs[-1][0], tuple(word)), list(more[-1][1])
+                pairs += more
+        pairs[-1] = (pairs[-1][0], tuple(word))
+        return self._normal_form((pairs[0][1], pairs[1:]))
 
     def mul(self, *elems: Elem) -> Elem:
         out = elems[-1] if elems else IDENTITY

@@ -125,11 +125,13 @@ class HyperbolicityVerdict:
 
 
 def _hyperbolicity(engine: Engine, chains: ChainDecision) -> HyperbolicityVerdict:
-    """A complete chain refutes; a full path is looked for only without one."""
+    """A complete chain refutes; a full path is looked for only without one.
+    A witness that is also the balance witness was replayed by ``_balance``."""
     kind, witness = ("complete", chains.complete) if chains.complete else ("full", chains.full)
     if witness is None:
         return HyperbolicityVerdict(True, None, None)
-    _require_path(engine, witness, f"{kind} path")
+    if witness is not chains.nonlevel:
+        _require_path(engine, witness, f"{kind} path")
     return HyperbolicityVerdict(False, witness, kind)
 
 

@@ -9,7 +9,7 @@ import pytest
 
 from gogz import cli
 from gogz.cli import main
-from gogz.engine import Engine, _atom_pool
+from gogz.engine import IDENTITY, Engine, _atom_pool
 from gogz.graphs import parse_graph
 from gogz.words import MAX_WORD_LETTERS
 
@@ -147,6 +147,18 @@ class TestPaths:
         code, out = run(capsys, "paths", graph_file(TREFOIL), "--kind", "complete",
                         "--format", "text")
         assert code == 0 and "no paths" in out
+
+    def test_listed_relations_are_replayed(self, graph_file, capsys, monkeypatch):
+        # "verified": true is earned: a wrong engine answer fails the replay
+        path = graph_file(BS23)
+        power = Engine.power
+        monkeypatch.setattr(Engine, "power", lambda self, g, k: power(self, g, k + 1))
+        assert main(["paths", path, "--kind", "complete"]) == 3
+        monkeypatch.setattr(Engine, "power", power)
+        # the full path's relation t a^2 t^-1 = a^3 survives the wrong power
+        monkeypatch.setattr(Engine, "element_of", lambda self, items: IDENTITY)
+        assert main(["paths", path, "--kind", "nonmaximal"]) == 3
+        assert capsys.readouterr().err.count("internal error: witness failed") == 2
 
     def test_nonmaximal_listing(self, graph_file, capsys):
         code, out = run(capsys, "paths", graph_file(TREFOIL), "--kind", "nonmaximal",

@@ -3,8 +3,11 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from gogz.engine import Engine, brute_force_power_conjugacy, iter_power_conjugacies
+from gogz.engine import IDENTITY, Engine, brute_force_power_conjugacy, iter_power_conjugacies
+from gogz.errors import DegenerateInputError
 from gogz.graphs import parse_graph
+from gogz.words import FreeWord
+from test_paths_reference import graphs as random_graphs
 
 BS23 = parse_graph('vertex 0 rank=1 gens=a\nedge 0 0 0 minus="a^2" plus="a^3"')
 TREFOIL = parse_graph(
@@ -238,6 +241,70 @@ def test_hnn_relation_invariance(seq, k):
     lhs = e.mul(context, e.conjugate(t, e.embed(w(BS23, 0, f"a^{2 * k}"))))
     rhs = e.mul(context, e.embed(w(BS23, 0, f"a^{3 * k}")))
     assert lhs == rhs
+
+
+# ------------------------------------------------------ one pass per product
+
+
+def fold_element_of(e, items):
+    """The per-item fold ``element_of`` replaced: one normal-form pass per
+    vertex word and one per copy of ``t``, each onto the product so far."""
+    out = IDENTITY
+    for item in reversed(items):
+        if isinstance(item, FreeWord):
+            out = e._normal_form(e._word_path(item), out)
+        else:
+            _, eid, exp = item
+            one = ((), e._stable_path(eid, 1 if exp > 0 else -1))
+            for _ in range(abs(exp)):
+                out = e._normal_form(one, out)
+    return out
+
+
+@st.composite
+def graphs_and_items(draw):
+    graph = draw(st.one_of(st.sampled_from([BS23, TREFOIL, THETA]), random_graphs()))
+    items = []
+    for _ in range(draw(st.integers(0, 8))):
+        if draw(st.booleans()):
+            vertex = graph.vertices[draw(st.sampled_from(sorted(graph.vertices)))]
+            letters = draw(st.lists(st.integers(-vertex.rank, vertex.rank).filter(bool), max_size=5))
+            items.append(vertex.alphabet.word(letters))
+        else:
+            items.append(("t", draw(st.sampled_from(sorted(graph.edges))), draw(st.integers(-6, 6))))
+    return graph, items
+
+
+@settings(deadline=None, max_examples=200)
+@given(graphs_and_items())
+def test_element_of_matches_the_per_item_fold(case):
+    # tree and non-tree stable letters, words at every vertex, seams that cancel
+    graph, items = case
+    e = Engine(graph)
+    g = e.element_of(items)
+    assert g == fold_element_of(e, items)
+    e.validate_element(g)
+
+
+def test_element_of_normalises_once(monkeypatch):
+    e = Engine(THETA)
+    items = [w(THETA, 0, "a b"), ("t", 1, 3), w(THETA, 1, "x^-2"), ("t", 0, -2), ("t", 1, -1)] * 10
+    expected = fold_element_of(e, items)
+    passes = []
+    original = Engine._normal_form
+
+    def counted(self, path, onto=IDENTITY):
+        passes.append(path)
+        return original(self, path, onto)
+
+    monkeypatch.setattr(Engine, "_normal_form", counted)
+    assert len(items) == 50 and e.element_of(items) == expected
+    assert len(passes) == 1
+
+
+def test_unknown_stable_letter_is_refused():
+    with pytest.raises(DegenerateInputError, match="unknown edge 7"):
+        Engine(BS23).element_of([w(BS23, 0, "a"), ("t", 7, 1)])
 
 
 # ----------------------------------------------------- faithful-model checks

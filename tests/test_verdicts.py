@@ -451,6 +451,31 @@ class TestAnalyze:
         assert len(graphs) == builds
         assert graphs[0] is graph and graphs[-1] is report.reduced
 
+    @pytest.mark.parametrize(
+        "text,replays",
+        [
+            (bs(2, 3), 1),  # the complete witness is the non-level one
+            (bs(2, 2), 1),
+            (TREFOIL, 1),
+            ('vertex 0 rank=1 gens=a\nedge 0 0 0 minus="a^2" plus="a^2"\n'
+             'edge 1 0 0 minus="a^2" plus="a^3"', 2),
+        ],
+        ids=["bs23", "bs22", "trefoil", "level-and-skew-loops"],
+    )
+    def test_each_chain_witness_replays_once(self, text, replays, monkeypatch):
+        replayed = []
+        original = verdicts._require_path
+
+        def counted(engine, path, claim):
+            replayed.append(path)
+            original(engine, path, claim)
+
+        monkeypatch.setattr(verdicts, "_require_path", counted)
+        report = analyze(parse_graph(text))
+        assert len(replayed) == replays
+        witnesses = {id(w) for w in (report.balance.witness, report.hyperbolicity.witness) if w}
+        assert {id(p) for p in replayed} == witnesses
+
     @pytest.mark.parametrize("text", ALL_TEXTS)
     def test_verdicts_are_mutually_consistent(self, text):
         report = analyze(parse_graph(text))  # internal gates raise on trouble
