@@ -40,15 +40,19 @@ gains of its steps.  Everything here reads that one graph:
 Chains are :class:`ConjugacyPath` records, the one chain record of the
 package: its ratio, witness exponents, base vertex (``steps[0].origin``)
 and arrowed ends (the two outer ends of a full path) are all read off it.
-Every chain handed out is rebuilt from :func:`~gogz.words.cyclic_meet` by
-:func:`check_conjugacy_path`.
+Every transition of every chain handed out is certified by
+:func:`~gogz.words.cyclic_meet`, once per class graph: the class graph
+keeps each entry, junction and exit it has certified, keyed by its pair of
+steps, and assembles each chain from them.  :func:`check_conjugacy_path`
+certifies one given chain with the same transitions.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
+from functools import cached_property
+from math import gcd, lcm
 from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple, Union
 
 from .errors import DegenerateInputError, InternalInconsistencyError
@@ -58,6 +62,9 @@ from .words import CyclicMeet, FreeWord, Letters, cyclic_meet, root
 TLetter = Tuple[str, int, int]
 ConjugatorItem = Union[FreeWord, TLetter]
 EndClass = Tuple[int, Letters]
+
+# In a memo key of ``_ClassGraph.transition``, the query's start or end word.
+QUERY = -1
 
 
 @dataclass(frozen=True)
@@ -83,6 +90,13 @@ class Transition:
         return self.meet.transfer_conjugator()
 
 
+def _transition(vertex_id: int, incoming: FreeWord, outgoing: FreeWord) -> Optional[Transition]:
+    """The transfer from ``incoming`` onto ``outgoing``, or None when their
+    cyclic subgroups do not overlap."""
+    meet = cyclic_meet(incoming, outgoing)
+    return None if meet is None else Transition(vertex_id, incoming, outgoing, meet)
+
+
 def _t_letter(step: OrientedEdge) -> TLetter:
     return ("t", step.edge.id, 1 if step.forward else -1)
 
@@ -94,7 +108,9 @@ class ConjugacyPath:
     ``entry`` transfers ``start`` onto the first inclusion word, each of
     ``junctions[i]`` bridges steps[i] -> steps[i+1] inside a vertex group,
     and ``exit`` lands on ``end``.  Crossing an edge preserves the exponent
-    (stable letters conjugate one inclusion word to the other).
+    (stable letters conjugate one inclusion word to the other).  The
+    witness exponents and the conjugator are computed once per path, on
+    first use, and shared by every caller.
     """
 
     steps: Tuple[OrientedEdge, ...]
@@ -108,53 +124,55 @@ class ConjugacyPath:
         return (self.entry, *self.junctions, self.exit)
 
     def ratio(self) -> Fraction:
-        out = Fraction(1)
-        for tr in self.transitions():
-            out *= tr.ratio
-        return out
-
-    def _partials(self) -> List[Fraction]:
-        out = []
-        q = Fraction(1)
-        for tr in self.transitions():
-            q *= tr.ratio
-            out.append(q)
-        return out
+        m, n = self.witness_exponents()
+        return Fraction(n, m)
 
     def witness_exponents(self) -> Tuple[int, int]:
         """Minimal (m, n) with c * start^m * c^-1 = end^n, where c is the
         product of :meth:`conjugator_items`.
 
         m is the least positive exponent whose transfer stays integral at
-        every stage of the chain.  No smaller m works with this conjugator:
-        at the first stage where the transfer of start^m is not integral,
-        the element is a power of the stage's root outside the cyclic
-        subgroup of the outgoing word.  Before an edge, the crossing then
-        cannot cancel, so by the normal form theorem for graphs of groups
-        (Britton's lemma) the product is not in the vertex group of
-        ``end``; at the exit it is a power of the root of ``end`` but not of
-        ``end``.
+        every stage of the chain: the lcm of the reduced denominators of
+        the running products of the transfer ratios.  No smaller m works
+        with this conjugator: at the first stage where the transfer of
+        start^m is not integral, the element is a power of the stage's root
+        outside the cyclic subgroup of the outgoing word.  Before an edge,
+        the crossing then cannot cancel, so by the normal form theorem for
+        graphs of groups (Britton's lemma) the product is not in the vertex
+        group of ``end``; at the exit it is a power of the root of ``end``
+        but not of ``end``.
         """
-        partials = self._partials()
-        m = lcm(*(q.denominator for q in partials))
-        n = m * partials[-1]
-        assert n.denominator == 1
-        return m, int(n)
+        return self._exponents
 
-    def conjugator_items(self) -> List[ConjugatorItem]:
+    @cached_property
+    def _exponents(self) -> Tuple[int, int]:
+        num = den = m = 1  # num / den is the running product, reduced
+        for tr in self.transitions():
+            k_in, k_out = tr.meet.exps
+            num, den = num * k_in, den * k_out
+            d = gcd(num, den)
+            num, den = num // d, den // d
+            m = lcm(m, den)
+        return m, m // den * num
+
+    def conjugator_items(self) -> Tuple[ConjugatorItem, ...]:
         """The conjugator as a product of vertex words and stable letters.
 
         Items are listed left to right; the rightmost acts first.  Identity
         vertex words are dropped; stable letters of spanning-tree edges are
         kept (the engine treats them as the identity).
         """
+        return self._conjugator
+
+    @cached_property
+    def _conjugator(self) -> Tuple[ConjugatorItem, ...]:
         items: List[ConjugatorItem] = [self.exit.conjugator()]
         for step, junction in zip(reversed(self.steps[1:]), reversed(self.junctions)):
             items.append(_t_letter(step))
             items.append(junction.conjugator())
         items.append(_t_letter(self.steps[0]))
         items.append(self.entry.conjugator())
-        return [w for w in items if not (isinstance(w, FreeWord) and w.is_identity)]
+        return tuple(w for w in items if not (isinstance(w, FreeWord) and w.is_identity))
 
 
 def check_conjugacy_path(
@@ -185,38 +203,17 @@ def check_conjugacy_path(
         if a.terminus != b.origin:
             raise DegenerateInputError(f"broken chain: {a!r} does not meet {b!r}")
 
-    entry_meet = cyclic_meet(g, steps[0].origin_word)
-    if entry_meet is None:
-        return None
-    entry = Transition(steps[0].origin, g, steps[0].origin_word, entry_meet)
-
-    junctions = []
-    for a, b in zip(steps, steps[1:]):
-        meet = cyclic_meet(a.terminus_word, b.origin_word)
-        if meet is None:
+    overlaps = [(steps[0].origin, g, steps[0].origin_word)]
+    overlaps += [(a.terminus, a.terminus_word, b.origin_word) for a, b in zip(steps, steps[1:])]
+    overlaps.append((steps[-1].terminus, steps[-1].terminus_word, g_prime))
+    transitions = []
+    for overlap in overlaps:
+        tr = _transition(*overlap)
+        if tr is None:
             return None
-        junctions.append(Transition(a.terminus, a.terminus_word, b.origin_word, meet))
-
-    exit_meet = cyclic_meet(steps[-1].terminus_word, g_prime)
-    if exit_meet is None:
-        return None
-    exit_ = Transition(steps[-1].terminus, steps[-1].terminus_word, g_prime, exit_meet)
-
+        transitions.append(tr)
+    entry, *junctions, exit_ = transitions
     return ConjugacyPath(steps, g, g_prime, entry, tuple(junctions), exit_)
-
-
-
-def _certify(
-    graph: GraphOfGroups, g: FreeWord, g_prime: FreeWord, steps: Sequence[OrientedEdge]
-) -> ConjugacyPath:
-    """check_conjugacy_path for a chain the class walk already accepted."""
-    path = check_conjugacy_path(graph, g, g_prime, steps)
-    if path is None:
-        raise InternalInconsistencyError(
-            "class walk accepted a chain that cyclic_meet rejects: "
-            + " ".join(repr(s) for s in steps)
-        )
-    return path
 
 
 # --------------------------------------------------------------- class graph
@@ -242,10 +239,16 @@ class _ClassGraph:
     is the lex order used throughout, and chains are listed shortest first,
     then lex.  ``out`` lists, per class, the steps leaving it in step order.
     Building it takes one :func:`root` per edge end.
+
+    ``transitions`` memoises the certified transfer of each pair of steps
+    (plus the ``query`` endpoints of an open search), so every chain built
+    here runs :func:`cyclic_meet` once per distinct entry, junction and exit
+    of the class graph: at most ``4E^2 + 4E`` times for E edges.
     """
 
-    def __init__(self, graph: GraphOfGroups):
-        self.graph = graph
+    def __init__(self, graph: GraphOfGroups, query: Optional[Tuple[FreeWord, FreeWord]] = None):
+        self.query = query
+        self.transitions: Dict[Tuple[int, int], Transition] = {}
         self.steps = graph.oriented_edges()
         self.node: Dict[EndClass, int] = {}
         self.out: List[List[int]] = []
@@ -279,12 +282,39 @@ class _ClassGraph:
     def chain(self, walk: Sequence[int]) -> Tuple[OrientedEdge, ...]:
         return tuple(self.steps[i] for i in walk)
 
-    def certified(self, walk: Sequence[int], closed: bool) -> ConjugacyPath:
-        """The chain of ``walk``, from its first origin word to itself when
-        ``closed``, else to its last terminus word, certified by cyclic_meet."""
+    def transition(self, a: int, b: int, walk: Sequence[int]) -> Transition:
+        """The transfer from the terminus word of step ``a`` onto the origin
+        word of step ``b`` (the query's start word when ``a`` is QUERY, its
+        end word when ``b`` is), certified once per pair; ``walk`` is the
+        chain named when cyclic_meet rejects what the class walk accepted."""
+        tr = self.transitions.get((a, b))
+        if tr is None:
+            if a == QUERY:
+                vertex, incoming = self.steps[b].origin, self.query[0]
+            else:
+                vertex, incoming = self.steps[a].terminus, self.steps[a].terminus_word
+            outgoing = self.query[1] if b == QUERY else self.steps[b].origin_word
+            tr = _transition(vertex, incoming, outgoing)
+            if tr is None:
+                raise InternalInconsistencyError(
+                    "class walk accepted a chain that cyclic_meet rejects: "
+                    + " ".join(repr(s) for s in self.chain(walk))
+                )
+            self.transitions[a, b] = tr
+        return tr
+
+    def certified(self, walk: Sequence[int], first: int, last: int) -> ConjugacyPath:
+        """The chain of ``walk`` from the terminus word of step ``first`` to
+        the origin word of step ``last``, both QUERY in an open search.
+
+        A closed chain runs from its first origin word to itself (``first``
+        is the reverse of its first step, ``last`` that step itself), a full
+        path to its last terminus word (``last`` the reverse of its last step).
+        """
+        pairs = zip([first, *walk], [*walk, last])
+        entry, *junctions, exit_ = [self.transition(a, b, walk) for a, b in pairs]
         steps = self.chain(walk)
-        start = steps[0].origin_word
-        return _certify(self.graph, start, start if closed else steps[-1].terminus_word, steps)
+        return ConjugacyPath(steps, entry.incoming, exit_.outgoing, entry, tuple(junctions), exit_)
 
     # ------------------------------------------------------------ walks
 
@@ -569,7 +599,7 @@ def enumerate_complete_paths(graph: GraphOfGroups) -> List[ConjugacyPath]:
         return []
     index = _ClassGraph(graph)
     walks = sorted((list(walk) for walk in _closed_chains(index)), key=lambda w: (len(w), w))
-    return [index.certified(walk, closed=True) for walk in walks]
+    return [index.certified(walk, walk[0] ^ 1, walk[0]) for walk in walks]
 
 
 # -------------------------------------------------------- non-maximal paths
@@ -601,7 +631,7 @@ def enumerate_full_nonmaximal_paths(graph: GraphOfGroups) -> List[ConjugacyPath]
             if index.arrow_terminus[walk[-1]] and walk <= [i ^ 1 for i in reversed(walk)]:
                 found.append(list(walk))
     found.sort(key=lambda w: (len(w), w))
-    return [index.certified(walk, closed=False) for walk in found]
+    return [index.certified(walk, walk[0] ^ 1, walk[-1] ^ 1) for walk in found]
 
 
 # ----------------------------------------------------------------- decisions
@@ -621,7 +651,8 @@ class ChainDecision:
     (``complete`` itself when that one is non-level), None exactly when
     balanced.  ``full`` is the lex-least shortest full non-maximal path,
     looked for only when ``complete`` is None.  Each witness is certified by
-    :func:`check_conjugacy_path`; nothing else is.
+    :func:`cyclic_meet`, through the class graph's transitions; no other
+    chain is built.
     """
 
     modulus: Tuple[Fraction, ...]
@@ -661,15 +692,16 @@ def decide_chains(graph: GraphOfGroups) -> ChainDecision:
         full = classes.shortest_full_path()
         if full is None:
             return ChainDecision(modulus, None, None, None)
-        return ChainDecision(modulus, None, None, classes.certified(full, closed=False))
+        return ChainDecision(modulus, None, None, classes.certified(full, full[0] ^ 1, full[-1] ^ 1))
 
-    complete = classes.certified(_found(classes.shortest_cycle(on_cycle), "a cycle"), closed=True)
+    cycle = _found(classes.shortest_cycle(on_cycle), "a cycle")
+    complete = classes.certified(cycle, cycle[0] ^ 1, cycle[0])
     nonlevel = None
     if any(abs(r) != 1 for r in modulus):
         nonlevel = complete
         if abs(complete.ratio()) == 1:
-            walk = _found(classes.shortest_nonlevel_cycle(on_cycle), "a non-level cycle")
-            nonlevel = classes.certified(walk, closed=True)
+            cycle = _found(classes.shortest_nonlevel_cycle(on_cycle), "a non-level cycle")
+            nonlevel = classes.certified(cycle, cycle[0] ^ 1, cycle[0])
     return ChainDecision(modulus, complete, nonlevel, None)
 
 
@@ -692,7 +724,7 @@ def iter_conjugacy_paths(
     if g.vertex not in homes or g_prime.vertex not in homes:
         raise DegenerateInputError("endpoints must live at vertices of the graph")
 
-    index = _ClassGraph(graph)
+    index = _ClassGraph(graph, (g, g_prime))
     source = index.word_class(homes[g.vertex], g)
     target = index.word_class(homes[g_prime.vertex], g_prime)
     if source is None or target not in index._bfs(source, lambda s: True)[1]:
@@ -700,4 +732,4 @@ def iter_conjugacy_paths(
     for start in index.out[source]:
         for walk in index.walks(start):
             if index.terminus[walk[-1]] == target:
-                yield _certify(graph, g, g_prime, index.chain(walk))
+                yield index.certified(walk, QUERY, QUERY)

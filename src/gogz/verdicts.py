@@ -42,7 +42,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from .engine import Engine
 from .errors import DegenerateInputError, InternalInconsistencyError
@@ -58,18 +58,19 @@ from .paths import (
 from .words import FreeWord, cyclic_meet, maximal_root, root
 
 
-def _require(engine: Engine, items: List[ConjugatorItem], x, m, y, n, claim: str) -> None:
-    """Replay ``items * x^m * items^-1 = y^n`` in the engine."""
-    lhs = engine.power(engine.embed(x), m)
+def _require(engine: Engine, items: Sequence[ConjugatorItem], x, m, y, n, claim: str) -> None:
+    """Replay ``items * x^m * items^-1 = y^n`` for engine elements x and y."""
+    lhs = engine.power(x, m)
     if items:  # an empty conjugator would only renormalise lhs
         lhs = engine.conjugate(engine.element_of(items), lhs)
-    if lhs != engine.power(engine.embed(y), n):
+    if lhs != engine.power(y, n):
         raise InternalInconsistencyError(f"witness failed engine verification: {claim}")
 
 
 def _require_path(engine: Engine, path: ConjugacyPath, claim: str) -> None:
     m, n = path.witness_exponents()
-    _require(engine, path.conjugator_items(), path.start, m, path.end, n, f"{claim} ({m}, {n})")
+    x, y = engine.embed(path.start), engine.embed(path.end)
+    _require(engine, path.conjugator_items(), x, m, y, n, f"{claim} ({m}, {n})")
 
 
 # ------------------------------------------------------------------- balance
@@ -179,9 +180,11 @@ def _acyl(engine: Engine) -> AcylVerdict:
         exps = [root(w).exponent for w in ws]
         common = lcm(*(abs(k) for k in exps))
         g_v = maximal_root(ws[0]) ** common
+        target = engine.embed(g_v)
         for w, k in zip(ws, exps):
             sign = 1 if k > 0 else -1
-            _require(engine, [], w, common // abs(k), g_v, sign, f"s-normal generator at vertex {vid}")
+            claim = f"s-normal generator at vertex {vid}"
+            _require(engine, [], engine.embed(w), common // abs(k), target, sign, claim)
         generators[vid] = g_v
     return AcylVerdict(False, None, None, (), generators)
 
@@ -245,10 +248,12 @@ def _central_witness(engine: Engine) -> CentralWitness:
         assert x.denominator == 1 and x != 0
         exponents[vid] = int(x)
     element = _vertex_generator(graph, tree.root) ** exponents[tree.root]
+    central = engine.embed(element)
     for vid, x in exponents.items():
         gen = _vertex_generator(graph, vid)
-        _require(engine, [], element, 1, gen, x, f"central witness is generator^{x} at vertex {vid}")
-        _require(engine, [gen], element, 1, element, 1, f"central witness commutes at vertex {vid}")
+        claim = f"central witness is generator^{x} at vertex {vid}"
+        _require(engine, [], central, 1, engine.embed(gen), x, claim)
+        _require(engine, [gen], central, 1, central, 1, f"central witness commutes at vertex {vid}")
     return CentralWitness(tree.root, element, exponents)
 
 
@@ -328,10 +333,13 @@ def power_conjugate(graph: GraphOfGroups, x: FreeWord, y: FreeWord) -> Conjugacy
     answer minimises (m, |n|); the vertex candidate wins a tie, then the
     earliest path.  A "no" takes one BFS over the class graph, but a "yes"
     still walks every edge-once path from x's class, and their number grows
-    exponentially when many edge ends share a class.  Walks that repeat an
-    edge are not searched, so a relation with smaller exponents may exist:
-    in BS(2, 3) the answer for a^9 and a^4 is (2, 3), while
-    t^-2 a^9 t^2 = a^4 already holds.
+    exponentially when many edge ends share a class; each path costs its
+    length in memo lookups and integer products, as no junction is
+    certified twice.  x and y are embedded in the engine once, for the
+    answer's replay and for the replay of every additional relation.
+    Walks that repeat an edge are not searched, so a relation with smaller
+    exponents may exist: in BS(2, 3) the answer for a^9 and a^4 is (2, 3),
+    while t^-2 a^9 t^2 = a^4 already holds.
     """
     if x.is_identity or y.is_identity:
         raise DegenerateInputError("power conjugacy is asked of nontrivial elements")
@@ -350,10 +358,12 @@ def power_conjugate(graph: GraphOfGroups, x: FreeWord, y: FreeWord) -> Conjugacy
         return ConjugacyAnswer(False, None, (), None, None)
 
     engine = Engine(graph)
-    _require(engine, items, x, m, y, n, f"power conjugacy ({m}, {n})")
+    ex, ey = engine.embed(x), engine.embed(y)
+    _require(engine, items, ex, m, ey, n, f"power conjugacy ({m}, {n})")
     additional = tuple(other for pair, other in first.items() if pair != (m, n))
     for other in additional:
-        _require_path(engine, other, "path relation")
+        m2, n2 = other.witness_exponents()
+        _require(engine, other.conjugator_items(), ex, m2, ey, n2, f"path relation ({m2}, {n2})")
     return ConjugacyAnswer(True, (m, n), tuple(items), route, path, additional)
 
 

@@ -333,3 +333,21 @@ def test_chain_rejected_by_cyclic_meet_is_an_internal_error(enumerate_, monkeypa
     monkeypatch.setattr(paths, "cyclic_meet", lambda u, v: None)
     with pytest.raises(InternalInconsistencyError):
         enumerate_()
+
+
+def test_open_search_meets_each_junction_once(monkeypatch):
+    """cyclic_meet runs once per distinct entry, junction or exit of the class
+    graph, not once per junction of each of the 75,972 walks."""
+    edges = 6
+    loops = "\n".join(f'edge {i} 0 0 minus="a" plus="a^2"' for i in range(edges))
+    graph = parse_graph(f"vertex 0 rank=1 gens=a\n{loops}")
+    calls = []
+
+    def counting_meet(u, v):
+        calls.append((u, v))
+        return cyclic_meet(u, v)
+
+    monkeypatch.setattr(paths, "cyclic_meet", counting_meet)
+    a = w(graph, 0, "a")
+    assert sum(1 for _ in iter_conjugacy_paths(graph, a, a)) == 75_972
+    assert len(calls) <= 4 * edges**2 + 4 * edges

@@ -13,8 +13,9 @@ enumerations imply, and the streaming ``power_conjugate`` the answer of
 the materialising copy it replaced.
 """
 
+from fractions import Fraction
 from itertools import islice
-from math import gcd
+from math import gcd, lcm
 from typing import List
 
 from hypothesis import assume, example, given, settings
@@ -358,6 +359,36 @@ def test_class_graph_decisions_match_the_enumerations(graph):
     else:
         full = enumerate_full_nonmaximal_paths(graph)
         assert decision.full == (full[0] if full else None)
+
+
+def fraction_witness_exponents(path: ConjugacyPath):
+    """``witness_exponents`` as it was computed with Fractions: m is the lcm
+    of the denominators of the running products of the transfer ratios."""
+    partials, q = [], Fraction(1)
+    for tr in path.transitions():
+        q *= tr.ratio
+        partials.append(q)
+    m = lcm(*(q.denominator for q in partials))
+    n = m * partials[-1]
+    assert n.denominator == 1
+    return m, int(n)
+
+
+# a loop whose two root exponents have opposite signs, and a^-1 as the target
+BS2M3 = parse_graph('vertex 0 rank=1 gens=a\nedge 0 0 0 minus="a^2" plus="a^-3"')
+
+
+@settings(max_examples=150, deadline=None)
+@given(graphs_with_endpoints())
+@example((BS2M3, BS2M3.vertices[0].parse("a^2"), BS2M3.vertices[0].parse("a^-1")))
+def test_integer_witness_exponents_match_fractions(case):
+    graph, g, g_prime = case
+    chains = enumerate_complete_paths(graph) + enumerate_full_nonmaximal_paths(graph)
+    chains += islice(iter_conjugacy_paths(graph, g, g_prime), OPEN_PREFIX)
+    for path in chains:
+        m, n = fraction_witness_exponents(path)
+        assert path.witness_exponents() == (m, n)
+        assert path.ratio() == Fraction(n, m)
 
 
 BS23 = parse_graph('vertex 0 rank=1 gens=a\nedge 0 0 0 minus="a^2" plus="a^3"')
