@@ -10,7 +10,12 @@ Four subcommands::
 Exit codes separate mathematics from plumbing: verdicts (including "not
 balanced" and "no, the relation is false") exit 0; malformed input exits 2;
 a witness that fails its independent verification exits 3 (that is a bug in
-this package, never a property of the input).
+this package, never a property of the input).  A reader that closes standard
+output early (``gogz paths ... | head``) ends the report with exit 141, the
+status a shell gives a process killed by SIGPIPE, and no traceback.
+
+The argument parser is built once, at import, so :func:`main` can be called
+repeatedly in one process without rebuilding it.
 
 JSON output is deterministic: the same file produces byte-identical reports
 once ``--no-timing`` drops the one nondeterministic field.
@@ -21,6 +26,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import os
 import sys
 import time
 from typing import List, Optional, Sequence, Tuple
@@ -38,6 +44,9 @@ from .verdicts import AnalysisReport, ConjugacyAnswer, _require_path, analyze, p
 from .words import MAX_WORD_LETTERS, Alphabet, FreeWord
 
 SCHEMA_VERSION = 2
+
+# 128 + SIGPIPE: what a shell reports for a writer whose reader went away
+EXIT_BROKEN_PIPE = 141
 
 
 # ---------------------------------------------------------------- formatting
@@ -629,9 +638,11 @@ _COMMANDS = {
     "oracle": cmd_oracle,
 }
 
+_PARSER = build_parser()
+
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _PARSER.parse_args(argv)
     args.started = time.monotonic()
     try:
         try:
@@ -653,7 +664,19 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except GogzError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    _emit(doc, args)
+    try:
+        _emit(doc, args)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader is gone.  If stdout is the process's own, point its file
+        # descriptor at the null device so the flush at interpreter exit
+        # cannot fail again and print "Exception ignored"; a stream a caller
+        # put in its place is left to that caller
+        if sys.stdout is sys.__stdout__:
+            devnull = os.open(os.devnull, os.O_WRONLY)
+            os.dup2(devnull, sys.stdout.fileno())
+            os.close(devnull)
+        return EXIT_BROKEN_PIPE
     return 0
 
 

@@ -1,13 +1,15 @@
 """Command-line interface: subcommands, formats, exit codes, determinism."""
 
+import argparse
 import hashlib
+import io
 import json
 import subprocess
 import sys
 
 import pytest
 
-from gogz import cli
+from gogz import __version__, cli
 from gogz.cli import main
 from gogz.engine import IDENTITY, Engine, _atom_pool
 from gogz.graphs import parse_graph
@@ -36,6 +38,14 @@ def graph_file(tmp_path):
         return str(path)
 
     return write
+
+
+def clique(n):
+    """K_n on rank-2 vertices, edge a_i / a_j^2 for each pair i < j."""
+    lines = [f"vertex {i} rank=2 gens=a{i},b{i}" for i in range(n)]
+    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    lines += [f'edge {e} {i} {j} minus="a{i}" plus="a{j}^2"' for e, (i, j) in enumerate(pairs)]
+    return "\n".join(lines) + "\n"
 
 
 def run(capsys, *argv):
@@ -320,3 +330,80 @@ class TestErrors:
         path.write_bytes(b"vertex 0 rank=1 gens=\xff\n")
         assert main(["check", str(path)]) == 2
         assert "not UTF-8" in capsys.readouterr().err
+
+
+class TestSharedParser:
+    """``main`` parses with one parser built at import, and calls share no state."""
+
+    def test_main_builds_no_parser_per_call(self, graph_file, capsys, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("main built an argument parser")
+
+        monkeypatch.setattr(cli, "build_parser", refuse)
+        monkeypatch.setattr(argparse.ArgumentParser, "__init__", refuse)
+        path = graph_file(TREFOIL)
+        assert run(capsys, "check", path, "--no-timing")[0] == 0
+        assert run(capsys, "conj", path, "--from", "0:a", "--to", "1:b", "--no-timing")[0] == 0
+
+    def test_oracle_bounds_do_not_carry_over(self, graph_file, capsys):
+        conj = ["conj", graph_file(TREFOIL), "--from", "0:a", "--to", "1:b", "--no-timing"]
+        code, out = run(capsys, *conj, "--oracle-bounds", "2,3")
+        assert code == 0 and "oracle" in json.loads(out)
+        code, out = run(capsys, *conj)
+        assert code == 0 and "oracle" not in json.loads(out)
+
+    @pytest.mark.parametrize(
+        "before, status, stream, message",
+        [
+            (["paths", "{path}", "--kind", "complete"], None, "out", '"command": "paths"'),
+            (["paths", "{path}", "--kind", "bogus"], 2, "err", "invalid choice: 'bogus'"),
+            (["--version"], 0, "out", f"gogz {__version__}"),
+        ],
+    )
+    def test_a_call_leaves_the_next_report_unchanged(
+        self, graph_file, capsys, before, status, stream, message
+    ):
+        path = graph_file(BS23)
+        check = ["check", path, "--no-timing"]
+        alone = subprocess.run([sys.executable, "-m", "gogz.cli", *check],
+                               capture_output=True, text=True).stdout
+        assert alone
+        argv = [arg.format(path=path) for arg in before]
+        if status is None:
+            assert main(argv) == 0
+        else:
+            with pytest.raises(SystemExit) as exc:
+                main(argv)
+            assert exc.value.code == status
+        assert message in getattr(capsys.readouterr(), stream)
+        assert run(capsys, *check) == (0, alone)
+
+
+class TestBrokenPipe:
+    def test_closed_stdout_exits_141_without_traceback(self, graph_file):
+        # 117,500 bytes of JSON: more than a pipe holds, so the write must fail
+        path = graph_file(clique(5))
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "gogz.cli", "paths", path, "--kind", "complete", "--no-timing"],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, bufsize=0,
+        )
+        assert proc.stdout.read(10) == b'{\n  "schem'
+        proc.stdout.close()
+        _, err = proc.communicate(timeout=60)
+        assert proc.returncode == cli.EXIT_BROKEN_PIPE == 141
+        assert err == b""  # no traceback, and no "Exception ignored" at exit
+
+    def test_replaced_stdout_is_left_to_its_caller(self, graph_file, monkeypatch):
+        class ClosedPipe(io.StringIO):
+            def write(self, text):
+                raise BrokenPipeError
+
+        def refuse(*args):
+            raise AssertionError("main redirected a file descriptor")
+
+        path = graph_file(BS23)
+        # a StringIO has no file descriptor: fileno() would raise
+        with monkeypatch.context() as patch:
+            patch.setattr(sys, "stdout", ClosedPipe())
+            patch.setattr(cli.os, "dup2", refuse)
+            assert main(["check", path, "--no-timing"]) == cli.EXIT_BROKEN_PIPE
