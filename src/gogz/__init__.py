@@ -32,13 +32,11 @@ from gogz.graphs import (
     GraphOfGroups,
     OrientedEdge,
     Vertex,
-    maximal_tree,
     parse_graph,
     reduce_graph,
 )
 from gogz.paths import (
     ConjugacyPath,
-    check_conjugacy_path,
     enumerate_complete_paths,
     enumerate_full_nonmaximal_paths,
     iter_conjugacy_paths,
@@ -70,12 +68,10 @@ __all__ = [
     "GraphOfGroups",
     "parse_graph",
     "reduce_graph",
-    "maximal_tree",
     "Engine",
     "PowerConjugacy",
     "brute_force_power_conjugacy",
     "ConjugacyPath",
-    "check_conjugacy_path",
     "enumerate_complete_paths",
     "enumerate_full_nonmaximal_paths",
     "iter_conjugacy_paths",

@@ -15,7 +15,8 @@ output early (``gogz paths ... | head``) ends the report with exit 141, the
 status a shell gives a process killed by SIGPIPE, and no traceback.
 
 The argument parser is built once, at import, so :func:`main` can be called
-repeatedly in one process without rebuilding it.
+repeatedly in one process without rebuilding it.  :func:`main` returns the
+exit code, also for a bad command line and for ``--help``/``--version``.
 
 JSON output is deterministic: the same file produces byte-identical reports
 once ``--no-timing`` drops the one nondeterministic field.
@@ -29,6 +30,7 @@ import json
 import os
 import sys
 import time
+from fractions import Fraction
 from typing import List, Optional, Sequence, Tuple
 
 from . import __version__
@@ -78,12 +80,12 @@ def _path_json(graph: GraphOfGroups, path: ConjugacyPath) -> dict:
         "end": _format_word(graph, path.end),
         "transitions": [
             {
-                "vertex": t.vertex_id,
-                "incoming": _format_word(graph, t.incoming),
-                "outgoing": _format_word(graph, t.outgoing),
-                "ratio": str(t.ratio),
+                "vertex": int(t.u.vertex),
+                "incoming": _format_word(graph, t.u),
+                "outgoing": _format_word(graph, t.v),
+                "ratio": str(Fraction(*t.exps)),
             }
-            for t in path.transitions()
+            for t in path.transitions
         ],
         "ratio": str(path.ratio()),
         "conjugator": _format_conjugator(graph, path.conjugator_items()),
@@ -414,6 +416,7 @@ def _extra_json(graph: GraphOfGroups, path: ConjugacyPath) -> dict:
 def cmd_conj(args, graph: GraphOfGroups, doc: dict) -> dict:
     x = _parse_located_word(graph, getattr(args, "from"), "--from")
     y = _parse_located_word(graph, args.to, "--to")
+    bounds = _parse_bounds(graph, args.oracle_bounds) if args.oracle_bounds else None
     answer = power_conjugate(graph, x, y)
     doc["from"] = {"vertex": int(x.vertex), "word": _format_word(graph, x)}
     doc["to"] = {"vertex": int(y.vertex), "word": _format_word(graph, y)}
@@ -451,8 +454,8 @@ def cmd_conj(args, graph: GraphOfGroups, doc: dict) -> dict:
     else:
         text.append("no powers of the two elements are conjugate")
 
-    if args.oracle_bounds:
-        syllables, exponents, letters = _parse_bounds(graph, args.oracle_bounds)
+    if bounds is not None:
+        syllables, exponents, letters = bounds
         hit = brute_force_power_conjugacy(
             Engine(graph), x, y, max_syllables=syllables, max_letters=letters, max_exp=exponents
         )
@@ -642,7 +645,10 @@ _PARSER = build_parser()
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    args = _PARSER.parse_args(argv)
+    try:
+        args = _PARSER.parse_args(argv)
+    except SystemExit as exc:  # a bad command line (2), or --help/--version (0)
+        return exc.code
     args.started = time.monotonic()
     try:
         try:

@@ -1,7 +1,7 @@
 """Normal-form arithmetic in the fundamental group of a graph of groups.
 
-Elements are closed paths at the base vertex ``v0``, the root of
-:func:`~gogz.graphs.maximal_tree`, kept in Serre's normal form (*Trees*
+Elements are closed paths at the base vertex ``v0``, the root of the
+graph's spanning tree ``graph.tree``, kept in Serre's normal form (*Trees*
 §I.5)::
 
     g0 s1 r1 s2 r2 ... sn rn
@@ -44,7 +44,7 @@ from dataclasses import dataclass
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple, Union
 
 from .errors import DegenerateInputError
-from .graphs import GraphOfGroups, maximal_tree
+from .graphs import GraphOfGroups
 from .words import (
     FreeWord,
     Letters,
@@ -94,7 +94,7 @@ class Engine:
 
     def __init__(self, graph: GraphOfGroups):
         self.graph = graph
-        self.tree = maximal_tree(graph)
+        self.tree = graph.tree
         self._tags = {vid: v.alphabet.vertex for vid, v in graph.vertices.items()}
         self._non_tree = frozenset(self.tree.non_tree_edge_ids)
         # step -> (origin vertex, origin word a, terminus vertex, terminus word b)

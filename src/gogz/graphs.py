@@ -28,12 +28,11 @@ step.
 from __future__ import annotations
 
 import re
-from collections import deque
 from dataclasses import dataclass
 from typing import Dict, Iterable, List, Tuple
 
 from .errors import AlphabetError, DegenerateInputError, ParseError
-from .words import Alphabet, FreeWord, root
+from .words import Alphabet, FreeWord
 
 MINUS = -1
 PLUS = 1
@@ -133,12 +132,35 @@ class OrientedEdge:
         return f"OrientedEdge(e{self.edge.id}{arrow})"
 
 
+@dataclass(frozen=True)
+class TreeStep:
+    edge_id: int
+    parent: int
+    child: int
+
+
+@dataclass(frozen=True)
+class SpanningTree:
+    """A breadth-first spanning tree, rooted at the least vertex id.
+
+    ``steps`` lists tree edges in discovery order (parent before child);
+    ``non_tree_edge_ids`` are the remaining edges, sorted.  Ties are broken
+    by edge id, so the tree is a deterministic function of the graph.
+    """
+
+    root: int
+    steps: Tuple[TreeStep, ...]
+    non_tree_edge_ids: Tuple[int, ...]
+
+
 class GraphOfGroups:
     """A validated graph of groups.
 
-    Construction checks that the graph is nonempty and connected, that edge
-    endpoints exist, that inclusion words are nontrivial and live over the
-    right alphabets, and that generator names are globally unique.
+    Construction checks that the graph is nonempty, that edge endpoints
+    exist, that inclusion words are nontrivial and live over the right
+    alphabets, and that generator names are globally unique.  It then builds
+    ``tree``, the graph's one :class:`SpanningTree`, and that search is the
+    check that the graph is connected.
     """
 
     def __init__(self, vertices: Iterable[Vertex], edges: Iterable[Edge]):
@@ -157,6 +179,23 @@ class GraphOfGroups:
         for e in self._sorted_edges():
             self._incident[e.minus_vertex].append((e, MINUS))
             self._incident[e.plus_vertex].append((e, PLUS))
+        root_vertex = min(self.vertices)
+        seen = {root_vertex}
+        reached = [root_vertex]  # in breadth-first order
+        steps: List[TreeStep] = []
+        for v in reached:
+            for edge, side in self._incident[v]:
+                other = edge.vertex(-side)
+                if other not in seen:
+                    seen.add(other)
+                    steps.append(TreeStep(edge.id, v, other))
+                    reached.append(other)
+        if len(seen) != len(self.vertices):
+            missing = min(set(self.vertices) - seen)
+            raise DegenerateInputError(f"graph is not connected (vertex {missing} unreachable)")
+        tree_ids = {s.edge_id for s in steps}
+        non_tree = tuple(i for i in sorted(self.edges) if i not in tree_ids)
+        self.tree = SpanningTree(root_vertex, tuple(steps), non_tree)
 
     # -------------------------------------------------------------- basics
 
@@ -191,25 +230,6 @@ class GraphOfGroups:
                     )
                 if word.is_identity:
                     raise DegenerateInputError(f"edge {e.id} has a trivial {side_name(side)} inclusion word")
-        self._check_connected()
-
-    def _check_connected(self):
-        start = min(self.vertices)
-        seen = {start}
-        queue = deque([start])
-        adjacency: Dict[int, List[int]] = {v: [] for v in self.vertices}
-        for e in self.edges.values():
-            adjacency[e.minus_vertex].append(e.plus_vertex)
-            adjacency[e.plus_vertex].append(e.minus_vertex)
-        while queue:
-            v = queue.popleft()
-            for w in adjacency[v]:
-                if w not in seen:
-                    seen.add(w)
-                    queue.append(w)
-        if len(seen) != len(self.vertices):
-            missing = sorted(set(self.vertices) - seen)
-            raise DegenerateInputError(f"graph is not connected (vertex {missing[0]} unreachable)")
 
     @property
     def betti_number(self) -> int:
@@ -228,10 +248,6 @@ class GraphOfGroups:
     def is_bad_end(self, edge: Edge, side: int) -> bool:
         """True when the inclusion word generates the whole vertex group."""
         return self.vertices[edge.vertex(side)].rank == 1 and len(edge.word(side)) == 1
-
-    def has_arrow(self, edge: Edge, side: int) -> bool:
-        """True when the inclusion word is a proper power (non-maximal image)."""
-        return abs(root(edge.word(side)).exponent) >= 2
 
     def reducible_edges(self) -> List[Edge]:
         return [
@@ -448,46 +464,3 @@ def reduce_graph(graph: GraphOfGroups) -> Tuple[GraphOfGroups, Tuple[Contraction
             edges[eid] = Edge(eid, mv, pv, mw, pw)
         incident[survivor] |= moved
     return GraphOfGroups(vertices.values(), edges.values()), tuple(steps)
-
-
-# ------------------------------------------------------------ spanning tree
-
-
-@dataclass(frozen=True)
-class TreeStep:
-    edge_id: int
-    parent: int
-    child: int
-
-
-@dataclass(frozen=True)
-class SpanningTree:
-    """A breadth-first spanning tree, rooted at the least vertex id.
-
-    ``steps`` lists tree edges in discovery order (parent before child);
-    ``non_tree_edge_ids`` are the remaining edges, sorted.  Ties are broken
-    by edge id, so the tree is a deterministic function of the graph.
-    """
-
-    root: int
-    steps: Tuple[TreeStep, ...]
-    non_tree_edge_ids: Tuple[int, ...]
-
-
-def maximal_tree(graph: GraphOfGroups) -> SpanningTree:
-    root_vertex = min(graph.vertices)
-    seen = {root_vertex}
-    queue = deque([root_vertex])
-    steps: List[TreeStep] = []
-    while queue:
-        v = queue.popleft()
-        for edge, side in graph.incident(v):
-            other = edge.vertex(-side)
-            if other not in seen:
-                seen.add(other)
-                steps.append(TreeStep(edge.id, v, other))
-                queue.append(other)
-    assert len(seen) == len(graph.vertices), "graph validated connected"
-    tree_ids = {s.edge_id for s in steps}
-    non_tree = tuple(i for i in sorted(graph.edges) if i not in tree_ids)
-    return SpanningTree(root_vertex, tuple(steps), non_tree)

@@ -40,11 +40,11 @@ gains of its steps.  Everything here reads that one graph:
 Chains are :class:`ConjugacyPath` records, the one chain record of the
 package: its ratio, witness exponents, base vertex (``steps[0].origin``)
 and arrowed ends (the two outer ends of a full path) are all read off it.
-Every transition of every chain handed out is certified by
-:func:`~gogz.words.cyclic_meet`, once per class graph: the class graph
-keeps each entry, junction and exit it has certified, keyed by its pair of
-steps, and assembles each chain from them.  :func:`check_conjugacy_path`
-certifies one given chain with the same transitions.
+Its transitions are the :class:`~gogz.words.CyclicMeet` records that
+:func:`~gogz.words.cyclic_meet` returns, and the class graph is the only
+place that builds a chain: it certifies each entry, junction and exit
+once, keyed by its pair of steps, and assembles every chain handed out
+from them.
 """
 
 from __future__ import annotations
@@ -67,36 +67,6 @@ EndClass = Tuple[int, Letters]
 QUERY = -1
 
 
-@dataclass(frozen=True)
-class Transition:
-    """One exponent transfer inside the vertex group at ``vertex_id``.
-
-    ``meet`` certifies that a conjugate of <incoming> overlaps <outgoing>;
-    ``conjugator()`` maps incoming^x to outgoing^(x * ratio) whenever the
-    target exponent is an integer.
-    """
-
-    vertex_id: int
-    incoming: FreeWord
-    outgoing: FreeWord
-    meet: CyclicMeet
-
-    @property
-    def ratio(self) -> Fraction:
-        k_in, k_out = self.meet.exps
-        return Fraction(k_in, k_out)
-
-    def conjugator(self) -> FreeWord:
-        return self.meet.transfer_conjugator()
-
-
-def _transition(vertex_id: int, incoming: FreeWord, outgoing: FreeWord) -> Optional[Transition]:
-    """The transfer from ``incoming`` onto ``outgoing``, or None when their
-    cyclic subgroups do not overlap."""
-    meet = cyclic_meet(incoming, outgoing)
-    return None if meet is None else Transition(vertex_id, incoming, outgoing, meet)
-
-
 def _t_letter(step: OrientedEdge) -> TLetter:
     return ("t", step.edge.id, 1 if step.forward else -1)
 
@@ -105,23 +75,26 @@ def _t_letter(step: OrientedEdge) -> TLetter:
 class ConjugacyPath:
     """A certified chain carrying powers of ``start`` onto powers of ``end``.
 
-    ``entry`` transfers ``start`` onto the first inclusion word, each of
-    ``junctions[i]`` bridges steps[i] -> steps[i+1] inside a vertex group,
-    and ``exit`` lands on ``end``.  Crossing an edge preserves the exponent
-    (stable letters conjugate one inclusion word to the other).  The
-    witness exponents and the conjugator are computed once per path, on
-    first use, and shared by every caller.
+    ``transitions`` are the exponent transfers inside vertex groups, each a
+    :class:`~gogz.words.CyclicMeet` from its ``u`` onto its ``v``: the entry
+    from ``start`` onto the first inclusion word, one junction from each
+    step's terminus word onto the next step's origin word, and the exit
+    onto ``end``.  Crossing an edge preserves the exponent (stable letters
+    conjugate one inclusion word to the other).  The witness exponents and
+    the conjugator are computed once per path, on first use, and shared by
+    every caller.
     """
 
     steps: Tuple[OrientedEdge, ...]
-    start: FreeWord
-    end: FreeWord
-    entry: Transition
-    junctions: Tuple[Transition, ...]
-    exit: Transition
+    transitions: Tuple[CyclicMeet, ...]
 
-    def transitions(self) -> Tuple[Transition, ...]:
-        return (self.entry, *self.junctions, self.exit)
+    @property
+    def start(self) -> FreeWord:
+        return self.transitions[0].u
+
+    @property
+    def end(self) -> FreeWord:
+        return self.transitions[-1].v
 
     def ratio(self) -> Fraction:
         m, n = self.witness_exponents()
@@ -147,8 +120,8 @@ class ConjugacyPath:
     @cached_property
     def _exponents(self) -> Tuple[int, int]:
         num = den = m = 1  # num / den is the running product, reduced
-        for tr in self.transitions():
-            k_in, k_out = tr.meet.exps
+        for tr in self.transitions:
+            k_in, k_out = tr.exps
             num, den = num * k_in, den * k_out
             d = gcd(num, den)
             num, den = num // d, den // d
@@ -166,54 +139,11 @@ class ConjugacyPath:
 
     @cached_property
     def _conjugator(self) -> Tuple[ConjugatorItem, ...]:
-        items: List[ConjugatorItem] = [self.exit.conjugator()]
-        for step, junction in zip(reversed(self.steps[1:]), reversed(self.junctions)):
-            items.append(_t_letter(step))
-            items.append(junction.conjugator())
-        items.append(_t_letter(self.steps[0]))
-        items.append(self.entry.conjugator())
+        # transitions[i] precedes steps[i]; the exit follows the last step
+        items: List[ConjugatorItem] = [self.transitions[-1].transfer_conjugator()]
+        for step, tr in zip(reversed(self.steps), reversed(self.transitions[:-1])):
+            items += [_t_letter(step), tr.transfer_conjugator()]
         return tuple(w for w in items if not (isinstance(w, FreeWord) and w.is_identity))
-
-
-def check_conjugacy_path(
-    graph: GraphOfGroups,
-    g: FreeWord,
-    g_prime: FreeWord,
-    steps: Sequence[OrientedEdge],
-) -> Optional[ConjugacyPath]:
-    """Certify the edge chain ``steps`` as a conjugacy path from g to g'.
-
-    Returns None when some overlap along the chain fails; raises on a
-    malformed query (trivial endpoints, vertex mismatch, broken chain).
-    """
-    steps = tuple(steps)
-    if not steps:
-        raise DegenerateInputError("a conjugacy path needs at least one edge")
-    if g.is_identity or g_prime.is_identity:
-        raise DegenerateInputError("conjugacy paths connect nontrivial elements")
-    if g.vertex != str(steps[0].origin):
-        raise DegenerateInputError(
-            f"g lives at vertex {g.vertex!r} but the path starts at {steps[0].origin}"
-        )
-    if g_prime.vertex != str(steps[-1].terminus):
-        raise DegenerateInputError(
-            f"g' lives at vertex {g_prime.vertex!r} but the path ends at {steps[-1].terminus}"
-        )
-    for a, b in zip(steps, steps[1:]):
-        if a.terminus != b.origin:
-            raise DegenerateInputError(f"broken chain: {a!r} does not meet {b!r}")
-
-    overlaps = [(steps[0].origin, g, steps[0].origin_word)]
-    overlaps += [(a.terminus, a.terminus_word, b.origin_word) for a, b in zip(steps, steps[1:])]
-    overlaps.append((steps[-1].terminus, steps[-1].terminus_word, g_prime))
-    transitions = []
-    for overlap in overlaps:
-        tr = _transition(*overlap)
-        if tr is None:
-            return None
-        transitions.append(tr)
-    entry, *junctions, exit_ = transitions
-    return ConjugacyPath(steps, g, g_prime, entry, tuple(junctions), exit_)
 
 
 # --------------------------------------------------------------- class graph
@@ -248,7 +178,7 @@ class _ClassGraph:
 
     def __init__(self, graph: GraphOfGroups, query: Optional[Tuple[FreeWord, FreeWord]] = None):
         self.query = query
-        self.transitions: Dict[Tuple[int, int], Transition] = {}
+        self.transitions: Dict[Tuple[int, int], CyclicMeet] = {}
         self.steps = graph.oriented_edges()
         self.node: Dict[EndClass, int] = {}
         self.out: List[List[int]] = []
@@ -282,19 +212,16 @@ class _ClassGraph:
     def chain(self, walk: Sequence[int]) -> Tuple[OrientedEdge, ...]:
         return tuple(self.steps[i] for i in walk)
 
-    def transition(self, a: int, b: int, walk: Sequence[int]) -> Transition:
+    def transition(self, a: int, b: int, walk: Sequence[int]) -> CyclicMeet:
         """The transfer from the terminus word of step ``a`` onto the origin
         word of step ``b`` (the query's start word when ``a`` is QUERY, its
         end word when ``b`` is), certified once per pair; ``walk`` is the
         chain named when cyclic_meet rejects what the class walk accepted."""
         tr = self.transitions.get((a, b))
         if tr is None:
-            if a == QUERY:
-                vertex, incoming = self.steps[b].origin, self.query[0]
-            else:
-                vertex, incoming = self.steps[a].terminus, self.steps[a].terminus_word
+            incoming = self.query[0] if a == QUERY else self.steps[a].terminus_word
             outgoing = self.query[1] if b == QUERY else self.steps[b].origin_word
-            tr = _transition(vertex, incoming, outgoing)
+            tr = cyclic_meet(incoming, outgoing)
             if tr is None:
                 raise InternalInconsistencyError(
                     "class walk accepted a chain that cyclic_meet rejects: "
@@ -312,9 +239,7 @@ class _ClassGraph:
         path to its last terminus word (``last`` the reverse of its last step).
         """
         pairs = zip([first, *walk], [*walk, last])
-        entry, *junctions, exit_ = [self.transition(a, b, walk) for a, b in pairs]
-        steps = self.chain(walk)
-        return ConjugacyPath(steps, entry.incoming, exit_.outgoing, entry, tuple(junctions), exit_)
+        return ConjugacyPath(self.chain(walk), tuple(self.transition(a, b, walk) for a, b in pairs))
 
     # ------------------------------------------------------------ walks
 

@@ -302,6 +302,8 @@ class CyclicMeet:
     own inverse).  exps are the signed root exponents (k_u, k_v).
     """
 
+    u: FreeWord
+    v: FreeWord
     exps: Tuple[int, int]
     u_root: RootDecomposition
     v_root: RootDecomposition
@@ -328,7 +330,7 @@ def cyclic_meet(u: FreeWord, v: FreeWord) -> Optional[CyclicMeet]:
     ru, rv = root(u), root(v)
     if ru.primitive.letters != rv.primitive.letters:
         return None
-    return CyclicMeet(exps=(ru.exponent, rv.exponent), u_root=ru, v_root=rv)
+    return CyclicMeet(u, v, (ru.exponent, rv.exponent), ru, rv)
 
 
 @lru_cache(maxsize=65536)

@@ -286,6 +286,11 @@ def _naive_complete(graph):
     return found
 
 
+def _has_arrow(word):
+    """A proper power: the edge group is not maximal cyclic at this end."""
+    return abs(root(word).exponent) >= 2
+
+
 def _naive_full(graph):
     found = set()
     oriented = graph.oriented_edges()
@@ -295,13 +300,13 @@ def _naive_full(graph):
                 continue
             if any(a.terminus != b.origin for a, b in zip(seq, seq[1:])):
                 continue
-            if not graph.has_arrow(seq[0].edge, seq[0].origin_side):
+            if not _has_arrow(seq[0].origin_word):
                 continue
-            if not graph.has_arrow(seq[-1].edge, seq[-1].terminus_side):
+            if not _has_arrow(seq[-1].terminus_word):
                 continue
-            if any(graph.has_arrow(s.edge, s.origin_side) for s in seq[1:]):
+            if any(_has_arrow(s.origin_word) for s in seq[1:]):
                 continue
-            if any(graph.has_arrow(s.edge, s.terminus_side) for s in seq[:-1]):
+            if any(_has_arrow(s.terminus_word) for s in seq[:-1]):
                 continue
             if any(
                 cyclic_meet(a.terminus_word, b.origin_word) is None

@@ -240,16 +240,18 @@ class TestConj:
                      "--oracle-bounds", "0,4"]) == 2
         capsys.readouterr()
 
-    @pytest.mark.parametrize("bounds", ["12,3", "2,1001"])
+    @pytest.mark.parametrize("bounds", ["12,3", "2,1001", "x", "0,3"])
     def test_oracle_bounds_past_the_caps_exit_2_before_searching(
         self, graph_file, capsys, monkeypatch, bounds
     ):
         # words of up to 24 letters at a rank-2 vertex are about 5.6e11 atoms;
-        # 1001 exponents ask for 2002 powers of y
+        # 1001 exponents ask for 2002 powers of y.  Refused bounds are refused
+        # before any search, the solver's included.
         def never(*args, **kwargs):
-            raise AssertionError("the brute force ran on refused bounds")
+            raise AssertionError("a search ran on refused bounds")
 
         monkeypatch.setattr(cli, "brute_force_power_conjugacy", never)
+        monkeypatch.setattr(cli, "power_conjugate", never)
         path = graph_file("vertex 0 rank=2 gens=a,b\n")
         assert main(["conj", path, "--from", "0:a", "--to", "0:b", "--oracle-bounds", bounds]) == 2
         assert "--oracle-bounds" in capsys.readouterr().err
@@ -369,12 +371,7 @@ class TestSharedParser:
                                capture_output=True, text=True).stdout
         assert alone
         argv = [arg.format(path=path) for arg in before]
-        if status is None:
-            assert main(argv) == 0
-        else:
-            with pytest.raises(SystemExit) as exc:
-                main(argv)
-            assert exc.value.code == status
+        assert main(argv) == (0 if status is None else status)
         assert message in getattr(capsys.readouterr(), stream)
         assert run(capsys, *check) == (0, alone)
 

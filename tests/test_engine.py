@@ -26,6 +26,12 @@ def w(graph, vid, text):
     return graph.vertices[vid].parse(text)
 
 
+@pytest.mark.parametrize("graph", [BS23, TREFOIL, THETA, FREE])
+def test_engine_shares_the_graph_spanning_tree(graph):
+    # the graph builds its spanning tree once; an engine does not search again
+    assert Engine(graph).tree is graph.tree
+
+
 # ------------------------------------------------------------------- BS(2,3)
 
 

@@ -12,10 +12,10 @@ from gogz.graphs import (
     GraphOfGroups,
     Vertex,
     _tokenize,
-    maximal_tree,
     parse_graph,
     reduce_graph,
 )
+from gogz.words import root
 
 BS23 = """
 # one loop: t a^2 t^-1 = a^3
@@ -115,7 +115,7 @@ def test_tokenize_matches_the_character_scanner(line):
 
 def test_disconnected_rejected():
     text = "vertex 0 rank=1 gens=a\nvertex 1 rank=1 gens=b\n"
-    with pytest.raises(DegenerateInputError, match="not connected"):
+    with pytest.raises(DegenerateInputError, match=r"not connected \(vertex 1 unreachable\)"):
         parse_graph(text)
 
 
@@ -123,13 +123,13 @@ def test_end_labels():
     g = parse_graph(TREFOIL)
     e = g.edges[0]
     assert not g.is_bad_end(e, MINUS) and not g.is_bad_end(e, PLUS)
-    assert g.has_arrow(e, MINUS) and g.has_arrow(e, PLUS)
+    assert abs(root(e.minus_word).exponent) >= 2 and abs(root(e.plus_word).exponent) >= 2
     assert not g.reducible_edges()
 
     h = parse_graph("vertex 0 rank=1 gens=a\nvertex 1 rank=1 gens=b\nedge 0 0 1 minus=\"a\" plus=\"b^2\"")
     e = h.edges[0]
     assert h.is_bad_end(e, MINUS) and not h.is_bad_end(e, PLUS)
-    assert not h.has_arrow(e, MINUS) and h.has_arrow(e, PLUS)
+    assert abs(root(e.minus_word).exponent) == 1 and abs(root(e.plus_word).exponent) >= 2
     assert h.reducible_edges()
 
 
@@ -237,15 +237,14 @@ def test_maximal_tree_deterministic():
     edge 3 0 0 minus="a^4" plus="a^5"
     """
     g = parse_graph(text)
-    tree = maximal_tree(g)
+    tree = g.tree
     assert tree.root == 0
     assert [(s.edge_id, s.parent, s.child) for s in tree.steps] == [(0, 0, 1), (2, 0, 2)]
     assert tree.non_tree_edge_ids == (1, 3)
 
 
 def test_maximal_tree_of_tree_has_no_extra_edges():
-    g = parse_graph(TREFOIL)
-    tree = maximal_tree(g)
+    tree = parse_graph(TREFOIL).tree
     assert tree.non_tree_edge_ids == ()
     assert [s.edge_id for s in tree.steps] == [0]
 

@@ -2,12 +2,15 @@
 replaced, and the class-graph deciders against the walker.
 
 The reference walkers below rescan every oriented edge at each step, test
-junctions with ``cyclic_meet`` directly and canonicalise closed chains by
-comparing all rotations and reversals.  On random graphs whose edge words
-are powers of a few shared primitives (so that chains exist), the
-enumerations must agree exactly: the same lists in the same order for the
-closed and full chains, and the same sequence in yield order for the open
-search, which ``power_conjugate`` and the ``conj`` command depend on.
+junctions with ``cyclic_meet`` directly, canonicalise closed chains by
+comparing all rotations and reversals, and certify each chain they find
+with ``check_conjugacy_path``, which runs ``cyclic_meet`` on every
+transition of that one chain instead of going through the class graph.
+On random graphs whose edge words are powers of a few shared primitives
+(so that chains exist), the enumerations must agree exactly: the same
+lists in the same order for the closed and full chains, and the same
+sequence in yield order for the open search, which ``power_conjugate``
+and the ``conj`` command depend on.
 ``decide_chains`` must then give the verdicts and witnesses that the
 enumerations imply, and the streaming ``power_conjugate`` the answer of
 the materialising copy it replaced.
@@ -16,7 +19,7 @@ the materialising copy it replaced.
 from fractions import Fraction
 from itertools import islice
 from math import gcd, lcm
-from typing import List
+from typing import List, Optional
 
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
@@ -27,14 +30,13 @@ from gogz.paths import (
     ConjugacyPath,
     _ClassGraph,
     _closed_chains,
-    check_conjugacy_path,
     decide_chains,
     enumerate_complete_paths,
     enumerate_full_nonmaximal_paths,
     iter_conjugacy_paths,
 )
 from gogz.verdicts import ConjugacyAnswer, _same_vertex_candidate, power_conjugate
-from gogz.words import cyclic_meet
+from gogz.words import cyclic_meet, root
 
 # ------------------------------------------------------------ reference walk
 
@@ -60,6 +62,17 @@ def _junction_holds(a: OrientedEdge, b: OrientedEdge) -> bool:
     return cyclic_meet(a.terminus_word, b.origin_word) is not None
 
 
+def check_conjugacy_path(g, g_prime, steps) -> Optional[ConjugacyPath]:
+    """Certify the connected edge chain ``steps`` as a conjugacy path from g
+    to g', or None when some overlap along it fails."""
+    words = [g]
+    for step in steps:
+        words += [step.origin_word, step.terminus_word]
+    words.append(g_prime)
+    meets = [cyclic_meet(u, v) for u, v in zip(words[::2], words[1::2])]
+    return None if any(m is None for m in meets) else ConjugacyPath(tuple(steps), tuple(meets))
+
+
 def reference_complete(graph: GraphOfGroups) -> List[ConjugacyPath]:
     oriented = graph.oriented_edges()
     cycles = []
@@ -83,7 +96,7 @@ def reference_complete(graph: GraphOfGroups) -> List[ConjugacyPath]:
     chains = []
     for steps in cycles:
         base_word = steps[0].origin_word
-        path = check_conjugacy_path(graph, base_word, base_word, steps)
+        path = check_conjugacy_path(base_word, base_word, steps)
         if path is not None:
             chains.append(path)
     chains.sort(key=lambda p: (len(p.steps), _path_key(p.steps)))
@@ -94,17 +107,16 @@ def reference_full(graph: GraphOfGroups) -> List[ConjugacyPath]:
     oriented = graph.oriented_edges()
     found = []
 
+    # an arrow: the inclusion word at that end is a proper power
     def arrow_at_origin(step):
-        return graph.has_arrow(step.edge, step.origin_side)
+        return abs(root(step.origin_word).exponent) >= 2
 
     def arrow_at_terminus(step):
-        return graph.has_arrow(step.edge, step.terminus_side)
+        return abs(root(step.terminus_word).exponent) >= 2
 
     def emit(steps):
         if _path_key(steps) <= _path_key(_reversed_path(steps)):
-            path = check_conjugacy_path(
-                graph, steps[0].origin_word, steps[-1].terminus_word, steps
-            )
+            path = check_conjugacy_path(steps[0].origin_word, steps[-1].terminus_word, steps)
             assert path is not None
             found.append(path)
 
@@ -141,7 +153,7 @@ def reference_open(graph: GraphOfGroups, g, g_prime):
 
     def extend(path, used):
         if path[-1].terminus == end_vid:
-            certified = check_conjugacy_path(graph, g, g_prime, path)
+            certified = check_conjugacy_path(g, g_prime, path)
             if certified is not None:
                 yield certified
         for step in oriented:
@@ -365,8 +377,8 @@ def fraction_witness_exponents(path: ConjugacyPath):
     """``witness_exponents`` as it was computed with Fractions: m is the lcm
     of the denominators of the running products of the transfer ratios."""
     partials, q = [], Fraction(1)
-    for tr in path.transitions():
-        q *= tr.ratio
+    for tr in path.transitions:
+        q *= Fraction(*tr.exps)
         partials.append(q)
     m = lcm(*(q.denominator for q in partials))
     n = m * partials[-1]
