@@ -43,7 +43,7 @@ from .errors import (
 from .graphs import Contraction, GraphOfGroups, parse_graph, side_name
 from .paths import ConjugacyPath, enumerate_complete_paths, enumerate_full_nonmaximal_paths
 from .verdicts import AnalysisReport, ConjugacyAnswer, _require_path, analyze, power_conjugate
-from .words import MAX_WORD_LETTERS, Alphabet, FreeWord
+from .words import MAX_WORD_LETTERS, Alphabet, FreeWord, parse_int
 
 SCHEMA_VERSION = 2
 
@@ -345,7 +345,7 @@ def _parse_located_word(graph: GraphOfGroups, spec: str, flag: str) -> FreeWord:
     if not sep:
         raise ParseError(f"{flag} wants '<vertex>:<word>', got {spec!r}")
     try:
-        vid = int(vertex_text)
+        vid = parse_int(vertex_text)
     except ValueError:
         raise ParseError(f"{flag}: bad vertex id {vertex_text!r}") from None
     if vid not in graph.vertices:
@@ -380,7 +380,7 @@ def _parse_bounds(graph: GraphOfGroups, text: str) -> Tuple[int, int, int]:
     if len(parts) not in (2, 3):
         raise ParseError("--oracle-bounds wants 'SYLLABLES,EXPONENTS[,LETTERS]'")
     try:
-        numbers = [int(p) for p in parts]
+        numbers = [parse_int(p, signed=True) for p in parts]
     except ValueError:
         raise ParseError(f"--oracle-bounds: not integers: {text!r}") from None
     if any(n < 1 for n in numbers):
@@ -527,7 +527,7 @@ def _stable_letter_edge(graph: GraphOfGroups, name: str, token: str) -> int:
             raise ParseError("bare 't' is only unambiguous with a single edge; use t_<edge-id>")
         return next(iter(graph.edges))
     try:
-        eid = int(name[2:])
+        eid = parse_int(name[2:])
     except ValueError:
         raise ParseError(f"bad stable letter {token!r}") from None
     if eid not in graph.edges:

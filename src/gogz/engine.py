@@ -65,12 +65,12 @@ RawPath = Tuple  # (g0, ((step, word), ...)) with any words: a closed path
 IDENTITY: Elem = ((), ())
 
 
-def _exponent_of(tag: str, u: Letters, y: Letters) -> Optional[int]:
+def _exponent_of(u: Letters, y: Letters) -> Optional[int]:
     """The j with y = u^j in the free vertex group, or None."""
     if not y:
         return 0
-    cu, pu, ku = _root_cached(tag, u)
-    cy, py, ky = _root_cached(tag, y)
+    cu, pu, ku = _root_cached(u)
+    cy, py, ky = _root_cached(y)
     if pu != py or cu != cy or ky % ku:
         return None
     return ky // ku
@@ -155,7 +155,7 @@ class Engine:
             _, a, vid, b = self._ends[step]
             tag = self._tags[vid]
             r = _coset_canonical_cached(tag, b, head) if head else ()
-            j = 0 if r == head else _exponent_of(tag, b, join_reduced(head, invert_letters(r)))
+            j = 0 if r == head else _exponent_of(b, join_reduced(head, invert_letters(r)))
             assert j is not None, "coset representative differs by a power"
             head = power_letters(a, j)  # s b^j r = a^j s r
             if not r and stack and stack[-1][0] == _reverse(step):

@@ -32,7 +32,7 @@ from dataclasses import dataclass
 from typing import Dict, Iterable, List, Tuple
 
 from .errors import AlphabetError, DegenerateInputError, ParseError
-from .words import Alphabet, FreeWord
+from .words import Alphabet, FreeWord, parse_int
 
 MINUS = -1
 PLUS = 1
@@ -282,7 +282,8 @@ class GraphOfGroups:
 
 # One token after optional blanks: runs of plain characters and quoted
 # spans (which keep blanks and ``#``), then a lone quote if one is left open.
-# An empty token means the line ends or a comment starts.
+# An empty token means the line ends or a comment starts.  The pattern
+# matches at every position, so successive matches tile the line.
 _TOKEN_RE = re.compile(r'[ \t]*((?:[^ \t#"]+|"[^"]*")*)("?)')
 
 
@@ -292,22 +293,20 @@ def _tokenize(line: str, lineno: int) -> List[Tuple[str, int]]:
     Quotes group and are dropped; ``#`` outside quotes starts a comment.
     """
     tokens = []
-    pos = 0
-    while True:
-        m = _TOKEN_RE.match(line, pos)
+    for m in _TOKEN_RE.finditer(line):
         text, open_quote = m.groups()
         if open_quote:
             raise ParseError("unterminated quote", lineno, m.start(1) + 1)
         if not text:
-            return tokens
+            break
         tokens.append((text.replace('"', ""), m.start(1) + 1))
-        pos = m.end()
+    return tokens
 
 
 def _parse_int(token: Tuple[str, int], lineno: int, what: str) -> int:
     text, col = token
     try:
-        return int(text)
+        return parse_int(text)
     except ValueError:
         raise ParseError(f"expected {what}, got {text!r}", lineno, col) from None
 

@@ -57,7 +57,7 @@ from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple, Un
 
 from .errors import DegenerateInputError, InternalInconsistencyError
 from .graphs import MINUS, PLUS, Edge, GraphOfGroups, OrientedEdge
-from .words import CyclicMeet, FreeWord, Letters, cyclic_meet, root
+from .words import CyclicMeet, FreeWord, Letters, _root_cached, cyclic_meet
 
 TLetter = Tuple[str, int, int]
 ConjugatorItem = Union[FreeWord, TLetter]
@@ -168,7 +168,7 @@ class _ClassGraph:
     the chains step by step by (edge id, forward first): that *step order*
     is the lex order used throughout, and chains are listed shortest first,
     then lex.  ``out`` lists, per class, the steps leaving it in step order.
-    Building it takes one :func:`root` per edge end.
+    Building it takes one :func:`root` per distinct edge word.
 
     ``transitions`` memoises the certified transfer of each pair of steps
     (plus the ``query`` endpoints of an open search), so every chain built
@@ -198,16 +198,16 @@ class _ClassGraph:
         self.arrow_terminus = [abs(k) >= 2 for k in self.k_terminus]
 
     def _end(self, edge: Edge, side: int) -> Tuple[int, int]:
-        r = root(edge.word(side))
-        key = (edge.vertex(side), r.primitive.letters)
+        _, primitive, exponent = _root_cached(edge.word(side).letters)
+        key = (edge.vertex(side), primitive)
         if key not in self.node:
             self.node[key] = len(self.out)
             self.out.append([])
-        return self.node[key], r.exponent
+        return self.node[key], exponent
 
     def word_class(self, vid: int, word: FreeWord) -> Optional[int]:
-        """The class of ``word`` at vertex ``vid``, or None if no edge end has it."""
-        return self.node.get((vid, root(word).primitive.letters))
+        """The class of a nontrivial ``word`` at vertex ``vid``, or None if no edge end has it."""
+        return self.node.get((vid, _root_cached(word.letters)[1]))
 
     def chain(self, walk: Sequence[int]) -> Tuple[OrientedEdge, ...]:
         return tuple(self.steps[i] for i in walk)

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from operator import neg
+from operator import eq, neg
 from typing import Optional, Tuple
 
 from .errors import AlphabetError, DegenerateInputError, ParseError
@@ -27,6 +27,18 @@ Letters = Tuple[int, ...]
 # token ``a^k`` costs k letters, so a short file could otherwise ask for
 # unbounded memory.
 MAX_WORD_LETTERS = 10**6
+
+
+def parse_int(text: str, signed: bool = False) -> int:
+    """The integer ``[0-9]+`` spells, or ``-?[0-9]+`` when ``signed``.
+
+    Unlike ``int``, this refuses blanks, ``+``, ``_`` and non-ASCII digits;
+    like it, it raises ValueError.
+    """
+    digits = text[1:] if signed and text.startswith("-") else text
+    if not (digits.isascii() and digits.isdigit()):
+        raise ValueError(f"not an integer: {text!r}")
+    return int(text)
 
 
 class Alphabet:
@@ -63,7 +75,7 @@ class Alphabet:
             k = 1
             if exp:
                 try:
-                    k = int(exp)
+                    k = parse_int(exp, signed=True)
                 except ValueError:
                     raise ParseError(f"bad exponent in token {tok!r}") from None
                 if k == 0:
@@ -172,7 +184,8 @@ class FreeWord:
     letters: Letters
 
     def __post_init__(self):
-        assert reduce_letters(self.letters) == tuple(self.letters), "FreeWord must be reduced"
+        letters = self.letters
+        assert not any(map(eq, letters[1:], map(neg, letters))), "FreeWord must be reduced"
 
     def __len__(self):
         return len(self.letters)
@@ -243,21 +256,23 @@ class RootDecomposition:
 
 
 @lru_cache(maxsize=65536)
-def _root_cached(vertex: str, letters: Letters):
+def _root_cached(letters: Letters) -> Tuple[Letters, Letters, int]:
+    """(conjugator, primitive, exponent) of a nonempty reduced word, checked
+    to recompose to it; see :class:`RootDecomposition`."""
     c, core = cyclic_split(letters)
     q = _smallest_period(core)
-    m = len(core) // len(q)
-    best = None
-    for source, base in ((1, q), (-1, invert_letters(q))):
-        for i in range(len(base)):
-            cand = base[i:] + base[:i]
-            key = tuple(letter_key(l) for l in cand)
-            if best is None or key < best[0]:
-                best = (key, cand, source, i)
-    _, p, source, i = best
-    base = q if source == 1 else invert_letters(q)
-    conj = reduce_letters(c + base[:i])
-    k = m if source == 1 else -m
+    n, bases = len(q), (q, invert_letters(q))
+    # 2|l| + (l < 0) orders letters like letter_key, so the least rotation of
+    # q or q^-1 is the least n-slice of these doubled keys, compared in C; it
+    # starts at a least key
+    doubled = [tuple(2 * abs(l) + (l < 0) for l in base) * 2 for base in bases]
+    least = min(map(min, doubled))
+    starts = ((d[i : i + n], s, i) for s, d in enumerate(doubled) for i in range(n) if d[i] == least)
+    _, inverted, i = min(starts)
+    base, k = bases[inverted], len(core) // n * (-1 if inverted else 1)
+    conj, p = reduce_letters(c + base[:i]), base[i:] + base[:i]
+    recomposed = join_reduced(join_reduced(conj, power_letters(p, k)), invert_letters(conj))
+    assert recomposed == letters, "root decomposition must recompose"
     return conj, p, k
 
 
@@ -268,18 +283,16 @@ def root(w: FreeWord) -> RootDecomposition:
     return _checked_root(w)
 
 
-# Unlike the int tuples of _root_cached, which the garbage collector stops
-# tracking, every cached decomposition stays tracked, so a graph with tens
-# of thousands of distinct edge words would slow every later collection.
-# The bound keeps that cost fixed; a single `check` of the benchmark pools
-# roots at most 116 distinct words.
+# _root_cached roots and checks each distinct letter tuple once, and holds
+# int tuples, which the garbage collector stops tracking.  Every
+# decomposition cached here stays tracked, so tens of thousands of distinct
+# words would slow every later collection; the bound keeps that cost fixed.
+# The class graph reads _root_cached directly, so one op of the benchmark
+# pools builds at most 14 decompositions here.
 @lru_cache(maxsize=4096)
 def _checked_root(w: FreeWord) -> RootDecomposition:
-    # a hit returns the decomposition built and checked once for this word
-    conj, p, k = _root_cached(w.vertex, w.letters)
-    dec = RootDecomposition(FreeWord(w.vertex, conj), FreeWord(w.vertex, p), k)
-    assert dec.recompose() == w, "root decomposition must recompose"
-    return dec
+    conj, p, k = _root_cached(w.letters)
+    return RootDecomposition(FreeWord(w.vertex, conj), FreeWord(w.vertex, p), k)
 
 
 def maximal_root(w: FreeWord) -> FreeWord:

@@ -327,6 +327,44 @@ class TestErrors:
         code, out = run(capsys, "oracle", path, "--relation", f"a^{half} = a^{half}", "--format", "text")
         assert code == 0 and out.splitlines()[-1] == "true"
 
+    @pytest.mark.parametrize(
+        "text, where",
+        [
+            ("vertex -1 rank=1 gens=a\n", "line 1, col 8: expected a vertex id, got '-1'"),
+            ("vertex \u0663 rank=1 gens=a\n", "line 1, col 8: expected a vertex id, got '\u0663'"),
+            (
+                'vertex 0 rank=1 gens=a\nedge 0 0 0 minus="a^1_0" plus="a"\n',
+                "line 2, col 12: bad exponent in token 'a^1_0'",
+            ),
+            (
+                'vertex 0 rank=1 gens=a\nedge 0 0 0 minus="a^+2" plus="a^3"\n',
+                "line 2, col 12: bad exponent in token 'a^+2'",
+            ),
+        ],
+        ids=["negative-id", "arabic-indic-digit", "underscore-exponent", "plus-exponent"],
+    )
+    def test_integers_outside_the_grammar_exit_2(self, graph_file, capsys, text, where):
+        assert main(["check", graph_file(text)]) == 2
+        assert capsys.readouterr().err == f"error: {where}\n"
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["conj", "--from", "\u0660:a", "--to", "0:a"],
+            ["conj", "--from", "0:a", "--to", "0:a^1_0"],
+            ["conj", "--from", "0:a^+2", "--to", "0:a^3"],
+            ["conj", "--from", "0:a^2", "--to", "0:a^3", "--oracle-bounds", "2,+3"],
+            ["oracle", "--relation", "t_\u0660 a^2 t_\u0660^-1 = a^3"],
+            ["oracle", "--relation", "t_+0 a^2 t^-1 = a^3"],
+            ["oracle", "--relation", "t a^+2 t^-1 = a^3"],
+        ],
+        ids=["from-digit", "to-underscore", "from-plus", "bounds-plus", "t-digit", "t-plus", "relation-plus"],
+    )
+    def test_command_line_integers_outside_the_grammar_exit_2(self, graph_file, capsys, argv):
+        command, *rest = argv
+        assert main([command, graph_file(BS23), *rest]) == 2
+        assert capsys.readouterr().err.startswith("error: ")
+
     def test_non_utf8_file_exits_2(self, tmp_path, capsys):
         path = tmp_path / "latin1.gog"
         path.write_bytes(b"vertex 0 rank=1 gens=\xff\n")

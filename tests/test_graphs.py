@@ -113,6 +113,28 @@ def test_tokenize_matches_the_character_scanner(line):
     assert _scan(_tokenize, line) == _scan(reference_tokenize, line)
 
 
+def test_tokenize_keeps_a_quoted_hash():
+    assert _tokenize('edge 0 0 1 minus="a # b"', 1) == [
+        ("edge", 1), ("0", 6), ("0", 8), ("1", 10), ("minus=a # b", 12)
+    ]
+
+
+def test_tokenize_drops_a_trailing_comment():
+    assert _tokenize('vertex 0 rank=1 gens=a  # the base\t"', 1) == [
+        ("vertex", 1), ("0", 8), ("rank=1", 10), ("gens=a", 17)
+    ]
+    assert _tokenize("gens=a#b c", 1) == [("gens=a", 1)]
+
+
+def test_tokenize_places_an_unterminated_quote_at_its_token():
+    with pytest.raises(ParseError) as err:
+        _tokenize('edge 0 0 0 minus="a" plus="a', 4)
+    assert (err.value.message, err.value.line, err.value.col) == ("unterminated quote", 4, 22)
+    with pytest.raises(ParseError) as err:
+        parse_graph('vertex 0 rank=1 gens=a\n  edge 0 0 0 minus="a plus="a"')
+    assert (err.value.line, err.value.col) == (2, 14)
+
+
 def test_disconnected_rejected():
     text = "vertex 0 rank=1 gens=a\nvertex 1 rank=1 gens=b\n"
     with pytest.raises(DegenerateInputError, match=r"not connected \(vertex 1 unreachable\)"):

@@ -6,9 +6,9 @@ from itertools import product
 import pytest
 
 from gogz.engine import Engine
-from gogz import paths
+from gogz import paths, words
 from gogz.errors import InternalInconsistencyError
-from gogz.graphs import OrientedEdge, parse_graph
+from gogz.graphs import MINUS, PLUS, OrientedEdge, parse_graph
 from gogz.paths import (
     enumerate_complete_paths,
     enumerate_full_nonmaximal_paths,
@@ -345,3 +345,20 @@ def test_open_search_meets_each_junction_once(monkeypatch):
     a = w(graph, 0, "a")
     assert sum(1 for _ in iter_conjugacy_paths(graph, a, a)) == 75_972
     assert len(calls) <= 4 * edges**2 + 4 * edges
+
+
+def test_class_graph_roots_each_distinct_edge_word_once():
+    """Edge words are rooted by their letters alone: a 60-vertex chain whose
+    ends spell four letter tuples at different vertices takes four roots."""
+    n = 60
+    lines = [f"vertex {i} rank=2 gens=a{i},b{i}" for i in range(n)]
+    lines += [
+        f'edge {i} {i} {i + 1} minus="a{i}^{2 + i % 2}" plus="{"b" if i % 3 else "a"}{i + 1}"'
+        for i in range(n - 1)
+    ]
+    graph = parse_graph("\n".join(lines))
+    distinct = {e.word(side).letters for e in graph.edges.values() for side in (MINUS, PLUS)}
+    assert len(distinct) == 4
+    words._root_cached.cache_clear()
+    paths._ClassGraph(graph)
+    assert words._root_cached.cache_info().misses == len(distinct)

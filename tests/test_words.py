@@ -3,6 +3,7 @@
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
+from gogz import words
 from gogz.engine import _exponent_of
 from gogz.errors import AlphabetError, DegenerateInputError, ParseError
 from gogz.words import (
@@ -14,8 +15,10 @@ from gogz.words import (
     cyclic_split,
     invert_letters,
     join_reduced,
+    letter_key,
     letters_sort_key,
     maximal_root,
+    parse_int,
     power_letters,
     reduce_letters,
     root,
@@ -98,6 +101,26 @@ def test_root_picks_lex_least_rotation():
     assert dec.primitive == w("a b")
     assert dec.exponent == 2
     assert dec.recompose() == w("b a b a")
+
+
+def test_root_checks_that_its_decomposition_recomposes(monkeypatch):
+    # a wrong smallest period gives p = a, k = 2 for "a b": the check must fire
+    # (an lru_cache keeps no result of a call that raised)
+    monkeypatch.setattr(words, "_smallest_period", lambda core: core[:1])
+    words._root_cached.cache_clear()
+    words._checked_root.cache_clear()
+    with pytest.raises(AssertionError, match="recompose"):
+        root(w("a b"))
+
+
+def test_root_is_cached_per_letter_tuple():
+    # the vertex does not enter the root, so one tuple is rooted once
+    words._root_cached.cache_clear()
+    word = w("b a^2 b^-1")
+    for vertex in ("0", "1", "2"):
+        dec = root(FreeWord(vertex, word.letters))
+        assert dec.primitive == FreeWord(vertex, (1,)) and dec.exponent == 2
+    assert words._root_cached.cache_info().misses == 1
 
 
 # ---------------------------------------------------------------- conjugacy
@@ -199,17 +222,17 @@ def test_coset_decompose_recomposes():
     # the engine's split of a word after a step: x = u^j r, r canonical
     u, x = w("a b"), w("a b a b a^-1")
     r = coset_canonical(u, x)
-    j = _exponent_of("v", u.letters, (x * r.inverse()).letters)
+    j = _exponent_of(u.letters, (x * r.inverse()).letters)
     assert (u ** j) * r == x
 
 
 def test_cyclic_power():
     u = w("b a^2 b^-1")
-    assert _exponent_of("v", u.letters, (u ** 5).letters) == 5
-    assert _exponent_of("v", u.letters, (u ** -3).letters) == -3
-    assert _exponent_of("v", u.letters, ()) == 0
-    assert _exponent_of("v", u.letters, w("a").letters) is None
-    assert _exponent_of("v", w("a^2").letters, w("a^3").letters) is None
+    assert _exponent_of(u.letters, (u ** 5).letters) == 5
+    assert _exponent_of(u.letters, (u ** -3).letters) == -3
+    assert _exponent_of(u.letters, ()) == 0
+    assert _exponent_of(u.letters, w("a").letters) is None
+    assert _exponent_of(w("a^2").letters, w("a^3").letters) is None
 
 
 def test_maximal_root():
@@ -349,7 +372,7 @@ def test_coset_split_recomposes(lu, lx):
     if u.is_identity:
         return
     r = coset_canonical(u, x)
-    j = _exponent_of("v", u.letters, (x * r.inverse()).letters)
+    j = _exponent_of(u.letters, (x * r.inverse()).letters)
     assert j is not None
     assert (u ** j) * r == x
 
@@ -366,3 +389,53 @@ def test_cyclic_meet_symmetric_and_certified(lu, lv):
         ku, kv = m.exps
         theta = m.transfer_conjugator()
         assert (u ** kv).conjugated_by(theta) == v ** ku
+
+
+def root_reference(letters):
+    """The rotation search _root_cached replaced: a letter_key tuple per
+    rotation of the primitive q and of q^-1, the first least one kept."""
+    c, core = cyclic_split(letters)
+    q = next(core[:d] for d in range(1, len(core) + 1) if core == core[:d] * (len(core) // d))
+    m = len(core) // len(q)
+    best = None
+    for source, base in ((1, q), (-1, invert_letters(q))):
+        for i in range(len(base)):
+            cand = base[i:] + base[:i]
+            key = tuple(letter_key(l) for l in cand)
+            if best is None or key < best[0]:
+                best = (key, cand, source, i)
+    _, p, source, i = best
+    base = q if source == 1 else invert_letters(q)
+    return reduce_letters(c + base[:i]), p, m if source == 1 else -m
+
+
+@st.composite
+def rootable_words(draw):
+    """Reduced words c q^k c^-1 over ranks 1-3 from random q and c: proper
+    powers when |k| > 1 or q is one, conjugates when c is not empty."""
+    letters = st.sampled_from([l for g in range(1, draw(st.integers(1, 3)) + 1) for l in (g, -g)])
+    q = reduce_letters(tuple(draw(st.lists(letters, min_size=1, max_size=8))))
+    k = draw(st.integers(-4, 4).filter(bool))
+    c = reduce_letters(tuple(draw(st.lists(letters, max_size=5))))
+    word = join_reduced(join_reduced(c, power_letters(q, k)), invert_letters(c))
+    assume(word)
+    return word
+
+
+@settings(max_examples=500)
+@given(rootable_words())
+def test_root_matches_the_rotation_key_search(letters):
+    assert words._root_cached(letters) == root_reference(letters)
+
+
+def test_parse_int_takes_ascii_digits_only():
+    assert parse_int("0") == 0 and parse_int("017") == 17
+    assert parse_int("-3", signed=True) == -3
+    for text in ("", "-1", "+2", "1_0", " 1", "\u0663", "-"):
+        with pytest.raises(ValueError):
+            parse_int(text)
+    for text in ("+2", "--2", "1_0", "-", "-\u0663"):
+        with pytest.raises(ValueError):
+            parse_int(text, signed=True)
+    with pytest.raises(ParseError, match="bad exponent"):
+        w("a^1_0")
