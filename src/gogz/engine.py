@@ -30,12 +30,16 @@ touches: products of reduced words cancel only at their seam
 (:func:`~gogz.words.power_letters`), and the coset representative is the
 best of a few candidates (:func:`~gogz.words.coset_canonical`).
 :meth:`Engine.element_of` joins its items into one path for one pass, and
-:meth:`Engine.power` squares, so ``g^k`` takes O(log |k|) products.
+walks each stable letter's closed path once per engine; :meth:`Engine.power`
+squares, so ``g^k`` takes O(log |k|) products.
 
 This module is deliberately independent of the path machinery: it never
 reads chains or balance criteria, and its brute-force conjugacy search
 (:func:`iter_power_conjugacies`) only multiplies.  That makes it a referee —
 every certificate produced elsewhere is replayed here before it is reported.
+A relation ``w x^m w^-1 = y^n`` is replayed as ``w x^m = y^n w``: normal
+forms are unique, so the two sides agree exactly when the relation holds,
+and no ``w^-1`` is built.
 """
 
 from __future__ import annotations
@@ -108,6 +112,8 @@ class Engine:
             s.child: (s.parent, (s.edge_id, graph.edges[s.edge_id].minus_vertex == s.parent))
             for s in self.tree.steps
         }
+        # (edge_id, exp < 0) -> the closed path of t^+-1, walked on first use
+        self._stable_paths: Dict[Step, Tuple[Tuple[Step, Letters], ...]] = {}
 
     # ------------------------------------------------------------ raw paths
 
@@ -132,16 +138,20 @@ class Engine:
         pairs += [(_reverse(s), ()) for s in reversed(p)]
         return (), pairs
 
-    def _stable_path(self, edge_id: int, exp: int) -> List[Tuple[Step, Letters]]:
+    def _stable_path(self, edge_id: int, exp: int) -> Tuple[Tuple[Step, Letters], ...]:
         """The steps of t^exp: t crosses the edge backwards; a tree edge's is trivial."""
         if edge_id not in self.graph.edges:
             raise DegenerateInputError(f"unknown edge {edge_id}")
         if edge_id not in self._non_tree:
-            return []
+            return ()
         step = (edge_id, exp < 0)
-        there, _, back, _ = self._ends[step]
-        home = [_reverse(s) for s in reversed(self._tree_path(back))]
-        return [(s, ()) for s in self._tree_path(there) + [step] + home] * abs(exp)
+        once = self._stable_paths.get(step)
+        if once is None:
+            there, _, back, _ = self._ends[step]
+            home = [_reverse(s) for s in reversed(self._tree_path(back))]
+            once = tuple((s, ()) for s in self._tree_path(there) + [step] + home)
+            self._stable_paths[step] = once
+        return once * abs(exp)
 
     # ----------------------------------------------------------- normaliser
 
@@ -152,9 +162,8 @@ class Engine:
         stack = list(reversed(tail))  # stack[-1] is the leftmost (step, rep)
         for step, letters in reversed(pairs):
             head = join_reduced(letters, head)
-            _, a, vid, b = self._ends[step]
-            tag = self._tags[vid]
-            r = _coset_canonical_cached(tag, b, head) if head else ()
+            _, a, _, b = self._ends[step]
+            r = _coset_canonical_cached(b, head) if head else ()
             j = 0 if r == head else _exponent_of(b, join_reduced(head, invert_letters(r)))
             assert j is not None, "coset representative differs by a power"
             head = power_letters(a, j)  # s b^j r = a^j s r
@@ -216,17 +225,17 @@ class Engine:
         return self._normal_form((invert_letters(tail[-1][1]), list(zip(steps, words))))
 
     def power(self, g: Elem, k: int) -> Elem:
-        """g^k by repeated squaring: O(log |k|) products."""
+        """g^k by repeated squaring: O(log |k|) products, none for g^1."""
         if k < 0:
             g, k = self.inv(g), -k
-        out = IDENTITY
+        out = None
         while k:
             if k & 1:
-                out = self._normal_form(g, out)
+                out = g if out is None else self._normal_form(g, out)
             k >>= 1
             if k:
                 g = self._normal_form(g, g)
-        return out
+        return IDENTITY if out is None else out
 
     def conjugate(self, h: Elem, g: Elem) -> Elem:
         """h g h^-1."""
@@ -252,7 +261,7 @@ class Engine:
             assert origin == here, "steps form a path"
             here = terminus
             self._validate_word(here, rep)
-            assert _coset_canonical_cached(self._tags[here], b, rep) == rep, "reps are canonical"
+            assert _coset_canonical_cached(b, rep) == rep, "reps are canonical"
             if not rep and i + 1 < len(tail):
                 assert tail[i + 1][0] != _reverse(step), "no pinches"
         assert here == self.tree.root, "the path is closed"

@@ -140,9 +140,9 @@ class ConjugacyPath:
     @cached_property
     def _conjugator(self) -> Tuple[ConjugatorItem, ...]:
         # transitions[i] precedes steps[i]; the exit follows the last step
-        items: List[ConjugatorItem] = [self.transitions[-1].transfer_conjugator()]
+        items: List[ConjugatorItem] = [self.transitions[-1].transfer_conjugator]
         for step, tr in zip(reversed(self.steps), reversed(self.transitions[:-1])):
-            items += [_t_letter(step), tr.transfer_conjugator()]
+            items += [_t_letter(step), tr.transfer_conjugator]
         return tuple(w for w in items if not (isinstance(w, FreeWord) and w.is_identity))
 
 

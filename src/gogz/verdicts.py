@@ -59,17 +59,24 @@ from .words import FreeWord, cyclic_meet, maximal_root, root
 
 
 def _require(engine: Engine, items: Sequence[ConjugatorItem], x, m, y, n, claim: str) -> None:
-    """Replay ``items * x^m * items^-1 = y^n`` for engine elements x and y."""
-    lhs = engine.power(x, m)
-    if items:  # an empty conjugator would only renormalise lhs
-        lhs = engine.conjugate(engine.element_of(items), lhs)
-    if lhs != engine.power(y, n):
+    """Replay ``w x^m w^-1 = y^n`` for engine elements x and y and the
+    product w of ``items``, checked as ``w x^m = y^n w``.
+
+    Normal forms are unique, so the two sides agree exactly when the
+    relation holds; this way needs no ``w^-1`` and one pass per side.
+    """
+    lhs, rhs = engine.power(x, m), engine.power(y, n)
+    if items:  # an empty conjugator compares the powers directly
+        w = engine.element_of(items)
+        lhs, rhs = engine.mul(w, lhs), engine.mul(rhs, w)
+    if lhs != rhs:
         raise InternalInconsistencyError(f"witness failed engine verification: {claim}")
 
 
 def _require_path(engine: Engine, path: ConjugacyPath, claim: str) -> None:
     m, n = path.witness_exponents()
-    x, y = engine.embed(path.start), engine.embed(path.end)
+    x = engine.embed(path.start)
+    y = x if path.end == path.start else engine.embed(path.end)  # closed chains return
     _require(engine, path.conjugator_items(), x, m, y, n, f"{claim} ({m}, {n})")
 
 
@@ -314,7 +321,7 @@ def _same_vertex_candidate(
     d = gcd(abs(k_x), abs(k_y))
     m = abs(k_y) // d
     n = (k_x // d) * (1 if k_y > 0 else -1)
-    theta = meet.transfer_conjugator()
+    theta = meet.transfer_conjugator
     items: List[ConjugatorItem] = [] if theta.is_identity else [theta]
     return m, n, items
 
@@ -336,7 +343,10 @@ def power_conjugate(graph: GraphOfGroups, x: FreeWord, y: FreeWord) -> Conjugacy
     exponentially when many edge ends share a class; each path costs its
     length in memo lookups and integer products, as no junction is
     certified twice.  x and y are embedded in the engine once, for the
-    answer's replay and for the replay of every additional relation.
+    answer's replay and for the replay of every additional relation.  Each
+    replay checks ``w x^m = y^n w``: the two powers, one pass that builds
+    w and one product per side, with each junction's transfer conjugator
+    built once and shared by every path through it.
     Walks that repeat an edge are not searched, so a relation with smaller
     exponents may exist: in BS(2, 3) the answer for a^9 and a^4 is (2, 3),
     while t^-2 a^9 t^2 = a^4 already holds.

@@ -15,7 +15,7 @@ comparing primitive roots.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from operator import eq, neg
 from typing import Optional, Tuple
 
@@ -251,9 +251,6 @@ class RootDecomposition:
     primitive: FreeWord
     exponent: int
 
-    def recompose(self) -> FreeWord:
-        return (self.primitive ** self.exponent).conjugated_by(self.conjugator)
-
 
 @lru_cache(maxsize=65536)
 def _root_cached(letters: Letters) -> Tuple[Letters, Letters, int]:
@@ -312,7 +309,9 @@ class CyclicMeet:
 
     Both roots share one canonical primitive p (the inversion-folding choice
     leaves no sign to record: no element of a free group is conjugate to its
-    own inverse).  exps are the signed root exponents (k_u, k_v).
+    own inverse).  exps are the signed root exponents (k_u, k_v).  The
+    transfer conjugator theta is built once per meet, on first use, so every
+    chain that passes the same memoised transition shares one word.
     """
 
     u: FreeWord
@@ -321,6 +320,7 @@ class CyclicMeet:
     u_root: RootDecomposition
     v_root: RootDecomposition
 
+    @cached_property
     def transfer_conjugator(self) -> FreeWord:
         """theta with theta * u^x * theta^-1 = v^(x * k_u / k_v) whenever integral."""
         return FreeWord(
@@ -347,7 +347,7 @@ def cyclic_meet(u: FreeWord, v: FreeWord) -> Optional[CyclicMeet]:
 
 
 @lru_cache(maxsize=65536)
-def _coset_canonical_cached(vertex: str, u: Letters, x: Letters) -> Letters:
+def _coset_canonical_cached(u: Letters, x: Letters) -> Letters:
     # Write u = c core c^-1 and y = c^-1 x, so that u^k x = c core^k y.  In
     # the Cayley tree |u^k x| is the distance from core^-k c^-1 to y.  The
     # points core^-k lie on the axis of core, |core| apart, and each c^-1
@@ -385,4 +385,4 @@ def coset_canonical(u: FreeWord, x: FreeWord) -> FreeWord:
     u._check(x)
     if u.is_identity:
         raise DegenerateInputError("coset_canonical requires a nontrivial subgroup generator")
-    return FreeWord(x.vertex, _coset_canonical_cached(u.vertex, u.letters, x.letters))
+    return FreeWord(x.vertex, _coset_canonical_cached(u.letters, x.letters))

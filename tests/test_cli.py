@@ -13,6 +13,7 @@ from gogz import __version__, cli
 from gogz.cli import main
 from gogz.engine import IDENTITY, Engine, _atom_pool
 from gogz.graphs import parse_graph
+from gogz.paths import ConjugacyPath
 from gogz.words import MAX_WORD_LETTERS
 
 BS23 = 'vertex 0 rank=1 gens=a\nedge 0 0 0 minus="a^2" plus="a^3"\n'
@@ -220,6 +221,26 @@ class TestConj:
         assert len(calls) == 1
         pairs = [r["exponents"] for r in json.loads(out)["additional_relations"]]
         assert pairs == [[2, 3], [3, 2]]
+
+    def test_a_corrupted_additional_relation_exits_3(self, graph_file, capsys, monkeypatch):
+        # the answer (1, 1) replays; the additional relation (2, 3), bumped to
+        # (2, 4), does not, so "verified": true is earned by every relation
+        path = graph_file(BS23)
+        argv = ["conj", path, "--from", "0:a", "--to", "0:a", "--no-timing"]
+        assert main(argv) == 0
+        capsys.readouterr()
+        exponents = ConjugacyPath.witness_exponents
+
+        def bumped(self):
+            m, n = exponents(self)
+            return (m, n + 1) if (m, n) == (2, 3) else (m, n)
+
+        monkeypatch.setattr(ConjugacyPath, "witness_exponents", bumped)
+        assert main(argv) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.count("internal error: witness failed engine verification") == 1
+        assert "path relation (2, 4)" in captured.err
 
     def test_refutation_with_oracle(self, graph_file, capsys):
         code, out = run(capsys, "conj", graph_file(FREE_AMALGAM),

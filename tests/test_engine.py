@@ -267,18 +267,27 @@ def fold_element_of(e, items):
     return out
 
 
-@st.composite
-def graphs_and_items(draw):
-    graph = draw(st.one_of(st.sampled_from([BS23, TREFOIL, THETA]), random_graphs()))
+def draw_items(draw, graph, max_items=8):
+    """Vertex words at any vertex and stable letters of any edge, mixed."""
     items = []
-    for _ in range(draw(st.integers(0, 8))):
+    for _ in range(draw(st.integers(0, max_items))):
         if draw(st.booleans()):
             vertex = graph.vertices[draw(st.sampled_from(sorted(graph.vertices)))]
             letters = draw(st.lists(st.integers(-vertex.rank, vertex.rank).filter(bool), max_size=5))
             items.append(vertex.alphabet.word(letters))
         else:
             items.append(("t", draw(st.sampled_from(sorted(graph.edges))), draw(st.integers(-6, 6))))
-    return graph, items
+    return items
+
+
+def engine_graphs():
+    return st.one_of(st.sampled_from([BS23, TREFOIL, THETA]), random_graphs())
+
+
+@st.composite
+def graphs_and_items(draw):
+    graph = draw(engine_graphs())
+    return graph, draw_items(draw, graph)
 
 
 @settings(deadline=None, max_examples=200)

@@ -122,7 +122,7 @@ class TestCheckConjugacyPath:
         assert p is not None
         for tr in p.transitions:
             k_in, k_out = tr.exps
-            theta = tr.transfer_conjugator()
+            theta = tr.transfer_conjugator
             assert theta * tr.u**k_out * theta.inverse() == tr.v**k_in
 
 
@@ -362,3 +362,24 @@ def test_class_graph_roots_each_distinct_edge_word_once():
     words._root_cached.cache_clear()
     paths._ClassGraph(graph)
     assert words._root_cached.cache_info().misses == len(distinct)
+
+
+def test_chains_through_one_junction_share_its_transfer_conjugator():
+    """Three loops a -> b a^k b^-1 share one class; every chain that crosses
+    edge 0 and then edge 1 forward passes one junction, whose theta is b^-1."""
+    graph = parse_graph(
+        "vertex 0 rank=2 gens=a,b\n"
+        + "\n".join(f'edge {i} 0 0 minus="a" plus="b a^{i + 2} b^-1"' for i in range(3))
+    )
+    through = [
+        p for p in enumerate_complete_paths(graph)
+        if [(s.edge.id, s.forward) for s in p.steps[:2]] == [(0, True), (1, True)]
+    ]
+    assert len(through) >= 2
+    first, second = through[:2]
+    assert first.transitions[1] is second.transitions[1]
+    theta = first.transitions[1].transfer_conjugator
+    assert theta == graph.vertices[0].parse("b^-1")
+    assert theta is second.transitions[1].transfer_conjugator
+    for path in (first, second):
+        assert any(item is theta for item in path.conjugator_items())

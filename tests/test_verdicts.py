@@ -8,9 +8,10 @@ from hypothesis import strategies as st
 
 from gogz import paths, verdicts
 from gogz.engine import Engine
-from gogz.errors import DegenerateInputError
+from gogz.errors import DegenerateInputError, InternalInconsistencyError
 from gogz.graphs import parse_graph, reduce_graph
-from gogz.verdicts import analyze, power_conjugate
+from gogz.verdicts import _require, analyze, power_conjugate
+from test_engine import draw_items, engine_graphs
 
 
 def bs(m: int, n: int) -> str:
@@ -359,6 +360,59 @@ class TestPowerConjugate:
         assert answer.exists
         m, n = answer.exponents
         assert conjugacy_holds(graph, answer.conjugator, x, m, y, n)
+
+
+# -------------------------------------------------------------------- replay
+
+
+@st.composite
+def relations(draw):
+    """A conjugator w, elements x and y and exponents on one graph; half the
+    time y is w x w^-1 and n = m, so that the relation holds."""
+    graph = draw(engine_graphs())
+    items, x_items, y_items = (draw_items(draw, graph, limit) for limit in (6, 3, 3))
+    m, n = draw(st.integers(-3, 3)), draw(st.integers(-3, 3))
+    return graph, items, x_items, y_items, m, n, draw(st.booleans())
+
+
+def replays(engine, items, x, m, y, n) -> bool:
+    try:
+        _require(engine, items, x, m, y, n, "drawn relation")
+    except InternalInconsistencyError:
+        return False
+    return True
+
+
+@settings(deadline=None, max_examples=200)
+@given(relations())
+def test_two_sided_check_agrees_with_conjugation(case):
+    # w x^m = y^n w holds exactly when w x^m w^-1 = y^n does
+    graph, items, x_items, y_items, m, n, holds = case
+    engine = Engine(graph)
+    w_elem, x = engine.element_of(items), engine.element_of(x_items)
+    if holds:
+        y, n = engine.conjugate(w_elem, x), m
+    else:
+        y = engine.element_of(y_items)
+    expected = engine.conjugate(w_elem, engine.power(x, m)) == engine.power(y, n)
+    assert replays(engine, items, x, m, y, n) == expected
+    if holds:
+        assert expected
+
+
+def test_empty_conjugator_compares_the_powers_only(monkeypatch):
+    graph = parse_graph(bs(2, 3))
+    engine = Engine(graph)
+    a2, a3 = engine.embed(w(graph, 0, "a^2")), engine.embed(w(graph, 0, "a^3"))
+
+    def refuse(*args):
+        raise AssertionError("an empty conjugator builds no product")
+
+    monkeypatch.setattr(Engine, "element_of", refuse)
+    monkeypatch.setattr(Engine, "mul", refuse)
+    _require(engine, [], a2, 3, a3, 2, "(a^2)^3 = (a^3)^2")
+    with pytest.raises(InternalInconsistencyError, match="witness failed engine verification"):
+        _require(engine, [], a2, 1, a3, 1, "a^2 = a^3")
 
 
 # -------------------------------------------------------------------- report

@@ -32,6 +32,11 @@ def w(text):
     return AB.parse(text)
 
 
+def recompose(dec):
+    """conjugator * primitive^exponent * conjugator^-1 of a root decomposition."""
+    return (dec.primitive ** dec.exponent).conjugated_by(dec.conjugator)
+
+
 # ---------------------------------------------------------------- reduction
 
 
@@ -79,7 +84,7 @@ def test_root_of_conjugated_power():
     assert dec.conjugator == w("b")
     assert dec.primitive == w("a")
     assert dec.exponent == 2
-    assert dec.recompose() == w("b a^2 b^-1")
+    assert recompose(dec) == w("b a^2 b^-1")
 
 
 def test_root_identity_is_error():
@@ -100,7 +105,7 @@ def test_root_picks_lex_least_rotation():
     dec = root(w("b a b a"))
     assert dec.primitive == w("a b")
     assert dec.exponent == 2
-    assert dec.recompose() == w("b a b a")
+    assert recompose(dec) == w("b a b a")
 
 
 def test_root_checks_that_its_decomposition_recomposes(monkeypatch):
@@ -135,7 +140,7 @@ def conjugator(u, v):
     m = cyclic_meet(u, v)
     if m is None or m.exps[0] != m.exps[1]:
         return None
-    return m.transfer_conjugator()
+    return m.transfer_conjugator
 
 
 def cores_rotate(u, v):
@@ -158,7 +163,7 @@ def test_conjugate_in_free_absent():
     m = cyclic_meet(u, v)
     assert m is not None and m.exps == (1, -1)
     assert conjugator(u, v) is None
-    assert u.inverse().conjugated_by(m.transfer_conjugator()) == v
+    assert u.inverse().conjugated_by(m.transfer_conjugator) == v
 
 
 def test_conjugate_identity_cases():
@@ -185,7 +190,7 @@ def test_cyclic_meet_example():
     # the canonical primitives coincide on the nose
     assert m.u_root.primitive == m.v_root.primitive
     # transfer conjugator carries u-powers onto v-powers: theta u^3 theta^-1 = v^2
-    theta = m.transfer_conjugator()
+    theta = m.transfer_conjugator
     assert (u ** 3).conjugated_by(theta) == v ** 2
 
 
@@ -224,6 +229,15 @@ def test_coset_decompose_recomposes():
     r = coset_canonical(u, x)
     j = _exponent_of(u.letters, (x * r.inverse()).letters)
     assert (u ** j) * r == x
+
+
+def test_coset_canonical_is_cached_per_letter_pair():
+    # the vertex does not enter the representative, so one (u, x) is found once
+    words._coset_canonical_cached.cache_clear()
+    u, x = w("a b"), w("a b a b a^-1")
+    reps = [coset_canonical(FreeWord(v, u.letters), FreeWord(v, x.letters)) for v in ("0", "1")]
+    assert [r.vertex for r in reps] == ["0", "1"] and reps[0].letters == reps[1].letters
+    assert words._coset_canonical_cached.cache_info().misses == 1
 
 
 def test_cyclic_power():
@@ -326,7 +340,7 @@ def test_root_recomposes_and_is_primitive(letters):
         return
     dec = root(word)
     assert abs(dec.exponent) >= 1
-    assert dec.recompose() == word
+    assert recompose(dec) == word
     inner = root(dec.primitive)
     assert inner.primitive == dec.primitive and inner.exponent == 1
 
@@ -387,7 +401,7 @@ def test_cyclic_meet_symmetric_and_certified(lu, lv):
     assert (m is None) == (back is None)
     if m is not None:
         ku, kv = m.exps
-        theta = m.transfer_conjugator()
+        theta = m.transfer_conjugator
         assert (u ** kv).conjugated_by(theta) == v ** ku
 
 
