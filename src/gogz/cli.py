@@ -496,8 +496,9 @@ def _relation_tokens(graph: GraphOfGroups, side: str, what: str, letters: int) -
     Tokens follow the graph file's word grammar (``name``, ``name^k``,
     ``1``): a generator token is parsed by the alphabet that owns the name,
     and a stable letter ``t_<edge-id>`` (or ``t`` when there is one edge) by
-    an alphabet of that one letter.  Like a word, the whole relation may
-    expand to at most :data:`MAX_WORD_LETTERS` letters.
+    an alphabet of that one letter.  A name spelled like a stable letter
+    that is also a generator is refused as ambiguous.  Like a word, the
+    whole relation may expand to at most :data:`MAX_WORD_LETTERS` letters.
     """
     owner = {name: v.alphabet for _, v in sorted(graph.vertices.items()) for name in v.alphabet.names}
     items = []
@@ -505,6 +506,11 @@ def _relation_tokens(graph: GraphOfGroups, side: str, what: str, letters: int) -
         name = token.partition("^")[0]
         try:
             if name == "t" or name.startswith("t_"):
+                if name in owner:
+                    raise ParseError(
+                        f"ambiguous token {token!r}: {name!r} is a generator of vertex {owner[name].vertex}"
+                        " and the spelling of a stable letter"
+                    )
                 eid = _stable_letter_edge(graph, name, token)
                 stable = Alphabet("t", (name,)).parse(token).letters
                 items.extend(("t", eid, letter) for letter in stable)

@@ -5,7 +5,7 @@ edges allowed) whose vertices carry finitely generated free groups and whose
 edges carry an infinite cyclic group, included into the two endpoint groups
 by a nontrivial word on each side.
 
-Text format, one declaration per line, ``#`` starts a comment::
+Text format, one declaration per line::
 
     vertex 0 rank=2 gens=a,b
     vertex 1 rank=1 gens=x
@@ -15,6 +15,14 @@ Text format, one declaration per line, ``#`` starts a comment::
 endpoint.  Vertices must be declared before the edges that use them, and
 generator names must be globally unique so that a word is unambiguous even
 out of context.
+
+Tokens are separated by blanks, which are spaces and tabs.  Quotes group
+(blanks and ``#`` inside them are kept) and are dropped wherever they stand
+in a token; ``#`` outside quotes starts a comment.  After the head and its
+ids, a line's fields may come in any order, each once.  A line in the
+canonical shape above, which :meth:`GraphOfGroups.to_text` writes, is parsed
+with one regular-expression match; every other line, and every line that
+would be refused, goes through the tokenizer, which places each error.
 
 An edge *end* is **bad** when its inclusion word generates the whole vertex
 group (rank-one vertex, word a single letter); it carries an **arrow** when
@@ -38,7 +46,8 @@ MINUS = -1
 PLUS = 1
 
 _SIDE_NAMES = {MINUS: "minus", PLUS: "plus"}
-_NAME_RE = re.compile(r"[A-Za-z][A-Za-z0-9_]*\Z")
+_NAME = r"[A-Za-z][A-Za-z0-9_]*"
+_NAME_RE = re.compile(_NAME + r"\Z")
 
 
 def side_name(side: int) -> str:
@@ -337,12 +346,68 @@ def _parse_edge_word(vertex: Vertex, value: str, col: int, lineno: int) -> FreeW
     return word
 
 
+# The canonical shape of each declaration, as ``to_text`` writes it, for
+# ``fullmatch``.  Groups: vertex id, rank, names; edge id, endpoints, words.
+_VERTEX_LINE_RE = re.compile(
+    rf"[ \t]*vertex[ \t]+([0-9]+)[ \t]+rank=([0-9]+)[ \t]+gens=({_NAME}(?:,{_NAME})*)[ \t]*"
+)
+_EDGE_LINE_RE = re.compile(
+    r'[ \t]*edge[ \t]+([0-9]+)[ \t]+([0-9]+)[ \t]+([0-9]+)[ \t]+minus="([^"]*)"[ \t]+plus="([^"]*)"[ \t]*'
+)
+
+
+def _add_canonical_vertex(m: re.Match, vertices: Dict[int, Vertex], gen_homes: Dict[str, int]) -> bool:
+    """Add the vertex a canonical line declares, or return False, changing
+    nothing, when the tokenizer path would refuse the line."""
+    try:
+        vid, rank = int(m[1]), int(m[2])
+    except ValueError:  # more digits than ``int`` converts
+        return False
+    names = m[3].split(",")
+    if vid in vertices or rank != len(names) or len(set(names)) != rank:
+        return False
+    if not gen_homes.keys().isdisjoint(names):
+        return False
+    gen_homes.update(dict.fromkeys(names, vid))
+    vertices[vid] = Vertex.make(vid, names)
+    return True
+
+
+def _add_canonical_edge(m: re.Match, vertices: Dict[int, Vertex], edges: Dict[int, Edge]) -> bool:
+    """Add the edge a canonical line declares, or return False, changing
+    nothing, when the tokenizer path would refuse the line."""
+    try:
+        eid, minus_vertex, plus_vertex = int(m[1]), int(m[2]), int(m[3])
+    except ValueError:  # more digits than ``int`` converts
+        return False
+    if eid in edges or minus_vertex not in vertices or plus_vertex not in vertices:
+        return False
+    try:
+        minus, plus = vertices[minus_vertex].parse(m[4]), vertices[plus_vertex].parse(m[5])
+    except ParseError:
+        return False
+    if minus.is_identity or plus.is_identity:
+        return False
+    edges[eid] = Edge(eid, minus_vertex, plus_vertex, minus, plus)
+    return True
+
+
 def parse_graph(text: str) -> GraphOfGroups:
-    """Parse the text format; errors carry 1-based line and column positions."""
+    """Parse the text format; errors carry 1-based line and column positions.
+
+    A line in the canonical shape is parsed from one match; any other line,
+    or one the match cannot add, is tokenized, and only that path raises.
+    """
     vertices: Dict[int, Vertex] = {}
     edges: Dict[int, Edge] = {}
     gen_homes: Dict[str, int] = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
+        m = _EDGE_LINE_RE.fullmatch(raw)
+        if m is not None and _add_canonical_edge(m, vertices, edges):
+            continue
+        m = _VERTEX_LINE_RE.fullmatch(raw)
+        if m is not None and _add_canonical_vertex(m, vertices, gen_homes):
+            continue
         tokens = _tokenize(raw, lineno)
         if not tokens:
             continue

@@ -310,6 +310,20 @@ class TestOracle:
         assert main(["oracle", path, "--relation", "t_9 a t_9^-1 = a"]) == 2
         capsys.readouterr()
 
+    @pytest.mark.parametrize("name, relation", [("t", "t a t^-1 = a^2"), ("t_0", "t_0 a t_0^-1 = a^2")])
+    def test_a_generator_spelled_like_a_stable_letter_is_ambiguous(self, graph_file, capsys, name, relation):
+        path = graph_file(f'vertex 0 rank=2 gens=a,{name}\nedge 0 0 0 minus="a" plus="a^2"\n')
+        assert main(["oracle", path, "--relation", relation]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            f"error: left side: ambiguous token {name!r}: {name!r} is a generator of vertex 0"
+            " and the spelling of a stable letter\n"
+        )
+        # the graph file keeps the name, and a relation without it is answered
+        code, out = run(capsys, "oracle", path, "--relation", "a = a", "--format", "text")
+        assert code == 0 and out.splitlines()[-1] == "true"
+
     def test_bare_t_needs_single_edge(self, graph_file, capsys):
         two_edges = BS23 + 'edge 1 0 0 minus="a^2" plus="a^2"\n'
         assert main(["oracle", graph_file(two_edges), "--relation", "t a t^-1 = a"]) == 2

@@ -11,6 +11,8 @@ from gogz.graphs import (
     Edge,
     GraphOfGroups,
     Vertex,
+    _EDGE_LINE_RE,
+    _VERTEX_LINE_RE,
     _tokenize,
     parse_graph,
     reduce_graph,
@@ -52,27 +54,45 @@ def test_parse_comments_and_blank_lines():
     assert g.edges[0].is_loop
 
 
+BIG = "1" * 5000  # more digits than ``int`` converts
+V0 = "vertex 0 rank=1 gens=a\n"
+
+
 @pytest.mark.parametrize(
-    "text, line, fragment",
+    "text, message, line, col",
     [
-        ("vertex x rank=1 gens=a", 1, "vertex id"),
-        ("vertex 0 rank=2 gens=a", 1, "generator name"),
-        ("vertex 0 rank=1 gens=a\nvertex 0 rank=1 gens=b", 2, "duplicate vertex"),
-        ("vertex 0 rank=1 gens=a\nvertex 1 rank=1 gens=a", 2, "already declared"),
-        ("vertex 0 rank=1 gens=a\nedge 0 0 1 minus=\"a\" plus=\"a\"", 2, "unknown vertex"),
-        ("vertex 0 rank=1 gens=a\nedge 0 0 0 minus=\"a\" plus=\"b\"", 2, "unknown generator"),
-        ("vertex 0 rank=1 gens=a\nedge 0 0 0 minus=\"a a^-1\" plus=\"a\"", 2, "identity"),
-        ("vertex 0 rank=1 gens=a\nedge 0 0 0 minus=\"a\"", 2, "missing field"),
-        ("vertex 0 rank=1 gens=a\nedge 0 0 0 minus=\"a plus=\"a\"", 2, "quote"),
-        ("widget 0", 1, "unknown directive"),
-        ("", 1, "no vertices"),
+        ("vertex x rank=1 gens=a", "expected a vertex id, got 'x'", 1, 8),
+        ("vertex 0 rank=2 gens=a", "rank=2 but 1 generator name(s)", 1, 17),
+        ("vertex 0 rank=0 gens=a", "rank=0 but 1 generator name(s)", 1, 17),
+        (V0 + "vertex 0 rank=1 gens=b", "duplicate vertex id 0", 2, 8),
+        (V0 + "vertex 1 rank=1 gens=a", "generator 'a' already declared at vertex 0", 2, 17),
+        ("vertex 0 rank=2 gens=a,a", "generator 'a' already declared at vertex 0", 1, 17),
+        (V0 + 'edge 0 0 1 minus="a" plus="a"', "unknown vertex 1 (declare vertices first)", 2, 10),
+        (V0 + 'edge 0 0 0 minus="a" plus="b"', "unknown generator 'b' (vertex '0')", 2, 22),
+        (V0 + 'edge 0 0 0 minus="a a^-1" plus="a"', "inclusion word must not be the identity", 2, 12),
+        (
+            V0 + 'edge 0 0 0 minus="a" plus="a^2"\nedge 0 0 0 minus="a^2" plus="a"',
+            "duplicate edge id 0", 3, 6,
+        ),
+        (
+            V0 + 'edge 0 0 0 minus="a" plus="a^1000001"',
+            "word longer than 1000000 letters at token 'a^1000001' (vertex '0')", 2, 22,
+        ),
+        (V0 + 'edge 0 0 0 minus="a"', "missing field 'plus'", 2, 1),
+        (V0 + 'edge 0 0 0 minus="a plus="a"', "unterminated quote", 2, 12),
+        ("widget 0", "unknown directive 'widget'", 1, 1),
+        ("", "no vertices declared", 1, 1),
+        (f"vertex {BIG} rank=1 gens=a", f"expected a vertex id, got '{BIG}'", 1, 8),
+        (f"vertex 0 rank={BIG} gens=a", f"expected an integer rank, got '{BIG}'", 1, 10),
+        (V0 + f'edge {BIG} 0 0 minus="a" plus="a^2"', f"expected an edge id, got '{BIG}'", 2, 6),
+        (V0 + f'edge 0 0 0 minus="a^{BIG}" plus="a"', f"bad exponent in token 'a^{BIG}'", 2, 12),
     ],
+    ids=lambda value: f"{value[:32]}...{len(value)}" if isinstance(value, str) and len(value) > 80 else None,
 )
-def test_parse_errors_carry_positions(text, line, fragment):
+def test_parse_errors_carry_positions(text, message, line, col):
     with pytest.raises(ParseError) as err:
         parse_graph(text)
-    assert err.value.line == line
-    assert fragment in str(err.value)
+    assert (err.value.message, err.value.line, err.value.col) == (message, line, col)
 
 
 def reference_tokenize(line, lineno):
@@ -411,3 +431,47 @@ def test_reduction_matches_the_step_by_step_rebuild(g):
     assert list(reduced.edges) == list(expected.edges)
     if not steps:
         assert reduced is g
+
+
+def _rewrite(line, data):
+    """An equivalent declaration that the canonical patterns refuse: its
+    fields swapped and, as drawn, one whole field token quoted, tab blanks
+    and a trailing comment."""
+    head, _, rest = line.partition(" ")
+    if head == "vertex":
+        vid, rank, gens = rest.split(" ")
+        ids, fields = [vid], [rank, gens]
+    else:
+        eid, minus_vertex, plus_vertex, words = rest.split(" ", 3)
+        split = words.index(' plus="')
+        ids, fields = [eid, minus_vertex, plus_vertex], [words[:split], words[split + 1:]]
+    fields.reverse()
+    if data.draw(st.booleans()):
+        k = data.draw(st.integers(0, 1))
+        fields[k] = '"' + fields[k].replace('"', "") + '"'
+    blank = data.draw(st.sampled_from([" ", "\t", " \t "]))
+    comment = data.draw(st.sampled_from(["", "  # rewritten", '\t#"']))
+    return blank.join([head, *ids, *fields]) + comment
+
+
+def _declarations(g):
+    return [(v.id, v.alphabet.names) for v in g.vertices.values()], list(g.edges.values())
+
+
+@settings(max_examples=200, deadline=None)
+@given(mixed_rank_graph(), st.data())
+def test_canonical_and_rewritten_lines_parse_alike(g, data):
+    canonical = g.to_text()
+    lines = canonical.splitlines()
+    rewritten = [_rewrite(line, data) for line in lines]
+    for line in lines:
+        assert _VERTEX_LINE_RE.fullmatch(line) or _EDGE_LINE_RE.fullmatch(line)
+    for line in rewritten:
+        assert not _VERTEX_LINE_RE.fullmatch(line) and not _EDGE_LINE_RE.fullmatch(line)
+    mixed = [new if data.draw(st.booleans()) else old for old, new in zip(lines, rewritten)]
+    expected = parse_graph(canonical)
+    assert expected.to_text() == canonical
+    for text in ("\n".join(rewritten), "\n".join(mixed)):
+        again = parse_graph(text)
+        assert _declarations(again) == _declarations(expected)
+        assert again.to_text() == canonical
