@@ -27,8 +27,9 @@ reverse when ``r`` is empty.  Nothing recurses, whatever the graph's size.
 Each pass of that loop costs time linear in the lengths of the words it
 touches: products of reduced words cancel only at their seam
 (:func:`~gogz.words.join_reduced`), ``a^j`` is built as ``c core^j c^-1``
-(:func:`~gogz.words.power_letters`), and the coset representative is the
-best of a few candidates (:func:`~gogz.words.coset_canonical`).
+(:func:`~gogz.words.power_letters`), and the coset split
+(:func:`~gogz.words._coset_canonical_cached`) returns ``r`` together with
+its exponent, the best of a few candidates, so the engine takes no roots.
 :meth:`Engine.element_of` joins its items into one path for one pass, and
 walks each stable letter's closed path once per engine; :meth:`Engine.power`
 squares, so ``g^k`` takes O(log |k|) products.
@@ -53,7 +54,6 @@ from .words import (
     FreeWord,
     Letters,
     _coset_canonical_cached,
-    _root_cached,
     invert_letters,
     join_reduced,
     letter_key,
@@ -67,17 +67,6 @@ Elem = Tuple  # (g0, ((step, rep), ...)), see the module docstring
 RawPath = Tuple  # (g0, ((step, word), ...)) with any words: a closed path
 
 IDENTITY: Elem = ((), ())
-
-
-def _exponent_of(u: Letters, y: Letters) -> Optional[int]:
-    """The j with y = u^j in the free vertex group, or None."""
-    if not y:
-        return 0
-    cu, pu, ku = _root_cached(u)
-    cy, py, ky = _root_cached(y)
-    if pu != py or cu != cy or ky % ku:
-        return None
-    return ky // ku
 
 
 def _reverse(step: Step) -> Step:
@@ -163,10 +152,8 @@ class Engine:
         for step, letters in reversed(pairs):
             head = join_reduced(letters, head)
             _, a, _, b = self._ends[step]
-            r = _coset_canonical_cached(b, head) if head else ()
-            j = 0 if r == head else _exponent_of(b, join_reduced(head, invert_letters(r)))
-            assert j is not None, "coset representative differs by a power"
-            head = power_letters(a, j)  # s b^j r = a^j s r
+            k, r = _coset_canonical_cached(b, head) if head else (0, ())
+            head = power_letters(a, -k)  # r = b^k head, so s head = s b^-k r = a^-k s r
             if not r and stack and stack[-1][0] == _reverse(step):
                 head = join_reduced(head, stack.pop()[1])
             else:
@@ -261,7 +248,7 @@ class Engine:
             assert origin == here, "steps form a path"
             here = terminus
             self._validate_word(here, rep)
-            assert _coset_canonical_cached(b, rep) == rep, "reps are canonical"
+            assert _coset_canonical_cached(b, rep) == (0, rep), "reps are canonical"
             if not rep and i + 1 < len(tail):
                 assert tail[i + 1][0] != _reverse(step), "no pinches"
         assert here == self.tree.root, "the path is closed"

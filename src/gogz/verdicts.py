@@ -234,7 +234,11 @@ def _vertex_generator(graph: GraphOfGroups, vid: int) -> FreeWord:
 def _central_witness(engine: Engine) -> CentralWitness:
     """Common power of all vertex generators in a reduced tree of cyclic groups."""
     graph, tree = engine.graph, engine.tree
-    assert not tree.non_tree_edge_ids
+    if tree.non_tree_edge_ids:
+        raise InternalInconsistencyError(
+            f"central witness at vertex {tree.root} needs a tree, but edges "
+            f"{list(tree.non_tree_edge_ids)} close cycles"
+        )
     ratio: Dict[int, Fraction] = {tree.root: Fraction(1)}
     for step in tree.steps:
         edge = graph.edges[step.edge_id]
@@ -252,7 +256,10 @@ def _central_witness(engine: Engine) -> CentralWitness:
     exponents = {}
     for vid, r in ratio.items():
         x = scale * r
-        assert x.denominator == 1 and x != 0
+        if x.denominator != 1 or x == 0:
+            raise InternalInconsistencyError(
+                f"central witness exponent {x} at vertex {vid} is not a nonzero integer"
+            )
         exponents[vid] = int(x)
     element = _vertex_generator(graph, tree.root) ** exponents[tree.root]
     central = engine.embed(element)

@@ -6,10 +6,12 @@ letter order used everywhere for lexicographic comparisons is declaration
 order, with the inverse of a generator sorting directly after the generator
 itself (a < a^-1 < b < b^-1 ...).
 
-The cyclic-subgroup operations (root, cyclic_meet, coset_canonical) are the
-primitives the rest of the package is built on: in a free group every
-question about intersections and conjugates of cyclic subgroups reduces to
-comparing primitive roots.
+The cyclic-subgroup operations (root, cyclic_meet) are the primitives the
+deciders are built on: in a free group every question about intersections
+and conjugates of cyclic subgroups reduces to comparing primitive roots.
+The normal-form engine takes no roots.  Its one primitive is the coset
+split, which writes a word x as u^-k r with r the least word of the right
+coset <u> x; it builds r and k together by free reduction alone.
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ from functools import cached_property, lru_cache
 from operator import eq, neg
 from typing import Optional, Tuple
 
-from .errors import AlphabetError, DegenerateInputError, ParseError
+from .errors import AlphabetError, DegenerateInputError, InternalInconsistencyError, ParseError
 
 Letters = Tuple[int, ...]
 
@@ -269,7 +271,8 @@ def _root_cached(letters: Letters) -> Tuple[Letters, Letters, int]:
     base, k = bases[inverted], len(core) // n * (-1 if inverted else 1)
     conj, p = reduce_letters(c + base[:i]), base[i:] + base[:i]
     recomposed = join_reduced(join_reduced(conj, power_letters(p, k)), invert_letters(conj))
-    assert recomposed == letters, "root decomposition must recompose"
+    if recomposed != letters:
+        raise InternalInconsistencyError(f"root decomposition of {letters} does not recompose")
     return conj, p, k
 
 
@@ -347,7 +350,9 @@ def cyclic_meet(u: FreeWord, v: FreeWord) -> Optional[CyclicMeet]:
 
 
 @lru_cache(maxsize=65536)
-def _coset_canonical_cached(u: Letters, x: Letters) -> Letters:
+def _coset_canonical_cached(u: Letters, x: Letters) -> Tuple[int, Letters]:
+    """(k, r) with r = u^k x the (length, lex)-least word of the right coset
+    <u> x, for a nonempty u; checked to recompose, in time O(|u| + |x|)."""
     # Write u = c core c^-1 and y = c^-1 x, so that u^k x = c core^k y.  In
     # the Cayley tree |u^k x| is the distance from core^-k c^-1 to y.  The
     # points core^-k lie on the axis of core, |core| apart, and each c^-1
@@ -360,8 +365,8 @@ def _coset_canonical_cached(u: Letters, x: Letters) -> Letters:
     c, core = cyclic_split(u)
     y = join_reduced(invert_letters(c), x)
     n = len(core)
-    best = x
-    for base in (core, invert_letters(core)):
+    k, best = 0, x
+    for sign, base in ((1, core), (-1, invert_letters(core))):
         # base^j y cancels min(run, j n) letters at its seam
         run = _common_prefix(y, invert_letters(base) * (len(y) // n + 1))
         for j in range(max(1, run // n), run // n + 2):
@@ -370,19 +375,7 @@ def _coset_canonical_cached(u: Letters, x: Letters) -> Letters:
             if len(cand) < len(best) or (
                 len(cand) == len(best) and letters_sort_key(cand) < letters_sort_key(best)
             ):
-                best = cand
-    return best
-
-
-def coset_canonical(u: FreeWord, x: FreeWord) -> FreeWord:
-    """The (length, lex)-least representative of the right coset <u> x.
-
-    Only the two exponents k on either side of the point where ``c^-1 x``
-    leaves the axis of u = c core c^-1, plus k = 0, can give the least
-    u^k x.  Each candidate is built with its cancellation known from that
-    run, so the cost is linear in |u| + |x|.
-    """
-    u._check(x)
-    if u.is_identity:
-        raise DegenerateInputError("coset_canonical requires a nontrivial subgroup generator")
-    return FreeWord(x.vertex, _coset_canonical_cached(u.letters, x.letters))
+                k, best = sign * j, cand
+    if join_reduced(power_letters(u, k), x) != best:
+        raise InternalInconsistencyError(f"coset split of {x} by {u} does not recompose")
+    return k, best

@@ -9,7 +9,7 @@ import sys
 
 import pytest
 
-from gogz import __version__, cli
+from gogz import __version__, cli, words
 from gogz.cli import main
 from gogz.engine import IDENTITY, Engine, _atom_pool
 from gogz.graphs import parse_graph
@@ -399,6 +399,25 @@ class TestErrors:
         command, *rest = argv
         assert main([command, graph_file(BS23), *rest]) == 2
         assert capsys.readouterr().err.startswith("error: ")
+
+    def test_wrong_root_exits_3(self, graph_file, capsys, monkeypatch):
+        # a smallest period of one letter roots "a b" as a^2: the recompose check
+        # must reach exit 3, with or without python -O
+        two_edges = (
+            "vertex 0 rank=2 gens=a,b\nvertex 1 rank=1 gens=x\n"
+            'edge 0 0 1 minus="a b" plus="x"\nedge 1 0 1 minus="a" plus="x^2"\n'
+        )
+        monkeypatch.setattr(words, "_smallest_period", lambda core: core[:1])
+        caches = (words._root_cached, words._checked_root)
+        for cache in caches:
+            cache.cache_clear()
+        try:
+            assert main(["check", graph_file(two_edges)]) == 3
+        finally:
+            for cache in caches:
+                cache.cache_clear()
+        err = capsys.readouterr().err
+        assert err.startswith("internal error: ") and "Traceback" not in err
 
     def test_non_utf8_file_exits_2(self, tmp_path, capsys):
         path = tmp_path / "latin1.gog"

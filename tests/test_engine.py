@@ -3,6 +3,8 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import gogz.engine
+from gogz import words
 from gogz.engine import IDENTITY, Engine, brute_force_power_conjugacy, iter_power_conjugacies
 from gogz.errors import DegenerateInputError
 from gogz.graphs import parse_graph
@@ -142,6 +144,19 @@ class TestTheta:
         g = e.embed(w(THETA, 0, "a b a^-1 b^-1"))
         assert g != e.element_of([])
         assert e.mul(g, e.inv(g)) == e.element_of([])
+
+
+def test_engine_takes_no_roots(monkeypatch):
+    # the referee must not share root's canonical choice with the deciders
+    def refuse(letters):
+        raise AssertionError("the engine called root")
+
+    assert "_root_cached" not in vars(gogz.engine)
+    monkeypatch.setattr(words, "_root_cached", refuse)
+    words._coset_canonical_cached.cache_clear()
+    e = Engine(BS23)
+    t = e.element_of([("t", 0, 1)])
+    assert e.conjugate(t, e.embed(w(BS23, 0, "a^2"))) == e.embed(w(BS23, 0, "a^3"))
 
 
 # ---------------------------------------------------------------- long chain
