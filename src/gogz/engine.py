@@ -58,7 +58,6 @@ from .words import (
     join_reduced,
     letter_key,
     power_letters,
-    reduce_letters,
 )
 
 Item = Union[FreeWord, Tuple[str, int, int]]  # a vertex word or ('t', edge_id, exp)
@@ -81,14 +80,13 @@ class Engine:
 
     Elements are opaque tuples; obtain them from :meth:`embed` or
     :meth:`element_of` (``element_of([])`` is the identity) and combine them
-    with :meth:`mul`, :meth:`inv`, :meth:`power`, :meth:`conjugate`.
+    with :meth:`mul`, :meth:`inv` and :meth:`power`.
     Equality of elements is equality of the group elements they denote.
     """
 
     def __init__(self, graph: GraphOfGroups):
         self.graph = graph
         self.tree = graph.tree
-        self._tags = {vid: v.alphabet.vertex for vid, v in graph.vertices.items()}
         self._non_tree = frozenset(self.tree.non_tree_edge_ids)
         # step -> (origin vertex, origin word a, terminus vertex, terminus word b)
         self._ends: Dict[Step, Tuple[int, Letters, int, Letters]] = {}
@@ -162,18 +160,6 @@ class Engine:
 
     # ------------------------------------------------------------ public ops
 
-    def atoms(self, g: Elem) -> List[Item]:
-        """g as :meth:`element_of` items, left to right: vertex words and
-        stable letters ``('t', edge_id, +-1)``."""
-        g0, tail = g
-        out: List[Item] = [FreeWord(self._tags[self.tree.root], g0)] if g0 else []
-        for step, rep in tail:
-            if step[0] in self._non_tree:
-                out.append(("t", step[0], -1 if step[1] else 1))
-            if rep:
-                out.append(FreeWord(self._tags[self._ends[step][2]], rep))
-        return out
-
     def embed(self, word: FreeWord) -> Elem:
         """A vertex-group word as a group element."""
         return self._normal_form(self._word_path(word))
@@ -224,10 +210,6 @@ class Engine:
                 g = self._normal_form(g, g)
         return IDENTITY if out is None else out
 
-    def conjugate(self, h: Elem, g: Elem) -> Elem:
-        """h g h^-1."""
-        return self.mul(h, g, self.inv(h))
-
     def top_length(self, g: Elem) -> int:
         """The number of steps in g's normal form.
 
@@ -235,29 +217,6 @@ class Engine:
         see :func:`iter_power_conjugacies` for how it bounds the search.
         """
         return len(g[1])
-
-    # ------------------------------------------------------------ validation
-
-    def validate_element(self, g: Elem):
-        """Assert the structural normal-form invariants."""
-        g0, tail = g
-        here = self.tree.root
-        self._validate_word(here, g0)
-        for i, (step, rep) in enumerate(tail):
-            origin, _, terminus, b = self._ends[step]
-            assert origin == here, "steps form a path"
-            here = terminus
-            self._validate_word(here, rep)
-            assert _coset_canonical_cached(b, rep) == (0, rep), "reps are canonical"
-            if not rep and i + 1 < len(tail):
-                assert tail[i + 1][0] != _reverse(step), "no pinches"
-        assert here == self.tree.root, "the path is closed"
-
-    def _validate_word(self, vid: int, letters: Letters):
-        assert isinstance(letters, tuple)
-        assert reduce_letters(letters) == letters
-        rank = self.graph.vertices[vid].rank
-        assert all(1 <= abs(l) <= rank for l in letters)
 
 
 # ------------------------------------------------------------- brute force

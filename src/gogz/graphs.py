@@ -122,19 +122,12 @@ class OrientedEdge:
         return self.edge.vertex(self.origin_side)
 
     @property
-    def terminus(self) -> int:
-        return self.edge.vertex(self.terminus_side)
-
-    @property
     def origin_word(self) -> FreeWord:
         return self.edge.word(self.origin_side)
 
     @property
     def terminus_word(self) -> FreeWord:
         return self.edge.word(self.terminus_side)
-
-    def reversed(self) -> "OrientedEdge":
-        return OrientedEdge(self.edge, not self.forward)
 
     def __repr__(self):
         arrow = "+" if self.forward else "-"

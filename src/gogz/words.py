@@ -71,11 +71,11 @@ class Alphabet:
         for tok in text.split():
             if tok == "1":
                 continue
-            name, _, exp = tok.partition("^")
+            name, caret, exp = tok.partition("^")
             if name not in self._index:
                 raise ParseError(f"unknown generator {name!r} (vertex {self.vertex!r})")
             k = 1
-            if exp:
+            if caret:
                 try:
                     k = parse_int(exp, signed=True)
                 except ValueError:
@@ -192,9 +192,6 @@ class FreeWord:
     def __len__(self):
         return len(self.letters)
 
-    def __bool__(self):
-        return bool(self.letters)
-
     @property
     def is_identity(self) -> bool:
         return not self.letters
@@ -202,13 +199,6 @@ class FreeWord:
     def _check(self, other: "FreeWord"):
         if self.vertex != other.vertex:
             raise AlphabetError(f"mixed alphabets: {self.vertex!r} vs {other.vertex!r}")
-
-    def __mul__(self, other: "FreeWord") -> "FreeWord":
-        self._check(other)
-        return FreeWord(self.vertex, join_reduced(self.letters, other.letters))
-
-    def inverse(self) -> "FreeWord":
-        return FreeWord(self.vertex, invert_letters(self.letters))
 
     def __pow__(self, k: int) -> "FreeWord":
         return FreeWord(self.vertex, power_letters(self.letters, k))

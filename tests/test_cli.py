@@ -375,8 +375,12 @@ class TestErrors:
                 'vertex 0 rank=1 gens=a\nedge 0 0 0 minus="a^+2" plus="a^3"\n',
                 "line 2, col 12: bad exponent in token 'a^+2'",
             ),
+            (
+                'vertex 0 rank=1 gens=a\nedge 0 0 0 minus="a^" plus="a^2"\n',
+                "line 2, col 12: bad exponent in token 'a^'",
+            ),
         ],
-        ids=["negative-id", "arabic-indic-digit", "underscore-exponent", "plus-exponent"],
+        ids=["negative-id", "arabic-indic-digit", "underscore-exponent", "plus-exponent", "empty-exponent"],
     )
     def test_integers_outside_the_grammar_exit_2(self, graph_file, capsys, text, where):
         assert main(["check", graph_file(text)]) == 2
@@ -392,8 +396,22 @@ class TestErrors:
             ["oracle", "--relation", "t_\u0660 a^2 t_\u0660^-1 = a^3"],
             ["oracle", "--relation", "t_+0 a^2 t^-1 = a^3"],
             ["oracle", "--relation", "t a^+2 t^-1 = a^3"],
+            ["conj", "--from", "0:a^", "--to", "0:a"],
+            ["oracle", "--relation", "t a^ t^-1 = a^3"],
+            ["oracle", "--relation", "t^ a t^-1 = a^2"],
         ],
-        ids=["from-digit", "to-underscore", "from-plus", "bounds-plus", "t-digit", "t-plus", "relation-plus"],
+        ids=[
+            "from-digit",
+            "to-underscore",
+            "from-plus",
+            "bounds-plus",
+            "t-digit",
+            "t-plus",
+            "relation-plus",
+            "from-empty",
+            "relation-empty",
+            "t-empty",
+        ],
     )
     def test_command_line_integers_outside_the_grammar_exit_2(self, graph_file, capsys, argv):
         command, *rest = argv

@@ -1,13 +1,15 @@
-"""Golden CLI outputs: every report on the 12-graph suite, byte for byte.
+"""Golden CLI outputs: every report on the 12-graph suite and on three
+golden-only graphs, byte for byte.
 
 ``tests/data/golden_cli.jsonl`` holds one JSON object per line: the argv of
 one ``gogz`` call, its exit code and its exact stdout.  The calls are
 ``check`` (json and text) and ``paths --kind complete|nonmaximal`` on each
 ``conftest.SUITE_TEXTS`` graph, plus ``conj --oracle-bounds 2,3`` for every
-pair of ``test_acceptance._ORACLE_PAIRS`` and of ``_POOL_PAIRS``, all with
-``--no-timing``.  Graph files are written as ``<name>.gog`` in a fresh
-directory and named relatively, so ``input.path`` does not depend on where
-the suite runs.
+pair of ``test_acceptance._ORACLE_PAIRS`` and of ``_POOL_PAIRS``, then the
+same ``check`` and ``paths`` calls on ``contracts``, ``level_first`` and
+``long_full`` (``_GOLDEN_ONLY_TEXTS``), all with ``--no-timing``.  Graph
+files are written as ``<name>.gog`` in a fresh directory and named
+relatively, so ``input.path`` does not depend on where the suite runs.
 
 Regenerate (only when a report is meant to change, and say so in the
 change log)::
@@ -37,20 +39,47 @@ _POOL_PAIRS = {
     "ab_square": [("0:q", "0:p^-1 q p")],
 }
 
+# Reports the suite never prints, kept out of SUITE_TEXTS so that the
+# acceptance checks stay as they are: a contraction (``reduction.contractions``),
+# a non-level witness when the shortest closed chain is level, and a full
+# non-maximal path of three steps.
+_GOLDEN_ONLY_TEXTS = {
+    "contracts": (
+        "vertex 0 rank=2 gens=a,b\nvertex 1 rank=1 gens=x\n"
+        'edge 0 0 1 minus="a b" plus="x"'
+    ),
+    "level_first": (
+        "vertex 0 rank=1 gens=a\n"
+        'edge 0 0 0 minus="a" plus="a"\nedge 1 0 0 minus="a" plus="a^2"'
+    ),
+    "long_full": (
+        "vertex 0 rank=2 gens=a0,b0\nvertex 1 rank=2 gens=a1,b1\n"
+        "vertex 2 rank=2 gens=a2,b2\nvertex 3 rank=2 gens=a3,b3\n"
+        'edge 0 0 1 minus="a0^2" plus="a1"\nedge 1 1 2 minus="a1" plus="a2"\n'
+        'edge 2 2 3 minus="a2" plus="a3^2"'
+    ),
+}
+
+
+def _report_argvs(path):
+    yield ["check", path, "--no-timing"]
+    yield ["check", path, "--no-timing", "--format", "text"]
+    yield ["paths", path, "--kind", "complete", "--no-timing"]
+    yield ["paths", path, "--kind", "nonmaximal", "--no-timing"]
+
 
 def golden_argvs():
     for name in SUITE_TEXTS:
         path = f"{name}.gog"
-        yield ["check", path, "--no-timing"]
-        yield ["check", path, "--no-timing", "--format", "text"]
-        yield ["paths", path, "--kind", "complete", "--no-timing"]
-        yield ["paths", path, "--kind", "nonmaximal", "--no-timing"]
+        yield from _report_argvs(path)
         for x, y in _ORACLE_PAIRS.get(name, []) + _POOL_PAIRS.get(name, []):
             yield ["conj", path, "--from", x, "--to", y, "--oracle-bounds", "2,3", "--no-timing"]
+    for name in _GOLDEN_ONLY_TEXTS:
+        yield from _report_argvs(f"{name}.gog")
 
 
 def _write_suite(directory: pathlib.Path) -> None:
-    for name, text in SUITE_TEXTS.items():
+    for name, text in {**SUITE_TEXTS, **_GOLDEN_ONLY_TEXTS}.items():
         (directory / f"{name}.gog").write_text(text + "\n")
 
 

@@ -15,6 +15,7 @@ from gogz.paths import (
     iter_conjugacy_paths,
 )
 from gogz.words import cyclic_meet, root
+from helpers import conjugate, inverse, reversed_step, terminus, word_product
 
 BS23 = parse_graph('vertex 0 rank=1 gens=a\nedge 0 0 0 minus="a^2" plus="a^3"')
 BS22 = parse_graph('vertex 0 rank=1 gens=a\nedge 0 0 0 minus="a^2" plus="a^2"')
@@ -75,7 +76,7 @@ def outer_ends(path):
 def verify_in_engine(graph, path, m, n):
     engine = Engine(graph)
     conj = engine.element_of(path.conjugator_items())
-    lhs = engine.conjugate(conj, engine.power(engine.embed(path.start), m))
+    lhs = conjugate(engine, conj, engine.power(engine.embed(path.start), m))
     rhs = engine.power(engine.embed(path.end), n)
     assert lhs == rhs
 
@@ -123,7 +124,7 @@ class TestCheckConjugacyPath:
         for tr in p.transitions:
             k_in, k_out = tr.exps
             theta = tr.transfer_conjugator
-            assert theta * tr.u**k_out * theta.inverse() == tr.v**k_in
+            assert word_product(theta, tr.u**k_out, inverse(theta)) == tr.v**k_in
 
 
 # ------------------------------------------------------------ complete paths
@@ -137,7 +138,7 @@ def naive_complete_keys(graph):
         return tuple((s.edge.id, 0 if s.forward else 1) for s in seq)
 
     def canon(seq):
-        rev = [s.reversed() for s in reversed(seq)]
+        rev = [reversed_step(s) for s in reversed(seq)]
         rots = [tuple(seq[i:]) + tuple(seq[:i]) for i in range(len(seq))]
         rots += [tuple(rev[i:]) + tuple(rev[:i]) for i in range(len(seq))]
         return min(key(r) for r in rots)
@@ -145,9 +146,9 @@ def naive_complete_keys(graph):
     found = {}
     for n in range(1, len(graph.edges) + 1):
         for seq in product(oriented, repeat=n):
-            if any(a.terminus != b.origin for a, b in zip(seq, seq[1:])):
+            if any(terminus(a) != b.origin for a, b in zip(seq, seq[1:])):
                 continue
-            if seq[-1].terminus != seq[0].origin:
+            if terminus(seq[-1]) != seq[0].origin:
                 continue
             ids = [s.edge.id for s in seq]
             if len(set(ids)) != len(ids):
@@ -223,7 +224,7 @@ class TestCompletePaths:
 
     def test_reversal_inverts_ratio(self):
         (p,) = enumerate_complete_paths(THETA)
-        back = [s.reversed() for s in reversed(p.steps)]
+        back = [reversed_step(s) for s in reversed(p.steps)]
         base = back[0].origin_word
         q = path_along(THETA, base, base, back)
         assert q is not None

@@ -37,6 +37,7 @@ from gogz.paths import (
 )
 from gogz.verdicts import ConjugacyAnswer, _same_vertex_candidate, power_conjugate
 from gogz.words import cyclic_meet, root
+from helpers import conjugate, reversed_step, terminus
 
 # ------------------------------------------------------------ reference walk
 
@@ -46,7 +47,7 @@ def _path_key(steps):
 
 
 def _reversed_path(steps):
-    return [s.reversed() for s in reversed(steps)]
+    return [reversed_step(s) for s in reversed(steps)]
 
 
 def _is_canonical_cycle(steps) -> bool:
@@ -78,7 +79,7 @@ def reference_complete(graph: GraphOfGroups) -> List[ConjugacyPath]:
     cycles = []
 
     def extend(path, used):
-        here = path[-1].terminus
+        here = terminus(path[-1])
         if here == path[0].origin and _is_canonical_cycle(path):
             cycles.append(tuple(path))
         for step in oriented:
@@ -122,7 +123,7 @@ def reference_full(graph: GraphOfGroups) -> List[ConjugacyPath]:
 
     def extend(path, used):
         for step in oriented:
-            if step.edge.id in used or step.origin != path[-1].terminus:
+            if step.edge.id in used or step.origin != terminus(path[-1]):
                 continue
             if arrow_at_origin(step) or not _junction_holds(path[-1], step):
                 continue
@@ -152,12 +153,12 @@ def reference_open(graph: GraphOfGroups, g, g_prime):
     start_vid, end_vid = int(g.vertex), int(g_prime.vertex)
 
     def extend(path, used):
-        if path[-1].terminus == end_vid:
+        if terminus(path[-1]) == end_vid:
             certified = check_conjugacy_path(g, g_prime, path)
             if certified is not None:
                 yield certified
         for step in oriented:
-            if step.edge.id in used or step.origin != path[-1].terminus:
+            if step.edge.id in used or step.origin != terminus(path[-1]):
                 continue
             if not _junction_holds(path[-1], step):
                 continue
@@ -176,7 +177,7 @@ def reference_open(graph: GraphOfGroups, g, g_prime):
 def _holds(engine, items, x, m, y, n) -> bool:
     lhs = engine.power(engine.embed(x), m)
     if items:
-        lhs = engine.conjugate(engine.element_of(items), lhs)
+        lhs = conjugate(engine, engine.element_of(items), lhs)
     return lhs == engine.power(engine.embed(y), n)
 
 

@@ -11,6 +11,7 @@ from gogz.engine import Engine
 from gogz.errors import DegenerateInputError, InternalInconsistencyError
 from gogz.graphs import parse_graph, reduce_graph
 from gogz.verdicts import _require, analyze, power_conjugate
+from helpers import conjugate
 from test_engine import draw_items, engine_graphs
 
 
@@ -92,7 +93,7 @@ def conjugacy_holds(graph, items, x, m, y, n) -> bool:
     """Re-check conjugator * x^m * conjugator^-1 == y^n from scratch."""
     engine = Engine(graph)
     conj = engine.element_of(list(items))
-    lhs = engine.conjugate(conj, engine.power(engine.embed(x), m))
+    lhs = conjugate(engine, conj, engine.power(engine.embed(x), m))
     return lhs == engine.power(engine.embed(y), n)
 
 
@@ -349,7 +350,7 @@ class TestPowerConjugate:
     def test_rejects_trivial_elements(self):
         graph = parse_graph(TREFOIL)
         with pytest.raises(DegenerateInputError):
-            power_conjugate(graph, w(graph, 0, "a"), w(graph, 1, "b") * w(graph, 1, "b^-1"))
+            power_conjugate(graph, w(graph, 0, "a"), w(graph, 1, "1"))
 
     @settings(max_examples=40, deadline=None)
     @given(p=st.integers(-4, 4).filter(bool), q=st.integers(-4, 4).filter(bool))
@@ -391,10 +392,10 @@ def test_two_sided_check_agrees_with_conjugation(case):
     engine = Engine(graph)
     w_elem, x = engine.element_of(items), engine.element_of(x_items)
     if holds:
-        y, n = engine.conjugate(w_elem, x), m
+        y, n = conjugate(engine, w_elem, x), m
     else:
         y = engine.element_of(y_items)
-    expected = engine.conjugate(w_elem, engine.power(x, m)) == engine.power(y, n)
+    expected = conjugate(engine, w_elem, engine.power(x, m)) == engine.power(y, n)
     assert replays(engine, items, x, m, y, n) == expected
     if holds:
         assert expected

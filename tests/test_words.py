@@ -22,6 +22,7 @@ from gogz.words import (
     reduce_letters,
     root,
 )
+from helpers import inverse, word_product
 
 AB = Alphabet("v", ("a", "b"))
 Z = Alphabet("z", ("x",))
@@ -54,9 +55,9 @@ def test_parse_format_round_trip():
 
 def test_mul_inverse_pow():
     u = w("a b")
-    assert (u * u.inverse()).is_identity
+    assert word_product(u, inverse(u)).is_identity
     assert u ** 3 == w("a b a b a b")
-    assert u ** -2 == (u.inverse()) ** 2
+    assert u ** -2 == inverse(u) ** 2
 
 
 def test_parse_refuses_words_past_the_cap():
@@ -70,7 +71,7 @@ def test_parse_refuses_words_past_the_cap():
 
 def test_mixed_alphabets_rejected():
     with pytest.raises(AlphabetError):
-        w("a") * Z.parse("x")
+        w("a").conjugated_by(Z.parse("x"))
 
 
 # ---------------------------------------------------------------- root
@@ -166,7 +167,7 @@ def test_conjugate_in_free_absent():
     m = cyclic_meet(u, v)
     assert m is not None and m.exps == (1, -1)
     assert conjugator(u, v) is None
-    assert u.inverse().conjugated_by(m.transfer_conjugator) == v
+    assert inverse(u).conjugated_by(m.transfer_conjugator) == v
 
 
 def test_conjugate_identity_cases():
@@ -186,7 +187,7 @@ def test_conjugate_identity_cases():
 def test_cyclic_meet_example():
     # u = (ab)^2, v = b (ba)^3 b^-1; primitives both ab, exponents (2, 3)
     u = w("a b a b")
-    v = w("b") * (w("b a") ** 3) * w("b^-1")
+    v = word_product(w("b"), w("b a") ** 3, w("b^-1"))
     m = cyclic_meet(u, v)
     assert m is not None
     assert m.exps == (2, 3)
@@ -213,7 +214,7 @@ def test_cyclic_meet_identity_error():
 def test_coset_canonical_example():
     # <a^2> a^5 b: scanning k in [-4, 4] confirms ab is the (length, lex) least
     u, x = w("a^2"), w("a^5 b")
-    best = min(((u ** k) * x for k in range(-4, 5)), key=lambda c: letters_sort_key(c.letters))
+    best = min((word_product(u ** k, x) for k in range(-4, 5)), key=lambda c: letters_sort_key(c.letters))
     assert best == w("a b")
     assert _coset_canonical_cached(u.letters, x.letters)[1] == w("a b").letters
 
@@ -231,7 +232,7 @@ def test_coset_decompose_recomposes():
     u, x = w("a b"), w("a b a b a^-1")
     k, r = _coset_canonical_cached(u.letters, x.letters)
     assert (k, r) == (-2, w("a^-1").letters)
-    assert ((u ** k) * x).letters == r
+    assert word_product(u ** k, x).letters == r
 
 
 def test_coset_canonical_is_cached_per_letter_pair():
@@ -344,7 +345,7 @@ def test_coset_canonical_is_coset_invariant(lu, lx, k):
     u, x = reduced(lu), reduced(lx)
     if u.is_identity:
         return
-    shifted = (u ** k) * x
+    shifted = word_product(u ** k, x)
     j, r = _coset_canonical_cached(u.letters, x.letters)
     assert _coset_canonical_cached(u.letters, shifted.letters) == (j - k, r)
 
@@ -380,7 +381,7 @@ def test_coset_split_recomposes(lu, lx):
     if u.is_identity:
         return
     k, r = _coset_canonical_cached(u.letters, x.letters)
-    assert ((u ** k) * x).letters == r
+    assert word_product(u ** k, x).letters == r
 
 
 @given(letters_st, letters_st)
