@@ -18,6 +18,11 @@ The argument parser is built once, at import, so :func:`main` can be called
 repeatedly in one process without rebuilding it.  :func:`main` returns the
 exit code, also for a bad command line and for ``--help``/``--version``.
 
+Each command builds one report document.  The JSON report is that document
+written by :func:`_dumps`, the package's own writer, whose output is byte
+for byte what ``json.dumps(doc, indent=2)`` gives.  The text lines are
+rendered from the same document, and only under ``--format text``.
+
 JSON output is deterministic: the same file produces byte-identical reports
 once ``--no-timing`` drops the one nondeterministic field.
 """
@@ -26,11 +31,11 @@ from __future__ import annotations
 
 import argparse
 import hashlib
-import json
 import os
 import sys
 import time
 from fractions import Fraction
+from json.encoder import encode_basestring_ascii
 from typing import List, Optional, Sequence, Tuple
 
 from . import __version__
@@ -174,7 +179,10 @@ def _report_json(report: AnalysisReport) -> dict:
     witnesses: dict = {}
     if balance.witness is not None:
         witnesses["balance"] = _complete_json(graph, balance.witness)
-    if hyper.witness is not None:
+    if hyper.witness is not None and hyper.witness is balance.witness:
+        # one non-level chain witnesses both verdicts: render it once
+        witnesses["hyperbolicity"] = witnesses["balance"]
+    elif hyper.witness is not None:
         render = _complete_json if hyper.kind == "complete" else _nonmax_json
         witnesses["hyperbolicity"] = render(graph, hyper.witness)
     if acyl is not None:
@@ -217,11 +225,11 @@ def _report_json(report: AnalysisReport) -> dict:
     }
 
 
-def _render_check_text(body: dict) -> List[str]:
-    verdicts = body["verdicts"]
-    witnesses = body["witnesses"]
+def _check_text(doc: dict) -> List[str]:
+    verdicts = doc["verdicts"]
+    witnesses = doc["witnesses"]
     lines = []
-    red = body["reduction"]
+    red = doc["reduction"]
     lines.append(
         "reduced graph: {}, {} ({})".format(
             _count(red["reduced"]["vertices"], "vertex", "vertices"),
@@ -289,10 +297,7 @@ def _render_check_text(body: dict) -> List[str]:
 
 
 def cmd_check(args, graph: GraphOfGroups, doc: dict) -> dict:
-    report = analyze(graph)
-    body = _report_json(report)
-    doc.update(body)
-    doc["text"] = _render_check_text(body)
+    doc.update(_report_json(analyze(graph)))
     return doc
 
 
@@ -303,6 +308,20 @@ def cmd_paths(args, graph: GraphOfGroups, doc: dict) -> dict:
     if args.kind == "complete":
         chains = enumerate_complete_paths(graph)
         listing = [_complete_json(graph, p) for p in chains]
+    else:
+        chains = enumerate_full_nonmaximal_paths(graph)
+        listing = [_nonmax_json(graph, p) for p in chains]
+    engine = Engine(graph)
+    for path in chains:  # each listed relation is reported verified
+        _require_path(engine, path, f"{args.kind} path")
+    doc["kind"] = args.kind
+    doc["count"] = len(listing)
+    doc["paths"] = listing
+    return doc
+
+
+def _paths_text(doc: dict) -> List[str]:
+    if doc["kind"] == "complete":
         text = [
             "{} path {}: base {} at vertex {}, ratio {}, level {}".format(
                 entry["kind"],
@@ -312,11 +331,9 @@ def cmd_paths(args, graph: GraphOfGroups, doc: dict) -> dict:
                 entry["ratio"],
                 str(entry["level"]).lower(),
             )
-            for entry in listing
+            for entry in doc["paths"]
         ]
     else:
-        chains = enumerate_full_nonmaximal_paths(graph)
-        listing = [_nonmax_json(graph, p) for p in chains]
         text = [
             "{} path {}: {} -> {}, arrows at {}".format(
                 entry["kind"],
@@ -325,16 +342,9 @@ def cmd_paths(args, graph: GraphOfGroups, doc: dict) -> dict:
                 entry["end"],
                 ", ".join(f"e{e} {side}" for e, side in entry["arrows"]),
             )
-            for entry in listing
+            for entry in doc["paths"]
         ]
-    engine = Engine(graph)
-    for path in chains:  # each listed relation is reported verified
-        _require_path(engine, path, f"{args.kind} path")
-    doc["kind"] = args.kind
-    doc["count"] = len(listing)
-    doc["paths"] = listing
-    doc["text"] = text or ["no paths"]
-    return doc
+    return text or ["no paths"]
 
 
 # ---------------------------------------------------------------------- conj
@@ -421,38 +431,11 @@ def cmd_conj(args, graph: GraphOfGroups, doc: dict) -> dict:
     doc["from"] = {"vertex": int(x.vertex), "word": _format_word(graph, x)}
     doc["to"] = {"vertex": int(y.vertex), "word": _format_word(graph, y)}
     doc["answer"] = _answer_json(graph, answer)
-    text = []
-    if answer.exists:
-        m, n = answer.exponents
-        text.append(
-            'exists: "{}" conjugates ({})^{} to ({})^{} [{}]'.format(
-                doc["answer"]["conjugator"],
-                doc["from"]["word"],
-                m,
-                doc["to"]["word"],
-                n,
-                answer.route,
-            )
-        )
-        if answer.additional:
-            # relations beyond the answer matter when some chain is non-level:
-            # on the one-loop graph a^2/a^3 they show a^2 ~ a^3, while the
-            # answer for a and a is the trivial (1, 1)
-            extras = [_extra_json(graph, path) for path in answer.additional]
-            doc["additional_relations"] = extras
-            for extra in extras:
-                text.append(
-                    'also: "{}" conjugates ({})^{} to ({})^{} via {}'.format(
-                        extra["conjugator"],
-                        doc["from"]["word"],
-                        extra["exponents"][0],
-                        doc["to"]["word"],
-                        extra["exponents"][1],
-                        " ".join(extra["steps"]),
-                    )
-                )
-    else:
-        text.append("no powers of the two elements are conjugate")
+    if answer.additional:
+        # relations beyond the answer matter when some chain is non-level:
+        # on the one-loop graph a^2/a^3 they show a^2 ~ a^3, while the
+        # answer for a and a is the trivial (1, 1)
+        doc["additional_relations"] = [_extra_json(graph, path) for path in answer.additional]
 
     if bounds is not None:
         syllables, exponents, letters = bounds
@@ -470,20 +453,42 @@ def cmd_conj(args, graph: GraphOfGroups, doc: dict) -> dict:
                     "bounded search found a conjugacy the decider refuted"
                 )
             oracle["agreement"] = "confirmed"
-            text.append(
-                'oracle agrees: "{}" conjugates x^{} to y^{}'.format(
-                    oracle["hit"]["conjugator"], hit.m, hit.n
-                )
-            )
         else:
             oracle["hit"] = None
             oracle["agreement"] = "refuted within bounds" if not answer.exists else "inconclusive"
-            text.append(
-                "oracle found no relation within bounds ({})".format(oracle["agreement"])
-            )
         doc["oracle"] = oracle
-    doc["text"] = text
     return doc
+
+
+def _conj_text(doc: dict) -> List[str]:
+    answer, x, y = doc["answer"], doc["from"]["word"], doc["to"]["word"]
+    if not answer["exists"]:
+        text = ["no powers of the two elements are conjugate"]
+    else:
+        m, n = answer["exponents"]
+        text = [
+            'exists: "{}" conjugates ({})^{} to ({})^{} [{}]'.format(
+                answer["conjugator"], x, m, y, n, answer["route"]
+            )
+        ]
+        for extra in doc.get("additional_relations", ()):
+            text.append(
+                'also: "{}" conjugates ({})^{} to ({})^{} via {}'.format(
+                    extra["conjugator"],
+                    x,
+                    extra["exponents"][0],
+                    y,
+                    extra["exponents"][1],
+                    " ".join(extra["steps"]),
+                )
+            )
+    oracle = doc.get("oracle")
+    if oracle is not None and oracle["hit"] is None:
+        text.append("oracle found no relation within bounds ({})".format(oracle["agreement"]))
+    elif oracle is not None:
+        m, n = oracle["hit"]["exponents"]
+        text.append('oracle agrees: "{}" conjugates x^{} to y^{}'.format(oracle["hit"]["conjugator"], m, n))
+    return text
 
 
 # -------------------------------------------------------------------- oracle
@@ -552,8 +557,11 @@ def cmd_oracle(args, graph: GraphOfGroups, doc: dict) -> dict:
     holds = lhs == rhs
     doc["relation"] = args.relation.strip()
     doc["holds"] = holds
-    doc["text"] = [str(holds).lower()]
     return doc
+
+
+def _oracle_text(doc: dict) -> List[str]:
+    return [str(doc["holds"]).lower()]
 
 
 # ---------------------------------------------------------------------- main
@@ -572,22 +580,54 @@ def _base_document(command: str, path: str, data: bytes, graph: GraphOfGroups) -
     }
 
 
+_LITERALS = {True: "true", False: "false", None: "null"}
+
+
+def _dumps(obj, indent: str = "\n") -> str:
+    """``json.dumps(obj, indent=2)``, byte for byte, for a document built of
+    dicts with ``str`` keys, lists, tuples, strings, ints, bools, None and
+    finite floats.
+
+    With an indent, ``json.dumps`` runs its pure-Python encoder.  This
+    writer dispatches on the exact type and quotes every string and key with
+    the C function that encoder calls.  Any other type raises TypeError, and
+    so does a key that is not a ``str`` (which ``json.dumps`` would coerce).
+    """
+    kind = type(obj)
+    if kind is str:
+        return encode_basestring_ascii(obj)
+    if kind is int or kind is float:
+        return repr(obj)
+    if kind is bool or obj is None:
+        return _LITERALS[obj]
+    inner = indent + "  "
+    if kind is dict:
+        parts = [f"{encode_basestring_ascii(key)}: {_dumps(value, inner)}" for key, value in obj.items()]
+        brackets = "{}"
+    elif kind is list or kind is tuple:
+        parts = [_dumps(item, inner) for item in obj]
+        brackets = "[]"
+    else:
+        raise TypeError(f"Object of type {kind.__name__} is not JSON serializable")
+    if not parts:
+        return brackets
+    return f"{brackets[0]}{inner}{(',' + inner).join(parts)}{indent}{brackets[1]}"
+
+
 def _emit(doc: dict, args) -> None:
-    text = doc.pop("text")
     if not args.no_timing:
         doc["timing"] = {"seconds": round(time.monotonic() - args.started, 6)}
     if args.format == "json":
-        print(json.dumps(doc, indent=2))
-    else:
-        header = "{} {} — {}, {}".format(
-            doc["tool"]["name"],
-            doc["command"],
-            _count(doc["input"]["vertices"], "vertex", "vertices"),
-            _count(doc["input"]["edges"], "edge"),
-        )
-        print(header)
-        for line in text:
-            print(line)
+        print(_dumps(doc))
+        return
+    header = "{} {} — {}, {}".format(
+        doc["tool"]["name"],
+        doc["command"],
+        _count(doc["input"]["vertices"], "vertex", "vertices"),
+        _count(doc["input"]["edges"], "edge"),
+    )
+    _, render = _COMMANDS[args.command]
+    print("\n".join([header, *render(doc)]))
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -640,11 +680,13 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# each command: how it builds its report document, and how it renders that
+# document as text lines
 _COMMANDS = {
-    "check": cmd_check,
-    "paths": cmd_paths,
-    "conj": cmd_conj,
-    "oracle": cmd_oracle,
+    "check": (cmd_check, _check_text),
+    "paths": (cmd_paths, _paths_text),
+    "conj": (cmd_conj, _conj_text),
+    "oracle": (cmd_oracle, _oracle_text),
 }
 
 _PARSER = build_parser()
@@ -669,7 +711,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             raise ParseError(f"graph file is not UTF-8 text (byte {exc.start})") from None
         graph = parse_graph(text)
         doc = _base_document(args.command, args.file, data, graph)
-        doc = _COMMANDS[args.command](args, graph, doc)
+        build, _ = _COMMANDS[args.command]
+        doc = build(args, graph, doc)
     except InternalInconsistencyError as exc:
         print(f"internal error: {exc}", file=sys.stderr)
         return 3

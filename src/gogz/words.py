@@ -18,6 +18,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
+from itertools import groupby
 from operator import eq, neg
 from typing import Optional, Tuple
 
@@ -97,20 +98,11 @@ class Alphabet:
         if not word.letters:
             return "1"
         out = []
-        run_letter, run = word.letters[0], 1
-        for l in word.letters[1:]:
-            if l == run_letter:
-                run += 1
-            else:
-                out.append(self._fmt_run(run_letter, run))
-                run_letter, run = l, 1
-        out.append(self._fmt_run(run_letter, run))
+        for letter, run in groupby(word.letters):
+            name = self.names[abs(letter) - 1]
+            k = len(list(run)) if letter > 0 else -len(list(run))
+            out.append(name if k == 1 else f"{name}^{k}")
         return " ".join(out)
-
-    def _fmt_run(self, letter: int, run: int) -> str:
-        name = self.names[abs(letter) - 1]
-        k = run if letter > 0 else -run
-        return name if k == 1 else f"{name}^{k}"
 
     def __repr__(self):
         return f"Alphabet({self.vertex!r}, {self.names!r})"

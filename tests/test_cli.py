@@ -6,8 +6,10 @@ import io
 import json
 import subprocess
 import sys
+from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from gogz import __version__, cli, words
 from gogz.cli import main
@@ -142,6 +144,41 @@ class TestDeterminism:
         second = subprocess.run(argv, capture_output=True, text=True)
         assert first.returncode == second.returncode == 0
         assert first.stdout == second.stdout and first.stdout
+
+
+_json_text = st.text() | st.text(st.sampled_from('"\\/\n\t\x00\x1f\x7f é\u2028😀'))
+_json_values = st.recursive(
+    st.none()
+    | st.booleans()
+    | st.integers()
+    | st.integers(-(10**40), 10**40)
+    | st.floats(allow_nan=False, allow_infinity=False)
+    | _json_text,
+    lambda inner: st.lists(inner)
+    | st.lists(inner).map(tuple)
+    | st.dictionaries(_json_text, inner),
+    max_leaves=40,
+)
+
+
+class TestJsonWriter:
+    @settings(deadline=None)
+    @given(_json_values)
+    def test_writer_matches_json_dumps(self, value):
+        assert cli._dumps(value) == json.dumps(value, indent=2)
+
+    @pytest.mark.parametrize("value", [{1: "a"}, {"ratio": Fraction(3, 2)}, [{"ok": [Fraction(1)]}]])
+    def test_writer_refuses_what_json_cannot_hold(self, value):
+        with pytest.raises(TypeError):
+            cli._dumps(value)
+
+    def test_json_report_builds_no_text(self, graph_file, capsys, monkeypatch):
+        def refuse(doc):
+            raise AssertionError("text rendered for a JSON report")
+
+        monkeypatch.setitem(cli._COMMANDS, "paths", (cli.cmd_paths, refuse))
+        code, out = run(capsys, "paths", graph_file(BS23), "--kind", "complete", "--no-timing")
+        assert code == 0 and json.loads(out)["count"] == 1
 
 
 class TestPaths:

@@ -7,9 +7,13 @@ one ``gogz`` call, its exit code and its exact stdout.  The calls are
 ``conftest.SUITE_TEXTS`` graph, plus ``conj --oracle-bounds 2,3`` for every
 pair of ``test_acceptance._ORACLE_PAIRS`` and of ``_POOL_PAIRS``, then the
 same ``check`` and ``paths`` calls on ``contracts``, ``level_first`` and
-``long_full`` (``_GOLDEN_ONLY_TEXTS``), all with ``--no-timing``.  Graph
-files are written as ``<name>.gog`` in a fresh directory and named
-relatively, so ``input.path`` does not depend on where the suite runs.
+``long_full`` (``_GOLDEN_ONLY_TEXTS``).  After those come the text reports
+of the other commands on every graph: ``paths --kind complete|nonmaximal``,
+``conj`` on each pair with and without ``--oracle-bounds 2,3``, and
+``oracle`` (json and text) on the relations of ``_ORACLE_RELATIONS``.  All
+calls pass ``--no-timing``.  Graph files are written as ``<name>.gog`` in a
+fresh directory and named relatively, so ``input.path`` does not depend on
+where the suite runs.
 
 Regenerate (only when a report is meant to change, and say so in the
 change log)::
@@ -61,6 +65,18 @@ _GOLDEN_ONLY_TEXTS = {
 }
 
 
+# Relations for ``oracle``: one that holds and one that fails on each graph.
+_ORACLE_RELATIONS = {
+    "bs_2_3": ["t a^2 t^-1 = a^3", "t a^3 t^-1 = a^2"],
+    "trefoil": ["t a^2 t^-1 = b^3", "a = b"],
+    "comm_square": ["t_0 a b a^-1 b^-1 t_0^-1 = x^2", "a b = b a"],
+}
+
+
+def _pairs(name):
+    return _ORACLE_PAIRS.get(name, []) + _POOL_PAIRS.get(name, [])
+
+
 def _report_argvs(path):
     yield ["check", path, "--no-timing"]
     yield ["check", path, "--no-timing", "--format", "text"]
@@ -72,10 +88,21 @@ def golden_argvs():
     for name in SUITE_TEXTS:
         path = f"{name}.gog"
         yield from _report_argvs(path)
-        for x, y in _ORACLE_PAIRS.get(name, []) + _POOL_PAIRS.get(name, []):
+        for x, y in _pairs(name):
             yield ["conj", path, "--from", x, "--to", y, "--oracle-bounds", "2,3", "--no-timing"]
     for name in _GOLDEN_ONLY_TEXTS:
         yield from _report_argvs(f"{name}.gog")
+    text = ["--no-timing", "--format", "text"]
+    for name in {**SUITE_TEXTS, **_GOLDEN_ONLY_TEXTS}:
+        path = f"{name}.gog"
+        for kind in ("complete", "nonmaximal"):
+            yield ["paths", path, "--kind", kind, *text]
+        for x, y in _pairs(name):
+            yield ["conj", path, "--from", x, "--to", y, *text]
+            yield ["conj", path, "--from", x, "--to", y, "--oracle-bounds", "2,3", *text]
+        for relation in _ORACLE_RELATIONS.get(name, []):
+            yield ["oracle", path, "--relation", relation, "--no-timing"]
+            yield ["oracle", path, "--relation", relation, *text]
 
 
 def _write_suite(directory: pathlib.Path) -> None:

@@ -47,9 +47,17 @@ def test_reduce_cancels_pairs():
 
 
 def test_parse_format_round_trip():
-    word = w("a^2 b^-1 a")
-    assert word.letters == (1, 1, -2, 1)
-    assert AB.format(word) == "a^2 b^-1 a"
+    cases = {
+        "a^2 b^-1 a": (1, 1, -2, 1),
+        "a^1980": (1,) * 1980,
+        "a^-1980": (-1,) * 1980,
+        "a^2 b^-3 a b^4 a^-1": (1, 1, -2, -2, -2, 1, 2, 2, 2, 2, -1),
+        "b^-1 a^-2 b": (-2, -1, -1, 2),
+    }
+    for text, letters in cases.items():
+        word = w(text)
+        assert word.letters == letters
+        assert AB.format(word) == text
     assert AB.format(FreeWord("v", ())) == "1"
 
 
@@ -325,6 +333,12 @@ def test_reduce_invariant_under_inverse_pair_insertion(letters, pos):
 def test_reduce_idempotent(letters):
     once = reduce_letters(tuple(letters))
     assert reduce_letters(once) == once
+
+
+@given(letters_st)
+def test_format_then_parse_is_identity(letters):
+    word = reduced(letters)
+    assert AB.parse(AB.format(word)) == word
 
 
 @given(letters_st)
