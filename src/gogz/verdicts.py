@@ -2,10 +2,10 @@
 
 Every decider of :func:`analyze` reduces a question about the fundamental
 group to polynomially many graph or root computations, and every positive
-claim is re-verified in the normal-form engine before it is returned: a
-conjugation witness must multiply out exactly, a central element must
-visibly commute with every generator.  A verification failure is a bug in
-the decision layer, never a property of the input, so it raises
+claim is re-verified before it is returned: a conjugation witness in the
+normal-form engine, and a relation inside one vertex group or one edge in
+that group alone, which embeds (Serre, *Trees*, §I.4–5).  A failure is a
+bug in the decision layer, never a property of the input, so it raises
 :class:`~gogz.errors.InternalInconsistencyError`.
 
 Verdicts decided here, all by :func:`analyze` except the last:
@@ -32,9 +32,9 @@ Chain witnesses are :class:`~gogz.paths.ConjugacyPath` records, and every
 replay, chain or not, is one relation ``w x^m w^-1 = y^n`` checked by
 ``_require``.  ``analyze`` shares one :func:`~gogz.paths.decide_chains`
 call (one class gain graph), the reduction, the acylindricity verdict and
-one engine per graph (a second one only for a reduced graph that differs
-from the input) between verdicts; only the reported witnesses are built
-and replayed.
+one engine on the input graph between verdicts; the trichotomy builds
+engines only on single edges of the reduced tree.  Only the reported
+witnesses are built and replayed.
 """
 
 from __future__ import annotations
@@ -55,7 +55,7 @@ from .paths import (
     enumerate_complete_paths,  # unused here; bench/spans traces this binding
     iter_conjugacy_paths,
 )
-from .words import FreeWord, cyclic_meet, maximal_root, root
+from .words import FreeWord, cyclic_meet, join_reduced, maximal_root, power_letters, root
 
 
 def _require(engine: Engine, items: Sequence[ConjugatorItem], x, m, y, n, claim: str) -> None:
@@ -166,17 +166,23 @@ class AcylVerdict:
     snormal_generators: Dict[int, FreeWord]
 
 
-def _acyl(engine: Engine) -> AcylVerdict:
-    """Acylindrical hyperbolicity of the reduced, nontrivial graph of ``engine``."""
-    graph = engine.graph
+def _acyl(graph: GraphOfGroups) -> AcylVerdict:
+    """Acylindrical hyperbolicity of a reduced, nontrivial graph.  Each
+    s-normal relation lies in one vertex group, which embeds in the
+    fundamental group, so it is checked in that free group."""
     incident_words = {
         vid: [edge.word(side) for edge, side in graph.incident(vid)]
         for vid in sorted(graph.vertices)
     }
+    anchors = {}
     for vid, ws in incident_words.items():
-        anchor = maximal_root(ws[0])
+        anchors[vid] = anchor = maximal_root(ws[0])
         for other in ws[1:]:
             if maximal_root(other) != anchor:
+                # in a free group, <u> and <v> meet nontrivially iff u and v commute
+                u, v = ws[0].letters, other.letters
+                if join_reduced(u, v) == join_reduced(v, u):
+                    raise InternalInconsistencyError(f"edge roots at vertex {vid} commute")
                 return AcylVerdict(True, "edge_roots_disagree", vid, (ws[0], other), {})
     for vid in sorted(graph.vertices):
         if graph.vertices[vid].rank >= 2:
@@ -186,12 +192,10 @@ def _acyl(engine: Engine) -> AcylVerdict:
     for vid, ws in incident_words.items():
         exps = [root(w).exponent for w in ws]
         common = lcm(*(abs(k) for k in exps))
-        g_v = maximal_root(ws[0]) ** common
-        target = engine.embed(g_v)
+        g_v = anchors[vid] ** common
         for w, k in zip(ws, exps):
-            sign = 1 if k > 0 else -1
-            claim = f"s-normal generator at vertex {vid}"
-            _require(engine, [], engine.embed(w), common // abs(k), target, sign, claim)
+            if power_letters(w.letters, common // k) != g_v.letters:
+                raise InternalInconsistencyError(f"s-normal generator fails in vertex group {vid}")
         generators[vid] = g_v
     return AcylVerdict(False, None, None, (), generators)
 
@@ -205,8 +209,8 @@ class CentralWitness:
 
     ``element`` is the chosen expression at ``root_vertex``;
     ``exponents[v]`` rewrites it as (generator of v) ** exponents[v].
-    Commuting with every generator of a tree of cyclic groups makes it
-    central, so it spans an infinite cyclic normal subgroup.
+    A power of every generator commutes with each, so in a tree of cyclic
+    groups it is central and spans an infinite cyclic normal subgroup.
     """
 
     root_vertex: int
@@ -227,32 +231,27 @@ class TrichotomyVerdict:
     free_rank: Optional[int]  # set when the graph reduces to a single vertex
 
 
-def _vertex_generator(graph: GraphOfGroups, vid: int) -> FreeWord:
-    return graph.vertices[vid].alphabet.word((1,))
+def _central_witness(graph: GraphOfGroups) -> CentralWitness:
+    """Common power of all vertex generators in a reduced tree of cyclic groups.
 
-
-def _central_witness(engine: Engine) -> CentralWitness:
-    """Common power of all vertex generators in a reduced tree of cyclic groups."""
-    graph, tree = engine.graph, engine.tree
+    ``gen_v^(x_v)`` is one element iff ``gen_p^(x_p) = gen_c^(x_c)`` across
+    each tree edge (p, c).  The group of that edge embeds in the fundamental
+    group, so an engine on the edge alone replays the relation.
+    """
+    tree = graph.tree
     if tree.non_tree_edge_ids:
         raise InternalInconsistencyError(
             f"central witness at vertex {tree.root} needs a tree, but edges "
             f"{list(tree.non_tree_edge_ids)} close cycles"
         )
     ratio: Dict[int, Fraction] = {tree.root: Fraction(1)}
+    scale = 1
     for step in tree.steps:
         edge = graph.edges[step.edge_id]
-        if edge.minus_vertex == step.parent:
-            k_parent, k_child = root(edge.minus_word).exponent, root(edge.plus_word).exponent
-        else:
-            k_parent, k_child = root(edge.plus_word).exponent, root(edge.minus_word).exponent
+        k_minus, k_plus = root(edge.minus_word).exponent, root(edge.plus_word).exponent
+        k_parent, k_child = (k_minus, k_plus) if edge.minus_vertex == step.parent else (k_plus, k_minus)
         ratio[step.child] = ratio[step.parent] * Fraction(k_child, k_parent)
-    scale = lcm(
-        *(
-            (ratio[e.minus_vertex] / root(e.minus_word).exponent).denominator
-            for e in graph.edges.values()
-        )
-    ) if graph.edges else 1
+        scale = lcm(scale, (ratio[step.parent] / k_parent).denominator)
     exponents = {}
     for vid, r in ratio.items():
         x = scale * r
@@ -261,36 +260,36 @@ def _central_witness(engine: Engine) -> CentralWitness:
                 f"central witness exponent {x} at vertex {vid} is not a nonzero integer"
             )
         exponents[vid] = int(x)
-    element = _vertex_generator(graph, tree.root) ** exponents[tree.root]
-    central = engine.embed(element)
-    for vid, x in exponents.items():
-        gen = _vertex_generator(graph, vid)
-        claim = f"central witness is generator^{x} at vertex {vid}"
-        _require(engine, [], central, 1, engine.embed(gen), x, claim)
-        _require(engine, [gen], central, 1, central, 1, f"central witness commutes at vertex {vid}")
+    for step in tree.steps:
+        p, c = step.parent, step.child
+        engine = Engine(GraphOfGroups([graph.vertices[p], graph.vertices[c]], [graph.edges[step.edge_id]]))
+        gen_p, gen_c = (engine.embed(graph.vertices[v].alphabet.word((1,))) for v in (p, c))
+        x_p, x_c = exponents[p], exponents[c]
+        claim = f"central witness is generator^{x_p} at vertex {p} and generator^{x_c} at vertex {c}"
+        _require(engine, [], gen_p, x_p, gen_c, x_c, claim)
+    element = graph.vertices[tree.root].alphabet.word((1,)) ** exponents[tree.root]
     return CentralWitness(tree.root, element, exponents)
 
 
-def _trichotomy(engine: Engine) -> TrichotomyVerdict:
+def _trichotomy(reduced: GraphOfGroups) -> TrichotomyVerdict:
     """Acylindrically hyperbolic / surjects Z / central cyclic, on the
-    already reduced graph of ``engine``.
+    already reduced graph, with no whole-graph engine.
 
     A non-tree reduced graph surjects onto the integers by sending one
     stable letter to 1 and every vertex group to 0; a reduced tree that is
     not acylindrically hyperbolic has all vertex groups cyclic and carries
     the common central power built by ``_central_witness``.
     """
-    reduced = engine.graph
     if reduced.is_trivial:
         (vertex,) = reduced.vertices.values()
         return TrichotomyVerdict("surjects_Z", None, (), None, vertex.rank)
-    acyl = _acyl(engine)
+    acyl = _acyl(reduced)
     if acyl.acyl_hyperbolic:
         return TrichotomyVerdict("acylindrically_hyperbolic", acyl, (), None, None)
     if reduced.betti_number > 0:
-        non_tree = engine.tree.non_tree_edge_ids
+        non_tree = reduced.tree.non_tree_edge_ids
         return TrichotomyVerdict("surjects_Z", acyl, non_tree, None, None)
-    return TrichotomyVerdict("cyclic_normal_subgroup", acyl, (), _central_witness(engine), None)
+    return TrichotomyVerdict("cyclic_normal_subgroup", acyl, (), _central_witness(reduced), None)
 
 
 # ------------------------------------------------------------ power conjugacy
@@ -418,7 +417,7 @@ def analyze(graph: GraphOfGroups) -> AnalysisReport:
     chains = decide_chains(graph)
     balance = _balance(engine, chains)
     hyper = _hyperbolicity(engine, chains)
-    tri = _trichotomy(engine if reduced is graph else Engine(reduced))
+    tri = _trichotomy(reduced)
 
     rel_hyp_note = None
     if all(v.rank == 1 for v in reduced.vertices.values()):

@@ -1,6 +1,7 @@
 """Command-line interface: subcommands, formats, exit codes, determinism."""
 
 import argparse
+import dataclasses
 import hashlib
 import io
 import json
@@ -11,7 +12,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from gogz import __version__, cli, words
+from gogz import __version__, cli, verdicts, words
 from gogz.cli import main
 from gogz.engine import IDENTITY, Engine, _atom_pool
 from gogz.graphs import parse_graph
@@ -473,6 +474,38 @@ class TestErrors:
                 cache.cache_clear()
         err = capsys.readouterr().err
         assert err.startswith("internal error: ") and "Traceback" not in err
+
+    def test_commuting_edge_root_evidence_exits_3(self, graph_file, capsys, monkeypatch):
+        # with every word its own maximal root, a^2 and a^3 seem to disagree;
+        # they commute, so the evidence refutes the claim
+        monkeypatch.setattr(verdicts, "maximal_root", lambda w: w)
+        assert main(["check", graph_file(BS23)]) == 3
+        err = capsys.readouterr().err
+        assert err == "internal error: edge roots at vertex 0 commute\n"
+
+    def test_wrong_snormal_exponent_exits_3(self, graph_file, capsys, monkeypatch):
+        # a^3 rooted with exponent 4: a^2 and "a^4" agree on a^4, and a^3 does not
+        true_root = verdicts.root
+
+        def skewed(w):
+            r = true_root(w)
+            return dataclasses.replace(r, exponent=4) if w.letters == (1, 1, 1) else r
+
+        monkeypatch.setattr(verdicts, "root", skewed)
+        assert main(["check", graph_file(BS23)]) == 3
+        err = capsys.readouterr().err
+        assert err == "internal error: s-normal generator fails in vertex group 0\n"
+
+    def test_wrong_central_exponent_exits_3(self, graph_file, capsys, monkeypatch):
+        # the exponent ratio across the trefoil's tree edge, 3/2, read as 5/2:
+        # the s-normal checks do not read it, the edge's own engine refutes it
+        monkeypatch.setattr(verdicts, "Fraction", lambda *args: Fraction(*args) + (len(args) == 2))
+        assert main(["check", graph_file(TREFOIL)]) == 3
+        err = capsys.readouterr().err
+        assert err == (
+            "internal error: witness failed engine verification: central witness is "
+            "generator^2 at vertex 0 and generator^5 at vertex 1\n"
+        )
 
     def test_non_utf8_file_exits_2(self, tmp_path, capsys):
         path = tmp_path / "latin1.gog"

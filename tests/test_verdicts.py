@@ -416,6 +416,41 @@ def test_empty_conjugator_compares_the_powers_only(monkeypatch):
         _require(engine, [], a2, 1, a3, 1, "a^2 = a^3")
 
 
+@st.composite
+def rank_one_trees(draw):
+    """A tree of at most six rank-1 vertices, edge words x^k with 1 <= |k| <= 4."""
+    n = draw(st.integers(2, 6))
+    exps = st.sampled_from([k for k in range(-4, 5) if k])
+    lines = [f"vertex {i} rank=1 gens=x{i}" for i in range(n)]
+    for child in range(1, n):
+        ends = [draw(st.integers(0, child - 1)), child]
+        if draw(st.booleans()):
+            ends.reverse()
+        minus, plus = ends
+        words = f'minus="x{minus}^{draw(exps)}" plus="x{plus}^{draw(exps)}"'
+        lines.append(f"edge {child} {minus} {plus} {words}")
+    return "\n".join(lines)
+
+
+@settings(deadline=None, max_examples=150)
+@given(rank_one_trees())
+def test_central_witness_holds_in_the_whole_graph(text):
+    # the whole-graph replay that the per-edge checks replace, kept as an oracle
+    report = analyze(parse_graph(text))
+    central = report.trichotomy.central
+    if report.trichotomy.branch != "cyclic_normal_subgroup":
+        assert central is None and report.reduced.is_trivial
+        return
+    reduced = report.reduced
+    assert set(central.exponents) == set(reduced.vertices)
+    engine = Engine(reduced)
+    g = engine.embed(central.element)
+    for vid, x in central.exponents.items():
+        gen = engine.embed(reduced.vertices[vid].alphabet.word((1,)))
+        assert g == engine.power(gen, x)
+        assert engine.mul(gen, g) == engine.mul(g, gen)
+
+
 # -------------------------------------------------------------------- report
 
 
@@ -482,15 +517,17 @@ class TestAnalyze:
         "text,builds",
         [
             (bs(2, 3), 1),
-            (TREFOIL, 1),
-            # edge 0 contracts, so the reduced graph gets an engine of its own
+            # one engine on the input, one on the reduced tree's single edge
+            (TREFOIL, 2),
+            # edge 0 contracts to BS(2, 3), whose trichotomy builds no engine
             (
                 'vertex 0 rank=1 gens=a\nvertex 1 rank=1 gens=b\n'
                 'edge 0 0 1 minus="a^2" plus="b"\nedge 1 1 1 minus="b^2" plus="b^3"',
-                2,
+                1,
             ),
+            (CHAIN, 3),
         ],
-        ids=["bs23", "trefoil", "contracted"],
+        ids=["bs23", "trefoil", "contracted", "chain"],
     )
     def test_one_engine_per_graph(self, text, builds, monkeypatch):
         graph = parse_graph(text)
@@ -504,7 +541,12 @@ class TestAnalyze:
         monkeypatch.setattr(Engine, "__init__", counted)
         report = analyze(graph)
         assert len(graphs) == builds
-        assert graphs[0] is graph and graphs[-1] is report.reduced
+        assert graphs[0] is graph
+        for g in graphs[1:]:  # each on a single edge of the reduced tree
+            (edge,) = g.edges.values()
+            assert report.reduced.edges[edge.id] is edge
+            assert set(g.vertices) == {edge.minus_vertex, edge.plus_vertex}
+        assert len(graphs) - 1 == (len(report.reduced.edges) if report.trichotomy.central else 0)
 
     @pytest.mark.parametrize(
         "text,replays",
