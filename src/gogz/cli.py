@@ -505,7 +505,7 @@ def _relation_tokens(graph: GraphOfGroups, side: str, what: str, letters: int) -
     that is also a generator is refused as ambiguous.  Like a word, the
     whole relation may expand to at most :data:`MAX_WORD_LETTERS` letters.
     """
-    owner = {name: v.alphabet for _, v in sorted(graph.vertices.items()) for name in v.alphabet.names}
+    owner = {name: v.alphabet for v in graph.vertices.values() for name in v.alphabet.names}
     items = []
     for token in side.split():
         name = token.partition("^")[0]

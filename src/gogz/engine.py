@@ -249,8 +249,8 @@ def _atom_pool(engine: Engine, max_letters: int) -> List[Tuple[Item, int]]:
     positive sign first).  A stable letter costs one letter.
     """
     pool: List[Tuple[Item, int]] = []
-    for vid in sorted(engine.graph.vertices):
-        alphabet = engine.graph.vertices[vid].alphabet
+    for vertex in engine.graph.vertices.values():
+        alphabet = vertex.alphabet
         frontier: List[Letters] = [()]
         for _ in range(max_letters):
             extended = []

@@ -20,9 +20,10 @@ Tokens are separated by blanks, which are spaces and tabs.  Quotes group
 (blanks and ``#`` inside them are kept) and are dropped wherever they stand
 in a token; ``#`` outside quotes starts a comment.  After the head and its
 ids, a line's fields may come in any order, each once.  A line in the
-canonical shape above, which :meth:`GraphOfGroups.to_text` writes, is parsed
-with one regular-expression match; every other line, and every line that
-would be refused, goes through the tokenizer, which places each error.
+canonical shape above, which :meth:`GraphOfGroups.to_text` writes, is split
+with one regular-expression match, and every other line by the tokenizer;
+both shapes then go through the same checks of each declaration.  A line
+those checks refuse is tokenized to place the error.
 
 An edge *end* is **bad** when its inclusion word generates the whole vertex
 group (rank-one vertex, word a single letter); it carries an **arrow** when
@@ -37,7 +38,8 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Tuple
+from operator import attrgetter
+from typing import Dict, Iterable, List, Optional, Tuple
 
 from .errors import AlphabetError, DegenerateInputError, ParseError
 from .words import Alphabet, FreeWord, parse_int
@@ -47,7 +49,10 @@ PLUS = 1
 
 _SIDE_NAMES = {MINUS: "minus", PLUS: "plus"}
 _NAME = r"[A-Za-z][A-Za-z0-9_]*"
+_NAMES = rf"{_NAME}(?:,{_NAME})*"
 _NAME_RE = re.compile(_NAME + r"\Z")
+_NAMES_RE = re.compile(_NAMES + r"\Z")
+_by_id = attrgetter("id")
 
 
 def side_name(side: int) -> str:
@@ -162,23 +167,24 @@ class GraphOfGroups:
     exist, that inclusion words are nontrivial and live over the right
     alphabets, and that generator names are globally unique.  It then builds
     ``tree``, the graph's one :class:`SpanningTree`, and that search is the
-    check that the graph is connected.
+    check that the graph is connected.  ``vertices`` and ``edges`` map ids
+    to declarations in id order, which every listing of them follows.
     """
 
     def __init__(self, vertices: Iterable[Vertex], edges: Iterable[Edge]):
         self.vertices: Dict[int, Vertex] = {}
-        for v in vertices:
+        for v in sorted(vertices, key=_by_id):
             if v.id in self.vertices:
                 raise DegenerateInputError(f"duplicate vertex id {v.id}")
             self.vertices[v.id] = v
         self.edges: Dict[int, Edge] = {}
-        for e in edges:
+        for e in sorted(edges, key=_by_id):
             if e.id in self.edges:
                 raise DegenerateInputError(f"duplicate edge id {e.id}")
             self.edges[e.id] = e
         self._validate()
         self._incident: Dict[int, List[Tuple[Edge, int]]] = {v: [] for v in self.vertices}
-        for e in self._sorted_edges():
+        for e in self.edges.values():
             self._incident[e.minus_vertex].append((e, MINUS))
             self._incident[e.plus_vertex].append((e, PLUS))
         root_vertex = min(self.vertices)
@@ -196,22 +202,16 @@ class GraphOfGroups:
             missing = min(set(self.vertices) - seen)
             raise DegenerateInputError(f"graph is not connected (vertex {missing} unreachable)")
         tree_ids = {s.edge_id for s in steps}
-        non_tree = tuple(i for i in sorted(self.edges) if i not in tree_ids)
+        non_tree = tuple(i for i in self.edges if i not in tree_ids)
         self.tree = SpanningTree(root_vertex, tuple(steps), non_tree)
 
     # -------------------------------------------------------------- basics
-
-    def _sorted_edges(self) -> List[Edge]:
-        return [self.edges[i] for i in sorted(self.edges)]
-
-    def _sorted_vertices(self) -> List[Vertex]:
-        return [self.vertices[i] for i in sorted(self.vertices)]
 
     def _validate(self):
         if not self.vertices:
             raise DegenerateInputError("a graph of groups needs at least one vertex")
         seen: Dict[str, int] = {}
-        for v in self._sorted_vertices():
+        for v in self.vertices.values():
             if v.rank < 1:
                 raise DegenerateInputError(f"vertex {v.id} must have rank >= 1")
             for name in v.alphabet.names:
@@ -220,7 +220,7 @@ class GraphOfGroups:
                         f"generator {name!r} declared at vertex {seen[name]} and again at vertex {v.id}"
                     )
                 seen[name] = v.id
-        for e in self._sorted_edges():
+        for e in self.edges.values():
             for side in (MINUS, PLUS):
                 vid = e.vertex(side)
                 if vid not in self.vertices:
@@ -243,7 +243,7 @@ class GraphOfGroups:
         return list(self._incident[vid])
 
     def oriented_edges(self) -> List[OrientedEdge]:
-        return [OrientedEdge(e, fwd) for e in self._sorted_edges() for fwd in (True, False)]
+        return [OrientedEdge(e, fwd) for e in self.edges.values() for fwd in (True, False)]
 
     # -------------------------------------------------------------- labels
 
@@ -254,7 +254,7 @@ class GraphOfGroups:
     def reducible_edges(self) -> List[Edge]:
         return [
             e
-            for e in self._sorted_edges()
+            for e in self.edges.values()
             if not e.is_loop and (self.is_bad_end(e, MINUS) or self.is_bad_end(e, PLUS))
         ]
 
@@ -267,9 +267,9 @@ class GraphOfGroups:
 
     def to_text(self) -> str:
         lines = []
-        for v in self._sorted_vertices():
+        for v in self.vertices.values():
             lines.append(f"vertex {v.id} rank={v.rank} gens={','.join(v.alphabet.names)}")
-        for e in self._sorted_edges():
+        for e in self.edges.values():
             minus = self.vertices[e.minus_vertex].alphabet.format(e.minus_word)
             plus = self.vertices[e.plus_vertex].alphabet.format(e.plus_word)
             lines.append(f'edge {e.id} {e.minus_vertex} {e.plus_vertex} minus="{minus}" plus="{plus}"')
@@ -329,77 +329,84 @@ def _parse_fields(tokens, lineno: int, col0: int, allowed) -> Dict[str, Tuple[st
     return out
 
 
-def _parse_edge_word(vertex: Vertex, value: str, col: int, lineno: int) -> FreeWord:
-    try:
-        word = vertex.parse(value)
-    except ParseError as exc:
-        raise ParseError(exc.message, lineno, col) from None
-    if word.is_identity:
-        raise ParseError("inclusion word must not be the identity", lineno, col)
-    return word
-
-
 # The canonical shape of each declaration, as ``to_text`` writes it, for
 # ``fullmatch``.  Groups: vertex id, rank, names; edge id, endpoints, words.
-_VERTEX_LINE_RE = re.compile(
-    rf"[ \t]*vertex[ \t]+([0-9]+)[ \t]+rank=([0-9]+)[ \t]+gens=({_NAME}(?:,{_NAME})*)[ \t]*"
-)
+# An integer has at most 18 digits, which ``int`` converts under any limit on
+# digits; a longer one is left to the tokenizer.
+_INT = r"([0-9]{1,18})"
+_VERTEX_LINE_RE = re.compile(rf"[ \t]*vertex[ \t]+{_INT}[ \t]+rank={_INT}[ \t]+gens=({_NAMES})[ \t]*")
 _EDGE_LINE_RE = re.compile(
-    r'[ \t]*edge[ \t]+([0-9]+)[ \t]+([0-9]+)[ \t]+([0-9]+)[ \t]+minus="([^"]*)"[ \t]+plus="([^"]*)"[ \t]*'
+    rf'[ \t]*edge[ \t]+{_INT}[ \t]+{_INT}[ \t]+{_INT}[ \t]+minus="([^"]*)"[ \t]+plus="([^"]*)"[ \t]*'
 )
 
+# A refusal: its message and the index of the argument it blames.
+Refusal = Optional[Tuple[str, int]]
 
-def _add_canonical_vertex(m: re.Match, vertices: Dict[int, Vertex], gen_homes: Dict[str, int]) -> bool:
-    """Add the vertex a canonical line declares, or return False, changing
-    nothing, when the tokenizer path would refuse the line."""
-    try:
-        vid, rank = int(m[1]), int(m[2])
-    except ValueError:  # more digits than ``int`` converts
-        return False
-    names = m[3].split(",")
-    if vid in vertices or rank != len(names) or len(set(names)) != rank:
-        return False
-    if not gen_homes.keys().isdisjoint(names):
-        return False
-    gen_homes.update(dict.fromkeys(names, vid))
+
+def _add_vertex(vid: int, rank: int, gens: str, vertices: Dict[int, Vertex], gen_homes: Dict[str, int]) -> Refusal:
+    """Add the vertex ``vertex <vid> rank=<rank> gens=<gens>`` declares, or
+    return its refusal, changing nothing."""
+    if vid in vertices:
+        return f"duplicate vertex id {vid}", 0
+    names = gens.split(",") if gens else []
+    homes = dict.fromkeys(names, vid)
+    if not (_NAMES_RE.match(gens) and len(homes) == len(names) and gen_homes.keys().isdisjoint(homes)):
+        seen = set()
+        for name in names:  # name the first refused name
+            if not _NAME_RE.match(name):
+                return f"bad generator name {name!r}", 2
+            if name in gen_homes or name in seen:
+                return f"generator {name!r} already declared at vertex {gen_homes.get(name, vid)}", 2
+            seen.add(name)
+    if rank != len(names) or rank < 1:
+        return f"rank={rank} but {len(names)} generator name(s)", 2
+    gen_homes.update(homes)
     vertices[vid] = Vertex.make(vid, names)
-    return True
+    return None
 
 
-def _add_canonical_edge(m: re.Match, vertices: Dict[int, Vertex], edges: Dict[int, Edge]) -> bool:
-    """Add the edge a canonical line declares, or return False, changing
-    nothing, when the tokenizer path would refuse the line."""
+def _add_edge(
+    eid: int, minus_vertex: int, plus_vertex: int, minus: str, plus: str,
+    vertices: Dict[int, Vertex], edges: Dict[int, Edge],
+) -> Refusal:
+    """Add the edge ``edge <eid> <minus_vertex> <plus_vertex> minus=<minus>
+    plus=<plus>`` declares, or return its refusal, changing nothing."""
+    if eid in edges:
+        return f"duplicate edge id {eid}", 0
+    if minus_vertex not in vertices or plus_vertex not in vertices:
+        blamed, vid = (1, minus_vertex) if minus_vertex not in vertices else (2, plus_vertex)
+        return f"unknown vertex {vid} (declare vertices first)", blamed
+    blamed = 3
     try:
-        eid, minus_vertex, plus_vertex = int(m[1]), int(m[2]), int(m[3])
-    except ValueError:  # more digits than ``int`` converts
-        return False
-    if eid in edges or minus_vertex not in vertices or plus_vertex not in vertices:
-        return False
-    try:
-        minus, plus = vertices[minus_vertex].parse(m[4]), vertices[plus_vertex].parse(m[5])
-    except ParseError:
-        return False
-    if minus.is_identity or plus.is_identity:
-        return False
-    edges[eid] = Edge(eid, minus_vertex, plus_vertex, minus, plus)
-    return True
+        minus_word = vertices[minus_vertex].alphabet.parse(minus)
+        if minus_word.letters:
+            blamed = 4
+            plus_word = vertices[plus_vertex].alphabet.parse(plus)
+            if plus_word.letters:
+                edges[eid] = Edge(eid, minus_vertex, plus_vertex, minus_word, plus_word)
+                return None
+    except ParseError as exc:
+        return exc.message, blamed
+    return "inclusion word must not be the identity", blamed
 
 
 def parse_graph(text: str) -> GraphOfGroups:
     """Parse the text format; errors carry 1-based line and column positions.
 
-    A line in the canonical shape is parsed from one match; any other line,
-    or one the match cannot add, is tokenized, and only that path raises.
+    Both line shapes go through the same checks, :func:`_add_vertex` and
+    :func:`_add_edge`.  A line in the canonical shape is split by one match;
+    any other line, or one those checks refuse, is tokenized, and only that
+    path raises, at the column of the token the refusal blames.
     """
     vertices: Dict[int, Vertex] = {}
     edges: Dict[int, Edge] = {}
     gen_homes: Dict[str, int] = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         m = _EDGE_LINE_RE.fullmatch(raw)
-        if m is not None and _add_canonical_edge(m, vertices, edges):
+        if m is not None and _add_edge(int(m[1]), int(m[2]), int(m[3]), m[4], m[5], vertices, edges) is None:
             continue
         m = _VERTEX_LINE_RE.fullmatch(raw)
-        if m is not None and _add_canonical_vertex(m, vertices, gen_homes):
+        if m is not None and _add_vertex(int(m[1]), int(m[2]), m[3], vertices, gen_homes) is None:
             continue
         tokens = _tokenize(raw, lineno)
         if not tokens:
@@ -409,41 +416,23 @@ def parse_graph(text: str) -> GraphOfGroups:
             if len(tokens) < 2:
                 raise ParseError("vertex needs an id", lineno, col0)
             vid = _parse_int(tokens[1], lineno, "a vertex id")
-            if vid in vertices:
-                raise ParseError(f"duplicate vertex id {vid}", lineno, tokens[1][1])
             fields = _parse_fields(tokens[2:], lineno, col0, {"rank", "gens"})
             rank = _parse_int(fields["rank"], lineno, "an integer rank")
-            gens_text, gens_col = fields["gens"]
-            names = tuple(gens_text.split(",")) if gens_text else ()
-            for name in names:
-                if not _NAME_RE.match(name):
-                    raise ParseError(f"bad generator name {name!r}", lineno, gens_col)
-                if name in gen_homes:
-                    raise ParseError(
-                        f"generator {name!r} already declared at vertex {gen_homes[name]}", lineno, gens_col
-                    )
-                gen_homes[name] = vid
-            if rank != len(names) or rank < 1:
-                raise ParseError(f"rank={rank} but {len(names)} generator name(s)", lineno, gens_col)
-            vertices[vid] = Vertex.make(vid, names)
+            located = (tokens[1], fields["rank"], fields["gens"])
+            refusal = _add_vertex(vid, rank, fields["gens"][0], vertices, gen_homes)
         elif head == "edge":
             if len(tokens) < 4:
                 raise ParseError("edge needs an id and two endpoint vertex ids", lineno, col0)
             eid = _parse_int(tokens[1], lineno, "an edge id")
-            if eid in edges:
-                raise ParseError(f"duplicate edge id {eid}", lineno, tokens[1][1])
-            endpoints = []
-            for token in tokens[2:4]:
-                vid = _parse_int(token, lineno, "a vertex id")
-                if vid not in vertices:
-                    raise ParseError(f"unknown vertex {vid} (declare vertices first)", lineno, token[1])
-                endpoints.append(vid)
+            ends = [_parse_int(token, lineno, "a vertex id") for token in tokens[2:4]]
             fields = _parse_fields(tokens[4:], lineno, col0, {"minus", "plus"})
-            minus = _parse_edge_word(vertices[endpoints[0]], *fields["minus"], lineno=lineno)
-            plus = _parse_edge_word(vertices[endpoints[1]], *fields["plus"], lineno=lineno)
-            edges[eid] = Edge(eid, endpoints[0], endpoints[1], minus, plus)
+            located = (*tokens[1:4], fields["minus"], fields["plus"])
+            refusal = _add_edge(eid, *ends, fields["minus"][0], fields["plus"][0], vertices, edges)
         else:
             raise ParseError(f"unknown directive {head!r}", lineno, col0)
+        if refusal is not None:
+            message, blamed = refusal
+            raise ParseError(message, lineno, located[blamed][1])
     if not vertices:
         raise ParseError("no vertices declared", max(1, text.count(chr(10)) + 1), 1)
     return GraphOfGroups(vertices.values(), edges.values())

@@ -172,7 +172,7 @@ def _acyl(graph: GraphOfGroups) -> AcylVerdict:
     fundamental group, so it is checked in that free group."""
     incident_words = {
         vid: [edge.word(side) for edge, side in graph.incident(vid)]
-        for vid in sorted(graph.vertices)
+        for vid in graph.vertices
     }
     anchors = {}
     for vid, ws in incident_words.items():
@@ -184,8 +184,8 @@ def _acyl(graph: GraphOfGroups) -> AcylVerdict:
                 if join_reduced(u, v) == join_reduced(v, u):
                     raise InternalInconsistencyError(f"edge roots at vertex {vid} commute")
                 return AcylVerdict(True, "edge_roots_disagree", vid, (ws[0], other), {})
-    for vid in sorted(graph.vertices):
-        if graph.vertices[vid].rank >= 2:
+    for vid, vertex in graph.vertices.items():
+        if vertex.rank >= 2:
             return AcylVerdict(True, "vertex_not_cyclic", vid, (), {})
 
     generators: Dict[int, FreeWord] = {}

@@ -290,6 +290,16 @@ class TestConj:
         assert doc["oracle"]["hit"] is None
         assert doc["oracle"]["agreement"] == "refuted within bounds"
 
+    def test_an_oracle_hit_the_decider_refuted_exits_3(self, graph_file, capsys, monkeypatch):
+        # a refuting decider on BS(2,3) with a ~ a: the bounded search finds a^1 ~ a^1
+        refuted = verdicts.ConjugacyAnswer(False, None, (), None, None)
+        monkeypatch.setattr(cli, "power_conjugate", lambda graph, x, y: refuted)
+        assert main(["conj", graph_file(BS23), "--from", "0:a", "--to", "0:a",
+                     "--oracle-bounds", "2,3", "--no-timing"]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "internal error: bounded search found a conjugacy the decider refuted\n"
+
     def test_bad_specs_exit_2(self, graph_file, capsys):
         path = graph_file(TREFOIL)
         assert main(["conj", path, "--from", "a", "--to", "1:b"]) == 2

@@ -1,4 +1,4 @@
-"""Golden CLI outputs: every report on the 12-graph suite and on three
+"""Golden CLI outputs: every report on the 12-graph suite and on four
 golden-only graphs, byte for byte.
 
 ``tests/data/golden_cli.jsonl`` holds one JSON object per line: the argv of
@@ -6,12 +6,12 @@ one ``gogz`` call, its exit code and its exact stdout.  The calls are
 ``check`` (json and text) and ``paths --kind complete|nonmaximal`` on each
 ``conftest.SUITE_TEXTS`` graph, plus ``conj --oracle-bounds 2,3`` for every
 pair of ``test_acceptance._ORACLE_PAIRS`` and of ``_POOL_PAIRS``, then the
-same ``check`` and ``paths`` calls on ``contracts``, ``level_first`` and
-``long_full`` (``_GOLDEN_ONLY_TEXTS``).  After those come the text reports
-of the other commands on every graph: ``paths --kind complete|nonmaximal``,
-``conj`` on each pair with and without ``--oracle-bounds 2,3``, and
-``oracle`` (json and text) on the relations of ``_ORACLE_RELATIONS``.  All
-calls pass ``--no-timing``.  Graph files are written as ``<name>.gog`` in a
+same ``check`` and ``paths`` calls on ``contracts``, ``level_first``,
+``long_full`` and ``roots_disagree`` (``_GOLDEN_ONLY_TEXTS``).  After those
+come the text reports of the other commands on every graph: ``paths --kind
+complete|nonmaximal``, ``conj`` on each pair with and without
+``--oracle-bounds 2,3``, and ``oracle`` (json and text) on the relations of
+``_ORACLE_RELATIONS``.  All calls pass ``--no-timing``.  Graph files are written as ``<name>.gog`` in a
 fresh directory and named relatively, so ``input.path`` does not depend on
 where the suite runs.
 
@@ -45,8 +45,9 @@ _POOL_PAIRS = {
 
 # Reports the suite never prints, kept out of SUITE_TEXTS so that the
 # acceptance checks stay as they are: a contraction (``reduction.contractions``),
-# a non-level witness when the shortest closed chain is level, and a full
-# non-maximal path of three steps.
+# a non-level witness when the shortest closed chain is level, a full
+# non-maximal path of three steps, and two edge roots that disagree at a vertex
+# (the evidence of ``edge_roots_disagree``).
 _GOLDEN_ONLY_TEXTS = {
     "contracts": (
         "vertex 0 rank=2 gens=a,b\nvertex 1 rank=1 gens=x\n"
@@ -61,6 +62,10 @@ _GOLDEN_ONLY_TEXTS = {
         "vertex 2 rank=2 gens=a2,b2\nvertex 3 rank=2 gens=a3,b3\n"
         'edge 0 0 1 minus="a0^2" plus="a1"\nedge 1 1 2 minus="a1" plus="a2"\n'
         'edge 2 2 3 minus="a2" plus="a3^2"'
+    ),
+    "roots_disagree": (
+        "vertex 0 rank=2 gens=a,b\nvertex 1 rank=1 gens=x\n"
+        'edge 0 0 1 minus="a" plus="x^2"\nedge 1 0 1 minus="b" plus="x^3"'
     ),
 }
 

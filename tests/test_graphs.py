@@ -3,7 +3,7 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from gogz.errors import DegenerateInputError, ParseError
+from gogz.errors import AlphabetError, DegenerateInputError, ParseError
 from gogz.graphs import (
     MINUS,
     PLUS,
@@ -86,6 +86,17 @@ V0 = "vertex 0 rank=1 gens=a\n"
         (f"vertex 0 rank={BIG} gens=a", f"expected an integer rank, got '{BIG}'", 1, 10),
         (V0 + f'edge {BIG} 0 0 minus="a" plus="a^2"', f"expected an edge id, got '{BIG}'", 2, 6),
         (V0 + f'edge 0 0 0 minus="a^{BIG}" plus="a"', f"bad exponent in token 'a^{BIG}'", 2, 12),
+        ("vertex", "vertex needs an id", 1, 1),
+        (V0 + "edge 0 0", "edge needs an id and two endpoint vertex ids", 2, 1),
+        (V0 + "edge 0 0 0 minus=a plus=a stray", "expected a minus/plus field, got 'stray'", 2, 27),
+        (V0 + "edge 0 0 0 minus=a plus=a colour=red", "unknown field 'colour'", 2, 27),
+        (V0 + "edge 0 0 0 minus=a minus=a plus=a", "repeated field 'minus'", 2, 20),
+        ("vertex 0 rank=1 gens=1a", "bad generator name '1a'", 1, 17),
+        ("vertex 0 rank=1 gens=a,b", "rank=1 but 2 generator name(s)", 1, 17),
+        (V0 + "vertex 1 rank=3 gens=b,c,b", "generator 'b' already declared at vertex 1", 2, 17),
+        (V0 + 'edge 0 2 0 minus="a" plus="a"', "unknown vertex 2 (declare vertices first)", 2, 8),
+        (V0 + 'edge 0 0 0 minus="a^0" plus="a"', "zero exponent in token 'a^0'", 2, 12),
+        (V0 + 'edge 0 0 0 minus="a" plus="a^2 a^-2"', "inclusion word must not be the identity", 2, 22),
     ],
     ids=lambda value: f"{value[:32]}...{len(value)}" if isinstance(value, str) and len(value) > 80 else None,
 )
@@ -93,6 +104,41 @@ def test_parse_errors_carry_positions(text, message, line, col):
     with pytest.raises(ParseError) as err:
         parse_graph(text)
     assert (err.value.message, err.value.line, err.value.col) == (message, line, col)
+    # a refused line in the canonical shape is refused alike when rewritten,
+    # one column further on
+    *before, last = text.split("\n")
+    if _VERTEX_LINE_RE.fullmatch(last) or _EDGE_LINE_RE.fullmatch(last):
+        rewritten = "\t" + last.replace(" ", "\t") + "  # rewritten"
+        with pytest.raises(ParseError) as err:
+            parse_graph("\n".join([*before, rewritten]))
+        assert (err.value.message, err.value.line, err.value.col) == (message, line, col + 1)
+
+
+_A = Vertex.make(0, ("a",))
+_B = Vertex.make(1, ("b",))
+_LOOP = Edge(0, 0, 0, _A.parse("a"), _A.parse("a^2"))
+
+
+@pytest.mark.parametrize(
+    "vertices, edges, error, message",
+    [
+        ([_A, Vertex.make(0, ("b",))], [], DegenerateInputError, "duplicate vertex id 0"),
+        ([_A], [_LOOP, _LOOP], DegenerateInputError, "duplicate edge id 0"),
+        ([], [], DegenerateInputError, "a graph of groups needs at least one vertex"),
+        ([Vertex.make(0, ())], [], DegenerateInputError, "vertex 0 must have rank >= 1"),
+        ([_A, Vertex.make(1, ("a",))], [], DegenerateInputError,
+         "generator 'a' declared at vertex 0 and again at vertex 1"),
+        ([_A], [Edge(0, 0, 1, _A.parse("a"), _B.parse("b"))], DegenerateInputError, "edge 0 uses unknown vertex 1"),
+        ([_A, _B], [Edge(0, 0, 1, _A.parse("a"), _A.parse("a"))], AlphabetError,
+         "edge 0 plus word is over vertex '0', expected 1"),
+        ([_A], [Edge(0, 0, 0, _A.parse("a"), _A.parse("1"))], DegenerateInputError,
+         "edge 0 has a trivial plus inclusion word"),
+    ],
+)
+def test_graph_of_groups_refuses_degenerate_input(vertices, edges, error, message):
+    with pytest.raises(error) as err:
+        GraphOfGroups(vertices, edges)
+    assert str(err.value) == message
 
 
 def reference_tokenize(line, lineno):

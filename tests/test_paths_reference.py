@@ -298,6 +298,20 @@ TIED_FULL_PATHS = _rank_one_graph(
     7, [(0, 1, 1, 1), (0, 2, 1, 1), (0, 3, 1, 1), (1, 4, 1, 2), (2, 5, 1, 2), (3, 6, 1, 2)]
 )
 
+# shortest_nonlevel_cycle skips a component it found level (the BFS from
+# the class of a meets no non-level edge, so the class of c is skipped) ...
+LEVEL_COMPONENT = parse_graph(
+    "vertex 0 rank=2 gens=a,b\nvertex 1 rank=2 gens=c,d\n"
+    'edge 0 1 1 minus="d" plus="d"\nedge 1 0 1 minus="a" plus="c"\n'
+    'edge 2 0 1 minus="a" plus="c"\nedge 3 0 0 minus="b" plus="b^2"'
+)
+# ... and a non-level edge whose tree cycle does not pass through the root
+OFF_ROOT_CYCLE = parse_graph(
+    "vertex 0 rank=1 gens=a\nvertex 1 rank=1 gens=b\n"
+    'edge 0 0 1 minus="a^-1" plus="b^-2"\nedge 1 0 0 minus="a" plus="a^-1"\n'
+    'edge 2 1 0 minus="b^-2" plus="a"\nedge 3 1 1 minus="b" plus="b^3"'
+)
+
 
 @st.composite
 def graphs_with_endpoints(draw):
@@ -349,6 +363,8 @@ def test_open_search_matches_reference_in_yield_order(case):
 @given(st.one_of(graphs(), graphs(trees_only=True), rank_one_multigraphs()))
 @example(TIED_CYCLES)
 @example(TIED_FULL_PATHS)
+@example(LEVEL_COMPONENT)
+@example(OFF_ROOT_CYCLE)
 def test_class_graph_decisions_match_the_enumerations(graph):
     decision = decide_chains(graph)
     complete = enumerate_complete_paths(graph)
