@@ -496,14 +496,15 @@ def _conj_text(doc: dict) -> List[str]:
 
 def _relation_tokens(graph: GraphOfGroups, side: str, what: str, letters: int) -> Tuple[list, int]:
     """The engine items of one side of a relation, and the running count of
-    expanded letters, which starts at ``letters``.
+    spelled-out letters, which starts at ``letters``.
 
     Tokens follow the graph file's word grammar (``name``, ``name^k``,
     ``1``): a generator token is parsed by the alphabet that owns the name,
     and a stable letter ``t_<edge-id>`` (or ``t`` when there is one edge) by
-    an alphabet of that one letter.  A name spelled like a stable letter
-    that is also a generator is refused as ambiguous.  Like a word, the
-    whole relation may expand to at most :data:`MAX_WORD_LETTERS` letters.
+    an alphabet of that one letter, into one item ``('t', edge_id, k)``.
+    A name spelled like a stable letter that is also a generator is refused
+    as ambiguous.  Like a word, the whole relation may spell at most
+    :data:`MAX_WORD_LETTERS` letters.
     """
     owner = {name: v.alphabet for v in graph.vertices.values() for name in v.alphabet.names}
     items = []
@@ -517,14 +518,14 @@ def _relation_tokens(graph: GraphOfGroups, side: str, what: str, letters: int) -
                         " and the spelling of a stable letter"
                     )
                 eid = _stable_letter_edge(graph, name, token)
-                stable = Alphabet("t", (name,)).parse(token).letters
-                items.extend(("t", eid, letter) for letter in stable)
-                letters += len(stable)
+                ((_, k),) = Alphabet("t", (name,)).parse(token).syllables
+                items.append(("t", eid, k))
+                letters += abs(k)
             elif token != "1":
                 if name not in owner:
                     raise ParseError(f"unknown generator or stable letter {token!r}")
                 items.append(owner[name].parse(token))
-                letters += len(items[-1].letters)
+                letters += len(items[-1])
             if letters > MAX_WORD_LETTERS:
                 raise ParseError(f"relation longer than {MAX_WORD_LETTERS} letters at token {token!r}")
         except ParseError as exc:

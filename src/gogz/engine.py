@@ -24,12 +24,16 @@ normal form, prepending from the right: it splits the word after each step
 as ``b^j r``, moves ``a^j`` across the step and cancels a step against its
 reverse when ``r`` is empty.  Nothing recurses, whatever the graph's size.
 
-Each pass of that loop costs time linear in the lengths of the words it
-touches: products of reduced words cancel only at their seam
+Words are tuples of syllables (:mod:`gogz.words`), so a power of one
+generator is one syllable whatever its exponent.  Each pass of that loop
+costs time linear in the syllables of the words it touches: products of
+reduced words cancel or merge only at their seam
 (:func:`~gogz.words.join_reduced`), ``a^j`` is built as ``c core^j c^-1``
-(:func:`~gogz.words.power_letters`), and the coset split
+(:func:`~gogz.words.power_letters`), one syllable when ``a`` is a power of
+one generator, and the coset split
 (:func:`~gogz.words._coset_canonical_cached`) returns ``r`` together with
 its exponent, the best of a few candidates, so the engine takes no roots.
+A multi-generator ``core^j`` still spells out j copies of the core.
 :meth:`Engine.element_of` joins its items into one path for one pass, and
 walks each stable letter's closed path once per engine; :meth:`Engine.power`
 squares, so ``g^k`` takes O(log |k|) products.
@@ -52,11 +56,11 @@ from .errors import DegenerateInputError
 from .graphs import GraphOfGroups
 from .words import (
     FreeWord,
-    Letters,
+    Syllables,
     _coset_canonical_cached,
     invert_letters,
     join_reduced,
-    letter_key,
+    letters_sort_key,
     power_letters,
 )
 
@@ -89,9 +93,9 @@ class Engine:
         self.tree = graph.tree
         self._non_tree = frozenset(self.tree.non_tree_edge_ids)
         # step -> (origin vertex, origin word a, terminus vertex, terminus word b)
-        self._ends: Dict[Step, Tuple[int, Letters, int, Letters]] = {}
+        self._ends: Dict[Step, Tuple[int, Syllables, int, Syllables]] = {}
         for e in graph.edges.values():
-            minus, plus = e.minus_word.letters, e.plus_word.letters
+            minus, plus = e.minus_word.syllables, e.plus_word.syllables
             self._ends[(e.id, True)] = (e.minus_vertex, minus, e.plus_vertex, plus)
             self._ends[(e.id, False)] = (e.plus_vertex, plus, e.minus_vertex, minus)
         # vertex -> (parent, tree step from the parent)
@@ -100,7 +104,7 @@ class Engine:
             for s in self.tree.steps
         }
         # (edge_id, exp < 0) -> the closed path of t^+-1, walked on first use
-        self._stable_paths: Dict[Step, Tuple[Tuple[Step, Letters], ...]] = {}
+        self._stable_paths: Dict[Step, Tuple[Tuple[Step, Syllables], ...]] = {}
 
     # ------------------------------------------------------------ raw paths
 
@@ -119,13 +123,13 @@ class Engine:
             raise DegenerateInputError(f"word over unknown vertex {word.vertex!r}")
         p = self._tree_path(vid)
         if not p:
-            return word.letters, ()
+            return word.syllables, ()
         pairs = [(s, ()) for s in p]
-        pairs[-1] = (p[-1], word.letters)
+        pairs[-1] = (p[-1], word.syllables)
         pairs += [(_reverse(s), ()) for s in reversed(p)]
         return (), pairs
 
-    def _stable_path(self, edge_id: int, exp: int) -> Tuple[Tuple[Step, Letters], ...]:
+    def _stable_path(self, edge_id: int, exp: int) -> Tuple[Tuple[Step, Syllables], ...]:
         """The steps of t^exp: t crosses the edge backwards; a tree edge's is trivial."""
         if edge_id not in self.graph.edges:
             raise DegenerateInputError(f"unknown edge {edge_id}")
@@ -147,8 +151,8 @@ class Engine:
         g0, pairs = path
         head, tail = onto
         stack = list(reversed(tail))  # stack[-1] is the leftmost (step, rep)
-        for step, letters in reversed(pairs):
-            head = join_reduced(letters, head)
+        for step, word in reversed(pairs):
+            head = join_reduced(word, head)
             _, a, _, b = self._ends[step]
             k, r = _coset_canonical_cached(b, head) if head else (0, ())
             head = power_letters(a, -k)  # r = b^k head, so s head = s b^-k r = a^-k s r
@@ -168,14 +172,14 @@ class Engine:
         """Evaluate a product of vertex words and ('t', edge_id, exp) letters
         in one normal-form pass over the items' closed paths, joined."""
         pairs: List = [(None, ())]  # pairs[0] holds g0; every path is closed
-        word: List[int] = []  # the last pair's word, grown in place
+        word: List = []  # the last pair's syllables, grown in place
         for item in items:
             if isinstance(item, FreeWord):
                 h0, more = self._word_path(item)
             else:
                 assert item[0] == "t"
                 h0, more = (), self._stable_path(item[1], item[2])
-            cut = max(0, len(word) - len(h0))  # h0 cancels at most |h0| letters
+            cut = max(0, len(word) - len(h0) - 1)  # h0 cancels at most |h0| syllables, then merges one
             word[cut:] = join_reduced(tuple(word[cut:]), h0)
             if more:
                 pairs[-1], word = (pairs[-1][0], tuple(word)), list(more[-1][1])
@@ -237,7 +241,7 @@ class PowerConjugacy:
 
 def _atom_key(atom: Item) -> Tuple:
     if isinstance(atom, FreeWord):
-        return (0, int(atom.vertex), len(atom.letters), tuple(letter_key(l) for l in atom.letters))
+        return (0, int(atom.vertex), letters_sort_key(atom.syllables))
     return (1, atom[1], 0 if atom[2] > 0 else 1)
 
 
@@ -251,17 +255,17 @@ def _atom_pool(engine: Engine, max_letters: int) -> List[Tuple[Item, int]]:
     pool: List[Tuple[Item, int]] = []
     for vertex in engine.graph.vertices.values():
         alphabet = vertex.alphabet
-        frontier: List[Letters] = [()]
-        for _ in range(max_letters):
+        frontier: List[Syllables] = [()]
+        for length in range(1, max_letters + 1):
             extended = []
             for stem in frontier:
-                for i in range(1, alphabet.rank + 1):
-                    for letter in (i, -i):
-                        if stem and stem[-1] == -letter:
-                            continue
-                        extended.append(stem + (letter,))
-            extended.sort(key=lambda w: tuple(letter_key(l) for l in w))
-            pool.extend((FreeWord(alphabet.vertex, w), len(w)) for w in extended)
+                for g in range(1, alphabet.rank + 1):
+                    for sign in (1, -1):
+                        if not stem or stem[-1][0] != g:
+                            extended.append(stem + ((g, sign),))
+                        elif (stem[-1][1] > 0) == (sign > 0):  # a longer run; else it cancels
+                            extended.append(stem[:-1] + ((g, stem[-1][1] + sign),))
+            pool.extend((FreeWord(alphabet.vertex, w), length) for w in extended)
             frontier = extended
     for eid in engine.tree.non_tree_edge_ids:
         pool.append((("t", eid, 1), 1))

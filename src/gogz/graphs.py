@@ -183,6 +183,22 @@ class GraphOfGroups:
                 raise DegenerateInputError(f"duplicate edge id {e.id}")
             self.edges[e.id] = e
         self._validate()
+        self._build_tree()
+
+    @classmethod
+    def _from_checked(cls, vertices: Dict[int, Vertex], edges: Dict[int, Edge]) -> "GraphOfGroups":
+        """The graph of at least one vertex and of declarations, keyed by
+        id, that :func:`_add_vertex` and :func:`_add_edge` have admitted one
+        by one, so it passes every :meth:`_validate` check: put in id order,
+        not checked again.  The spanning-tree search still checks that it is
+        connected."""
+        graph = cls.__new__(cls)
+        graph.vertices = dict(sorted(vertices.items()))
+        graph.edges = dict(sorted(edges.items()))
+        graph._build_tree()
+        return graph
+
+    def _build_tree(self):
         self._incident: Dict[int, List[Tuple[Edge, int]]] = {v: [] for v in self.vertices}
         for e in self.edges.values():
             self._incident[e.minus_vertex].append((e, MINUS))
@@ -249,7 +265,8 @@ class GraphOfGroups:
 
     def is_bad_end(self, edge: Edge, side: int) -> bool:
         """True when the inclusion word generates the whole vertex group."""
-        return self.vertices[edge.vertex(side)].rank == 1 and len(edge.word(side)) == 1
+        # a reduced rank-one word is one syllable x^k
+        return self.vertices[edge.vertex(side)].rank == 1 and abs(edge.word(side).syllables[0][1]) == 1
 
     def reducible_edges(self) -> List[Edge]:
         return [
@@ -379,10 +396,10 @@ def _add_edge(
     blamed = 3
     try:
         minus_word = vertices[minus_vertex].alphabet.parse(minus)
-        if minus_word.letters:
+        if minus_word.syllables:
             blamed = 4
             plus_word = vertices[plus_vertex].alphabet.parse(plus)
-            if plus_word.letters:
+            if plus_word.syllables:
                 edges[eid] = Edge(eid, minus_vertex, plus_vertex, minus_word, plus_word)
                 return None
     except ParseError as exc:
@@ -435,7 +452,7 @@ def parse_graph(text: str) -> GraphOfGroups:
             raise ParseError(message, lineno, located[blamed][1])
     if not vertices:
         raise ParseError("no vertices declared", max(1, text.count(chr(10)) + 1), 1)
-    return GraphOfGroups(vertices.values(), edges.values())
+    return GraphOfGroups._from_checked(vertices, edges)
 
 
 # -------------------------------------------------------------- contraction
@@ -492,8 +509,8 @@ def reduce_graph(graph: GraphOfGroups) -> Tuple[GraphOfGroups, Tuple[Contraction
             absorbed_side = MINUS if minus_bad else PLUS
         absorbed = edge.vertex(absorbed_side)
         survivor = edge.vertex(-absorbed_side)
-        eps = edge.word(absorbed_side).letters[0]
-        image = edge.word(-absorbed_side) ** (1 if eps > 0 else -1)
+        eps = edge.word(absorbed_side).syllables[0][1]  # the bad end is x or x^-1
+        image = edge.word(-absorbed_side) ** eps
         steps.append(Contraction(edge.id, absorbed, survivor, image))
 
         del edges[edge.id], vertices[absorbed]
@@ -502,11 +519,11 @@ def reduce_graph(graph: GraphOfGroups) -> Tuple[GraphOfGroups, Tuple[Contraction
         for eid in moved:
             e = edges[eid]
             mv, pv, mw, pw = e.minus_vertex, e.plus_vertex, e.minus_word, e.plus_word
-            # a reduced rank-one word is generator^k with k the letter sum
+            # a reduced rank-one word is one syllable x^k
             if mv == absorbed:
-                mv, mw = survivor, image ** sum(mw.letters)
+                mv, mw = survivor, image ** mw.syllables[0][1]
             if pv == absorbed:
-                pv, pw = survivor, image ** sum(pw.letters)
+                pv, pw = survivor, image ** pw.syllables[0][1]
             edges[eid] = Edge(eid, mv, pv, mw, pw)
         incident[survivor] |= moved
     return GraphOfGroups(vertices.values(), edges.values()), tuple(steps)

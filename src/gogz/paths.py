@@ -57,11 +57,11 @@ from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple, Un
 
 from .errors import DegenerateInputError, InternalInconsistencyError
 from .graphs import MINUS, PLUS, Edge, GraphOfGroups, OrientedEdge
-from .words import CyclicMeet, FreeWord, Letters, _root_cached, cyclic_meet
+from .words import CyclicMeet, FreeWord, Syllables, _root_cached, cyclic_meet
 
 TLetter = Tuple[str, int, int]
 ConjugatorItem = Union[FreeWord, TLetter]
-EndClass = Tuple[int, Letters]
+EndClass = Tuple[int, Syllables]
 
 # In a memo key of ``_ClassGraph.transition``, the query's start or end word.
 QUERY = -1
@@ -198,7 +198,7 @@ class _ClassGraph:
         self.arrow_terminus = [abs(k) >= 2 for k in self.k_terminus]
 
     def _end(self, edge: Edge, side: int) -> Tuple[int, int]:
-        _, primitive, exponent = _root_cached(edge.word(side).letters)
+        _, primitive, exponent = _root_cached(edge.word(side).syllables)
         key = (edge.vertex(side), primitive)
         if key not in self.node:
             self.node[key] = len(self.out)
@@ -207,7 +207,7 @@ class _ClassGraph:
 
     def word_class(self, vid: int, word: FreeWord) -> Optional[int]:
         """The class of a nontrivial ``word`` at vertex ``vid``, or None if no edge end has it."""
-        return self.node.get((vid, _root_cached(word.letters)[1]))
+        return self.node.get((vid, _root_cached(word.syllables)[1]))
 
     def chain(self, walk: Sequence[int]) -> Tuple[OrientedEdge, ...]:
         return tuple(self.steps[i] for i in walk)

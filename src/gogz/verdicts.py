@@ -180,7 +180,7 @@ def _acyl(graph: GraphOfGroups) -> AcylVerdict:
         for other in ws[1:]:
             if maximal_root(other) != anchor:
                 # in a free group, <u> and <v> meet nontrivially iff u and v commute
-                u, v = ws[0].letters, other.letters
+                u, v = ws[0].syllables, other.syllables
                 if join_reduced(u, v) == join_reduced(v, u):
                     raise InternalInconsistencyError(f"edge roots at vertex {vid} commute")
                 return AcylVerdict(True, "edge_roots_disagree", vid, (ws[0], other), {})
@@ -194,7 +194,7 @@ def _acyl(graph: GraphOfGroups) -> AcylVerdict:
         common = lcm(*(abs(k) for k in exps))
         g_v = anchors[vid] ** common
         for w, k in zip(ws, exps):
-            if power_letters(w.letters, common // k) != g_v.letters:
+            if power_letters(w.syllables, common // k) != g_v.syllables:
                 raise InternalInconsistencyError(f"s-normal generator fails in vertex group {vid}")
         generators[vid] = g_v
     return AcylVerdict(False, None, None, (), generators)
@@ -263,11 +263,11 @@ def _central_witness(graph: GraphOfGroups) -> CentralWitness:
     for step in tree.steps:
         p, c = step.parent, step.child
         engine = Engine(GraphOfGroups([graph.vertices[p], graph.vertices[c]], [graph.edges[step.edge_id]]))
-        gen_p, gen_c = (engine.embed(graph.vertices[v].alphabet.word((1,))) for v in (p, c))
+        gen_p, gen_c = (engine.embed(graph.vertices[v].alphabet.word(((1, 1),))) for v in (p, c))
         x_p, x_c = exponents[p], exponents[c]
         claim = f"central witness is generator^{x_p} at vertex {p} and generator^{x_c} at vertex {c}"
         _require(engine, [], gen_p, x_p, gen_c, x_c, claim)
-    element = graph.vertices[tree.root].alphabet.word((1,)) ** exponents[tree.root]
+    element = graph.vertices[tree.root].alphabet.word(((1, exponents[tree.root]),))
     return CentralWitness(tree.root, element, exponents)
 
 

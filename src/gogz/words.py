@@ -1,10 +1,18 @@
 """Free-group words over a vertex alphabet.
 
-Words are stored freely reduced, as tuples of nonzero ints: letter ``+i``
-is the i-th generator of the alphabet (1-based), ``-i`` its inverse.  The
-letter order used everywhere for lexicographic comparisons is declaration
-order, with the inverse of a generator sorting directly after the generator
-itself (a < a^-1 < b < b^-1 ...).
+Words are stored freely reduced, as tuples of syllables ``(g, e)``: the
+g-th generator of the alphabet (1-based) raised to a nonzero exponent e,
+with adjacent syllables over different generators.  That form is
+canonical, so tuple equality is word equality, and any power of one
+generator is a single syllable: the operations here cost time in the
+number of syllables, and an exponent costs its bits, not its value.
+
+A word's letters are its syllables spelled out: ``(1, 3)`` is a a a and
+``(1, -2)`` is a^-1 a^-1, and ``len`` counts letters.  The letter order
+used everywhere for lexicographic comparisons is declaration order, with
+the inverse of a generator sorting directly after the generator itself
+(a < a^-1 < b < b^-1 ...); :func:`letters_sort_key` compares words letter
+by letter without spelling them out.
 
 The cyclic-subgroup operations (root, cyclic_meet) are the primitives the
 deciders are built on: in a free group every question about intersections
@@ -18,17 +26,19 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
-from itertools import groupby
-from operator import eq, neg
+from itertools import chain, cycle
+from operator import ne
 from typing import Optional, Tuple
 
 from .errors import AlphabetError, DegenerateInputError, InternalInconsistencyError, ParseError
 
-Letters = Tuple[int, ...]
+Syllables = Tuple[Tuple[int, int], ...]  # a reduced word, see the module docstring
+Letters = Tuple[int, ...]  # a word spelled out, +i / -i for the i-th generator / its inverse
 
-# The longest word a graph file or a command-line word may expand to.  A
-# token ``a^k`` costs k letters, so a short file could otherwise ask for
-# unbounded memory.
+# The longest word a graph file or a command-line word may spell out, counted
+# token by token as the sum of the tokens' |k|.  Words are stored as
+# syllables, so this bounds the size of the input, not the memory of the
+# words built from it.
 MAX_WORD_LETTERS = 10**6
 
 
@@ -59,21 +69,23 @@ class Alphabet:
     def rank(self) -> int:
         return len(self.names)
 
-    def word(self, letters) -> "FreeWord":
-        return FreeWord(self.vertex, reduce_letters(tuple(letters)))
+    def word(self, syllables) -> "FreeWord":
+        return FreeWord(self.vertex, reduce_letters(syllables))
 
     def parse(self, text: str) -> "FreeWord":
         """Parse whitespace-separated tokens: ``name``, ``name^-1``, ``name^k``.
 
-        A word whose tokens expand to more than :data:`MAX_WORD_LETTERS`
-        letters is refused before it is expanded.
+        Each token is one syllable.  A word whose tokens spell more than
+        :data:`MAX_WORD_LETTERS` letters is refused.
         """
-        letters = []
+        syllables = []
+        letters = 0
         for tok in text.split():
             if tok == "1":
                 continue
             name, caret, exp = tok.partition("^")
-            if name not in self._index:
+            g = self._index.get(name)
+            if g is None:
                 raise ParseError(f"unknown generator {name!r} (vertex {self.vertex!r})")
             k = 1
             if caret:
@@ -83,81 +95,91 @@ class Alphabet:
                     raise ParseError(f"bad exponent in token {tok!r}") from None
                 if k == 0:
                     raise ParseError(f"zero exponent in token {tok!r}")
-            if len(letters) + abs(k) > MAX_WORD_LETTERS:
+            letters += abs(k)
+            if letters > MAX_WORD_LETTERS:
                 raise ParseError(
                     f"word longer than {MAX_WORD_LETTERS} letters at token {tok!r} (vertex {self.vertex!r})"
                 )
-            letter = self._index[name] if k > 0 else -self._index[name]
-            letters.extend([letter] * abs(k))
-        return FreeWord(self.vertex, reduce_letters(tuple(letters)))
+            syllables.append((g, k))
+        return FreeWord(self.vertex, reduce_letters(syllables))
 
     def format(self, word: "FreeWord") -> str:
-        """Inverse of parse, with run-length shorthand (a a a -> ``a^3``)."""
+        """Inverse of parse, one token per syllable (a a a -> ``a^3``)."""
         if word.vertex != self.vertex:
             raise AlphabetError(f"word over {word.vertex!r} formatted with alphabet {self.vertex!r}")
-        if not word.letters:
-            return "1"
-        out = []
-        for letter, run in groupby(word.letters):
-            name = self.names[abs(letter) - 1]
-            k = len(list(run)) if letter > 0 else -len(list(run))
-            out.append(name if k == 1 else f"{name}^{k}")
-        return " ".join(out)
+        names = self.names
+        return " ".join(names[g - 1] if e == 1 else f"{names[g - 1]}^{e}" for g, e in word.syllables) or "1"
 
     def __repr__(self):
         return f"Alphabet({self.vertex!r}, {self.names!r})"
 
 
-def reduce_letters(letters) -> Letters:
-    """Free reduction: cancel adjacent inverse pairs until none remain."""
+def reduce_letters(syllables) -> Syllables:
+    """Free reduction of syllables ``(g, e)``, e != 0: neighbours over one
+    generator merge, and drop out when their exponents cancel."""
     out = []
-    for l in letters:
-        if out and out[-1] == -l:
-            out.pop()
-        else:
-            out.append(l)
+    for g, e in syllables:
+        if out and out[-1][0] == g:
+            e += out.pop()[1]
+            if not e:
+                continue
+        out.append((g, e))
     return tuple(out)
 
 
-def invert_letters(letters: Letters) -> Letters:
-    return tuple(map(neg, reversed(letters)))
+def invert_letters(word: Syllables) -> Syllables:
+    """The inverse word: the syllables reversed, their exponents negated."""
+    return tuple([(g, -e) for g, e in reversed(word)])
 
 
-def _common_prefix(p: Letters, q: Letters) -> int:
-    """The length of the longest common prefix of p and q.
+def _length(word: Syllables) -> int:
+    """The number of letters of a word."""
+    return sum(abs(e) for _, e in word)
 
-    Bisects on slice comparisons, so the letters are compared in C and only
-    O(log) steps run in Python.
+
+def join_reduced(a: Syllables, b: Syllables) -> Syllables:
+    """``reduce_letters(a + b)`` for reduced a and b: only the seam cancels.
+
+    Syllables over one generator meet at the seam; the pairs that cancel
+    are dropped until one pair merges or the generators differ.
     """
-    lo, hi = 0, min(len(p), len(q))
-    if p[:hi] == q[:hi]:
-        return hi
-    while hi - lo > 1:  # p[:lo] == q[:lo] and p[:hi] != q[:hi]
-        mid = (lo + hi) // 2
-        if p[lo:mid] == q[lo:mid]:
-            lo = mid
-        else:
-            hi = mid
-    return lo
-
-
-def join_reduced(a: Letters, b: Letters) -> Letters:
-    """``reduce_letters(a + b)`` for reduced a and b: only the seam cancels."""
-    if not a or not b or a[-1] != -b[0]:
+    if not a or not b or a[-1][0] != b[0][0]:
         return a + b
-    m = min(len(a), len(b))
-    k = _common_prefix(invert_letters(a[len(a) - m :]), b)
-    return a[: len(a) - k] + b[k:]
+    i, j = len(a) - 1, 0
+    while True:  # a[i] and b[j] are over one generator
+        g, e = a[i]
+        e += b[j][1]
+        if e:
+            return a[:i] + ((g, e),) + b[j + 1 :]
+        i -= 1
+        j += 1
+        if i < 0 or j == len(b) or a[i][0] != b[j][0]:
+            return a[: i + 1] + b[j:]
 
 
-def power_letters(letters: Letters, k: int) -> Letters:
+def _repeat(core: Syllables, k: int) -> Syllables:
+    """core^k for a cyclically reduced core and k >= 1: the copies merge at
+    their seams when the core starts and ends over one generator."""
+    (g, first), (h, last) = core[0], core[-1]
+    if len(core) == 1:
+        return ((g, first * k),)
+    if g != h:
+        return core * k
+    return core[:-1] + (((g, last + first),) + core[1:-1]) * (k - 1) + core[-1:]
+
+
+def power_letters(word: Syllables, k: int) -> Syllables:
     """The reduced word w^k of a reduced word w, built as c core^k c^-1."""
-    if not k or not letters:
+    if not k or not word:
         return ()
-    c, core = cyclic_split(letters)
+    if len(word) == 1:
+        return ((word[0][0], word[0][1] * k),)
+    c, core = cyclic_split(word)
     if k < 0:
         core, k = invert_letters(core), -k
-    return c + core * k + invert_letters(c)
+    if not c:
+        return _repeat(core, k)
+    return join_reduced(join_reduced(c, _repeat(core, k)), invert_letters(c))
 
 
 def letter_key(letter: int) -> Tuple[int, int]:
@@ -165,9 +187,27 @@ def letter_key(letter: int) -> Tuple[int, int]:
     return (abs(letter), 0 if letter > 0 else 1)
 
 
-def letters_sort_key(letters: Letters):
+def _lex_items(word: Syllables, wrap: bool = False) -> tuple:
+    """One item per syllable, such that comparing the items of two words
+    compares their letters.
+
+    A run of r letters l followed by a letter that sorts below l, or by the
+    end of the word, is ``(key(l), 0, r)``: the longer run is the larger
+    word.  Followed by a letter that sorts above l it is ``(key(l), 1, -r)``.
+    With ``wrap`` the last run is followed by the first letter, which
+    compares rotations of one word.
+    """
+    keys = [letter_key(g if e > 0 else -g) for g, e in word]
+    after = keys[1:] + (keys[:1] if wrap else [None])
+    return tuple(
+        (key, 0, abs(e)) if nxt is None or nxt < key else (key, 1, -abs(e))
+        for key, nxt, (_, e) in zip(keys, after, word)
+    )
+
+
+def letters_sort_key(word: Syllables):
     """(length, lex) key; the total order used for all canonical choices."""
-    return (len(letters), tuple(letter_key(l) for l in letters))
+    return (_length(word), _lex_items(word))
 
 
 @dataclass(frozen=True, slots=True)
@@ -175,51 +215,90 @@ class FreeWord:
     """A freely reduced word in one vertex group."""
 
     vertex: str
-    letters: Letters
+    syllables: Syllables
 
     def __post_init__(self):
-        letters = self.letters
-        assert not any(map(eq, letters[1:], map(neg, letters))), "FreeWord must be reduced"
+        gens = [g for g, e in self.syllables if e]
+        assert len(gens) == len(self.syllables) and all(map(ne, gens, gens[1:])), "FreeWord must be reduced"
 
     def __len__(self):
-        return len(self.letters)
+        return _length(self.syllables)
 
     @property
     def is_identity(self) -> bool:
-        return not self.letters
+        return not self.syllables
 
     def _check(self, other: "FreeWord"):
         if self.vertex != other.vertex:
             raise AlphabetError(f"mixed alphabets: {self.vertex!r} vs {other.vertex!r}")
 
     def __pow__(self, k: int) -> "FreeWord":
-        return FreeWord(self.vertex, power_letters(self.letters, k))
+        return FreeWord(self.vertex, power_letters(self.syllables, k))
 
     def conjugated_by(self, h: "FreeWord") -> "FreeWord":
         """h * self * h^-1."""
         self._check(h)
-        left = join_reduced(h.letters, self.letters)
-        return FreeWord(self.vertex, join_reduced(left, invert_letters(h.letters)))
+        left = join_reduced(h.syllables, self.syllables)
+        return FreeWord(self.vertex, join_reduced(left, invert_letters(h.syllables)))
 
 
-def cyclic_split(letters: Letters) -> Tuple[Letters, Letters]:
+def cyclic_split(word: Syllables) -> Tuple[Syllables, Syllables]:
     """Split a reduced word as c * core * c^-1 with core cyclically reduced.
 
-    A reduced nonempty word always has a nonempty core.
+    Whole end syllables cancel first; then end syllables over one generator
+    with opposite signs cancel in part, and the shorter one drops out.  A
+    reduced nonempty word always has a nonempty core.
     """
-    i, j = 0, len(letters)
-    while j - i >= 2 and letters[i] == -letters[j - 1]:
+    i, j = 0, len(word)
+    while j - i >= 2 and word[i][0] == word[j - 1][0] and word[i][1] == -word[j - 1][1]:
         i += 1
         j -= 1
-    return letters[:i], letters[i:j]
+    if j - i >= 2 and word[i][0] == word[j - 1][0] and (word[i][1] > 0) != (word[j - 1][1] > 0):
+        (g, e), (_, f) = word[i], word[j - 1]
+        t = min(abs(e), abs(f)) * (1 if e > 0 else -1)  # the part that cancels, signed like e
+        head = ((g, e - t),) if e != t else ()
+        tail = ((g, f + t),) if f != -t else ()
+        return word[:i] + ((g, t),), head + word[i + 1 : j - 1] + tail
+    return word[:i], word[i:j]
 
 
-def _smallest_period(core: Letters) -> Letters:
-    n = len(core)
-    for d in range(1, n + 1):
-        if n % d == 0 and core == core[:d] * (n // d):
-            return core[:d]
-    raise AssertionError("unreachable")
+def _smallest_period(core: Syllables) -> Syllables:
+    """The shortest q with core = q^m, read off the KMP failure function.
+
+    The core must start and end over different generators, so that every
+    period of its letters starts at a syllable.
+    """
+    fail = [0] * len(core)
+    k = 0
+    for i in range(1, len(core)):
+        while k and core[i] != core[k]:
+            k = fail[k - 1]
+        if core[i] == core[k]:
+            k += 1
+        fail[i] = k
+    d = len(core) - fail[-1]
+    return core[:d] if len(core) % d == 0 else core
+
+
+def _least_rotation(items: tuple) -> int:
+    """Where the least rotation of ``items`` starts (Booth's algorithm)."""
+    s = items + items
+    fail = [-1] * len(s)
+    k = 0
+    for j in range(1, len(s)):
+        sj = s[j]
+        i = fail[j - k - 1]
+        while i != -1 and sj != s[k + i + 1]:
+            if sj < s[k + i + 1]:
+                k = j - i - 1
+            i = fail[i]
+        if sj != s[k + i + 1]:  # so i == -1
+            if sj < s[k]:
+                k = j
+            fail[j - k] = -1
+        else:
+            fail[j - k] = i + 1
+    return k
 
 
 @dataclass(frozen=True, slots=True)
@@ -237,24 +316,39 @@ class RootDecomposition:
 
 
 @lru_cache(maxsize=65536)
-def _root_cached(letters: Letters) -> Tuple[Letters, Letters, int]:
+def _root_cached(word: Syllables) -> Tuple[Syllables, Syllables, int]:
     """(conjugator, primitive, exponent) of a nonempty reduced word, checked
-    to recompose to it; see :class:`RootDecomposition`."""
-    c, core = cyclic_split(letters)
-    q = _smallest_period(core)
-    n, bases = len(q), (q, invert_letters(q))
-    # 2|l| + (l < 0) orders letters like letter_key, so the least rotation of
-    # q or q^-1 is the least n-slice of these doubled keys, compared in C; it
-    # starts at a least key
-    doubled = [tuple(2 * abs(l) + (l < 0) for l in base) * 2 for base in bases]
-    least = min(map(min, doubled))
-    starts = ((d[i : i + n], s, i) for s, d in enumerate(doubled) for i in range(n) if d[i] == least)
-    _, inverted, i = min(starts)
-    base, k = bases[inverted], len(core) // n * (-1 if inverted else 1)
-    conj, p = reduce_letters(c + base[:i]), base[i:] + base[:i]
+    to recompose to it; see :class:`RootDecomposition`.  Linear time."""
+    c, core = cyclic_split(word)
+    if len(core) == 1:  # a power of one generator
+        ((g, e),) = core
+        conj, p, k = c, ((g, 1),), e
+    else:
+        moved = core[0][0] == core[-1][0]
+        if moved:
+            # conjugate the last syllable round to the front, so that the
+            # core starts and ends over different generators
+            g, e = core[-1]
+            c, core = join_reduced(c, ((g, -e),)), ((g, e + core[0][1]),) + core[1:-1]
+        q = _smallest_period(core)
+        # a least rotation starts at a syllable: it starts with the least
+        # letter, and a run of it is followed by a larger letter
+        best = None
+        for sign, base in ((1, q), (-1, invert_letters(q))):
+            items = _lex_items(base, wrap=True)
+            i = _least_rotation(items)
+            key = items[i:] + items[:i]
+            if best is None or key < best[0]:
+                best = key, sign, base, i
+        _, sign, base, i = best
+        if moved and sign == 1 and i == 0:
+            # the conjugator is c times a proper prefix of the word's own
+            # period: here all of q but the moved syllable, not its inverse
+            i = len(base)
+        conj, p, k = join_reduced(c, base[:i]), base[i:] + base[:i], sign * (len(core) // len(q))
     recomposed = join_reduced(join_reduced(conj, power_letters(p, k)), invert_letters(conj))
-    if recomposed != letters:
-        raise InternalInconsistencyError(f"root decomposition of {letters} does not recompose")
+    if recomposed != word:
+        raise InternalInconsistencyError(f"root decomposition of {word} does not recompose")
     return conj, p, k
 
 
@@ -265,7 +359,7 @@ def root(w: FreeWord) -> RootDecomposition:
     return _checked_root(w)
 
 
-# _root_cached roots and checks each distinct letter tuple once, and holds
+# _root_cached roots and checks each distinct syllable tuple once, and holds
 # int tuples, which the garbage collector stops tracking.  Every
 # decomposition cached here stays tracked, so tens of thousands of distinct
 # words would slow every later collection; the bound keeps that cost fixed.
@@ -273,7 +367,7 @@ def root(w: FreeWord) -> RootDecomposition:
 # pools builds at most 14 decompositions here.
 @lru_cache(maxsize=4096)
 def _checked_root(w: FreeWord) -> RootDecomposition:
-    conj, p, k = _root_cached(w.letters)
+    conj, p, k = _root_cached(w.syllables)
     return RootDecomposition(FreeWord(w.vertex, conj), FreeWord(w.vertex, p), k)
 
 
@@ -310,9 +404,7 @@ class CyclicMeet:
         """theta with theta * u^x * theta^-1 = v^(x * k_u / k_v) whenever integral."""
         return FreeWord(
             self.u_root.conjugator.vertex,
-            reduce_letters(
-                self.v_root.conjugator.letters + invert_letters(self.u_root.conjugator.letters)
-            ),
+            join_reduced(self.v_root.conjugator.syllables, invert_letters(self.u_root.conjugator.syllables)),
         )
 
 
@@ -326,15 +418,37 @@ def cyclic_meet(u: FreeWord, v: FreeWord) -> Optional[CyclicMeet]:
     if u.is_identity or v.is_identity:
         raise DegenerateInputError("cyclic_meet requires nontrivial words")
     ru, rv = root(u), root(v)
-    if ru.primitive.letters != rv.primitive.letters:
+    if ru.primitive.syllables != rv.primitive.syllables:
         return None
     return CyclicMeet(u, v, (ru.exponent, rv.exponent), ru, rv)
 
 
+def _shared_run(y: Syllables, period: Syllables) -> int:
+    """How many letters y shares with period^infinity, for a cyclically
+    reduced period: the syllables agree up to one that differs, of which
+    the common part still counts."""
+    g, e = period[0]
+    if len(period) == 1:  # one infinite run of g
+        return abs(y[0][1]) if y and y[0][0] == g and (y[0][1] > 0) == (e > 0) else 0
+    if period[-1][0] == g:  # the copies merge at their seams
+        copies = chain(period[:1], cycle(period[1:-1] + ((g, period[-1][1] + e),)))
+    else:
+        copies = cycle(period)
+    run = 0
+    for (h, f), (h2, f2) in zip(y, copies):
+        if h != h2 or (f > 0) != (f2 > 0):
+            break
+        run += min(abs(f), abs(f2))
+        if f != f2:
+            break
+    return run
+
+
 @lru_cache(maxsize=65536)
-def _coset_canonical_cached(u: Letters, x: Letters) -> Tuple[int, Letters]:
+def _coset_canonical_cached(u: Syllables, x: Syllables) -> Tuple[int, Syllables]:
     """(k, r) with r = u^k x the (length, lex)-least word of the right coset
-    <u> x, for a nonempty u; checked to recompose, in time O(|u| + |x|)."""
+    <u> x, for a nonempty u; checked to recompose, in time linear in the
+    syllables of u and x."""
     # Write u = c core c^-1 and y = c^-1 x, so that u^k x = c core^k y.  In
     # the Cayley tree |u^k x| is the distance from core^-k c^-1 to y.  The
     # points core^-k lie on the axis of core, |core| apart, and each c^-1
@@ -345,19 +459,19 @@ def _coset_canonical_cached(u: Letters, x: Letters) -> Tuple[int, Letters]:
     # k = 0 (x itself), can give the least word; along the direction y runs
     # they are k = +-j for j = run // |core| and j + 1.
     c, core = cyclic_split(u)
-    y = join_reduced(invert_letters(c), x)
-    n = len(core)
-    k, best = 0, x
-    for sign, base in ((1, core), (-1, invert_letters(core))):
-        # base^j y cancels min(run, j n) letters at its seam
-        run = _common_prefix(y, invert_letters(base) * (len(y) // n + 1))
+    y = join_reduced(invert_letters(c), x) if c else x
+    n = _length(core)
+    inverse = invert_letters(core)
+    k, best, best_length = 0, x, _length(x)
+    for sign, base, back in ((1, core, inverse), (-1, inverse, core)):
+        run = _shared_run(y, back)  # base^j y cancels min(run, j n) letters at its seam
         for j in range(max(1, run // n), run // n + 2):
-            cut = min(run, j * n)
-            cand = join_reduced(c, (base * j)[: j * n - cut] + y[cut:])
-            if len(cand) < len(best) or (
-                len(cand) == len(best) and letters_sort_key(cand) < letters_sort_key(best)
+            cand = join_reduced(c, join_reduced(_repeat(base, j), y))
+            length = _length(cand)
+            if length < best_length or (
+                length == best_length and letters_sort_key(cand) < letters_sort_key(best)
             ):
-                k, best = sign * j, cand
+                k, best, best_length = sign * j, cand, length
     if join_reduced(power_letters(u, k), x) != best:
         raise InternalInconsistencyError(f"coset split of {x} by {u} does not recompose")
     return k, best

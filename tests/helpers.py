@@ -1,16 +1,29 @@
 """Plain helpers that only the tests need: word and engine arithmetic the
-product has no use for, and the engine's normal-form validator.
+product has no use for, the engine's normal-form validator, and the
+flat-letter word functions the syllable primitives are checked against.
 
 ``gogz`` keeps only what a command runs (``test_product_reach.py`` checks
 that), so the conveniences the tests build their expectations from live
 here, written against the public records and the engine's tables.
 """
 
+from itertools import groupby
+from operator import neg
 from typing import List
 
 from gogz.engine import Elem, Engine, Item, _reverse
 from gogz.graphs import OrientedEdge
-from gogz.words import FreeWord, Letters, _coset_canonical_cached, invert_letters, join_reduced, reduce_letters
+from gogz.words import (
+    Alphabet,
+    FreeWord,
+    Letters,
+    Syllables,
+    _coset_canonical_cached,
+    invert_letters,
+    join_reduced,
+    letter_key,
+    reduce_letters,
+)
 
 # --------------------------------------------------------------------- words
 
@@ -20,12 +33,98 @@ def word_product(*words: FreeWord) -> FreeWord:
     out = words[0]
     for w in words[1:]:
         out._check(w)
-        out = FreeWord(out.vertex, join_reduced(out.letters, w.letters))
+        out = FreeWord(out.vertex, join_reduced(out.syllables, w.syllables))
     return out
 
 
 def inverse(w: FreeWord) -> FreeWord:
-    return FreeWord(w.vertex, invert_letters(w.letters))
+    return FreeWord(w.vertex, invert_letters(w.syllables))
+
+
+def word_of(alphabet: Alphabet, letters) -> FreeWord:
+    """The reduced word that flat letters spell at an alphabet's vertex."""
+    return alphabet.word(syllables_of(letters))
+
+
+# ---------------------------------------------------------- flat-letter oracles
+#
+# Words spelled out letter by letter, +i for the i-th generator and -i for
+# its inverse.  Each is the plain definition, or a letter-level search that
+# a syllable primitive must agree with.
+
+
+def spell(word: Syllables) -> Letters:
+    """The letters of a syllable word."""
+    return tuple(l for g, e in word for l in [g if e > 0 else -g] * abs(e))
+
+
+def syllables_of(letters) -> Syllables:
+    """The syllables of the free reduction of flat letters."""
+    return tuple((abs(l), len(list(run)) * (1 if l > 0 else -1)) for l, run in groupby(flat_reduce(letters)))
+
+
+def flat_reduce(letters) -> Letters:
+    """Free reduction: cancel adjacent inverse pairs until none remain."""
+    out = []
+    for l in letters:
+        if out and out[-1] == -l:
+            out.pop()
+        else:
+            out.append(l)
+    return tuple(out)
+
+
+def flat_invert(letters: Letters) -> Letters:
+    return tuple(map(neg, reversed(letters)))
+
+
+def flat_power(letters: Letters, k: int) -> Letters:
+    return flat_reduce(letters * k if k >= 0 else flat_invert(letters) * -k)
+
+
+def flat_cyclic_split(letters: Letters):
+    """(c, core) with letters = c core c^-1 and core cyclically reduced."""
+    i, j = 0, len(letters)
+    while j - i >= 2 and letters[i] == -letters[j - 1]:
+        i += 1
+        j -= 1
+    return letters[:i], letters[i:j]
+
+
+def flat_sort_key(letters: Letters):
+    """(length, lex) key, letter by letter."""
+    return (len(letters), tuple(letter_key(l) for l in letters))
+
+
+def flat_root(letters: Letters):
+    """(conjugator, primitive, exponent) of a nonempty reduced word by the
+    search the syllable root replaced: the smallest period by trial
+    division, then the least n-slice, starting at a least letter, of the
+    doubled keys of the period and of its inverse."""
+    c, core = flat_cyclic_split(letters)
+    n = next(d for d in range(1, len(core) + 1) if len(core) % d == 0 and core == core[:d] * (len(core) // d))
+    q = core[:n]
+    bases = (q, flat_invert(q))
+    doubled = [tuple(2 * abs(l) + (l < 0) for l in base) * 2 for base in bases]
+    least = min(map(min, doubled))
+    starts = ((d[i : i + n], s, i) for s, d in enumerate(doubled) for i in range(n) if d[i] == least)
+    _, inverted, i = min(starts)
+    base = bases[inverted]
+    return flat_reduce(c + base[:i]), base[i:] + base[:i], len(core) // n * (-1 if inverted else 1)
+
+
+def flat_coset_canonical(u: Letters, x: Letters) -> Letters:
+    """The least word of the coset <u> x by a window search: every u^k x
+    that could be no longer than x, |k| |core| <= 2|x| + |core|, each
+    reduced in full."""
+    _, core = flat_cyclic_split(u)
+    bound = 2 * len(x) // len(core) + 1
+    best, best_key = x, flat_sort_key(x)
+    for k in range(-bound, bound + 1):
+        cand = flat_reduce(flat_power(u, k) + x)
+        if flat_sort_key(cand) < best_key:
+            best, best_key = cand, flat_sort_key(cand)
+    return best
 
 
 # --------------------------------------------------------------------- steps
@@ -76,8 +175,8 @@ def validate_element(engine: Engine, g: Elem):
     assert here == engine.tree.root, "the path is closed"
 
 
-def _validate_word(engine: Engine, vid: int, letters: Letters):
-    assert isinstance(letters, tuple)
-    assert reduce_letters(letters) == letters
+def _validate_word(engine: Engine, vid: int, word: Syllables):
+    assert isinstance(word, tuple)
+    assert reduce_letters(word) == word and all(e for _, e in word)
     rank = engine.graph.vertices[vid].rank
-    assert all(1 <= abs(l) <= rank for l in letters)
+    assert all(1 <= g <= rank for g, _ in word)

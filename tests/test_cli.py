@@ -499,7 +499,7 @@ class TestErrors:
 
         def skewed(w):
             r = true_root(w)
-            return dataclasses.replace(r, exponent=4) if w.letters == (1, 1, 1) else r
+            return dataclasses.replace(r, exponent=4) if w.syllables == ((1, 3),) else r
 
         monkeypatch.setattr(verdicts, "root", skewed)
         assert main(["check", graph_file(BS23)]) == 3

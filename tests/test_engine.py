@@ -1,5 +1,10 @@
 """Engine arithmetic against hand-computed normal-form facts."""
 
+import os
+import resource
+import subprocess
+import sys
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -9,7 +14,7 @@ from gogz.engine import IDENTITY, Engine, brute_force_power_conjugacy, iter_powe
 from gogz.errors import DegenerateInputError
 from gogz.graphs import parse_graph
 from gogz.words import FreeWord
-from helpers import atoms, conjugate, validate_element
+from helpers import atoms, conjugate, validate_element, word_of
 from test_paths_reference import graphs as random_graphs
 
 BS23 = parse_graph('vertex 0 rank=1 gens=a\nedge 0 0 0 minus="a^2" plus="a^3"')
@@ -251,6 +256,36 @@ def test_powers_match_repeated_multiplication(graph_idx, seq, k):
     assert e.power(g, k) == expected
 
 
+# g^20 for g = a t^2 a^2 on BS(2,3) holds a power of a with more than 3 * 10^7
+# letters; compared against 20 products, in a child capped at 512 MiB
+_BOUNDED_POWER = """
+from gogz.engine import IDENTITY, Engine
+from gogz.graphs import parse_graph
+
+e = Engine(parse_graph('vertex 0 rank=1 gens=a\\nedge 0 0 0 minus="a^2" plus="a^3"'))
+a = e.graph.vertices[0].alphabet
+g = e.element_of([a.parse("a"), ("t", 0, 2), a.parse("a^2")])
+expected = IDENTITY
+for _ in range(20):
+    expected = e.mul(expected, g)
+power = e.power(g, 20)
+print(power == expected, max(abs(x) for _, x in power[0]) > 3 * 10**7)
+"""
+
+
+def _cap_memory():
+    resource.setrlimit(resource.RLIMIT_AS, (512 << 20, 512 << 20))
+
+
+def test_a_fast_growing_power_fits_in_bounded_memory():
+    child = subprocess.run(
+        [sys.executable, "-c", _BOUNDED_POWER],
+        capture_output=True, text=True, timeout=120, preexec_fn=_cap_memory,
+        env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)},
+    )
+    assert (child.returncode, child.stdout) == (0, "True True\n"), child.stderr
+
+
 @settings(deadline=None, max_examples=40)
 @given(items_st, st.integers(-5, 5))
 def test_hnn_relation_invariance(seq, k):
@@ -290,7 +325,7 @@ def draw_items(draw, graph, max_items=8):
         if draw(st.booleans()):
             vertex = graph.vertices[draw(st.sampled_from(sorted(graph.vertices)))]
             letters = draw(st.lists(st.integers(-vertex.rank, vertex.rank).filter(bool), max_size=5))
-            items.append(vertex.alphabet.word(letters))
+            items.append(word_of(vertex.alphabet, letters))
         else:
             items.append(("t", draw(st.sampled_from(sorted(graph.edges))), draw(st.integers(-6, 6))))
     return items

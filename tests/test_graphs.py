@@ -1,5 +1,7 @@
 """Graph parsing, end labels, contraction, spanning trees."""
 
+from unittest import mock
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -18,6 +20,7 @@ from gogz.graphs import (
     reduce_graph,
 )
 from gogz.words import root
+from helpers import spell
 
 BS23 = """
 # one loop: t a^2 t^-1 = a^3
@@ -422,7 +425,7 @@ def _reference_reduce(graph):
         else:
             absorbed_side = MINUS if minus_bad else PLUS
         absorbed, survivor = edge.vertex(absorbed_side), edge.vertex(-absorbed_side)
-        eps = edge.word(absorbed_side).letters[0]
+        eps = spell(edge.word(absorbed_side).syllables)[0]
         image = edge.word(-absorbed_side) ** (1 if eps > 0 else -1)
         new_edges = []
         for e in graph.edges.values():
@@ -430,9 +433,9 @@ def _reference_reduce(graph):
                 continue
             mv, pv, mw, pw = e.minus_vertex, e.plus_vertex, e.minus_word, e.plus_word
             if mv == absorbed:
-                mv, mw = survivor, image ** sum(mw.letters)
+                mv, mw = survivor, image ** sum(spell(mw.syllables))
             if pv == absorbed:
-                pv, pw = survivor, image ** sum(pw.letters)
+                pv, pw = survivor, image ** sum(spell(pw.syllables))
             new_edges.append(Edge(e.id, mv, pv, mw, pw))
         new_vertices = [v for v in graph.vertices.values() if v.id != absorbed]
         graph = GraphOfGroups(new_vertices, new_edges)
@@ -521,3 +524,25 @@ def test_canonical_and_rewritten_lines_parse_alike(g, data):
         again = parse_graph(text)
         assert _declarations(again) == _declarations(expected)
         assert again.to_text() == canonical
+
+
+@settings(max_examples=100, deadline=None)
+@given(mixed_rank_graph(), st.randoms())
+def test_parse_graph_builds_without_revalidating(g, rng):
+    # every declaration was checked as it was read, so parsing never runs
+    # _validate, and the graph matches the checked public constructor's
+    lines = g.to_text().splitlines()
+    edges = [line for line in lines if line.startswith("edge")]
+    rng.shuffle(edges)  # id order is restored, whatever the file order
+    text = "\n".join([line for line in lines if line.startswith("vertex")] + edges)
+
+    def refuse(self):
+        raise AssertionError("parse_graph revalidated its graph")
+
+    with mock.patch.object(GraphOfGroups, "_validate", refuse):
+        parsed = parse_graph(text)
+    expected = GraphOfGroups(parsed.vertices.values(), parsed.edges.values())
+    assert _declarations(parsed) == _declarations(g)
+    assert list(parsed.vertices) == list(expected.vertices)
+    assert list(parsed.edges) == list(expected.edges)
+    assert parsed.tree == expected.tree and parsed.tree == g.tree

@@ -349,8 +349,8 @@ def test_open_search_meets_each_junction_once(monkeypatch):
 
 
 def test_class_graph_roots_each_distinct_edge_word_once():
-    """Edge words are rooted by their letters alone: a 60-vertex chain whose
-    ends spell four letter tuples at different vertices takes four roots."""
+    """Edge words are rooted by their syllables alone: a 60-vertex chain whose
+    ends spell four syllable tuples at different vertices takes four roots."""
     n = 60
     lines = [f"vertex {i} rank=2 gens=a{i},b{i}" for i in range(n)]
     lines += [
@@ -358,7 +358,7 @@ def test_class_graph_roots_each_distinct_edge_word_once():
         for i in range(n - 1)
     ]
     graph = parse_graph("\n".join(lines))
-    distinct = {e.word(side).letters for e in graph.edges.values() for side in (MINUS, PLUS)}
+    distinct = {e.word(side).syllables for e in graph.edges.values() for side in (MINUS, PLUS)}
     assert len(distinct) == 4
     words._root_cached.cache_clear()
     paths._ClassGraph(graph)

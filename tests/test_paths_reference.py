@@ -37,7 +37,7 @@ from gogz.paths import (
 )
 from gogz.verdicts import ConjugacyAnswer, _same_vertex_candidate, power_conjugate
 from gogz.words import cyclic_meet, root
-from helpers import conjugate, reversed_step, terminus
+from helpers import conjugate, reversed_step, terminus, word_of
 
 # ------------------------------------------------------------ reference walk
 
@@ -238,7 +238,7 @@ def word_specs(draw, rank):
 
 def _word(vertex: Vertex, spec):
     base, exponent = spec
-    return vertex.alphabet.word(base) ** exponent
+    return word_of(vertex.alphabet, base) ** exponent
 
 
 @st.composite

@@ -446,7 +446,7 @@ def test_central_witness_holds_in_the_whole_graph(text):
     engine = Engine(reduced)
     g = engine.embed(central.element)
     for vid, x in central.exponents.items():
-        gen = engine.embed(reduced.vertices[vid].alphabet.word((1,)))
+        gen = engine.embed(reduced.vertices[vid].alphabet.word(((1, 1),)))
         assert g == engine.power(gen, x)
         assert engine.mul(gen, g) == engine.mul(g, gen)
 

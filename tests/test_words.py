@@ -14,7 +14,6 @@ from gogz.words import (
     cyclic_split,
     invert_letters,
     join_reduced,
-    letter_key,
     letters_sort_key,
     maximal_root,
     parse_int,
@@ -22,7 +21,19 @@ from gogz.words import (
     reduce_letters,
     root,
 )
-from helpers import inverse, word_product
+from helpers import (
+    flat_coset_canonical,
+    flat_cyclic_split,
+    flat_invert,
+    flat_power,
+    flat_reduce,
+    flat_root,
+    flat_sort_key,
+    inverse,
+    spell,
+    syllables_of,
+    word_product,
+)
 
 AB = Alphabet("v", ("a", "b"))
 Z = Alphabet("z", ("x",))
@@ -41,9 +52,11 @@ def recompose(dec):
 
 
 def test_reduce_cancels_pairs():
-    assert reduce_letters((1, -1)) == ()
-    assert reduce_letters((1, 2, -2, -1)) == ()
-    assert reduce_letters((1, 2, -2, 1)) == (1, 1)
+    # syllables over one generator merge, and drop out when they cancel
+    assert reduce_letters(((1, 1), (1, -1))) == ()
+    assert reduce_letters(((1, 1), (2, 1), (2, -1), (1, -1))) == ()
+    assert reduce_letters(((1, 1), (2, 1), (2, -1), (1, 1))) == ((1, 2),)
+    assert reduce_letters(((1, 3), (2, 2), (2, -2), (1, -1))) == ((1, 2),)
 
 
 def test_parse_format_round_trip():
@@ -56,8 +69,11 @@ def test_parse_format_round_trip():
     }
     for text, letters in cases.items():
         word = w(text)
-        assert word.letters == letters
+        assert spell(word.syllables) == letters
+        assert len(word) == len(letters)
         assert AB.format(word) == text
+    assert w("a^1980").syllables == ((1, 1980),)
+    assert w("a^2 a^-3 b b").syllables == ((1, -1), (2, 2))
     assert AB.format(FreeWord("v", ())) == "1"
 
 
@@ -69,8 +85,9 @@ def test_mul_inverse_pow():
 
 
 def test_parse_refuses_words_past_the_cap():
-    # the cap counts expanded letters, across tokens, before expanding
+    # the cap counts the letters tokens spell, across tokens, before reducing
     assert MAX_WORD_LETTERS == 10**6
+    assert len(AB.parse(f"a^{MAX_WORD_LETTERS}")) == MAX_WORD_LETTERS
     with pytest.raises(ParseError, match="longer than"):
         AB.parse(f"a^{MAX_WORD_LETTERS + 1}")
     with pytest.raises(ParseError, match="longer than"):
@@ -131,12 +148,12 @@ def test_root_checks_that_its_decomposition_recomposes(monkeypatch):
 
 
 def test_root_is_cached_per_letter_tuple():
-    # the vertex does not enter the root, so one tuple is rooted once
+    # the vertex does not enter the root, so one syllable tuple is rooted once
     words._root_cached.cache_clear()
     word = w("b a^2 b^-1")
     for vertex in ("0", "1", "2"):
-        dec = root(FreeWord(vertex, word.letters))
-        assert dec.primitive == FreeWord(vertex, (1,)) and dec.exponent == 2
+        dec = root(FreeWord(vertex, word.syllables))
+        assert dec.primitive == FreeWord(vertex, ((1, 1),)) and dec.exponent == 2
     assert words._root_cached.cache_info().misses == 1
 
 
@@ -157,7 +174,7 @@ def conjugator(u, v):
 
 def cores_rotate(u, v):
     # oracle: u ~ v iff their cyclic cores are rotations of each other
-    cu, cv = cyclic_split(u.letters)[1], cyclic_split(v.letters)[1]
+    cu, cv = flat_cyclic_split(spell(u.syllables))[1], flat_cyclic_split(spell(v.syllables))[1]
     return len(cu) == len(cv) and any(cu[i:] + cu[:i] == cv for i in range(len(cu)))
 
 
@@ -222,9 +239,9 @@ def test_cyclic_meet_identity_error():
 def test_coset_canonical_example():
     # <a^2> a^5 b: scanning k in [-4, 4] confirms ab is the (length, lex) least
     u, x = w("a^2"), w("a^5 b")
-    best = min((word_product(u ** k, x) for k in range(-4, 5)), key=lambda c: letters_sort_key(c.letters))
+    best = min((word_product(u ** k, x) for k in range(-4, 5)), key=lambda c: letters_sort_key(c.syllables))
     assert best == w("a b")
-    assert _coset_canonical_cached(u.letters, x.letters)[1] == w("a b").letters
+    assert _coset_canonical_cached(u.syllables, x.syllables)[1] == w("a b").syllables
 
 
 def test_coset_canonical_distorted_conjugator():
@@ -232,22 +249,22 @@ def test_coset_canonical_distorted_conjugator():
     conj = w("b a b a b")
     u = w("a").conjugated_by(conj)
     x = (w("a") ** -10).conjugated_by(conj)
-    assert _coset_canonical_cached(u.letters, x.letters)[1] == ()
+    assert _coset_canonical_cached(u.syllables, x.syllables)[1] == ()
 
 
 def test_coset_decompose_recomposes():
     # the engine's split of a word after a step: r = u^k x, r canonical
     u, x = w("a b"), w("a b a b a^-1")
-    k, r = _coset_canonical_cached(u.letters, x.letters)
-    assert (k, r) == (-2, w("a^-1").letters)
-    assert word_product(u ** k, x).letters == r
+    k, r = _coset_canonical_cached(u.syllables, x.syllables)
+    assert (k, r) == (-2, w("a^-1").syllables)
+    assert word_product(u ** k, x).syllables == r
 
 
 def test_coset_canonical_is_cached_per_letter_pair():
-    # the split reads letters only, so equal words at any vertices are split once
+    # the split reads syllables only, so equal words at any vertices are split once
     words._coset_canonical_cached.cache_clear()
-    u, x = w("a b").letters, w("a b a b a^-1").letters
-    assert _coset_canonical_cached(u, x)[1] == _coset_canonical_cached(u, x)[1] == (-1,)
+    u, x = w("a b").syllables, w("a b a b a^-1").syllables
+    assert _coset_canonical_cached(u, x)[1] == _coset_canonical_cached(u, x)[1] == ((1, -1),)
     assert words._coset_canonical_cached.cache_info().misses == 1
 
 
@@ -257,24 +274,22 @@ def test_maximal_root():
 
 
 # ---------------------------------------------------------------- properties
+#
+# Words are drawn as flat letters and checked against the flat-letter
+# oracles in ``helpers``; ``syllables_of`` turns them into stored words.
 
 letters_st = st.lists(st.sampled_from([1, -1, 2, -2]), max_size=12)
 
 
-def coset_canonical_reference(u, x):
-    """The window search the coset split replaced: every u^k x that could be
-    no longer than x, |k| |core| <= 2|x| + |core|, each reduced in full."""
-    _, core = cyclic_split(u)
-    bound = 2 * len(x) // len(core) + 1
-    best, best_key = x, letters_sort_key(x)
-    for k in range(-bound, bound + 1):
-        if k == 0:
-            continue
-        cand = reduce_letters((u * k if k > 0 else invert_letters(u) * -k) + x)
-        key = letters_sort_key(cand)
-        if key < best_key:
-            best, best_key = cand, key
-    return best
+@st.composite
+def run_letters(draw, rank=3, max_runs=6, max_run=12):
+    """Reduced flat letters drawn as runs of one letter, often long, so that
+    neighbouring runs of one generator cancel in part."""
+    letters = []
+    for _ in range(draw(st.integers(0, max_runs))):
+        g = draw(st.integers(1, rank)) * draw(st.sampled_from([1, -1]))
+        letters += [g] * draw(st.one_of(st.integers(1, 3), st.integers(1, max_run)))
+    return flat_reduce(letters)
 
 
 short_st = st.lists(st.sampled_from([1, -1, 2, -2, 3, -3]), max_size=6)
@@ -284,15 +299,16 @@ short_st = st.lists(st.sampled_from([1, -1, 2, -2, 3, -3]), max_size=6)
 def coset_cases(draw):
     """(u, x) with u = c core^e c^-1, often not cyclically reduced and often a
     proper power, and x close to the coset's interesting points: u^k times
-    short words, or x starting with c^-1 (where u^k x cancels into c)."""
-    c = reduce_letters(tuple(draw(short_st)))
-    core = cyclic_split(reduce_letters(tuple(draw(short_st))))[1]
+    short words, or x starting with c^-1 (where u^k x cancels into c).  Runs
+    make cores of one syllable and hairs that cancel in part."""
+    words = st.one_of(short_st.map(flat_reduce), run_letters(max_runs=3, max_run=6))
+    c = draw(words)
+    core = flat_cyclic_split(draw(words))[1]
     assume(core)
-    u = reduce_letters(c + core * draw(st.integers(1, 3)) + invert_letters(c))
+    u = flat_reduce(c + core * draw(st.integers(1, 3)) + flat_invert(c))
     k = draw(st.integers(-8, 8))
-    pre = draw(st.sampled_from([(), c, invert_letters(c), reduce_letters(tuple(draw(short_st)))]))
-    post = reduce_letters(tuple(draw(short_st)))
-    x = reduce_letters(pre + (u * k if k >= 0 else invert_letters(u) * -k) + post)
+    pre = draw(st.sampled_from([(), c, flat_invert(c), draw(words)]))
+    x = flat_reduce(pre + flat_power(u, k) + draw(words))
     return u, x
 
 
@@ -300,38 +316,67 @@ def coset_cases(draw):
 @given(coset_cases())
 def test_coset_canonical_matches_window_search(case):
     u, x = case
-    assert _coset_canonical_cached(u, x)[1] == coset_canonical_reference(u, x)
+    k, r = _coset_canonical_cached(syllables_of(u), syllables_of(x))
+    assert spell(r) == flat_coset_canonical(u, x)
+    assert r == syllables_of(flat_power(u, k) + x)
 
 
-@given(letters_st, letters_st, st.integers(0, 12))
-def test_join_reduced_is_reduction_of_concatenation(la, lb, overlap):
-    a = reduce_letters(tuple(la))
-    # b often starts by undoing a's tail, so the seam cancels deeply
-    b = reduce_letters(invert_letters(a)[:overlap] + tuple(lb))
-    assert join_reduced(a, b) == reduce_letters(a + b)
+@given(st.lists(st.tuples(st.integers(1, 2), st.integers(-4, 4).filter(bool)), max_size=10))
+def test_reduce_matches_flat_reduction(raw):
+    # raw syllables: neighbours over one generator, which merge or cancel
+    assert spell(reduce_letters(raw)) == flat_reduce(spell(raw))
 
 
-@given(letters_st, st.integers(-6, 6))
+@given(run_letters(), run_letters(), st.integers(0, 40))
+def test_join_reduced_is_reduction_of_concatenation(a, lb, overlap):
+    # b often starts by undoing a's tail, so the seam cancels deeply, and
+    # in part when the overlap ends inside a run
+    b = flat_reduce(flat_invert(a)[:overlap] + lb)
+    assert join_reduced(syllables_of(a), syllables_of(b)) == syllables_of(a + b)
+
+
+@given(run_letters())
+def test_invert_matches_flat_inverse(letters):
+    assert invert_letters(syllables_of(letters)) == syllables_of(flat_invert(letters))
+
+
+@given(run_letters(), st.integers(-6, 6))
 def test_power_letters_is_reduced_repetition(letters, k):
-    word = reduce_letters(tuple(letters))
-    expected = reduce_letters(word * k if k >= 0 else invert_letters(word) * -k)
-    assert power_letters(word, k) == expected
+    assert power_letters(syllables_of(letters), k) == syllables_of(flat_power(letters, k))
+
+
+@given(run_letters(), run_letters(max_runs=2))
+def test_cyclic_split_matches_flat_split(letters, hair):
+    # a hair that ends inside a run of the word's ends cancels in part
+    word = flat_reduce(hair + letters + flat_invert(hair))
+    c, core = cyclic_split(syllables_of(word))
+    assert (spell(c), spell(core)) == flat_cyclic_split(word)
+
+
+@given(run_letters(max_run=4), run_letters(max_run=4), st.integers(0, 12))
+def test_sort_key_orders_like_letters(a, lb, cut):
+    # b shares a prefix with a that may end inside a run
+    b = flat_reduce(a[:cut] + lb)
+    ka, kb = letters_sort_key(syllables_of(a)), letters_sort_key(syllables_of(b))
+    fa, fb = flat_sort_key(a), flat_sort_key(b)
+    assert (ka < kb, ka == kb) == (fa < fb, fa == fb)
+
 
 def reduced(letters):
-    return FreeWord("v", reduce_letters(tuple(letters)))
+    return FreeWord("v", syllables_of(letters))
 
 
 @given(letters_st, st.integers(0, 10))
 def test_reduce_invariant_under_inverse_pair_insertion(letters, pos):
-    base = list(letters)
+    base = [(abs(l), 1 if l > 0 else -1) for l in letters]
     pos = min(pos, len(base))
-    with_pair = base[:pos] + [1, -1] + base[pos:]
-    assert reduce_letters(tuple(with_pair)) == reduce_letters(tuple(base))
+    with_pair = base[:pos] + [(1, 2), (1, -2)] + base[pos:]
+    assert reduce_letters(with_pair) == reduce_letters(base)
 
 
 @given(letters_st)
 def test_reduce_idempotent(letters):
-    once = reduce_letters(tuple(letters))
+    once = reduce_letters([(abs(l), 1 if l > 0 else -1) for l in letters])
     assert reduce_letters(once) == once
 
 
@@ -360,8 +405,8 @@ def test_coset_canonical_is_coset_invariant(lu, lx, k):
     if u.is_identity:
         return
     shifted = word_product(u ** k, x)
-    j, r = _coset_canonical_cached(u.letters, x.letters)
-    assert _coset_canonical_cached(u.letters, shifted.letters) == (j - k, r)
+    j, r = _coset_canonical_cached(u.syllables, x.syllables)
+    assert _coset_canonical_cached(u.syllables, shifted.syllables) == (j - k, r)
 
 
 @given(letters_st, letters_st)
@@ -394,8 +439,8 @@ def test_coset_split_recomposes(lu, lx):
     u, x = reduced(lu), reduced(lx)
     if u.is_identity:
         return
-    k, r = _coset_canonical_cached(u.letters, x.letters)
-    assert word_product(u ** k, x).letters == r
+    k, r = _coset_canonical_cached(u.syllables, x.syllables)
+    assert word_product(u ** k, x).syllables == r
 
 
 @given(letters_st, letters_st)
@@ -412,33 +457,16 @@ def test_cyclic_meet_symmetric_and_certified(lu, lv):
         assert (u ** kv).conjugated_by(theta) == v ** ku
 
 
-def root_reference(letters):
-    """The rotation search _root_cached replaced: a letter_key tuple per
-    rotation of the primitive q and of q^-1, the first least one kept."""
-    c, core = cyclic_split(letters)
-    q = next(core[:d] for d in range(1, len(core) + 1) if core == core[:d] * (len(core) // d))
-    m = len(core) // len(q)
-    best = None
-    for source, base in ((1, q), (-1, invert_letters(q))):
-        for i in range(len(base)):
-            cand = base[i:] + base[:i]
-            key = tuple(letter_key(l) for l in cand)
-            if best is None or key < best[0]:
-                best = (key, cand, source, i)
-    _, p, source, i = best
-    base = q if source == 1 else invert_letters(q)
-    return reduce_letters(c + base[:i]), p, m if source == 1 else -m
-
-
 @st.composite
 def rootable_words(draw):
-    """Reduced words c q^k c^-1 over ranks 1-3 from random q and c: proper
-    powers when |k| > 1 or q is one, conjugates when c is not empty."""
-    letters = st.sampled_from([l for g in range(1, draw(st.integers(1, 3)) + 1) for l in (g, -g)])
-    q = reduce_letters(tuple(draw(st.lists(letters, min_size=1, max_size=8))))
-    k = draw(st.integers(-4, 4).filter(bool))
-    c = reduce_letters(tuple(draw(st.lists(letters, max_size=5))))
-    word = join_reduced(join_reduced(c, power_letters(q, k)), invert_letters(c))
+    """Reduced words c q^k c^-1 over ranks 1-3 from random q and c, as flat
+    letters: proper powers when |k| > 1 or q is one, conjugates when c is not
+    empty, and runs of one letter, often long, in q and c."""
+    rank = draw(st.integers(1, 3))
+    q = draw(run_letters(rank=rank, max_runs=5, max_run=9))
+    assume(q)
+    c = draw(run_letters(rank=rank, max_runs=3, max_run=9))
+    word = flat_reduce(c + flat_power(q, draw(st.integers(-4, 4).filter(bool))) + flat_invert(c))
     assume(word)
     return word
 
@@ -446,7 +474,9 @@ def rootable_words(draw):
 @settings(max_examples=500)
 @given(rootable_words())
 def test_root_matches_the_rotation_key_search(letters):
-    assert words._root_cached(letters) == root_reference(letters)
+    # the oracle is the letter-level search the linear root replaced
+    conj, p, k = words._root_cached(syllables_of(letters))
+    assert (spell(conj), spell(p), k) == flat_root(letters)
 
 
 def test_parse_int_takes_ascii_digits_only():
