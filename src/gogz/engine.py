@@ -49,8 +49,7 @@ and no ``w^-1`` is built.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Dict, Iterator, List, Optional, Sequence, Tuple, Union
+from typing import Dict, Iterator, List, NamedTuple, Optional, Sequence, Tuple, Union
 
 from .errors import DegenerateInputError
 from .graphs import GraphOfGroups
@@ -226,8 +225,7 @@ class Engine:
 # ------------------------------------------------------------- brute force
 
 
-@dataclass(frozen=True)
-class PowerConjugacy:
+class PowerConjugacy(NamedTuple):
     """A verified relation  w x^m w^-1 = y^n  found by exhaustive search.
 
     ``conjugator`` is the product expression for w: a tuple whose entries are

@@ -37,9 +37,8 @@ step.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from operator import attrgetter
-from typing import Dict, Iterable, List, Optional, Tuple
+from typing import Dict, Iterable, List, NamedTuple, Optional, Tuple
 
 from .errors import AlphabetError, DegenerateInputError, ParseError
 from .words import Alphabet, FreeWord, parse_int
@@ -59,15 +58,11 @@ def side_name(side: int) -> str:
     return _SIDE_NAMES[side]
 
 
-@dataclass(frozen=True)
-class Vertex:
-    """A vertex with its free group, named by a nonnegative integer id."""
+class Vertex(NamedTuple):
+    """A vertex with its free group over ``str(id)``, named by an integer id >= 0."""
 
     id: int
     alphabet: Alphabet
-
-    def __post_init__(self):
-        assert self.alphabet.vertex == str(self.id), "alphabet must be tagged with the vertex id"
 
     @classmethod
     def make(cls, vid: int, names: Iterable[str]) -> "Vertex":
@@ -81,8 +76,7 @@ class Vertex:
         return self.alphabet.parse(text)
 
 
-@dataclass(frozen=True)
-class Edge:
+class Edge(NamedTuple):
     """An edge with its two cyclic inclusion words.
 
     ``minus_word`` lives in the minus vertex group, ``plus_word`` in the plus
@@ -107,8 +101,7 @@ class Edge:
         return self.minus_word if side == MINUS else self.plus_word
 
 
-@dataclass(frozen=True)
-class OrientedEdge:
+class OrientedEdge(NamedTuple):
     """An edge together with a direction of travel (forward = minus to plus)."""
 
     edge: Edge
@@ -139,15 +132,13 @@ class OrientedEdge:
         return f"OrientedEdge(e{self.edge.id}{arrow})"
 
 
-@dataclass(frozen=True)
-class TreeStep:
+class TreeStep(NamedTuple):
     edge_id: int
     parent: int
     child: int
 
 
-@dataclass(frozen=True)
-class SpanningTree:
+class SpanningTree(NamedTuple):
     """A breadth-first spanning tree, rooted at the least vertex id.
 
     ``steps`` lists tree edges in discovery order (parent before child);
@@ -188,10 +179,10 @@ class GraphOfGroups:
     @classmethod
     def _from_checked(cls, vertices: Dict[int, Vertex], edges: Dict[int, Edge]) -> "GraphOfGroups":
         """The graph of at least one vertex and of declarations, keyed by
-        id, that :func:`_add_vertex` and :func:`_add_edge` have admitted one
-        by one, so it passes every :meth:`_validate` check: put in id order,
-        not checked again.  The spanning-tree search still checks that it is
-        connected."""
+        id, that pass every :meth:`_validate` check by construction (as
+        :func:`_add_vertex`, :func:`_add_edge` and :func:`reduce_graph` make
+        them): put in id order, not checked again.  The spanning-tree search
+        still checks that it is connected."""
         graph = cls.__new__(cls)
         graph.vertices = dict(sorted(vertices.items()))
         graph.edges = dict(sorted(edges.items()))
@@ -228,6 +219,7 @@ class GraphOfGroups:
             raise DegenerateInputError("a graph of groups needs at least one vertex")
         seen: Dict[str, int] = {}
         for v in self.vertices.values():
+            assert v.alphabet.vertex == str(v.id), "alphabet must be tagged with the vertex id"
             if v.rank < 1:
                 raise DegenerateInputError(f"vertex {v.id} must have rank >= 1")
             for name in v.alphabet.names:
@@ -458,8 +450,7 @@ def parse_graph(text: str) -> GraphOfGroups:
 # -------------------------------------------------------------- contraction
 
 
-@dataclass(frozen=True)
-class Contraction:
+class Contraction(NamedTuple):
     """One contraction step: the absorbed vertex's generator maps to ``image``."""
 
     edge_id: int
@@ -482,8 +473,9 @@ def reduce_graph(graph: GraphOfGroups) -> Tuple[GraphOfGroups, Tuple[Contraction
     so it was bad already: no edge ever becomes reducible, and each starting
     candidate is re-checked (it may have become a loop, or lost its bad end)
     when its turn comes.  Each contraction costs time in the absorbed
-    vertex's degree, and the result is built and validated once; ``graph``
-    itself comes back when nothing contracts.
+    vertex's degree.  The result is built once, unvalidated: names stay
+    unique and each end a nontrivial word at its vertex (image^k, k != 0, at
+    the survivor).  ``graph`` itself comes back when nothing contracts.
     """
     candidates = graph.reducible_edges()
     if not candidates:
@@ -526,4 +518,4 @@ def reduce_graph(graph: GraphOfGroups) -> Tuple[GraphOfGroups, Tuple[Contraction
                 pv, pw = survivor, image ** pw.syllables[0][1]
             edges[eid] = Edge(eid, mv, pv, mw, pw)
         incident[survivor] |= moved
-    return GraphOfGroups(vertices.values(), edges.values()), tuple(steps)
+    return GraphOfGroups._from_checked(vertices, edges), tuple(steps)

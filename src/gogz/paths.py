@@ -49,15 +49,13 @@ from them.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
 from math import gcd, lcm
-from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple, Union
+from typing import Callable, Dict, Iterator, List, NamedTuple, Optional, Sequence, Tuple, Union
 
 from .errors import DegenerateInputError, InternalInconsistencyError
-from .graphs import MINUS, PLUS, Edge, GraphOfGroups, OrientedEdge
-from .words import CyclicMeet, FreeWord, Syllables, _root_cached, cyclic_meet
+from .graphs import GraphOfGroups, OrientedEdge
+from .words import CyclicMeet, FreeWord, Syllables, _Record, _root_cached, _set, cyclic_meet
 
 TLetter = Tuple[str, int, int]
 ConjugatorItem = Union[FreeWord, TLetter]
@@ -71,8 +69,7 @@ def _t_letter(step: OrientedEdge) -> TLetter:
     return ("t", step.edge.id, 1 if step.forward else -1)
 
 
-@dataclass(frozen=True)
-class ConjugacyPath:
+class ConjugacyPath(_Record):
     """A certified chain carrying powers of ``start`` onto powers of ``end``.
 
     ``transitions`` are the exponent transfers inside vertex groups, each a
@@ -87,6 +84,8 @@ class ConjugacyPath:
 
     steps: Tuple[OrientedEdge, ...]
     transitions: Tuple[CyclicMeet, ...]
+    _fields = ("steps", "transitions")
+    __slots__ = (*_fields, "_exponents", "_conjugator")
 
     @property
     def start(self) -> FreeWord:
@@ -115,18 +114,16 @@ class ConjugacyPath:
         group of ``end``; at the exit it is a power of the root of ``end``
         but not of ``end``.
         """
+        if self._exponents is None:
+            num = den = m = 1  # num / den is the running product, reduced
+            for tr in self.transitions:
+                k_in, k_out = tr.exps
+                num, den = num * k_in, den * k_out
+                d = gcd(num, den)
+                num, den = num // d, den // d
+                m = lcm(m, den)
+            _set(self, "_exponents", (m, m // den * num))
         return self._exponents
-
-    @cached_property
-    def _exponents(self) -> Tuple[int, int]:
-        num = den = m = 1  # num / den is the running product, reduced
-        for tr in self.transitions:
-            k_in, k_out = tr.exps
-            num, den = num * k_in, den * k_out
-            d = gcd(num, den)
-            num, den = num // d, den // d
-            m = lcm(m, den)
-        return m, m // den * num
 
     def conjugator_items(self) -> Tuple[ConjugatorItem, ...]:
         """The conjugator as a product of vertex words and stable letters.
@@ -135,15 +132,13 @@ class ConjugacyPath:
         vertex words are dropped; stable letters of spanning-tree edges are
         kept (the engine treats them as the identity).
         """
+        if self._conjugator is None:
+            # transitions[i] precedes steps[i]; the exit follows the last step
+            items: List[ConjugatorItem] = [self.transitions[-1].transfer_conjugator]
+            for step, tr in zip(reversed(self.steps), reversed(self.transitions[:-1])):
+                items += [_t_letter(step), tr.transfer_conjugator]
+            _set(self, "_conjugator", tuple(w for w in items if not (isinstance(w, FreeWord) and w.is_identity)))
         return self._conjugator
-
-    @cached_property
-    def _conjugator(self) -> Tuple[ConjugatorItem, ...]:
-        # transitions[i] precedes steps[i]; the exit follows the last step
-        items: List[ConjugatorItem] = [self.transitions[-1].transfer_conjugator]
-        for step, tr in zip(reversed(self.steps), reversed(self.transitions[:-1])):
-            items += [_t_letter(step), tr.transfer_conjugator]
-        return tuple(w for w in items if not (isinstance(w, FreeWord) and w.is_identity))
 
 
 # --------------------------------------------------------------- class graph
@@ -168,7 +163,8 @@ class _ClassGraph:
     the chains step by step by (edge id, forward first): that *step order*
     is the lex order used throughout, and chains are listed shortest first,
     then lex.  ``out`` lists, per class, the steps leaving it in step order.
-    Building it takes one :func:`root` per distinct edge word.
+    Building it takes one :func:`root` per distinct edge word; ``steps``
+    waits for the first certified chain (a tree's verdicts certify at most one).
 
     ``transitions`` memoises the certified transfer of each pair of steps
     (plus the ``query`` endpoints of an open search), so every chain built
@@ -177,29 +173,31 @@ class _ClassGraph:
     """
 
     def __init__(self, graph: GraphOfGroups, query: Optional[Tuple[FreeWord, FreeWord]] = None):
+        self.graph = graph
         self.query = query
         self.transitions: Dict[Tuple[int, int], CyclicMeet] = {}
-        self.steps = graph.oriented_edges()
+        self.steps: List[OrientedEdge] = []
         self.node: Dict[EndClass, int] = {}
         self.out: List[List[int]] = []
         self.origin: List[int] = []
         self.terminus: List[int] = []
         self.k_origin: List[int] = []
         self.k_terminus: List[int] = []
-        for forward in self.steps[::2]:
-            minus, plus = (self._end(forward.edge, side) for side in (MINUS, PLUS))
-            for (origin, k_origin), (terminus, k_terminus) in ((minus, plus), (plus, minus)):
-                self.out[origin].append(len(self.origin))
-                self.origin.append(origin)
-                self.terminus.append(terminus)
-                self.k_origin.append(k_origin)
-                self.k_terminus.append(k_terminus)
+        for edge in graph.edges.values():
+            minus, k_minus = self._end(edge.minus_vertex, edge.minus_word)
+            plus, k_plus = self._end(edge.plus_vertex, edge.plus_word)
+            self.out[minus].append(len(self.origin))  # forward, step 2j
+            self.out[plus].append(len(self.origin) + 1)  # backward, step 2j + 1
+            self.origin += (minus, plus)
+            self.terminus += (plus, minus)
+            self.k_origin += (k_minus, k_plus)
+            self.k_terminus += (k_plus, k_minus)
         self.arrow_origin = [abs(k) >= 2 for k in self.k_origin]
         self.arrow_terminus = [abs(k) >= 2 for k in self.k_terminus]
 
-    def _end(self, edge: Edge, side: int) -> Tuple[int, int]:
-        _, primitive, exponent = _root_cached(edge.word(side).syllables)
-        key = (edge.vertex(side), primitive)
+    def _end(self, vid: int, word: FreeWord) -> Tuple[int, int]:
+        _, primitive, exponent = _root_cached(word.syllables)
+        key = (vid, primitive)
         if key not in self.node:
             self.node[key] = len(self.out)
             self.out.append([])
@@ -238,6 +236,8 @@ class _ClassGraph:
         is the reverse of its first step, ``last`` that step itself), a full
         path to its last terminus word (``last`` the reverse of its last step).
         """
+        if not self.steps:
+            self.steps = self.graph.oriented_edges()
         pairs = zip([first, *walk], [*walk, last])
         return ConjugacyPath(self.chain(walk), tuple(self.transition(a, b, walk) for a, b in pairs))
 
@@ -299,9 +299,9 @@ class _ClassGraph:
                 x = leader[x]
             return x
 
-        in_tree = [False] * (len(self.steps) // 2)
+        in_tree = [False] * (len(self.origin) // 2)
         closing = []
-        for i in range(0, len(self.steps), 2):
+        for i in range(0, len(self.origin), 2):
             a, b = find(self.origin[i]), find(self.terminus[i])
             if a == b:
                 closing.append(i)
@@ -309,6 +309,8 @@ class _ClassGraph:
                 leader[a] = b
                 in_tree[i >> 1] = True
         up: Dict[int, int] = {}
+        if not closing:  # only the tree paths of closing edges read up and depth
+            return up, {}, closing
         depth: Dict[int, int] = {}
         for top in range(len(self.out)):
             if top not in depth:
@@ -371,7 +373,7 @@ class _ClassGraph:
         the others cannot.
         """
         best: Optional[List[int]] = None
-        for i in range(0, len(self.steps), 2):
+        for i in range(0, len(self.origin), 2):
             if not on_cycle[i >> 1]:
                 continue
             usable = lambda s, least=i >> 1: s >> 1 > least and on_cycle[s >> 1]
@@ -451,12 +453,12 @@ class _ClassGraph:
         such an l of larger id leaves from; without cycles the path to each
         is unique.
         """
-        for i in range(0, len(self.steps), 2):
+        for i in range(0, len(self.origin), 2):
             if self.arrow_origin[i] and self.arrow_terminus[i]:
                 return [i]
         firsts: List[int] = []
         lasts: Dict[int, List[int]] = {}
-        for s in range(len(self.steps)):
+        for s in range(len(self.origin)):
             if self.arrow_origin[s] and not self.arrow_terminus[s]:
                 firsts.append(s)
             elif self.arrow_terminus[s] and not self.arrow_origin[s]:
@@ -501,7 +503,7 @@ def _closed_chains(index: _ClassGraph) -> Iterator[List[int]]:
     traversal of its least edge id.  So each walk starts forward on an edge
     and admits only larger ids after it.
     """
-    for start in range(0, len(index.steps), 2):
+    for start in range(0, len(index.origin), 2):
         home = index.origin[start]
         for walk in index.walks(start, admits=lambda i, least=start >> 1: i >> 1 > least):
             if index.terminus[walk[-1]] == home:
@@ -544,7 +546,7 @@ def enumerate_full_nonmaximal_paths(graph: GraphOfGroups) -> List[ConjugacyPath]
     """
     index = _ClassGraph(graph)
     found = []
-    for start in range(len(index.steps)):
+    for start in range(len(index.origin)):
         if not index.arrow_origin[start]:
             continue
         # an arrowed end cannot be passed through, only start or end a path
@@ -562,8 +564,7 @@ def enumerate_full_nonmaximal_paths(graph: GraphOfGroups) -> List[ConjugacyPath]
 # ----------------------------------------------------------------- decisions
 
 
-@dataclass(frozen=True)
-class ChainDecision:
+class ChainDecision(NamedTuple):
     """What the class gain graph decides about closed and full chains.
 
     ``modulus`` holds the distinct ratios of the fundamental cycles of the

@@ -39,10 +39,9 @@ witnesses are built and replayed.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 from .engine import Engine
 from .errors import DegenerateInputError, InternalInconsistencyError
@@ -83,8 +82,7 @@ def _require_path(engine: Engine, path: ConjugacyPath, claim: str) -> None:
 # ------------------------------------------------------------------- balance
 
 
-@dataclass(frozen=True)
-class BalanceVerdict:
+class BalanceVerdict(NamedTuple):
     """``balanced`` with, when false, the offending closed chain.
 
     ``bs_tag = (m, n)`` names the Baumslag-Solitar subgroup BS(m, n)
@@ -116,8 +114,7 @@ def _balance(engine: Engine, chains: ChainDecision) -> BalanceVerdict:
 # -------------------------------------------------------------- hyperbolicity
 
 
-@dataclass(frozen=True)
-class HyperbolicityVerdict:
+class HyperbolicityVerdict(NamedTuple):
     """``hyperbolic`` with the refuting path when false.
 
     ``kind`` names the refutation: ``"complete"`` (the lex-least shortest
@@ -146,8 +143,7 @@ def _hyperbolicity(engine: Engine, chains: ChainDecision) -> HyperbolicityVerdic
 # --------------------------------------------------------------- acylindrical
 
 
-@dataclass(frozen=True)
-class AcylVerdict:
+class AcylVerdict(NamedTuple):
     """Acylindrical hyperbolicity of the fundamental group of a reduced graph.
 
     When acylindrically hyperbolic, ``condition`` names the failed clause:
@@ -203,8 +199,7 @@ def _acyl(graph: GraphOfGroups) -> AcylVerdict:
 # ----------------------------------------------------------------- trichotomy
 
 
-@dataclass(frozen=True)
-class CentralWitness:
+class CentralWitness(NamedTuple):
     """An element written as a power of every vertex generator at once.
 
     ``element`` is the chosen expression at ``root_vertex``;
@@ -218,8 +213,7 @@ class CentralWitness:
     exponents: Dict[int, int]
 
 
-@dataclass(frozen=True)
-class TrichotomyVerdict:
+class TrichotomyVerdict(NamedTuple):
     """One of three mutually non-exclusive outcomes, checked in this order:
     acylindrically hyperbolic; surjects onto the integers; has an infinite
     cyclic normal subgroup."""
@@ -295,8 +289,7 @@ def _trichotomy(reduced: GraphOfGroups) -> TrichotomyVerdict:
 # ------------------------------------------------------------ power conjugacy
 
 
-@dataclass(frozen=True)
-class ConjugacyAnswer:
+class ConjugacyAnswer(NamedTuple):
     """Whether some powers of x and y are conjugate, with a checked witness.
 
     When ``exists``, the engine has verified conjugator * x^m * conjugator^-1
@@ -386,8 +379,7 @@ def power_conjugate(graph: GraphOfGroups, x: FreeWord, y: FreeWord) -> Conjugacy
 # -------------------------------------------------------------------- report
 
 
-@dataclass(frozen=True)
-class AnalysisReport:
+class AnalysisReport(NamedTuple):
     """All verdicts for one graph, plus the reduction that was applied.
 
     The acylindricity verdict is ``trichotomy.acyl``; it is None when the

@@ -6,6 +6,10 @@ with adjacent syllables over different generators.  That form is
 canonical, so tuple equality is word equality, and any power of one
 generator is a single syllable: the operations here cost time in the
 number of syllables, and an exponent costs its bits, not its value.
+Words are reduced where they are made, not checked at run time: they enter
+through :meth:`Alphabet.parse` and :meth:`Alphabet.word`, which reduce, and
+every other builder keeps them reduced.  ``tests/test_product_reach.py``
+checks every word the golden commands build.
 
 A word's letters are its syllables spelled out: ``(1, 3)`` is a a a and
 ``(1, -2)`` is a^-1 a^-1, and ``len`` counts letters.  The letter order
@@ -24,11 +28,10 @@ coset <u> x; it builds r and k together by free reduction alone.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from functools import cached_property, lru_cache
-from itertools import chain, cycle
-from operator import ne
-from typing import Optional, Tuple
+from functools import lru_cache
+from itertools import chain, cycle, zip_longest
+from operator import itemgetter
+from typing import NamedTuple, Optional, Tuple
 
 from .errors import AlphabetError, DegenerateInputError, InternalInconsistencyError, ParseError
 
@@ -55,15 +58,12 @@ def parse_int(text: str, signed: bool = False) -> int:
 
 
 class Alphabet:
-    """The ordered generator list of one vertex group."""
+    """The ordered generator list of one vertex group; graphs check the names."""
 
     def __init__(self, vertex: str, names):
-        names = tuple(names)
-        if len(set(names)) != len(names):
-            raise ParseError(f"duplicate generator name in vertex {vertex!r}")
         self.vertex = vertex
-        self.names = names
-        self._index = {n: i + 1 for i, n in enumerate(names)}
+        self.names = tuple(names)
+        self._index = {n: i + 1 for i, n in enumerate(self.names)}
 
     @property
     def rank(self) -> int:
@@ -75,22 +75,25 @@ class Alphabet:
     def parse(self, text: str) -> "FreeWord":
         """Parse whitespace-separated tokens: ``name``, ``name^-1``, ``name^k``.
 
-        Each token is one syllable.  A word whose tokens spell more than
-        :data:`MAX_WORD_LETTERS` letters is refused.
+        Each token is one syllable, merged with the one before as it is
+        read; ``k`` is read as :func:`parse_int` reads it.  A word whose
+        tokens spell more than :data:`MAX_WORD_LETTERS` letters is refused.
         """
-        syllables = []
-        letters = 0
+        index, out, letters = self._index, [], 0
         for tok in text.split():
             if tok == "1":
                 continue
             name, caret, exp = tok.partition("^")
-            g = self._index.get(name)
+            g = index.get(name)
             if g is None:
                 raise ParseError(f"unknown generator {name!r} (vertex {self.vertex!r})")
             k = 1
             if caret:
-                try:
-                    k = parse_int(exp, signed=True)
+                digits = exp[1:] if exp[:1] == "-" else exp
+                try:  # int refuses more digits than its limit
+                    if not (digits.isascii() and digits.isdigit()):
+                        raise ValueError
+                    k = int(exp)
                 except ValueError:
                     raise ParseError(f"bad exponent in token {tok!r}") from None
                 if k == 0:
@@ -100,8 +103,12 @@ class Alphabet:
                 raise ParseError(
                     f"word longer than {MAX_WORD_LETTERS} letters at token {tok!r} (vertex {self.vertex!r})"
                 )
-            syllables.append((g, k))
-        return FreeWord(self.vertex, reduce_letters(syllables))
+            if out and out[-1][0] == g:
+                k += out.pop()[1]
+                if not k:
+                    continue
+            out.append((g, k))
+        return FreeWord(self.vertex, tuple(out))
 
     def format(self, word: "FreeWord") -> str:
         """Inverse of parse, one token per syllable (a a a -> ``a^3``)."""
@@ -182,22 +189,17 @@ def power_letters(word: Syllables, k: int) -> Syllables:
     return join_reduced(join_reduced(c, _repeat(core, k)), invert_letters(c))
 
 
-def letter_key(letter: int) -> Tuple[int, int]:
-    # declaration order first, inverse after the positive letter
-    return (abs(letter), 0 if letter > 0 else 1)
-
-
 def _lex_items(word: Syllables, wrap: bool = False) -> tuple:
     """One item per syllable, such that comparing the items of two words
     compares their letters.
 
     A run of r letters l followed by a letter that sorts below l, or by the
-    end of the word, is ``(key(l), 0, r)``: the longer run is the larger
-    word.  Followed by a letter that sorts above l it is ``(key(l), 1, -r)``.
-    With ``wrap`` the last run is followed by the first letter, which
-    compares rotations of one word.
+    end of the word, is ``(key(l), 0, r)``, with key ``(g, 0)`` for the g-th
+    generator and ``(g, 1)`` for its inverse: the longer run is the larger
+    word.  Followed by a larger letter it is ``(key(l), 1, -r)``.  With
+    ``wrap`` the last run is followed by the first letter.
     """
-    keys = [letter_key(g if e > 0 else -g) for g, e in word]
+    keys = [(g, 0 if e > 0 else 1) for g, e in word]
     after = keys[1:] + (keys[:1] if wrap else [None])
     return tuple(
         (key, 0, abs(e)) if nxt is None or nxt < key else (key, 1, -abs(e))
@@ -210,16 +212,17 @@ def letters_sort_key(word: Syllables):
     return (_length(word), _lex_items(word))
 
 
-@dataclass(frozen=True, slots=True)
-class FreeWord:
-    """A freely reduced word in one vertex group."""
+class FreeWord(tuple):
+    """A freely reduced word in one vertex group, the pair (vertex,
+    syllables), which the caller reduces (see the module docstring).  Not a
+    named tuple: ``len`` counts letters, which ``_make`` would misread."""
 
-    vertex: str
-    syllables: Syllables
+    __slots__ = ()
+    vertex = property(itemgetter(0))
+    syllables = property(itemgetter(1))
 
-    def __post_init__(self):
-        gens = [g for g, e in self.syllables if e]
-        assert len(gens) == len(self.syllables) and all(map(ne, gens, gens[1:])), "FreeWord must be reduced"
+    def __new__(cls, vertex: str, syllables: Syllables):
+        return tuple.__new__(cls, (vertex, syllables))
 
     def __len__(self):
         return _length(self.syllables)
@@ -301,8 +304,7 @@ def _least_rotation(items: tuple) -> int:
     return k
 
 
-@dataclass(frozen=True, slots=True)
-class RootDecomposition:
+class RootDecomposition(NamedTuple):
     """w = conjugator * primitive^exponent * conjugator^-1, exponent != 0.
 
     The primitive is canonical: (length, lex)-least among all cyclic
@@ -382,8 +384,40 @@ def maximal_root(w: FreeWord) -> FreeWord:
     return r.primitive.conjugated_by(r.conjugator)
 
 
-@dataclass(frozen=True)
-class CyclicMeet:
+_set = object.__setattr__
+
+
+class _Record:
+    """A read-only value in ``__slots__``, compared and hashed by its
+    ``_fields``, which the constructor's arguments fill in order; any other
+    slot is a private memo, None until it is filled on first use."""
+
+    __slots__ = ()
+    _fields: Tuple[str, ...] = ()
+
+    def __init__(self, *values):
+        for name, value in zip_longest(self.__slots__, values):
+            _set(self, name, value)
+
+    def _values(self) -> tuple:
+        return tuple(map(self.__getattribute__, self._fields))
+
+    def __eq__(self, other):
+        return type(other) is type(self) and self._values() == other._values()
+
+    def __hash__(self):
+        return hash(self._values())
+
+    def __repr__(self):
+        return f"{type(self).__name__}{self._values()!r}"
+
+    def _refuse(self, name, value=None):
+        raise AttributeError(f"cannot assign to {type(self).__name__}.{name}")
+
+    __setattr__ = __delattr__ = _refuse
+
+
+class CyclicMeet(_Record):
     """Witness that some conjugate of <u> meets <v> nontrivially.
 
     Both roots share one canonical primitive p (the inversion-folding choice
@@ -393,19 +427,17 @@ class CyclicMeet:
     chain that passes the same memoised transition shares one word.
     """
 
-    u: FreeWord
-    v: FreeWord
-    exps: Tuple[int, int]
-    u_root: RootDecomposition
-    v_root: RootDecomposition
+    _fields = ("u", "v", "exps", "u_root", "v_root")
+    __slots__ = (*_fields, "_theta")
 
-    @cached_property
+    @property
     def transfer_conjugator(self) -> FreeWord:
         """theta with theta * u^x * theta^-1 = v^(x * k_u / k_v) whenever integral."""
-        return FreeWord(
-            self.u_root.conjugator.vertex,
-            join_reduced(self.v_root.conjugator.syllables, invert_letters(self.u_root.conjugator.syllables)),
-        )
+        if self._theta is None:
+            conj_u, conj_v = self.u_root.conjugator, self.v_root.conjugator
+            theta = join_reduced(conj_v.syllables, invert_letters(conj_u.syllables))
+            _set(self, "_theta", FreeWord(conj_u.vertex, theta))
+        return self._theta
 
 
 def cyclic_meet(u: FreeWord, v: FreeWord) -> Optional[CyclicMeet]:

@@ -21,7 +21,6 @@ from gogz.words import (
     _coset_canonical_cached,
     invert_letters,
     join_reduced,
-    letter_key,
     reduce_letters,
 )
 
@@ -89,6 +88,11 @@ def flat_cyclic_split(letters: Letters):
         i += 1
         j -= 1
     return letters[:i], letters[i:j]
+
+
+def letter_key(letter: int):
+    """Declaration order first, the inverse after the positive letter."""
+    return (abs(letter), 0 if letter > 0 else 1)
 
 
 def flat_sort_key(letters: Letters):

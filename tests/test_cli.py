@@ -1,7 +1,6 @@
 """Command-line interface: subcommands, formats, exit codes, determinism."""
 
 import argparse
-import dataclasses
 import hashlib
 import io
 import json
@@ -499,7 +498,7 @@ class TestErrors:
 
         def skewed(w):
             r = true_root(w)
-            return dataclasses.replace(r, exponent=4) if w.syllables == ((1, 3),) else r
+            return r._replace(exponent=4) if w.syllables == ((1, 3),) else r
 
         monkeypatch.setattr(verdicts, "root", skewed)
         assert main(["check", graph_file(BS23)]) == 3

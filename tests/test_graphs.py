@@ -12,6 +12,7 @@ from gogz.graphs import (
     Contraction,
     Edge,
     GraphOfGroups,
+    OrientedEdge,
     Vertex,
     _EDGE_LINE_RE,
     _VERTEX_LINE_RE,
@@ -19,7 +20,7 @@ from gogz.graphs import (
     parse_graph,
     reduce_graph,
 )
-from gogz.words import root
+from gogz.words import FreeWord, root
 from helpers import spell
 
 BS23 = """
@@ -142,6 +143,13 @@ def test_graph_of_groups_refuses_degenerate_input(vertices, edges, error, messag
     with pytest.raises(error) as err:
         GraphOfGroups(vertices, edges)
     assert str(err.value) == message
+
+
+def test_graph_of_groups_refuses_a_name_twice_at_one_vertex():
+    # an Alphabet takes its names as they come; the checked constructor refuses the repeat
+    with pytest.raises(DegenerateInputError) as err:
+        GraphOfGroups([Vertex.make(0, ("a", "b", "a"))], [])
+    assert str(err.value) == "generator 'a' declared at vertex 0 and again at vertex 0"
 
 
 def reference_tokenize(line, lineno):
@@ -373,7 +381,7 @@ def test_random_proper_power_trees_are_already_reduced(g):
 
 
 @st.composite
-def random_graph_with_bad_ends(draw):
+def random_graph_with_bad_ends(draw, max_extra_edges=2):
     n = draw(st.integers(2, 5))
     vertices = [Vertex.make(i, (f"g{i}",)) for i in range(n)]
     edges = []
@@ -392,7 +400,7 @@ def random_graph_with_bad_ends(draw):
             )
         )
         eid += 1
-    for _ in range(draw(st.integers(0, 2))):
+    for _ in range(draw(st.integers(0, max_extra_edges))):
         a = draw(st.integers(0, n - 1))
         b = draw(st.integers(0, n - 1))
         km = draw(st.integers(1, 3)) * draw(st.sampled_from([1, -1]))
@@ -412,6 +420,39 @@ def test_reduction_terminates_and_is_reduced(g):
     assert reduced.betti_number == g.betti_number
     # every surviving vertex existed in the input
     assert set(reduced.vertices) <= set(g.vertices)
+
+
+@given(random_graph_with_bad_ends(max_extra_edges=0))
+def test_reduce_graph_builds_without_revalidating(g):
+    # contraction keeps ids and names unique and leaves every end a
+    # nontrivial word at its own vertex, so reduce_graph never runs
+    # _validate, and its graph matches the checked public constructor's
+    def refuse(self):
+        raise AssertionError("reduce_graph revalidated its graph")
+
+    with mock.patch.object(GraphOfGroups, "_validate", refuse):
+        reduced, _ = reduce_graph(g)
+    expected = GraphOfGroups(reduced.vertices.values(), reduced.edges.values())
+    assert _declarations(reduced) == _declarations(expected)
+    assert list(reduced.vertices) == list(expected.vertices)
+    assert list(reduced.edges) == list(expected.edges)
+    assert reduced.tree == expected.tree
+    assert reduced.to_text() == expected.to_text()
+
+
+def test_edges_are_values():
+    a, b = Vertex.make(0, ("a",)), Vertex.make(1, ("b",))
+    edge = Edge(0, 0, 1, a.parse("a^2"), b.parse("b^3"))
+    again = Edge(0, 0, 1, FreeWord("0", ((1, 2),)), FreeWord("1", ((1, 3),)))
+    assert edge == again and hash(edge) == hash(again) and edge is not again
+    assert OrientedEdge(edge, False) == OrientedEdge(again, False)
+    assert hash(OrientedEdge(edge)) == hash(OrientedEdge(again, True))
+    assert OrientedEdge(edge) != OrientedEdge(edge, False)
+    # the same syllables over another vertex make another word, and another edge
+    assert Edge(0, 0, 1, a.parse("a^2"), FreeWord("0", ((1, 3),))) != edge
+    for record, field in ((edge, "id"), (edge, "plus_word"), (OrientedEdge(edge), "forward")):
+        with pytest.raises(AttributeError):
+            setattr(record, field, None)
 
 
 def _reference_reduce(graph):

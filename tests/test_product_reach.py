@@ -6,10 +6,15 @@ a comment), a missing file and a refused word, run in-process under
 :func:`sys.setprofile`.  Every function, method, property getter and
 ``cached_property`` function written in a ``gogz`` module must be called
 by one of them, or be in ``ALLOWED`` with its reason.  Functions are
-compared by code object, so dataclass-generated methods (written nowhere
-in the source) are not counted, and :func:`functools.lru_cache` wrappers
+compared by code object, so methods generated at run time (the named
+tuples' ``__new__`` and ``__repr__``, written nowhere in the source) are
+not counted, and :func:`functools.lru_cache` wrappers
 are unwrapped and cleared first, so that a cache filled by an earlier test
 cannot hide a call.  Test-only conveniences live in ``tests/helpers.py``.
+
+The same calls, with :class:`~gogz.words.FreeWord` construction recorded,
+check that every word the product builds is freely reduced: the
+constructor does not check it, because every builder reduces.
 """
 
 import contextlib
@@ -22,6 +27,7 @@ import sys
 
 import gogz
 from gogz.cli import main
+from gogz.words import FreeWord
 from test_golden_cli import _write_suite, golden_argvs
 
 ALLOWED = {
@@ -30,6 +36,11 @@ ALLOWED = {
     "gogz.graphs.GraphOfGroups.__repr__": "serves messages and debugging",
     "gogz.graphs.OrientedEdge.__repr__": "builds the class graph's exit-3 message",
     "gogz.words.Alphabet.__repr__": "serves messages and debugging",
+    "gogz.words._Record.__repr__": "serves messages and debugging",
+    "gogz.words._Record.__eq__": "value equality of chain records, which tests compare and the product does not",
+    "gogz.words._Record.__hash__": "hashing that agrees with __eq__; the product keys no dict by a chain record",
+    "gogz.words._Record._values": "the fields that __eq__, __hash__ and __repr__ read",
+    "gogz.words._Record._refuse": "refuses assignment to a record; the product never assigns",
 }
 
 _REORDERED = 'vertex 0 gens=a rank=1  # fields in another order\nedge 0 0 0 plus="a^3"\tminus="a^2"\n'
@@ -39,6 +50,8 @@ _EXTRA_CALLS = [
     (["check", "reordered.gog", "--no-timing"], 0),
     (["check", "missing.gog"], 2),
     (["conj", "bs_2_3.gog", "--from", "0:a^", "--to", "0:a"], 2),
+    # tokens that the reader merges and cancels as it reads them
+    (["conj", "bs_2_3.gog", "--from", "0:a a^3 a^-2", "--to", "0:a^-1 a^4", "--no-timing"], 0),
 ]
 
 
@@ -73,31 +86,69 @@ def _defined_functions():
     return found, caches
 
 
-def test_every_function_is_reached_by_a_command(tmp_path, monkeypatch):
+def _run_commands(tmp_path, monkeypatch, watch):
+    """Run the golden argvs and ``_EXTRA_CALLS`` in ``tmp_path`` inside
+    the context manager ``watch``, every cache in ``gogz`` cleared first;
+    return whether the extra calls exited as expected."""
     _write_suite(tmp_path)
     (tmp_path / "reordered.gog").write_text(_REORDERED)
     monkeypatch.chdir(tmp_path)
-    defined, caches = _defined_functions()
-    assert set(ALLOWED) <= set(defined.values()), "ALLOWED names a function gogz does not define"
-    for cache in caches:
+    for cache in _defined_functions()[1]:
         cache.cache_clear()
+    argvs = [*golden_argvs(), *(argv for argv, _ in _EXTRA_CALLS)]
+    codes = []
+    with watch:
+        for argv in argvs:
+            with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+                codes.append(main(argv))
+    return codes[-len(_EXTRA_CALLS) :] == [code for _, code in _EXTRA_CALLS]
 
+
+def test_every_function_is_reached_by_a_command(tmp_path, monkeypatch):
+    defined, _ = _defined_functions()
+    assert set(ALLOWED) <= set(defined.values()), "ALLOWED names a function gogz does not define"
     reached = set()
 
     def profile(frame, event, arg):
         if event == "call":
             reached.add(frame.f_code)
 
-    argvs = [*golden_argvs(), *(argv for argv, _ in _EXTRA_CALLS)]
-    codes = []
-    sys.setprofile(profile)
-    try:
-        for argv in argvs:
-            with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
-                codes.append(main(argv))
-    finally:
-        sys.setprofile(None)
-    assert codes[-len(_EXTRA_CALLS) :] == [code for _, code in _EXTRA_CALLS]
+    @contextlib.contextmanager
+    def profiled():
+        sys.setprofile(profile)
+        try:
+            yield
+        finally:
+            sys.setprofile(None)
 
+    exits_ok = _run_commands(tmp_path, monkeypatch, profiled())
+    assert exits_ok, "an extra call exited with another code"
     unreached = sorted(name for code, name in defined.items() if code not in reached and name not in ALLOWED)
     assert not unreached, "reached by no gogz command: " + ", ".join(unreached)
+
+
+def _is_reduced(syllables) -> bool:
+    gens = [g for g, _ in syllables]
+    return all(e for _, e in syllables) and all(a != b for a, b in zip(gens, gens[1:]))
+
+
+def test_every_word_a_command_builds_is_reduced(tmp_path, monkeypatch):
+    # pytest rewrites this module's asserts, so the check holds under -O too
+    built = []
+    construct = FreeWord.__new__
+
+    def recording(cls, vertex, syllables):
+        built.append(syllables)
+        return construct(cls, vertex, syllables)
+
+    @contextlib.contextmanager
+    def recorded():
+        with monkeypatch.context() as patch:
+            patch.setattr(FreeWord, "__new__", recording)
+            yield
+
+    exits_ok = _run_commands(tmp_path, monkeypatch, recorded())
+    unreduced = [syllables for syllables in built if not _is_reduced(syllables)]
+    assert not unreduced, f"{len(unreduced)} of {len(built)} words built unreduced, first {unreduced[0]}"
+    assert exits_ok, "an extra call exited with another code"
+    assert len(built) > 1000

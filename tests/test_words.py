@@ -88,10 +88,95 @@ def test_parse_refuses_words_past_the_cap():
     # the cap counts the letters tokens spell, across tokens, before reducing
     assert MAX_WORD_LETTERS == 10**6
     assert len(AB.parse(f"a^{MAX_WORD_LETTERS}")) == MAX_WORD_LETTERS
+    assert len(AB.parse(f"a^{MAX_WORD_LETTERS - 1} b")) == MAX_WORD_LETTERS
+    assert AB.parse(f"1 a^{MAX_WORD_LETTERS // 2} a^-{MAX_WORD_LETTERS // 2}").is_identity
     with pytest.raises(ParseError, match="longer than"):
         AB.parse(f"a^{MAX_WORD_LETTERS + 1}")
     with pytest.raises(ParseError, match="longer than"):
         AB.parse(f"b a^-{MAX_WORD_LETTERS}")
+
+
+ABC = Alphabet("r", ("a", "b", "c"))
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("a d^2", "unknown generator 'd' (vertex 'r')"),
+        ("a^", "bad exponent in token 'a^'"),
+        ("a^+2", "bad exponent in token 'a^+2'"),
+        ("a^\u0662", "bad exponent in token 'a^\u0662'"),
+        ("b a^0", "zero exponent in token 'a^0'"),
+        ("a^-0", "zero exponent in token 'a^-0'"),
+        # the first refusal wins, in token order
+        ("a^0 d", "zero exponent in token 'a^0'"),
+        # one letter past the cap, counted before the tokens cancel
+        (f"a^{MAX_WORD_LETTERS - 1} a^-1 b", "word longer than 1000000 letters at token 'b' (vertex 'r')"),
+        ("c^-1000001", "word longer than 1000000 letters at token 'c^-1000001' (vertex 'r')"),
+    ],
+)
+def test_parse_refusals(text, message):
+    with pytest.raises(ParseError) as err:
+        ABC.parse(text)
+    assert err.value.message == message
+
+
+@st.composite
+def token_texts(draw):
+    """Token text over ABC and the letters it spells: runs of one
+    generator, signed exponents, the identity token and cancelling
+    neighbours, joined by assorted blanks."""
+    tokens, letters = [], []
+    for _ in range(draw(st.integers(0, 10))):
+        g = draw(st.integers(1, 3))
+        name = "abc"[g - 1]
+        kind = draw(st.sampled_from(["letter", "power", "one", "run", "cancel"]))
+        if kind == "one":
+            tokens.append("1")
+        elif kind == "letter":
+            tokens.append(name)
+            letters.append(g)
+        else:
+            k = draw(st.integers(-4, 4).filter(bool))
+            count = draw(st.integers(2, 3)) if kind == "run" else 1
+            tokens += [f"{name}^{k}"] * count
+            letters += [g if k > 0 else -g] * (abs(k) * count)
+            if kind == "cancel":
+                tokens.append(f"{name}^{-k}")
+                letters += [-g if k > 0 else g] * abs(k)
+    blank = draw(st.sampled_from([" ", "  ", "\t", " \n "]))
+    return blank.join(tokens), letters
+
+
+@settings(max_examples=300)
+@given(token_texts())
+def test_parse_reduces_as_it_reads(case):
+    text, letters = case
+    assert ABC.parse(text) == FreeWord("r", syllables_of(flat_reduce(letters)))
+
+
+def test_words_are_values():
+    u, again = w("a b^2"), FreeWord("v", ((1, 1), (2, 2)))
+    assert u == again and hash(u) == hash(again) and u is not again
+    # the same syllables over another vertex make another word
+    assert FreeWord("z", u.syllables) != u
+    assert len({u, again, FreeWord("z", u.syllables)}) == 2
+    meet, meet_again = (cyclic_meet(w("a^2"), w("b a^3 b^-1")) for _ in range(2))
+    assert meet == meet_again and hash(meet) == hash(meet_again) and meet is not meet_again
+    assert meet != cyclic_meet(w("a^2"), w("b a^-3 b^-1"))
+    for record, field in ((u, "vertex"), (u, "syllables"), (root(u), "exponent"), (meet, "exps")):
+        with pytest.raises(AttributeError):
+            setattr(record, field, None)
+    with pytest.raises(AttributeError):
+        del meet.u
+
+
+def test_checked_root_is_cached_per_equal_word():
+    words._checked_root.cache_clear()
+    first = root(w("b a^2 b^-1"))
+    again = root(FreeWord("v", ((2, 1), (1, 2), (2, -1))))
+    assert again is first
+    assert words._checked_root.cache_info().hits == 1
 
 
 def test_mixed_alphabets_rejected():
