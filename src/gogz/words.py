@@ -224,6 +224,9 @@ class FreeWord(tuple):
     def __new__(cls, vertex: str, syllables: Syllables):
         return tuple.__new__(cls, (vertex, syllables))
 
+    def __getnewargs__(self):  # what copy and pickle pass to __new__
+        return self[0], self[1]
+
     def __len__(self):
         return _length(self.syllables)
 
@@ -410,6 +413,9 @@ class _Record:
 
     def __repr__(self):
         return f"{type(self).__name__}{self._values()!r}"
+
+    def __reduce__(self):  # copy and pickle rebuild from the fields, memos empty
+        return type(self), self._values()
 
     def _refuse(self, name, value=None):
         raise AttributeError(f"cannot assign to {type(self).__name__}.{name}")

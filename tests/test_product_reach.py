@@ -41,6 +41,8 @@ ALLOWED = {
     "gogz.words._Record.__hash__": "hashing that agrees with __eq__; the product keys no dict by a chain record",
     "gogz.words._Record._values": "the fields that __eq__, __hash__ and __repr__ read",
     "gogz.words._Record._refuse": "refuses assignment to a record; the product never assigns",
+    "gogz.words._Record.__reduce__": "copy and pickle call it; no command copies a record",
+    "gogz.words.FreeWord.__getnewargs__": "copy and pickle call it; no command copies a word",
 }
 
 _REORDERED = 'vertex 0 gens=a rank=1  # fields in another order\nedge 0 0 0 plus="a^3"\tminus="a^2"\n'

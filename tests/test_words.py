@@ -1,5 +1,8 @@
 """Word algebra: frozen examples first, then hypothesis properties."""
 
+import copy
+import pickle
+
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
@@ -169,6 +172,11 @@ def test_words_are_values():
             setattr(record, field, None)
     with pytest.raises(AttributeError):
         del meet.u
+    # copies rebuild the value; a record's memo starts empty and fills again
+    theta = meet.transfer_conjugator
+    for value in (u, root(u), meet):
+        assert copy.deepcopy(value) == value == pickle.loads(pickle.dumps(value))
+    assert copy.copy(meet).transfer_conjugator == theta
 
 
 def test_checked_root_is_cached_per_equal_word():
