@@ -391,9 +391,9 @@ _set = object.__setattr__
 
 
 class _Record:
-    """A read-only value in ``__slots__``, compared and hashed by its
-    ``_fields``, which the constructor's arguments fill in order; any other
-    slot is a private memo, None until it is filled on first use."""
+    """A read-only value in ``__slots__``, which lists its ``_fields`` first:
+    the constructor fills them in order, and they alone are compared and
+    hashed; each later slot is a private memo, None until its first use."""
 
     __slots__ = ()
     _fields: Tuple[str, ...] = ()
@@ -433,6 +433,11 @@ class CyclicMeet(_Record):
     chain that passes the same memoised transition shares one word.
     """
 
+    u: FreeWord
+    v: FreeWord
+    exps: Tuple[int, int]
+    u_root: RootDecomposition
+    v_root: RootDecomposition
     _fields = ("u", "v", "exps", "u_root", "v_root")
     __slots__ = (*_fields, "_theta")
 
