@@ -8,9 +8,9 @@ a comment), a missing file and a refused word, run in-process under
 by one of them, or be in ``ALLOWED`` with its reason.  Functions are
 compared by code object, so methods generated at run time (the named
 tuples' ``__new__`` and ``__repr__``, written nowhere in the source) are
-not counted, and :func:`functools.lru_cache` wrappers
-are unwrapped and cleared first, so that a cache filled by an earlier test
-cannot hide a call.  Test-only conveniences live in ``tests/helpers.py``.
+not counted, and :func:`functools.lru_cache` wrappers are unwrapped and
+cleared first, so that a cache filled by an earlier test cannot hide a
+call.  Test-only conveniences live in ``tests/helpers.py``.
 
 The same calls, with :class:`~gogz.words.FreeWord` construction recorded,
 check that every word the product builds is freely reduced: the
