@@ -99,7 +99,7 @@ def _path_json(graph: GraphOfGroups, path: ConjugacyPath) -> dict:
 
 def _relation_json(graph: GraphOfGroups, path: ConjugacyPath) -> dict:
     return {
-        "exponents": list(path.witness_exponents()),
+        "exponents": list(path.witness_exponents),
         "conjugator": _format_conjugator(graph, path.conjugator_items()),
     }
 
@@ -504,9 +504,15 @@ def _relation_tokens(graph: GraphOfGroups, side: str, what: str, letters: int) -
     an alphabet of that one letter, into one item ``('t', edge_id, k)``.
     A name spelled like a stable letter that is also a generator is refused
     as ambiguous.  Like a word, the whole relation may spell at most
-    :data:`MAX_WORD_LETTERS` letters.
+    :data:`MAX_WORD_LETTERS` letters, counting each item with the edge
+    crossings of its closed path in the engine: a vertex word at tree depth
+    d adds 2d to its letters, and ``t_e^k`` counts |k| times the tree depths
+    of both ends of e plus one.
     """
     owner = {name: v.alphabet for v in graph.vertices.values() for name in v.alphabet.names}
+    depth = {graph.tree.root: 0}
+    for s in graph.tree.steps:  # parents come first
+        depth[s.child] = depth[s.parent] + 1
     items = []
     for token in side.split():
         name = token.partition("^")[0]
@@ -520,12 +526,13 @@ def _relation_tokens(graph: GraphOfGroups, side: str, what: str, letters: int) -
                 eid = _stable_letter_edge(graph, name, token)
                 ((_, k),) = Alphabet("t", (name,)).parse(token).syllables
                 items.append(("t", eid, k))
-                letters += abs(k)
+                edge = graph.edges[eid]
+                letters += abs(k) * (depth[edge.minus_vertex] + depth[edge.plus_vertex] + 1)
             elif token != "1":
                 if name not in owner:
                     raise ParseError(f"unknown generator or stable letter {token!r}")
                 items.append(owner[name].parse(token))
-                letters += len(items[-1])
+                letters += len(items[-1]) + 2 * depth[int(owner[name].vertex)]
             if letters > MAX_WORD_LETTERS:
                 raise ParseError(f"relation longer than {MAX_WORD_LETTERS} letters at token {token!r}")
         except ParseError as exc:

@@ -41,10 +41,12 @@ Chains are :class:`ConjugacyPath` records, the one chain record of the
 package: its ratio, witness exponents, base vertex (``steps[0].origin``)
 and arrowed ends (the two outer ends of a full path) are all read off it.
 Its transitions are the :class:`~gogz.words.CyclicMeet` records that
-:func:`~gogz.words.cyclic_meet` returns, and the class graph is the only
-place that builds a chain: it certifies each entry, junction and exit
-once, keyed by its pair of steps, and assembles every chain handed out
-from them.
+:func:`~gogz.words.cyclic_meet` returns, each with its transfer
+conjugator theta, and the class graph is the only place that builds a
+chain: it certifies each entry, junction and exit once, keyed by its pair
+of steps, and assembles every chain handed out from them, with its
+witness exponents.  Only the conjugator is not stored: a reported chain
+assembles it from the thetas of its transitions when asked.
 """
 
 from __future__ import annotations
@@ -55,7 +57,7 @@ from typing import Callable, Dict, Iterator, List, NamedTuple, Optional, Sequenc
 
 from .errors import DegenerateInputError, InternalInconsistencyError
 from .graphs import GraphOfGroups, OrientedEdge
-from .words import CyclicMeet, FreeWord, Syllables, _Record, _root_cached, _set, cyclic_meet
+from .words import CyclicMeet, FreeWord, Syllables, _root_cached, cyclic_meet
 
 TLetter = Tuple[str, int, int]
 ConjugatorItem = Union[FreeWord, TLetter]
@@ -69,7 +71,7 @@ def _t_letter(step: OrientedEdge) -> TLetter:
     return ("t", step.edge.id, 1 if step.forward else -1)
 
 
-class ConjugacyPath(_Record):
+class ConjugacyPath(NamedTuple):
     """A certified chain carrying powers of ``start`` onto powers of ``end``.
 
     ``transitions`` are the exponent transfers inside vertex groups, each a
@@ -77,15 +79,15 @@ class ConjugacyPath(_Record):
     from ``start`` onto the first inclusion word, one junction from each
     step's terminus word onto the next step's origin word, and the exit
     onto ``end``.  Crossing an edge preserves the exponent (stable letters
-    conjugate one inclusion word to the other).  The witness exponents and
-    the conjugator are computed once per path, on first use, and shared by
-    every caller.
+    conjugate one inclusion word to the other).  ``witness_exponents`` is
+    the minimal (m, n) of :func:`_witness_exponents`, filled in by the
+    class graph when it certifies the chain; the conjugator is assembled
+    from the transitions' transfer conjugators each time it is asked for.
     """
 
     steps: Tuple[OrientedEdge, ...]
     transitions: Tuple[CyclicMeet, ...]
-    _fields = ("steps", "transitions")
-    __slots__ = (*_fields, "_exponents", "_conjugator")
+    witness_exponents: Tuple[int, int]
 
     @property
     def start(self) -> FreeWord:
@@ -96,34 +98,8 @@ class ConjugacyPath(_Record):
         return self.transitions[-1].v
 
     def ratio(self) -> Fraction:
-        m, n = self.witness_exponents()
+        m, n = self.witness_exponents
         return Fraction(n, m)
-
-    def witness_exponents(self) -> Tuple[int, int]:
-        """Minimal (m, n) with c * start^m * c^-1 = end^n, where c is the
-        product of :meth:`conjugator_items`.
-
-        m is the least positive exponent whose transfer stays integral at
-        every stage of the chain: the lcm of the reduced denominators of
-        the running products of the transfer ratios.  No smaller m works
-        with this conjugator: at the first stage where the transfer of
-        start^m is not integral, the element is a power of the stage's root
-        outside the cyclic subgroup of the outgoing word.  Before an edge,
-        the crossing then cannot cancel, so by the normal form theorem for
-        graphs of groups (Britton's lemma) the product is not in the vertex
-        group of ``end``; at the exit it is a power of the root of ``end``
-        but not of ``end``.
-        """
-        if self._exponents is None:
-            num = den = m = 1  # num / den is the running product, reduced
-            for tr in self.transitions:
-                k_in, k_out = tr.exps
-                num, den = num * k_in, den * k_out
-                d = gcd(num, den)
-                num, den = num // d, den // d
-                m = lcm(m, den)
-            _set(self, "_exponents", (m, m // den * num))
-        return self._exponents
 
     def conjugator_items(self) -> Tuple[ConjugatorItem, ...]:
         """The conjugator as a product of vertex words and stable letters.
@@ -132,13 +108,36 @@ class ConjugacyPath(_Record):
         vertex words are dropped; stable letters of spanning-tree edges are
         kept (the engine treats them as the identity).
         """
-        if self._conjugator is None:
-            # transitions[i] precedes steps[i]; the exit follows the last step
-            items: List[ConjugatorItem] = [self.transitions[-1].transfer_conjugator]
-            for step, tr in zip(reversed(self.steps), reversed(self.transitions[:-1])):
-                items += [_t_letter(step), tr.transfer_conjugator]
-            _set(self, "_conjugator", tuple(w for w in items if not (isinstance(w, FreeWord) and w.is_identity)))
-        return self._conjugator
+        # transitions[i] precedes steps[i]; the exit follows the last step
+        items: List[ConjugatorItem] = [self.transitions[-1].transfer_conjugator]
+        for step, tr in zip(reversed(self.steps), reversed(self.transitions[:-1])):
+            items += [_t_letter(step), tr.transfer_conjugator]
+        return tuple(w for w in items if not (isinstance(w, FreeWord) and w.is_identity))
+
+
+def _witness_exponents(transitions: Sequence[CyclicMeet]) -> Tuple[int, int]:
+    """Minimal (m, n) with c * start^m * c^-1 = end^n along ``transitions``,
+    where c is the product of :meth:`ConjugacyPath.conjugator_items`.
+
+    m is the least positive exponent whose transfer stays integral at
+    every stage of the chain: the lcm of the reduced denominators of
+    the running products of the transfer ratios.  No smaller m works
+    with this conjugator: at the first stage where the transfer of
+    start^m is not integral, the element is a power of the stage's root
+    outside the cyclic subgroup of the outgoing word.  Before an edge,
+    the crossing then cannot cancel, so by the normal form theorem for
+    graphs of groups (Britton's lemma) the product is not in the vertex
+    group of ``end``; at the exit it is a power of the root of ``end``
+    but not of ``end``.
+    """
+    num = den = m = 1  # num / den is the running product, reduced
+    for tr in transitions:
+        k_in, k_out = tr.exps
+        num, den = num * k_in, den * k_out
+        d = gcd(num, den)
+        num, den = num // d, den // d
+        m = lcm(m, den)
+    return m, m // den * num
 
 
 # --------------------------------------------------------------- class graph
@@ -239,7 +238,8 @@ class _ClassGraph:
         if not self.steps:
             self.steps = self.graph.oriented_edges()
         pairs = zip([first, *walk], [*walk, last])
-        return ConjugacyPath(self.chain(walk), tuple(self.transition(a, b, walk) for a, b in pairs))
+        transitions = tuple(self.transition(a, b, walk) for a, b in pairs)
+        return ConjugacyPath(self.chain(walk), transitions, _witness_exponents(transitions))
 
     # ------------------------------------------------------------ walks
 

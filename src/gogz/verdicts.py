@@ -73,7 +73,7 @@ def _require(engine: Engine, items: Sequence[ConjugatorItem], x, m, y, n, claim:
 
 
 def _require_path(engine: Engine, path: ConjugacyPath, claim: str) -> None:
-    m, n = path.witness_exponents()
+    m, n = path.witness_exponents
     x = engine.embed(path.start)
     y = x if path.end == path.start else engine.embed(path.end)  # closed chains return
     _require(engine, path.conjugator_items(), x, m, y, n, f"{claim} ({m}, {n})")
@@ -355,7 +355,7 @@ def power_conjugate(graph: GraphOfGroups, x: FreeWord, y: FreeWord) -> Conjugacy
     same = _same_vertex_candidate(x, y) if x.vertex == y.vertex else None
     first: Dict[Tuple[int, int], ConjugacyPath] = {}
     for path in iter_conjugacy_paths(graph, x, y):
-        first.setdefault(path.witness_exponents(), path)
+        first.setdefault(path.witness_exponents, path)
     best = min(first, key=_size, default=None)  # the earliest of the least
     if same is not None and (best is None or _size(same[:2]) <= _size(best)):
         m, n, items = same
@@ -371,7 +371,7 @@ def power_conjugate(graph: GraphOfGroups, x: FreeWord, y: FreeWord) -> Conjugacy
     _require(engine, items, ex, m, ey, n, f"power conjugacy ({m}, {n})")
     additional = tuple(other for pair, other in first.items() if pair != (m, n))
     for other in additional:
-        m2, n2 = other.witness_exponents()
+        m2, n2 = other.witness_exponents
         _require(engine, other.conjugator_items(), ex, m2, ey, n2, f"path relation ({m2}, {n2})")
     return ConjugacyAnswer(True, (m, n), tuple(items), route, path, additional)
 

@@ -29,7 +29,7 @@ coset <u> x; it builds r and k together by free reduction alone.
 from __future__ import annotations
 
 from functools import lru_cache
-from itertools import chain, cycle, zip_longest
+from itertools import chain, cycle
 from operator import itemgetter
 from typing import NamedTuple, Optional, Tuple
 
@@ -387,68 +387,22 @@ def maximal_root(w: FreeWord) -> FreeWord:
     return r.primitive.conjugated_by(r.conjugator)
 
 
-_set = object.__setattr__
-
-
-class _Record:
-    """A read-only value in ``__slots__``, which lists its ``_fields`` first:
-    the constructor fills them in order, and they alone are compared and
-    hashed; each later slot is a private memo, None until its first use."""
-
-    __slots__ = ()
-    _fields: Tuple[str, ...] = ()
-
-    def __init__(self, *values):
-        for name, value in zip_longest(self.__slots__, values):
-            _set(self, name, value)
-
-    def _values(self) -> tuple:
-        return tuple(map(self.__getattribute__, self._fields))
-
-    def __eq__(self, other):
-        return type(other) is type(self) and self._values() == other._values()
-
-    def __hash__(self):
-        return hash(self._values())
-
-    def __repr__(self):
-        return f"{type(self).__name__}{self._values()!r}"
-
-    def __reduce__(self):  # copy and pickle rebuild from the fields, memos empty
-        return type(self), self._values()
-
-    def _refuse(self, name, value=None):
-        raise AttributeError(f"cannot assign to {type(self).__name__}.{name}")
-
-    __setattr__ = __delattr__ = _refuse
-
-
-class CyclicMeet(_Record):
+class CyclicMeet(NamedTuple):
     """Witness that some conjugate of <u> meets <v> nontrivially.
 
     Both roots share one canonical primitive p (the inversion-folding choice
     leaves no sign to record: no element of a free group is conjugate to its
-    own inverse).  exps are the signed root exponents (k_u, k_v).  The
-    transfer conjugator theta is built once per meet, on first use, so every
-    chain that passes the same memoised transition shares one word.
+    own inverse).  exps are the signed root exponents (k_u, k_v), and
+    theta = ``transfer_conjugator`` satisfies theta * u^x * theta^-1 =
+    v^(x * k_u / k_v) whenever that is integral.  :func:`cyclic_meet`
+    builds theta with the meet, so every chain that passes the same
+    memoised transition of the class graph shares one word.
     """
 
     u: FreeWord
     v: FreeWord
     exps: Tuple[int, int]
-    u_root: RootDecomposition
-    v_root: RootDecomposition
-    _fields = ("u", "v", "exps", "u_root", "v_root")
-    __slots__ = (*_fields, "_theta")
-
-    @property
-    def transfer_conjugator(self) -> FreeWord:
-        """theta with theta * u^x * theta^-1 = v^(x * k_u / k_v) whenever integral."""
-        if self._theta is None:
-            conj_u, conj_v = self.u_root.conjugator, self.v_root.conjugator
-            theta = join_reduced(conj_v.syllables, invert_letters(conj_u.syllables))
-            _set(self, "_theta", FreeWord(conj_u.vertex, theta))
-        return self._theta
+    transfer_conjugator: FreeWord
 
 
 def cyclic_meet(u: FreeWord, v: FreeWord) -> Optional[CyclicMeet]:
@@ -456,6 +410,7 @@ def cyclic_meet(u: FreeWord, v: FreeWord) -> Optional[CyclicMeet]:
 
     Equivalently (free groups): the primitive roots are conjugate up to
     inversion.  Also decides "some power of u is conjugate into <v>".
+    The transfer conjugator is conj_v * conj_u^-1, from the two roots.
     """
     u._check(v)
     if u.is_identity or v.is_identity:
@@ -463,7 +418,8 @@ def cyclic_meet(u: FreeWord, v: FreeWord) -> Optional[CyclicMeet]:
     ru, rv = root(u), root(v)
     if ru.primitive.syllables != rv.primitive.syllables:
         return None
-    return CyclicMeet(u, v, (ru.exponent, rv.exponent), ru, rv)
+    theta = join_reduced(rv.conjugator.syllables, invert_letters(ru.conjugator.syllables))
+    return CyclicMeet(u, v, (ru.exponent, rv.exponent), FreeWord(u.vertex, theta))
 
 
 def _shared_run(y: Syllables, period: Syllables) -> int:

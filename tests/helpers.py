@@ -7,6 +7,10 @@ that), so the conveniences the tests build their expectations from live
 here, written against the public records and the engine's tables.
 """
 
+import os
+import resource
+import subprocess
+import sys
 from itertools import groupby
 from operator import neg
 from typing import List
@@ -184,3 +188,20 @@ def _validate_word(engine: Engine, vid: int, word: Syllables):
     assert reduce_letters(word) == word and all(e for _, e in word)
     rank = engine.graph.vertices[vid].rank
     assert all(1 <= g <= rank for g, _ in word)
+
+
+# ----------------------------------------------------------------- children
+
+
+def _cap_memory():
+    resource.setrlimit(resource.RLIMIT_AS, (512 << 20, 512 << 20))
+
+
+def run_capped(args: List[str]) -> subprocess.CompletedProcess:
+    """``python *args`` in a child whose address space is capped at 512 MiB,
+    importing ``gogz`` from where this interpreter does."""
+    return subprocess.run(
+        [sys.executable, *args],
+        capture_output=True, text=True, timeout=120, preexec_fn=_cap_memory,
+        env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)},
+    )

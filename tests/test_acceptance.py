@@ -110,7 +110,7 @@ def test_criterion_3_complete_path_witness_soundness(suite_graphs):
     for name, graph in suite_graphs.items():
         engine = Engine(graph)
         for path in enumerate_complete_paths(graph):
-            i, j = path.witness_exponents()
+            i, j = path.witness_exponents
             base = engine.embed(path.start)
             conj = engine.element_of(path.conjugator_items())
             lhs = conjugate(engine, conj, engine.power(base, i))

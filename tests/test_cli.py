@@ -11,12 +11,12 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from gogz import __version__, cli, verdicts, words
+from gogz import __version__, cli, paths, verdicts, words
 from gogz.cli import main
 from gogz.engine import IDENTITY, Engine, _atom_pool
 from gogz.graphs import parse_graph
-from gogz.paths import ConjugacyPath
 from gogz.words import MAX_WORD_LETTERS
+from helpers import run_capped
 
 BS23 = 'vertex 0 rank=1 gens=a\nedge 0 0 0 minus="a^2" plus="a^3"\n'
 
@@ -240,8 +240,6 @@ class TestConj:
         assert by_pair[(2, 3)]["conjugator"] == "t_0"
 
     def test_open_search_runs_once(self, graph_file, capsys, monkeypatch):
-        from gogz import cli, paths, verdicts
-
         calls = []
         original = paths.iter_conjugacy_paths
 
@@ -266,13 +264,13 @@ class TestConj:
         argv = ["conj", path, "--from", "0:a", "--to", "0:a", "--no-timing"]
         assert main(argv) == 0
         capsys.readouterr()
-        exponents = ConjugacyPath.witness_exponents
+        exponents = paths._witness_exponents
 
-        def bumped(self):
-            m, n = exponents(self)
+        def bumped(transitions):
+            m, n = exponents(transitions)
             return (m, n + 1) if (m, n) == (2, 3) else (m, n)
 
-        monkeypatch.setattr(ConjugacyPath, "witness_exponents", bumped)
+        monkeypatch.setattr(paths, "_witness_exponents", bumped)
         assert main(argv) == 3
         captured = capsys.readouterr()
         assert captured.out == ""
@@ -408,6 +406,21 @@ class TestErrors:
         half = MAX_WORD_LETTERS // 2
         code, out = run(capsys, "oracle", path, "--relation", f"a^{half} = a^{half}", "--format", "text")
         assert code == 0 and out.splitlines()[-1] == "true"
+
+    def test_stable_letters_count_their_edge_crossings(self, graph_file, capsys):
+        # on a ring of 300 vertices t_150 closes the spanning tree: each copy
+        # crosses 300 edges, so 10^6 copies are refused before the engine
+        # builds them, in a child capped at 512 MiB
+        lines = [f"vertex {i} rank=1 gens=x_{i}" for i in range(300)]
+        lines += [f'edge {i} {i} {(i + 1) % 300} minus="x_{i}^2" plus="x_{(i + 1) % 300}^3"' for i in range(300)]
+        path = graph_file("\n".join(lines) + "\n")
+        child = run_capped(["-m", "gogz.cli", "oracle", path, "--relation", "t_150^1000000 = 1"])
+        assert child.returncode == 2, child.stderr
+        refusal = f"relation longer than {MAX_WORD_LETTERS} letters at token 't_150^1000000'"
+        assert child.stderr == f"error: left side: {refusal}\n"  # no traceback
+        # a word at tree depth 150 costs its letter and 300 crossings
+        assert main(["oracle", path, "--relation", " ".join(["x_150"] * 3323) + " = 1"]) == 2
+        assert "relation longer than" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
         "text, where",

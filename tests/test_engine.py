@@ -1,10 +1,5 @@
 """Engine arithmetic against hand-computed normal-form facts."""
 
-import os
-import resource
-import subprocess
-import sys
-
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -14,7 +9,7 @@ from gogz.engine import IDENTITY, Engine, brute_force_power_conjugacy, iter_powe
 from gogz.errors import DegenerateInputError
 from gogz.graphs import parse_graph
 from gogz.words import FreeWord
-from helpers import atoms, conjugate, validate_element, word_of
+from helpers import atoms, conjugate, run_capped, validate_element, word_of
 from test_paths_reference import graphs as random_graphs
 
 BS23 = parse_graph('vertex 0 rank=1 gens=a\nedge 0 0 0 minus="a^2" plus="a^3"')
@@ -273,16 +268,8 @@ print(power == expected, max(abs(x) for _, x in power[0]) > 3 * 10**7)
 """
 
 
-def _cap_memory():
-    resource.setrlimit(resource.RLIMIT_AS, (512 << 20, 512 << 20))
-
-
 def test_a_fast_growing_power_fits_in_bounded_memory():
-    child = subprocess.run(
-        [sys.executable, "-c", _BOUNDED_POWER],
-        capture_output=True, text=True, timeout=120, preexec_fn=_cap_memory,
-        env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)},
-    )
+    child = run_capped(["-c", _BOUNDED_POWER])
     assert (child.returncode, child.stdout) == (0, "True True\n"), child.stderr
 
 

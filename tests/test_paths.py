@@ -97,13 +97,13 @@ class TestCheckConjugacyPath:
         p = path_along(BS23, g, g_prime, [ori(BS23, 0)])
         assert p is not None
         assert (p.start, p.end) == (g, g_prime)
-        assert p.witness_exponents() == (1, 1)
+        assert p.witness_exponents == (1, 1)
         verify_in_engine(BS23, p, 1, 1)
 
     def test_amalgam_edge(self):
         p = path_along(TREFOIL, w(TREFOIL, 0, "a"), w(TREFOIL, 1, "b"), [ori(TREFOIL, 0)])
         assert p is not None
-        assert p.witness_exponents() == (2, 3)
+        assert p.witness_exponents == (2, 3)
         verify_in_engine(TREFOIL, p, 2, 3)
 
     def test_unrelated_root_fails(self):
@@ -113,7 +113,7 @@ class TestCheckConjugacyPath:
         g = w(THETA, 0, "b a")  # conjugate of the inclusion word a b
         p = path_along(THETA, g, w(THETA, 1, "x"), [ori(THETA, 0)])
         assert p is not None
-        m, n = p.witness_exponents()
+        m, n = p.witness_exponents
         assert (m, n) == (1, 2)
         verify_in_engine(THETA, p, m, n)
 
@@ -174,18 +174,18 @@ class TestCompletePaths:
         assert len(chains) == 1
         (p,) = chains
         assert p.ratio() == Fraction(3, 2)
-        assert p.witness_exponents() == (2, 3)
+        assert p.witness_exponents == (2, 3)
         assert p.steps[0].origin == 0 and bases(p) == (0,)
         verify_in_engine(BS23, p, 2, 3)
 
     def test_bs22_level(self):
         (p,) = enumerate_complete_paths(BS22)
-        assert p.ratio() == 1 and p.witness_exponents() == (1, 1)
+        assert p.ratio() == 1 and p.witness_exponents == (1, 1)
 
     def test_bs2_minus2_level_with_sign(self):
         (p,) = enumerate_complete_paths(BS2M2)
         assert p.ratio() == -1
-        assert p.witness_exponents() == (1, -1)
+        assert p.witness_exponents == (1, -1)
         verify_in_engine(BS2M2, p, 1, -1)
 
     def test_trees_have_none(self):
@@ -198,7 +198,7 @@ class TestCompletePaths:
         assert len(chains) == 1
         (p,) = chains
         assert p.ratio() == Fraction(2, 3)
-        assert p.witness_exponents() == (3, 2)
+        assert p.witness_exponents == (3, 2)
         assert p.start == p.end == w(THETA, 0, "a b")
         assert bases(p) == (0, 1)
         verify_in_engine(THETA, p, 3, 2)
@@ -208,7 +208,7 @@ class TestCompletePaths:
         assert chains  # the two loops at least
         for p in chains:
             assert p.start == p.end == p.steps[0].origin_word
-            i, j = p.witness_exponents()
+            i, j = p.witness_exponents
             assert (abs(i) == abs(j)) == (abs(p.ratio()) == 1)
             assert Fraction(j, i) == p.ratio()
             verify_in_engine(MIXED, p, i, j)
@@ -242,7 +242,7 @@ class TestFullNonMaximalPaths:
         assert len(p.steps) == 1
         assert set(outer_ends(p)) == {(0, -1), (0, 1)}
         assert all(abs(root(TREFOIL.edges[eid].word(side)).exponent) >= 2 for eid, side in outer_ends(p))
-        m, n = p.witness_exponents()
+        m, n = p.witness_exponents
         verify_in_engine(TREFOIL, p, m, n)
 
     def test_arrow_on_one_end_only(self):
@@ -255,7 +255,7 @@ class TestFullNonMaximalPaths:
         assert [s.edge.id for s in p.steps] == [0, 1]
         assert p.start == w(CHAIN3, 0, "a^2")
         assert p.end == w(CHAIN3, 2, "c^3")
-        m, n = p.witness_exponents()
+        m, n = p.witness_exponents
         assert (m, n) == (1, 1)  # a^2 = b = c^3 straight through
         verify_in_engine(CHAIN3, p, m, n)
 
@@ -288,7 +288,7 @@ class TestIterConjugacyPaths:
     def test_amalgam_hit(self):
         paths = list(iter_conjugacy_paths(TREFOIL, w(TREFOIL, 0, "a"), w(TREFOIL, 1, "b")))
         assert len(paths) == 1
-        assert paths[0].witness_exponents() == (2, 3)
+        assert paths[0].witness_exponents == (2, 3)
 
     def test_no_path_for_unrelated(self):
         assert list(iter_conjugacy_paths(FXF, w(FXF, 0, "b"), w(FXF, 1, "y"))) == []
@@ -296,9 +296,9 @@ class TestIterConjugacyPaths:
     def test_closed_self_paths_included(self):
         a = w(BS23, 0, "a")
         paths = list(iter_conjugacy_paths(BS23, a, a))
-        assert {p.witness_exponents() for p in paths} == {(2, 3), (3, 2)}
+        assert {p.witness_exponents for p in paths} == {(2, 3), (3, 2)}
         for p in paths:
-            verify_in_engine(BS23, p, *p.witness_exponents())
+            verify_in_engine(BS23, p, *p.witness_exponents)
 
     @pytest.mark.parametrize(
         "extra,target",

@@ -5,7 +5,9 @@ The reference walkers below rescan every oriented edge at each step, test
 junctions with ``cyclic_meet`` directly, canonicalise closed chains by
 comparing all rotations and reversals, and certify each chain they find
 with ``check_conjugacy_path``, which runs ``cyclic_meet`` on every
-transition of that one chain instead of going through the class graph.
+transition of that one chain instead of going through the class graph
+and finds its witness exponents by a loop of its own, so that ``==``
+checks them too.
 On random graphs whose edge words are powers of a few shared primitives
 (so that chains exist), the enumerations must agree exactly: the same
 lists in the same order for the closed and full chains, and the same
@@ -71,7 +73,20 @@ def check_conjugacy_path(g, g_prime, steps) -> Optional[ConjugacyPath]:
         words += [step.origin_word, step.terminus_word]
     words.append(g_prime)
     meets = [cyclic_meet(u, v) for u, v in zip(words[::2], words[1::2])]
-    return None if any(m is None for m in meets) else ConjugacyPath(tuple(steps), tuple(meets))
+    if any(m is None for m in meets):
+        return None
+    return ConjugacyPath(tuple(steps), tuple(meets), _least_exponents(meets))
+
+
+def _least_exponents(meets):
+    """The least m and its n: start from m = 1 and, at each transfer whose
+    exponent is not integral, scale m by the least factor that makes it so."""
+    m = x = 1  # x is the exponent start^m has reached
+    for meet in meets:
+        k_in, k_out = meet.exps
+        f = abs(k_out) // gcd(x * k_in, k_out)
+        m, x = m * f, x * f * k_in // k_out
+    return m, x
 
 
 def reference_complete(graph: GraphOfGroups) -> List[ConjugacyPath]:
@@ -194,7 +209,7 @@ def reference_power_conjugate(graph: GraphOfGroups, x, y):
             candidates.append(((m, abs(n), 0), m, n, items, "same_vertex", None))
     paths = list(iter_conjugacy_paths(graph, x, y))
     for path in paths:
-        m, n = path.witness_exponents()
+        m, n = path.witness_exponents
         candidates.append(((m, abs(n), 1), m, n, path.conjugator_items(), "path", path))
     if not candidates:
         return ConjugacyAnswer(False, None, (), None, None), False
@@ -211,7 +226,7 @@ def reference_power_conjugate(graph: GraphOfGroups, x, y):
     additional = []
     seen = {(m, n)}
     for other in paths:
-        m2, n2 = other.witness_exponents()
+        m2, n2 = other.witness_exponents
         if (m2, n2) not in seen:
             seen.add((m2, n2))
             assert _holds(engine, other.conjugator_items(), x, m2, y, n2)
@@ -416,7 +431,7 @@ def test_integer_witness_exponents_match_fractions(case):
     chains += islice(iter_conjugacy_paths(graph, g, g_prime), OPEN_PREFIX)
     for path in chains:
         m, n = fraction_witness_exponents(path)
-        assert path.witness_exponents() == (m, n)
+        assert path.witness_exponents == (m, n)
         assert path.ratio() == Fraction(n, m)
 
 

@@ -36,12 +36,6 @@ ALLOWED = {
     "gogz.graphs.GraphOfGroups.__repr__": "serves messages and debugging",
     "gogz.graphs.OrientedEdge.__repr__": "builds the class graph's exit-3 message",
     "gogz.words.Alphabet.__repr__": "serves messages and debugging",
-    "gogz.words._Record.__repr__": "serves messages and debugging",
-    "gogz.words._Record.__eq__": "value equality of chain records, which tests compare and the product does not",
-    "gogz.words._Record.__hash__": "hashing that agrees with __eq__; the product keys no dict by a chain record",
-    "gogz.words._Record._values": "the fields that __eq__, __hash__ and __repr__ read",
-    "gogz.words._Record._refuse": "refuses assignment to a record; the product never assigns",
-    "gogz.words._Record.__reduce__": "copy and pickle call it; no command copies a record",
     "gogz.words.FreeWord.__getnewargs__": "copy and pickle call it; no command copies a word",
 }
 

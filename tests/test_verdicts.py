@@ -114,7 +114,7 @@ class TestBalance:
         assert verdict.bs_tag == (2, 3) and verdict.bs_sign == 1
         assert verdict.modulus == (Fraction(3, 2),)
         wtn = verdict.witness
-        assert wtn.witness_exponents() == (2, 3)
+        assert wtn.witness_exponents == (2, 3)
         assert wtn.start == wtn.end == w(graph, 0, "a^2")
         assert conjugacy_holds(graph, wtn.conjugator_items(), wtn.start, 2, wtn.start, 3)
 
@@ -144,7 +144,7 @@ class TestBalance:
         assert verdict.bs_tag == (3, 2)
         wtn = verdict.witness
         assert wtn.start == wtn.end == w(graph, 0, "a b")
-        i, j = wtn.witness_exponents()
+        i, j = wtn.witness_exponents
         assert conjugacy_holds(graph, wtn.conjugator_items(), wtn.start, i, wtn.start, j)
 
     def test_balance_survives_reduction(self):
@@ -180,7 +180,7 @@ class TestWordHyperbolicity:
         assert not verdict.hyperbolic
         assert verdict.kind == "full"
         path = verdict.witness
-        m, n = path.witness_exponents()
+        m, n = path.witness_exponents
         assert (path.start, m, path.end, n) == (w(graph, 0, "a^2"), 1, w(graph, 1, "b^3"), 1)
 
     def test_torus_relation_not_hyperbolic(self):
@@ -335,10 +335,10 @@ class TestPowerConjugate:
         a = w(graph, 0, "a")
         answer = power_conjugate(graph, a, a)
         assert answer.exponents == (1, 1) and answer.route == "same_vertex"
-        pairs = [p.witness_exponents() for p in answer.additional]
+        pairs = [p.witness_exponents for p in answer.additional]
         assert pairs == [(2, 3), (3, 2)]
         for path in answer.additional:
-            m, n = path.witness_exponents()
+            m, n = path.witness_exponents
             assert conjugacy_holds(graph, path.conjugator_items(), a, m, a, n)
 
     def test_unrelated_elements_refuted(self):

@@ -8,6 +8,8 @@ from hypothesis import assume, given, settings, strategies as st
 
 from gogz import words
 from gogz.errors import AlphabetError, DegenerateInputError, InternalInconsistencyError, ParseError
+from gogz.graphs import parse_graph
+from gogz.paths import decide_chains
 from gogz.words import (
     MAX_WORD_LETTERS,
     Alphabet,
@@ -167,16 +169,17 @@ def test_words_are_values():
     meet, meet_again = (cyclic_meet(w("a^2"), w("b a^3 b^-1")) for _ in range(2))
     assert meet == meet_again and hash(meet) == hash(meet_again) and meet is not meet_again
     assert meet != cyclic_meet(w("a^2"), w("b a^-3 b^-1"))
-    for record, field in ((u, "vertex"), (u, "syllables"), (root(u), "exponent"), (meet, "exps")):
+    # a chain record holds its derived values as fields
+    path = decide_chains(parse_graph('vertex 0 rank=1 gens=a\nedge 0 0 0 minus="a^2" plus="a^3"')).complete
+    fields = ((u, "vertex"), (u, "syllables"), (root(u), "exponent"), (meet, "exps"), (path, "witness_exponents"))
+    for record, field in fields:
         with pytest.raises(AttributeError):
             setattr(record, field, None)
     with pytest.raises(AttributeError):
         del meet.u
-    # copies rebuild the value; a record's memo starts empty and fills again
-    theta = meet.transfer_conjugator
-    for value in (u, root(u), meet):
-        assert copy.deepcopy(value) == value == pickle.loads(pickle.dumps(value))
-    assert copy.copy(meet).transfer_conjugator == theta
+    for value in (u, root(u), meet, path):
+        for clone in (copy.copy(value), copy.deepcopy(value), pickle.loads(pickle.dumps(value))):
+            assert clone == value and hash(clone) == hash(value)
 
 
 def test_checked_root_is_cached_per_equal_word():
@@ -310,7 +313,7 @@ def test_cyclic_meet_example():
     assert m is not None
     assert m.exps == (2, 3)
     # the canonical primitives coincide on the nose
-    assert m.u_root.primitive == m.v_root.primitive
+    assert root(u).primitive == root(v).primitive
     # transfer conjugator carries u-powers onto v-powers: theta u^3 theta^-1 = v^2
     theta = m.transfer_conjugator
     assert (u ** 3).conjugated_by(theta) == v ** 2
