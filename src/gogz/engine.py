@@ -32,11 +32,13 @@ reduced words cancel or merge only at their seam
 (:func:`~gogz.words.power_letters`), one syllable when ``a`` is a power of
 one generator, and the coset split
 (:func:`~gogz.words._coset_canonical_cached`) returns ``r`` together with
-its exponent, the best of a few candidates, so the engine takes no roots.
-A multi-generator ``core^j`` still spells out j copies of the core.
-:meth:`Engine.element_of` joins its items into one path for one pass, and
-walks each stable letter's closed path once per engine; :meth:`Engine.power`
-squares, so ``g^k`` takes O(log |k|) products.
+its exponent, so the engine takes no roots.  The split of a power of one
+generator is closed-form; any other ``b`` takes the best of a few
+candidates.  A multi-generator ``core^j`` still spells out j copies of the
+core.  :meth:`Engine.element_of` joins its items into one path for one
+pass, and walks each stable letter's closed path once per engine.
+:meth:`Engine.power` of an element with no steps is one word power, with
+no pass at all; any other ``g^k`` is squared, in O(log |k|) products.
 
 This module is deliberately independent of the path machinery: it never
 reads chains or balance criteria, and its brute-force conjugacy search
@@ -201,7 +203,12 @@ class Engine:
         return self._normal_form((invert_letters(tail[-1][1]), list(zip(steps, words))))
 
     def power(self, g: Elem, k: int) -> Elem:
-        """g^k by repeated squaring: O(log |k|) products, none for g^1."""
+        """g^k.  An element with no steps is a word at the base vertex, so
+        its power is one word power; otherwise repeated squaring takes
+        O(log |k|) products, none for g^1."""
+        g0, tail = g
+        if not tail:
+            return power_letters(g0, k), ()
         if k < 0:
             g, k = self.inv(g), -k
         out = None

@@ -30,12 +30,14 @@ gains of its steps.  Everything here reads that one graph:
   or Baumslag-Solitar subgroup).
 * :func:`enumerate_complete_paths` and
   :func:`enumerate_full_nonmaximal_paths` list every edge-once chain of
-  those two kinds, and :func:`iter_conjugacy_paths` every edge-once
-  conjugacy path between two given vertex elements.  They walk class
-  adjacency, so their cost follows the number of edge-once walks there,
-  which grows exponentially when many edges share a class.  The open
-  search walks only when one BFS over the class graph reaches the class of
-  its target, so a query with no path at all costs that BFS.
+  those two kinds, and :func:`iter_conjugacy_paths` the first edge-once
+  conjugacy path of each witness pair between two given vertex elements.
+  They walk class adjacency, so their cost follows the number of
+  edge-once walks there, which grows exponentially when many edges share
+  a class.  The open search reads each walk's pair off the root exponents
+  in integers and certifies only the first walk of each pair; it walks
+  only when one BFS over the class graph reaches the class of its target,
+  so a query with no path at all costs that BFS.
 
 Chains are :class:`ConjugacyPath` records, the one chain record of the
 package: its ratio, witness exponents, base vertex (``steps[0].origin``)
@@ -115,6 +117,20 @@ class ConjugacyPath(NamedTuple):
         return tuple(w for w in items if not (isinstance(w, FreeWord) and w.is_identity))
 
 
+_UNIT = (1, 1, 1)  # the fold of no transfer
+
+
+def _fold(fold: Tuple[int, int, int], k_in: int, k_out: int) -> Tuple[int, int, int]:
+    """``(num, den, m)`` after one more transfer, from root exponent k_in
+    onto k_out: num / den is the running product of the transfer ratios,
+    reduced, and m the lcm of its denominators so far."""
+    num, den, m = fold
+    num, den = num * k_in, den * k_out
+    d = gcd(num, den)
+    num, den = num // d, den // d
+    return num, den, lcm(m, den)
+
+
 def _witness_exponents(transitions: Sequence[CyclicMeet]) -> Tuple[int, int]:
     """Minimal (m, n) with c * start^m * c^-1 = end^n along ``transitions``,
     where c is the product of :meth:`ConjugacyPath.conjugator_items`.
@@ -130,13 +146,10 @@ def _witness_exponents(transitions: Sequence[CyclicMeet]) -> Tuple[int, int]:
     group of ``end``; at the exit it is a power of the root of ``end``
     but not of ``end``.
     """
-    num = den = m = 1  # num / den is the running product, reduced
+    fold = _UNIT
     for tr in transitions:
-        k_in, k_out = tr.exps
-        num, den = num * k_in, den * k_out
-        d = gcd(num, den)
-        num, den = num // d, den // d
-        m = lcm(m, den)
+        fold = _fold(fold, *tr.exps)
+    num, den, m = fold
     return m, m // den * num
 
 
@@ -202,9 +215,11 @@ class _ClassGraph:
             self.out.append([])
         return self.node[key], exponent
 
-    def word_class(self, vid: int, word: FreeWord) -> Optional[int]:
-        """The class of a nontrivial ``word`` at vertex ``vid``, or None if no edge end has it."""
-        return self.node.get((vid, _root_cached(word.syllables)[1]))
+    def word_class(self, vid: int, word: FreeWord) -> Tuple[Optional[int], int]:
+        """The class of a nontrivial ``word`` at vertex ``vid`` (None if no
+        edge end has it) and the word's signed root exponent."""
+        _, primitive, exponent = _root_cached(word.syllables)
+        return self.node.get((vid, primitive)), exponent
 
     def chain(self, walk: Sequence[int]) -> Tuple[OrientedEdge, ...]:
         return tuple(self.steps[i] for i in walk)
@@ -637,12 +652,17 @@ def decide_chains(graph: GraphOfGroups) -> ChainDecision:
 def iter_conjugacy_paths(
     graph: GraphOfGroups, g: FreeWord, g_prime: FreeWord
 ) -> Iterator[ConjugacyPath]:
-    """All edge-once conjugacy paths from g to g', in canonical walk order.
+    """The first edge-once conjugacy path from g to g' of each witness
+    pair, in canonical walk order.
 
     The order is depth-first over ``graph.oriented_edges()``; a chain is
     yielded before its extensions.  Closed chains returning to the start
     vertex appear too.  When no edge end has the class of g', or one BFS
     from the class of g does not reach it, nothing is walked.
+
+    A walk costs one integer fold of root exponents per step, and one more
+    at the exit for its witness pair.  Only a walk with a new pair is
+    certified, and its ``witness_exponents`` come from its transitions.
     """
     if g.is_identity or g_prime.is_identity:
         raise DegenerateInputError("conjugacy paths connect nontrivial elements")
@@ -651,11 +671,21 @@ def iter_conjugacy_paths(
         raise DegenerateInputError("endpoints must live at vertices of the graph")
 
     index = _ClassGraph(graph, (g, g_prime))
-    source = index.word_class(homes[g.vertex], g)
-    target = index.word_class(homes[g_prime.vertex], g_prime)
+    source, k_start = index.word_class(homes[g.vertex], g)
+    target, k_end = index.word_class(homes[g_prime.vertex], g_prime)
     if source is None or target not in index._bfs(source, lambda s: True)[1]:
         return
+    k_origin, k_terminus, terminus = index.k_origin, index.k_terminus, index.terminus
+    folds = [_UNIT]  # folds[d]: the fold through the transition into walk[d - 1]
+    seen = set()
     for start in index.out[source]:
         for walk in index.walks(start):
-            if index.terminus[walk[-1]] == target:
-                yield index.certified(walk, QUERY, QUERY)
+            d, i = len(walk), walk[-1]
+            del folds[d:]
+            folds.append(_fold(folds[-1], k_terminus[walk[-2]] if d > 1 else k_start, k_origin[i]))
+            if terminus[i] == target:
+                num, den, m = _fold(folds[-1], k_terminus[i], k_end)
+                pair = (m, m // den * num)
+                if pair not in seen:
+                    seen.add(pair)
+                    yield index.certified(walk, QUERY, QUERY)

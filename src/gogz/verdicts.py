@@ -43,7 +43,7 @@ from fractions import Fraction
 from math import gcd, lcm
 from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
-from .engine import Engine
+from .engine import Elem, Engine
 from .errors import DegenerateInputError, InternalInconsistencyError
 from .graphs import MINUS, PLUS, Contraction, GraphOfGroups, reduce_graph
 from .paths import (
@@ -57,14 +57,14 @@ from .paths import (
 from .words import FreeWord, cyclic_meet, join_reduced, maximal_root, power_letters, root
 
 
-def _require(engine: Engine, items: Sequence[ConjugatorItem], x, m, y, n, claim: str) -> None:
-    """Replay ``w x^m w^-1 = y^n`` for engine elements x and y and the
-    product w of ``items``, checked as ``w x^m = y^n w``.
+def _require(engine: Engine, items: Sequence[ConjugatorItem], lhs: Elem, rhs: Elem, claim: str) -> None:
+    """Replay ``w x^m w^-1 = y^n`` for the engine elements ``lhs = x^m``
+    and ``rhs = y^n`` and the product w of ``items``, checked as
+    ``w x^m = y^n w``.
 
     Normal forms are unique, so the two sides agree exactly when the
     relation holds; this way needs no ``w^-1`` and one pass per side.
     """
-    lhs, rhs = engine.power(x, m), engine.power(y, n)
     if items:  # an empty conjugator compares the powers directly
         w = engine.element_of(items)
         lhs, rhs = engine.mul(w, lhs), engine.mul(rhs, w)
@@ -76,7 +76,8 @@ def _require_path(engine: Engine, path: ConjugacyPath, claim: str) -> None:
     m, n = path.witness_exponents
     x = engine.embed(path.start)
     y = x if path.end == path.start else engine.embed(path.end)  # closed chains return
-    _require(engine, path.conjugator_items(), x, m, y, n, f"{claim} ({m}, {n})")
+    lhs, rhs = engine.power(x, m), engine.power(y, n)
+    _require(engine, path.conjugator_items(), lhs, rhs, f"{claim} ({m}, {n})")
 
 
 # ------------------------------------------------------------------- balance
@@ -260,7 +261,7 @@ def _central_witness(graph: GraphOfGroups) -> CentralWitness:
         gen_p, gen_c = (engine.embed(graph.vertices[v].alphabet.word(((1, 1),))) for v in (p, c))
         x_p, x_c = exponents[p], exponents[c]
         claim = f"central witness is generator^{x_p} at vertex {p} and generator^{x_c} at vertex {c}"
-        _require(engine, [], gen_p, x_p, gen_c, x_c, claim)
+        _require(engine, [], engine.power(gen_p, x_p), engine.power(gen_c, x_c), claim)
     element = graph.vertices[tree.root].alphabet.word(((1, exponents[tree.root]),))
     return CentralWitness(tree.root, element, exponents)
 
@@ -334,18 +335,19 @@ def power_conjugate(graph: GraphOfGroups, x: FreeWord, y: FreeWord) -> Conjugacy
 
     Candidates come from the shared vertex group (when x and y live at the
     same vertex) and from the edge-once conjugacy paths between their
-    vertices, read in one pass that keeps the first path of each distinct
+    vertices, of which the search yields only the first of each distinct
     witness pair: memory follows the number of pairs, not of paths.  The
     answer minimises (m, |n|); the vertex candidate wins a tie, then the
     earliest path.  A "no" takes one BFS over the class graph, but a "yes"
     still walks every edge-once path from x's class, and their number grows
-    exponentially when many edge ends share a class; each path costs its
-    length in memo lookups and integer products, as no junction is
-    certified twice.  x and y are embedded in the engine once, for the
-    answer's replay and for the replay of every additional relation.  Each
-    replay checks ``w x^m = y^n w``: the two powers, one pass that builds
-    w and one product per side, with each junction's transfer conjugator
-    built once and shared by every path through it.
+    exponentially when many edge ends share a class.  A walk costs one
+    integer fold of root exponents per step; only the first walk of each
+    pair is certified, in memo lookups, as no junction is certified twice.
+    x and y are embedded in the engine once, and each distinct power x^m
+    or y^n is built once, for the answer's replay and for the replay of
+    every additional relation.  Each replay checks ``w x^m = y^n w``: one
+    pass that builds w and one product per side, with each junction's
+    transfer conjugator built once and shared by every path through it.
     Walks that repeat an edge are not searched, so a relation with smaller
     exponents may exist: in BS(2, 3) the answer for a^9 and a^4 is (2, 3),
     while t^-2 a^9 t^2 = a^4 already holds.
@@ -367,12 +369,19 @@ def power_conjugate(graph: GraphOfGroups, x: FreeWord, y: FreeWord) -> Conjugacy
         return ConjugacyAnswer(False, None, (), None, None)
 
     engine = Engine(graph)
-    ex, ey = engine.embed(x), engine.embed(y)
-    _require(engine, items, ex, m, ey, n, f"power conjugacy ({m}, {n})")
+    embedded = {word: engine.embed(word) for word in {x, y}}
+    powers: Dict[Tuple[FreeWord, int], Elem] = {}
+
+    def power(word: FreeWord, k: int) -> Elem:
+        if (word, k) not in powers:
+            powers[word, k] = engine.power(embedded[word], k)
+        return powers[word, k]
+
+    _require(engine, items, power(x, m), power(y, n), f"power conjugacy ({m}, {n})")
     additional = tuple(other for pair, other in first.items() if pair != (m, n))
     for other in additional:
         m2, n2 = other.witness_exponents
-        _require(engine, other.conjugator_items(), ex, m2, ey, n2, f"path relation ({m2}, {n2})")
+        _require(engine, other.conjugator_items(), power(x, m2), power(y, n2), f"path relation ({m2}, {n2})")
     return ConjugacyAnswer(True, (m, n), tuple(items), route, path, additional)
 
 

@@ -448,6 +448,29 @@ def _coset_canonical_cached(u: Syllables, x: Syllables) -> Tuple[int, Syllables]
     """(k, r) with r = u^k x the (length, lex)-least word of the right coset
     <u> x, for a nonempty u; checked to recompose, in time linear in the
     syllables of u and x."""
+    # A power of one generator, u = g^q, changes only a leading g-syllable
+    # g^e of x, to g^(e + qk), so no search is needed: the least word takes
+    # e to its residue mod |q| of least absolute value, and on a tie keeps
+    # g^+, which sorts before g^-1.  Any other u takes the candidate search.
+    if len(u) == 1:
+        g, q = u[0]
+        k, best = 0, x
+        if x and x[0][0] == g:
+            e, n = x[0][1], abs(q)
+            r = e % n
+            if 2 * r > n:
+                r -= n
+            k, best = (r - e) // q, ((g, r),) + x[1:] if r else x[1:]
+    else:
+        k, best = _coset_search(u, x)
+    if join_reduced(power_letters(u, k), x) != best:
+        raise InternalInconsistencyError(f"coset split of {x} by {u} does not recompose")
+    return k, best
+
+
+def _coset_search(u: Syllables, x: Syllables) -> Tuple[int, Syllables]:
+    """The least word of <u> x and its k, among the few candidates that
+    can be least."""
     # Write u = c core c^-1 and y = c^-1 x, so that u^k x = c core^k y.  In
     # the Cayley tree |u^k x| is the distance from core^-k c^-1 to y.  The
     # points core^-k lie on the axis of core, |core| apart, and each c^-1
@@ -471,6 +494,4 @@ def _coset_canonical_cached(u: Syllables, x: Syllables) -> Tuple[int, Syllables]
                 length == best_length and letters_sort_key(cand) < letters_sort_key(best)
             ):
                 k, best, best_length = sign * j, cand, length
-    if join_reduced(power_letters(u, k), x) != best:
-        raise InternalInconsistencyError(f"coset split of {x} by {u} does not recompose")
     return k, best

@@ -251,6 +251,48 @@ def test_powers_match_repeated_multiplication(graph_idx, seq, k):
     assert e.power(g, k) == expected
 
 
+def counting_passes(monkeypatch):
+    """Count the engine's normal-form passes from now on."""
+    passes = []
+    normal_form = Engine._normal_form
+
+    def counted(self, path, onto=IDENTITY):
+        passes.append(path)
+        return normal_form(self, path, onto)
+
+    monkeypatch.setattr(Engine, "_normal_form", counted)
+    return passes
+
+
+@pytest.mark.parametrize("graph,vid,text", [(THETA, 0, "a b^-1 a"), (FREE, 0, "b a b^-1"), (BS23, 0, "a^-2")])
+def test_a_power_without_steps_is_one_word_power(graph, vid, text, monkeypatch):
+    e = Engine(graph)
+    g = e.embed(w(graph, vid, text))
+    assert not g[1]
+    expected = {0: e.element_of([])}
+    for k in range(1, 8):
+        expected[k] = e.mul(expected[k - 1], g)
+        expected[-k] = e.mul(expected[-k + 1], e.inv(g))
+    a = Engine(BS23).embed(w(BS23, 0, "a"))
+    passes = counting_passes(monkeypatch)
+    for k in range(-7, 8):
+        assert e.power(g, k) == expected[k]
+    assert Engine(BS23).power(a, 2**64) == (((1, 2**64),), ())
+    assert passes == []
+
+
+def test_a_power_with_steps_is_squared(monkeypatch):
+    e = Engine(BS23)
+    g = e.element_of([w(BS23, 0, "a"), ("t", 0, 1)])
+    assert g[1]
+    expected = e.element_of([])
+    for _ in range(8):
+        expected = e.mul(expected, g)
+    passes = counting_passes(monkeypatch)
+    assert e.power(g, 8) == expected
+    assert len(passes) == 3  # g^2, g^4, g^8
+
+
 # g^20 for g = a t^2 a^2 on BS(2,3) holds a power of a with more than 3 * 10^7
 # letters; compared against 20 products, in a child capped at 512 MiB
 _BOUNDED_POWER = """
@@ -343,14 +385,7 @@ def test_element_of_normalises_once(monkeypatch):
     e = Engine(THETA)
     items = [w(THETA, 0, "a b"), ("t", 1, 3), w(THETA, 1, "x^-2"), ("t", 0, -2), ("t", 1, -1)] * 10
     expected = fold_element_of(e, items)
-    passes = []
-    original = Engine._normal_form
-
-    def counted(self, path, onto=IDENTITY):
-        passes.append(path)
-        return original(self, path, onto)
-
-    monkeypatch.setattr(Engine, "_normal_form", counted)
+    passes = counting_passes(monkeypatch)
     assert len(items) == 50 and e.element_of(items) == expected
     assert len(passes) == 1
 

@@ -16,6 +16,7 @@ from gogz.paths import (
 )
 from gogz.words import cyclic_meet, root
 from helpers import conjugate, inverse, reversed_step, terminus, word_product
+from test_paths_reference import reference_open
 
 BS23 = parse_graph('vertex 0 rank=1 gens=a\nedge 0 0 0 minus="a^2" plus="a^3"')
 BS22 = parse_graph('vertex 0 rank=1 gens=a\nedge 0 0 0 minus="a^2" plus="a^2"')
@@ -331,11 +332,19 @@ def test_chain_rejected_by_cyclic_meet_is_an_internal_error(enumerate_, monkeypa
 
 
 def test_open_search_meets_each_junction_once(monkeypatch):
-    """cyclic_meet runs once per distinct entry, junction or exit of the class
-    graph, not once per junction of each of the 75,972 walks."""
+    """Of the 75,972 walks the reference certifies, the open search yields
+    the first of each witness pair, and cyclic_meet runs once per distinct
+    entry, junction or exit of the class graph, not once per junction of
+    each walk."""
     edges = 6
     loops = "\n".join(f'edge {i} 0 0 minus="a" plus="a^2"' for i in range(edges))
     graph = parse_graph(f"vertex 0 rank=1 gens=a\n{loops}")
+    a = w(graph, 0, "a")
+    walks, pairs = 0, set()
+    for path in reference_open(graph, a, a):
+        walks += 1
+        pairs.add(path.witness_exponents)
+    assert walks == 75_972
     calls = []
 
     def counting_meet(u, v):
@@ -343,8 +352,8 @@ def test_open_search_meets_each_junction_once(monkeypatch):
         return cyclic_meet(u, v)
 
     monkeypatch.setattr(paths, "cyclic_meet", counting_meet)
-    a = w(graph, 0, "a")
-    assert sum(1 for _ in iter_conjugacy_paths(graph, a, a)) == 75_972
+    found = [path.witness_exponents for path in iter_conjugacy_paths(graph, a, a)]
+    assert len(found) == len(set(found)) and set(found) == pairs
     assert len(calls) <= 4 * edges**2 + 4 * edges
 
 

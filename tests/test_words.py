@@ -408,13 +408,44 @@ def coset_cases(draw):
     return u, x
 
 
-@settings(max_examples=500, deadline=None)
-@given(coset_cases())
+@st.composite
+def one_syllable_cosets(draw):
+    """(u, x) with u = g^q, 1 <= |q| <= 6 (an even q ties two residues),
+    and x led by a g-run of either sign, often far longer than |q|, by
+    another letter (a run of 0), or empty."""
+    g = draw(st.integers(1, 3))
+    q = draw(st.integers(-6, 6).filter(bool))
+    run = draw(st.one_of(st.integers(-6, 6), st.integers(-60, 60)))
+    rest = draw(st.one_of(st.just([]), run_letters()))
+    x = flat_reduce((g if run > 0 else -g,) * abs(run) + tuple(rest))
+    return (g if q > 0 else -g,) * abs(q), x
+
+
+@settings(max_examples=1000, deadline=None)
+@given(st.one_of(coset_cases(), one_syllable_cosets()))
 def test_coset_canonical_matches_window_search(case):
+    # one-syllable u takes the closed form, any other u the candidate search
     u, x = case
     k, r = _coset_canonical_cached(syllables_of(u), syllables_of(x))
     assert spell(r) == flat_coset_canonical(u, x)
     assert r == syllables_of(flat_power(u, k) + x)
+
+
+@pytest.mark.parametrize(
+    "u,x,expected",
+    [
+        ("a^4", "a^6", (-1, "a^2")),  # a tie keeps the positive residue
+        ("a^4", "a^-2", (1, "a^2")),
+        ("a^-4", "a^6 b", (1, "a^2 b")),
+        ("a^3", "a^-7 b", (2, "a^-1 b")),
+        ("a^3", "a^6 b", (-2, "b")),
+        ("a^2", "b a", (0, "b a")),
+        ("a^4", "1", (0, "1")),
+    ],
+)
+def test_one_syllable_coset_split_examples(u, x, expected):
+    k, r = expected
+    assert _coset_canonical_cached(w(u).syllables, w(x).syllables) == (k, w(r).syllables)
 
 
 @given(st.lists(st.tuples(st.integers(1, 2), st.integers(-4, 4).filter(bool)), max_size=10))
