@@ -111,10 +111,13 @@ class ConjugacyPath(NamedTuple):
         kept (the engine treats them as the identity).
         """
         # transitions[i] precedes steps[i]; the exit follows the last step
-        items: List[ConjugatorItem] = [self.transitions[-1].transfer_conjugator]
+        theta = self.transitions[-1].transfer_conjugator
+        items: List[ConjugatorItem] = [theta] if theta.syllables else []
         for step, tr in zip(reversed(self.steps), reversed(self.transitions[:-1])):
-            items += [_t_letter(step), tr.transfer_conjugator]
-        return tuple(w for w in items if not (isinstance(w, FreeWord) and w.is_identity))
+            items.append(_t_letter(step))
+            if tr.transfer_conjugator.syllables:
+                items.append(tr.transfer_conjugator)
+        return tuple(items)
 
 
 _UNIT = (1, 1, 1)  # the fold of no transfer

@@ -368,8 +368,9 @@ def root(w: FreeWord) -> RootDecomposition:
 # int tuples, which the garbage collector stops tracking.  Every
 # decomposition cached here stays tracked, so tens of thousands of distinct
 # words would slow every later collection; the bound keeps that cost fixed.
-# The class graph reads _root_cached directly, so one op of the benchmark
-# pools builds at most 14 decompositions here.
+# The class graph and cyclic_meet read _root_cached directly, so in the
+# product only the acylindricity and central-witness checks build
+# decompositions here.
 @lru_cache(maxsize=4096)
 def _checked_root(w: FreeWord) -> RootDecomposition:
     conj, p, k = _root_cached(w.syllables)
@@ -415,11 +416,12 @@ def cyclic_meet(u: FreeWord, v: FreeWord) -> Optional[CyclicMeet]:
     u._check(v)
     if u.is_identity or v.is_identity:
         raise DegenerateInputError("cyclic_meet requires nontrivial words")
-    ru, rv = root(u), root(v)
-    if ru.primitive.syllables != rv.primitive.syllables:
+    conj_u, primitive_u, k_u = _root_cached(u.syllables)
+    conj_v, primitive_v, k_v = _root_cached(v.syllables)
+    if primitive_u != primitive_v:
         return None
-    theta = join_reduced(rv.conjugator.syllables, invert_letters(ru.conjugator.syllables))
-    return CyclicMeet(u, v, (ru.exponent, rv.exponent), FreeWord(u.vertex, theta))
+    theta = join_reduced(conj_v, invert_letters(conj_u))
+    return CyclicMeet(u, v, (k_u, k_v), FreeWord(u.vertex, theta))
 
 
 def _shared_run(y: Syllables, period: Syllables) -> int:
