@@ -93,14 +93,14 @@ def _path_json(graph: GraphOfGroups, path: ConjugacyPath) -> dict:
             for t in path.transitions
         ],
         "ratio": str(path.ratio()),
-        "conjugator": _format_conjugator(graph, path.conjugator_items()),
+        "conjugator": _format_conjugator(graph, path.conjugator_items),
     }
 
 
 def _relation_json(graph: GraphOfGroups, path: ConjugacyPath) -> dict:
     return {
         "exponents": list(path.witness_exponents),
-        "conjugator": _format_conjugator(graph, path.conjugator_items()),
+        "conjugator": _format_conjugator(graph, path.conjugator_items),
     }
 
 

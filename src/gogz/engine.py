@@ -177,9 +177,10 @@ class Engine:
         for item in items:
             if isinstance(item, FreeWord):
                 h0, more = self._word_path(item)
-            else:
-                assert item[0] == "t"
+            elif item[0] == "t":
                 h0, more = (), self._stable_path(item[1], item[2])
+            else:
+                raise DegenerateInputError(f"{item!r} is neither a vertex word nor a stable letter")
             cut = max(0, len(word) - len(h0) - 1)  # h0 cancels at most |h0| syllables, then merges one
             word[cut:] = join_reduced(tuple(word[cut:]), h0)
             if more:

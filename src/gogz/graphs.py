@@ -219,7 +219,8 @@ class GraphOfGroups:
             raise DegenerateInputError("a graph of groups needs at least one vertex")
         seen: Dict[str, int] = {}
         for v in self.vertices.values():
-            assert v.alphabet.vertex == str(v.id), "alphabet must be tagged with the vertex id"
+            if v.alphabet.vertex != str(v.id):
+                raise AlphabetError(f"vertex {v.id} has an alphabet tagged {v.alphabet.vertex!r}")
             if v.rank < 1:
                 raise DegenerateInputError(f"vertex {v.id} must have rank >= 1")
             for name in v.alphabet.names:

@@ -44,11 +44,12 @@ package: its ratio, witness exponents, base vertex (``steps[0].origin``)
 and arrowed ends (the two outer ends of a full path) are all read off it.
 Its transitions are the :class:`~gogz.words.CyclicMeet` records that
 :func:`~gogz.words.cyclic_meet` returns, each with its transfer
-conjugator theta, and the class graph is the only place that builds a
-chain: it certifies each entry, junction and exit once, keyed by its pair
-of steps, and assembles every chain handed out from them, with its
-witness exponents.  Only the conjugator is not stored: a reported chain
-assembles it from the thetas of its transitions when asked.
+conjugator theta, and :func:`_chain` builds every chain, filling in its
+witness exponents and its conjugator (the thetas and stable letters) once.
+The class graph builds every chain that crosses an edge: it certifies
+each entry, junction and exit once, keyed by its pair of steps.  The
+conjugacy solver's relation inside one vertex group is the chain with no
+steps.
 """
 
 from __future__ import annotations
@@ -69,10 +70,6 @@ EndClass = Tuple[int, Syllables]
 QUERY = -1
 
 
-def _t_letter(step: OrientedEdge) -> TLetter:
-    return ("t", step.edge.id, 1 if step.forward else -1)
-
-
 class ConjugacyPath(NamedTuple):
     """A certified chain carrying powers of ``start`` onto powers of ``end``.
 
@@ -81,15 +78,22 @@ class ConjugacyPath(NamedTuple):
     from ``start`` onto the first inclusion word, one junction from each
     step's terminus word onto the next step's origin word, and the exit
     onto ``end``.  Crossing an edge preserves the exponent (stable letters
-    conjugate one inclusion word to the other).  ``witness_exponents`` is
-    the minimal (m, n) of :func:`_witness_exponents`, filled in by the
-    class graph when it certifies the chain; the conjugator is assembled
-    from the transitions' transfer conjugators each time it is asked for.
+    conjugate one inclusion word to the other).  A chain with no steps has
+    one transition, a relation inside one vertex group.
+
+    ``witness_exponents`` is the minimal (m, n) of
+    :func:`_witness_exponents`, and ``conjugator_items`` the conjugator c
+    with c * start^m * c^-1 = end^n, as a product of vertex words and
+    stable letters listed left to right (the rightmost acts first).
+    Identity vertex words are dropped; stable letters of spanning-tree
+    edges are kept (the engine treats them as the identity).  Both are
+    filled in by :func:`_chain`, where the chain is built.
     """
 
     steps: Tuple[OrientedEdge, ...]
     transitions: Tuple[CyclicMeet, ...]
     witness_exponents: Tuple[int, int]
+    conjugator_items: Tuple[ConjugatorItem, ...]
 
     @property
     def start(self) -> FreeWord:
@@ -102,22 +106,6 @@ class ConjugacyPath(NamedTuple):
     def ratio(self) -> Fraction:
         m, n = self.witness_exponents
         return Fraction(n, m)
-
-    def conjugator_items(self) -> Tuple[ConjugatorItem, ...]:
-        """The conjugator as a product of vertex words and stable letters.
-
-        Items are listed left to right; the rightmost acts first.  Identity
-        vertex words are dropped; stable letters of spanning-tree edges are
-        kept (the engine treats them as the identity).
-        """
-        # transitions[i] precedes steps[i]; the exit follows the last step
-        theta = self.transitions[-1].transfer_conjugator
-        items: List[ConjugatorItem] = [theta] if theta.syllables else []
-        for step, tr in zip(reversed(self.steps), reversed(self.transitions[:-1])):
-            items.append(_t_letter(step))
-            if tr.transfer_conjugator.syllables:
-                items.append(tr.transfer_conjugator)
-        return tuple(items)
 
 
 _UNIT = (1, 1, 1)  # the fold of no transfer
@@ -136,7 +124,7 @@ def _fold(fold: Tuple[int, int, int], k_in: int, k_out: int) -> Tuple[int, int, 
 
 def _witness_exponents(transitions: Sequence[CyclicMeet]) -> Tuple[int, int]:
     """Minimal (m, n) with c * start^m * c^-1 = end^n along ``transitions``,
-    where c is the product of :meth:`ConjugacyPath.conjugator_items`.
+    where c is the chain's ``conjugator_items``.
 
     m is the least positive exponent whose transfer stays integral at
     every stage of the chain: the lcm of the reduced denominators of
@@ -154,6 +142,22 @@ def _witness_exponents(transitions: Sequence[CyclicMeet]) -> Tuple[int, int]:
         fold = _fold(fold, *tr.exps)
     num, den, m = fold
     return m, m // den * num
+
+
+def _chain(
+    steps: Tuple[OrientedEdge, ...], transitions: Tuple[CyclicMeet, ...], letters: Sequence[TLetter]
+) -> ConjugacyPath:
+    """The chain record of ``steps`` through ``transitions``, whose
+    ``letters[i]`` is the stable letter of ``steps[i]``: the one place a
+    chain's witness exponents and conjugator are computed."""
+    # transitions[i] precedes steps[i]; the exit follows the last step
+    theta = transitions[-1].transfer_conjugator
+    items: List[ConjugatorItem] = [theta] if theta.syllables else []
+    for letter, tr in zip(reversed(letters), reversed(transitions[:-1])):
+        items.append(letter)
+        if tr.transfer_conjugator.syllables:
+            items.append(tr.transfer_conjugator)
+    return ConjugacyPath(steps, transitions, _witness_exponents(transitions), tuple(items))
 
 
 # --------------------------------------------------------------- class graph
@@ -179,7 +183,9 @@ class _ClassGraph:
     is the lex order used throughout, and chains are listed shortest first,
     then lex.  ``out`` lists, per class, the steps leaving it in step order.
     Building it takes one :func:`root` per distinct edge word; ``steps``
-    waits for the first certified chain (a tree's verdicts certify at most one).
+    and ``letters``, their stable letters ``('t', id, ±1)`` that every chain
+    through a step shares, wait for the first certified chain (a tree's
+    verdicts certify at most one).
 
     ``transitions`` memoises the certified transfer of each pair of steps
     (plus the ``query`` endpoints of an open search), so every chain built
@@ -192,6 +198,7 @@ class _ClassGraph:
         self.query = query
         self.transitions: Dict[Tuple[int, int], CyclicMeet] = {}
         self.steps: List[OrientedEdge] = []
+        self.letters: List[TLetter] = []
         self.node: Dict[EndClass, int] = {}
         self.out: List[List[int]] = []
         self.origin: List[int] = []
@@ -255,9 +262,10 @@ class _ClassGraph:
         """
         if not self.steps:
             self.steps = self.graph.oriented_edges()
+            self.letters = [("t", s.edge.id, 1 if s.forward else -1) for s in self.steps]
         pairs = zip([first, *walk], [*walk, last])
         transitions = tuple(self.transition(a, b, walk) for a, b in pairs)
-        return ConjugacyPath(self.chain(walk), transitions, _witness_exponents(transitions))
+        return _chain(self.chain(walk), transitions, [self.letters[i] for i in walk])
 
     # ------------------------------------------------------------ walks
 

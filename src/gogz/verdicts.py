@@ -40,7 +40,7 @@ witnesses are built and replayed.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd, lcm
+from math import lcm
 from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 from .engine import Elem, Engine
@@ -50,6 +50,7 @@ from .paths import (
     ChainDecision,
     ConjugacyPath,
     ConjugatorItem,
+    _chain,
     decide_chains,
     enumerate_complete_paths,  # unused here; bench/spans traces this binding
     iter_conjugacy_paths,
@@ -77,7 +78,7 @@ def _require_path(engine: Engine, path: ConjugacyPath, claim: str) -> None:
     x = engine.embed(path.start)
     y = x if path.end == path.start else engine.embed(path.end)  # closed chains return
     lhs, rhs = engine.power(x, m), engine.power(y, n)
-    _require(engine, path.conjugator_items(), lhs, rhs, f"{claim} ({m}, {n})")
+    _require(engine, path.conjugator_items, lhs, rhs, f"{claim} ({m}, {n})")
 
 
 # ------------------------------------------------------------------- balance
@@ -294,8 +295,9 @@ class ConjugacyAnswer(NamedTuple):
     """Whether some powers of x and y are conjugate, with a checked witness.
 
     When ``exists``, the engine has verified conjugator * x^m * conjugator^-1
-    = y^n for ``exponents = (m, n)``.  ``route`` is "same_vertex" when the
-    vertex group already provides the conjugation, else "path"; ``path``
+    = y^n for ``exponents = (m, n)``: the ``conjugator_items`` of the chosen
+    chain.  ``route`` is "same_vertex" when that chain has no steps (the
+    vertex group already provides the conjugation), else "path"; ``path``
     carries the certified chain in the latter case.  ``additional`` lists,
     in search order, the first searched path of each witness pair other
     than ``exponents``, each verified in the engine too.  The search that
@@ -311,61 +313,42 @@ class ConjugacyAnswer(NamedTuple):
     additional: Tuple[ConjugacyPath, ...] = ()
 
 
-def _same_vertex_candidate(
-    x: FreeWord, y: FreeWord
-) -> Optional[Tuple[int, int, List[ConjugatorItem]]]:
-    meet = cyclic_meet(x, y)
-    if meet is None:
-        return None
-    k_x, k_y = meet.exps
-    d = gcd(abs(k_x), abs(k_y))
-    m = abs(k_y) // d
-    n = (k_x // d) * (1 if k_y > 0 else -1)
-    theta = meet.transfer_conjugator
-    items: List[ConjugatorItem] = [] if theta.is_identity else [theta]
-    return m, n, items
-
-
-def _size(pair: Tuple[int, int]) -> Tuple[int, int]:
-    return pair[0], abs(pair[1])
+def _size(path: ConjugacyPath) -> Tuple[int, int]:
+    m, n = path.witness_exponents
+    return m, abs(n)
 
 
 def power_conjugate(graph: GraphOfGroups, x: FreeWord, y: FreeWord) -> ConjugacyAnswer:
     """A certified witness that x^m is conjugate to y^n, if any.
 
-    Candidates come from the shared vertex group (when x and y live at the
-    same vertex) and from the edge-once conjugacy paths between their
-    vertices, of which the search yields only the first of each distinct
-    witness pair: memory follows the number of pairs, not of paths.  The
-    answer minimises (m, |n|); the vertex candidate wins a tie, then the
-    earliest path.  A "no" takes one BFS over the class graph, but a "yes"
-    still walks every edge-once path from x's class, and their number grows
+    Every candidate is a chain: when x and y live at the same vertex, the
+    chain with no steps, whose one transition is :func:`cyclic_meet` of x
+    and y; then the edge-once conjugacy paths between their vertices, of
+    which the search yields only the first of each distinct witness pair:
+    memory follows the number of pairs, not of paths.  The answer
+    minimises (m, |n|); the vertex chain wins a tie, then the earliest
+    path.  A "no" takes one BFS over the class graph, but a "yes" still
+    walks every edge-once path from x's class, and their number grows
     exponentially when many edge ends share a class.  A walk costs one
     integer fold of root exponents per step; only the first walk of each
     pair is certified, in memo lookups, as no junction is certified twice.
-    x and y are embedded in the engine once, and each distinct power x^m
-    or y^n is built once, for the answer's replay and for the replay of
-    every additional relation.  Each replay checks ``w x^m = y^n w``: one
-    pass that builds w and one product per side, with each junction's
-    transfer conjugator built once and shared by every path through it.
-    Walks that repeat an edge are not searched, so a relation with smaller
-    exponents may exist: in BS(2, 3) the answer for a^9 and a^4 is (2, 3),
-    while t^-2 a^9 t^2 = a^4 already holds.
+    Each chain carries its conjugator from where it was built; x and y are
+    embedded in the engine once, and each distinct power x^m or y^n is
+    built once, for the answer's replay and for the replay of every
+    additional relation.  Each replay checks ``w x^m = y^n w``: one pass
+    that builds w and one product per side, with each junction's transfer
+    conjugator built once and shared by every path through it.  Walks that
+    repeat an edge are not searched, so a relation with smaller exponents
+    may exist: in BS(2, 3) the answer for a^9 and a^4 is (2, 3), while
+    t^-2 a^9 t^2 = a^4 already holds.
     """
     if x.is_identity or y.is_identity:
         raise DegenerateInputError("power conjugacy is asked of nontrivial elements")
-    same = _same_vertex_candidate(x, y) if x.vertex == y.vertex else None
-    first: Dict[Tuple[int, int], ConjugacyPath] = {}
-    for path in iter_conjugacy_paths(graph, x, y):
-        first.setdefault(path.witness_exponents, path)
-    best = min(first, key=_size, default=None)  # the earliest of the least
-    if same is not None and (best is None or _size(same[:2]) <= _size(best)):
-        m, n, items = same
-        route, path = "same_vertex", None
-    elif best is not None:
-        (m, n), path = best, first[best]
-        route, items = "path", path.conjugator_items()
-    else:
+    meet = cyclic_meet(x, y) if x.vertex == y.vertex else None
+    own = [_chain((), (meet,), ())] if meet is not None else []
+    first = {path.witness_exponents: path for path in iter_conjugacy_paths(graph, x, y)}
+    best = min([*own, *first.values()], key=_size, default=None)  # the earliest of the least
+    if best is None:
         return ConjugacyAnswer(False, None, (), None, None)
 
     engine = Engine(graph)
@@ -377,12 +360,16 @@ def power_conjugate(graph: GraphOfGroups, x: FreeWord, y: FreeWord) -> Conjugacy
             powers[word, k] = engine.power(embedded[word], k)
         return powers[word, k]
 
-    _require(engine, items, power(x, m), power(y, n), f"power conjugacy ({m}, {n})")
-    additional = tuple(other for pair, other in first.items() if pair != (m, n))
+    def replay(path: ConjugacyPath, claim: str) -> None:
+        m, n = path.witness_exponents
+        _require(engine, path.conjugator_items, power(x, m), power(y, n), f"{claim} ({m}, {n})")
+
+    replay(best, "power conjugacy")
+    additional = tuple(other for pair, other in first.items() if pair != best.witness_exponents)
     for other in additional:
-        m2, n2 = other.witness_exponents
-        _require(engine, other.conjugator_items(), power(x, m2), power(y, n2), f"path relation ({m2}, {n2})")
-    return ConjugacyAnswer(True, (m, n), tuple(items), route, path, additional)
+        replay(other, "path relation")
+    route, path = ("path", best) if best.steps else ("same_vertex", None)
+    return ConjugacyAnswer(True, best.witness_exponents, best.conjugator_items, route, path, additional)
 
 
 # -------------------------------------------------------------------- report

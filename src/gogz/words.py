@@ -361,18 +361,6 @@ def root(w: FreeWord) -> RootDecomposition:
     """Primitive root decomposition of a nontrivial word."""
     if w.is_identity:
         raise DegenerateInputError("root of the identity is undefined")
-    return _checked_root(w)
-
-
-# _root_cached roots and checks each distinct syllable tuple once, and holds
-# int tuples, which the garbage collector stops tracking.  Every
-# decomposition cached here stays tracked, so tens of thousands of distinct
-# words would slow every later collection; the bound keeps that cost fixed.
-# The class graph and cyclic_meet read _root_cached directly, so in the
-# product only the acylindricity and central-witness checks build
-# decompositions here.
-@lru_cache(maxsize=4096)
-def _checked_root(w: FreeWord) -> RootDecomposition:
     conj, p, k = _root_cached(w.syllables)
     return RootDecomposition(FreeWord(w.vertex, conj), FreeWord(w.vertex, p), k)
 

@@ -112,7 +112,7 @@ def test_criterion_3_complete_path_witness_soundness(suite_graphs):
         for path in enumerate_complete_paths(graph):
             i, j = path.witness_exponents
             base = engine.embed(path.start)
-            conj = engine.element_of(path.conjugator_items())
+            conj = engine.element_of(path.conjugator_items)
             lhs = conjugate(engine, conj, engine.power(base, i))
             assert lhs == engine.power(base, j), (name, (i, j))
             checked += 1

@@ -26,6 +26,13 @@ TREFOIL = (
     'edge 0 0 1 minus="a^2" plus="b^3"\n'
 )
 
+THETA_SKEW = (
+    "vertex 0 rank=1 gens=a\n"
+    "vertex 1 rank=1 gens=b\n"
+    'edge 0 0 1 minus="a^2" plus="b^2"\n'
+    'edge 1 0 1 minus="a^2" plus="b^3"\n'
+)
+
 FREE_AMALGAM = (
     "vertex 0 rank=2 gens=a,b\n"
     "vertex 1 rank=2 gens=x,y\n"
@@ -49,6 +56,21 @@ def clique(n):
     pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
     lines += [f'edge {e} {i} {j} minus="a{i}" plus="a{j}^2"' for e, (i, j) in enumerate(pairs)]
     return "\n".join(lines) + "\n"
+
+
+@pytest.fixture
+def built_chains(monkeypatch):
+    """Every chain record the chain builder returns, in build order."""
+    built = []
+    original = paths._chain
+
+    def counting(*args):
+        built.append(original(*args))
+        return built[-1]
+
+    for module in (paths, verdicts):
+        monkeypatch.setattr(module, "_chain", counting)
+    return built
 
 
 def run(capsys, *argv):
@@ -118,6 +140,18 @@ class TestCheck:
         witness = json.loads(out)["witnesses"]["balance"]
         assert witness["relation"]["exponents"] == [1, 256]
         assert witness["verified"] is True
+
+    def test_each_witness_chain_is_built_once(self, graph_file, capsys, built_chains):
+        # one closed chain is the balance and the hyperbolicity witness; it is
+        # replayed and rendered twice from the conjugator built with it
+        code, out = run(capsys, "check", graph_file(THETA_SKEW), "--no-timing")
+        assert code == 0
+        witnesses = json.loads(out)["witnesses"]
+        (chain,) = built_chains
+        assert chain.witness_exponents == (3, 2)
+        for kind in ("balance", "hyperbolicity"):
+            assert witnesses[kind]["steps"] == ["e0+", "e1-"]
+            assert witnesses[kind]["relation"]["conjugator"] == "t_1^-1 t_0"
 
     def test_timing_present_by_default(self, graph_file, capsys):
         code, out = run(capsys, "check", graph_file(BS23), "--format", "json")
@@ -256,6 +290,17 @@ class TestConj:
         assert len(calls) == 1
         pairs = [r["exponents"] for r in json.loads(out)["additional_relations"]]
         assert pairs == [[2, 3], [3, 2]]
+
+    def test_each_relation_chain_is_built_once(self, graph_file, capsys, built_chains):
+        # the vertex chain with no steps, then one path per pair the search
+        # yields; replaying and rendering them builds nothing more
+        code, out = run(capsys, "conj", graph_file(BS23), "--from", "0:a", "--to", "0:a", "--no-timing")
+        assert code == 0
+        doc = json.loads(out)
+        assert doc["answer"]["route"] == "same_vertex"
+        relations = [doc["answer"]] + doc["additional_relations"]
+        assert [list(c.witness_exponents) for c in built_chains] == [r["exponents"] for r in relations]
+        assert [len(c.steps) for c in built_chains] == [0, 1, 1]
 
     def test_a_corrupted_additional_relation_exits_3(self, graph_file, capsys, monkeypatch):
         # the answer (1, 1) replays; the additional relation (2, 3), bumped to
@@ -486,14 +531,11 @@ class TestErrors:
             'edge 0 0 1 minus="a b" plus="x"\nedge 1 0 1 minus="a" plus="x^2"\n'
         )
         monkeypatch.setattr(words, "_smallest_period", lambda core: core[:1])
-        caches = (words._root_cached, words._checked_root)
-        for cache in caches:
-            cache.cache_clear()
+        words._root_cached.cache_clear()
         try:
             assert main(["check", graph_file(two_edges)]) == 3
         finally:
-            for cache in caches:
-                cache.cache_clear()
+            words._root_cached.cache_clear()
         err = capsys.readouterr().err
         assert err.startswith("internal error: ") and "Traceback" not in err
 

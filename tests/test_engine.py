@@ -395,6 +395,13 @@ def test_unknown_stable_letter_is_refused():
         Engine(BS23).element_of([w(BS23, 0, "a"), ("t", 7, 1)])
 
 
+def test_an_item_that_is_no_stable_letter_is_refused():
+    # an error, not an assert, so that python -O refuses it too
+    with pytest.raises(DegenerateInputError) as err:
+        Engine(BS23).element_of([w(BS23, 0, "a"), ("s", 0, 1)])
+    assert str(err.value) == "('s', 0, 1) is neither a vertex word nor a stable letter"
+
+
 # ----------------------------------------------------- faithful-model checks
 #
 # Two classical faithful linear/affine models give fully independent equality

@@ -20,7 +20,7 @@ from gogz.graphs import (
     parse_graph,
     reduce_graph,
 )
-from gogz.words import FreeWord, root
+from gogz.words import Alphabet, FreeWord, root
 from helpers import spell
 
 BS23 = """
@@ -137,6 +137,8 @@ _LOOP = Edge(0, 0, 0, _A.parse("a"), _A.parse("a^2"))
          "edge 0 plus word is over vertex '0', expected 1"),
         ([_A], [Edge(0, 0, 0, _A.parse("a"), _A.parse("1"))], DegenerateInputError,
          "edge 0 has a trivial plus inclusion word"),
+        # an error, not an assert, so that python -O refuses it too
+        ([Vertex(3, Alphabet("0", ("a",)))], [], AlphabetError, "vertex 3 has an alphabet tagged '0'"),
     ],
 )
 def test_graph_of_groups_refuses_degenerate_input(vertices, edges, error, message):

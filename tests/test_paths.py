@@ -76,7 +76,7 @@ def outer_ends(path):
 
 def verify_in_engine(graph, path, m, n):
     engine = Engine(graph)
-    conj = engine.element_of(path.conjugator_items())
+    conj = engine.element_of(path.conjugator_items)
     lhs = conjugate(engine, conj, engine.power(engine.embed(path.start), m))
     rhs = engine.power(engine.embed(path.end), n)
     assert lhs == rhs
@@ -392,4 +392,4 @@ def test_chains_through_one_junction_share_its_transfer_conjugator():
     assert theta == graph.vertices[0].parse("b^-1")
     assert theta is second.transitions[1].transfer_conjugator
     for path in (first, second):
-        assert any(item is theta for item in path.conjugator_items())
+        assert any(item is theta for item in path.conjugator_items)

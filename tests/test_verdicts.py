@@ -116,7 +116,7 @@ class TestBalance:
         wtn = verdict.witness
         assert wtn.witness_exponents == (2, 3)
         assert wtn.start == wtn.end == w(graph, 0, "a^2")
-        assert conjugacy_holds(graph, wtn.conjugator_items(), wtn.start, 2, wtn.start, 3)
+        assert conjugacy_holds(graph, wtn.conjugator_items, wtn.start, 2, wtn.start, 3)
 
     def test_bs_negative_exponent_tag_sign(self):
         verdict = analyze(parse_graph(bs(2, -3))).balance
@@ -145,7 +145,7 @@ class TestBalance:
         wtn = verdict.witness
         assert wtn.start == wtn.end == w(graph, 0, "a b")
         i, j = wtn.witness_exponents
-        assert conjugacy_holds(graph, wtn.conjugator_items(), wtn.start, i, wtn.start, j)
+        assert conjugacy_holds(graph, wtn.conjugator_items, wtn.start, i, wtn.start, j)
 
     def test_balance_survives_reduction(self):
         # contracting a reducible edge never changes the group
@@ -339,7 +339,7 @@ class TestPowerConjugate:
         assert pairs == [(2, 3), (3, 2)]
         for path in answer.additional:
             m, n = path.witness_exponents
-            assert conjugacy_holds(graph, path.conjugator_items(), a, m, a, n)
+            assert conjugacy_holds(graph, path.conjugator_items, a, m, a, n)
 
     def test_unrelated_elements_refuted(self):
         graph = parse_graph(FXF)

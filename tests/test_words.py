@@ -182,14 +182,6 @@ def test_words_are_values():
             assert clone == value and hash(clone) == hash(value)
 
 
-def test_checked_root_is_cached_per_equal_word():
-    words._checked_root.cache_clear()
-    first = root(w("b a^2 b^-1"))
-    again = root(FreeWord("v", ((2, 1), (1, 2), (2, -1))))
-    assert again is first
-    assert words._checked_root.cache_info().hits == 1
-
-
 def test_mixed_alphabets_rejected():
     with pytest.raises(AlphabetError):
         w("a").conjugated_by(Z.parse("x"))
@@ -234,13 +226,11 @@ def test_root_checks_that_its_decomposition_recomposes(monkeypatch):
     # (an lru_cache keeps no result of a call that raised)
     monkeypatch.setattr(words, "_smallest_period", lambda core: core[:1])
     words._root_cached.cache_clear()
-    words._checked_root.cache_clear()
     try:
         with pytest.raises(InternalInconsistencyError, match="recompose"):
             root(w("a b"))
     finally:
         words._root_cached.cache_clear()
-        words._checked_root.cache_clear()
 
 
 def test_root_is_cached_per_letter_tuple():
