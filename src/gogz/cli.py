@@ -713,10 +713,11 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         except OSError as exc:
             print(f"error: {exc}", file=sys.stderr)
             return 2
-        try:
-            text = data.decode("utf-8")
+        try:  # a leading byte-order mark is dropped, and not counted in exc.start
+            text = data.decode("utf-8-sig")
         except UnicodeDecodeError as exc:
-            raise ParseError(f"graph file is not UTF-8 text (byte {exc.start})") from None
+            byte = exc.start + len(data) - len(exc.object)
+            raise ParseError(f"graph file is not UTF-8 text (byte {byte})") from None
         graph = parse_graph(text)
         doc = _base_document(args.command, args.file, data, graph)
         build, _ = _COMMANDS[args.command]

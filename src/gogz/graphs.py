@@ -22,7 +22,8 @@ in a token; ``#`` outside quotes starts a comment.  After the head and its
 ids, a line's fields may come in any order, each once.  A line in the
 canonical shape above, which :meth:`GraphOfGroups.to_text` writes, is split
 with one regular-expression match, and every other line by the tokenizer;
-both shapes then go through the same checks of each declaration.  A line
+both shapes then go through the same checks of each declaration (a
+canonical vertex line inline, as its match has checked the names).  A line
 those checks refuse is tokenized to place the error.
 
 An edge *end* is **bad** when its inclusion word generates the whole vertex
@@ -251,9 +252,6 @@ class GraphOfGroups:
         """Edge ends at a vertex, ordered by (edge id, side); loops appear twice."""
         return list(self._incident[vid])
 
-    def oriented_edges(self) -> List[OrientedEdge]:
-        return [OrientedEdge(e, fwd) for e in self.edges.values() for fwd in (True, False)]
-
     # -------------------------------------------------------------- labels
 
     def is_bad_end(self, edge: Edge, side: int) -> bool:
@@ -262,6 +260,8 @@ class GraphOfGroups:
         return self.vertices[edge.vertex(side)].rank == 1 and abs(edge.word(side).syllables[0][1]) == 1
 
     def reducible_edges(self) -> List[Edge]:
+        if all(v.rank > 1 for v in self.vertices.values()):  # only a rank-one vertex has bad ends
+            return []
         return [
             e
             for e in self.edges.values()
@@ -403,10 +403,12 @@ def _add_edge(
 def parse_graph(text: str) -> GraphOfGroups:
     """Parse the text format; errors carry 1-based line and column positions.
 
-    Both line shapes go through the same checks, :func:`_add_vertex` and
-    :func:`_add_edge`.  A line in the canonical shape is split by one match;
-    any other line, or one those checks refuse, is tokenized, and only that
-    path raises, at the column of the token the refusal blames.
+    A line in the canonical shape is split by one match and taken when it
+    passes the checks of :func:`_add_edge` or :func:`_add_vertex` (a vertex
+    line's run inline, as its match has checked the names).  Any other
+    line, or one those checks refuse, is tokenized and goes through those
+    two functions, and only that path raises, at the column of the token
+    the refusal blames.
     """
     vertices: Dict[int, Vertex] = {}
     edges: Dict[int, Edge] = {}
@@ -416,8 +418,14 @@ def parse_graph(text: str) -> GraphOfGroups:
         if m is not None and _add_edge(int(m[1]), int(m[2]), int(m[3]), m[4], m[5], vertices, edges) is None:
             continue
         m = _VERTEX_LINE_RE.fullmatch(raw)
-        if m is not None and _add_vertex(int(m[1]), int(m[2]), m[3], vertices, gen_homes) is None:
-            continue
+        if m is not None:
+            vid, names = int(m[1]), m[3].split(",")
+            homes = dict.fromkeys(names, vid)
+            fresh = vid not in vertices and gen_homes.keys().isdisjoint(homes)
+            if fresh and int(m[2]) == len(homes) == len(names):
+                gen_homes.update(homes)
+                vertices[vid] = Vertex(vid, Alphabet(str(vid), names))
+                continue
         tokens = _tokenize(raw, lineno)
         if not tokens:
             continue

@@ -175,17 +175,18 @@ class _ClassGraph:
     signed root exponents, so the ratio of a chain is the product of the
     gains of its steps, and an end *carries an arrow* when ``|k| >= 2``.
 
-    Position ``i`` describes ``steps[i]`` (``graph.oriented_edges()``
-    order): steps ``2j`` and ``2j + 1`` cross the j-th edge by id forward
-    and backward, so ``i ^ 1`` is the reverse of step ``i`` and ``i >> 1``
-    orders steps by edge id.  Comparing two lists of step indices compares
-    the chains step by step by (edge id, forward first): that *step order*
-    is the lex order used throughout, and chains are listed shortest first,
-    then lex.  ``out`` lists, per class, the steps leaving it in step order.
-    Building it takes one :func:`root` per distinct edge word; ``steps``
-    and ``letters``, their stable letters ``('t', id, ±1)`` that every chain
-    through a step shares, wait for the first certified chain (a tree's
-    verdicts certify at most one).
+    Position ``i`` describes step ``i``: steps ``2j`` and ``2j + 1`` cross
+    the j-th edge by id forward and backward, so ``i ^ 1`` is the reverse
+    of step ``i`` and ``i >> 1`` orders steps by edge id.  Comparing two
+    lists of step indices compares the chains step by step by (edge id,
+    forward first): that *step order* is the lex order used throughout, and
+    chains are listed shortest first, then lex.  ``out`` lists, per class,
+    the steps leaving it in step order.
+    Building it takes one :func:`root` per distinct edge word, in one loop
+    over the edge ends; a step ends where its reverse starts.  Each
+    :class:`OrientedEdge` and its stable letter ``('t', id, ±1)``, shared
+    by every chain through the step, waits in ``steps`` for the first
+    certified chain that crosses it (a tree's verdicts certify at most one).
 
     ``transitions`` memoises the certified transfer of each pair of steps
     (plus the ``query`` endpoints of an open search), so every chain built
@@ -194,36 +195,31 @@ class _ClassGraph:
     """
 
     def __init__(self, graph: GraphOfGroups, query: Optional[Tuple[FreeWord, FreeWord]] = None):
-        self.graph = graph
         self.query = query
         self.transitions: Dict[Tuple[int, int], CyclicMeet] = {}
-        self.steps: List[OrientedEdge] = []
-        self.letters: List[TLetter] = []
-        self.node: Dict[EndClass, int] = {}
-        self.out: List[List[int]] = []
-        self.origin: List[int] = []
-        self.terminus: List[int] = []
-        self.k_origin: List[int] = []
-        self.k_terminus: List[int] = []
-        for edge in graph.edges.values():
-            minus, k_minus = self._end(edge.minus_vertex, edge.minus_word)
-            plus, k_plus = self._end(edge.plus_vertex, edge.plus_word)
-            self.out[minus].append(len(self.origin))  # forward, step 2j
-            self.out[plus].append(len(self.origin) + 1)  # backward, step 2j + 1
-            self.origin += (minus, plus)
-            self.terminus += (plus, minus)
-            self.k_origin += (k_minus, k_plus)
-            self.k_terminus += (k_plus, k_minus)
-        self.arrow_origin = [abs(k) >= 2 for k in self.k_origin]
-        self.arrow_terminus = [abs(k) >= 2 for k in self.k_terminus]
-
-    def _end(self, vid: int, word: FreeWord) -> Tuple[int, int]:
-        _, primitive, exponent = _root_cached(word.syllables)
-        key = (vid, primitive)
-        if key not in self.node:
-            self.node[key] = len(self.out)
-            self.out.append([])
-        return self.node[key], exponent
+        self.edges = list(graph.edges.values())
+        self.steps: Dict[int, Tuple[OrientedEdge, TLetter]] = {}
+        node: Dict[EndClass, int] = {}
+        out: List[List[int]] = []
+        origin: List[int] = []
+        k_origin: List[int] = []
+        for _, minus_vertex, plus_vertex, minus_word, plus_word in self.edges:
+            # the minus end is the origin of step 2j, the plus end of 2j + 1
+            for vid, word in ((minus_vertex, minus_word), (plus_vertex, plus_word)):
+                _, primitive, exponent = _root_cached(word.syllables)
+                c = node.setdefault((vid, primitive), len(out))
+                if c == len(out):
+                    out.append([])
+                out[c].append(len(origin))
+                origin.append(c)
+                k_origin.append(exponent)
+        self.node, self.out, self.origin, self.k_origin = node, out, origin, k_origin
+        # a step ends where its reverse i ^ 1 starts
+        steps = range(len(origin))
+        self.terminus = [origin[i ^ 1] for i in steps]
+        self.k_terminus = [k_origin[i ^ 1] for i in steps]
+        self.arrow_origin = [abs(k) >= 2 for k in k_origin]
+        self.arrow_terminus = [self.arrow_origin[i ^ 1] for i in steps]
 
     def word_class(self, vid: int, word: FreeWord) -> Tuple[Optional[int], int]:
         """The class of a nontrivial ``word`` at vertex ``vid`` (None if no
@@ -231,8 +227,14 @@ class _ClassGraph:
         _, primitive, exponent = _root_cached(word.syllables)
         return self.node.get((vid, primitive)), exponent
 
-    def chain(self, walk: Sequence[int]) -> Tuple[OrientedEdge, ...]:
-        return tuple(self.steps[i] for i in walk)
+    def step(self, i: int) -> Tuple[OrientedEdge, TLetter]:
+        """Step ``i`` and its stable letter, built when a chain first
+        crosses it and then shared by every chain through it."""
+        step = self.steps.get(i)
+        if step is None:
+            edge, forward = self.edges[i >> 1], not i & 1
+            step = self.steps[i] = OrientedEdge(edge, forward), ("t", edge.id, 1 if forward else -1)
+        return step
 
     def transition(self, a: int, b: int, walk: Sequence[int]) -> CyclicMeet:
         """The transfer from the terminus word of step ``a`` onto the origin
@@ -241,13 +243,13 @@ class _ClassGraph:
         chain named when cyclic_meet rejects what the class walk accepted."""
         tr = self.transitions.get((a, b))
         if tr is None:
-            incoming = self.query[0] if a == QUERY else self.steps[a].terminus_word
-            outgoing = self.query[1] if b == QUERY else self.steps[b].origin_word
+            incoming = self.query[0] if a == QUERY else self.step(a)[0].terminus_word
+            outgoing = self.query[1] if b == QUERY else self.step(b)[0].origin_word
             tr = cyclic_meet(incoming, outgoing)
             if tr is None:
                 raise InternalInconsistencyError(
                     "class walk accepted a chain that cyclic_meet rejects: "
-                    + " ".join(repr(s) for s in self.chain(walk))
+                    + " ".join(repr(self.step(i)[0]) for i in walk)
                 )
             self.transitions[a, b] = tr
         return tr
@@ -260,12 +262,10 @@ class _ClassGraph:
         is the reverse of its first step, ``last`` that step itself), a full
         path to its last terminus word (``last`` the reverse of its last step).
         """
-        if not self.steps:
-            self.steps = self.graph.oriented_edges()
-            self.letters = [("t", s.edge.id, 1 if s.forward else -1) for s in self.steps]
         pairs = zip([first, *walk], [*walk, last])
         transitions = tuple(self.transition(a, b, walk) for a, b in pairs)
-        return _chain(self.chain(walk), transitions, [self.letters[i] for i in walk])
+        steps, letters = zip(*map(self.step, walk))
+        return _chain(steps, transitions, letters)
 
     # ------------------------------------------------------------ walks
 
@@ -666,10 +666,11 @@ def iter_conjugacy_paths(
     """The first edge-once conjugacy path from g to g' of each witness
     pair, in canonical walk order.
 
-    The order is depth-first over ``graph.oriented_edges()``; a chain is
-    yielded before its extensions.  Closed chains returning to the start
-    vertex appear too.  When no edge end has the class of g', or one BFS
-    from the class of g does not reach it, nothing is walked.
+    The order is depth-first over the steps (edges by id, each forward
+    and then backward); a chain is yielded before its extensions.  Closed
+    chains returning to the start vertex appear too.  When no edge end has
+    the class of g', or one BFS from the class of g does not reach it,
+    nothing is walked.
 
     A walk costs one integer fold of root exponents per step, and one more
     at the exit for its witness pair.  Only a walk with a new pair is

@@ -168,12 +168,9 @@ def _acyl(graph: GraphOfGroups) -> AcylVerdict:
     """Acylindrical hyperbolicity of a reduced, nontrivial graph.  Each
     s-normal relation lies in one vertex group, which embeds in the
     fundamental group, so it is checked in that free group."""
-    incident_words = {
-        vid: [edge.word(side) for edge, side in graph.incident(vid)]
-        for vid in graph.vertices
-    }
-    anchors = {}
-    for vid, ws in incident_words.items():
+    incident_words, anchors = {}, {}
+    for vid in graph.vertices:  # a vertex's words are read when the loop reaches it
+        incident_words[vid] = ws = [edge.word(side) for edge, side in graph.incident(vid)]
         anchors[vid] = anchor = maximal_root(ws[0])
         for other in ws[1:]:
             if maximal_root(other) != anchor:

@@ -21,6 +21,9 @@ by letter without spelling them out.
 The cyclic-subgroup operations (root, cyclic_meet) are the primitives the
 deciders are built on: in a free group every question about intersections
 and conjugates of cyclic subgroups reduces to comparing primitive roots.
+A root takes linear time: the smallest period q of the cyclically reduced
+core (the KMP failure function), then the least rotation of q and of q^-1,
+each one Duval loop over one lex item per syllable.
 The normal-form engine takes no roots.  Its one primitive is the coset
 split, which writes a word x as u^-k r with r the least word of the right
 coset <u> x; it builds r and k together by free reduction alone.
@@ -189,22 +192,23 @@ def power_letters(word: Syllables, k: int) -> Syllables:
     return join_reduced(join_reduced(c, _repeat(core, k)), invert_letters(c))
 
 
-def _lex_items(word: Syllables, wrap: bool = False) -> tuple:
-    """One item per syllable, such that comparing the items of two words
-    compares their letters.
+def _lex_items(word: Syllables, wrap: bool = False) -> list:
+    """One item per syllable of a reduced word, such that comparing the
+    items of two words compares their letters.
 
+    Letter l of generator g has the key ``2g`` and its inverse ``2g + 1``.
     A run of r letters l followed by a letter that sorts below l, or by the
-    end of the word, is ``(key(l), 0, r)``, with key ``(g, 0)`` for the g-th
-    generator and ``(g, 1)`` for its inverse: the longer run is the larger
-    word.  Followed by a larger letter it is ``(key(l), 1, -r)``.  With
-    ``wrap`` the last run is followed by the first letter.
+    end of the word, is ``(2 key(l), r)``: the longer run is the larger
+    word.  Followed by a larger letter it is ``(2 key(l) + 1, -r)``.  The
+    next syllable is over another generator, so only the generators decide
+    which; the end of the word counts as generator 0.  With ``wrap`` the
+    last run is followed by the first letter.
     """
-    keys = [(g, 0 if e > 0 else 1) for g, e in word]
-    after = keys[1:] + (keys[:1] if wrap else [None])
-    return tuple(
-        (key, 0, abs(e)) if nxt is None or nxt < key else (key, 1, -abs(e))
-        for key, nxt, (_, e) in zip(keys, after, word)
-    )
+    after = word[1:] + (word[:1] if wrap else ((0, 0),))
+    return [
+        (4 * g + (2 if e < 0 else 0), abs(e)) if h < g else (4 * g + (3 if e < 0 else 1), -abs(e))
+        for (g, e), (h, _) in zip(word, after)
+    ]
 
 
 def letters_sort_key(word: Syllables):
@@ -286,25 +290,22 @@ def _smallest_period(core: Syllables) -> Syllables:
     return core[:d] if len(core) % d == 0 else core
 
 
-def _least_rotation(items: tuple) -> int:
-    """Where the least rotation of ``items`` starts (Booth's algorithm)."""
+def _least_rotation(items: list) -> int:
+    """Where the least rotation of a primitive ``items`` starts: where the
+    last run of equal Lyndon factors of ``items + items`` to begin before
+    position n begins (Duval's factorisation, stopped there; linear time)."""
+    n = len(items)
     s = items + items
-    fail = [-1] * len(s)
-    k = 0
-    for j in range(1, len(s)):
-        sj = s[j]
-        i = fail[j - k - 1]
-        while i != -1 and sj != s[k + i + 1]:
-            if sj < s[k + i + 1]:
-                k = j - i - 1
-            i = fail[i]
-        if sj != s[k + i + 1]:  # so i == -1
-            if sj < s[k]:
-                k = j
-            fail[j - k] = -1
-        else:
-            fail[j - k] = i + 1
-    return k
+    i = 0
+    while True:
+        start, j, k = i, i + 1, i
+        while j < 2 * n and s[k] <= s[j]:
+            k = i if s[k] < s[j] else k + 1
+            j += 1
+        while i <= k:  # s[start:j] repeats a Lyndon word of length j - k
+            i += j - k
+        if i >= n:
+            return start
 
 
 class RootDecomposition(NamedTuple):
@@ -323,7 +324,9 @@ class RootDecomposition(NamedTuple):
 @lru_cache(maxsize=65536)
 def _root_cached(word: Syllables) -> Tuple[Syllables, Syllables, int]:
     """(conjugator, primitive, exponent) of a nonempty reduced word, checked
-    to recompose to it; see :class:`RootDecomposition`.  Linear time."""
+    to recompose to it; see :class:`RootDecomposition`.  Linear time: the
+    primitive is the lesser of the least rotations of the smallest period
+    q and of q^-1, compared by their lex items."""
     c, core = cyclic_split(word)
     if len(core) == 1:  # a power of one generator
         ((g, e),) = core
@@ -338,14 +341,12 @@ def _root_cached(word: Syllables) -> Tuple[Syllables, Syllables, int]:
         q = _smallest_period(core)
         # a least rotation starts at a syllable: it starts with the least
         # letter, and a run of it is followed by a larger letter
-        best = None
-        for sign, base in ((1, q), (-1, invert_letters(q))):
-            items = _lex_items(base, wrap=True)
-            i = _least_rotation(items)
-            key = items[i:] + items[:i]
-            if best is None or key < best[0]:
-                best = key, sign, base, i
-        _, sign, base, i = best
+        inverse = invert_letters(q)
+        items, inverse_items = _lex_items(q, wrap=True), _lex_items(inverse, wrap=True)
+        i, j = _least_rotation(items), _least_rotation(inverse_items)
+        sign, base = 1, q
+        if inverse_items[j:] + inverse_items[:j] < items[i:] + items[:i]:
+            sign, base, i = -1, inverse, j
         if moved and sign == 1 and i == 0:
             # the conjugator is c times a proper prefix of the word's own
             # period: here all of q but the moved syllable, not its inverse

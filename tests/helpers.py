@@ -16,7 +16,7 @@ from operator import neg
 from typing import List
 
 from gogz.engine import Elem, Engine, Item, _reverse
-from gogz.graphs import OrientedEdge
+from gogz.graphs import GraphOfGroups, OrientedEdge
 from gogz.words import (
     Alphabet,
     FreeWord,
@@ -136,6 +136,12 @@ def flat_coset_canonical(u: Letters, x: Letters) -> Letters:
 
 
 # --------------------------------------------------------------------- steps
+
+
+def oriented_edges(graph: GraphOfGroups) -> List[OrientedEdge]:
+    """Every step of the graph, in the class graph's step order: the edges
+    by id, each forward and then backward."""
+    return [OrientedEdge(e, fwd) for e in graph.edges.values() for fwd in (True, False)]
 
 
 def reversed_step(step: OrientedEdge) -> OrientedEdge:

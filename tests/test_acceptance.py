@@ -15,7 +15,7 @@ from gogz.graphs import parse_graph, reduce_graph
 from gogz.paths import enumerate_complete_paths, enumerate_full_nonmaximal_paths
 from gogz.verdicts import analyze, power_conjugate
 from gogz.words import cyclic_meet, maximal_root, root
-from helpers import atoms, conjugate, reversed_step, terminus, validate_element
+from helpers import atoms, conjugate, oriented_edges, reversed_step, terminus, validate_element
 
 
 def _finish(name: str, started: float, budget: float, detail: str) -> None:
@@ -263,7 +263,7 @@ def _chain_class(steps):
 
 def _naive_complete(graph):
     found = {}
-    oriented = graph.oriented_edges()
+    oriented = oriented_edges(graph)
     for n in range(1, len(graph.edges) + 1):
         for seq in itertools.product(oriented, repeat=n):
             if len({s.edge.id for s in seq}) != n:
@@ -294,7 +294,7 @@ def _has_arrow(word):
 
 def _naive_full(graph):
     found = set()
-    oriented = graph.oriented_edges()
+    oriented = oriented_edges(graph)
     for n in range(1, len(graph.edges) + 1):
         for seq in itertools.product(oriented, repeat=n):
             if len({s.edge.id for s in seq}) != n:

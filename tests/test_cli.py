@@ -575,7 +575,25 @@ class TestErrors:
         path = tmp_path / "latin1.gog"
         path.write_bytes(b"vertex 0 rank=1 gens=\xff\n")
         assert main(["check", str(path)]) == 2
-        assert "not UTF-8" in capsys.readouterr().err
+        assert capsys.readouterr().err == "error: graph file is not UTF-8 text (byte 21)\n"
+        # the byte is counted in the file, a byte-order mark included
+        path.write_bytes(b"\xef\xbb\xbfvertex 0 rank=1 gens=\xff\n")
+        assert main(["check", str(path)]) == 2
+        assert capsys.readouterr().err == "error: graph file is not UTF-8 text (byte 24)\n"
+
+    def test_byte_order_mark_is_dropped(self, tmp_path, capsys):
+        plain, marked = tmp_path / "plain.gog", tmp_path / "marked.gog"
+        plain.write_bytes(TREFOIL.encode())
+        marked.write_bytes(b"\xef\xbb\xbf" + TREFOIL.encode())
+        docs = []
+        for path in (plain, marked):
+            code, out = run(capsys, "check", str(path), "--no-timing")
+            assert code == 0
+            docs.append(json.loads(out))
+        assert docs[1]["input"]["sha256"] == hashlib.sha256(marked.read_bytes()).hexdigest()
+        for doc in docs:
+            del doc["input"]["path"], doc["input"]["sha256"]
+        assert docs[0] == docs[1]
 
 
 class TestSharedParser:

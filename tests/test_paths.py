@@ -4,6 +4,7 @@ from fractions import Fraction
 from itertools import product
 
 import pytest
+from hypothesis import given, settings
 
 from gogz.engine import Engine
 from gogz import paths, words
@@ -15,8 +16,8 @@ from gogz.paths import (
     iter_conjugacy_paths,
 )
 from gogz.words import cyclic_meet, root
-from helpers import conjugate, inverse, reversed_step, terminus, word_product
-from test_paths_reference import reference_open
+from helpers import conjugate, inverse, oriented_edges, reversed_step, terminus, word_product
+from test_paths_reference import graphs, reference_open
 
 BS23 = parse_graph('vertex 0 rank=1 gens=a\nedge 0 0 0 minus="a^2" plus="a^3"')
 BS22 = parse_graph('vertex 0 rank=1 gens=a\nedge 0 0 0 minus="a^2" plus="a^2"')
@@ -133,7 +134,7 @@ class TestCheckConjugacyPath:
 
 def naive_complete_keys(graph):
     """Generate-and-filter over all oriented edge sequences."""
-    oriented = graph.oriented_edges()
+    oriented = oriented_edges(graph)
 
     def key(seq):
         return tuple((s.edge.id, 0 if s.forward else 1) for s in seq)
@@ -372,6 +373,30 @@ def test_class_graph_roots_each_distinct_edge_word_once():
     words._root_cached.cache_clear()
     paths._ClassGraph(graph)
     assert words._root_cached.cache_info().misses == len(distinct)
+
+
+@settings(max_examples=200, deadline=None)
+@given(graphs())
+def test_class_graph_partitions_ends_like_cyclic_meet(graph):
+    """The class graph against cyclic_meet and root, end by end: two ends
+    at one vertex share a class exactly when their words meet, ends at two
+    vertices never do, each step's exponent is its origin word's root
+    exponent, a step ends where its reverse starts, and ``out`` lists the
+    steps leaving each class in increasing order."""
+    classes = paths._ClassGraph(graph)
+    # step 2j leaves the minus end of the j-th edge by id, step 2j + 1 its plus end
+    ends = [(e.vertex(side), e.word(side)) for e in graph.edges.values() for side in (MINUS, PLUS)]
+    assert len(classes.origin) == len(ends)
+    for i, (vid, word) in enumerate(ends):
+        assert classes.k_origin[i] == root(word).exponent
+        assert classes.terminus[i] == classes.origin[i ^ 1]
+        assert classes.k_terminus[i] == classes.k_origin[i ^ 1]
+        for j, (other_vid, other) in enumerate(ends):
+            meet = vid == other_vid and cyclic_meet(word, other) is not None
+            assert (classes.origin[i] == classes.origin[j]) == meet
+    assert sorted(set(classes.origin)) == list(range(len(classes.out)))
+    for c, leaving in enumerate(classes.out):
+        assert leaving == [i for i, origin in enumerate(classes.origin) if origin == c]
 
 
 def test_chains_through_one_junction_share_its_transfer_conjugator():

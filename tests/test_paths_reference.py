@@ -40,7 +40,7 @@ from gogz.paths import (
 )
 from gogz.verdicts import ConjugacyAnswer, power_conjugate
 from gogz.words import cyclic_meet, root
-from helpers import conjugate, reversed_step, terminus, word_of
+from helpers import conjugate, oriented_edges, reversed_step, terminus, word_of
 
 # ------------------------------------------------------------ reference walk
 
@@ -106,7 +106,7 @@ def _conjugator(steps, meets):
 
 
 def reference_complete(graph: GraphOfGroups) -> List[ConjugacyPath]:
-    oriented = graph.oriented_edges()
+    oriented = oriented_edges(graph)
     cycles = []
 
     def extend(path, used):
@@ -136,7 +136,7 @@ def reference_complete(graph: GraphOfGroups) -> List[ConjugacyPath]:
 
 
 def reference_full(graph: GraphOfGroups) -> List[ConjugacyPath]:
-    oriented = graph.oriented_edges()
+    oriented = oriented_edges(graph)
     found = []
 
     # an arrow: the inclusion word at that end is a proper power
@@ -180,7 +180,7 @@ def reference_full(graph: GraphOfGroups) -> List[ConjugacyPath]:
 
 
 def reference_open(graph: GraphOfGroups, g, g_prime):
-    oriented = graph.oriented_edges()
+    oriented = oriented_edges(graph)
     start_vid, end_vid = int(g.vertex), int(g_prime.vertex)
 
     def extend(path, used):

@@ -14,7 +14,9 @@ call.  Test-only conveniences live in ``tests/helpers.py``.
 
 The same calls, with :class:`~gogz.words.FreeWord` construction recorded,
 check that every word the product builds is freely reduced: the
-constructor does not check it, because every builder reduces.
+constructor does not check it, because every builder reduces.  Run once
+more, they check that no call leaves state at module level for the next
+one to find: no new name, no table grown.
 """
 
 import contextlib
@@ -148,3 +150,33 @@ def test_every_word_a_command_builds_is_reduced(tmp_path, monkeypatch):
     assert not unreduced, f"{len(unreduced)} of {len(built)} words built unreduced, first {unreduced[0]}"
     assert exits_ok, "an extra call exited with another code"
     assert len(built) > 1000
+
+
+def _module_state():
+    """{module name: (its names, {name: length})} over ``gogz`` and its
+    modules, with the length of every dict, list and set a module holds."""
+    modules = [gogz, *(importlib.import_module(f"gogz.{info.name}") for info in pkgutil.iter_modules(gogz.__path__))]
+    state = {}
+    for module in modules:
+        values = vars(module)
+        sizes = {
+            name: len(value)
+            for name, value in values.items()
+            if isinstance(value, (dict, list, set)) and not name.startswith("__")
+        }
+        state[module.__name__] = (set(values), sizes)
+    return state
+
+
+def test_no_command_leaves_state_at_module_level(tmp_path, monkeypatch):
+    """Each call starts from what the import left: no command adds a
+    module-level name or grows a module-level table.  The ``functools``
+    caches are not tables here; the benchmark clears them between calls."""
+    before = _module_state()
+    assert any(sizes for _, sizes in before.values())
+    exits_ok = _run_commands(tmp_path, monkeypatch, contextlib.nullcontext())
+    assert exits_ok, "an extra call exited with another code"
+    after = _module_state()
+    for name, (names, sizes) in before.items():
+        assert after[name][0] == names, f"{name} gained names {sorted(after[name][0] - names)}"
+        assert after[name][1] == sizes, f"a table in {name} changed size"
