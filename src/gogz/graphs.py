@@ -16,15 +16,17 @@ endpoint.  Vertices must be declared before the edges that use them, and
 generator names must be globally unique so that a word is unambiguous even
 out of context.
 
-Tokens are separated by blanks, which are spaces and tabs.  Quotes group
-(blanks and ``#`` inside them are kept) and are dropped wherever they stand
-in a token; ``#`` outside quotes starts a comment.  After the head and its
-ids, a line's fields may come in any order, each once.  A line in the
-canonical shape above, which :meth:`GraphOfGroups.to_text` writes, is split
-with one regular-expression match, and every other line by the tokenizer;
-both shapes then go through the same checks of each declaration (a
-canonical vertex line inline, as its match has checked the names).  A line
-those checks refuse is tokenized to place the error.
+Lines end at ``\n``, ``\r\n`` or ``\r`` only.  Tokens are separated by
+blanks, which are spaces and tabs.  Quotes group (blanks and ``#`` inside
+them are kept) and are dropped wherever they stand in a token; ``#``
+outside quotes starts a comment.  After the head and its ids, a line's
+fields may come in any order, each once.  A line in the canonical shape
+above, which :meth:`GraphOfGroups.to_text` writes, is split with one
+regular-expression match, and every other line by the tokenizer.  Both
+shapes, and the records the public constructor is given, then go through
+the same checks of each declaration (:func:`_add_vertex`,
+:func:`_add_edge`); a line those checks refuse is tokenized to place the
+error.
 
 An edge *end* is **bad** when its inclusion word generates the whole vertex
 group (rank-one vertex, word a single letter); it carries an **arrow** when
@@ -153,37 +155,51 @@ class SpanningTree(NamedTuple):
 
 
 class GraphOfGroups:
-    """A validated graph of groups.
+    """A checked graph of groups.
 
-    Construction checks that the graph is nonempty, that edge endpoints
-    exist, that inclusion words are nontrivial and live over the right
-    alphabets, and that generator names are globally unique.  It then builds
-    ``tree``, the graph's one :class:`SpanningTree`, and that search is the
-    check that the graph is connected.  ``vertices`` and ``edges`` map ids
-    to declarations in id order, which every listing of them follows.
+    The constructor runs the caller's vertices and then edges, in id
+    order, through the reader's checks of a declaration, and refuses one
+    in the reader's words after the declaration (``edge 0: unknown vertex
+    1 (declare vertices first)``).  It also checks that there is a vertex
+    and, what no file can get wrong, that every alphabet and word is
+    tagged with its own vertex's id.  It keeps the caller's records, and
+    builds ``tree``, the graph's one :class:`SpanningTree`, whose search is
+    the check that the graph is connected.  ``vertices`` and ``edges`` map
+    ids to declarations in id order, which every listing of them follows.
     """
 
     def __init__(self, vertices: Iterable[Vertex], edges: Iterable[Edge]):
         self.vertices: Dict[int, Vertex] = {}
+        gen_homes: Dict[str, int] = {}
         for v in sorted(vertices, key=_by_id):
-            if v.id in self.vertices:
-                raise DegenerateInputError(f"duplicate vertex id {v.id}")
-            self.vertices[v.id] = v
+            if v.alphabet.vertex != str(v.id):
+                raise AlphabetError(f"vertex {v.id} has an alphabet tagged {v.alphabet.vertex!r}")
+            refusal = _add_vertex(v, v.rank, self.vertices, gen_homes)
+            if refusal is not None:
+                raise DegenerateInputError(f"vertex {v.id}: {refusal[0]}")
+        if not self.vertices:
+            raise DegenerateInputError("a graph of groups needs at least one vertex")
         self.edges: Dict[int, Edge] = {}
         for e in sorted(edges, key=_by_id):
-            if e.id in self.edges:
-                raise DegenerateInputError(f"duplicate edge id {e.id}")
-            self.edges[e.id] = e
-        self._validate()
+            for side in (MINUS, PLUS):
+                word, vid = e.word(side), e.vertex(side)
+                if word.vertex != str(vid):
+                    raise AlphabetError(
+                        f"edge {e.id} {side_name(side)} word is over vertex {word.vertex!r}, expected {vid}"
+                    )
+            refusal = _add_edge(*e, self.vertices, self.edges, read=lambda alphabet, word: word)
+            if refusal is not None:
+                raise DegenerateInputError(f"edge {e.id}: {refusal[0]}")
+            self.edges[e.id] = e  # the caller's record, equal to the one added
         self._build_tree()
 
     @classmethod
     def _from_checked(cls, vertices: Dict[int, Vertex], edges: Dict[int, Edge]) -> "GraphOfGroups":
         """The graph of at least one vertex and of declarations, keyed by
-        id, that pass every :meth:`_validate` check by construction (as
-        :func:`_add_vertex`, :func:`_add_edge` and :func:`reduce_graph` make
-        them): put in id order, not checked again.  The spanning-tree search
-        still checks that it is connected."""
+        id, that keep the rules of :func:`_add_vertex` and :func:`_add_edge`
+        (as the reader and :func:`reduce_graph` make them): put in id order,
+        not checked again.  The spanning-tree search still checks that it
+        is connected."""
         graph = cls.__new__(cls)
         graph.vertices = dict(sorted(vertices.items()))
         graph.edges = dict(sorted(edges.items()))
@@ -214,34 +230,6 @@ class GraphOfGroups:
         self.tree = SpanningTree(root_vertex, tuple(steps), non_tree)
 
     # -------------------------------------------------------------- basics
-
-    def _validate(self):
-        if not self.vertices:
-            raise DegenerateInputError("a graph of groups needs at least one vertex")
-        seen: Dict[str, int] = {}
-        for v in self.vertices.values():
-            if v.alphabet.vertex != str(v.id):
-                raise AlphabetError(f"vertex {v.id} has an alphabet tagged {v.alphabet.vertex!r}")
-            if v.rank < 1:
-                raise DegenerateInputError(f"vertex {v.id} must have rank >= 1")
-            for name in v.alphabet.names:
-                if name in seen:
-                    raise DegenerateInputError(
-                        f"generator {name!r} declared at vertex {seen[name]} and again at vertex {v.id}"
-                    )
-                seen[name] = v.id
-        for e in self.edges.values():
-            for side in (MINUS, PLUS):
-                vid = e.vertex(side)
-                if vid not in self.vertices:
-                    raise DegenerateInputError(f"edge {e.id} uses unknown vertex {vid}")
-                word = e.word(side)
-                if word.vertex != str(vid):
-                    raise AlphabetError(
-                        f"edge {e.id} {side_name(side)} word is over vertex {word.vertex!r}, expected {vid}"
-                    )
-                if word.is_identity:
-                    raise DegenerateInputError(f"edge {e.id} has a trivial {side_name(side)} inclusion word")
 
     @property
     def betti_number(self) -> int:
@@ -349,18 +337,23 @@ _EDGE_LINE_RE = re.compile(
     rf'[ \t]*edge[ \t]+{_INT}[ \t]+{_INT}[ \t]+{_INT}[ \t]+minus="([^"]*)"[ \t]+plus="([^"]*)"[ \t]*'
 )
 
-# A refusal: its message and the index of the argument it blames.
+# A refusal: its message and the index of the part it blames, in the order
+# a declaration's line spells its parts.
 Refusal = Optional[Tuple[str, int]]
 
 
-def _add_vertex(vid: int, rank: int, gens: str, vertices: Dict[int, Vertex], gen_homes: Dict[str, int]) -> Refusal:
-    """Add the vertex ``vertex <vid> rank=<rank> gens=<gens>`` declares, or
-    return its refusal, changing nothing."""
+def _add_vertex(vertex: Vertex, rank: int, vertices: Dict[int, Vertex], gen_homes: Dict[str, int]) -> Refusal:
+    """Add ``vertex``, declared with ``rank``, or return its refusal,
+    changing nothing; ``gen_homes`` maps each name added to its vertex."""
+    vid, names = vertex.id, vertex.alphabet.names
+    if vid < 0:
+        return f"expected a vertex id, got '{vid}'", 0
     if vid in vertices:
         return f"duplicate vertex id {vid}", 0
-    names = gens.split(",") if gens else []
-    homes = dict.fromkeys(names, vid)
-    if not (_NAMES_RE.match(gens) and len(homes) == len(names) and gen_homes.keys().isdisjoint(homes)):
+    homes, joined = dict.fromkeys(names, vid), ",".join(names)
+    # one match for all names, which hold no comma when the count says so
+    valid = _NAMES_RE.match(joined) and joined.count(",") == len(names) - 1
+    if not (valid and len(homes) == len(names) and gen_homes.keys().isdisjoint(homes)):
         seen = set()
         for name in names:  # name the first refused name
             if not _NAME_RE.match(name):
@@ -371,16 +364,19 @@ def _add_vertex(vid: int, rank: int, gens: str, vertices: Dict[int, Vertex], gen
     if rank != len(names) or rank < 1:
         return f"rank={rank} but {len(names)} generator name(s)", 2
     gen_homes.update(homes)
-    vertices[vid] = Vertex.make(vid, names)
+    vertices[vid] = vertex
     return None
 
 
 def _add_edge(
-    eid: int, minus_vertex: int, plus_vertex: int, minus: str, plus: str,
-    vertices: Dict[int, Vertex], edges: Dict[int, Edge],
+    eid: int, minus_vertex: int, plus_vertex: int, minus, plus,
+    vertices: Dict[int, Vertex], edges: Dict[int, Edge], read=Alphabet.parse,
 ) -> Refusal:
     """Add the edge ``edge <eid> <minus_vertex> <plus_vertex> minus=<minus>
-    plus=<plus>`` declares, or return its refusal, changing nothing."""
+    plus=<plus>`` declares, its words read at their endpoints by ``read``,
+    or return its refusal, changing nothing."""
+    if eid < 0:
+        return f"expected an edge id, got '{eid}'", 0
     if eid in edges:
         return f"duplicate edge id {eid}", 0
     if minus_vertex not in vertices or plus_vertex not in vertices:
@@ -388,10 +384,10 @@ def _add_edge(
         return f"unknown vertex {vid} (declare vertices first)", blamed
     blamed = 3
     try:
-        minus_word = vertices[minus_vertex].alphabet.parse(minus)
+        minus_word = read(vertices[minus_vertex].alphabet, minus)
         if minus_word.syllables:
             blamed = 4
-            plus_word = vertices[plus_vertex].alphabet.parse(plus)
+            plus_word = read(vertices[plus_vertex].alphabet, plus)
             if plus_word.syllables:
                 edges[eid] = Edge(eid, minus_vertex, plus_vertex, minus_word, plus_word)
                 return None
@@ -404,27 +400,25 @@ def parse_graph(text: str) -> GraphOfGroups:
     """Parse the text format; errors carry 1-based line and column positions.
 
     A line in the canonical shape is split by one match and taken when it
-    passes the checks of :func:`_add_edge` or :func:`_add_vertex` (a vertex
-    line's run inline, as its match has checked the names).  Any other
-    line, or one those checks refuse, is tokenized and goes through those
-    two functions, and only that path raises, at the column of the token
-    the refusal blames.
+    passes :func:`_add_edge` or :func:`_add_vertex`.  Any other line, or
+    one those checks refuse, is tokenized and goes through the same two
+    functions, and only that path raises, at the column of the token the
+    refusal blames.
     """
     vertices: Dict[int, Vertex] = {}
     edges: Dict[int, Edge] = {}
     gen_homes: Dict[str, int] = {}
-    for lineno, raw in enumerate(text.splitlines(), start=1):
+    lines = text.replace("\r\n", "\n").replace("\r", "\n").split("\n")  # the only line breaks
+    for lineno, raw in enumerate(lines, start=1):
+        if not raw:  # an empty line, as after the last line break
+            continue
         m = _EDGE_LINE_RE.fullmatch(raw)
         if m is not None and _add_edge(int(m[1]), int(m[2]), int(m[3]), m[4], m[5], vertices, edges) is None:
             continue
         m = _VERTEX_LINE_RE.fullmatch(raw)
         if m is not None:
-            vid, names = int(m[1]), m[3].split(",")
-            homes = dict.fromkeys(names, vid)
-            fresh = vid not in vertices and gen_homes.keys().isdisjoint(homes)
-            if fresh and int(m[2]) == len(homes) == len(names):
-                gen_homes.update(homes)
-                vertices[vid] = Vertex(vid, Alphabet(str(vid), names))
+            vertex = Vertex.make(int(m[1]), m[3].split(","))
+            if _add_vertex(vertex, int(m[2]), vertices, gen_homes) is None:
                 continue
         tokens = _tokenize(raw, lineno)
         if not tokens:
@@ -436,8 +430,9 @@ def parse_graph(text: str) -> GraphOfGroups:
             vid = _parse_int(tokens[1], lineno, "a vertex id")
             fields = _parse_fields(tokens[2:], lineno, col0, {"rank", "gens"})
             rank = _parse_int(fields["rank"], lineno, "an integer rank")
+            gens = fields["gens"][0]
             located = (tokens[1], fields["rank"], fields["gens"])
-            refusal = _add_vertex(vid, rank, fields["gens"][0], vertices, gen_homes)
+            refusal = _add_vertex(Vertex.make(vid, gens.split(",") if gens else ()), rank, vertices, gen_homes)
         elif head == "edge":
             if len(tokens) < 4:
                 raise ParseError("edge needs an id and two endpoint vertex ids", lineno, col0)
@@ -452,7 +447,7 @@ def parse_graph(text: str) -> GraphOfGroups:
             message, blamed = refusal
             raise ParseError(message, lineno, located[blamed][1])
     if not vertices:
-        raise ParseError("no vertices declared", max(1, text.count(chr(10)) + 1), 1)
+        raise ParseError("no vertices declared", len(lines), 1)
     return GraphOfGroups._from_checked(vertices, edges)
 
 

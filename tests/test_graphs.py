@@ -3,7 +3,7 @@
 from unittest import mock
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from gogz.errors import AlphabetError, DegenerateInputError, ParseError
 from gogz.graphs import (
@@ -22,6 +22,7 @@ from gogz.graphs import (
 )
 from gogz.words import Alphabet, FreeWord, root
 from helpers import spell
+from test_paths_reference import graphs
 
 BS23 = """
 # one loop: t a^2 t^-1 = a^3
@@ -56,6 +57,31 @@ def test_parse_comments_and_blank_lines():
     g = parse_graph(BS23)
     assert len(g.edges) == 1
     assert g.edges[0].is_loop
+
+
+# Characters that str.splitlines takes for line breaks and the format does not
+_NOT_LINE_BREAKS = "\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029"
+
+
+@pytest.mark.parametrize("char", _NOT_LINE_BREAKS)
+def test_only_newline_and_carriage_return_break_lines(char):
+    text = f'vertex 0 rank=1 gens=a # page{char} break\nedge 0 0 0 minus="a{char}" plus="a^2"\n'
+    assert parse_graph(text).to_text() == V0 + 'edge 0 0 0 minus="a" plus="a^2"\n'
+    # a bad edge after such a comment is reported on its own line
+    with pytest.raises(ParseError) as err:
+        parse_graph(f'vertex 0 rank=1 gens=a # page{char} break\nedge 0 0 0 minus="a" plus="b"\n')
+    assert (err.value.message, err.value.line, err.value.col) == ("unknown generator 'b' (vertex '0')", 2, 22)
+
+
+@pytest.mark.parametrize("newline", ["\r\n", "\r"])
+def test_crlf_and_bare_cr_files_parse_alike(newline):
+    assert parse_graph(THETA.replace("\n", newline)).to_text() == parse_graph(THETA).to_text()
+    with pytest.raises(ParseError) as err:
+        parse_graph(newline.join([V0.strip(), "", 'edge 0 0 0 minus="a" plus="b"']))
+    assert (err.value.line, err.value.col) == (3, 22)
+    with pytest.raises(ParseError) as err:
+        parse_graph(newline.join(["# one", "# two", ""]))
+    assert (err.value.message, err.value.line) == ("no vertices declared", 3)
 
 
 BIG = "1" * 5000  # more digits than ``int`` converts
@@ -126,19 +152,27 @@ _LOOP = Edge(0, 0, 0, _A.parse("a"), _A.parse("a^2"))
 @pytest.mark.parametrize(
     "vertices, edges, error, message",
     [
-        ([_A, Vertex.make(0, ("b",))], [], DegenerateInputError, "duplicate vertex id 0"),
-        ([_A], [_LOOP, _LOOP], DegenerateInputError, "duplicate edge id 0"),
+        ([_A, Vertex.make(0, ("b",))], [], DegenerateInputError, "vertex 0: duplicate vertex id 0"),
+        ([_A], [_LOOP, _LOOP], DegenerateInputError, "edge 0: duplicate edge id 0"),
         ([], [], DegenerateInputError, "a graph of groups needs at least one vertex"),
-        ([Vertex.make(0, ())], [], DegenerateInputError, "vertex 0 must have rank >= 1"),
+        ([Vertex.make(0, ())], [], DegenerateInputError, "vertex 0: rank=0 but 0 generator name(s)"),
         ([_A, Vertex.make(1, ("a",))], [], DegenerateInputError,
-         "generator 'a' declared at vertex 0 and again at vertex 1"),
-        ([_A], [Edge(0, 0, 1, _A.parse("a"), _B.parse("b"))], DegenerateInputError, "edge 0 uses unknown vertex 1"),
+         "vertex 1: generator 'a' already declared at vertex 0"),
+        ([_A], [Edge(0, 0, 1, _A.parse("a"), _B.parse("b"))], DegenerateInputError,
+         "edge 0: unknown vertex 1 (declare vertices first)"),
         ([_A, _B], [Edge(0, 0, 1, _A.parse("a"), _A.parse("a"))], AlphabetError,
          "edge 0 plus word is over vertex '0', expected 1"),
         ([_A], [Edge(0, 0, 0, _A.parse("a"), _A.parse("1"))], DegenerateInputError,
-         "edge 0 has a trivial plus inclusion word"),
+         "edge 0: inclusion word must not be the identity"),
         # an error, not an assert, so that python -O refuses it too
         ([Vertex(3, Alphabet("0", ("a",)))], [], AlphabetError, "vertex 3 has an alphabet tagged '0'"),
+        # what no file can declare, the constructor refuses too
+        ([Vertex.make(-1, ("a",))], [], DegenerateInputError, "vertex -1: expected a vertex id, got '-1'"),
+        ([_A], [_LOOP._replace(id=-1)], DegenerateInputError, "edge -1: expected an edge id, got '-1'"),
+        ([Vertex.make(0, ("a b",))], [], DegenerateInputError, "vertex 0: bad generator name 'a b'"),
+        ([Vertex.make(0, ("a,b",))], [], DegenerateInputError, "vertex 0: bad generator name 'a,b'"),
+        ([Vertex.make(0, ("1",))], [], DegenerateInputError, "vertex 0: bad generator name '1'"),
+        ([Vertex.make(0, ("",))], [], DegenerateInputError, "vertex 0: bad generator name ''"),
     ],
 )
 def test_graph_of_groups_refuses_degenerate_input(vertices, edges, error, message):
@@ -151,7 +185,62 @@ def test_graph_of_groups_refuses_a_name_twice_at_one_vertex():
     # an Alphabet takes its names as they come; the checked constructor refuses the repeat
     with pytest.raises(DegenerateInputError) as err:
         GraphOfGroups([Vertex.make(0, ("a", "b", "a"))], [])
-    assert str(err.value) == "generator 'a' declared at vertex 0 and again at vertex 0"
+    assert str(err.value) == "vertex 0: generator 'a' already declared at vertex 0"
+
+
+# names no graph file can spell, and one that may repeat a drawn name
+_ODD_NAMES = ["a b", "a,b", "1", "", "a"]
+
+
+@st.composite
+def declarations(draw):
+    """The records of a drawn graph with its ids shifted, and at times one
+    id made negative or 0 (which may repeat another) or one name replaced
+    by an odd one."""
+    g = draw(graphs())
+    shift = draw(st.integers(0, 2))
+    vids = {v: v + shift for v in g.vertices}
+    eids = {e: e + shift for e in g.edges}
+    names = {v: list(vertex.alphabet.names) for v, vertex in g.vertices.items()}
+    fault = draw(st.sampled_from([None, None, -1, 0, *_ODD_NAMES]))
+    if fault in (-1, 0):
+        ids = draw(st.sampled_from([vids, eids]))
+        ids[draw(st.sampled_from(sorted(ids)))] = fault
+    elif fault is not None:
+        v = draw(st.sampled_from(sorted(names)))
+        names[v][draw(st.integers(0, len(names[v]) - 1))] = fault
+    vertices = {v: Vertex.make(vids[v], names[v]) for v in g.vertices}
+    edges = [
+        Edge(
+            eids[e.id], vids[e.minus_vertex], vids[e.plus_vertex],
+            vertices[e.minus_vertex].alphabet.word(e.minus_word.syllables),
+            vertices[e.plus_vertex].alphabet.word(e.plus_word.syllables),
+        )
+        for e in g.edges.values()
+    ]
+    return list(vertices.values()), edges
+
+
+@settings(max_examples=200, deadline=None)
+@given(declarations())
+@example(([Vertex.make(-1, ("a",))], []))
+@example(([Vertex.make(0, ("a b",))], []))
+def test_every_accepted_graph_reads_back(declared):
+    # the constructor refuses what no file can declare, so every graph it
+    # accepts writes a file that reads back to the same text
+    try:
+        g = GraphOfGroups(*declared)
+    except (DegenerateInputError, AlphabetError):
+        return
+    text = g.to_text()
+    assert parse_graph(text).to_text() == text
+
+
+def test_graph_of_groups_keeps_the_callers_records():
+    edge = Edge(0, 1, 0, _B.parse("b^2"), _A.parse("a"))
+    g = GraphOfGroups([_B, _A], [edge])
+    assert list(g.vertices) == [0, 1] and g.vertices[0] is _A and g.vertices[1] is _B
+    assert g.edges == {0: edge} and g.edges[0] is edge
 
 
 def reference_tokenize(line, lineno):
@@ -427,12 +516,12 @@ def test_reduction_terminates_and_is_reduced(g):
 @given(random_graph_with_bad_ends(max_extra_edges=0))
 def test_reduce_graph_builds_without_revalidating(g):
     # contraction keeps ids and names unique and leaves every end a
-    # nontrivial word at its own vertex, so reduce_graph never runs
-    # _validate, and its graph matches the checked public constructor's
-    def refuse(self):
+    # nontrivial word at its own vertex, so reduce_graph never runs the
+    # checking constructor, and its graph matches that constructor's
+    def refuse(self, vertices, edges):
         raise AssertionError("reduce_graph revalidated its graph")
 
-    with mock.patch.object(GraphOfGroups, "_validate", refuse):
+    with mock.patch.object(GraphOfGroups, "__init__", refuse):
         reduced, _ = reduce_graph(g)
     expected = GraphOfGroups(reduced.vertices.values(), reduced.edges.values())
     assert _declarations(reduced) == _declarations(expected)
@@ -573,16 +662,16 @@ def test_canonical_and_rewritten_lines_parse_alike(g, data):
 @given(mixed_rank_graph(), st.randoms())
 def test_parse_graph_builds_without_revalidating(g, rng):
     # every declaration was checked as it was read, so parsing never runs
-    # _validate, and the graph matches the checked public constructor's
+    # the checking constructor, and the graph matches that constructor's
     lines = g.to_text().splitlines()
     edges = [line for line in lines if line.startswith("edge")]
     rng.shuffle(edges)  # id order is restored, whatever the file order
     text = "\n".join([line for line in lines if line.startswith("vertex")] + edges)
 
-    def refuse(self):
+    def refuse(self, vertices, edges):
         raise AssertionError("parse_graph revalidated its graph")
 
-    with mock.patch.object(GraphOfGroups, "_validate", refuse):
+    with mock.patch.object(GraphOfGroups, "__init__", refuse):
         parsed = parse_graph(text)
     expected = GraphOfGroups(parsed.vertices.values(), parsed.edges.values())
     assert _declarations(parsed) == _declarations(g)
