@@ -30,7 +30,6 @@ from gogz.errors import (
 from gogz.graphs import (
     Edge,
     GraphOfGroups,
-    OrientedEdge,
     Vertex,
     parse_graph,
     reduce_graph,
@@ -64,7 +63,6 @@ __all__ = [
     "cyclic_meet",
     "Vertex",
     "Edge",
-    "OrientedEdge",
     "GraphOfGroups",
     "parse_graph",
     "reduce_graph",

@@ -30,13 +30,22 @@ once ``--no-timing`` drops the one nondeterministic field.
 from __future__ import annotations
 
 import argparse
-import hashlib
 import os
 import sys
 import time
 from fractions import Fraction
 from json.encoder import encode_basestring_ascii
 from typing import List, Optional, Sequence, Tuple
+
+# The interpreter's own SHA-256, as random.py takes its sha512: hashlib
+# would load OpenSSL for the one digest a command takes.
+try:
+    from _sha2 import sha256  # Python 3.12+
+except ImportError:
+    try:
+        from _sha256 import sha256  # Python 3.10 and 3.11
+    except ImportError:
+        from hashlib import sha256
 
 from . import __version__
 from .engine import Engine, brute_force_power_conjugacy
@@ -46,7 +55,7 @@ from .errors import (
     ParseError,
 )
 from .graphs import Contraction, GraphOfGroups, parse_graph, side_name
-from .paths import ConjugacyPath, enumerate_complete_paths, enumerate_full_nonmaximal_paths
+from .paths import ConjugacyPath, _step_name, enumerate_complete_paths, enumerate_full_nonmaximal_paths
 from .verdicts import AnalysisReport, ConjugacyAnswer, _require_path, analyze, power_conjugate
 from .words import MAX_WORD_LETTERS, Alphabet, FreeWord, parse_int
 
@@ -75,7 +84,7 @@ def _format_conjugator(graph: GraphOfGroups, items: Sequence) -> str:
 
 
 def _format_steps(path: ConjugacyPath) -> List[str]:
-    return [f"e{s.edge.id}{'+' if s.forward else '-'}" for s in path.steps]
+    return [_step_name(letter) for letter in path.steps]
 
 
 def _path_json(graph: GraphOfGroups, path: ConjugacyPath) -> dict:
@@ -109,7 +118,7 @@ def _complete_json(graph: GraphOfGroups, path: ConjugacyPath) -> dict:
     return {
         "kind": "complete",
         "steps": _format_steps(path),
-        "base_vertex": path.steps[0].origin,
+        "base_vertex": int(path.start.vertex),
         "base_word": _format_word(graph, path.start),
         "ratio": str(ratio),
         "level": abs(ratio) == 1,
@@ -119,15 +128,16 @@ def _complete_json(graph: GraphOfGroups, path: ConjugacyPath) -> dict:
 
 
 def _nonmax_json(graph: GraphOfGroups, path: ConjugacyPath) -> dict:
-    first, last = path.steps[0], path.steps[-1]
+    (_, first, first_sign), (_, last, last_sign) = path.steps[0], path.steps[-1]
     return {
         "kind": "full",
         "steps": _format_steps(path),
         "start": _format_word(graph, path.start),
         "end": _format_word(graph, path.end),
         "arrows": [
-            [first.edge.id, side_name(first.origin_side)],
-            [last.edge.id, side_name(last.terminus_side)],
+            # a +1 step leaves its edge's minus end and enters its plus end
+            [first, side_name(-first_sign)],
+            [last, side_name(last_sign)],
         ],
         "relation": _relation_json(graph, path),
         "verified": True,
@@ -582,7 +592,7 @@ def _base_document(command: str, path: str, data: bytes, graph: GraphOfGroups) -
         "command": command,
         "input": dict(
             path=path,
-            sha256=hashlib.sha256(data).hexdigest(),
+            sha256=sha256(data).hexdigest(),
             **_graph_summary(graph),
         ),
     }

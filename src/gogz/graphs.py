@@ -44,7 +44,7 @@ from operator import attrgetter
 from typing import Dict, Iterable, List, NamedTuple, Optional, Tuple
 
 from .errors import AlphabetError, DegenerateInputError, ParseError
-from .words import Alphabet, FreeWord, parse_int
+from .words import MAX_WORD_LETTERS, Alphabet, FreeWord, parse_int
 
 MINUS = -1
 PLUS = 1
@@ -104,37 +104,6 @@ class Edge(NamedTuple):
         return self.minus_word if side == MINUS else self.plus_word
 
 
-class OrientedEdge(NamedTuple):
-    """An edge together with a direction of travel (forward = minus to plus)."""
-
-    edge: Edge
-    forward: bool = True
-
-    @property
-    def origin_side(self) -> int:
-        return MINUS if self.forward else PLUS
-
-    @property
-    def terminus_side(self) -> int:
-        return PLUS if self.forward else MINUS
-
-    @property
-    def origin(self) -> int:
-        return self.edge.vertex(self.origin_side)
-
-    @property
-    def origin_word(self) -> FreeWord:
-        return self.edge.word(self.origin_side)
-
-    @property
-    def terminus_word(self) -> FreeWord:
-        return self.edge.word(self.terminus_side)
-
-    def __repr__(self):
-        arrow = "+" if self.forward else "-"
-        return f"OrientedEdge(e{self.edge.id}{arrow})"
-
-
 class TreeStep(NamedTuple):
     edge_id: int
     parent: int
@@ -158,14 +127,15 @@ class GraphOfGroups:
     """A checked graph of groups.
 
     The constructor runs the caller's vertices and then edges, in id
-    order, through the reader's checks of a declaration, and refuses one
-    in the reader's words after the declaration (``edge 0: unknown vertex
-    1 (declare vertices first)``).  It also checks that there is a vertex
-    and, what no file can get wrong, that every alphabet and word is
-    tagged with its own vertex's id.  It keeps the caller's records, and
-    builds ``tree``, the graph's one :class:`SpanningTree`, whose search is
-    the check that the graph is connected.  ``vertices`` and ``edges`` map
-    ids to declarations in id order, which every listing of them follows.
+    order, through the reader's checks of a declaration, its cap on the
+    letters of a word included, and refuses one in the reader's words
+    after the declaration (``edge 0: unknown vertex 1 (declare vertices
+    first)``).  It also checks that there is a vertex and, what no file
+    can get wrong, that every alphabet and word is tagged with its own
+    vertex's id.  It keeps the caller's records, and builds ``tree``, the
+    graph's one :class:`SpanningTree`, whose search is the check that the
+    graph is connected.  ``vertices`` and ``edges`` map ids to declarations
+    in id order, which every listing of them follows.
     """
 
     def __init__(self, vertices: Iterable[Vertex], edges: Iterable[Edge]):
@@ -180,6 +150,11 @@ class GraphOfGroups:
         if not self.vertices:
             raise DegenerateInputError("a graph of groups needs at least one vertex")
         self.edges: Dict[int, Edge] = {}
+
+        def read(alphabet: Alphabet, word: FreeWord) -> FreeWord:
+            # a word over the reader's cap is read back from its text, which the reader refuses
+            return alphabet.parse(alphabet.format(word)) if len(word) > MAX_WORD_LETTERS else word
+
         for e in sorted(edges, key=_by_id):
             for side in (MINUS, PLUS):
                 word, vid = e.word(side), e.vertex(side)
@@ -187,7 +162,7 @@ class GraphOfGroups:
                     raise AlphabetError(
                         f"edge {e.id} {side_name(side)} word is over vertex {word.vertex!r}, expected {vid}"
                     )
-            refusal = _add_edge(*e, self.vertices, self.edges, read=lambda alphabet, word: word)
+            refusal = _add_edge(*e, self.vertices, self.edges, read)
             if refusal is not None:
                 raise DegenerateInputError(f"edge {e.id}: {refusal[0]}")
             self.edges[e.id] = e  # the caller's record, equal to the one added

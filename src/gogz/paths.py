@@ -40,16 +40,19 @@ gains of its steps.  Everything here reads that one graph:
   so a query with no path at all costs that BFS.
 
 Chains are :class:`ConjugacyPath` records, the one chain record of the
-package: its ratio, witness exponents, base vertex (``steps[0].origin``)
-and arrowed ends (the two outer ends of a full path) are all read off it.
-Its transitions are the :class:`~gogz.words.CyclicMeet` records that
+package.  A step is its stable letter ``('t', edge_id, ±1)``, +1 crossing
+the edge from its minus end to its plus end: the chain's ratio, witness
+exponents, base vertex (the vertex of ``start``) and arrowed ends (the
+sides the signs of a full path's first and last letters leave and enter)
+are all read off it.  Its transitions are the
+:class:`~gogz.words.CyclicMeet` records that
 :func:`~gogz.words.cyclic_meet` returns, each with its transfer
 conjugator theta, and :func:`_chain` builds every chain, filling in its
-witness exponents and its conjugator (the thetas and stable letters) once.
-The class graph builds every chain that crosses an edge: it certifies
-each entry, junction and exit once, keyed by its pair of steps.  The
-conjugacy solver's relation inside one vertex group is the chain with no
-steps.
+witness exponents and its conjugator (the thetas interleaved with the
+steps) once.  The class graph builds every chain that crosses an edge: it
+certifies each entry, junction and exit once, keyed by its pair of steps.
+The conjugacy solver's relation inside one vertex group is the chain with
+no steps.
 """
 
 from __future__ import annotations
@@ -59,7 +62,7 @@ from math import gcd, lcm
 from typing import Callable, Dict, Iterator, List, NamedTuple, Optional, Sequence, Tuple, Union
 
 from .errors import DegenerateInputError, InternalInconsistencyError
-from .graphs import GraphOfGroups, OrientedEdge
+from .graphs import GraphOfGroups
 from .words import CyclicMeet, FreeWord, Syllables, _root_cached, cyclic_meet
 
 TLetter = Tuple[str, int, int]
@@ -73,24 +76,28 @@ QUERY = -1
 class ConjugacyPath(NamedTuple):
     """A certified chain carrying powers of ``start`` onto powers of ``end``.
 
-    ``transitions`` are the exponent transfers inside vertex groups, each a
-    :class:`~gogz.words.CyclicMeet` from its ``u`` onto its ``v``: the entry
-    from ``start`` onto the first inclusion word, one junction from each
-    step's terminus word onto the next step's origin word, and the exit
-    onto ``end``.  Crossing an edge preserves the exponent (stable letters
-    conjugate one inclusion word to the other).  A chain with no steps has
-    one transition, a relation inside one vertex group.
+    ``steps`` are the edges crossed, in order, each as its stable letter
+    ``('t', edge_id, ±1)``: +1 crosses from the minus end to the plus end,
+    -1 back.  ``transitions`` are the exponent transfers inside vertex
+    groups, each a :class:`~gogz.words.CyclicMeet` from its ``u`` onto its
+    ``v``: the entry from ``start`` onto the first inclusion word, one
+    junction from each step's terminus word onto the next step's origin
+    word, and the exit onto ``end``.  Crossing an edge preserves the
+    exponent (stable letters conjugate one inclusion word to the other).
+    A chain with no steps has one transition, a relation inside one vertex
+    group.
 
     ``witness_exponents`` is the minimal (m, n) of
     :func:`_witness_exponents`, and ``conjugator_items`` the conjugator c
     with c * start^m * c^-1 = end^n, as a product of vertex words and
-    stable letters listed left to right (the rightmost acts first).
-    Identity vertex words are dropped; stable letters of spanning-tree
-    edges are kept (the engine treats them as the identity).  Both are
-    filled in by :func:`_chain`, where the chain is built.
+    stable letters listed left to right (the rightmost acts first): the
+    steps in reverse, interleaved with the transfer conjugators.  Identity
+    vertex words are dropped; stable letters of spanning-tree edges are
+    kept (the engine treats them as the identity).  Both are filled in by
+    :func:`_chain`, where the chain is built.
     """
 
-    steps: Tuple[OrientedEdge, ...]
+    steps: Tuple[TLetter, ...]
     transitions: Tuple[CyclicMeet, ...]
     witness_exponents: Tuple[int, int]
     conjugator_items: Tuple[ConjugatorItem, ...]
@@ -144,20 +151,22 @@ def _witness_exponents(transitions: Sequence[CyclicMeet]) -> Tuple[int, int]:
     return m, m // den * num
 
 
-def _chain(
-    steps: Tuple[OrientedEdge, ...], transitions: Tuple[CyclicMeet, ...], letters: Sequence[TLetter]
-) -> ConjugacyPath:
-    """The chain record of ``steps`` through ``transitions``, whose
-    ``letters[i]`` is the stable letter of ``steps[i]``: the one place a
-    chain's witness exponents and conjugator are computed."""
+def _chain(steps: Tuple[TLetter, ...], transitions: Tuple[CyclicMeet, ...]) -> ConjugacyPath:
+    """The chain record of ``steps`` through ``transitions``: the one place
+    a chain's witness exponents and conjugator are computed."""
     # transitions[i] precedes steps[i]; the exit follows the last step
     theta = transitions[-1].transfer_conjugator
     items: List[ConjugatorItem] = [theta] if theta.syllables else []
-    for letter, tr in zip(reversed(letters), reversed(transitions[:-1])):
+    for letter, tr in zip(reversed(steps), reversed(transitions[:-1])):
         items.append(letter)
         if tr.transfer_conjugator.syllables:
             items.append(tr.transfer_conjugator)
     return ConjugacyPath(steps, transitions, _witness_exponents(transitions), tuple(items))
+
+
+def _step_name(letter: TLetter) -> str:
+    """``e3+`` for the step ``('t', 3, 1)``, ``e3-`` for ``('t', 3, -1)``."""
+    return f"e{letter[1]}{'+' if letter[2] == 1 else '-'}"
 
 
 # --------------------------------------------------------------- class graph
@@ -183,10 +192,10 @@ class _ClassGraph:
     chains are listed shortest first, then lex.  ``out`` lists, per class,
     the steps leaving it in step order.
     Building it takes one :func:`root` per distinct edge word, in one loop
-    over the edge ends; a step ends where its reverse starts.  Each
-    :class:`OrientedEdge` and its stable letter ``('t', id, ±1)``, shared
-    by every chain through the step, waits in ``steps`` for the first
-    certified chain that crosses it (a tree's verdicts certify at most one).
+    over the edge ends, which also keeps each step's origin word in
+    ``words`` and its stable letter ``('t', id, ±1)``, shared by every
+    chain through the step, in ``letters``; a step ends where its reverse
+    starts, so its terminus word is ``words[i ^ 1]``.
 
     ``transitions`` memoises the certified transfer of each pair of steps
     (plus the ``query`` endpoints of an open search), so every chain built
@@ -197,15 +206,15 @@ class _ClassGraph:
     def __init__(self, graph: GraphOfGroups, query: Optional[Tuple[FreeWord, FreeWord]] = None):
         self.query = query
         self.transitions: Dict[Tuple[int, int], CyclicMeet] = {}
-        self.edges = list(graph.edges.values())
-        self.steps: Dict[int, Tuple[OrientedEdge, TLetter]] = {}
         node: Dict[EndClass, int] = {}
         out: List[List[int]] = []
         origin: List[int] = []
         k_origin: List[int] = []
-        for _, minus_vertex, plus_vertex, minus_word, plus_word in self.edges:
+        words: List[FreeWord] = []
+        letters: List[TLetter] = []
+        for eid, minus_vertex, plus_vertex, minus_word, plus_word in graph.edges.values():
             # the minus end is the origin of step 2j, the plus end of 2j + 1
-            for vid, word in ((minus_vertex, minus_word), (plus_vertex, plus_word)):
+            for vid, word, sign in ((minus_vertex, minus_word, 1), (plus_vertex, plus_word, -1)):
                 _, primitive, exponent = _root_cached(word.syllables)
                 c = node.setdefault((vid, primitive), len(out))
                 if c == len(out):
@@ -213,7 +222,10 @@ class _ClassGraph:
                 out[c].append(len(origin))
                 origin.append(c)
                 k_origin.append(exponent)
+                words.append(word)
+                letters.append(("t", eid, sign))
         self.node, self.out, self.origin, self.k_origin = node, out, origin, k_origin
+        self.words, self.letters = words, letters
         # a step ends where its reverse i ^ 1 starts
         steps = range(len(origin))
         self.terminus = [origin[i ^ 1] for i in steps]
@@ -227,15 +239,6 @@ class _ClassGraph:
         _, primitive, exponent = _root_cached(word.syllables)
         return self.node.get((vid, primitive)), exponent
 
-    def step(self, i: int) -> Tuple[OrientedEdge, TLetter]:
-        """Step ``i`` and its stable letter, built when a chain first
-        crosses it and then shared by every chain through it."""
-        step = self.steps.get(i)
-        if step is None:
-            edge, forward = self.edges[i >> 1], not i & 1
-            step = self.steps[i] = OrientedEdge(edge, forward), ("t", edge.id, 1 if forward else -1)
-        return step
-
     def transition(self, a: int, b: int, walk: Sequence[int]) -> CyclicMeet:
         """The transfer from the terminus word of step ``a`` onto the origin
         word of step ``b`` (the query's start word when ``a`` is QUERY, its
@@ -243,13 +246,13 @@ class _ClassGraph:
         chain named when cyclic_meet rejects what the class walk accepted."""
         tr = self.transitions.get((a, b))
         if tr is None:
-            incoming = self.query[0] if a == QUERY else self.step(a)[0].terminus_word
-            outgoing = self.query[1] if b == QUERY else self.step(b)[0].origin_word
+            incoming = self.query[0] if a == QUERY else self.words[a ^ 1]
+            outgoing = self.query[1] if b == QUERY else self.words[b]
             tr = cyclic_meet(incoming, outgoing)
             if tr is None:
                 raise InternalInconsistencyError(
                     "class walk accepted a chain that cyclic_meet rejects: "
-                    + " ".join(repr(self.step(i)[0]) for i in walk)
+                    + " ".join(_step_name(self.letters[i]) for i in walk)
                 )
             self.transitions[a, b] = tr
         return tr
@@ -264,8 +267,7 @@ class _ClassGraph:
         """
         pairs = zip([first, *walk], [*walk, last])
         transitions = tuple(self.transition(a, b, walk) for a, b in pairs)
-        steps, letters = zip(*map(self.step, walk))
-        return _chain(steps, transitions, letters)
+        return _chain(tuple(self.letters[i] for i in walk), transitions)
 
     # ------------------------------------------------------------ walks
 
@@ -539,14 +541,15 @@ def _closed_chains(index: _ClassGraph) -> Iterator[List[int]]:
 def enumerate_complete_paths(graph: GraphOfGroups) -> List[ConjugacyPath]:
     """All complete closed chains, deduplicated under rotation and reversal.
 
-    Each chain starts and ends at the base word ``steps[0].origin_word`` of
-    the canonical rotation; the closing overlap is part of the certificate,
-    so the witness covers the full loop including the return to the base
-    word.  A chain is *level* when ``|ratio()| = 1``; a non-level chain
-    exhibits an unbalanced element.  A tree (Betti number 0) has no closed
-    edge-once walk, so it returns ``[]`` without walking.  The walk is
-    exponential when many edges share a class; :func:`decide_chains`
-    answers the verdicts' questions without it.
+    Each chain starts and ends at its base word ``start``, the origin word
+    of the first step of the canonical rotation; the closing overlap is
+    part of the certificate, so the witness covers the full loop including
+    the return to the base word.  A chain is *level* when
+    ``|ratio()| = 1``; a non-level chain exhibits an unbalanced element.
+    A tree (Betti number 0) has no closed edge-once walk, so it returns
+    ``[]`` without walking.  The walk is exponential when many edges share
+    a class; :func:`decide_chains` answers the verdicts' questions without
+    it.
     """
     if graph.betti_number == 0:
         return []
@@ -565,8 +568,8 @@ def enumerate_full_nonmaximal_paths(graph: GraphOfGroups) -> List[ConjugacyPath]
     The initial inclusion word (a proper power, by its arrow) travels the
     chain through maximal inclusions only and lands on another proper
     power, so the fundamental group gains a Baumslag-Solitar subgroup.
-    Each path runs from ``steps[0].origin_word`` to
-    ``steps[-1].terminus_word``, the two arrowed ends.  A single edge with
+    Each path runs from the origin word of its first step to the terminus
+    word of its last, the two arrowed ends.  A single edge with
     arrows at both ends is the one-step case.  Results are deduplicated
     under reversal.
     """

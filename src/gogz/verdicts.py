@@ -342,7 +342,7 @@ def power_conjugate(graph: GraphOfGroups, x: FreeWord, y: FreeWord) -> Conjugacy
     if x.is_identity or y.is_identity:
         raise DegenerateInputError("power conjugacy is asked of nontrivial elements")
     meet = cyclic_meet(x, y) if x.vertex == y.vertex else None
-    own = [_chain((), (meet,), ())] if meet is not None else []
+    own = [_chain((), (meet,))] if meet is not None else []
     first = {path.witness_exponents: path for path in iter_conjugacy_paths(graph, x, y)}
     best = min([*own, *first.values()], key=_size, default=None)  # the earliest of the least
     if best is None:

@@ -13,10 +13,10 @@ import subprocess
 import sys
 from itertools import groupby
 from operator import neg
-from typing import List
+from typing import List, NamedTuple, Tuple
 
 from gogz.engine import Elem, Engine, Item, _reverse
-from gogz.graphs import GraphOfGroups, OrientedEdge
+from gogz.graphs import MINUS, PLUS, Edge, GraphOfGroups
 from gogz.words import (
     Alphabet,
     FreeWord,
@@ -138,17 +138,57 @@ def flat_coset_canonical(u: Letters, x: Letters) -> Letters:
 # --------------------------------------------------------------------- steps
 
 
-def oriented_edges(graph: GraphOfGroups) -> List[OrientedEdge]:
+class Step(NamedTuple):
+    """An edge together with a direction of travel (forward = minus to
+    plus): the record the reference walks step along, where the product
+    keeps only the step's stable letter."""
+
+    edge: Edge
+    forward: bool = True
+
+    @property
+    def origin_side(self) -> int:
+        return MINUS if self.forward else PLUS
+
+    @property
+    def terminus_side(self) -> int:
+        return PLUS if self.forward else MINUS
+
+    @property
+    def origin(self) -> int:
+        return self.edge.vertex(self.origin_side)
+
+    @property
+    def origin_word(self) -> FreeWord:
+        return self.edge.word(self.origin_side)
+
+    @property
+    def terminus_word(self) -> FreeWord:
+        return self.edge.word(self.terminus_side)
+
+    @property
+    def letter(self) -> Tuple[str, int, int]:
+        """The step as a :class:`~gogz.paths.ConjugacyPath` lists it: its
+        stable letter ``('t', edge_id, ±1)``."""
+        return ("t", self.edge.id, 1 if self.forward else -1)
+
+
+def oriented_edges(graph: GraphOfGroups) -> List[Step]:
     """Every step of the graph, in the class graph's step order: the edges
     by id, each forward and then backward."""
-    return [OrientedEdge(e, fwd) for e in graph.edges.values() for fwd in (True, False)]
+    return [Step(e, fwd) for e in graph.edges.values() for fwd in (True, False)]
 
 
-def reversed_step(step: OrientedEdge) -> OrientedEdge:
-    return OrientedEdge(step.edge, not step.forward)
+def steps_of(graph: GraphOfGroups, path) -> Tuple[Step, ...]:
+    """The steps of a chain, read back off its stable letters."""
+    return tuple(Step(graph.edges[eid], sign == 1) for _, eid, sign in path.steps)
 
 
-def terminus(step: OrientedEdge) -> int:
+def reversed_step(step: Step) -> Step:
+    return Step(step.edge, not step.forward)
+
+
+def terminus(step: Step) -> int:
     return step.edge.vertex(step.terminus_side)
 
 

@@ -15,7 +15,7 @@ from gogz.graphs import parse_graph, reduce_graph
 from gogz.paths import enumerate_complete_paths, enumerate_full_nonmaximal_paths
 from gogz.verdicts import analyze, power_conjugate
 from gogz.words import cyclic_meet, maximal_root, root
-from helpers import atoms, conjugate, oriented_edges, reversed_step, terminus, validate_element
+from helpers import atoms, conjugate, oriented_edges, reversed_step, steps_of, terminus, validate_element
 
 
 def _finish(name: str, started: float, budget: float, detail: str) -> None:
@@ -326,11 +326,11 @@ def test_criterion_6_path_enumeration_completeness(suite_graphs):
             continue
         complete = {}
         for path in enumerate_complete_paths(graph):
-            key, ratio = _cycle_class(path.steps, path.ratio())
+            key, ratio = _cycle_class(steps_of(graph, path), path.ratio())
             assert key not in complete, (name, key)  # one verdict per class
             complete[key] = ratio
         assert complete == _naive_complete(graph), name
-        full = {_chain_class(p.steps) for p in enumerate_full_nonmaximal_paths(graph)}
+        full = {_chain_class(steps_of(graph, p)) for p in enumerate_full_nonmaximal_paths(graph)}
         assert full == _naive_full(graph), name
         graphs += 1
     assert graphs == len(suite_graphs)

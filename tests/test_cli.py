@@ -180,6 +180,41 @@ class TestDeterminism:
         assert first.stdout == second.stdout and first.stdout
 
 
+# A fresh interpreter runs one check and prints its exit code, the input
+# digest and which of the OpenSSL hash modules it loaded; with "fallback" it
+# first blocks the built-in SHA-256 modules, so the import ladder ends at hashlib.
+_HASH_CHILD = """
+import contextlib, io, json, sys
+if sys.argv[2] == "fallback":
+    sys.modules["_sha2"] = sys.modules["_sha256"] = None
+from gogz.cli import main
+report = io.StringIO()
+with contextlib.redirect_stdout(report):
+    code = main(["check", sys.argv[1], "--no-timing"])
+loaded = sorted({"hashlib", "_hashlib"} & set(sys.modules))
+print(json.dumps([code, json.loads(report.getvalue())["input"]["sha256"], loaded]))
+"""
+
+
+class TestInputDigest:
+    def test_the_digest_skips_openssl(self, graph_file):
+        path = graph_file(BS23)
+        child = run_capped(["-c", _HASH_CHILD, path, "lean"])
+        assert child.returncode == 0, child.stderr
+        with open(path, "rb") as f:
+            expected = hashlib.sha256(f.read()).hexdigest()
+        assert json.loads(child.stdout) == [0, expected, []]
+
+    def test_the_hashlib_fallback_gives_the_same_digest(self, graph_file):
+        path = graph_file(BS23)
+        child = run_capped(["-c", _HASH_CHILD, path, "fallback"])
+        assert child.returncode == 0, child.stderr
+        code, digest, loaded = json.loads(child.stdout)
+        with open(path, "rb") as f:
+            assert (code, digest) == (0, hashlib.sha256(f.read()).hexdigest())
+        assert "hashlib" in loaded
+
+
 _json_text = st.text() | st.text(st.sampled_from('"\\/\n\t\x00\x1f\x7f é\u2028😀'))
 _json_values = st.recursive(
     st.none()

@@ -12,7 +12,6 @@ from gogz.graphs import (
     Contraction,
     Edge,
     GraphOfGroups,
-    OrientedEdge,
     Vertex,
     _EDGE_LINE_RE,
     _VERTEX_LINE_RE,
@@ -173,6 +172,11 @@ _LOOP = Edge(0, 0, 0, _A.parse("a"), _A.parse("a^2"))
         ([Vertex.make(0, ("a,b",))], [], DegenerateInputError, "vertex 0: bad generator name 'a,b'"),
         ([Vertex.make(0, ("1",))], [], DegenerateInputError, "vertex 0: bad generator name '1'"),
         ([Vertex.make(0, ("",))], [], DegenerateInputError, "vertex 0: bad generator name ''"),
+        # a word that to_text would write and parse_graph refuse
+        ([_A], [Edge(0, 0, 0, _A.alphabet.word(((1, 2000000),)), _A.parse("a^3"))], DegenerateInputError,
+         "edge 0: word longer than 1000000 letters at token 'a^2000000' (vertex '0')"),
+        ([_A], [Edge(0, 0, 0, _A.parse("a^3"), _A.alphabet.word(((1, -1000001),)))], DegenerateInputError,
+         "edge 0: word longer than 1000000 letters at token 'a^-1000001' (vertex '0')"),
     ],
 )
 def test_graph_of_groups_refuses_degenerate_input(vertices, edges, error, message):
@@ -536,12 +540,9 @@ def test_edges_are_values():
     edge = Edge(0, 0, 1, a.parse("a^2"), b.parse("b^3"))
     again = Edge(0, 0, 1, FreeWord("0", ((1, 2),)), FreeWord("1", ((1, 3),)))
     assert edge == again and hash(edge) == hash(again) and edge is not again
-    assert OrientedEdge(edge, False) == OrientedEdge(again, False)
-    assert hash(OrientedEdge(edge)) == hash(OrientedEdge(again, True))
-    assert OrientedEdge(edge) != OrientedEdge(edge, False)
     # the same syllables over another vertex make another word, and another edge
     assert Edge(0, 0, 1, a.parse("a^2"), FreeWord("0", ((1, 3),))) != edge
-    for record, field in ((edge, "id"), (edge, "plus_word"), (OrientedEdge(edge), "forward")):
+    for record, field in ((edge, "id"), (edge, "plus_word")):
         with pytest.raises(AttributeError):
             setattr(record, field, None)
 

@@ -9,11 +9,16 @@ hyperbolic exactly when r >= 2.  The check needs no oracle and no second
 decider (metamorphic testing: Chen et al., *ACM Computing Surveys* 51(1),
 2018).  The graphs and moves are drawn derandomised, so every run checks
 the same ones, and every moved graph is built by the public constructor.
+
+A tree of free groups with cyclic edge groups has Euler characteristic
+``sum_v (1 - rank_v)``, as the edge groups add nothing (Brown, *Cohomology
+of Groups*, ch. IX), and a free group of rank r has ``1 - r``; so a tree
+that reduces to one vertex must report that free rank.
 """
 
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
-from gogz.graphs import Edge, GraphOfGroups, Vertex
+from gogz.graphs import Edge, GraphOfGroups, Vertex, parse_graph
 from gogz.verdicts import analyze
 from test_paths_reference import graphs
 
@@ -55,3 +60,16 @@ def test_moves_keep_the_group_invariants(graph, data):
     assert invariants(renumbered(graph, vertex_ids, edge_ids)) == expected
     eid = data.draw(st.sampled_from(sorted(graph.edges)))
     assert invariants(reversed_edge(graph, eid)) == expected
+
+
+# a rank-one vertex contracts into a rank-two one: F_2, and 1 - (-1 + 0) = 2
+F2_BY_CONTRACTION = parse_graph('vertex 0 rank=2 gens=a,b\nvertex 1 rank=1 gens=x\nedge 0 0 1 minus="a" plus="x"')
+
+
+@settings(max_examples=300, derandomize=True, database=None, deadline=None)
+@given(graphs(trees_only=True))
+@example(F2_BY_CONTRACTION)
+def test_free_rank_is_the_euler_characteristic_of_the_tree(tree):
+    free_rank = analyze(tree).trichotomy.free_rank
+    if free_rank is not None:
+        assert free_rank == 1 - sum(1 - v.rank for v in tree.vertices.values())

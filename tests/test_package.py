@@ -21,7 +21,6 @@ def test_public_names():
         "GraphOfGroups",
         "HyperbolicityVerdict",
         "InternalInconsistencyError",
-        "OrientedEdge",
         "ParseError",
         "PowerConjugacy",
         "TrichotomyVerdict",

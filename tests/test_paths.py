@@ -9,14 +9,14 @@ from hypothesis import given, settings
 from gogz.engine import Engine
 from gogz import paths, words
 from gogz.errors import InternalInconsistencyError
-from gogz.graphs import MINUS, PLUS, OrientedEdge, parse_graph
+from gogz.graphs import MINUS, PLUS, parse_graph
 from gogz.paths import (
     enumerate_complete_paths,
     enumerate_full_nonmaximal_paths,
     iter_conjugacy_paths,
 )
 from gogz.words import cyclic_meet, root
-from helpers import conjugate, inverse, oriented_edges, reversed_step, terminus, word_product
+from helpers import Step, conjugate, inverse, oriented_edges, reversed_step, steps_of, terminus, word_product
 from test_paths_reference import graphs, reference_open
 
 BS23 = parse_graph('vertex 0 rank=1 gens=a\nedge 0 0 0 minus="a^2" plus="a^3"')
@@ -61,17 +61,18 @@ def w(graph, vid, text):
 
 
 def ori(graph, eid, forward=True):
-    return OrientedEdge(graph.edges[eid], forward)
+    return Step(graph.edges[eid], forward)
 
 
-def bases(path):
+def bases(graph, path):
     """Every vertex a closed chain can be based at: each step origin."""
-    return tuple(sorted({s.origin for s in path.steps}))
+    return tuple(sorted({s.origin for s in steps_of(graph, path)}))
 
 
-def outer_ends(path):
+def outer_ends(graph, path):
     """(edge_id, side) of a path's first origin end and last terminus end."""
-    first, last = path.steps[0], path.steps[-1]
+    steps = steps_of(graph, path)
+    first, last = steps[0], steps[-1]
     return [(first.edge.id, first.origin_side), (last.edge.id, last.terminus_side)]
 
 
@@ -85,7 +86,8 @@ def verify_in_engine(graph, path, m, n):
 
 def path_along(graph, g, g_prime, steps):
     """The chain along ``steps`` that the open search certifies from g to g', or None."""
-    return next((p for p in iter_conjugacy_paths(graph, g, g_prime) if p.steps == tuple(steps)), None)
+    letters = tuple(s.letter for s in steps)
+    return next((p for p in iter_conjugacy_paths(graph, g, g_prime) if p.steps == letters), None)
 
 
 # ----------------------------------------------- conjugacy-path certificates
@@ -177,7 +179,7 @@ class TestCompletePaths:
         (p,) = chains
         assert p.ratio() == Fraction(3, 2)
         assert p.witness_exponents == (2, 3)
-        assert p.steps[0].origin == 0 and bases(p) == (0,)
+        assert steps_of(BS23, p)[0].origin == 0 and bases(BS23, p) == (0,)
         verify_in_engine(BS23, p, 2, 3)
 
     def test_bs22_level(self):
@@ -202,14 +204,14 @@ class TestCompletePaths:
         assert p.ratio() == Fraction(2, 3)
         assert p.witness_exponents == (3, 2)
         assert p.start == p.end == w(THETA, 0, "a b")
-        assert bases(p) == (0, 1)
+        assert bases(THETA, p) == (0, 1)
         verify_in_engine(THETA, p, 3, 2)
 
     def test_mixed_graph_verdicts_verify(self):
         chains = enumerate_complete_paths(MIXED)
         assert chains  # the two loops at least
         for p in chains:
-            assert p.start == p.end == p.steps[0].origin_word
+            assert p.start == p.end == steps_of(MIXED, p)[0].origin_word
             i, j = p.witness_exponents
             assert (abs(i) == abs(j)) == (abs(p.ratio()) == 1)
             assert Fraction(j, i) == p.ratio()
@@ -219,14 +221,14 @@ class TestCompletePaths:
     def test_matches_naive_enumeration(self, graph):
         expected = naive_complete_keys(graph)
         got = {
-            tuple((s.edge.id, 0 if s.forward else 1) for s in p.steps): p.ratio()
+            tuple((s.edge.id, 0 if s.forward else 1) for s in steps_of(graph, p)): p.ratio()
             for p in enumerate_complete_paths(graph)
         }
         assert got == expected
 
     def test_reversal_inverts_ratio(self):
         (p,) = enumerate_complete_paths(THETA)
-        back = [reversed_step(s) for s in reversed(p.steps)]
+        back = [reversed_step(s) for s in reversed(steps_of(THETA, p))]
         base = back[0].origin_word
         q = path_along(THETA, base, base, back)
         assert q is not None
@@ -242,8 +244,8 @@ class TestFullNonMaximalPaths:
         assert len(paths) == 1
         (p,) = paths
         assert len(p.steps) == 1
-        assert set(outer_ends(p)) == {(0, -1), (0, 1)}
-        assert all(abs(root(TREFOIL.edges[eid].word(side)).exponent) >= 2 for eid, side in outer_ends(p))
+        assert set(outer_ends(TREFOIL, p)) == {(0, -1), (0, 1)}
+        assert all(abs(root(TREFOIL.edges[eid].word(side)).exponent) >= 2 for eid, side in outer_ends(TREFOIL, p))
         m, n = p.witness_exponents
         verify_in_engine(TREFOIL, p, m, n)
 
@@ -254,7 +256,7 @@ class TestFullNonMaximalPaths:
         paths = enumerate_full_nonmaximal_paths(CHAIN3)
         assert len(paths) == 1
         (p,) = paths
-        assert [s.edge.id for s in p.steps] == [0, 1]
+        assert p.steps == (("t", 0, 1), ("t", 1, 1))
         assert p.start == w(CHAIN3, 0, "a^2")
         assert p.end == w(CHAIN3, 2, "c^3")
         m, n = p.witness_exponents
@@ -269,14 +271,14 @@ class TestFullNonMaximalPaths:
         # arrow at the far end of edge 0 (b^2) disqualifies every multi-edge chain
         paths = enumerate_full_nonmaximal_paths(g)
         assert len(paths) == 1 and len(paths[0].steps) == 1
-        assert paths[0].steps[0].edge.id == 0
+        assert paths[0].steps[0] == ("t", 0, 1)
 
     def test_no_reversal_duplicates(self):
         for graph in ALL_GRAPHS:
             paths = enumerate_full_nonmaximal_paths(graph)
-            keys = [tuple((s.edge.id, s.forward) for s in p.steps) for p in paths]
+            keys = [tuple((s.edge.id, s.forward) for s in steps_of(graph, p)) for p in paths]
             rev_keys = [
-                tuple((s.edge.id, not s.forward) for s in reversed(p.steps))
+                tuple((s.edge.id, not s.forward) for s in reversed(steps_of(graph, p)))
                 for p in paths
             ]
             for rk in rev_keys:
@@ -326,9 +328,10 @@ class TestIterConjugacyPaths:
     ids=["complete", "full", "open"],
 )
 def test_chain_rejected_by_cyclic_meet_is_an_internal_error(enumerate_, monkeypatch):
-    """The class index and cyclic_meet must agree; a disagreement is never skipped."""
+    """The class index and cyclic_meet must agree; a disagreement is never
+    skipped, and the error names the chain by its steps."""
     monkeypatch.setattr(paths, "cyclic_meet", lambda u, v: None)
-    with pytest.raises(InternalInconsistencyError):
+    with pytest.raises(InternalInconsistencyError, match=r"cyclic_meet rejects: e0\+\Z"):
         enumerate_()
 
 
@@ -408,7 +411,7 @@ def test_chains_through_one_junction_share_its_transfer_conjugator():
     )
     through = [
         p for p in enumerate_complete_paths(graph)
-        if [(s.edge.id, s.forward) for s in p.steps[:2]] == [(0, True), (1, True)]
+        if p.steps[:2] == (("t", 0, 1), ("t", 1, 1))
     ]
     assert len(through) >= 2
     first, second = through[:2]

@@ -28,7 +28,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from gogz.engine import Engine
-from gogz.graphs import Edge, GraphOfGroups, OrientedEdge, Vertex, parse_graph
+from gogz.graphs import Edge, GraphOfGroups, Vertex, parse_graph
 from gogz.paths import (
     ConjugacyPath,
     _ClassGraph,
@@ -40,7 +40,7 @@ from gogz.paths import (
 )
 from gogz.verdicts import ConjugacyAnswer, power_conjugate
 from gogz.words import cyclic_meet, root
-from helpers import conjugate, oriented_edges, reversed_step, terminus, word_of
+from helpers import Step, conjugate, oriented_edges, reversed_step, terminus, word_of
 
 # ------------------------------------------------------------ reference walk
 
@@ -62,7 +62,7 @@ def _is_canonical_cycle(steps) -> bool:
     return key == min(_path_key(c) for c in candidates)
 
 
-def _junction_holds(a: OrientedEdge, b: OrientedEdge) -> bool:
+def _junction_holds(a: Step, b: Step) -> bool:
     return cyclic_meet(a.terminus_word, b.origin_word) is not None
 
 
@@ -76,7 +76,8 @@ def check_conjugacy_path(g, g_prime, steps) -> Optional[ConjugacyPath]:
     meets = [cyclic_meet(u, v) for u, v in zip(words[::2], words[1::2])]
     if any(m is None for m in meets):
         return None
-    return ConjugacyPath(tuple(steps), tuple(meets), _least_exponents(meets), _conjugator(steps, meets))
+    letters = tuple(step.letter for step in steps)
+    return ConjugacyPath(letters, tuple(meets), _least_exponents(meets), _conjugator(letters, meets))
 
 
 def _least_exponents(meets):
@@ -90,7 +91,7 @@ def _least_exponents(meets):
     return m, x
 
 
-def _conjugator(steps, meets):
+def _conjugator(letters, meets):
     """The chain's conjugator, left to right (the rightmost acts first):
     the entry's theta, then per step its stable letter and the next
     transition's theta, each put in front of the factors that act before
@@ -98,8 +99,7 @@ def _conjugator(steps, meets):
     items = []
     for i, meet in enumerate(meets):
         if i:
-            step = steps[i - 1]
-            items.insert(0, ("t", step.edge.id, 1 if step.forward else -1))
+            items.insert(0, letters[i - 1])
         if not meet.transfer_conjugator.is_identity:
             items.insert(0, meet.transfer_conjugator)
     return tuple(items)
@@ -126,12 +126,11 @@ def reference_complete(graph: GraphOfGroups) -> List[ConjugacyPath]:
         extend([start], {start.edge.id})
 
     chains = []
-    for steps in cycles:
+    for steps in sorted(cycles, key=lambda c: (len(c), _path_key(c))):
         base_word = steps[0].origin_word
         path = check_conjugacy_path(base_word, base_word, steps)
         if path is not None:
             chains.append(path)
-    chains.sort(key=lambda p: (len(p.steps), _path_key(p.steps)))
     return chains
 
 
@@ -148,9 +147,7 @@ def reference_full(graph: GraphOfGroups) -> List[ConjugacyPath]:
 
     def emit(steps):
         if _path_key(steps) <= _path_key(_reversed_path(steps)):
-            path = check_conjugacy_path(steps[0].origin_word, steps[-1].terminus_word, steps)
-            assert path is not None
-            found.append(path)
+            found.append(steps)
 
     def extend(path, used):
         for step in oriented:
@@ -175,8 +172,10 @@ def reference_full(graph: GraphOfGroups) -> List[ConjugacyPath]:
         else:
             extend([start], {start.edge.id})
 
-    found.sort(key=lambda p: (len(p.steps), _path_key(p.steps)))
-    return found
+    found.sort(key=lambda steps: (len(steps), _path_key(steps)))
+    chains = [check_conjugacy_path(steps[0].origin_word, steps[-1].terminus_word, steps) for steps in found]
+    assert None not in chains
+    return chains
 
 
 def reference_open(graph: GraphOfGroups, g, g_prime):

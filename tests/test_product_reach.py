@@ -36,7 +36,6 @@ ALLOWED = {
     "gogz.cli.build_parser": "runs once, at import, before any command",
     "gogz.graphs.GraphOfGroups.to_text": "the canonical writer that the graphs module docstring documents",
     "gogz.graphs.GraphOfGroups.__repr__": "serves messages and debugging",
-    "gogz.graphs.OrientedEdge.__repr__": "builds the class graph's exit-3 message",
     "gogz.words.Alphabet.__repr__": "serves messages and debugging",
     "gogz.words.FreeWord.__getnewargs__": "copy and pickle call it; no command copies a word",
 }
