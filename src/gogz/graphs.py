@@ -44,7 +44,7 @@ from operator import attrgetter
 from typing import Dict, Iterable, List, NamedTuple, Optional, Tuple
 
 from .errors import AlphabetError, DegenerateInputError, ParseError
-from .words import MAX_WORD_LETTERS, Alphabet, FreeWord, parse_int
+from .words import MAX_WORD_LETTERS, _TOO_LONG, Alphabet, FreeWord, parse_int
 
 MINUS = -1
 PLUS = 1
@@ -152,8 +152,14 @@ class GraphOfGroups:
         self.edges: Dict[int, Edge] = {}
 
         def read(alphabet: Alphabet, word: FreeWord) -> FreeWord:
-            # a word over the reader's cap is read back from its text, which the reader refuses
-            return alphabet.parse(alphabet.format(word)) if len(word) > MAX_WORD_LETTERS else word
+            # the reader's refusal, at the token of to_text whose letters pass its cap
+            letters = 0
+            for syllable in word.syllables:
+                letters += abs(syllable[1])
+                if letters > MAX_WORD_LETTERS:
+                    tok = alphabet.format(alphabet.word((syllable,)))
+                    raise ParseError(_TOO_LONG.format(tok=tok, vertex=alphabet.vertex))
+            return word
 
         for e in sorted(edges, key=_by_id):
             for side in (MINUS, PLUS):

@@ -193,9 +193,9 @@ class _ClassGraph:
     the steps leaving it in step order.
     Building it takes one :func:`root` per distinct edge word, in one loop
     over the edge ends, which also keeps each step's origin word in
-    ``words`` and its stable letter ``('t', id, ±1)``, shared by every
-    chain through the step, in ``letters``; a step ends where its reverse
-    starts, so its terminus word is ``words[i ^ 1]``.
+    ``words``; a step ends where its reverse starts, so its terminus word
+    is ``words[i ^ 1]``.  A step's stable letter ``('t', id, ±1)`` is built
+    by :meth:`letter` when a chain crosses it.
 
     ``transitions`` memoises the certified transfer of each pair of steps
     (plus the ``query`` endpoints of an open search), so every chain built
@@ -211,10 +211,9 @@ class _ClassGraph:
         origin: List[int] = []
         k_origin: List[int] = []
         words: List[FreeWord] = []
-        letters: List[TLetter] = []
-        for eid, minus_vertex, plus_vertex, minus_word, plus_word in graph.edges.values():
+        for _, minus_vertex, plus_vertex, minus_word, plus_word in graph.edges.values():
             # the minus end is the origin of step 2j, the plus end of 2j + 1
-            for vid, word, sign in ((minus_vertex, minus_word, 1), (plus_vertex, plus_word, -1)):
+            for vid, word in ((minus_vertex, minus_word), (plus_vertex, plus_word)):
                 _, primitive, exponent = _root_cached(word.syllables)
                 c = node.setdefault((vid, primitive), len(out))
                 if c == len(out):
@@ -223,9 +222,8 @@ class _ClassGraph:
                 origin.append(c)
                 k_origin.append(exponent)
                 words.append(word)
-                letters.append(("t", eid, sign))
-        self.node, self.out, self.origin, self.k_origin = node, out, origin, k_origin
-        self.words, self.letters = words, letters
+        self.node, self.out, self.origin, self.k_origin, self.words = node, out, origin, k_origin, words
+        self.edge_ids = list(graph.edges)  # the j-th edge by id, crossed by steps 2j and 2j + 1
         # a step ends where its reverse i ^ 1 starts
         steps = range(len(origin))
         self.terminus = [origin[i ^ 1] for i in steps]
@@ -252,7 +250,7 @@ class _ClassGraph:
             if tr is None:
                 raise InternalInconsistencyError(
                     "class walk accepted a chain that cyclic_meet rejects: "
-                    + " ".join(_step_name(self.letters[i]) for i in walk)
+                    + " ".join(_step_name(self.letter(i)) for i in walk)
                 )
             self.transitions[a, b] = tr
         return tr
@@ -267,7 +265,11 @@ class _ClassGraph:
         """
         pairs = zip([first, *walk], [*walk, last])
         transitions = tuple(self.transition(a, b, walk) for a, b in pairs)
-        return _chain(tuple(self.letters[i] for i in walk), transitions)
+        return _chain(tuple(map(self.letter, walk)), transitions)
+
+    def letter(self, i: int) -> TLetter:
+        """The stable letter of step ``i``: +1 forward, -1 backward."""
+        return ("t", self.edge_ids[i >> 1], -1 if i & 1 else 1)
 
     # ------------------------------------------------------------ walks
 

@@ -255,7 +255,9 @@ def _central_witness(graph: GraphOfGroups) -> CentralWitness:
         exponents[vid] = int(x)
     for step in tree.steps:
         p, c = step.parent, step.child
-        engine = Engine(GraphOfGroups([graph.vertices[p], graph.vertices[c]], [graph.edges[step.edge_id]]))
+        # declarations of a checked graph, whose reduced words may pass the reader's cap
+        edge = {step.edge_id: graph.edges[step.edge_id]}
+        engine = Engine(GraphOfGroups._from_checked({p: graph.vertices[p], c: graph.vertices[c]}, edge))
         gen_p, gen_c = (engine.embed(graph.vertices[v].alphabet.word(((1, 1),))) for v in (p, c))
         x_p, x_c = exponents[p], exponents[c]
         claim = f"central witness is generator^{x_p} at vertex {p} and generator^{x_c} at vertex {c}"

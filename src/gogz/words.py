@@ -46,6 +46,8 @@ Letters = Tuple[int, ...]  # a word spelled out, +i / -i for the i-th generator 
 # syllables, so this bounds the size of the input, not the memory of the
 # words built from it.
 MAX_WORD_LETTERS = 10**6
+# The refusal of a word whose letters pass that cap at token ``tok``.
+_TOO_LONG = f"word longer than {MAX_WORD_LETTERS} letters at token {{tok!r}} (vertex {{vertex!r}})"
 
 
 def parse_int(text: str, signed: bool = False) -> int:
@@ -103,9 +105,7 @@ class Alphabet:
                     raise ParseError(f"zero exponent in token {tok!r}")
             letters += abs(k)
             if letters > MAX_WORD_LETTERS:
-                raise ParseError(
-                    f"word longer than {MAX_WORD_LETTERS} letters at token {tok!r} (vertex {self.vertex!r})"
-                )
+                raise ParseError(_TOO_LONG.format(tok=tok, vertex=self.vertex))
             if out and out[-1][0] == g:
                 k += out.pop()[1]
                 if not k:

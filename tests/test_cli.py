@@ -110,6 +110,18 @@ class TestCheck:
         assert tri["vertex_exponents"] == {"0": 2, "1": 3}
         assert doc["witnesses"]["hyperbolicity"]["kind"] == "full"
 
+    def test_central_witness_of_a_reduced_word_over_the_cap(self, graph_file, capsys):
+        # contracting edge 0 makes edge 1 read a^1001000 = y^2, a word no graph file may spell
+        text = (
+            "vertex 0 rank=1 gens=a\nvertex 1 rank=1 gens=x\nvertex 2 rank=1 gens=y\n"
+            'edge 0 0 1 minus="a^1000" plus="x"\nedge 1 1 2 minus="x^1001" plus="y^2"\n'
+        )
+        code, out = run(capsys, "check", graph_file(text), "--no-timing")
+        assert code == 0
+        doc = json.loads(out)
+        assert doc["verdicts"]["trichotomy"] == "cyclic_normal_subgroup"
+        assert doc["witnesses"]["trichotomy"]["vertex_exponents"] == {"0": 1001000, "2": 2}
+
     def test_free_amalgam_json(self, graph_file, capsys):
         code, out = run(capsys, "check", graph_file(FREE_AMALGAM), "--format", "json", "--no-timing")
         doc = json.loads(out)

@@ -145,6 +145,7 @@ def test_parse_errors_carry_positions(text, message, line, col):
 
 _A = Vertex.make(0, ("a",))
 _B = Vertex.make(1, ("b",))
+_AB = Vertex.make(0, ("a", "b"))
 _LOOP = Edge(0, 0, 0, _A.parse("a"), _A.parse("a^2"))
 
 
@@ -177,6 +178,9 @@ _LOOP = Edge(0, 0, 0, _A.parse("a"), _A.parse("a^2"))
          "edge 0: word longer than 1000000 letters at token 'a^2000000' (vertex '0')"),
         ([_A], [Edge(0, 0, 0, _A.parse("a^3"), _A.alphabet.word(((1, -1000001),)))], DegenerateInputError,
          "edge 0: word longer than 1000000 letters at token 'a^-1000001' (vertex '0')"),
+        # refused at the token whose letters pass the cap, as the reader refuses it
+        ([_AB], [Edge(0, 0, 0, _AB.alphabet.word(((1, 999999), (2, -2), (1, 5))), _AB.parse("a"))],
+         DegenerateInputError, "edge 0: word longer than 1000000 letters at token 'b^-2' (vertex '0')"),
     ],
 )
 def test_graph_of_groups_refuses_degenerate_input(vertices, edges, error, message):

@@ -34,6 +34,8 @@ from test_golden_cli import _write_suite, golden_argvs
 
 ALLOWED = {
     "gogz.cli.build_parser": "runs once, at import, before any command",
+    "gogz.graphs.GraphOfGroups.__init__": "the checked constructor for library callers; commands build graphs "
+    "with parse_graph and reduce_graph",
     "gogz.graphs.GraphOfGroups.to_text": "the canonical writer that the graphs module docstring documents",
     "gogz.graphs.GraphOfGroups.__repr__": "serves messages and debugging",
     "gogz.words.Alphabet.__repr__": "serves messages and debugging",
