@@ -57,7 +57,7 @@ from .errors import (
 from .graphs import Contraction, GraphOfGroups, parse_graph, side_name
 from .paths import ConjugacyPath, _step_name, enumerate_complete_paths, enumerate_full_nonmaximal_paths
 from .verdicts import AnalysisReport, ConjugacyAnswer, _require_path, analyze, power_conjugate
-from .words import MAX_WORD_LETTERS, Alphabet, FreeWord, parse_int
+from .words import MAX_WORD_LETTERS, FreeWord, parse_int
 
 SCHEMA_VERSION = 2
 
@@ -510,8 +510,8 @@ def _relation_tokens(graph: GraphOfGroups, side: str, what: str, letters: int) -
 
     Tokens follow the graph file's word grammar (``name``, ``name^k``,
     ``1``): a generator token is parsed by the alphabet that owns the name,
-    and a stable letter ``t_<edge-id>`` (or ``t`` when there is one edge) by
-    an alphabet of that one letter, into one item ``('t', edge_id, k)``.
+    and a stable letter ``t_<edge-id>`` (or ``t`` when there is one edge),
+    its ``k`` read by :func:`parse_int`, into one item ``('t', edge_id, k)``.
     A name spelled like a stable letter that is also a generator is refused
     as ambiguous.  Like a word, the whole relation may spell at most
     :data:`MAX_WORD_LETTERS` letters, counting each item with the edge
@@ -534,7 +534,13 @@ def _relation_tokens(graph: GraphOfGroups, side: str, what: str, letters: int) -
                         " and the spelling of a stable letter"
                     )
                 eid = _stable_letter_edge(graph, name, token)
-                ((_, k),) = Alphabet("t", (name,)).parse(token).syllables
+                _, caret, exp = token.partition("^")
+                try:
+                    k = parse_int(exp, signed=True) if caret else 1
+                except ValueError:
+                    raise ParseError(f"bad exponent in token {token!r}") from None
+                if k == 0:
+                    raise ParseError(f"zero exponent in token {token!r}")
                 items.append(("t", eid, k))
                 edge = graph.edges[eid]
                 letters += abs(k) * (depth[edge.minus_vertex] + depth[edge.plus_vertex] + 1)

@@ -49,10 +49,10 @@ are all read off it.  Its transitions are the
 :func:`~gogz.words.cyclic_meet` returns, each with its transfer
 conjugator theta, and :func:`_chain` builds every chain, filling in its
 witness exponents and its conjugator (the thetas interleaved with the
-steps) once.  The class graph builds every chain that crosses an edge: it
-certifies each entry, junction and exit once, keyed by its pair of steps.
-The conjugacy solver's relation inside one vertex group is the chain with
-no steps.
+steps) once.  The class graph builds every chain that crosses an edge: a
+transfer depends only on the two words it joins, so it certifies each
+once, keyed by that pair of words.  The conjugacy solver's relation
+inside one vertex group is the chain with no steps.
 """
 
 from __future__ import annotations
@@ -67,10 +67,7 @@ from .words import CyclicMeet, FreeWord, Syllables, _root_cached, cyclic_meet
 
 TLetter = Tuple[str, int, int]
 ConjugatorItem = Union[FreeWord, TLetter]
-EndClass = Tuple[int, Syllables]
-
-# In a memo key of ``_ClassGraph.transition``, the query's start or end word.
-QUERY = -1
+EndClass = Tuple[str, Syllables]
 
 
 class ConjugacyPath(NamedTuple):
@@ -177,7 +174,7 @@ class _ClassGraph:
 
     Two edge ends at a vertex overlap exactly when their inclusion words
     have the same canonical primitive root (that is what
-    :func:`cyclic_meet` compares), so each end falls in a *class* (vertex,
+    :func:`cyclic_meet` compares), so each end falls in a *class* (vertex tag,
     primitive).  The nodes are the classes; each edge joins the classes of
     its two ends.  Crossing a step from its origin end to its terminus end
     multiplies the exponent by the *gain* ``k_terminus / k_origin`` of the
@@ -197,25 +194,23 @@ class _ClassGraph:
     is ``words[i ^ 1]``.  A step's stable letter ``('t', id, ±1)`` is built
     by :meth:`letter` when a chain crosses it.
 
-    ``transitions`` memoises the certified transfer of each pair of steps
-    (plus the ``query`` endpoints of an open search), so every chain built
-    here runs :func:`cyclic_meet` once per distinct entry, junction and exit
-    of the class graph: at most ``4E^2 + 4E`` times for E edges.
+    ``transitions`` memoises the certified transfer between each ordered
+    pair of words, so every chain built here runs :func:`cyclic_meet` once
+    per distinct pair of incoming and outgoing words it meets.
     """
 
-    def __init__(self, graph: GraphOfGroups, query: Optional[Tuple[FreeWord, FreeWord]] = None):
-        self.query = query
-        self.transitions: Dict[Tuple[int, int], CyclicMeet] = {}
+    def __init__(self, graph: GraphOfGroups):
+        self.transitions: Dict[Tuple[FreeWord, FreeWord], CyclicMeet] = {}
         node: Dict[EndClass, int] = {}
         out: List[List[int]] = []
         origin: List[int] = []
         k_origin: List[int] = []
         words: List[FreeWord] = []
-        for _, minus_vertex, plus_vertex, minus_word, plus_word in graph.edges.values():
+        for *_, minus_word, plus_word in graph.edges.values():
             # the minus end is the origin of step 2j, the plus end of 2j + 1
-            for vid, word in ((minus_vertex, minus_word), (plus_vertex, plus_word)):
+            for word in (minus_word, plus_word):
                 _, primitive, exponent = _root_cached(word.syllables)
-                c = node.setdefault((vid, primitive), len(out))
+                c = node.setdefault((word.vertex, primitive), len(out))
                 if c == len(out):
                     out.append([])
                 out[c].append(len(origin))
@@ -231,41 +226,32 @@ class _ClassGraph:
         self.arrow_origin = [abs(k) >= 2 for k in k_origin]
         self.arrow_terminus = [self.arrow_origin[i ^ 1] for i in steps]
 
-    def word_class(self, vid: int, word: FreeWord) -> Tuple[Optional[int], int]:
-        """The class of a nontrivial ``word`` at vertex ``vid`` (None if no
-        edge end has it) and the word's signed root exponent."""
+    def word_class(self, word: FreeWord) -> Tuple[Optional[int], int]:
+        """The class of a nontrivial ``word`` (None if no edge end has it)
+        and the word's signed root exponent."""
         _, primitive, exponent = _root_cached(word.syllables)
-        return self.node.get((vid, primitive)), exponent
+        return self.node.get((word.vertex, primitive)), exponent
 
-    def transition(self, a: int, b: int, walk: Sequence[int]) -> CyclicMeet:
-        """The transfer from the terminus word of step ``a`` onto the origin
-        word of step ``b`` (the query's start word when ``a`` is QUERY, its
-        end word when ``b`` is), certified once per pair; ``walk`` is the
-        chain named when cyclic_meet rejects what the class walk accepted."""
-        tr = self.transitions.get((a, b))
-        if tr is None:
-            incoming = self.query[0] if a == QUERY else self.words[a ^ 1]
-            outgoing = self.query[1] if b == QUERY else self.words[b]
-            tr = cyclic_meet(incoming, outgoing)
-            if tr is None:
-                raise InternalInconsistencyError(
-                    "class walk accepted a chain that cyclic_meet rejects: "
-                    + " ".join(_step_name(self.letter(i)) for i in walk)
-                )
-            self.transitions[a, b] = tr
-        return tr
+    def certified(self, walk: Sequence[int], start: FreeWord, end: FreeWord) -> ConjugacyPath:
+        """The chain of ``walk`` from the word ``start`` to the word ``end``.
 
-    def certified(self, walk: Sequence[int], first: int, last: int) -> ConjugacyPath:
-        """The chain of ``walk`` from the terminus word of step ``first`` to
-        the origin word of step ``last``, both QUERY in an open search.
-
-        A closed chain runs from its first origin word to itself (``first``
-        is the reverse of its first step, ``last`` that step itself), a full
-        path to its last terminus word (``last`` the reverse of its last step).
+        A closed chain starts and ends on its first origin word, a full path
+        runs from there to its last terminus word.  Each pair of words joined
+        is certified once; a pair that cyclic_meet rejects names ``walk``.
         """
-        pairs = zip([first, *walk], [*walk, last])
-        transitions = tuple(self.transition(a, b, walk) for a, b in pairs)
-        return _chain(tuple(map(self.letter, walk)), transitions)
+        words, transitions = self.words, []
+        for pair in zip([start, *(words[i ^ 1] for i in walk)], [*(words[i] for i in walk), end]):
+            tr = self.transitions.get(pair)
+            if tr is None:
+                tr = cyclic_meet(*pair)
+                if tr is None:
+                    raise InternalInconsistencyError(
+                        "class walk accepted a chain that cyclic_meet rejects: "
+                        + " ".join(_step_name(self.letter(i)) for i in walk)
+                    )
+                self.transitions[pair] = tr
+            transitions.append(tr)
+        return _chain(tuple(map(self.letter, walk)), tuple(transitions))
 
     def letter(self, i: int) -> TLetter:
         """The stable letter of step ``i``: +1 forward, -1 backward."""
@@ -557,7 +543,7 @@ def enumerate_complete_paths(graph: GraphOfGroups) -> List[ConjugacyPath]:
         return []
     index = _ClassGraph(graph)
     walks = sorted((list(walk) for walk in _closed_chains(index)), key=lambda w: (len(w), w))
-    return [index.certified(walk, walk[0] ^ 1, walk[0]) for walk in walks]
+    return [index.certified(walk, index.words[walk[0]], index.words[walk[0]]) for walk in walks]
 
 
 # -------------------------------------------------------- non-maximal paths
@@ -589,7 +575,7 @@ def enumerate_full_nonmaximal_paths(graph: GraphOfGroups) -> List[ConjugacyPath]
             if index.arrow_terminus[walk[-1]] and walk <= [i ^ 1 for i in reversed(walk)]:
                 found.append(list(walk))
     found.sort(key=lambda w: (len(w), w))
-    return [index.certified(walk, walk[0] ^ 1, walk[-1] ^ 1) for walk in found]
+    return [index.certified(walk, index.words[walk[0]], index.words[walk[-1] ^ 1]) for walk in found]
 
 
 # ----------------------------------------------------------------- decisions
@@ -649,16 +635,17 @@ def decide_chains(graph: GraphOfGroups) -> ChainDecision:
         full = classes.shortest_full_path()
         if full is None:
             return ChainDecision(modulus, None, None, None)
-        return ChainDecision(modulus, None, None, classes.certified(full, full[0] ^ 1, full[-1] ^ 1))
+        path = classes.certified(full, classes.words[full[0]], classes.words[full[-1] ^ 1])
+        return ChainDecision(modulus, None, None, path)
 
     cycle = _found(classes.shortest_cycle(on_cycle), "a cycle")
-    complete = classes.certified(cycle, cycle[0] ^ 1, cycle[0])
+    complete = classes.certified(cycle, classes.words[cycle[0]], classes.words[cycle[0]])
     nonlevel = None
     if any(abs(r) != 1 for r in modulus):
         nonlevel = complete
         if abs(complete.ratio()) == 1:
             cycle = _found(classes.shortest_nonlevel_cycle(on_cycle), "a non-level cycle")
-            nonlevel = classes.certified(cycle, cycle[0] ^ 1, cycle[0])
+            nonlevel = classes.certified(cycle, classes.words[cycle[0]], classes.words[cycle[0]])
     return ChainDecision(modulus, complete, nonlevel, None)
 
 
@@ -683,13 +670,13 @@ def iter_conjugacy_paths(
     """
     if g.is_identity or g_prime.is_identity:
         raise DegenerateInputError("conjugacy paths connect nontrivial elements")
-    homes = {str(vid): vid for vid in graph.vertices}
-    if g.vertex not in homes or g_prime.vertex not in homes:
+    tags = {str(vid) for vid in graph.vertices}
+    if g.vertex not in tags or g_prime.vertex not in tags:
         raise DegenerateInputError("endpoints must live at vertices of the graph")
 
-    index = _ClassGraph(graph, (g, g_prime))
-    source, k_start = index.word_class(homes[g.vertex], g)
-    target, k_end = index.word_class(homes[g_prime.vertex], g_prime)
+    index = _ClassGraph(graph)
+    source, k_start = index.word_class(g)
+    target, k_end = index.word_class(g_prime)
     if source is None or target not in index._bfs(source, lambda s: True)[1]:
         return
     k_origin, k_terminus, terminus = index.k_origin, index.k_terminus, index.terminus
@@ -705,4 +692,4 @@ def iter_conjugacy_paths(
                 pair = (m, m // den * num)
                 if pair not in seen:
                     seen.add(pair)
-                    yield index.certified(walk, QUERY, QUERY)
+                    yield index.certified(walk, g, g_prime)

@@ -50,7 +50,9 @@ from .paths import (
     ChainDecision,
     ConjugacyPath,
     ConjugatorItem,
+    _UNIT,
     _chain,
+    _fold,
     decide_chains,
     enumerate_complete_paths,  # unused here; bench/spans traces this binding
     iter_conjugacy_paths,
@@ -228,8 +230,10 @@ def _central_witness(graph: GraphOfGroups) -> CentralWitness:
     """Common power of all vertex generators in a reduced tree of cyclic groups.
 
     ``gen_v^(x_v)`` is one element iff ``gen_p^(x_p) = gen_c^(x_c)`` across
-    each tree edge (p, c).  The group of that edge embeds in the fundamental
-    group, so an engine on the edge alone replays the relation.
+    each tree edge (p, c).  The exponents fold the root exponents down the
+    tree as a chain folds its transfers (:func:`~gogz.paths._fold`), scaled
+    by the lcm of the denominators met.  The group of each tree edge embeds
+    in the fundamental group, so an engine on that edge replays its relation.
     """
     tree = graph.tree
     if tree.non_tree_edge_ids:
@@ -237,22 +241,14 @@ def _central_witness(graph: GraphOfGroups) -> CentralWitness:
             f"central witness at vertex {tree.root} needs a tree, but edges "
             f"{list(tree.non_tree_edge_ids)} close cycles"
         )
-    ratio: Dict[int, Fraction] = {tree.root: Fraction(1)}
-    scale = 1
+    folds = {tree.root: _UNIT}
     for step in tree.steps:
         edge = graph.edges[step.edge_id]
         k_minus, k_plus = root(edge.minus_word).exponent, root(edge.plus_word).exponent
         k_parent, k_child = (k_minus, k_plus) if edge.minus_vertex == step.parent else (k_plus, k_minus)
-        ratio[step.child] = ratio[step.parent] * Fraction(k_child, k_parent)
-        scale = lcm(scale, (ratio[step.parent] / k_parent).denominator)
-    exponents = {}
-    for vid, r in ratio.items():
-        x = scale * r
-        if x.denominator != 1 or x == 0:
-            raise InternalInconsistencyError(
-                f"central witness exponent {x} at vertex {vid} is not a nonzero integer"
-            )
-        exponents[vid] = int(x)
+        folds[step.child] = _fold(_fold(folds[step.parent], 1, k_parent), k_child, 1)
+    scale = lcm(*(m for _, _, m in folds.values()))
+    exponents = {vid: scale // den * num for vid, (num, den, _) in folds.items()}
     for step in tree.steps:
         p, c = step.parent, step.child
         # declarations of a checked graph, whose reduced words may pass the reader's cap
@@ -330,7 +326,7 @@ def power_conjugate(graph: GraphOfGroups, x: FreeWord, y: FreeWord) -> Conjugacy
     walks every edge-once path from x's class, and their number grows
     exponentially when many edge ends share a class.  A walk costs one
     integer fold of root exponents per step; only the first walk of each
-    pair is certified, in memo lookups, as no junction is certified twice.
+    pair is certified, in memo lookups, as no pair of words is certified twice.
     Each chain carries its conjugator from where it was built; x and y are
     embedded in the engine once, and each distinct power x^m or y^n is
     built once, for the answer's replay and for the replay of every

@@ -335,11 +335,23 @@ def test_chain_rejected_by_cyclic_meet_is_an_internal_error(enumerate_, monkeypa
         enumerate_()
 
 
+def counting_meets(monkeypatch):
+    """The list of word pairs that later calls through paths.cyclic_meet
+    append to."""
+    calls = []
+
+    def counting_meet(u, v):
+        calls.append((u, v))
+        return cyclic_meet(u, v)
+
+    monkeypatch.setattr(paths, "cyclic_meet", counting_meet)
+    return calls
+
+
 def test_open_search_meets_each_junction_once(monkeypatch):
     """Of the 75,972 walks the reference certifies, the open search yields
-    the first of each witness pair, and cyclic_meet runs once per distinct
-    entry, junction or exit of the class graph, not once per junction of
-    each walk."""
+    the first of each witness pair, and cyclic_meet runs once per ordered
+    pair of words in {a, a^2}, not once per junction of each walk."""
     edges = 6
     loops = "\n".join(f'edge {i} 0 0 minus="a" plus="a^2"' for i in range(edges))
     graph = parse_graph(f"vertex 0 rank=1 gens=a\n{loops}")
@@ -349,16 +361,26 @@ def test_open_search_meets_each_junction_once(monkeypatch):
         walks += 1
         pairs.add(path.witness_exponents)
     assert walks == 75_972
-    calls = []
-
-    def counting_meet(u, v):
-        calls.append((u, v))
-        return cyclic_meet(u, v)
-
-    monkeypatch.setattr(paths, "cyclic_meet", counting_meet)
+    calls = counting_meets(monkeypatch)
     found = [path.witness_exponents for path in iter_conjugacy_paths(graph, a, a)]
     assert len(found) == len(set(found)) and set(found) == pairs
-    assert len(calls) <= 4 * edges**2 + 4 * edges
+    assert len(calls) == 4
+
+
+def test_parallel_edges_certify_each_pair_of_words_once(monkeypatch):
+    """A transfer depends only on the two words it joins: on four loops
+    a/a^2, the closed chains and the open search from a to a each run
+    cyclic_meet once per ordered pair of words in {a, a^2}, however many
+    edges carry them."""
+    loops = "\n".join(f'edge {i} 0 0 minus="a" plus="a^2"' for i in range(4))
+    graph = parse_graph(f"vertex 0 rank=2 gens=a,b\n{loops}")
+    a, a2 = w(graph, 0, "a"), w(graph, 0, "a^2")
+    calls = counting_meets(monkeypatch)
+    assert len(enumerate_complete_paths(graph)) == 96
+    assert sorted(calls) == sorted(product([a, a2], repeat=2))
+    calls.clear()
+    assert len(list(iter_conjugacy_paths(graph, a, a))) == 15
+    assert sorted(calls) == sorted(product([a, a2], repeat=2))
 
 
 def test_class_graph_roots_each_distinct_edge_word_once():
