@@ -303,8 +303,10 @@ def iter_power_conjugacies(
     Conjugator candidates are products of at most ``max_syllables`` atoms
     (vertex words and stable letters) with at most ``max_letters`` letters in
     total, enumerated by syllable count and then slot by slot in the order of
-    :func:`_atom_pool`; exponents satisfy 1 <= m <= max_exp and
-    1 <= |n| <= max_exp, with n tried in the order 1, -1, 2, -2, ...
+    :func:`_atom_pool`.  Every atom costs at least one letter, so counts past
+    ``max_letters`` are never tried, however large ``max_syllables``.
+    Exponents satisfy 1 <= m <= max_exp and 1 <= |n| <= max_exp, with n tried
+    in the order 1, -1, 2, -2, ...
 
     The m-loop stops early once the powers provably outgrow every target.
     :meth:`Engine.top_length` is the distance d(x, c x) that c moves the base
@@ -340,7 +342,7 @@ def iter_power_conjugacies(
                     continue
                 yield (atom,) + seq, engine.mul(a_elem, c, a_inv)
 
-    for count in range(0, max_syllables + 1):
+    for count in range(0, min(max_syllables, max_letters) + 1):
         for seq, c in conjugates(count, max_letters):
             p = c
             length_one = engine.top_length(c)

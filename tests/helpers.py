@@ -243,11 +243,11 @@ def _cap_memory():
     resource.setrlimit(resource.RLIMIT_AS, (512 << 20, 512 << 20))
 
 
-def run_capped(args: List[str]) -> subprocess.CompletedProcess:
+def run_capped(args: List[str], timeout: float = 120) -> subprocess.CompletedProcess:
     """``python *args`` in a child whose address space is capped at 512 MiB,
     importing ``gogz`` from where this interpreter does."""
     return subprocess.run(
         [sys.executable, *args],
-        capture_output=True, text=True, timeout=120, preexec_fn=_cap_memory,
+        capture_output=True, text=True, timeout=timeout, preexec_fn=_cap_memory,
         env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)},
     )

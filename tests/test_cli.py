@@ -16,6 +16,7 @@ from gogz.cli import main
 from gogz.engine import IDENTITY, Engine, _atom_pool
 from gogz.graphs import parse_graph
 from gogz.words import MAX_WORD_LETTERS
+from families import K, chain, loops2, ring
 from helpers import run_capped
 
 BS23 = 'vertex 0 rank=1 gens=a\nedge 0 0 0 minus="a^2" plus="a^3"\n'
@@ -48,14 +49,6 @@ def graph_file(tmp_path):
         return str(path)
 
     return write
-
-
-def clique(n):
-    """K_n on rank-2 vertices, edge a_i / a_j^2 for each pair i < j."""
-    lines = [f"vertex {i} rank=2 gens=a{i},b{i}" for i in range(n)]
-    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
-    lines += [f'edge {e} {i} {j} minus="a{i}" plus="a{j}^2"' for e, (i, j) in enumerate(pairs)]
-    return "\n".join(lines) + "\n"
 
 
 @pytest.fixture
@@ -131,11 +124,7 @@ class TestCheck:
 
     def test_deep_chain_verifies_its_witness(self, graph_file, capsys):
         # 1500 rank-two vertices in a row: the engine must not recurse per vertex
-        n = 1500
-        lines = [f"vertex {i} rank=2 gens=a{i},b{i}" for i in range(n)]
-        lines.append('edge 0 0 1 minus="a0^2" plus="a1^3"')
-        lines += [f'edge {i} {i} {i + 1} minus="a{i}^2" plus="b{i + 1}"' for i in range(1, n - 1)]
-        code, out = run(capsys, "check", graph_file("\n".join(lines) + "\n"), "--no-timing")
+        code, out = run(capsys, "check", graph_file(chain(1500)), "--no-timing")
         assert code == 0
         doc = json.loads(out)
         assert doc["verdicts"]["word_hyperbolic"] is False
@@ -144,10 +133,7 @@ class TestCheck:
 
     def test_ring_of_squares_replays_its_large_witness(self, graph_file, capsys):
         # x_i ~ x_(i+1)^2 around 8 vertices: the engine replays a0 ~ a0^256
-        n = 8
-        lines = [f"vertex {i} rank=2 gens=a{i},b{i}" for i in range(n)]
-        lines += [f'edge {i} {i} {(i + 1) % n} minus="a{i}" plus="a{(i + 1) % n}^2"' for i in range(n)]
-        code, out = run(capsys, "check", graph_file("\n".join(lines) + "\n"), "--no-timing")
+        code, out = run(capsys, "check", graph_file(ring(8)), "--no-timing")
         assert code == 0
         witness = json.loads(out)["witnesses"]["balance"]
         assert witness["relation"]["exponents"] == [1, 256]
@@ -413,6 +399,19 @@ class TestConj:
         path = graph_file("vertex 0 rank=2 gens=a,b\n")
         assert main(["conj", path, "--from", "0:a", "--to", "0:b", "--oracle-bounds", bounds]) == 2
         assert "--oracle-bounds" in capsys.readouterr().err
+
+    def test_oracle_tries_no_more_syllables_than_letters(self, graph_file):
+        # every atom costs a letter, so S = 10^18 with L = 1 searches what S = 1
+        # does, in a child that must finish within 10 s; the report keeps S
+        path = graph_file(loops2(1))
+        oracles = []
+        for syllables in (1, 10**18):
+            child = run_capped(["-m", "gogz.cli", "conj", path, "--from", "0:a", "--to", "0:b",
+                                "--oracle-bounds", f"{syllables},3,1", "--no-timing"], timeout=10)
+            assert child.returncode == 0, child.stderr
+            oracles.append(json.loads(child.stdout)["oracle"])
+        assert [o["bounds"]["syllables"] for o in oracles] == [1, 10**18]
+        assert [(o["hit"], o["agreement"]) for o in oracles] == [(None, "refuted within bounds")] * 2
 
     @pytest.mark.parametrize("text", [BS23, TREFOIL, FREE_AMALGAM])
     @pytest.mark.parametrize("letters", [1, 2, 3])
@@ -693,7 +692,7 @@ class TestSharedParser:
 class TestBrokenPipe:
     def test_closed_stdout_exits_141_without_traceback(self, graph_file):
         # 117,500 bytes of JSON: more than a pipe holds, so the write must fail
-        path = graph_file(clique(5))
+        path = graph_file(K(5))
         proc = subprocess.Popen(
             [sys.executable, "-m", "gogz.cli", "paths", path, "--kind", "complete", "--no-timing"],
             stdout=subprocess.PIPE, stderr=subprocess.PIPE, bufsize=0,

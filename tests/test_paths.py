@@ -16,6 +16,7 @@ from gogz.paths import (
     iter_conjugacy_paths,
 )
 from gogz.words import cyclic_meet, root
+from families import loops1, loops2
 from helpers import Step, conjugate, inverse, oriented_edges, reversed_step, steps_of, terminus, word_product
 from test_paths_reference import graphs, reference_open
 
@@ -311,8 +312,7 @@ class TestIterConjugacyPaths:
     )
     def test_unreachable_target_walks_nothing(self, extra, target, monkeypatch):
         # eight loops a/a^2 give millions of edge-once walks from the class of a
-        loops = "\n".join(f'edge {i} 0 0 minus="a" plus="a^2"' for i in range(8))
-        graph = parse_graph(f"vertex 0 rank=2 gens=a,b\n{loops}\n{extra}")
+        graph = parse_graph(loops2(8) + extra)
         monkeypatch.setattr(paths._ClassGraph, "walks", lambda *args, **kwargs: pytest.fail("walked"))
         vid, word = target.split(":")
         assert list(iter_conjugacy_paths(graph, w(graph, 0, "a"), w(graph, int(vid), word))) == []
@@ -352,9 +352,7 @@ def test_open_search_meets_each_junction_once(monkeypatch):
     """Of the 75,972 walks the reference certifies, the open search yields
     the first of each witness pair, and cyclic_meet runs once per ordered
     pair of words in {a, a^2}, not once per junction of each walk."""
-    edges = 6
-    loops = "\n".join(f'edge {i} 0 0 minus="a" plus="a^2"' for i in range(edges))
-    graph = parse_graph(f"vertex 0 rank=1 gens=a\n{loops}")
+    graph = parse_graph(loops1(6))
     a = w(graph, 0, "a")
     walks, pairs = 0, set()
     for path in reference_open(graph, a, a):
@@ -372,8 +370,7 @@ def test_parallel_edges_certify_each_pair_of_words_once(monkeypatch):
     a/a^2, the closed chains and the open search from a to a each run
     cyclic_meet once per ordered pair of words in {a, a^2}, however many
     edges carry them."""
-    loops = "\n".join(f'edge {i} 0 0 minus="a" plus="a^2"' for i in range(4))
-    graph = parse_graph(f"vertex 0 rank=2 gens=a,b\n{loops}")
+    graph = parse_graph(loops2(4))
     a, a2 = w(graph, 0, "a"), w(graph, 0, "a^2")
     calls = counting_meets(monkeypatch)
     assert len(enumerate_complete_paths(graph)) == 96
