@@ -596,6 +596,41 @@ def test_root_matches_the_rotation_key_search(letters):
     assert (spell(conj), spell(p), k) == flat_root(letters)
 
 
+@st.composite
+def root_pairs(draw):
+    """(shape, u, v) as flat letters: u = c q^j c^-1 and v = d q^k d^-1 with
+    d = c ("same"), d = c q^i ("shifted") or d drawn afresh ("conjugated"),
+    or u and v drawn apart ("unrelated")."""
+    rank = draw(st.integers(1, 3))
+    words = run_letters(rank=rank, max_runs=4, max_run=5)
+    exps = st.integers(-4, 4).filter(bool)
+    q, c = draw(words), draw(words)
+    assume(q)
+    shape = draw(st.sampled_from(["same", "shifted", "conjugated", "unrelated"]))
+    if shape == "unrelated":
+        v = draw(rootable_words())
+    else:
+        d = {"same": c, "shifted": c + flat_power(q, draw(exps)), "conjugated": draw(words)}[shape]
+        v = flat_reduce(d + flat_power(q, draw(exps)) + flat_invert(d))
+    u = flat_reduce(c + flat_power(q, draw(exps)) + flat_invert(c))
+    assume(u and v)
+    return shape, u, v
+
+
+@settings(max_examples=500)
+@given(root_pairs())
+def test_root_conjugator_and_primitive_name_the_maximal_root(case):
+    # two ends at one vertex share a maximal cyclic subgroup exactly when
+    # their (conjugator, primitive) pairs agree, so that pair may stand in
+    # for the maximal root
+    shape, lu, lv = case
+    u, v = reduced(lu), reduced(lv)
+    same_root = maximal_root(u) == maximal_root(v)
+    assert (words._root_cached(u.syllables)[:2] == words._root_cached(v.syllables)[:2]) == same_root
+    if shape in ("same", "shifted"):
+        assert same_root
+
+
 def test_parse_int_takes_ascii_digits_only():
     assert parse_int("0") == 0 and parse_int("017") == 17
     assert parse_int("-3", signed=True) == -3
