@@ -51,15 +51,13 @@ from gogz.verdicts import (
     analyze,
     power_conjugate,
 )
-from gogz.words import Alphabet, FreeWord, cyclic_meet, maximal_root, root
+from gogz.words import Alphabet, FreeWord, cyclic_meet
 
 __version__ = "0.1.0"
 
 __all__ = [
     "Alphabet",
     "FreeWord",
-    "root",
-    "maximal_root",
     "cyclic_meet",
     "Vertex",
     "Edge",

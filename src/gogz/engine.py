@@ -93,12 +93,9 @@ class Engine:
         self.graph = graph
         self.tree = graph.tree
         self._non_tree = frozenset(self.tree.non_tree_edge_ids)
-        # step -> (origin vertex, origin word a, terminus vertex, terminus word b)
+        # step -> (origin vertex, origin word a, terminus vertex, terminus word b),
+        # both directions of an edge recorded by _cross when a path first crosses it
         self._ends: Dict[Step, Tuple[int, Syllables, int, Syllables]] = {}
-        for e in graph.edges.values():
-            minus, plus = e.minus_word.syllables, e.plus_word.syllables
-            self._ends[(e.id, True)] = (e.minus_vertex, minus, e.plus_vertex, plus)
-            self._ends[(e.id, False)] = (e.plus_vertex, plus, e.minus_vertex, minus)
         # vertex -> (parent, tree step from the parent)
         self._parent: Dict[int, Tuple[int, Step]] = {
             s.child: (s.parent, (s.edge_id, graph.edges[s.edge_id].minus_vertex == s.parent))
@@ -109,11 +106,20 @@ class Engine:
 
     # ------------------------------------------------------------ raw paths
 
+    def _cross(self, step: Step) -> Step:
+        """``step``, its edge's ends recorded for :meth:`_normal_form`."""
+        if step not in self._ends:
+            e = self.graph.edges[step[0]]
+            minus, plus = e.minus_word.syllables, e.plus_word.syllables
+            self._ends[(e.id, True)] = (e.minus_vertex, minus, e.plus_vertex, plus)
+            self._ends[(e.id, False)] = (e.plus_vertex, plus, e.minus_vertex, minus)
+        return step
+
     def _tree_path(self, vid: int) -> List[Step]:
         steps = []
         while vid != self.tree.root:
             vid, step = self._parent[vid]
-            steps.append(step)
+            steps.append(self._cross(step))
         steps.reverse()
         return steps
 
@@ -139,7 +145,7 @@ class Engine:
         step = (edge_id, exp < 0)
         once = self._stable_paths.get(step)
         if once is None:
-            there, _, back, _ = self._ends[step]
+            there, _, back, _ = self._ends[self._cross(step)]
             home = [_reverse(s) for s in reversed(self._tree_path(back))]
             once = tuple((s, ()) for s in self._tree_path(there) + [step] + home)
             self._stable_paths[step] = once

@@ -188,16 +188,16 @@ class GraphOfGroups:
         return graph
 
     def _build_tree(self):
-        self._incident: Dict[int, List[Tuple[Edge, int]]] = {v: [] for v in self.vertices}
+        incident: Dict[int, List[Tuple[Edge, int]]] = {v: [] for v in self.vertices}
         for e in self.edges.values():
-            self._incident[e.minus_vertex].append((e, MINUS))
-            self._incident[e.plus_vertex].append((e, PLUS))
+            incident[e.minus_vertex].append((e, MINUS))
+            incident[e.plus_vertex].append((e, PLUS))
         root_vertex = min(self.vertices)
         seen = {root_vertex}
         reached = [root_vertex]  # in breadth-first order
         steps: List[TreeStep] = []
         for v in reached:
-            for edge, side in self._incident[v]:
+            for edge, side in incident[v]:
                 other = edge.vertex(-side)
                 if other not in seen:
                     seen.add(other)
@@ -216,10 +216,6 @@ class GraphOfGroups:
     def betti_number(self) -> int:
         """First Betti number |E| - |V| + 1 of the underlying connected graph."""
         return len(self.edges) - len(self.vertices) + 1
-
-    def incident(self, vid: int) -> List[Tuple[Edge, int]]:
-        """Edge ends at a vertex, ordered by (edge id, side); loops appear twice."""
-        return list(self._incident[vid])
 
     # -------------------------------------------------------------- labels
 

@@ -17,7 +17,9 @@ step leaves from the class the previous step arrived in.  The *class gain
 graph* has the classes as nodes and one edge per graph edge, carrying the
 gain ``k_terminus / k_origin`` of its root exponents and whether each end
 is a proper power (an *arrow*); a chain's ratio is the product of the
-gains of its steps.  Everything here reads that one graph:
+gains of its steps.  That graph is the end table :class:`_ClassGraph`,
+which roots each edge end once; everything here, and every decider of
+:mod:`gogz.verdicts`, reads it:
 
 * :func:`decide_chains` gives the verdicts' answers in polynomial time: a
   complete closed chain (``w g^i w^-1 = g^j``, *level* when ``|i| = |j|``)
@@ -170,28 +172,30 @@ def _step_name(letter: TLetter) -> str:
 
 
 class _ClassGraph:
-    """The class gain graph of a graph of groups.
+    """The end table of a graph of groups, and its class gain graph.
 
-    Two edge ends at a vertex overlap exactly when their inclusion words
-    have the same canonical primitive root (that is what
-    :func:`cyclic_meet` compares), so each end falls in a *class* (vertex tag,
-    primitive).  The nodes are the classes; each edge joins the classes of
-    its two ends.  Crossing a step from its origin end to its terminus end
-    multiplies the exponent by the *gain* ``k_terminus / k_origin`` of the
-    signed root exponents, so the ratio of a chain is the product of the
-    gains of its steps, and an end *carries an arrow* when ``|k| >= 2``.
+    One loop over the edge ends roots each end once and keeps its class,
+    signed root exponent and root conjugator; every decider reads them
+    here.  Two ends at a vertex overlap exactly when their words have the
+    same canonical primitive root (what :func:`cyclic_meet` compares), so
+    each end falls in a *class* (vertex tag, primitive), and two ends share
+    their maximal root exactly when they share class and conjugator.  The
+    classes are the nodes; each edge joins the classes of its two ends.
+    Crossing a step from its origin end to its terminus end multiplies the
+    exponent by the *gain* ``k_terminus / k_origin`` of the root exponents,
+    so the ratio of a chain is the product of the gains of its steps, and
+    an end *carries an arrow* when ``|k| >= 2``.
 
-    Position ``i`` describes step ``i``: steps ``2j`` and ``2j + 1`` cross
-    the j-th edge by id forward and backward, so ``i ^ 1`` is the reverse
-    of step ``i`` and ``i >> 1`` orders steps by edge id.  Comparing two
-    lists of step indices compares the chains step by step by (edge id,
-    forward first): that *step order* is the lex order used throughout, and
-    chains are listed shortest first, then lex.  ``out`` lists, per class,
-    the steps leaving it in step order.
-    Building it takes one :func:`root` per distinct edge word, in one loop
-    over the edge ends, which also keeps each step's origin word in
-    ``words``; a step ends where its reverse starts, so its terminus word
-    is ``words[i ^ 1]``.  A step's stable letter ``('t', id, ±1)`` is built
+    Position ``i`` describes step ``i`` and the end it leaves: steps ``2j``
+    and ``2j + 1`` cross the j-th edge by id forward and backward, from its
+    minus and its plus end, so ``i ^ 1`` is the reverse of step ``i`` and
+    ``i >> 1`` orders steps by edge id.  Comparing two lists of step
+    indices compares the chains step by step by (edge id, forward first):
+    that *step order* is the lex order used throughout, and chains are
+    listed shortest first, then lex.  ``node`` maps each class to its id,
+    in id order, and ``out`` lists, per class, the steps leaving it in step
+    order.  A step ends where its reverse starts, so its terminus word is
+    ``words[i ^ 1]``.  A step's stable letter ``('t', id, ±1)`` is built
     by :meth:`letter` when a chain crosses it.
 
     ``transitions`` memoises the certified transfer between each ordered
@@ -205,19 +209,22 @@ class _ClassGraph:
         out: List[List[int]] = []
         origin: List[int] = []
         k_origin: List[int] = []
+        conjugators: List[Syllables] = []
         words: List[FreeWord] = []
         for *_, minus_word, plus_word in graph.edges.values():
             # the minus end is the origin of step 2j, the plus end of 2j + 1
             for word in (minus_word, plus_word):
-                _, primitive, exponent = _root_cached(word.syllables)
+                conjugator, primitive, exponent = _root_cached(word.syllables)
                 c = node.setdefault((word.vertex, primitive), len(out))
                 if c == len(out):
                     out.append([])
                 out[c].append(len(origin))
                 origin.append(c)
                 k_origin.append(exponent)
+                conjugators.append(conjugator)
                 words.append(word)
         self.node, self.out, self.origin, self.k_origin, self.words = node, out, origin, k_origin, words
+        self.conjugator = conjugators
         self.edge_ids = list(graph.edges)  # the j-th edge by id, crossed by steps 2j and 2j + 1
         # a step ends where its reverse i ^ 1 starts
         steps = range(len(origin))
@@ -610,8 +617,9 @@ def _found(walk: Optional[List[int]], what: str) -> List[int]:
     return walk
 
 
-def decide_chains(graph: GraphOfGroups) -> ChainDecision:
-    """Closed-chain and full-path verdicts from one class gain graph.
+def decide_chains(classes: _ClassGraph) -> ChainDecision:
+    """Closed-chain and full-path verdicts from the end table of a graph,
+    read as its class gain graph.
 
     A complete closed chain exists iff the class graph has a cycle (loops
     and parallel edges count).  Without one, a full non-maximal path exists
@@ -621,9 +629,8 @@ def decide_chains(graph: GraphOfGroups) -> ChainDecision:
     for the shortest cycle, and a BFS per class for the shortest non-level
     one only when the group is unbalanced.
     """
-    classes = _ClassGraph(graph)
     up, depth, closing = classes.spanning_forest()
-    on_cycle = [False] * len(graph.edges)
+    on_cycle = [False] * len(classes.edge_ids)
     ratios = set()
     for i in closing:
         cycle = classes.canonical(classes.tree_cycle(i, up, depth))

@@ -30,11 +30,14 @@ Verdicts decided here, all by :func:`analyze` except the last:
 
 Chain witnesses are :class:`~gogz.paths.ConjugacyPath` records, and every
 replay, chain or not, is one relation ``w x^m w^-1 = y^n`` checked by
-``_require``.  ``analyze`` shares one :func:`~gogz.paths.decide_chains`
-call (one class gain graph), the reduction, the acylindricity verdict and
-one engine on the input graph between verdicts; the trichotomy builds
-engines only on single edges of the reduced tree.  Only the reported
-witnesses are built and replayed.
+``_require``.  ``analyze`` shares one end table (the
+:class:`~gogz.paths._ClassGraph` that roots each edge end once, read by
+:func:`~gogz.paths.decide_chains`, the acylindricity verdict and the
+central witness; a reduction that contracts gets a second, on the reduced
+graph), the reduction, the acylindricity verdict and one engine on the
+input graph between verdicts; the trichotomy builds engines only on
+single edges of the reduced tree.  Only the reported witnesses are built
+and replayed.
 """
 
 from __future__ import annotations
@@ -50,6 +53,7 @@ from .paths import (
     ChainDecision,
     ConjugacyPath,
     ConjugatorItem,
+    _ClassGraph,
     _UNIT,
     _chain,
     _fold,
@@ -57,7 +61,7 @@ from .paths import (
     enumerate_complete_paths,  # unused here; bench/spans traces this binding
     iter_conjugacy_paths,
 )
-from .words import FreeWord, cyclic_meet, join_reduced, maximal_root, power_letters, root
+from .words import FreeWord, Syllables, cyclic_meet, invert_letters, join_reduced, power_letters
 
 
 def _require(engine: Engine, items: Sequence[ConjugatorItem], lhs: Elem, rhs: Elem, claim: str) -> None:
@@ -166,34 +170,44 @@ class AcylVerdict(NamedTuple):
     snormal_generators: Dict[int, FreeWord]
 
 
-def _acyl(graph: GraphOfGroups) -> AcylVerdict:
-    """Acylindrical hyperbolicity of a reduced, nontrivial graph.  Each
-    s-normal relation lies in one vertex group, which embeds in the
-    fundamental group, so it is checked in that free group."""
-    incident_words, anchors = {}, {}
-    for vid in graph.vertices:  # a vertex's words are read when the loop reaches it
-        incident_words[vid] = ws = [edge.word(side) for edge, side in graph.incident(vid)]
-        anchors[vid] = anchor = maximal_root(ws[0])
-        for other in ws[1:]:
-            if maximal_root(other) != anchor:
-                # in a free group, <u> and <v> meet nontrivially iff u and v commute
-                u, v = ws[0].syllables, other.syllables
-                if join_reduced(u, v) == join_reduced(v, u):
-                    raise InternalInconsistencyError(f"edge roots at vertex {vid} commute")
-                return AcylVerdict(True, "edge_roots_disagree", vid, (ws[0], other), {})
+def _acyl(graph: GraphOfGroups, classes: _ClassGraph) -> AcylVerdict:
+    """Acylindrical hyperbolicity of a reduced, nontrivial graph, read off
+    its end table ``classes``.  Two ends share their maximal root exactly
+    when they share their class and their root conjugator.  Each s-normal
+    relation lies in one vertex group, which embeds in the fundamental
+    group, so it is checked in that free group."""
+    origin, conjugator, k, words = classes.origin, classes.conjugator, classes.k_origin, classes.words
+    at = [v for e in graph.edges.values() for v in (e.minus_vertex, e.plus_vertex)]  # the vertex of each end
+    first = dict(zip(reversed(at), range(len(at) - 1, -1, -1)))  # the first end at each vertex
+    # a class lies at one vertex, so each vertex has one maximal root exactly when there
+    # are as many (class, conjugator) pairs as vertices; with no conjugator, as classes
+    pairs = len(set(zip(origin, conjugator))) if any(conjugator) else len(classes.out)
+    if pairs > len(first):  # report the least such vertex, at its first end unlike its first
+        vid, i = min(
+            (v, i) for i, v in enumerate(at)
+            if origin[i] != origin[first[v]] or conjugator[i] != conjugator[first[v]]
+        )
+        u, v = words[first[vid]], words[i]
+        # in a free group, <u> and <v> meet nontrivially iff u and v commute
+        if join_reduced(u.syllables, v.syllables) == join_reduced(v.syllables, u.syllables):
+            raise InternalInconsistencyError(f"edge roots at vertex {vid} commute")
+        return AcylVerdict(True, "edge_roots_disagree", vid, (u, v), {})
     for vid, vertex in graph.vertices.items():
         if vertex.rank >= 2:
             return AcylVerdict(True, "vertex_not_cyclic", vid, (), {})
 
-    generators: Dict[int, FreeWord] = {}
-    for vid, ws in incident_words.items():
-        exps = [root(w).exponent for w in ws]
-        common = lcm(*(abs(k) for k in exps))
-        g_v = anchors[vid] ** common
-        for w, k in zip(ws, exps):
-            if power_letters(w.syllables, common // k) != g_v.syllables:
-                raise InternalInconsistencyError(f"s-normal generator fails in vertex group {vid}")
-        generators[vid] = g_v
+    common: Dict[int, int] = {}
+    for v, k_i in zip(at, k):
+        common[v] = lcm(common.get(v, 1), k_i)
+    primitive = [p for _, p in classes.node]  # by class id
+    g: Dict[int, Syllables] = {}  # conjugator * primitive^common * conjugator^-1 at each vertex
+    for vid in graph.vertices:
+        c, p = conjugator[first[vid]], primitive[origin[first[vid]]]
+        g[vid] = join_reduced(join_reduced(c, power_letters(p, common[vid])), invert_letters(c))
+    failed = [v for i, v in enumerate(at) if power_letters(words[i].syllables, common[v] // k[i]) != g[v]]
+    if failed:
+        raise InternalInconsistencyError(f"s-normal generator fails in vertex group {min(failed)}")
+    generators = {vid: FreeWord(words[first[vid]].vertex, g_v) for vid, g_v in g.items()}
     return AcylVerdict(False, None, None, (), generators)
 
 
@@ -226,14 +240,15 @@ class TrichotomyVerdict(NamedTuple):
     free_rank: Optional[int]  # set when the graph reduces to a single vertex
 
 
-def _central_witness(graph: GraphOfGroups) -> CentralWitness:
+def _central_witness(graph: GraphOfGroups, classes: _ClassGraph) -> CentralWitness:
     """Common power of all vertex generators in a reduced tree of cyclic groups.
 
     ``gen_v^(x_v)`` is one element iff ``gen_p^(x_p) = gen_c^(x_c)`` across
-    each tree edge (p, c).  The exponents fold the root exponents down the
-    tree as a chain folds its transfers (:func:`~gogz.paths._fold`), scaled
-    by the lcm of the denominators met.  The group of each tree edge embeds
-    in the fundamental group, so an engine on that edge replays its relation.
+    each tree edge (p, c).  The exponents fold the root exponents of the
+    end table ``classes`` down the tree as a chain folds its transfers
+    (:func:`~gogz.paths._fold`), scaled by the lcm of the denominators
+    met.  The group of each tree edge embeds in the fundamental group, so
+    an engine on that edge replays its relation.
     """
     tree = graph.tree
     if tree.non_tree_edge_ids:
@@ -241,12 +256,12 @@ def _central_witness(graph: GraphOfGroups) -> CentralWitness:
             f"central witness at vertex {tree.root} needs a tree, but edges "
             f"{list(tree.non_tree_edge_ids)} close cycles"
         )
+    k = classes.k_origin
+    minus_end = {edge_id: 2 * j for j, edge_id in enumerate(classes.edge_ids)}  # 2j + 1 is the plus end
     folds = {tree.root: _UNIT}
     for step in tree.steps:
-        edge = graph.edges[step.edge_id]
-        k_minus, k_plus = root(edge.minus_word).exponent, root(edge.plus_word).exponent
-        k_parent, k_child = (k_minus, k_plus) if edge.minus_vertex == step.parent else (k_plus, k_minus)
-        folds[step.child] = _fold(_fold(folds[step.parent], 1, k_parent), k_child, 1)
+        parent_end = minus_end[step.edge_id] + (graph.edges[step.edge_id].minus_vertex != step.parent)
+        folds[step.child] = _fold(_fold(folds[step.parent], 1, k[parent_end]), k[parent_end ^ 1], 1)
     scale = lcm(*(m for _, _, m in folds.values()))
     exponents = {vid: scale // den * num for vid, (num, den, _) in folds.items()}
     for step in tree.steps:
@@ -262,9 +277,9 @@ def _central_witness(graph: GraphOfGroups) -> CentralWitness:
     return CentralWitness(tree.root, element, exponents)
 
 
-def _trichotomy(reduced: GraphOfGroups) -> TrichotomyVerdict:
+def _trichotomy(reduced: GraphOfGroups, classes: _ClassGraph) -> TrichotomyVerdict:
     """Acylindrically hyperbolic / surjects Z / central cyclic, on the
-    already reduced graph, with no whole-graph engine.
+    already reduced graph and its end table, with no whole-graph engine.
 
     A non-tree reduced graph surjects onto the integers by sending one
     stable letter to 1 and every vertex group to 0; a reduced tree that is
@@ -274,13 +289,13 @@ def _trichotomy(reduced: GraphOfGroups) -> TrichotomyVerdict:
     if reduced.is_trivial:
         (vertex,) = reduced.vertices.values()
         return TrichotomyVerdict("surjects_Z", None, (), None, vertex.rank)
-    acyl = _acyl(reduced)
+    acyl = _acyl(reduced, classes)
     if acyl.acyl_hyperbolic:
         return TrichotomyVerdict("acylindrically_hyperbolic", acyl, (), None, None)
     if reduced.betti_number > 0:
         non_tree = reduced.tree.non_tree_edge_ids
         return TrichotomyVerdict("surjects_Z", acyl, non_tree, None, None)
-    return TrichotomyVerdict("cyclic_normal_subgroup", acyl, (), _central_witness(reduced), None)
+    return TrichotomyVerdict("cyclic_normal_subgroup", acyl, (), _central_witness(reduced, classes), None)
 
 
 # ------------------------------------------------------------ power conjugacy
@@ -396,11 +411,12 @@ class AnalysisReport(NamedTuple):
 def analyze(graph: GraphOfGroups) -> AnalysisReport:
     """Run every decider and cross-check the verdicts against each other."""
     reduced, contractions = reduce_graph(graph)
+    classes = _ClassGraph(graph)
     engine = Engine(graph)
-    chains = decide_chains(graph)
+    chains = decide_chains(classes)
     balance = _balance(engine, chains)
     hyper = _hyperbolicity(engine, chains)
-    tri = _trichotomy(reduced)
+    tri = _trichotomy(reduced, classes if reduced is graph else _ClassGraph(reduced))
 
     rel_hyp_note = None
     if all(v.rank == 1 for v in reduced.vertices.values()):

@@ -18,12 +18,15 @@ the inverse of a generator sorting directly after the generator itself
 (a < a^-1 < b < b^-1 ...); :func:`letters_sort_key` compares words letter
 by letter without spelling them out.
 
-The cyclic-subgroup operations (root, cyclic_meet) are the primitives the
-deciders are built on: in a free group every question about intersections
-and conjugates of cyclic subgroups reduces to comparing primitive roots.
-A root takes linear time: the smallest period q of the cyclically reduced
-core (the KMP failure function), then the least rotation of q and of q^-1,
-each one Duval loop over one lex item per syllable.
+The cyclic-subgroup operations (the root decomposition ``_root_cached``
+and :func:`cyclic_meet`) are the primitives the deciders are built on: in
+a free group every question about intersections and conjugates of cyclic
+subgroups reduces to comparing primitive roots.  The end table of
+:mod:`gogz.paths` roots each edge end once, and every decider reads its
+roots there.  A root takes linear time: the smallest period q of the
+cyclically reduced core (the KMP failure function), then the least
+rotation of q and of q^-1, each one Duval loop over one lex item per
+syllable.
 The normal-form engine takes no roots.  Its one primitive is the coset
 split, which writes a word x as u^-k r with r the least word of the right
 coset <u> x; it builds r and k together by free reduction alone.
@@ -245,12 +248,6 @@ class FreeWord(tuple):
     def __pow__(self, k: int) -> "FreeWord":
         return FreeWord(self.vertex, power_letters(self.syllables, k))
 
-    def conjugated_by(self, h: "FreeWord") -> "FreeWord":
-        """h * self * h^-1."""
-        self._check(h)
-        left = join_reduced(h.syllables, self.syllables)
-        return FreeWord(self.vertex, join_reduced(left, invert_letters(h.syllables)))
-
 
 def cyclic_split(word: Syllables) -> Tuple[Syllables, Syllables]:
     """Split a reduced word as c * core * c^-1 with core cyclically reduced.
@@ -308,25 +305,19 @@ def _least_rotation(items: list) -> int:
             return start
 
 
-class RootDecomposition(NamedTuple):
-    """w = conjugator * primitive^exponent * conjugator^-1, exponent != 0.
-
-    The primitive is canonical: (length, lex)-least among all cyclic
-    permutations of itself and of its inverse.  This folds inversion into the
-    choice, so commensurable cyclic subgroups always share the same primitive.
-    """
-
-    conjugator: FreeWord
-    primitive: FreeWord
-    exponent: int
-
-
 @lru_cache(maxsize=65536)
 def _root_cached(word: Syllables) -> Tuple[Syllables, Syllables, int]:
-    """(conjugator, primitive, exponent) of a nonempty reduced word, checked
-    to recompose to it; see :class:`RootDecomposition`.  Linear time: the
-    primitive is the lesser of the least rotations of the smallest period
-    q and of q^-1, compared by their lex items."""
+    """The root decomposition (conjugator, primitive, exponent) of a
+    nonempty reduced word: word = conjugator primitive^exponent
+    conjugator^-1, exponent != 0, checked to recompose.
+
+    The primitive is canonical: (length, lex)-least among all cyclic
+    permutations of itself and of its inverse.  This folds inversion into
+    the choice, so commensurable cyclic subgroups always share the same
+    primitive, and two words generate the same maximal cyclic subgroup
+    exactly when their (conjugator, primitive) pairs agree.  Linear time:
+    the primitive is the lesser of the least rotations of the smallest
+    period q and of q^-1, compared by their lex items."""
     c, core = cyclic_split(word)
     if len(core) == 1:  # a power of one generator
         ((g, e),) = core
@@ -356,25 +347,6 @@ def _root_cached(word: Syllables) -> Tuple[Syllables, Syllables, int]:
     if recomposed != word:
         raise InternalInconsistencyError(f"root decomposition of {word} does not recompose")
     return conj, p, k
-
-
-def root(w: FreeWord) -> RootDecomposition:
-    """Primitive root decomposition of a nontrivial word."""
-    if w.is_identity:
-        raise DegenerateInputError("root of the identity is undefined")
-    conj, p, k = _root_cached(w.syllables)
-    return RootDecomposition(FreeWord(w.vertex, conj), FreeWord(w.vertex, p), k)
-
-
-def maximal_root(w: FreeWord) -> FreeWord:
-    """The generator of the maximal cyclic subgroup containing w.
-
-    Two nontrivial words have nontrivially intersecting cyclic subgroups
-    (literally, not up to conjugacy) iff their maximal roots coincide; with
-    the canonical primitive the inverse case cannot occur.
-    """
-    r = root(w)
-    return r.primitive.conjugated_by(r.conjugator)
 
 
 class CyclicMeet(NamedTuple):

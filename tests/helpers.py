@@ -15,6 +15,8 @@ from itertools import groupby
 from operator import neg
 from typing import List, NamedTuple, Tuple
 
+from gogz.errors import DegenerateInputError
+
 from gogz.engine import Elem, Engine, Item, _reverse
 from gogz.graphs import MINUS, PLUS, Edge, GraphOfGroups
 from gogz.words import (
@@ -23,6 +25,7 @@ from gogz.words import (
     Letters,
     Syllables,
     _coset_canonical_cached,
+    _root_cached,
     invert_letters,
     join_reduced,
     reduce_letters,
@@ -44,9 +47,42 @@ def inverse(w: FreeWord) -> FreeWord:
     return FreeWord(w.vertex, invert_letters(w.syllables))
 
 
+def conjugated_by(w: FreeWord, h: FreeWord) -> FreeWord:
+    """h w h^-1."""
+    return word_product(h, w, inverse(h))
+
+
 def word_of(alphabet: Alphabet, letters) -> FreeWord:
     """The reduced word that flat letters spell at an alphabet's vertex."""
     return alphabet.word(syllables_of(letters))
+
+
+class RootDecomposition(NamedTuple):
+    """w = conjugator * primitive^exponent * conjugator^-1, exponent != 0,
+    with the canonical primitive of :func:`gogz.words._root_cached`."""
+
+    conjugator: FreeWord
+    primitive: FreeWord
+    exponent: int
+
+
+def root(w: FreeWord) -> RootDecomposition:
+    """Primitive root decomposition of a nontrivial word."""
+    if w.is_identity:
+        raise DegenerateInputError("root of the identity is undefined")
+    conj, p, k = _root_cached(w.syllables)
+    return RootDecomposition(FreeWord(w.vertex, conj), FreeWord(w.vertex, p), k)
+
+
+def maximal_root(w: FreeWord) -> FreeWord:
+    """The generator of the maximal cyclic subgroup containing w.
+
+    Two nontrivial words have nontrivially intersecting cyclic subgroups
+    (literally, not up to conjugacy) iff their maximal roots coincide; with
+    the canonical primitive the inverse case cannot occur.
+    """
+    r = root(w)
+    return conjugated_by(r.primitive, r.conjugator)
 
 
 # ---------------------------------------------------------- flat-letter oracles

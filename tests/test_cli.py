@@ -590,22 +590,21 @@ class TestErrors:
         assert err.startswith("internal error: ") and "Traceback" not in err
 
     def test_commuting_edge_root_evidence_exits_3(self, graph_file, capsys, monkeypatch):
-        # with every word its own maximal root, a^2 and a^3 seem to disagree;
-        # they commute, so the evidence refutes the claim
-        monkeypatch.setattr(verdicts, "maximal_root", lambda w: w)
+        # with every end table word its own maximal root, a^2 and a^3 seem to
+        # disagree; they commute, so the evidence refutes the claim
+        monkeypatch.setattr(paths, "_root_cached", lambda word: ((), word, 1))
         assert main(["check", graph_file(BS23)]) == 3
         err = capsys.readouterr().err
         assert err == "internal error: edge roots at vertex 0 commute\n"
 
     def test_wrong_snormal_exponent_exits_3(self, graph_file, capsys, monkeypatch):
-        # a^3 rooted with exponent 4: a^2 and "a^4" agree on a^4, and a^3 does not
-        true_root = verdicts.root
+        # a^3 rooted in the end table with exponent 4: a^2 and "a^4" agree on
+        # a^4, and a^3 does not
+        def skewed(word):
+            conjugator, primitive, exponent = words._root_cached(word)
+            return conjugator, primitive, 4 if word == ((1, 3),) else exponent
 
-        def skewed(w):
-            r = true_root(w)
-            return r._replace(exponent=4) if w.syllables == ((1, 3),) else r
-
-        monkeypatch.setattr(verdicts, "root", skewed)
+        monkeypatch.setattr(paths, "_root_cached", skewed)
         assert main(["check", graph_file(BS23)]) == 3
         err = capsys.readouterr().err
         assert err == "internal error: s-normal generator fails in vertex group 0\n"

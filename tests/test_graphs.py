@@ -19,8 +19,8 @@ from gogz.graphs import (
     parse_graph,
     reduce_graph,
 )
-from gogz.words import Alphabet, FreeWord, root
-from helpers import spell
+from gogz.words import Alphabet, FreeWord
+from helpers import root, spell
 from test_paths_reference import graphs
 
 BS23 = """

@@ -27,7 +27,7 @@ from hypothesis import example, given, settings, strategies as st
 from gogz.graphs import Edge, GraphOfGroups, Vertex, parse_graph
 from gogz.verdicts import analyze
 from gogz.words import FreeWord
-from helpers import flat_invert, spell, word_of
+from helpers import conjugated_by, flat_invert, spell, word_of
 from test_paths_reference import graphs
 
 
@@ -68,8 +68,8 @@ def conjugated_end(graph: GraphOfGroups, eid: int, minus: bool, h: FreeWord) -> 
     ``minus``) replaced by h w h^-1."""
     e = graph.edges[eid]
     if minus:
-        return replaced_edge(graph, e._replace(minus_word=e.minus_word.conjugated_by(h)))
-    return replaced_edge(graph, e._replace(plus_word=e.plus_word.conjugated_by(h)))
+        return replaced_edge(graph, e._replace(minus_word=conjugated_by(e.minus_word, h)))
+    return replaced_edge(graph, e._replace(plus_word=conjugated_by(e.plus_word, h)))
 
 
 def mapped_vertex(graph: GraphOfGroups, vid: int, images) -> GraphOfGroups:

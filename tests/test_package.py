@@ -32,10 +32,8 @@ def test_public_names():
         "enumerate_complete_paths",
         "enumerate_full_nonmaximal_paths",
         "iter_conjugacy_paths",
-        "maximal_root",
         "parse_graph",
         "power_conjugate",
         "reduce_graph",
-        "root",
     ]
     assert all(hasattr(gogz, name) for name in gogz.__all__)

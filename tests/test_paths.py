@@ -15,9 +15,19 @@ from gogz.paths import (
     enumerate_full_nonmaximal_paths,
     iter_conjugacy_paths,
 )
-from gogz.words import cyclic_meet, root
+from gogz.words import cyclic_meet
 from families import loops1, loops2
-from helpers import Step, conjugate, inverse, oriented_edges, reversed_step, steps_of, terminus, word_product
+from helpers import (
+    Step,
+    conjugate,
+    inverse,
+    oriented_edges,
+    reversed_step,
+    root,
+    steps_of,
+    terminus,
+    word_product,
+)
 from test_paths_reference import graphs, reference_open
 
 BS23 = parse_graph('vertex 0 rank=1 gens=a\nedge 0 0 0 minus="a^2" plus="a^3"')

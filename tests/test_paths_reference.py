@@ -39,8 +39,8 @@ from gogz.paths import (
     iter_conjugacy_paths,
 )
 from gogz.verdicts import ConjugacyAnswer, power_conjugate
-from gogz.words import cyclic_meet, root
-from helpers import Step, conjugate, oriented_edges, reversed_step, terminus, word_of
+from gogz.words import cyclic_meet
+from helpers import Step, conjugate, oriented_edges, reversed_step, root, terminus, word_of
 
 # ------------------------------------------------------------ reference walk
 
@@ -411,7 +411,7 @@ def test_open_search_matches_reference_in_yield_order(case):
 @example(LEVEL_COMPONENT)
 @example(OFF_ROOT_CYCLE)
 def test_class_graph_decisions_match_the_enumerations(graph):
-    decision = decide_chains(graph)
+    decision = decide_chains(_ClassGraph(graph))
     complete = enumerate_complete_paths(graph)
     # a complete chain exists iff the class graph has a cycle, and the
     # witness is the first chain listed: the lex-least shortest one

@@ -6,11 +6,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gogz import paths, verdicts
+from families import rand
+from gogz import paths, verdicts, words
 from gogz.engine import Engine
 from gogz.errors import DegenerateInputError, InternalInconsistencyError
 from gogz.graphs import parse_graph, reduce_graph
-from gogz.verdicts import _require, analyze, power_conjugate
+from gogz.verdicts import AcylVerdict, CentralWitness, _require, analyze, power_conjugate
+from gogz.words import FreeWord
 from helpers import conjugate
 from test_engine import draw_items, engine_graphs
 
@@ -82,6 +84,36 @@ CONJUGATE_ROOTS = """
 vertex 0 rank=2 gens=a,b
 edge 0 0 0 minus="a^2" plus="a^2"
 edge 1 0 0 minus="b a^2 b^-1" plus="b a^2 b^-1"
+"""
+
+
+# Graphs that reduce_graph contracts to a nontrivial graph, so that the
+# trichotomy reads the end table of the reduced graph, not of the input.
+
+# contracting edge 0 makes edge 1 read a^1001000 = y^2, past the reader's cap
+CAP_TREE = """
+vertex 0 rank=1 gens=a
+vertex 1 rank=1 gens=x
+vertex 2 rank=1 gens=y
+edge 0 0 1 minus="a^1000" plus="x"
+edge 1 1 2 minus="x^1001" plus="y^2"
+"""
+
+# edge 0 contracts, and BS(2, 3) remains as the loop a^4 = a^6
+CONTRACTED_BS23 = """
+vertex 0 rank=1 gens=a
+vertex 1 rank=1 gens=x
+edge 0 0 1 minus="a^2" plus="x"
+edge 1 1 1 minus="x^2" plus="x^3"
+"""
+
+# edge 0 contracts; the loops a^4 = a^6 and b^2 = b^2 remain, and their roots disagree
+CONTRACTED_DISAGREE = """
+vertex 0 rank=2 gens=a,b
+vertex 1 rank=1 gens=x
+edge 0 0 1 minus="a^2" plus="x"
+edge 1 1 1 minus="x^2" plus="x^3"
+edge 2 0 0 minus="b^2" plus="b^2"
 """
 
 
@@ -234,6 +266,29 @@ class TestAcylHyperbolicity:
         assert verdict.acyl_hyperbolic
         assert verdict.condition == "edge_roots_disagree" and verdict.vertex == 0
         assert verdict.evidence == (w(graph, 0, "a^2"), w(graph, 0, "b^2"))
+
+    @pytest.mark.parametrize(
+        "text,acyl,central",
+        [
+            (
+                CAP_TREE,
+                AcylVerdict(False, None, None, (), {0: FreeWord("0", ((1, 1001000),)), 2: FreeWord("2", ((1, 2),))}),
+                CentralWitness(0, FreeWord("0", ((1, 1001000),)), {0: 1001000, 2: 2}),
+            ),
+            (CONTRACTED_BS23, AcylVerdict(False, None, None, (), {0: FreeWord("0", ((1, 12),))}), None),
+            (
+                CONTRACTED_DISAGREE,
+                AcylVerdict(True, "edge_roots_disagree", 0, (FreeWord("0", ((1, 4),)), FreeWord("0", ((2, 2),))), {}),
+                None,
+            ),
+        ],
+        ids=["cap-tree", "contracted-bs23", "contracted-disagree"],
+    )
+    def test_contracted_graph_is_read_off_its_own_end_table(self, text, acyl, central):
+        graph = parse_graph(text)
+        report = analyze(graph)
+        assert report.reduced is not graph
+        assert report.trichotomy.acyl == acyl and report.trichotomy.central == central
 
     def test_conjugate_roots_are_still_disjoint(self):
         # <a^2> meets <b a^2 b^-1> trivially even though the roots are conjugate
@@ -455,7 +510,8 @@ def test_central_witness_holds_in_the_whole_graph(text):
 
 
 ALL_TEXTS = [bs(2, 3), bs(3, 3), bs(1, 2), TREFOIL, TORUS, CHAIN, THETA, FXF,
-             COMM_SQUARE, COMM_PRIMITIVE, TWO_LOOPS, ROOTS_DISAGREE, CONJUGATE_ROOTS]
+             COMM_SQUARE, COMM_PRIMITIVE, TWO_LOOPS, ROOTS_DISAGREE, CONJUGATE_ROOTS,
+             CAP_TREE, CONTRACTED_BS23, CONTRACTED_DISAGREE]
 
 
 class TestAnalyze:
@@ -510,8 +566,28 @@ class TestAnalyze:
             monkeypatch.setattr(paths, name, lambda *args, _name=name: pytest.fail(f"{_name} ran"))
         report = analyze(graph)
         assert calls["decide_chains"] == 1 and calls["reduce_graph"] == 1
-        assert builds == [graph]
+        # one end table per analysed graph: the input, and the reduced graph if it differs
+        assert builds == ([graph] if report.reduced is graph else [graph, report.reduced])
         assert calls.get("_acyl", 0) == (0 if report.reduced.is_trivial else 1)
+
+    @pytest.mark.parametrize(
+        "text", [rand(200), CAP_TREE, CONTRACTED_BS23, CONTRACTED_DISAGREE],
+        ids=["rand-200", "cap-tree", "contracted-bs23", "contracted-disagree"],
+    )
+    def test_each_edge_end_is_rooted_once_per_analysed_graph(self, text, monkeypatch):
+        """The end tables are where analyze roots edge ends: once per end of
+        the input graph, and once per end of the reduced graph when that is
+        another graph.  The only other roots are the two that cyclic_meet
+        takes for each junction of a witness that it certifies."""
+        graph = parse_graph(text)
+        meets = []
+        meet = paths.cyclic_meet
+        monkeypatch.setattr(paths, "cyclic_meet", lambda u, v: meets.append((u, v)) or meet(u, v))
+        words._root_cached.cache_clear()
+        report = analyze(graph)
+        calls = words._root_cached.cache_info()
+        analysed = [graph] if report.reduced is graph else [graph, report.reduced]
+        assert calls.hits + calls.misses == sum(2 * len(g.edges) for g in analysed) + 2 * len(meets)
 
     @pytest.mark.parametrize(
         "text,builds",

@@ -9,7 +9,7 @@ from hypothesis import assume, given, settings, strategies as st
 from gogz import words
 from gogz.errors import AlphabetError, DegenerateInputError, InternalInconsistencyError, ParseError
 from gogz.graphs import parse_graph
-from gogz.paths import decide_chains
+from gogz.paths import enumerate_complete_paths
 from gogz.words import (
     MAX_WORD_LETTERS,
     Alphabet,
@@ -20,11 +20,9 @@ from gogz.words import (
     invert_letters,
     join_reduced,
     letters_sort_key,
-    maximal_root,
     parse_int,
     power_letters,
     reduce_letters,
-    root,
 )
 from helpers import (
     flat_coset_canonical,
@@ -34,7 +32,10 @@ from helpers import (
     flat_reduce,
     flat_root,
     flat_sort_key,
+    conjugated_by,
     inverse,
+    maximal_root,
+    root,
     spell,
     syllables_of,
     word_product,
@@ -50,7 +51,7 @@ def w(text):
 
 def recompose(dec):
     """conjugator * primitive^exponent * conjugator^-1 of a root decomposition."""
-    return (dec.primitive ** dec.exponent).conjugated_by(dec.conjugator)
+    return conjugated_by(dec.primitive ** dec.exponent, dec.conjugator)
 
 
 # ---------------------------------------------------------------- reduction
@@ -170,21 +171,21 @@ def test_words_are_values():
     assert meet == meet_again and hash(meet) == hash(meet_again) and meet is not meet_again
     assert meet != cyclic_meet(w("a^2"), w("b a^-3 b^-1"))
     # a chain record holds its derived values as fields
-    path = decide_chains(parse_graph('vertex 0 rank=1 gens=a\nedge 0 0 0 minus="a^2" plus="a^3"')).complete
-    fields = ((u, "vertex"), (u, "syllables"), (root(u), "exponent"), (meet, "exps"), (path, "witness_exponents"))
+    (path,) = enumerate_complete_paths(parse_graph('vertex 0 rank=1 gens=a\nedge 0 0 0 minus="a^2" plus="a^3"'))
+    fields = ((u, "vertex"), (u, "syllables"), (meet, "exps"), (path, "witness_exponents"))
     for record, field in fields:
         with pytest.raises(AttributeError):
             setattr(record, field, None)
     with pytest.raises(AttributeError):
         del meet.u
-    for value in (u, root(u), meet, path):
+    for value in (u, meet, path):
         for clone in (copy.copy(value), copy.deepcopy(value), pickle.loads(pickle.dumps(value))):
             assert clone == value and hash(clone) == hash(value)
 
 
 def test_mixed_alphabets_rejected():
     with pytest.raises(AlphabetError):
-        w("a").conjugated_by(Z.parse("x"))
+        cyclic_meet(w("a"), Z.parse("x"))
 
 
 # ---------------------------------------------------------------- root
@@ -267,7 +268,7 @@ def cores_rotate(u, v):
 def test_conjugate_in_free_example():
     h = conjugator(w("a b"), w("b a"))
     assert h == w("b")
-    assert w("a b").conjugated_by(h) == w("b a")
+    assert conjugated_by(w("a b"), h) == w("b a")
 
 
 def test_conjugate_in_free_absent():
@@ -278,12 +279,12 @@ def test_conjugate_in_free_absent():
     m = cyclic_meet(u, v)
     assert m is not None and m.exps == (1, -1)
     assert conjugator(u, v) is None
-    assert inverse(u).conjugated_by(m.transfer_conjugator) == v
+    assert conjugated_by(inverse(u), m.transfer_conjugator) == v
 
 
 def test_conjugate_identity_cases():
     # the identity is conjugate only to itself and has no root to compare
-    assert FreeWord("v", ()).conjugated_by(w("a b")) == FreeWord("v", ())
+    assert conjugated_by(FreeWord("v", ()), w("a b")) == FreeWord("v", ())
     with pytest.raises(DegenerateInputError):
         cyclic_meet(FreeWord("v", ()), FreeWord("v", ()))
     with pytest.raises(DegenerateInputError):
@@ -306,7 +307,7 @@ def test_cyclic_meet_example():
     assert root(u).primitive == root(v).primitive
     # transfer conjugator carries u-powers onto v-powers: theta u^3 theta^-1 = v^2
     theta = m.transfer_conjugator
-    assert (u ** 3).conjugated_by(theta) == v ** 2
+    assert conjugated_by(u ** 3, theta) == v ** 2
 
 
 def test_cyclic_meet_absent():
@@ -333,8 +334,8 @@ def test_coset_canonical_example():
 def test_coset_canonical_distorted_conjugator():
     # u = c a c^-1 shape: the minimizer k sits far beyond |x|/|u| + 1
     conj = w("b a b a b")
-    u = w("a").conjugated_by(conj)
-    x = (w("a") ** -10).conjugated_by(conj)
+    u = conjugated_by(w("a"), conj)
+    x = conjugated_by(w("a") ** -10, conj)
     assert _coset_canonical_cached(u.syllables, x.syllables)[1] == ()
 
 
@@ -534,7 +535,7 @@ def test_conjugacy_witness_and_symmetry(lu, lv):
     h = conjugator(u, v)
     assert (h is not None) == cores_rotate(u, v)
     if h is not None:
-        assert u.conjugated_by(h) == v
+        assert conjugated_by(u, h) == v
     back = conjugator(v, u)
     assert (h is None) == (back is None)
 
@@ -544,10 +545,10 @@ def test_conjugacy_detects_actual_conjugates(lu, lh):
     u, h = reduced(lu), reduced(lh)
     if u.is_identity:
         return
-    v = u.conjugated_by(h)
+    v = conjugated_by(u, h)
     found = conjugator(u, v)
     assert found is not None
-    assert u.conjugated_by(found) == v
+    assert conjugated_by(u, found) == v
 
 
 @settings(deadline=None)
@@ -571,7 +572,7 @@ def test_cyclic_meet_symmetric_and_certified(lu, lv):
     if m is not None:
         ku, kv = m.exps
         theta = m.transfer_conjugator
-        assert (u ** kv).conjugated_by(theta) == v ** ku
+        assert conjugated_by(u ** kv, theta) == v ** ku
 
 
 @st.composite
