@@ -61,7 +61,7 @@ from .paths import (
     enumerate_complete_paths,  # unused here; bench/spans traces this binding
     iter_conjugacy_paths,
 )
-from .words import FreeWord, Syllables, cyclic_meet, invert_letters, join_reduced, power_letters
+from .words import FreeWord, cyclic_meet, invert_letters, join_reduced, power_letters
 
 
 def _require(engine: Engine, items: Sequence[ConjugatorItem], lhs: Elem, rhs: Elem, claim: str) -> None:
@@ -177,12 +177,12 @@ def _acyl(graph: GraphOfGroups, classes: _ClassGraph) -> AcylVerdict:
     relation lies in one vertex group, which embeds in the fundamental
     group, so it is checked in that free group."""
     origin, conjugator, k, words = classes.origin, classes.conjugator, classes.k_origin, classes.words
-    at = [v for e in graph.edges.values() for v in (e.minus_vertex, e.plus_vertex)]  # the vertex of each end
-    first = dict(zip(reversed(at), range(len(at) - 1, -1, -1)))  # the first end at each vertex
     # a class lies at one vertex, so each vertex has one maximal root exactly when there
     # are as many (class, conjugator) pairs as vertices; with no conjugator, as classes
     pairs = len(set(zip(origin, conjugator))) if any(conjugator) else len(classes.out)
-    if pairs > len(first):  # report the least such vertex, at its first end unlike its first
+    if pairs > len(graph.vertices):  # report the least such vertex, at its first end unlike its first
+        at = [v for e in graph.edges.values() for v in (e.minus_vertex, e.plus_vertex)]  # the vertex of each end
+        first = dict(zip(reversed(at), range(len(at) - 1, -1, -1)))  # the first end at each vertex
         vid, i = min(
             (v, i) for i, v in enumerate(at)
             if origin[i] != origin[first[v]] or conjugator[i] != conjugator[first[v]]
@@ -196,19 +196,18 @@ def _acyl(graph: GraphOfGroups, classes: _ClassGraph) -> AcylVerdict:
         if vertex.rank >= 2:
             return AcylVerdict(True, "vertex_not_cyclic", vid, (), {})
 
-    common: Dict[int, int] = {}
-    for v, k_i in zip(at, k):
-        common[v] = lcm(common.get(v, 1), k_i)
-    primitive = [p for _, p in classes.node]  # by class id
-    g: Dict[int, Syllables] = {}  # conjugator * primitive^common * conjugator^-1 at each vertex
-    for vid in graph.vertices:
-        c, p = conjugator[first[vid]], primitive[origin[first[vid]]]
-        g[vid] = join_reduced(join_reduced(c, power_letters(p, common[vid])), invert_letters(c))
-    failed = [v for i, v in enumerate(at) if power_letters(words[i].syllables, common[v] // k[i]) != g[v]]
+    # each class is now the ends at its vertex, all with one conjugator c
+    generators: Dict[int, FreeWord] = {}
+    failed = []
+    for (tag, primitive), here in zip(classes.node, classes.out):
+        common, c = lcm(*(k[i] for i in here)), conjugator[here[0]]
+        g = join_reduced(join_reduced(c, power_letters(primitive, common)), invert_letters(c))
+        if any(power_letters(words[i].syllables, common // k[i]) != g for i in here):
+            failed.append(int(tag))
+        generators[int(tag)] = FreeWord(tag, g)
     if failed:
         raise InternalInconsistencyError(f"s-normal generator fails in vertex group {min(failed)}")
-    generators = {vid: FreeWord(words[first[vid]].vertex, g_v) for vid, g_v in g.items()}
-    return AcylVerdict(False, None, None, (), generators)
+    return AcylVerdict(False, None, None, (), dict(sorted(generators.items())))
 
 
 # ----------------------------------------------------------------- trichotomy

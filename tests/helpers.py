@@ -15,9 +15,8 @@ from itertools import groupby
 from operator import neg
 from typing import List, NamedTuple, Tuple
 
-from gogz.errors import DegenerateInputError
-
 from gogz.engine import Elem, Engine, Item, _reverse
+from gogz.errors import DegenerateInputError
 from gogz.graphs import MINUS, PLUS, Edge, GraphOfGroups
 from gogz.words import (
     Alphabet,

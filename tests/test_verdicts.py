@@ -6,13 +6,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from families import rand
 from gogz import paths, verdicts, words
 from gogz.engine import Engine
 from gogz.errors import DegenerateInputError, InternalInconsistencyError
 from gogz.graphs import parse_graph, reduce_graph
 from gogz.verdicts import AcylVerdict, CentralWitness, _require, analyze, power_conjugate
 from gogz.words import FreeWord
+from families import rand
 from helpers import conjugate
 from test_engine import draw_items, engine_graphs
 
