@@ -40,6 +40,7 @@ from gogz.paths import (
     enumerate_full_nonmaximal_paths,
     iter_conjugacy_paths,
 )
+from gogz.text import format_items, read_items
 from gogz.verdicts import (
     AcylVerdict,
     AnalysisReport,
@@ -64,6 +65,8 @@ __all__ = [
     "GraphOfGroups",
     "parse_graph",
     "reduce_graph",
+    "format_items",
+    "read_items",
     "Engine",
     "PowerConjugacy",
     "brute_force_power_conjugacy",

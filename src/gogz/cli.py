@@ -18,10 +18,12 @@ The argument parser is built once, at import, so :func:`main` can be called
 repeatedly in one process without rebuilding it.  :func:`main` returns the
 exit code, also for a bad command line and for ``--help``/``--version``.
 
-Each command builds one report document.  The JSON report is that document
-written by :func:`_dumps`, the package's own writer, whose output is byte
-for byte what ``json.dumps(doc, indent=2)`` gives.  The text lines are
-rendered from the same document, and only under ``--format text``.
+Each command builds one report document.  Its words and relations, those
+of the command line too, are read and printed by :mod:`gogz.text`; this
+module keeps the argv, the documents and the exit codes.  The JSON report
+is that document written by :func:`_dumps`, the package's own writer, whose
+output is byte for byte what ``json.dumps(doc, indent=2)`` gives.  The text
+lines are rendered from the same document, and only under ``--format text``.
 
 JSON output is deterministic: the same file produces byte-identical reports
 once ``--no-timing`` drops the one nondeterministic field.
@@ -55,9 +57,10 @@ from .errors import (
     ParseError,
 )
 from .graphs import Contraction, GraphOfGroups, parse_graph, side_name
-from .paths import ConjugacyPath, _step_name, enumerate_complete_paths, enumerate_full_nonmaximal_paths
+from .paths import ConjugacyPath, enumerate_complete_paths, enumerate_full_nonmaximal_paths
+from .text import format_items, read_located_word, read_relation, step_names
 from .verdicts import AnalysisReport, ConjugacyAnswer, _require_path, analyze, power_conjugate
-from .words import MAX_WORD_LETTERS, FreeWord, parse_int
+from .words import parse_int
 
 SCHEMA_VERSION = 2
 
@@ -65,51 +68,32 @@ SCHEMA_VERSION = 2
 EXIT_BROKEN_PIPE = 141
 
 
-# ---------------------------------------------------------------- formatting
-
-
-def _format_word(graph: GraphOfGroups, word: FreeWord) -> str:
-    return graph.vertices[int(word.vertex)].alphabet.format(word)
-
-
-def _format_item(graph: GraphOfGroups, item) -> str:
-    if isinstance(item, FreeWord):
-        return _format_word(graph, item)
-    _, eid, exp = item
-    return f"t_{eid}" if exp == 1 else f"t_{eid}^{exp}"
-
-
-def _format_conjugator(graph: GraphOfGroups, items: Sequence) -> str:
-    return " ".join(_format_item(graph, item) for item in items) or "1"
-
-
-def _format_steps(path: ConjugacyPath) -> List[str]:
-    return [_step_name(letter) for letter in path.steps]
+# ---------------------------------------------------------- report documents
 
 
 def _path_json(graph: GraphOfGroups, path: ConjugacyPath) -> dict:
     return {
-        "steps": _format_steps(path),
-        "start": _format_word(graph, path.start),
-        "end": _format_word(graph, path.end),
+        "steps": step_names(path.steps),
+        "start": format_items(graph, [path.start]),
+        "end": format_items(graph, [path.end]),
         "transitions": [
             {
                 "vertex": int(t.u.vertex),
-                "incoming": _format_word(graph, t.u),
-                "outgoing": _format_word(graph, t.v),
+                "incoming": format_items(graph, [t.u]),
+                "outgoing": format_items(graph, [t.v]),
                 "ratio": str(Fraction(*t.exps)),
             }
             for t in path.transitions
         ],
         "ratio": str(path.ratio()),
-        "conjugator": _format_conjugator(graph, path.conjugator_items),
+        "conjugator": format_items(graph, path.conjugator_items),
     }
 
 
 def _relation_json(graph: GraphOfGroups, path: ConjugacyPath) -> dict:
     return {
         "exponents": list(path.witness_exponents),
-        "conjugator": _format_conjugator(graph, path.conjugator_items),
+        "conjugator": format_items(graph, path.conjugator_items),
     }
 
 
@@ -117,9 +101,9 @@ def _complete_json(graph: GraphOfGroups, path: ConjugacyPath) -> dict:
     ratio = path.ratio()
     return {
         "kind": "complete",
-        "steps": _format_steps(path),
+        "steps": step_names(path.steps),
         "base_vertex": int(path.start.vertex),
-        "base_word": _format_word(graph, path.start),
+        "base_word": format_items(graph, [path.start]),
         "ratio": str(ratio),
         "level": abs(ratio) == 1,
         "relation": _relation_json(graph, path),
@@ -131,9 +115,9 @@ def _nonmax_json(graph: GraphOfGroups, path: ConjugacyPath) -> dict:
     (_, first, first_sign), (_, last, last_sign) = path.steps[0], path.steps[-1]
     return {
         "kind": "full",
-        "steps": _format_steps(path),
-        "start": _format_word(graph, path.start),
-        "end": _format_word(graph, path.end),
+        "steps": step_names(path.steps),
+        "start": format_items(graph, [path.start]),
+        "end": format_items(graph, [path.end]),
         "arrows": [
             # a +1 step leaves its edge's minus end and enters its plus end
             [first, side_name(-first_sign)],
@@ -149,7 +133,7 @@ def _contraction_json(graph: GraphOfGroups, step: Contraction) -> dict:
         "edge": step.edge_id,
         "absorbed": step.absorbed_vertex,
         "into": step.surviving_vertex,
-        "generator_image": _format_word(graph, step.image),
+        "generator_image": format_items(graph, [step.image]),
     }
 
 
@@ -200,13 +184,12 @@ def _report_json(report: AnalysisReport) -> dict:
             witnesses["acyl"] = {
                 "condition": acyl.condition,
                 "vertex": acyl.vertex,
-                "evidence": [_format_word(graph, w) for w in acyl.evidence],
+                "evidence": [format_items(graph, [w]) for w in acyl.evidence],
             }
         else:
             witnesses["acyl"] = {
                 "snormal_generators": {
-                    str(v): _format_word(graph, w)
-                    for v, w in sorted(acyl.snormal_generators.items())
+                    str(v): format_items(graph, [w]) for v, w in sorted(acyl.snormal_generators.items())
                 },
                 "verified": True,
             }
@@ -215,10 +198,8 @@ def _report_json(report: AnalysisReport) -> dict:
     elif tri.central is not None:
         reduced = report.reduced
         witnesses["trichotomy"] = {
-            "central_element": _format_word(reduced, tri.central.element),
-            "vertex_exponents": {
-                str(v): x for v, x in sorted(tri.central.exponents.items())
-            },
+            "central_element": format_items(reduced, [tri.central.element]),
+            "vertex_exponents": {str(v): x for v, x in sorted(tri.central.exponents.items())},
             "verified": True,
         }
 
@@ -360,19 +341,6 @@ def _paths_text(doc: dict) -> List[str]:
 # ---------------------------------------------------------------------- conj
 
 
-def _parse_located_word(graph: GraphOfGroups, spec: str, flag: str) -> FreeWord:
-    vertex_text, sep, word_text = spec.partition(":")
-    if not sep:
-        raise ParseError(f"{flag} wants '<vertex>:<word>', got {spec!r}")
-    try:
-        vid = parse_int(vertex_text)
-    except ValueError:
-        raise ParseError(f"{flag}: bad vertex id {vertex_text!r}") from None
-    if vid not in graph.vertices:
-        raise ParseError(f"{flag}: unknown vertex {vid}")
-    return graph.vertices[vid].parse(word_text)
-
-
 # The brute force holds its whole atom pool (every reduced vertex word of up
 # to L letters: 2r(2r-1)^(k-1) of length k at a rank-r vertex, plus two per
 # non-tree edge) and 2E powers of y in memory, so a few digits of
@@ -421,7 +389,7 @@ def _answer_json(graph: GraphOfGroups, answer: ConjugacyAnswer) -> dict:
     out: dict = {"exists": answer.exists}
     if answer.exists:
         out["exponents"] = list(answer.exponents)
-        out["conjugator"] = _format_conjugator(graph, answer.conjugator)
+        out["conjugator"] = format_items(graph, answer.conjugator)
         out["route"] = answer.route
         if answer.path is not None:
             out["path"] = _path_json(graph, answer.path)
@@ -430,16 +398,16 @@ def _answer_json(graph: GraphOfGroups, answer: ConjugacyAnswer) -> dict:
 
 
 def _extra_json(graph: GraphOfGroups, path: ConjugacyPath) -> dict:
-    return {**_relation_json(graph, path), "steps": _format_steps(path), "verified": True}
+    return {**_relation_json(graph, path), "steps": step_names(path.steps), "verified": True}
 
 
 def cmd_conj(args, graph: GraphOfGroups, doc: dict) -> dict:
-    x = _parse_located_word(graph, getattr(args, "from"), "--from")
-    y = _parse_located_word(graph, args.to, "--to")
+    x = read_located_word(graph, getattr(args, "from"), "--from")
+    y = read_located_word(graph, args.to, "--to")
     bounds = _parse_bounds(graph, args.oracle_bounds) if args.oracle_bounds else None
     answer = power_conjugate(graph, x, y)
-    doc["from"] = {"vertex": int(x.vertex), "word": _format_word(graph, x)}
-    doc["to"] = {"vertex": int(y.vertex), "word": _format_word(graph, y)}
+    doc["from"] = {"vertex": int(x.vertex), "word": format_items(graph, [x])}
+    doc["to"] = {"vertex": int(y.vertex), "word": format_items(graph, [y])}
     doc["answer"] = _answer_json(graph, answer)
     if answer.additional:
         # relations beyond the answer matter when some chain is non-level:
@@ -456,7 +424,7 @@ def cmd_conj(args, graph: GraphOfGroups, doc: dict) -> dict:
         if hit is not None:
             oracle["hit"] = {
                 "exponents": [hit.m, hit.n],
-                "conjugator": _format_conjugator(graph, hit.conjugator),
+                "conjugator": format_items(graph, hit.conjugator),
             }
             if not answer.exists:
                 raise InternalInconsistencyError(
@@ -504,83 +472,11 @@ def _conj_text(doc: dict) -> List[str]:
 # -------------------------------------------------------------------- oracle
 
 
-def _relation_tokens(graph: GraphOfGroups, side: str, what: str, letters: int) -> Tuple[list, int]:
-    """The engine items of one side of a relation, and the running count of
-    spelled-out letters, which starts at ``letters``.
-
-    Tokens follow the graph file's word grammar (``name``, ``name^k``,
-    ``1``): a generator token is parsed by the alphabet that owns the name,
-    and a stable letter ``t_<edge-id>`` (or ``t`` when there is one edge),
-    its ``k`` read by :func:`parse_int`, into one item ``('t', edge_id, k)``.
-    A name spelled like a stable letter that is also a generator is refused
-    as ambiguous.  Like a word, the whole relation may spell at most
-    :data:`MAX_WORD_LETTERS` letters, counting each item with the edge
-    crossings of its closed path in the engine: a vertex word at tree depth
-    d adds 2d to its letters, and ``t_e^k`` counts |k| times the tree depths
-    of both ends of e plus one.
-    """
-    owner = {name: v.alphabet for v in graph.vertices.values() for name in v.alphabet.names}
-    depth = {graph.tree.root: 0}
-    for s in graph.tree.steps:  # parents come first
-        depth[s.child] = depth[s.parent] + 1
-    items = []
-    for token in side.split():
-        name = token.partition("^")[0]
-        try:
-            if name == "t" or name.startswith("t_"):
-                if name in owner:
-                    raise ParseError(
-                        f"ambiguous token {token!r}: {name!r} is a generator of vertex {owner[name].vertex}"
-                        " and the spelling of a stable letter"
-                    )
-                eid = _stable_letter_edge(graph, name, token)
-                _, caret, exp = token.partition("^")
-                try:
-                    k = parse_int(exp, signed=True) if caret else 1
-                except ValueError:
-                    raise ParseError(f"bad exponent in token {token!r}") from None
-                if k == 0:
-                    raise ParseError(f"zero exponent in token {token!r}")
-                items.append(("t", eid, k))
-                edge = graph.edges[eid]
-                letters += abs(k) * (depth[edge.minus_vertex] + depth[edge.plus_vertex] + 1)
-            elif token != "1":
-                if name not in owner:
-                    raise ParseError(f"unknown generator or stable letter {token!r}")
-                items.append(owner[name].parse(token))
-                letters += len(items[-1]) + 2 * depth[int(owner[name].vertex)]
-            if letters > MAX_WORD_LETTERS:
-                raise ParseError(f"relation longer than {MAX_WORD_LETTERS} letters at token {token!r}")
-        except ParseError as exc:
-            raise ParseError(f"{what}: {exc}") from None
-    return items, letters
-
-
-def _stable_letter_edge(graph: GraphOfGroups, name: str, token: str) -> int:
-    if name == "t":
-        if len(graph.edges) != 1:
-            raise ParseError("bare 't' is only unambiguous with a single edge; use t_<edge-id>")
-        return next(iter(graph.edges))
-    try:
-        eid = parse_int(name[2:])
-    except ValueError:
-        raise ParseError(f"bad stable letter {token!r}") from None
-    if eid not in graph.edges:
-        raise ParseError(f"unknown edge in {token!r}")
-    return eid
-
-
 def cmd_oracle(args, graph: GraphOfGroups, doc: dict) -> dict:
-    lhs_text, eq, rhs_text = args.relation.partition("=")
-    if not eq or "=" in rhs_text:
-        raise ParseError("--relation wants exactly one '='")
-    lhs_items, letters = _relation_tokens(graph, lhs_text, "left side", 0)
-    rhs_items, _ = _relation_tokens(graph, rhs_text, "right side", letters)
+    lhs, rhs = read_relation(graph, args.relation)
     engine = Engine(graph)
-    lhs, rhs = engine.element_of(lhs_items), engine.element_of(rhs_items)
-    holds = lhs == rhs
     doc["relation"] = args.relation.strip()
-    doc["holds"] = holds
+    doc["holds"] = engine.element_of(lhs) == engine.element_of(rhs)
     return doc
 
 

@@ -51,10 +51,11 @@ and no ``w^-1`` is built.
 
 from __future__ import annotations
 
-from typing import Dict, Iterator, List, NamedTuple, Optional, Sequence, Tuple, Union
+from typing import Dict, Iterator, List, NamedTuple, Optional, Sequence, Tuple
 
 from .errors import DegenerateInputError
 from .graphs import GraphOfGroups
+from .text import Item
 from .words import (
     FreeWord,
     Syllables,
@@ -65,7 +66,6 @@ from .words import (
     power_letters,
 )
 
-Item = Union[FreeWord, Tuple[str, int, int]]  # a vertex word or ('t', edge_id, exp)
 Step = Tuple[int, bool]  # (edge_id, forward)
 Elem = Tuple  # (g0, ((step, rep), ...)), see the module docstring
 RawPath = Tuple  # (g0, ((step, word), ...)) with any words: a closed path
@@ -240,13 +240,10 @@ class Engine:
 
 
 class PowerConjugacy(NamedTuple):
-    """A verified relation  w x^m w^-1 = y^n  found by exhaustive search.
+    """A verified relation  w x^m w^-1 = y^n  found by exhaustive search;
+    ``conjugator`` is w, a product of items (``('t', edge_id, +-1)`` or words)."""
 
-    ``conjugator`` is the product expression for w: a tuple whose entries are
-    vertex words (FreeWord) and stable letters ('t', edge_id, +-1).
-    """
-
-    conjugator: Tuple
+    conjugator: Tuple[Item, ...]
     m: int
     n: int
 
@@ -375,6 +372,4 @@ def brute_force_power_conjugacy(
     max_exp: int = 6,
 ) -> Optional[PowerConjugacy]:
     """The first in-bounds relation w x^m w^-1 = y^n, or None."""
-    for hit in iter_power_conjugacies(engine, x, y, max_syllables, max_letters, max_exp):
-        return hit
-    return None
+    return next(iter_power_conjugacies(engine, x, y, max_syllables, max_letters, max_exp), None)

@@ -12,9 +12,9 @@ Text format, one declaration per line::
     edge 0 0 1 minus="a b a^-1" plus="x^3"
 
 ``minus`` / ``plus`` are the inclusion words at the edge's minus and plus
-endpoint.  Vertices must be declared before the edges that use them, and
-generator names must be globally unique so that a word is unambiguous even
-out of context.
+endpoint, in the word grammar of :mod:`gogz.text`.  Vertices must be
+declared before the edges that use them, and generator names must be
+globally unique so that a word is unambiguous even out of context.
 
 Lines end at ``\n``, ``\r\n`` or ``\r`` only.  Tokens are separated by
 blanks, which are spaces and tabs.  Quotes group (blanks and ``#`` inside
@@ -44,7 +44,8 @@ from operator import attrgetter
 from typing import Dict, Iterable, List, NamedTuple, Optional, Tuple
 
 from .errors import AlphabetError, DegenerateInputError, ParseError
-from .words import MAX_WORD_LETTERS, _TOO_LONG, Alphabet, FreeWord, parse_int
+from .text import format_items
+from .words import Alphabet, FreeWord, parse_int
 
 MINUS = -1
 PLUS = 1
@@ -74,9 +75,6 @@ class Vertex(NamedTuple):
     @property
     def rank(self) -> int:
         return self.alphabet.rank
-
-    def parse(self, text: str) -> FreeWord:
-        return self.alphabet.parse(text)
 
 
 class Edge(NamedTuple):
@@ -127,8 +125,8 @@ class GraphOfGroups:
     """A checked graph of groups.
 
     The constructor runs the caller's vertices and then edges, in id
-    order, through the reader's checks of a declaration, its cap on the
-    letters of a word included, and refuses one in the reader's words
+    order, through the reader's checks of a declaration, each word read
+    back as :meth:`to_text` prints it, and refuses one in the reader's words
     after the declaration (``edge 0: unknown vertex 1 (declare vertices
     first)``).  It also checks that there is a vertex and, what no file
     can get wrong, that every alphabet and word is tagged with its own
@@ -150,17 +148,6 @@ class GraphOfGroups:
         if not self.vertices:
             raise DegenerateInputError("a graph of groups needs at least one vertex")
         self.edges: Dict[int, Edge] = {}
-
-        def read(alphabet: Alphabet, word: FreeWord) -> FreeWord:
-            # the reader's refusal, at the token of to_text whose letters pass its cap
-            letters = 0
-            for syllable in word.syllables:
-                letters += abs(syllable[1])
-                if letters > MAX_WORD_LETTERS:
-                    tok = alphabet.format(alphabet.word((syllable,)))
-                    raise ParseError(_TOO_LONG.format(tok=tok, vertex=alphabet.vertex))
-            return word
-
         for e in sorted(edges, key=_by_id):
             for side in (MINUS, PLUS):
                 word, vid = e.word(side), e.vertex(side)
@@ -168,7 +155,7 @@ class GraphOfGroups:
                     raise AlphabetError(
                         f"edge {e.id} {side_name(side)} word is over vertex {word.vertex!r}, expected {vid}"
                     )
-            refusal = _add_edge(*e, self.vertices, self.edges, read)
+            refusal = _add_edge(*e, self.vertices, self.edges, lambda a, w: a.parse(format_items(self, [w])))
             if refusal is not None:
                 raise DegenerateInputError(f"edge {e.id}: {refusal[0]}")
             self.edges[e.id] = e  # the caller's record, equal to the one added
@@ -241,12 +228,9 @@ class GraphOfGroups:
     # -------------------------------------------------------------- output
 
     def to_text(self) -> str:
-        lines = []
-        for v in self.vertices.values():
-            lines.append(f"vertex {v.id} rank={v.rank} gens={','.join(v.alphabet.names)}")
+        lines = [f"vertex {v.id} rank={v.rank} gens={','.join(v.alphabet.names)}" for v in self.vertices.values()]
         for e in self.edges.values():
-            minus = self.vertices[e.minus_vertex].alphabet.format(e.minus_word)
-            plus = self.vertices[e.plus_vertex].alphabet.format(e.plus_word)
+            minus, plus = format_items(self, [e.minus_word]), format_items(self, [e.plus_word])
             lines.append(f'edge {e.id} {e.minus_vertex} {e.plus_vertex} minus="{minus}" plus="{plus}"')
         return "\n".join(lines) + "\n"
 

@@ -61,14 +61,13 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd, lcm
-from typing import Callable, Dict, Iterator, List, NamedTuple, Optional, Sequence, Tuple, Union
+from typing import Callable, Dict, Iterator, List, NamedTuple, Optional, Sequence, Tuple
 
 from .errors import DegenerateInputError, InternalInconsistencyError
 from .graphs import GraphOfGroups
+from .text import Item, TLetter, step_names
 from .words import CyclicMeet, FreeWord, Syllables, _root_cached, cyclic_meet
 
-TLetter = Tuple[str, int, int]
-ConjugatorItem = Union[FreeWord, TLetter]
 EndClass = Tuple[str, Syllables]
 
 
@@ -99,7 +98,7 @@ class ConjugacyPath(NamedTuple):
     steps: Tuple[TLetter, ...]
     transitions: Tuple[CyclicMeet, ...]
     witness_exponents: Tuple[int, int]
-    conjugator_items: Tuple[ConjugatorItem, ...]
+    conjugator_items: Tuple[Item, ...]
 
     @property
     def start(self) -> FreeWord:
@@ -155,17 +154,12 @@ def _chain(steps: Tuple[TLetter, ...], transitions: Tuple[CyclicMeet, ...]) -> C
     a chain's witness exponents and conjugator are computed."""
     # transitions[i] precedes steps[i]; the exit follows the last step
     theta = transitions[-1].transfer_conjugator
-    items: List[ConjugatorItem] = [theta] if theta.syllables else []
+    items: List[Item] = [theta] if theta.syllables else []
     for letter, tr in zip(reversed(steps), reversed(transitions[:-1])):
         items.append(letter)
         if tr.transfer_conjugator.syllables:
             items.append(tr.transfer_conjugator)
     return ConjugacyPath(steps, transitions, _witness_exponents(transitions), tuple(items))
-
-
-def _step_name(letter: TLetter) -> str:
-    """``e3+`` for the step ``('t', 3, 1)``, ``e3-`` for ``('t', 3, -1)``."""
-    return f"e{letter[1]}{'+' if letter[2] == 1 else '-'}"
 
 
 # --------------------------------------------------------------- class graph
@@ -254,7 +248,7 @@ class _ClassGraph:
                 if tr is None:
                     raise InternalInconsistencyError(
                         "class walk accepted a chain that cyclic_meet rejects: "
-                        + " ".join(_step_name(self.letter(i)) for i in walk)
+                        + " ".join(step_names(map(self.letter, walk)))
                     )
                 self.transitions[pair] = tr
             transitions.append(tr)

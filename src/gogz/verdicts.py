@@ -52,7 +52,6 @@ from .graphs import MINUS, PLUS, Contraction, GraphOfGroups, reduce_graph
 from .paths import (
     ChainDecision,
     ConjugacyPath,
-    ConjugatorItem,
     _ClassGraph,
     _UNIT,
     _chain,
@@ -61,10 +60,11 @@ from .paths import (
     enumerate_complete_paths,  # unused here; bench/spans traces this binding
     iter_conjugacy_paths,
 )
+from .text import Item
 from .words import FreeWord, cyclic_meet, invert_letters, join_reduced, power_letters
 
 
-def _require(engine: Engine, items: Sequence[ConjugatorItem], lhs: Elem, rhs: Elem, claim: str) -> None:
+def _require(engine: Engine, items: Sequence[Item], lhs: Elem, rhs: Elem, claim: str) -> None:
     """Replay ``w x^m w^-1 = y^n`` for the engine elements ``lhs = x^m``
     and ``rhs = y^n`` and the product w of ``items``, checked as
     ``w x^m = y^n w``.
@@ -316,7 +316,7 @@ class ConjugacyAnswer(NamedTuple):
 
     exists: bool
     exponents: Optional[Tuple[int, int]]
-    conjugator: Tuple[ConjugatorItem, ...]
+    conjugator: Tuple[Item, ...]
     route: Optional[str]
     path: Optional[ConjugacyPath]
     additional: Tuple[ConjugacyPath, ...] = ()

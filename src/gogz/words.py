@@ -9,7 +9,9 @@ number of syllables, and an exponent costs its bits, not its value.
 Words are reduced where they are made, not checked at run time: they enter
 through :meth:`Alphabet.parse` and :meth:`Alphabet.word`, which reduce, and
 every other builder keeps them reduced.  ``tests/test_product_reach.py``
-checks every word the golden commands build.
+checks every word the golden commands build.  :meth:`Alphabet.parse` and
+:meth:`Alphabet.format` are the word grammar; :mod:`gogz.text` builds the
+rest of the text grammar on them.
 
 A word's letters are its syllables spelled out: ``(1, 3)`` is a a a and
 ``(1, -2)`` is a^-1 a^-1, and ``len`` counts letters.  The letter order
@@ -49,8 +51,6 @@ Letters = Tuple[int, ...]  # a word spelled out, +i / -i for the i-th generator 
 # syllables, so this bounds the size of the input, not the memory of the
 # words built from it.
 MAX_WORD_LETTERS = 10**6
-# The refusal of a word whose letters pass that cap at token ``tok``.
-_TOO_LONG = f"word longer than {MAX_WORD_LETTERS} letters at token {{tok!r}} (vertex {{vertex!r}})"
 
 
 def parse_int(text: str, signed: bool = False) -> int:
@@ -108,7 +108,9 @@ class Alphabet:
                     raise ParseError(f"zero exponent in token {tok!r}")
             letters += abs(k)
             if letters > MAX_WORD_LETTERS:
-                raise ParseError(_TOO_LONG.format(tok=tok, vertex=self.vertex))
+                raise ParseError(
+                    f"word longer than {MAX_WORD_LETTERS} letters at token {tok!r} (vertex {self.vertex!r})"
+                )
             if out and out[-1][0] == g:
                 k += out.pop()[1]
                 if not k:

@@ -155,7 +155,7 @@ _ORACLE_PAIRS = {
 
 def _parse_pair(graph, spec):
     vid, _, text = spec.partition(":")
-    return graph.vertices[int(vid)].parse(text)
+    return graph.vertices[int(vid)].alphabet.parse(text)
 
 
 def test_criterion_4_oracle_agreement(suite_graphs):
@@ -429,7 +429,7 @@ def test_criterion_8_normal_form_axioms(suite_graphs):
                 else:
                     vid = rng.choice(sorted(graph.vertices))
                     text = _random_word_text(rng, graph.vertices[vid].alphabet.names, 4)
-                    items.append(graph.vertices[vid].parse(text))
+                    items.append(graph.vertices[vid].alphabet.parse(text))
             return engine.element_of(items)
 
         for _ in range(500):
@@ -451,7 +451,7 @@ def test_criterion_8_normal_form_axioms(suite_graphs):
             for _ in range(10):
                 vid = edge.minus_vertex
                 text = _random_word_text(rng, graph.vertices[vid].alphabet.names, 4)
-                word = graph.vertices[vid].parse(text)
+                word = graph.vertices[vid].alphabet.parse(text)
                 if maximal_root(word) == anchor:
                     continue  # a power of the edge word would legally pinch
                 conjugated = conjugate(engine, t, engine.embed(word))

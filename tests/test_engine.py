@@ -26,7 +26,7 @@ FREE = parse_graph("vertex 0 rank=2 gens=a,b")
 
 
 def w(graph, vid, text):
-    return graph.vertices[vid].parse(text)
+    return graph.vertices[vid].alphabet.parse(text)
 
 
 @pytest.mark.parametrize("graph", [BS23, TREFOIL, THETA, FREE])
@@ -214,7 +214,7 @@ def build_item(graph_idx, choice):
         vertex_ids = sorted(graph.vertices)
         for vid in vertex_ids:
             try:
-                options.append(graph.vertices[vid].parse(text))
+                options.append(graph.vertices[vid].alphabet.parse(text))
                 break
             except Exception:
                 continue

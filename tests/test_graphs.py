@@ -47,7 +47,7 @@ def test_parse_round_trip():
     g = parse_graph(THETA)
     assert sorted(g.vertices) == [0, 1]
     assert sorted(g.edges) == [0, 1]
-    assert g.edges[0].minus_word == g.vertices[0].parse("a b")
+    assert g.edges[0].minus_word == g.vertices[0].alphabet.parse("a b")
     again = parse_graph(g.to_text())
     assert again.to_text() == g.to_text()
 
@@ -146,7 +146,7 @@ def test_parse_errors_carry_positions(text, message, line, col):
 _A = Vertex.make(0, ("a",))
 _B = Vertex.make(1, ("b",))
 _AB = Vertex.make(0, ("a", "b"))
-_LOOP = Edge(0, 0, 0, _A.parse("a"), _A.parse("a^2"))
+_LOOP = Edge(0, 0, 0, _A.alphabet.parse("a"), _A.alphabet.parse("a^2"))
 
 
 @pytest.mark.parametrize(
@@ -158,11 +158,11 @@ _LOOP = Edge(0, 0, 0, _A.parse("a"), _A.parse("a^2"))
         ([Vertex.make(0, ())], [], DegenerateInputError, "vertex 0: rank=0 but 0 generator name(s)"),
         ([_A, Vertex.make(1, ("a",))], [], DegenerateInputError,
          "vertex 1: generator 'a' already declared at vertex 0"),
-        ([_A], [Edge(0, 0, 1, _A.parse("a"), _B.parse("b"))], DegenerateInputError,
+        ([_A], [Edge(0, 0, 1, _A.alphabet.parse("a"), _B.alphabet.parse("b"))], DegenerateInputError,
          "edge 0: unknown vertex 1 (declare vertices first)"),
-        ([_A, _B], [Edge(0, 0, 1, _A.parse("a"), _A.parse("a"))], AlphabetError,
+        ([_A, _B], [Edge(0, 0, 1, _A.alphabet.parse("a"), _A.alphabet.parse("a"))], AlphabetError,
          "edge 0 plus word is over vertex '0', expected 1"),
-        ([_A], [Edge(0, 0, 0, _A.parse("a"), _A.parse("1"))], DegenerateInputError,
+        ([_A], [Edge(0, 0, 0, _A.alphabet.parse("a"), _A.alphabet.parse("1"))], DegenerateInputError,
          "edge 0: inclusion word must not be the identity"),
         # an error, not an assert, so that python -O refuses it too
         ([Vertex(3, Alphabet("0", ("a",)))], [], AlphabetError, "vertex 3 has an alphabet tagged '0'"),
@@ -174,12 +174,12 @@ _LOOP = Edge(0, 0, 0, _A.parse("a"), _A.parse("a^2"))
         ([Vertex.make(0, ("1",))], [], DegenerateInputError, "vertex 0: bad generator name '1'"),
         ([Vertex.make(0, ("",))], [], DegenerateInputError, "vertex 0: bad generator name ''"),
         # a word that to_text would write and parse_graph refuse
-        ([_A], [Edge(0, 0, 0, _A.alphabet.word(((1, 2000000),)), _A.parse("a^3"))], DegenerateInputError,
+        ([_A], [Edge(0, 0, 0, _A.alphabet.word(((1, 2000000),)), _A.alphabet.parse("a^3"))], DegenerateInputError,
          "edge 0: word longer than 1000000 letters at token 'a^2000000' (vertex '0')"),
-        ([_A], [Edge(0, 0, 0, _A.parse("a^3"), _A.alphabet.word(((1, -1000001),)))], DegenerateInputError,
+        ([_A], [Edge(0, 0, 0, _A.alphabet.parse("a^3"), _A.alphabet.word(((1, -1000001),)))], DegenerateInputError,
          "edge 0: word longer than 1000000 letters at token 'a^-1000001' (vertex '0')"),
         # refused at the token whose letters pass the cap, as the reader refuses it
-        ([_AB], [Edge(0, 0, 0, _AB.alphabet.word(((1, 999999), (2, -2), (1, 5))), _AB.parse("a"))],
+        ([_AB], [Edge(0, 0, 0, _AB.alphabet.word(((1, 999999), (2, -2), (1, 5))), _AB.alphabet.parse("a"))],
          DegenerateInputError, "edge 0: word longer than 1000000 letters at token 'b^-2' (vertex '0')"),
     ],
 )
@@ -245,7 +245,7 @@ def test_every_accepted_graph_reads_back(declared):
 
 
 def test_graph_of_groups_keeps_the_callers_records():
-    edge = Edge(0, 1, 0, _B.parse("b^2"), _A.parse("a"))
+    edge = Edge(0, 1, 0, _B.alphabet.parse("b^2"), _A.alphabet.parse("a"))
     g = GraphOfGroups([_B, _A], [edge])
     assert list(g.vertices) == [0, 1] and g.vertices[0] is _A and g.vertices[1] is _B
     assert g.edges == {0: edge} and g.edges[0] is edge
@@ -374,7 +374,7 @@ def test_contract_rehomes_words():
     assert log[0].absorbed_vertex == 1 and log[0].surviving_vertex == 0
     e = reduced.edges[1]
     assert e.minus_vertex == 0
-    assert e.minus_word == reduced.vertices[0].parse("a b a b a b")
+    assert e.minus_word == reduced.vertices[0].alphabet.parse("a b a b a b")
     assert not reduced.reducible_edges()
 
 
@@ -389,10 +389,10 @@ def test_contract_inverted_bad_letter():
     g = parse_graph(text)
     reduced, log = reduce_graph(g)
     assert log[0].absorbed_vertex == 0
-    assert log[0].image == reduced.vertices[1].parse("b^-2")
+    assert log[0].image == reduced.vertices[1].alphabet.parse("b^-2")
     e = reduced.edges[1]
     assert e.is_loop
-    assert e.minus_word == reduced.vertices[1].parse("b^-10")
+    assert e.minus_word == reduced.vertices[1].alphabet.parse("b^-10")
 
 
 def test_both_ends_bad_keeps_least_vertex():
@@ -465,8 +465,8 @@ def random_tree_graph(draw):
                 child - 1,
                 parent,
                 child,
-                vertices[parent].parse(f"g{parent}^{km}"),
-                vertices[child].parse(f"g{child}^{kp}"),
+                vertices[parent].alphabet.parse(f"g{parent}^{km}"),
+                vertices[child].alphabet.parse(f"g{child}^{kp}"),
             )
         )
     return GraphOfGroups(vertices, edges)
@@ -494,8 +494,8 @@ def random_graph_with_bad_ends(draw, max_extra_edges=2):
                 eid,
                 parent,
                 child,
-                vertices[parent].parse(f"g{parent}^{km}"),
-                vertices[child].parse(f"g{child}^{kp}"),
+                vertices[parent].alphabet.parse(f"g{parent}^{km}"),
+                vertices[child].alphabet.parse(f"g{child}^{kp}"),
             )
         )
         eid += 1
@@ -505,7 +505,7 @@ def random_graph_with_bad_ends(draw, max_extra_edges=2):
         km = draw(st.integers(1, 3)) * draw(st.sampled_from([1, -1]))
         kp = draw(st.integers(1, 3)) * draw(st.sampled_from([1, -1]))
         edges.append(
-            Edge(eid, a, b, vertices[a].parse(f"g{a}^{km}"), vertices[b].parse(f"g{b}^{kp}"))
+            Edge(eid, a, b, vertices[a].alphabet.parse(f"g{a}^{km}"), vertices[b].alphabet.parse(f"g{b}^{kp}"))
         )
         eid += 1
     return GraphOfGroups(vertices, edges)
@@ -541,11 +541,11 @@ def test_reduce_graph_builds_without_revalidating(g):
 
 def test_edges_are_values():
     a, b = Vertex.make(0, ("a",)), Vertex.make(1, ("b",))
-    edge = Edge(0, 0, 1, a.parse("a^2"), b.parse("b^3"))
+    edge = Edge(0, 0, 1, a.alphabet.parse("a^2"), b.alphabet.parse("b^3"))
     again = Edge(0, 0, 1, FreeWord("0", ((1, 2),)), FreeWord("1", ((1, 3),)))
     assert edge == again and hash(edge) == hash(again) and edge is not again
     # the same syllables over another vertex make another word, and another edge
-    assert Edge(0, 0, 1, a.parse("a^2"), FreeWord("0", ((1, 3),))) != edge
+    assert Edge(0, 0, 1, a.alphabet.parse("a^2"), FreeWord("0", ((1, 3),))) != edge
     for record, field in ((edge, "id"), (edge, "plus_word")):
         with pytest.raises(AttributeError):
             setattr(record, field, None)
@@ -591,8 +591,8 @@ def mixed_rank_graph(draw):
         g, h = f"g{v.id}", f"h{v.id}"
         k = draw(st.integers(1, 3)) * draw(st.sampled_from([1, -1]))
         if v.rank == 1:
-            return v.parse(f"{g}^{k}")
-        return v.parse(draw(st.sampled_from([f"{g}^{k}", h, f"{g} {h}", f"{h}^-1 {g}^{k} {h}"])))
+            return v.alphabet.parse(f"{g}^{k}")
+        return v.alphabet.parse(draw(st.sampled_from([f"{g}^{k}", h, f"{g} {h}", f"{h}^-1 {g}^{k} {h}"])))
 
     ends = []
     for child in range(1, n):

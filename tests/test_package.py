@@ -31,9 +31,11 @@ def test_public_names():
         "cyclic_meet",
         "enumerate_complete_paths",
         "enumerate_full_nonmaximal_paths",
+        "format_items",
         "iter_conjugacy_paths",
         "parse_graph",
         "power_conjugate",
+        "read_items",
         "reduce_graph",
     ]
     assert all(hasattr(gogz, name) for name in gogz.__all__)

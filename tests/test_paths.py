@@ -68,7 +68,7 @@ ALL_GRAPHS = [BS23, BS22, BS2M2, TREFOIL, THETA, CHAIN3, FXF, COMM, SEMI, MIXED]
 
 
 def w(graph, vid, text):
-    return graph.vertices[vid].parse(text)
+    return graph.vertices[vid].alphabet.parse(text)
 
 
 def ori(graph, eid, forward=True):
@@ -446,7 +446,7 @@ def test_chains_through_one_junction_share_its_transfer_conjugator():
     first, second = through[:2]
     assert first.transitions[1] is second.transitions[1]
     theta = first.transitions[1].transfer_conjugator
-    assert theta == graph.vertices[0].parse("b^-1")
+    assert theta == graph.vertices[0].alphabet.parse("b^-1")
     assert theta is second.transitions[1].transfer_conjugator
     for path in (first, second):
         assert any(item is theta for item in path.conjugator_items)

@@ -454,7 +454,7 @@ BS2M3 = parse_graph('vertex 0 rank=1 gens=a\nedge 0 0 0 minus="a^2" plus="a^-3"'
 
 @settings(max_examples=150, deadline=None)
 @given(graphs_with_endpoints())
-@example((BS2M3, BS2M3.vertices[0].parse("a^2"), BS2M3.vertices[0].parse("a^-1")))
+@example((BS2M3, BS2M3.vertices[0].alphabet.parse("a^2"), BS2M3.vertices[0].alphabet.parse("a^-1")))
 def test_integer_witness_exponents_match_fractions(case):
     graph, g, g_prime = case
     chains = enumerate_complete_paths(graph) + enumerate_full_nonmaximal_paths(graph)
@@ -472,11 +472,11 @@ TORUS = _rank_one_graph(2, [(0, 1, 2, 2)])
 
 @settings(max_examples=200, deadline=None)
 @given(graphs_with_endpoints())
-@example((BS23, BS23.vertices[0].parse("a^9"), BS23.vertices[0].parse("a^4")))
-@example((BS23, BS23.vertices[0].parse("a^2"), BS23.vertices[0].parse("a^3")))
+@example((BS23, BS23.vertices[0].alphabet.parse("a^9"), BS23.vertices[0].alphabet.parse("a^4")))
+@example((BS23, BS23.vertices[0].alphabet.parse("a^2"), BS23.vertices[0].alphabet.parse("a^3")))
 # the vertex answers (2, -1); the paths add (4, -3) and (3, -1)
-@example((BS23, BS23.vertices[0].parse("a^2"), BS23.vertices[0].parse("a^-4")))
-@example((TORUS, TORUS.vertices[0].parse("x0"), TORUS.vertices[1].parse("x1")))
+@example((BS23, BS23.vertices[0].alphabet.parse("a^2"), BS23.vertices[0].alphabet.parse("a^-4")))
+@example((TORUS, TORUS.vertices[0].alphabet.parse("x0"), TORUS.vertices[1].alphabet.parse("x1")))
 def test_streaming_power_conjugate_matches_the_reference(case):
     graph, x, y = case
     expected, retried = reference_power_conjugate(graph, x, y)

@@ -118,7 +118,7 @@ edge 2 0 0 minus="b^2" plus="b^2"
 
 
 def w(graph, vid, text):
-    return graph.vertices[vid].parse(text)
+    return graph.vertices[vid].alphabet.parse(text)
 
 
 def conjugacy_holds(graph, items, x, m, y, n) -> bool:
