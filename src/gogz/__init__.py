@@ -52,14 +52,13 @@ from gogz.verdicts import (
     analyze,
     power_conjugate,
 )
-from gogz.words import Alphabet, FreeWord, cyclic_meet
+from gogz.words import Alphabet, FreeWord
 
 __version__ = "0.1.0"
 
 __all__ = [
     "Alphabet",
     "FreeWord",
-    "cyclic_meet",
     "Vertex",
     "Edge",
     "GraphOfGroups",

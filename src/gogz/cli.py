@@ -302,9 +302,9 @@ def cmd_paths(args, graph: GraphOfGroups, doc: dict) -> dict:
     else:
         chains = enumerate_full_nonmaximal_paths(graph)
         listing = [_nonmax_json(graph, p) for p in chains]
-    engine = Engine(graph)
+    engine, powers = Engine(graph), {}
     for path in chains:  # each listed relation is reported verified
-        _require_path(engine, path, f"{args.kind} path")
+        _require_path(engine, powers, path, f"{args.kind} path")
     doc["kind"] = args.kind
     doc["count"] = len(listing)
     doc["paths"] = listing

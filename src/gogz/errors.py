@@ -32,6 +32,10 @@ class ParseError(GogzError):
         super().__init__(where + message)
 
 
+class ResourceLimitError(GogzError):
+    """An input asks for more than one of the package's stated size limits."""
+
+
 class InternalInconsistencyError(GogzError):
     """A verdict's witness failed independent verification.
 

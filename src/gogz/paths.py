@@ -2,9 +2,9 @@
 
 A conjugacy path threads a power of a vertex element through a chain of
 edges: at each vertex along the way the exponent is transferred between
-two cyclic subgroups of the free vertex group (their overlap certified by
-:func:`gogz.words.cyclic_meet`), and crossing an edge swaps one inclusion
-word for the other at the cost of a stable letter.  Multiplying the exact
+two cyclic subgroups of the free vertex group (which meet exactly when
+their words have one primitive root), and crossing an edge swaps one
+inclusion word for the other at the cost of a stable letter.  Multiplying the exact
 rational transfer ratios along the chain tells us which powers of the two
 endpoint elements become conjugate in the fundamental group, and composing
 the per-vertex conjugators with the stable letters yields an explicit
@@ -18,8 +18,8 @@ graph* has the classes as nodes and one edge per graph edge, carrying the
 gain ``k_terminus / k_origin`` of its root exponents and whether each end
 is a proper power (an *arrow*); a chain's ratio is the product of the
 gains of its steps.  That graph is the end table :class:`_ClassGraph`,
-which roots each edge end once; everything here, and every decider of
-:mod:`gogz.verdicts`, reads it:
+which roots each edge end once, and each query word of the open search;
+everything here, and every decider of :mod:`gogz.verdicts`, reads it:
 
 * :func:`decide_chains` gives the verdicts' answers in polynomial time: a
   complete closed chain (``w g^i w^-1 = g^j``, *level* when ``|i| = |j|``)
@@ -46,15 +46,13 @@ package.  A step is its stable letter ``('t', edge_id, ±1)``, +1 crossing
 the edge from its minus end to its plus end: the chain's ratio, witness
 exponents, base vertex (the vertex of ``start``) and arrowed ends (the
 sides the signs of a full path's first and last letters leave and enter)
-are all read off it.  Its transitions are the
-:class:`~gogz.words.CyclicMeet` records that
-:func:`~gogz.words.cyclic_meet` returns, each with its transfer
-conjugator theta, and :func:`_chain` builds every chain, filling in its
-witness exponents and its conjugator (the thetas interleaved with the
-steps) once.  The class graph builds every chain that crosses an edge: a
-transfer depends only on the two words it joins, so it certifies each
-once, keyed by that pair of words.  The conjugacy solver's relation
-inside one vertex group is the chain with no steps.
+are all read off it.  Its transitions are :class:`Transfer` records,
+each with its transfer conjugator theta, and :func:`_chain` builds every
+chain, filling in its witness exponents and its conjugator (the thetas
+interleaved with the steps) once.  The end table builds every chain, the
+conjugacy solver's relation inside one vertex group (the chain with no
+steps) too, and every transfer: a transfer depends only on the two words
+it joins, so it builds each once per pair, from the roots it holds.
 """
 
 from __future__ import annotations
@@ -66,9 +64,22 @@ from typing import Callable, Dict, Iterator, List, NamedTuple, Optional, Sequenc
 from .errors import DegenerateInputError, InternalInconsistencyError
 from .graphs import GraphOfGroups
 from .text import Item, TLetter, step_names
-from .words import CyclicMeet, FreeWord, Syllables, _root_cached, cyclic_meet
+from .words import FreeWord, Syllables, _root_cached, invert_letters, join_reduced
 
 EndClass = Tuple[str, Syllables]
+
+
+class Transfer(NamedTuple):
+    """Witness that some conjugate of <u> meets <v>: two words at one vertex
+    with one canonical primitive root, which folds in inversion, so no sign
+    is left to record.  exps are the signed root exponents (k_u, k_v), and
+    theta = ``transfer_conjugator`` = conj_v * conj_u^-1 satisfies theta *
+    u^x * theta^-1 = v^(x * k_u / k_v) whenever that is integral."""
+
+    u: FreeWord
+    v: FreeWord
+    exps: Tuple[int, int]
+    transfer_conjugator: FreeWord
 
 
 class ConjugacyPath(NamedTuple):
@@ -77,8 +88,8 @@ class ConjugacyPath(NamedTuple):
     ``steps`` are the edges crossed, in order, each as its stable letter
     ``('t', edge_id, ±1)``: +1 crosses from the minus end to the plus end,
     -1 back.  ``transitions`` are the exponent transfers inside vertex
-    groups, each a :class:`~gogz.words.CyclicMeet` from its ``u`` onto its
-    ``v``: the entry from ``start`` onto the first inclusion word, one
+    groups, each a :class:`Transfer` from its ``u`` onto its ``v``: the
+    entry from ``start`` onto the first inclusion word, one
     junction from each step's terminus word onto the next step's origin
     word, and the exit onto ``end``.  Crossing an edge preserves the
     exponent (stable letters conjugate one inclusion word to the other).
@@ -96,7 +107,7 @@ class ConjugacyPath(NamedTuple):
     """
 
     steps: Tuple[TLetter, ...]
-    transitions: Tuple[CyclicMeet, ...]
+    transitions: Tuple[Transfer, ...]
     witness_exponents: Tuple[int, int]
     conjugator_items: Tuple[Item, ...]
 
@@ -127,7 +138,7 @@ def _fold(fold: Tuple[int, int, int], k_in: int, k_out: int) -> Tuple[int, int, 
     return num, den, lcm(m, den)
 
 
-def _witness_exponents(transitions: Sequence[CyclicMeet]) -> Tuple[int, int]:
+def _witness_exponents(transitions: Sequence[Transfer]) -> Tuple[int, int]:
     """Minimal (m, n) with c * start^m * c^-1 = end^n along ``transitions``,
     where c is the chain's ``conjugator_items``.
 
@@ -149,7 +160,7 @@ def _witness_exponents(transitions: Sequence[CyclicMeet]) -> Tuple[int, int]:
     return m, m // den * num
 
 
-def _chain(steps: Tuple[TLetter, ...], transitions: Tuple[CyclicMeet, ...]) -> ConjugacyPath:
+def _chain(steps: Tuple[TLetter, ...], transitions: Tuple[Transfer, ...]) -> ConjugacyPath:
     """The chain record of ``steps`` through ``transitions``: the one place
     a chain's witness exponents and conjugator are computed."""
     # transitions[i] precedes steps[i]; the exit follows the last step
@@ -171,9 +182,9 @@ class _ClassGraph:
     One loop over the edge ends roots each end once and keeps its class,
     signed root exponent and root conjugator; every decider reads them
     here.  Two ends at a vertex overlap exactly when their words have the
-    same canonical primitive root (what :func:`cyclic_meet` compares), so
-    each end falls in a *class* (vertex tag, primitive), and two ends share
-    their maximal root exactly when they share class and conjugator.  The
+    same canonical primitive root, so each end falls in a *class* (vertex
+    tag, primitive), and two ends share their maximal root exactly when
+    they share class and conjugator.  The
     classes are the nodes; each edge joins the classes of its two ends.
     Crossing a step from its origin end to its terminus end multiplies the
     exponent by the *gain* ``k_terminus / k_origin`` of the root exponents,
@@ -192,13 +203,14 @@ class _ClassGraph:
     ``words[i ^ 1]``.  A step's stable letter ``('t', id, ±1)`` is built
     by :meth:`letter` when a chain crosses it.
 
-    ``transitions`` memoises the certified transfer between each ordered
-    pair of words, so every chain built here runs :func:`cyclic_meet` once
-    per distinct pair of incoming and outgoing words it meets.
+    ``roots`` holds the root of every edge end's word and of each query
+    word rooted since, and ``transfers`` the transfer between each ordered
+    pair of words that a chain built here joins.
     """
 
     def __init__(self, graph: GraphOfGroups):
-        self.transitions: Dict[Tuple[FreeWord, FreeWord], CyclicMeet] = {}
+        self.transfers: Dict[Tuple[FreeWord, FreeWord], Transfer] = {}
+        self.roots: Dict[FreeWord, Tuple[EndClass, int, Syllables]] = {}  # (class key, exponent, conjugator)
         node: Dict[EndClass, int] = {}
         out: List[List[int]] = []
         origin: List[int] = []
@@ -209,7 +221,9 @@ class _ClassGraph:
             # the minus end is the origin of step 2j, the plus end of 2j + 1
             for word in (minus_word, plus_word):
                 conjugator, primitive, exponent = _root_cached(word.syllables)
-                c = node.setdefault((word.vertex, primitive), len(out))
+                key = (word.vertex, primitive)
+                self.roots[word] = (key, exponent, conjugator)
+                c = node.setdefault(key, len(out))
                 if c == len(out):
                     out.append([])
                 out[c].append(len(origin))
@@ -227,30 +241,40 @@ class _ClassGraph:
         self.arrow_origin = [abs(k) >= 2 for k in k_origin]
         self.arrow_terminus = [self.arrow_origin[i ^ 1] for i in steps]
 
-    def word_class(self, word: FreeWord) -> Tuple[Optional[int], int]:
-        """The class of a nontrivial ``word`` (None if no edge end has it)
-        and the word's signed root exponent."""
-        _, primitive, exponent = _root_cached(word.syllables)
-        return self.node.get((word.vertex, primitive)), exponent
+    def root(self, word: FreeWord) -> Tuple[EndClass, int, Syllables]:
+        """The root of a nontrivial ``word``, rooted unless the table has it."""
+        root = self.roots.get(word)
+        if root is None:
+            conjugator, primitive, exponent = _root_cached(word.syllables)
+            root = self.roots[word] = ((word.vertex, primitive), exponent, conjugator)
+        return root
+
+    def transfer(self, u: FreeWord, v: FreeWord) -> Optional[Transfer]:
+        """The transfer from the word ``u`` onto the word ``v``, or None when
+        their roots differ; built once per ordered pair, from their roots."""
+        tr = self.transfers.get((u, v))
+        if tr is None:
+            (key_u, k_u, conj_u), (key_v, k_v, conj_v) = self.root(u), self.root(v)
+            if key_u != key_v:
+                return None
+            theta = FreeWord(u.vertex, join_reduced(conj_v, invert_letters(conj_u)))
+            tr = self.transfers[u, v] = Transfer(u, v, (k_u, k_v), theta)
+        return tr
 
     def certified(self, walk: Sequence[int], start: FreeWord, end: FreeWord) -> ConjugacyPath:
         """The chain of ``walk`` from the word ``start`` to the word ``end``.
 
         A closed chain starts and ends on its first origin word, a full path
-        runs from there to its last terminus word.  Each pair of words joined
-        is certified once; a pair that cyclic_meet rejects names ``walk``.
+        runs from there to its last terminus word, and the chain with no
+        steps joins two words at one vertex.  A junction whose words the
+        roots put in two classes names ``walk``.
         """
-        words, transitions = self.words, []
+        words, transfers, transitions = self.words, self.transfers, []
         for pair in zip([start, *(words[i ^ 1] for i in walk)], [*(words[i] for i in walk), end]):
-            tr = self.transitions.get(pair)
+            tr = transfers.get(pair) or self.transfer(*pair)
             if tr is None:
-                tr = cyclic_meet(*pair)
-                if tr is None:
-                    raise InternalInconsistencyError(
-                        "class walk accepted a chain that cyclic_meet rejects: "
-                        + " ".join(step_names(map(self.letter, walk)))
-                    )
-                self.transitions[pair] = tr
+                steps = " ".join(step_names(map(self.letter, walk)))
+                raise InternalInconsistencyError(f"class walk joins two root classes at a junction of {steps}")
             transitions.append(tr)
         return _chain(tuple(map(self.letter, walk)), tuple(transitions))
 
@@ -594,9 +618,8 @@ class ChainDecision(NamedTuple):
     no cycle.  ``nonlevel`` is a shortest closed chain with ``|ratio| != 1``
     (``complete`` itself when that one is non-level), None exactly when
     balanced.  ``full`` is the lex-least shortest full non-maximal path,
-    looked for only when ``complete`` is None.  Each witness is certified by
-    :func:`cyclic_meet`, through the class graph's transitions; no other
-    chain is built.
+    looked for only when ``complete`` is None.  Each witness is built from
+    the class graph's transfers; no other chain is built.
     """
 
     modulus: Tuple[Fraction, ...]
@@ -654,7 +677,7 @@ def decide_chains(classes: _ClassGraph) -> ChainDecision:
 
 
 def iter_conjugacy_paths(
-    graph: GraphOfGroups, g: FreeWord, g_prime: FreeWord
+    graph: GraphOfGroups, g: FreeWord, g_prime: FreeWord, classes: Optional[_ClassGraph] = None
 ) -> Iterator[ConjugacyPath]:
     """The first edge-once conjugacy path from g to g' of each witness
     pair, in canonical walk order.
@@ -668,6 +691,7 @@ def iter_conjugacy_paths(
     A walk costs one integer fold of root exponents per step, and one more
     at the exit for its witness pair.  Only a walk with a new pair is
     certified, and its ``witness_exponents`` come from its transitions.
+    ``classes`` is the end table of ``graph`` when the caller holds one.
     """
     if g.is_identity or g_prime.is_identity:
         raise DegenerateInputError("conjugacy paths connect nontrivial elements")
@@ -675,9 +699,9 @@ def iter_conjugacy_paths(
     if g.vertex not in tags or g_prime.vertex not in tags:
         raise DegenerateInputError("endpoints must live at vertices of the graph")
 
-    index = _ClassGraph(graph)
-    source, k_start = index.word_class(g)
-    target, k_end = index.word_class(g_prime)
+    index = _ClassGraph(graph) if classes is None else classes
+    (key_start, k_start, _), (key_end, k_end, _) = index.root(g), index.root(g_prime)
+    source, target = index.node.get(key_start), index.node.get(key_end)
     if source is None or target not in index._bfs(source, lambda s: True)[1]:
         return
     k_origin, k_terminus, terminus = index.k_origin, index.k_terminus, index.terminus

@@ -29,9 +29,9 @@ Verdicts decided here, all by :func:`analyze` except the last:
   yes), in a single pass that keeps one path per exponent pair.
 
 Chain witnesses are :class:`~gogz.paths.ConjugacyPath` records, and every
-replay, chain or not, is one relation ``w x^m w^-1 = y^n`` checked by
-``_require``.  ``analyze`` shares one end table (the
-:class:`~gogz.paths._ClassGraph` that roots each edge end once, read by
+replay is one relation ``w x^m w^-1 = y^n`` checked by ``_require``, of a
+chain by ``_require_path``.  ``analyze`` shares one end table (the
+:class:`~gogz.paths._ClassGraph` that builds every chain, read by
 :func:`~gogz.paths.decide_chains`, the acylindricity verdict and the
 central witness; a reduction that contracts gets a second, on the reduced
 graph), the reduction, the acylindricity verdict and one engine on the
@@ -47,21 +47,22 @@ from math import lcm
 from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 from .engine import Elem, Engine
-from .errors import DegenerateInputError, InternalInconsistencyError
+from .errors import DegenerateInputError, InternalInconsistencyError, ResourceLimitError
 from .graphs import MINUS, PLUS, Contraction, GraphOfGroups, reduce_graph
 from .paths import (
     ChainDecision,
     ConjugacyPath,
     _ClassGraph,
     _UNIT,
-    _chain,
     _fold,
     decide_chains,
     enumerate_complete_paths,  # unused here; bench/spans traces this binding
     iter_conjugacy_paths,
 )
 from .text import Item
-from .words import FreeWord, cyclic_meet, invert_letters, join_reduced, power_letters
+from .words import MAX_REPLAY_SYLLABLES, FreeWord, invert_letters, join_reduced, power_letters, power_syllables
+
+Powers = Dict[Tuple[FreeWord, int], Elem]  # word^k in one engine; k = 1 is the word's embedding
 
 
 def _require(engine: Engine, items: Sequence[Item], lhs: Elem, rhs: Elem, claim: str) -> None:
@@ -79,12 +80,24 @@ def _require(engine: Engine, items: Sequence[Item], lhs: Elem, rhs: Elem, claim:
         raise InternalInconsistencyError(f"witness failed engine verification: {claim}")
 
 
-def _require_path(engine: Engine, path: ConjugacyPath, claim: str) -> None:
+def _require_path(engine: Engine, powers: Powers, path: ConjugacyPath, claim: str) -> None:
+    """Replay a chain's ``c start^m c^-1 = end^n`` with ``powers``, the
+    command's memo of embeddings and powers; a power past
+    :data:`~gogz.words.MAX_REPLAY_SYLLABLES` syllables is refused unbuilt."""
     m, n = path.witness_exponents
-    x = engine.embed(path.start)
-    y = x if path.end == path.start else engine.embed(path.end)  # closed chains return
-    lhs, rhs = engine.power(x, m), engine.power(y, n)
-    _require(engine, path.conjugator_items, lhs, rhs, f"{claim} ({m}, {n})")
+    claim = f"{claim} ({m}, {n})"
+    for word, k in ((path.start, m), (path.end, n)):
+        if (word, k) not in powers:
+            size = power_syllables(word.syllables, k)
+            if size > MAX_REPLAY_SYLLABLES:
+                raise ResourceLimitError(
+                    f"replaying the {claim} would build a power of {size} syllables, "
+                    f"past the limit of {MAX_REPLAY_SYLLABLES} syllables"
+                )
+            if (word, 1) not in powers:
+                powers[word, 1] = engine.embed(word)
+            powers[word, k] = engine.power(powers[word, 1], k)
+    _require(engine, path.conjugator_items, powers[path.start, m], powers[path.end, n], claim)
 
 
 # ------------------------------------------------------------------- balance
@@ -108,12 +121,12 @@ class BalanceVerdict(NamedTuple):
     modulus: Tuple[Fraction, ...]
 
 
-def _balance(engine: Engine, chains: ChainDecision) -> BalanceVerdict:
+def _balance(engine: Engine, powers: Powers, chains: ChainDecision) -> BalanceVerdict:
     """A non-level complete closed chain is exactly an unbalanced element."""
     witness = chains.nonlevel
     if witness is None:
         return BalanceVerdict(True, None, None, 1, chains.modulus)
-    _require_path(engine, witness, "non-level closed chain")
+    _require_path(engine, powers, witness, "non-level closed chain")
     inverse_ratio = 1 / witness.ratio()
     tag = (abs(inverse_ratio.numerator), abs(inverse_ratio.denominator))
     return BalanceVerdict(False, witness, tag, 1 if inverse_ratio > 0 else -1, chains.modulus)
@@ -137,14 +150,14 @@ class HyperbolicityVerdict(NamedTuple):
     kind: Optional[str]
 
 
-def _hyperbolicity(engine: Engine, chains: ChainDecision) -> HyperbolicityVerdict:
+def _hyperbolicity(engine: Engine, powers: Powers, chains: ChainDecision) -> HyperbolicityVerdict:
     """A complete chain refutes; a full path is looked for only without one.
     A witness that is also the balance witness was replayed by ``_balance``."""
     kind, witness = ("complete", chains.complete) if chains.complete else ("full", chains.full)
     if witness is None:
         return HyperbolicityVerdict(True, None, None)
     if witness is not chains.nonlevel:
-        _require_path(engine, witness, f"{kind} path")
+        _require_path(engine, powers, witness, f"{kind} path")
     return HyperbolicityVerdict(False, witness, kind)
 
 
@@ -330,53 +343,37 @@ def _size(path: ConjugacyPath) -> Tuple[int, int]:
 def power_conjugate(graph: GraphOfGroups, x: FreeWord, y: FreeWord) -> ConjugacyAnswer:
     """A certified witness that x^m is conjugate to y^n, if any.
 
-    Every candidate is a chain: when x and y live at the same vertex, the
-    chain with no steps, whose one transition is :func:`cyclic_meet` of x
-    and y; then the edge-once conjugacy paths between their vertices, of
-    which the search yields only the first of each distinct witness pair:
-    memory follows the number of pairs, not of paths.  The answer
-    minimises (m, |n|); the vertex chain wins a tie, then the earliest
-    path.  A "no" takes one BFS over the class graph, but a "yes" still
-    walks every edge-once path from x's class, and their number grows
-    exponentially when many edge ends share a class.  A walk costs one
-    integer fold of root exponents per step; only the first walk of each
-    pair is certified, in memo lookups, as no pair of words is certified twice.
-    Each chain carries its conjugator from where it was built; x and y are
-    embedded in the engine once, and each distinct power x^m or y^n is
-    built once, for the answer's replay and for the replay of every
-    additional relation.  Each replay checks ``w x^m = y^n w``: one pass
-    that builds w and one product per side, with each junction's transfer
-    conjugator built once and shared by every path through it.  Walks that
-    repeat an edge are not searched, so a relation with smaller exponents
-    may exist: in BS(2, 3) the answer for a^9 and a^4 is (2, 3), while
-    t^-2 a^9 t^2 = a^4 already holds.
+    Every candidate is a chain of one end table, which roots x and y once:
+    when x and y have one root class, the chain with no steps; then the
+    edge-once conjugacy paths between their vertices, of which the search
+    yields only the first of each distinct witness pair: memory follows
+    the number of pairs, not of paths.  The answer minimises (m, |n|); the
+    vertex chain wins a tie, then the earliest path.  A "no" takes one BFS
+    over the class graph, but a "yes" still walks every edge-once path
+    from x's class, and their number grows exponentially when many edge
+    ends share a class.  A walk costs one integer fold of root exponents
+    per step; only the first walk of each pair is certified, and no pair
+    of words gets two transfers.  ``_require_path`` replays the answer and
+    every additional relation with one memo, so x and y are embedded once
+    and each power x^m or y^n is built once.  Walks that repeat an edge
+    are not searched, so a relation with smaller exponents may exist: in
+    BS(2, 3) the answer for a^9 and a^4 is (2, 3), while t^-2 a^9 t^2 = a^4
+    already holds.
     """
     if x.is_identity or y.is_identity:
         raise DegenerateInputError("power conjugacy is asked of nontrivial elements")
-    meet = cyclic_meet(x, y) if x.vertex == y.vertex else None
-    own = [_chain((), (meet,))] if meet is not None else []
-    first = {path.witness_exponents: path for path in iter_conjugacy_paths(graph, x, y)}
-    best = min([*own, *first.values()], key=_size, default=None)  # the earliest of the least
+    classes = _ClassGraph(graph)
+    local = classes.certified((), x, y) if classes.transfer(x, y) else None  # the chain with no steps
+    first = {path.witness_exponents: path for path in iter_conjugacy_paths(graph, x, y, classes)}
+    best = min(filter(None, [local, *first.values()]), key=_size, default=None)  # the earliest of the least
     if best is None:
         return ConjugacyAnswer(False, None, (), None, None)
 
-    engine = Engine(graph)
-    embedded = {word: engine.embed(word) for word in {x, y}}
-    powers: Dict[Tuple[FreeWord, int], Elem] = {}
-
-    def power(word: FreeWord, k: int) -> Elem:
-        if (word, k) not in powers:
-            powers[word, k] = engine.power(embedded[word], k)
-        return powers[word, k]
-
-    def replay(path: ConjugacyPath, claim: str) -> None:
-        m, n = path.witness_exponents
-        _require(engine, path.conjugator_items, power(x, m), power(y, n), f"{claim} ({m}, {n})")
-
-    replay(best, "power conjugacy")
+    engine, powers = Engine(graph), {}
+    _require_path(engine, powers, best, "power conjugacy")
     additional = tuple(other for pair, other in first.items() if pair != best.witness_exponents)
     for other in additional:
-        replay(other, "path relation")
+        _require_path(engine, powers, other, "path relation")
     route, path = ("path", best) if best.steps else ("same_vertex", None)
     return ConjugacyAnswer(True, best.witness_exponents, best.conjugator_items, route, path, additional)
 
@@ -411,10 +408,10 @@ def analyze(graph: GraphOfGroups) -> AnalysisReport:
     """Run every decider and cross-check the verdicts against each other."""
     reduced, contractions = reduce_graph(graph)
     classes = _ClassGraph(graph)
-    engine = Engine(graph)
+    engine, powers = Engine(graph), {}
     chains = decide_chains(classes)
-    balance = _balance(engine, chains)
-    hyper = _hyperbolicity(engine, chains)
+    balance = _balance(engine, powers, chains)
+    hyper = _hyperbolicity(engine, powers, chains)
     tri = _trichotomy(reduced, classes if reduced is graph else _ClassGraph(reduced))
 
     rel_hyp_note = None

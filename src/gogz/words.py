@@ -20,12 +20,12 @@ the inverse of a generator sorting directly after the generator itself
 (a < a^-1 < b < b^-1 ...); :func:`letters_sort_key` compares words letter
 by letter without spelling them out.
 
-The cyclic-subgroup operations (the root decomposition ``_root_cached``
-and :func:`cyclic_meet`) are the primitives the deciders are built on: in
-a free group every question about intersections and conjugates of cyclic
-subgroups reduces to comparing primitive roots.  The end table of
-:mod:`gogz.paths` roots each edge end once, and every decider reads its
-roots there.  A root takes linear time: the smallest period q of the
+The root decomposition ``_root_cached`` is the primitive the deciders are
+built on: in a free group every question about intersections and conjugates
+of cyclic subgroups reduces to comparing primitive roots.  Only the end table
+of :mod:`gogz.paths` takes roots, once per edge end and query word, and it
+builds every transfer between two words from them.  A root takes linear
+time: the smallest period q of the
 cyclically reduced core (the KMP failure function), then the least
 rotation of q and of q^-1, each one Duval loop over one lex item per
 syllable.
@@ -39,9 +39,9 @@ from __future__ import annotations
 from functools import lru_cache
 from itertools import chain, cycle
 from operator import itemgetter
-from typing import NamedTuple, Optional, Tuple
+from typing import Tuple
 
-from .errors import AlphabetError, DegenerateInputError, InternalInconsistencyError, ParseError
+from .errors import AlphabetError, InternalInconsistencyError, ParseError
 
 Syllables = Tuple[Tuple[int, int], ...]  # a reduced word, see the module docstring
 Letters = Tuple[int, ...]  # a word spelled out, +i / -i for the i-th generator / its inverse
@@ -51,6 +51,9 @@ Letters = Tuple[int, ...]  # a word spelled out, +i / -i for the i-th generator 
 # syllables, so this bounds the size of the input, not the memory of the
 # words built from it.
 MAX_WORD_LETTERS = 10**6
+# The most syllables a replayed power x^m may have: a floor on what a replay
+# builds, as a power over several generators is spelled out, (a b)^k in 2k.
+MAX_REPLAY_SYLLABLES = 4 * 10**6
 
 
 def parse_int(text: str, signed: bool = False) -> int:
@@ -197,6 +200,16 @@ def power_letters(word: Syllables, k: int) -> Syllables:
     return join_reduced(join_reduced(c, _repeat(core, k)), invert_letters(c))
 
 
+def power_syllables(word: Syllables, k: int) -> int:
+    """The syllables of ``power_letters(word, k)``, counted without building
+    it: each copy of the core after the first adds its own, less a merged seam."""
+    if not k or not word:
+        return 0
+    _, core = cyclic_split(word)
+    per_copy = 0 if len(core) == 1 else len(core) - (core[0][0] == core[-1][0])
+    return len(word) + (abs(k) - 1) * per_copy
+
+
 def _lex_items(word: Syllables, wrap: bool = False) -> list:
     """One item per syllable of a reduced word, such that comparing the
     items of two words compares their letters.
@@ -242,10 +255,6 @@ class FreeWord(tuple):
     @property
     def is_identity(self) -> bool:
         return not self.syllables
-
-    def _check(self, other: "FreeWord"):
-        if self.vertex != other.vertex:
-            raise AlphabetError(f"mixed alphabets: {self.vertex!r} vs {other.vertex!r}")
 
     def __pow__(self, k: int) -> "FreeWord":
         return FreeWord(self.vertex, power_letters(self.syllables, k))
@@ -349,42 +358,6 @@ def _root_cached(word: Syllables) -> Tuple[Syllables, Syllables, int]:
     if recomposed != word:
         raise InternalInconsistencyError(f"root decomposition of {word} does not recompose")
     return conj, p, k
-
-
-class CyclicMeet(NamedTuple):
-    """Witness that some conjugate of <u> meets <v> nontrivially.
-
-    Both roots share one canonical primitive p (the inversion-folding choice
-    leaves no sign to record: no element of a free group is conjugate to its
-    own inverse).  exps are the signed root exponents (k_u, k_v), and
-    theta = ``transfer_conjugator`` satisfies theta * u^x * theta^-1 =
-    v^(x * k_u / k_v) whenever that is integral.  :func:`cyclic_meet`
-    builds theta with the meet, so every chain that passes the same
-    memoised transition of the class graph shares one word.
-    """
-
-    u: FreeWord
-    v: FreeWord
-    exps: Tuple[int, int]
-    transfer_conjugator: FreeWord
-
-
-def cyclic_meet(u: FreeWord, v: FreeWord) -> Optional[CyclicMeet]:
-    """Decide whether some conjugate of <u> intersects <v> nontrivially.
-
-    Equivalently (free groups): the primitive roots are conjugate up to
-    inversion.  Also decides "some power of u is conjugate into <v>".
-    The transfer conjugator is conj_v * conj_u^-1, from the two roots.
-    """
-    u._check(v)
-    if u.is_identity or v.is_identity:
-        raise DegenerateInputError("cyclic_meet requires nontrivial words")
-    conj_u, primitive_u, k_u = _root_cached(u.syllables)
-    conj_v, primitive_v, k_v = _root_cached(v.syllables)
-    if primitive_u != primitive_v:
-        return None
-    theta = join_reduced(conj_v, invert_letters(conj_u))
-    return CyclicMeet(u, v, (k_u, k_v), FreeWord(u.vertex, theta))
 
 
 def _shared_run(y: Syllables, period: Syllables) -> int:

@@ -39,6 +39,14 @@ def ring(n):
     return _text(_rank2(n), [(i, (i + 1) % n, f"a{i}", f"a{(i + 1) % n}^2") for i in range(n)])
 
 
+def wring(n):
+    edges = []
+    for i in range(n):
+        j = (i + 1) % n
+        edges.append((i, j, f"a{i} b{i}", f"a{j} b{j} a{j} b{j}"))
+    return _text(_rank2(n), edges)
+
+
 def word(n):
     rng = random.Random(1)
     letters = " ".join(rng.choice(("a", "a^-1", "b", "b^-1")) for _ in range(n))
@@ -73,7 +81,9 @@ def _complete(plus):
 r1chain, r1rev, r1sq = _rank1_path("", "^2"), _rank1_path("^2", ""), _rank1_path("^2", "^2")
 loops, loops1, loops2 = _loops(("a", "b"), "a"), _loops(("a",), "a^2"), _loops(("a", "b"), "a^2")
 clique, K = _complete(""), _complete("^2")
-FAMILIES = ("chain", "rand", "r1chain", "r1rev", "r1sq", "ring", "word", "loops", "loops1", "loops2", "clique", "K")
+FAMILIES = (
+    "chain", "rand", "r1chain", "r1rev", "r1sq", "ring", "wring", "word", "loops", "loops1", "loops2", "clique", "K"
+)
 
 if __name__ == "__main__":
     parser = argparse.ArgumentParser(description="Print one family graph's text.")

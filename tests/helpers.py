@@ -13,11 +13,12 @@ import subprocess
 import sys
 from itertools import groupby
 from operator import neg
-from typing import List, NamedTuple, Tuple
+from typing import List, NamedTuple, Optional, Tuple
 
 from gogz.engine import Elem, Engine, Item, _reverse
-from gogz.errors import DegenerateInputError
+from gogz.errors import AlphabetError, DegenerateInputError
 from gogz.graphs import MINUS, PLUS, Edge, GraphOfGroups
+from gogz.paths import Transfer
 from gogz.words import (
     Alphabet,
     FreeWord,
@@ -37,7 +38,8 @@ def word_product(*words: FreeWord) -> FreeWord:
     """The reduced product of words over one vertex alphabet, left to right."""
     out = words[0]
     for w in words[1:]:
-        out._check(w)
+        if w.vertex != out.vertex:
+            raise AlphabetError(f"mixed alphabets: {out.vertex!r} vs {w.vertex!r}")
         out = FreeWord(out.vertex, join_reduced(out.syllables, w.syllables))
     return out
 
@@ -82,6 +84,21 @@ def maximal_root(w: FreeWord) -> FreeWord:
     """
     r = root(w)
     return conjugated_by(r.primitive, r.conjugator)
+
+
+def cyclic_meet(u: FreeWord, v: FreeWord) -> Optional[Transfer]:
+    """The transfer from u onto v read off their roots directly, or None
+    when their canonical primitive roots differ: the reference that the
+    end table's transfers are checked against.
+
+    Some conjugate of <u> meets <v> nontrivially exactly when the
+    primitives agree, and theta = conj_v conj_u^-1 carries u^(k_v) onto
+    v^(k_u) for the root exponents (k_u, k_v).
+    """
+    ru, rv = root(u), root(v)
+    if ru.primitive != rv.primitive:
+        return None
+    return Transfer(u, v, (ru.exponent, rv.exponent), word_product(rv.conjugator, inverse(ru.conjugator)))
 
 
 # ---------------------------------------------------------- flat-letter oracles

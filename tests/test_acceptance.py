@@ -14,10 +14,10 @@ from gogz.engine import Engine, brute_force_power_conjugacy
 from gogz.graphs import parse_graph, reduce_graph
 from gogz.paths import enumerate_complete_paths, enumerate_full_nonmaximal_paths
 from gogz.verdicts import analyze, power_conjugate
-from gogz.words import cyclic_meet
 from helpers import (
     atoms,
     conjugate,
+    cyclic_meet,
     maximal_root,
     oriented_edges,
     reversed_step,

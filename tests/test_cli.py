@@ -6,6 +6,7 @@ import io
 import json
 import subprocess
 import sys
+import time
 from fractions import Fraction
 
 import pytest
@@ -15,8 +16,8 @@ from gogz import __version__, cli, paths, verdicts, words
 from gogz.cli import main
 from gogz.engine import IDENTITY, Engine, _atom_pool
 from gogz.graphs import parse_graph
-from gogz.words import MAX_WORD_LETTERS
-from families import K, chain, loops2, ring
+from gogz.words import MAX_REPLAY_SYLLABLES, MAX_WORD_LETTERS
+from families import K, chain, loops2, ring, wring
 from helpers import run_capped
 
 BS23 = 'vertex 0 rank=1 gens=a\nedge 0 0 0 minus="a^2" plus="a^3"\n'
@@ -61,8 +62,7 @@ def built_chains(monkeypatch):
         built.append(original(*args))
         return built[-1]
 
-    for module in (paths, verdicts):
-        monkeypatch.setattr(module, "_chain", counting)
+    monkeypatch.setattr(paths, "_chain", counting)  # the end table builds every chain
     return built
 
 
@@ -491,6 +491,30 @@ class TestErrors:
             f"error: left side: relation longer than {MAX_WORD_LETTERS} letters at token 't^{past}'\n"
         )
 
+    def test_a_replay_past_the_syllable_limit_exits_2_before_building_it(self, graph_file, capsys):
+        # wring-64's balance witness (1, 2^64) would replay (a0 b0)^(2^64), 2^65 syllables
+        started = time.perf_counter()
+        assert main(["check", graph_file(wring(64))]) == 2
+        assert time.perf_counter() - started < 1
+        assert capsys.readouterr().err == (
+            f"error: replaying the non-level closed chain (1, {2**64}) would build a power of {2**65} "
+            f"syllables, past the limit of {MAX_REPLAY_SYLLABLES} syllables\n"
+        )
+
+    def test_replays_within_the_syllable_limit_verify(self, graph_file, capsys):
+        # wring-16 replays (a0 b0)^65536, 2^17 syllables; any power of
+        # b0 a0 b0^-1 is three syllables, so a ring of those replays 2^64
+        conjugated_ring = "".join(f"vertex {i} rank=2 gens=a{i},b{i}\n" for i in range(64)) + "".join(
+            f'edge {i} {i} {(i + 1) % 64} minus="b{i} a{i} b{i}^-1" '
+            f'plus="b{(i + 1) % 64} a{(i + 1) % 64}^2 b{(i + 1) % 64}^-1"\n'
+            for i in range(64)
+        )
+        for text, exponents in ((wring(16), [1, 2**16]), (conjugated_ring, [1, 2**64])):
+            code, out = run(capsys, "check", graph_file(text), "--no-timing")
+            assert code == 0
+            witness = json.loads(out)["witnesses"]["balance"]
+            assert witness["relation"]["exponents"] == exponents and witness["verified"] is True
+
     def test_relation_past_the_length_cap_exits_2(self, graph_file, capsys):
         # every token is within the cap; the relation as a whole is not
         path = graph_file(BS23)
@@ -598,13 +622,16 @@ class TestErrors:
         assert err == "internal error: edge roots at vertex 0 commute\n"
 
     def test_wrong_snormal_exponent_exits_3(self, graph_file, capsys, monkeypatch):
-        # a^3 rooted in the end table with exponent 4: a^2 and "a^4" agree on
-        # a^4, and a^3 does not
-        def skewed(word):
-            conjugator, primitive, exponent = words._root_cached(word)
-            return conjugator, primitive, 4 if word == ((1, 3),) else exponent
+        # a^3 read by the acylindricity verdict with exponent 4: a^2 and "a^4"
+        # agree on a^4, and a^3 does not.  Only _acyl reads the skewed table:
+        # the chain witnesses were built and replayed before
+        acyl = verdicts._acyl
 
-        monkeypatch.setattr(paths, "_root_cached", skewed)
+        def skewed(graph, classes):
+            classes.k_origin = [4 if w.syllables == ((1, 3),) else k for w, k in zip(classes.words, classes.k_origin)]
+            return acyl(graph, classes)
+
+        monkeypatch.setattr(verdicts, "_acyl", skewed)
         assert main(["check", graph_file(BS23)]) == 3
         err = capsys.readouterr().err
         assert err == "internal error: s-normal generator fails in vertex group 0\n"

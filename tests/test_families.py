@@ -9,8 +9,9 @@ import pytest
 
 import families
 
-# SHA-256 of each graph file CI wrote with its own inline generator before it
-# called families.py; a change here changes what CI checks.
+# SHA-256 of each graph file CI checks: the ones CI wrote with its own inline
+# generator before it called families.py, then each family added since; a
+# change here changes what CI checks.
 CI_GRAPHS = {
     ("chain", 10000): "980307a4dfd5b7aede09e5ad2a07eca62f4bf442faf5a5080acbe09bc46b2917",
     ("rand", 20000): "92305dc5f5cff4d668bc791d638131f91aff4c655aff1f7c89eff831086a0963",
@@ -18,6 +19,8 @@ CI_GRAPHS = {
     ("r1sq", 10000): "620a4c805a2b152b931a2927a4c3f7493cd770203a5c099cbdf2c38a3bf12a97",
     ("ring", 16): "77b1bb1da72ed162ef65a09e86d4b64b5f2d266beaf9fdd5813939e6f047adf0",
     ("ring", 64): "0e03c54ea72e47779a3be57dfcc772281e59b20f1e94a9564815dcba63eb30fc",
+    ("wring", 16): "123959534b1b6ea74909d6fe0406b286264415f40d4524e8fbf40b2aabcdb630",
+    ("wring", 64): "00cdac9a7b8ef93d8b57c95846895b1a88284661438da2e1c2aa3672811bc270",
     ("r1rev", 64): "72db8c54f3288816d17c204e7cd07c7984248985607b226f89beff5ea880d1b5",
     ("word", 16000): "bfe76e872bd5b01e3dee4ae9693838e6e7e67046f70e8e143d4ddcc861fa256b",
     ("loops", 200): "51865bc6c2acc6bd83dcd1f8cae3b72553af5f6fefaf04935a99867f4b2209e5",

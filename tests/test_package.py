@@ -28,7 +28,6 @@ def test_public_names():
         "__version__",
         "analyze",
         "brute_force_power_conjugacy",
-        "cyclic_meet",
         "enumerate_complete_paths",
         "enumerate_full_nonmaximal_paths",
         "format_items",

@@ -1,5 +1,6 @@
 """Path enumeration against naive oracles and the normal-form engine."""
 
+import re
 from fractions import Fraction
 from itertools import product
 
@@ -15,11 +16,11 @@ from gogz.paths import (
     enumerate_full_nonmaximal_paths,
     iter_conjugacy_paths,
 )
-from gogz.words import cyclic_meet
 from families import loops1, loops2
 from helpers import (
     Step,
     conjugate,
+    cyclic_meet,
     inverse,
     oriented_edges,
     reversed_step,
@@ -328,40 +329,56 @@ class TestIterConjugacyPaths:
         assert list(iter_conjugacy_paths(graph, w(graph, 0, "a"), w(graph, int(vid), word))) == []
 
 
+# a full path e0+ e1+ whose one junction joins two words, b and b^-1
+CHAIN_INVERSE = parse_graph(
+    "vertex 0 rank=1 gens=a\nvertex 1 rank=1 gens=b\nvertex 2 rank=1 gens=c\n"
+    'edge 0 0 1 minus="a^2" plus="b"\nedge 1 1 2 minus="b^-1" plus="c^3"'
+)
+
+
 @pytest.mark.parametrize(
-    "enumerate_",
+    "enumerate_,steps",
     [
-        lambda: enumerate_complete_paths(BS23),
-        lambda: enumerate_full_nonmaximal_paths(TREFOIL),
-        lambda: list(iter_conjugacy_paths(TREFOIL, w(TREFOIL, 0, "a"), w(TREFOIL, 1, "b"))),
+        (lambda: enumerate_complete_paths(BS23), "e0+"),
+        (lambda: enumerate_full_nonmaximal_paths(CHAIN_INVERSE), "e0+ e1+"),
+        (lambda: list(iter_conjugacy_paths(TREFOIL, w(TREFOIL, 0, "a"), w(TREFOIL, 1, "b"))), "e0+"),
     ],
     ids=["complete", "full", "open"],
 )
-def test_chain_rejected_by_cyclic_meet_is_an_internal_error(enumerate_, monkeypatch):
-    """The class index and cyclic_meet must agree; a disagreement is never
+def test_junction_between_two_classes_is_an_internal_error(enumerate_, steps, monkeypatch):
+    """The class walk and the roots that build the transfers must agree: a
+    table whose roots put every word in a class of its own, while its walk
+    still joins the classes of the edge ends, has a junction between two
+    classes in each chain that joins two different words.  That is never
     skipped, and the error names the chain by its steps."""
-    monkeypatch.setattr(paths, "cyclic_meet", lambda u, v: None)
-    with pytest.raises(InternalInconsistencyError, match=r"cyclic_meet rejects: e0\+\Z"):
+    build = paths._ClassGraph.__init__
+
+    def split(self, graph):
+        build(self, graph)
+        self.roots = {word: ((key, word), k, c) for word, (key, k, c) in self.roots.items()}
+
+    monkeypatch.setattr(paths._ClassGraph, "__init__", split)
+    with pytest.raises(InternalInconsistencyError, match=rf"two root classes at a junction of {re.escape(steps)}\Z"):
         enumerate_()
 
 
-def counting_meets(monkeypatch):
-    """The list of word pairs that later calls through paths.cyclic_meet
-    append to."""
-    calls = []
+def counting_transfers(monkeypatch):
+    """The list of word pairs (u, v) that the end tables build a transfer
+    for from now on."""
+    calls, transfer = [], paths.Transfer
 
-    def counting_meet(u, v):
+    def counting_transfer(u, v, *rest):
         calls.append((u, v))
-        return cyclic_meet(u, v)
+        return transfer(u, v, *rest)
 
-    monkeypatch.setattr(paths, "cyclic_meet", counting_meet)
+    monkeypatch.setattr(paths, "Transfer", counting_transfer)
     return calls
 
 
 def test_open_search_meets_each_junction_once(monkeypatch):
     """Of the 75,972 walks the reference certifies, the open search yields
-    the first of each witness pair, and cyclic_meet runs once per ordered
-    pair of words in {a, a^2}, not once per junction of each walk."""
+    the first of each witness pair, and builds one transfer per ordered
+    pair of words in {a, a^2}, not one per junction of each walk."""
     graph = parse_graph(loops1(6))
     a = w(graph, 0, "a")
     walks, pairs = 0, set()
@@ -369,7 +386,7 @@ def test_open_search_meets_each_junction_once(monkeypatch):
         walks += 1
         pairs.add(path.witness_exponents)
     assert walks == 75_972
-    calls = counting_meets(monkeypatch)
+    calls = counting_transfers(monkeypatch)
     found = [path.witness_exponents for path in iter_conjugacy_paths(graph, a, a)]
     assert len(found) == len(set(found)) and set(found) == pairs
     assert len(calls) == 4
@@ -377,12 +394,12 @@ def test_open_search_meets_each_junction_once(monkeypatch):
 
 def test_parallel_edges_certify_each_pair_of_words_once(monkeypatch):
     """A transfer depends only on the two words it joins: on four loops
-    a/a^2, the closed chains and the open search from a to a each run
-    cyclic_meet once per ordered pair of words in {a, a^2}, however many
-    edges carry them."""
+    a/a^2, the closed chains and the open search from a to a each build
+    one transfer per ordered pair of words in {a, a^2}, however many edges
+    carry them."""
     graph = parse_graph(loops2(4))
     a, a2 = w(graph, 0, "a"), w(graph, 0, "a^2")
-    calls = counting_meets(monkeypatch)
+    calls = counting_transfers(monkeypatch)
     assert len(enumerate_complete_paths(graph)) == 96
     assert sorted(calls) == sorted(product([a, a2], repeat=2))
     calls.clear()
@@ -410,8 +427,9 @@ def test_class_graph_roots_each_distinct_edge_word_once():
 @settings(max_examples=200, deadline=None)
 @given(graphs())
 def test_class_graph_partitions_ends_like_cyclic_meet(graph):
-    """The class graph against cyclic_meet and root, end by end: two ends
-    at one vertex share a class exactly when their words meet, ends at two
+    """The class graph against the reference cyclic_meet and root, end by
+    end: two ends at one vertex share a class exactly when their words
+    meet, and then the table's transfer is the reference's; ends at two
     vertices never do, each step's exponent is its origin word's root
     exponent, a step ends where its reverse starts, and ``out`` lists the
     steps leaving each class in increasing order."""
@@ -424,8 +442,9 @@ def test_class_graph_partitions_ends_like_cyclic_meet(graph):
         assert classes.terminus[i] == classes.origin[i ^ 1]
         assert classes.k_terminus[i] == classes.k_origin[i ^ 1]
         for j, (other_vid, other) in enumerate(ends):
-            meet = vid == other_vid and cyclic_meet(word, other) is not None
-            assert (classes.origin[i] == classes.origin[j]) == meet
+            meet = cyclic_meet(word, other) if vid == other_vid else None
+            assert (classes.origin[i] == classes.origin[j]) == (meet is not None)
+            assert classes.transfer(word, other) == meet
     assert sorted(set(classes.origin)) == list(range(len(classes.out)))
     for c, leaving in enumerate(classes.out):
         assert leaving == [i for i, origin in enumerate(classes.origin) if origin == c]

@@ -39,8 +39,7 @@ from gogz.paths import (
     iter_conjugacy_paths,
 )
 from gogz.verdicts import ConjugacyAnswer, power_conjugate
-from gogz.words import cyclic_meet
-from helpers import Step, conjugate, oriented_edges, reversed_step, root, terminus, word_of
+from helpers import Step, conjugate, cyclic_meet, oriented_edges, reversed_step, root, terminus, word_of
 
 # ------------------------------------------------------------ reference walk
 

