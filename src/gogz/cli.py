@@ -78,7 +78,7 @@ def _path_json(graph: GraphOfGroups, path: ConjugacyPath) -> dict:
         "end": format_items(graph, [path.end]),
         "transitions": [
             {
-                "vertex": int(t.u.vertex),
+                "vertex": t.u.vertex,
                 "incoming": format_items(graph, [t.u]),
                 "outgoing": format_items(graph, [t.v]),
                 "ratio": str(Fraction(*t.exps)),
@@ -102,7 +102,7 @@ def _complete_json(graph: GraphOfGroups, path: ConjugacyPath) -> dict:
     return {
         "kind": "complete",
         "steps": step_names(path.steps),
-        "base_vertex": int(path.start.vertex),
+        "base_vertex": path.start.vertex,
         "base_word": format_items(graph, [path.start]),
         "ratio": str(ratio),
         "level": abs(ratio) == 1,
@@ -406,8 +406,8 @@ def cmd_conj(args, graph: GraphOfGroups, doc: dict) -> dict:
     y = read_located_word(graph, args.to, "--to")
     bounds = _parse_bounds(graph, args.oracle_bounds) if args.oracle_bounds else None
     answer = power_conjugate(graph, x, y)
-    doc["from"] = {"vertex": int(x.vertex), "word": format_items(graph, [x])}
-    doc["to"] = {"vertex": int(y.vertex), "word": format_items(graph, [y])}
+    doc["from"] = {"vertex": x.vertex, "word": format_items(graph, [x])}
+    doc["to"] = {"vertex": y.vertex, "word": format_items(graph, [y])}
     doc["answer"] = _answer_json(graph, answer)
     if answer.additional:
         # relations beyond the answer matter when some chain is non-level:

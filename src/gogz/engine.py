@@ -125,9 +125,9 @@ class Engine:
 
     def _word_path(self, word: FreeWord) -> RawPath:
         """p w p^-1 for the tree path p from the root to the word's vertex."""
-        vid = int(word.vertex)
+        vid = word.vertex
         if vid not in self.graph.vertices:
-            raise DegenerateInputError(f"word over unknown vertex {word.vertex!r}")
+            raise DegenerateInputError(f"word over unknown vertex {vid!r}")
         p = self._tree_path(vid)
         if not p:
             return word.syllables, ()
@@ -250,7 +250,7 @@ class PowerConjugacy(NamedTuple):
 
 def _atom_key(atom: Item) -> Tuple:
     if isinstance(atom, FreeWord):
-        return (0, int(atom.vertex), letters_sort_key(atom.syllables))
+        return (0, atom.vertex, letters_sort_key(atom.syllables))
     return (1, atom[1], 0 if atom[2] > 0 else 1)
 
 

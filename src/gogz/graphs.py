@@ -63,14 +63,14 @@ def side_name(side: int) -> str:
 
 
 class Vertex(NamedTuple):
-    """A vertex with its free group over ``str(id)``, named by an integer id >= 0."""
+    """A vertex, named by an integer id >= 0, with its free group's alphabet tagged by that id."""
 
     id: int
     alphabet: Alphabet
 
     @classmethod
     def make(cls, vid: int, names: Iterable[str]) -> "Vertex":
-        return cls(vid, Alphabet(str(vid), tuple(names)))
+        return cls(vid, Alphabet(vid, tuple(names)))
 
     @property
     def rank(self) -> int:
@@ -140,7 +140,7 @@ class GraphOfGroups:
         self.vertices: Dict[int, Vertex] = {}
         gen_homes: Dict[str, int] = {}
         for v in sorted(vertices, key=_by_id):
-            if v.alphabet.vertex != str(v.id):
+            if v.alphabet.vertex != v.id:
                 raise AlphabetError(f"vertex {v.id} has an alphabet tagged {v.alphabet.vertex!r}")
             refusal = _add_vertex(v, v.rank, self.vertices, gen_homes)
             if refusal is not None:
@@ -151,9 +151,9 @@ class GraphOfGroups:
         for e in sorted(edges, key=_by_id):
             for side in (MINUS, PLUS):
                 word, vid = e.word(side), e.vertex(side)
-                if word.vertex != str(vid):
+                if word.vertex != vid:
                     raise AlphabetError(
-                        f"edge {e.id} {side_name(side)} word is over vertex {word.vertex!r}, expected {vid}"
+                        f"edge {e.id} {side_name(side)} word is over vertex '{word.vertex}', expected {vid}"
                     )
             refusal = _add_edge(*e, self.vertices, self.edges, lambda a, w: a.parse(format_items(self, [w])))
             if refusal is not None:

@@ -66,7 +66,7 @@ from .graphs import GraphOfGroups
 from .text import Item, TLetter, step_names
 from .words import FreeWord, Syllables, _root_cached, invert_letters, join_reduced
 
-EndClass = Tuple[str, Syllables]
+EndClass = Tuple[int, Syllables]
 
 
 class Transfer(NamedTuple):
@@ -183,7 +183,7 @@ class _ClassGraph:
     signed root exponent and root conjugator; every decider reads them
     here.  Two ends at a vertex overlap exactly when their words have the
     same canonical primitive root, so each end falls in a *class* (vertex
-    tag, primitive), and two ends share their maximal root exactly when
+    id, primitive), and two ends share their maximal root exactly when
     they share class and conjugator.  The
     classes are the nodes; each edge joins the classes of its two ends.
     Crossing a step from its origin end to its terminus end multiplies the
@@ -695,8 +695,7 @@ def iter_conjugacy_paths(
     """
     if g.is_identity or g_prime.is_identity:
         raise DegenerateInputError("conjugacy paths connect nontrivial elements")
-    tags = {str(vid) for vid in graph.vertices}
-    if g.vertex not in tags or g_prime.vertex not in tags:
+    if g.vertex not in graph.vertices or g_prime.vertex not in graph.vertices:
         raise DegenerateInputError("endpoints must live at vertices of the graph")
 
     index = _ClassGraph(graph) if classes is None else classes

@@ -29,7 +29,7 @@ def format_items(graph: GraphOfGroups, items: Iterable[Item]) -> str:
     """A product of items: each word in its vertex's alphabet, ``t_e`` or
     ``t_e^k`` for ``('t', e, k)``, and ``1`` for no items."""
     return " ".join(
-        graph.vertices[int(item.vertex)].alphabet.format(item)
+        graph.vertices[item.vertex].alphabet.format(item)
         if isinstance(item, FreeWord)
         else f"t_{item[1]}" if item[2] == 1 else f"t_{item[1]}^{item[2]}"
         for item in items
@@ -88,7 +88,7 @@ def read_items(graph: GraphOfGroups, text: str, letters: int = 0) -> Tuple[List[
             if name not in owner:
                 raise ParseError(f"unknown generator or stable letter {token!r}")
             items.append(owner[name].parse(token))
-            letters += len(items[-1]) + 2 * depth[int(owner[name].vertex)]
+            letters += len(items[-1]) + 2 * depth[owner[name].vertex]
         if letters > MAX_WORD_LETTERS:
             raise ParseError(f"relation longer than {MAX_WORD_LETTERS} letters at token {token!r}")
     return items, letters

@@ -212,12 +212,12 @@ def _acyl(graph: GraphOfGroups, classes: _ClassGraph) -> AcylVerdict:
     # each class is now the ends at its vertex, all with one conjugator c
     generators: Dict[int, FreeWord] = {}
     failed = []
-    for (tag, primitive), here in zip(classes.node, classes.out):
+    for (vid, primitive), here in zip(classes.node, classes.out):
         common, c = lcm(*(k[i] for i in here)), conjugator[here[0]]
         g = join_reduced(join_reduced(c, power_letters(primitive, common)), invert_letters(c))
         if any(power_letters(words[i].syllables, common // k[i]) != g for i in here):
-            failed.append(int(tag))
-        generators[int(tag)] = FreeWord(tag, g)
+            failed.append(vid)
+        generators[vid] = FreeWord(vid, g)
     if failed:
         raise InternalInconsistencyError(f"s-normal generator fails in vertex group {min(failed)}")
     return AcylVerdict(False, None, None, (), dict(sorted(generators.items())))

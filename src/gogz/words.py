@@ -69,9 +69,9 @@ def parse_int(text: str, signed: bool = False) -> int:
 
 
 class Alphabet:
-    """The ordered generator list of one vertex group; graphs check the names."""
+    """The generator list of one vertex group, tagged with its vertex id; graphs check both."""
 
-    def __init__(self, vertex: str, names):
+    def __init__(self, vertex, names):
         self.vertex = vertex
         self.names = tuple(names)
         self._index = {n: i + 1 for i, n in enumerate(self.names)}
@@ -97,7 +97,7 @@ class Alphabet:
             name, caret, exp = tok.partition("^")
             g = index.get(name)
             if g is None:
-                raise ParseError(f"unknown generator {name!r} (vertex {self.vertex!r})")
+                raise ParseError(f"unknown generator {name!r} (vertex '{self.vertex}')")
             k = 1
             if caret:
                 digits = exp[1:] if exp[:1] == "-" else exp
@@ -112,7 +112,7 @@ class Alphabet:
             letters += abs(k)
             if letters > MAX_WORD_LETTERS:
                 raise ParseError(
-                    f"word longer than {MAX_WORD_LETTERS} letters at token {tok!r} (vertex {self.vertex!r})"
+                    f"word longer than {MAX_WORD_LETTERS} letters at token {tok!r} (vertex '{self.vertex}')"
                 )
             if out and out[-1][0] == g:
                 k += out.pop()[1]
@@ -124,7 +124,7 @@ class Alphabet:
     def format(self, word: "FreeWord") -> str:
         """Inverse of parse, one token per syllable (a a a -> ``a^3``)."""
         if word.vertex != self.vertex:
-            raise AlphabetError(f"word over {word.vertex!r} formatted with alphabet {self.vertex!r}")
+            raise AlphabetError(f"word over '{word.vertex}' formatted with alphabet '{self.vertex}'")
         names = self.names
         return " ".join(names[g - 1] if e == 1 else f"{names[g - 1]}^{e}" for g, e in word.syllables) or "1"
 
@@ -235,15 +235,15 @@ def letters_sort_key(word: Syllables):
 
 
 class FreeWord(tuple):
-    """A freely reduced word in one vertex group, the pair (vertex,
-    syllables), which the caller reduces (see the module docstring).  Not a
+    """A freely reduced word in one vertex group, the pair (its alphabet's
+    tag, syllables), which the caller reduces (see the module docstring).  Not a
     named tuple: ``len`` counts letters, which ``_make`` would misread."""
 
     __slots__ = ()
     vertex = property(itemgetter(0))
     syllables = property(itemgetter(1))
 
-    def __new__(cls, vertex: str, syllables: Syllables):
+    def __new__(cls, vertex, syllables: Syllables):
         return tuple.__new__(cls, (vertex, syllables))
 
     def __getnewargs__(self):  # what copy and pickle pass to __new__

@@ -256,12 +256,12 @@ def atoms(engine: Engine, g: Elem) -> List[Item]:
     """g as :meth:`Engine.element_of` items, left to right: vertex words and
     stable letters ``('t', edge_id, +-1)``."""
     g0, tail = g
-    out: List[Item] = [FreeWord(str(engine.tree.root), g0)] if g0 else []
+    out: List[Item] = [FreeWord(engine.tree.root, g0)] if g0 else []
     for step, rep in tail:
         if step[0] in engine.tree.non_tree_edge_ids:
             out.append(("t", step[0], -1 if step[1] else 1))
         if rep:
-            out.append(FreeWord(str(engine._ends[step][2]), rep))
+            out.append(FreeWord(engine._ends[step][2], rep))
     return out
 
 

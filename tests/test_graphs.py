@@ -542,10 +542,10 @@ def test_reduce_graph_builds_without_revalidating(g):
 def test_edges_are_values():
     a, b = Vertex.make(0, ("a",)), Vertex.make(1, ("b",))
     edge = Edge(0, 0, 1, a.alphabet.parse("a^2"), b.alphabet.parse("b^3"))
-    again = Edge(0, 0, 1, FreeWord("0", ((1, 2),)), FreeWord("1", ((1, 3),)))
+    again = Edge(0, 0, 1, FreeWord(0, ((1, 2),)), FreeWord(1, ((1, 3),)))
     assert edge == again and hash(edge) == hash(again) and edge is not again
     # the same syllables over another vertex make another word, and another edge
-    assert Edge(0, 0, 1, a.alphabet.parse("a^2"), FreeWord("0", ((1, 3),))) != edge
+    assert Edge(0, 0, 1, a.alphabet.parse("a^2"), FreeWord(0, ((1, 3),))) != edge
     for record, field in ((edge, "id"), (edge, "plus_word")):
         with pytest.raises(AttributeError):
             setattr(record, field, None)

@@ -179,7 +179,7 @@ def reference_full(graph: GraphOfGroups) -> List[ConjugacyPath]:
 
 def reference_open(graph: GraphOfGroups, g, g_prime):
     oriented = oriented_edges(graph)
-    start_vid, end_vid = int(g.vertex), int(g_prime.vertex)
+    start_vid, end_vid = g.vertex, g_prime.vertex
 
     def extend(path, used):
         if terminus(path[-1]) == end_vid:

@@ -13,8 +13,9 @@ cleared first, so that a cache filled by an earlier test cannot hide a
 call.  Test-only conveniences live in ``tests/helpers.py``.
 
 The same calls, with :class:`~gogz.words.FreeWord` construction recorded,
-check that every word the product builds is freely reduced: the
-constructor does not check it, because every builder reduces.  Run once
+check that every word the product builds is freely reduced and tagged
+with its vertex's integer id: the constructor checks neither, because
+every builder reduces, and every alphabet a graph holds is tagged so.  Run once
 more, they check that no call leaves state at module level for the next
 one to find: no new name, no table grown.
 """
@@ -133,11 +134,12 @@ def _is_reduced(syllables) -> bool:
 
 def test_every_word_a_command_builds_is_reduced(tmp_path, monkeypatch):
     # pytest rewrites this module's asserts, so the check holds under -O too
-    built = []
+    built, tags = [], set()
     construct = FreeWord.__new__
 
     def recording(cls, vertex, syllables):
         built.append(syllables)
+        tags.add(type(vertex))
         return construct(cls, vertex, syllables)
 
     @contextlib.contextmanager
@@ -151,6 +153,7 @@ def test_every_word_a_command_builds_is_reduced(tmp_path, monkeypatch):
     assert not unreduced, f"{len(unreduced)} of {len(built)} words built unreduced, first {unreduced[0]}"
     assert exits_ok, "an extra call exited with another code"
     assert len(built) > 1000
+    assert tags == {int}, f"words tagged by {sorted(t.__name__ for t in tags)}"
 
 
 def _module_state():

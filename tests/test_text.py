@@ -47,9 +47,9 @@ def _tokens(graph, items):
         if item.is_identity:
             yield "1", 0, None
         for g, e in item.syllables:
-            token = graph.vertices[int(item.vertex)].alphabet.names[g - 1] + ("" if e == 1 else f"^{e}")
-            too_long = f"word longer than {MAX_WORD_LETTERS} letters at token {token!r} (vertex {item.vertex!r})"
-            yield token, abs(e) + 2 * depth[int(item.vertex)], too_long if abs(e) > MAX_WORD_LETTERS else None
+            token = graph.vertices[item.vertex].alphabet.names[g - 1] + ("" if e == 1 else f"^{e}")
+            too_long = f"word longer than {MAX_WORD_LETTERS} letters at token {token!r} (vertex '{item.vertex}')"
+            yield token, abs(e) + 2 * depth[item.vertex], too_long if abs(e) > MAX_WORD_LETTERS else None
 
 
 def _joined(items):

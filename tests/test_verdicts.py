@@ -272,13 +272,13 @@ class TestAcylHyperbolicity:
         [
             (
                 CAP_TREE,
-                AcylVerdict(False, None, None, (), {0: FreeWord("0", ((1, 1001000),)), 2: FreeWord("2", ((1, 2),))}),
-                CentralWitness(0, FreeWord("0", ((1, 1001000),)), {0: 1001000, 2: 2}),
+                AcylVerdict(False, None, None, (), {0: FreeWord(0, ((1, 1001000),)), 2: FreeWord(2, ((1, 2),))}),
+                CentralWitness(0, FreeWord(0, ((1, 1001000),)), {0: 1001000, 2: 2}),
             ),
-            (CONTRACTED_BS23, AcylVerdict(False, None, None, (), {0: FreeWord("0", ((1, 12),))}), None),
+            (CONTRACTED_BS23, AcylVerdict(False, None, None, (), {0: FreeWord(0, ((1, 12),))}), None),
             (
                 CONTRACTED_DISAGREE,
-                AcylVerdict(True, "edge_roots_disagree", 0, (FreeWord("0", ((1, 4),)), FreeWord("0", ((2, 2),))), {}),
+                AcylVerdict(True, "edge_roots_disagree", 0, (FreeWord(0, ((1, 4),)), FreeWord(0, ((2, 2),))), {}),
                 None,
             ),
         ],
