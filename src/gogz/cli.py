@@ -32,6 +32,7 @@ once ``--no-timing`` drops the one nondeterministic field.
 from __future__ import annotations
 
 import argparse
+import gc
 import os
 import sys
 import time
@@ -613,6 +614,18 @@ _PARSER = build_parser()
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
+    """Run one command with the cyclic garbage collector off, as a command
+    leaves no reference cycles to collect; the caller's setting comes back."""
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        return _run(argv)
+    finally:
+        if enabled:
+            gc.enable()
+
+
+def _run(argv: Optional[Sequence[str]]) -> int:
     try:
         args = _PARSER.parse_args(argv)
     except SystemExit as exc:  # a bad command line (2), or --help/--version (0)

@@ -293,6 +293,21 @@ def _compatible(atom: Item, first: Optional[Item]) -> bool:
     return not (atom[1] == first[1] and atom[2] == -first[2])  # t t^-1
 
 
+def _conjugates(engine: Engine, pool, x: Elem, count: int, budget: int) -> Iterator[Tuple[Tuple[Item, ...], Elem]]:
+    """Each w x w^-1 of :func:`iter_power_conjugacies` with ``count`` atoms in
+    ``budget`` letters; not nested there, as a nested function calling itself is a cycle."""
+    if count == 0:
+        yield (), x
+        return
+    for atom, cost, a_elem, a_inv in pool:
+        if cost > budget - (count - 1):  # every later slot needs >= 1 letter
+            continue
+        for seq, c in _conjugates(engine, pool, x, count - 1, budget - cost):
+            if not _compatible(atom, seq[0] if seq else None):
+                continue
+            yield (atom,) + seq, engine.mul(a_elem, c, a_inv)
+
+
 def iter_power_conjugacies(
     engine: Engine,
     x: FreeWord,
@@ -333,20 +348,8 @@ def iter_power_conjugacies(
         a_elem = engine.element_of([atom])
         pool.append((atom, cost, a_elem, engine.inv(a_elem)))
 
-    def conjugates(count: int, budget: int) -> Iterator[Tuple[Tuple[Item, ...], Elem]]:
-        if count == 0:
-            yield (), x_elem
-            return
-        for atom, cost, a_elem, a_inv in pool:
-            if cost > budget - (count - 1):  # every later slot needs >= 1 letter
-                continue
-            for seq, c in conjugates(count - 1, budget - cost):
-                if not _compatible(atom, seq[0] if seq else None):
-                    continue
-                yield (atom,) + seq, engine.mul(a_elem, c, a_inv)
-
     for count in range(0, min(max_syllables, max_letters) + 1):
-        for seq, c in conjugates(count, max_letters):
+        for seq, c in _conjugates(engine, pool, x_elem, count, max_letters):
             p = c
             length_one = engine.top_length(c)
             tau = None

@@ -32,14 +32,14 @@ everything here, and every decider of :mod:`gogz.verdicts`, reads it:
   or Baumslag-Solitar subgroup).
 * :func:`enumerate_complete_paths` and
   :func:`enumerate_full_nonmaximal_paths` list every edge-once chain of
-  those two kinds, and :func:`iter_conjugacy_paths` the first edge-once
-  conjugacy path of each witness pair between two given vertex elements.
-  They walk class adjacency, so their cost follows the number of
-  edge-once walks there, which grows exponentially when many edges share
-  a class.  The open search reads each walk's pair off the root exponents
-  in integers and certifies only the first walk of each pair; it walks
-  only when one BFS over the class graph reaches the class of its target,
-  so a query with no path at all costs that BFS.
+  those two kinds by walking class adjacency, so their cost follows the
+  number of edge-once walks there, which grows exponentially when many
+  edges share a class.  :func:`iter_conjugacy_paths` gives the first
+  edge-once conjugacy path of each witness pair between two vertex
+  elements.  It visits search states, one for all the walks through
+  parallel edges of one signature, reads each pair off the root exponents
+  in integers, and searches only when one BFS over the class graph reaches
+  the class of its target, so a query with no path at all costs that BFS.
 
 Chains are :class:`ConjugacyPath` records, the one chain record of the
 package.  A step is its stable letter ``('t', edge_id, ±1)``, +1 crossing
@@ -57,6 +57,7 @@ it joins, so it builds each once per pair, from the roots it holds.
 
 from __future__ import annotations
 
+from collections import Counter
 from fractions import Fraction
 from math import gcd, lcm
 from typing import Callable, Dict, Iterator, List, NamedTuple, Optional, Sequence, Tuple
@@ -287,7 +288,7 @@ class _ClassGraph:
     def walks(
         self,
         start: int,
-        admits: Callable[[int], bool] = lambda i: True,
+        admits: Callable[[int], bool],
         halts: Callable[[int], bool] = lambda i: False,
     ) -> Iterator[List[int]]:
         """Every edge-once walk from step ``start`` along class adjacency.
@@ -680,18 +681,29 @@ def iter_conjugacy_paths(
     graph: GraphOfGroups, g: FreeWord, g_prime: FreeWord, classes: Optional[_ClassGraph] = None
 ) -> Iterator[ConjugacyPath]:
     """The first edge-once conjugacy path from g to g' of each witness
-    pair, in canonical walk order.
+    pair, in canonical walk order: depth-first over the steps (edges by id,
+    each forward and then backward), a chain before its extensions, closed
+    chains back to the start vertex too.  When no edge end has the class of
+    g', or one BFS from the class of g does not reach it, nothing is walked.
 
-    The order is depth-first over the steps (edges by id, each forward
-    and then backward); a chain is yielded before its extensions.  Closed
-    chains returning to the start vertex appear too.  When no edge end has
-    the class of g', or one BFS from the class of g does not reach it,
-    nothing is walked.
+    A walk's *state* is its terminus class, its terminus root exponent, its
+    fold through the last junction (:func:`_fold`), and how many edges of
+    each *signature* it has used, the (origin class, terminus class,
+    k_origin, k_terminus) of an edge's forward step.  A walk that reaches
+    the state of an earlier walk is neither certified nor extended, and no
+    first walk of a pair is lost.  Equal counts mean equal lengths, so in
+    depth-first preorder the earlier walk's extensions are all done.  Edges
+    of one signature are interchangeable in every fold, so each extension
+    of the later walk maps, edge for edge, onto one of the earlier walk
+    with the same pair, as the walk itself does.  So the chains yielded,
+    and their order, are those of the walk over every edge-once path.  The
+    memo holds one key per state visited: where few walks merge, one per
+    walk, where that walk held only the current one.
 
-    A walk costs one integer fold of root exponents per step, and one more
-    at the exit for its witness pair.  Only a walk with a new pair is
-    certified, and its ``witness_exponents`` come from its transitions.
-    ``classes`` is the end table of ``graph`` when the caller holds one.
+    Each step tried costs one integer fold of root exponents, and a walk
+    that reaches the target one more for its pair; only a walk with a new
+    pair is certified.  ``classes`` is the end table of ``graph`` when the
+    caller holds one.
     """
     if g.is_identity or g_prime.is_identity:
         raise DegenerateInputError("conjugacy paths connect nontrivial elements")
@@ -704,16 +716,37 @@ def iter_conjugacy_paths(
     if source is None or target not in index._bfs(source, lambda s: True)[1]:
         return
     k_origin, k_terminus, terminus = index.k_origin, index.k_terminus, index.terminus
-    folds = [_UNIT]  # folds[d]: the fold through the transition into walk[d - 1]
-    seen = set()
-    for start in index.out[source]:
-        for walk in index.walks(start):
-            d, i = len(walk), walk[-1]
-            del folds[d:]
-            folds.append(_fold(folds[-1], k_terminus[walk[-2]] if d > 1 else k_start, k_origin[i]))
-            if terminus[i] == target:
-                num, den, m = _fold(folds[-1], k_terminus[i], k_end)
-                pair = (m, m // den * num)
-                if pair not in seen:
-                    seen.add(pair)
-                    yield index.certified(walk, g, g_prime)
+    # a walk's used edges counted by signature, as one integer: a field of bits per signature
+    signatures = list(zip(index.origin[::2], terminus[::2], k_origin[::2], k_terminus[::2]))
+    place, width = {}, 0
+    for signature, total in Counter(signatures).items():
+        place[signature], width = 1 << width, width + total.bit_length()
+    weight = [place[signature] for signature in signatures]
+    used = [False] * len(weight)
+    walk: List[int] = []
+    # per prefix of walk: its untried next steps, and its state but for its class
+    frames = [(iter(index.out[source]), k_start, _UNIT, 0)]
+    states, pairs = set(), set()
+    while frames:
+        steps, k_in, fold, counts = frames[-1]
+        for i in steps:
+            if not used[i >> 1]:
+                state = (terminus[i], k_terminus[i], _fold(fold, k_in, k_origin[i]), counts + weight[i >> 1])
+                if state not in states:
+                    break
+        else:
+            frames.pop()
+            if walk:
+                used[walk.pop() >> 1] = False
+            continue
+        states.add(state)
+        walk.append(i)
+        used[i >> 1] = True
+        here, k_in, fold, counts = state
+        if here == target:
+            num, den, m = _fold(fold, k_in, k_end)
+            pair = (m, m // den * num)
+            if pair not in pairs:
+                pairs.add(pair)
+                yield index.certified(walk, g, g_prime)
+        frames.append((iter(index.out[here]), k_in, fold, counts))

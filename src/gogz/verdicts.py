@@ -25,8 +25,8 @@ Verdicts decided here, all by :func:`analyze` except the last:
   subgroup.
 * power conjugacy — :func:`power_conjugate` decides whether powers of two
   vertex elements are conjugate, returning a certified witness.  It is the
-  one decider that still walks every edge-once path (when the answer is
-  yes), in a single pass that keeps one path per exponent pair.
+  one decider that still searches edge-once paths (when the answer is
+  yes), visiting each search state once and keeping one path per pair.
 
 Chain witnesses are :class:`~gogz.paths.ConjugacyPath` records, and every
 replay is one relation ``w x^m w^-1 = y^n`` checked by ``_require``, of a
@@ -194,7 +194,7 @@ def _acyl(graph: GraphOfGroups, classes: _ClassGraph) -> AcylVerdict:
     # are as many (class, conjugator) pairs as vertices; with no conjugator, as classes
     pairs = len(set(zip(origin, conjugator))) if any(conjugator) else len(classes.out)
     if pairs > len(graph.vertices):  # report the least such vertex, at its first end unlike its first
-        at = [v for e in graph.edges.values() for v in (e.minus_vertex, e.plus_vertex)]  # the vertex of each end
+        at = [w.vertex for w in words]  # the vertex of each end
         first = dict(zip(reversed(at), range(len(at) - 1, -1, -1)))  # the first end at each vertex
         vid, i = min(
             (v, i) for i, v in enumerate(at)
@@ -323,8 +323,8 @@ class ConjugacyAnswer(NamedTuple):
     carries the certified chain in the latter case.  ``additional`` lists,
     in search order, the first searched path of each witness pair other
     than ``exponents``, each verified in the engine too.  The search that
-    fills it is one pass that keeps one path per distinct pair, so its
-    memory follows the number of pairs, not of paths.
+    fills it visits each search state of its walks once and keeps one path
+    per distinct pair (:func:`~gogz.paths.iter_conjugacy_paths`).
     """
 
     exists: bool
@@ -345,20 +345,20 @@ def power_conjugate(graph: GraphOfGroups, x: FreeWord, y: FreeWord) -> Conjugacy
 
     Every candidate is a chain of one end table, which roots x and y once:
     when x and y have one root class, the chain with no steps; then the
-    edge-once conjugacy paths between their vertices, of which the search
-    yields only the first of each distinct witness pair: memory follows
-    the number of pairs, not of paths.  The answer minimises (m, |n|); the
-    vertex chain wins a tie, then the earliest path.  A "no" takes one BFS
-    over the class graph, but a "yes" still walks every edge-once path
-    from x's class, and their number grows exponentially when many edge
-    ends share a class.  A walk costs one integer fold of root exponents
-    per step; only the first walk of each pair is certified, and no pair
-    of words gets two transfers.  ``_require_path`` replays the answer and
-    every additional relation with one memo, so x and y are embedded once
-    and each power x^m or y^n is built once.  Walks that repeat an edge
-    are not searched, so a relation with smaller exponents may exist: in
-    BS(2, 3) the answer for a^9 and a^4 is (2, 3), while t^-2 a^9 t^2 = a^4
-    already holds.
+    first edge-once conjugacy path of each distinct witness pair between
+    their vertices.  The answer minimises (m, |n|); the vertex chain wins
+    a tie, then the earliest path.  A "no" takes one BFS over the class
+    graph; a "yes" visits every search state from x's class once
+    (:func:`~gogz.paths.iter_conjugacy_paths`): parallel edges of one
+    signature share their states, but edges of many signatures at one
+    class still make their number exponential.  A step costs one integer
+    fold of root exponents; only the first walk of each pair is certified,
+    and no pair of words gets two transfers.  ``_require_path`` replays the
+    answer and every additional relation with one memo, so x and y are
+    embedded once and each power x^m or y^n is built once.  Walks that
+    repeat an edge are not searched, so a relation with smaller exponents
+    may exist: in BS(2, 3) the answer for a^9 and a^4 is (2, 3), while
+    t^-2 a^9 t^2 = a^4 already holds.
     """
     if x.is_identity or y.is_identity:
         raise DegenerateInputError("power conjugacy is asked of nontrivial elements")
@@ -387,9 +387,9 @@ class AnalysisReport(NamedTuple):
     The acylindricity verdict is ``trichotomy.acyl``; it is None when the
     graph reduces to a single vertex, whose free rank is then
     ``trichotomy.free_rank``.  ``rel_hyp_note`` is set when no relative
-    hyperbolicity is available: a reduced graph whose vertex groups are all
-    infinite cyclic presents a generalised Baumslag-Solitar group, which is
-    not hyperbolic relative to any collection of proper subgroups.
+    hyperbolicity is available: a reduced graph with an edge and only
+    infinite cyclic vertex groups presents a generalised Baumslag-Solitar
+    group other than Z, not hyperbolic relative to any proper subgroups.
     ``notes`` collects shape caveats (currently: a reduced single vertex with
     a single bad loop).
     """
@@ -415,7 +415,7 @@ def analyze(graph: GraphOfGroups) -> AnalysisReport:
     tri = _trichotomy(reduced, classes if reduced is graph else _ClassGraph(reduced))
 
     rel_hyp_note = None
-    if all(v.rank == 1 for v in reduced.vertices.values()):
+    if not reduced.is_trivial and all(v.rank == 1 for v in reduced.vertices.values()):
         rel_hyp_note = (
             "all vertex groups are infinite cyclic (generalised Baumslag-Solitar "
             "group): not hyperbolic relative to any proper subgroups"

@@ -1,6 +1,8 @@
 """Command-line interface: subcommands, formats, exit codes, determinism."""
 
 import argparse
+import contextlib
+import gc
 import hashlib
 import io
 import json
@@ -19,6 +21,7 @@ from gogz.graphs import parse_graph
 from gogz.words import MAX_REPLAY_SYLLABLES, MAX_WORD_LETTERS
 from families import K, chain, loops2, ring, wring
 from helpers import run_capped
+from test_golden_cli import _write_suite, golden_argvs
 
 BS23 = 'vertex 0 rank=1 gens=a\nedge 0 0 0 minus="a^2" plus="a^3"\n'
 
@@ -713,6 +716,24 @@ class TestSharedParser:
         assert main(argv) == (0 if status is None else status)
         assert message in getattr(capsys.readouterr(), stream)
         assert run(capsys, *check) == (0, alone)
+
+    @pytest.mark.parametrize("enabled", [True, False], ids=["collector-on", "collector-off"])
+    def test_commands_leave_no_cycles_and_the_collector_as_found(self, tmp_path, monkeypatch, enabled):
+        """``main`` runs a command with the cyclic collector off, which only
+        saves time if the command leaves no reference cycles for it."""
+        _write_suite(tmp_path)
+        monkeypatch.chdir(tmp_path)
+        gc.collect()
+        (gc.enable if enabled else gc.disable)()
+        try:
+            for argv in golden_argvs():
+                with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+                    main(argv)
+                assert gc.isenabled() is enabled, argv
+            # a collection that ran between the calls may have found cycles already
+            assert enabled or gc.collect() == 0
+        finally:
+            gc.enable()
 
 
 class TestBrokenPipe:

@@ -28,6 +28,7 @@ CI_GRAPHS = {
     ("clique", 30): "5a138842b65efb8495ccd04247da9fa27179d16bc0f5b973b13f87e88d038203",
     ("loops1", 6): "39c5f81364876fbcc1287fd971df6c117dcec42fbcbc6c753e18405b01de6733",
     ("loops1", 7): "3de83f317bc6ab21279c107384236bbf825459a256285e0fe00ec33a18f1224b",
+    ("loops1", 12): "882242a5d601a822497d9a3425579e004ea7e6083ad9bb47030ab9734f4bb328",
     ("loops2", 8): "27753cdef8c385233f0eb0b5fdf6a2c91e04e0554f8fbf25ec4be07bb055c8c8",
     ("K", 5): "3cc7ed164387079247598031cb645171518c6117b7b483d511ff18af4aaec004",
     ("K", 6): "d49673a2b07143e8aa35295303502c2f5ed6f3ad86ff5a144503063a995f8adf",

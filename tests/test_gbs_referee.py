@@ -3,7 +3,7 @@ cyclic (generalised Baumslag-Solitar graphs).
 
 Such a graph is read as a list of edges ``(u, v, k_u, k_v)``: the edge
 identifies a_u^(k_u) with a_v^(k_v), a_u generating vertex u.  The referee
-decides four verdicts from these numbers alone, with no code of the
+decides six verdicts from these numbers alone, with no code of the
 package beyond :func:`~gogz.graphs.parse_graph` and
 :func:`~gogz.verdicts.analyze`, whose report it checks:
 
@@ -20,6 +20,12 @@ package beyond :func:`~gogz.graphs.parse_graph` and
 * *Acylindrically hyperbolic* never: an elliptic element is commensurated
   by the whole group.  A graph that reduces to one vertex presents Z, of
   free rank 1.
+* *The relative hyperbolicity note*, that no GBS group is hyperbolic
+  relative to proper subgroups, is printed exactly when the graph does not
+  reduce to a point: Z is hyperbolic.
+* *The trichotomy branch* is ``surjects_Z`` when the graph reduces to a
+  point (Z) or has a cycle (a stable letter maps onto Z), and otherwise
+  ``cyclic_normal_subgroup``: a tree of cyclic groups has a central power.
 * *Modulus*: the signed potential psi(v) = psi(u) k_u / k_v along the
   tree makes every non-tree edge's cycle gain psi(u) k_u / (k_v psi(v)),
   and these generate the image of the modular homomorphism in Q*.  The
@@ -171,6 +177,8 @@ def referee_mismatches(n: int, edges):
             ("word hyperbolic", report.hyperbolicity.hyperbolic, point),
             ("acylindrically hyperbolic", acyl, None if point else False),
             ("free rank", tri.free_rank, 1 if point else None),
+            ("relative hyperbolicity note", report.rel_hyp_note is not None, not point),
+            ("trichotomy", tri.branch, "surjects_Z" if point or len(edges) >= n else "cyclic_normal_subgroup"),
         )
         if got != want
     ]

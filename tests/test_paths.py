@@ -322,9 +322,10 @@ class TestIterConjugacyPaths:
         ids=["no-edge-end-in-class", "class-in-another-component"],
     )
     def test_unreachable_target_walks_nothing(self, extra, target, monkeypatch):
-        # eight loops a/a^2 give millions of edge-once walks from the class of a
+        # eight loops a/a^2 give millions of edge-once walks from the class of a;
+        # the search folds the root exponents of each step it tries
         graph = parse_graph(loops2(8) + extra)
-        monkeypatch.setattr(paths._ClassGraph, "walks", lambda *args, **kwargs: pytest.fail("walked"))
+        monkeypatch.setattr(paths, "_fold", lambda *args: pytest.fail("walked"))
         vid, word = target.split(":")
         assert list(iter_conjugacy_paths(graph, w(graph, 0, "a"), w(graph, int(vid), word))) == []
 

@@ -403,6 +403,52 @@ def test_open_search_matches_reference_in_yield_order(case):
     assert list(islice(iter_conjugacy_paths(graph, g, g_prime), len(expected))) == expected
 
 
+@st.composite
+def parallel_edge_cases(draw):
+    """A graph of at most five edges that come in parallel copies, each
+    copy with its original's words and so its signature, and two words at
+    its vertices: the shape on which the open search's states merge."""
+    n = draw(st.integers(1, 3))
+    vertices = [Vertex.make(v, "ab"[: draw(st.sampled_from([1, 1, 2]))] if v == 0 else [f"c{v}"]) for v in range(n)]
+    ends = [(draw(st.integers(0, v - 1)), v) for v in range(1, n)]
+    ends += [(draw(st.integers(0, n - 1)), draw(st.integers(0, n - 1))) for _ in range(draw(st.integers(n == 1, 2)))]
+    kinds = [(m, p, *(_word(vertices[v], draw(word_specs(vertices[v].rank))) for v in (m, p))) for m, p in ends]
+    copies = [kind for kind in kinds for _ in range(draw(st.integers(1, 3)))]
+    assume(len(copies) <= 5)
+    graph = GraphOfGroups(vertices, [Edge(eid, *kind) for eid, kind in enumerate(draw(st.permutations(copies)))])
+    ends = [vertices[draw(st.integers(0, n - 1))] for _ in range(2)]
+    return (graph, *(_word(vertex, draw(word_specs(vertex.rank))) for vertex in ends))
+
+
+# Walks e0+ e3- and e1- e2+ from c1^-1 reach the class of c1 with one
+# length, exponent and fold, but have used different edges: two loops, or
+# the two edges to a, which change the ratio differently afterwards.
+USED_EDGES_DIFFER = parse_graph(
+    "vertex 0 rank=1 gens=a\nvertex 1 rank=1 gens=c1\n"
+    'edge 0 1 1 minus="c1^2" plus="c1^3"\nedge 1 0 1 minus="a^2" plus="c1^2"\n'
+    'edge 2 0 1 minus="a^2" plus="c1^2"\nedge 3 1 1 minus="c1^2" plus="c1^3"'
+)
+# Walks e0- e1+ and e1- e0+ from c1^3 use one edge of each signature and end
+# on c1^-1 with one exponent, but their folds, and so their pairs, differ.
+FOLDS_DIFFER = parse_graph(
+    "vertex 0 rank=1 gens=a\nvertex 1 rank=1 gens=c1\n"
+    'edge 0 0 1 minus="a^-1" plus="c1^-1"\nedge 1 0 1 minus="a^-2" plus="c1^-1"'
+)
+
+
+@settings(max_examples=300, derandomize=True, database=None, deadline=None)
+@given(parallel_edge_cases())
+@example((USED_EDGES_DIFFER, *map(USED_EDGES_DIFFER.vertices[1].alphabet.parse, ("c1^-1", "c1"))))
+@example((FOLDS_DIFFER, *map(FOLDS_DIFFER.vertices[1].alphabet.parse, ("c1^3", "c1^-1"))))
+def test_open_search_yields_every_first_of_the_reference(case):
+    """The whole yield list, not a prefix: the open search skips a walk
+    whose state an earlier walk reached, and must still yield the first
+    walk of every pair of the reference's complete stream, in its order."""
+    graph, g, g_prime = case
+    expected = list(first_of_each_pair(reference_open(graph, g, g_prime)))
+    assert list(iter_conjugacy_paths(graph, g, g_prime)) == expected
+
+
 @settings(max_examples=300, deadline=None)
 @given(st.one_of(graphs(), graphs(trees_only=True), rank_one_multigraphs()))
 @example(TIED_CYCLES)
